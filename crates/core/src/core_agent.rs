@@ -32,10 +32,9 @@
 use crate::config::UfabConfig;
 use netsim::agent::{PortView, SwitchAgent, SwitchCtx};
 use netsim::packet::{Packet, PacketKind};
-use netsim::Time;
+use netsim::{FastMap, Time};
 use obs::{Category, Event as ObsEvent, ObsHandle};
 use std::any::Any;
-use std::collections::HashMap;
 use telemetry::{wire, CountingBloom, DemandRegisters, HopInfo};
 
 /// Timer kind used for the periodic idle cleanup.
@@ -99,7 +98,7 @@ pub struct PortSummary {
     /// The Φ_l / W_l registers.
     pub registers: DemandRegisters,
     bloom: CountingBloom,
-    pairs: HashMap<u32, PairReg>,
+    pairs: FastMap<u32, PairReg>,
 }
 
 impl PortSummary {
@@ -107,7 +106,7 @@ impl PortSummary {
         Self {
             registers: DemandRegisters::new(),
             bloom: CountingBloom::with_hashes(bloom_bytes, bloom_hashes),
-            pairs: HashMap::new(),
+            pairs: FastMap::default(),
         }
     }
 
@@ -160,7 +159,7 @@ pub struct CoreStats {
 
 /// The μFAB-C switch agent.
 pub struct UfabCore {
-    ports: HashMap<u16, PortSummary>,
+    ports: FastMap<u16, PortSummary>,
     hw: CoreHwCfg,
     /// Stamped-value saturation points derived from `hw.reg_width_bits`
     /// (Φ in tokens, W in bytes — the Appendix-G wire units).
@@ -190,7 +189,7 @@ impl UfabCore {
     pub fn with_hw(hw: CoreHwCfg) -> Self {
         let cap = reg_cap_units(hw.reg_width_bits);
         Self {
-            ports: HashMap::new(),
+            ports: FastMap::default(),
             hw,
             phi_cap: cap as f64,
             w_cap: (cap as f64) * wire::W_UNIT_BYTES as f64,
@@ -430,13 +429,20 @@ impl SwitchAgent for UfabCore {
         let cutoff = ctx.now.saturating_sub(self.hw.cleanup_period);
         let node = ctx.node.raw();
         let obs = &self.obs;
-        for (&portno, st) in self.ports.iter_mut() {
-            let stale: Vec<u32> = st
+        // Sorted walks: the maps are lookup-only, so the order registers
+        // are decremented (and events recorded) in never depends on
+        // hash state.
+        let mut ports: Vec<u16> = self.ports.keys().copied().collect();
+        ports.sort_unstable();
+        for portno in ports {
+            let st = self.ports.get_mut(&portno).expect("listed above");
+            let mut stale: Vec<u32> = st
                 .pairs
                 .iter()
                 .filter(|(_, pr)| pr.last_seen < cutoff)
                 .map(|(&p, _)| p)
                 .collect();
+            stale.sort_unstable();
             for p in stale {
                 if let Some(pr) = st.pairs.remove(&p) {
                     st.registers.add_phi(-pr.phi);

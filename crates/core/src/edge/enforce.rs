@@ -141,6 +141,7 @@ const FLOOD_SEQ_BASE: u64 = u64::MAX / 2;
 /// Per-tenant enforcement row.
 #[derive(Debug, Clone)]
 struct TenantEnf {
+    tenant: TenantId,
     /// Per-host hose share: Σ tokens of the tenant's VMs on this host
     /// × B_u (bps). 0 until the first pair activation fills it in.
     hose_bps: f64,
@@ -159,8 +160,9 @@ struct TenantEnf {
 }
 
 impl TenantEnf {
-    fn placeholder(now: Time) -> Self {
+    fn placeholder(tenant: TenantId, now: Time) -> Self {
         Self {
+            tenant,
             hose_bps: 0.0,
             bucket: TokenBucket::new(0.0, 0.0, now),
             clamp: None,
@@ -177,8 +179,14 @@ impl TenantEnf {
     }
 }
 
-/// The whole enforcement stage of one edge. `BTreeMap` keys give every
-/// walk a sorted, deterministic order.
+/// The whole enforcement stage of one edge.
+///
+/// Rows live in a `Vec` and are never removed, so a row number stays
+/// valid for the agent's lifetime (across `on_restart` too): the pair
+/// table caches it per pair and the per-packet gates index directly.
+/// The control-plane entry points take a `TenantId` and go through the
+/// `BTreeMap` index, whose key order also gives every tenant walk a
+/// sorted, deterministic order.
 #[derive(Debug, Default)]
 pub struct EnforceState {
     /// Master switch (mirrors `UfabConfig::enforce`). Off ⇒ every gate
@@ -186,7 +194,8 @@ pub struct EnforceState {
     pub enabled: bool,
     /// Observation window length (ns).
     pub window: Time,
-    tenants: BTreeMap<TenantId, TenantEnf>,
+    index: BTreeMap<TenantId, u32>,
+    rows: Vec<TenantEnf>,
     /// Verdicts awaiting the obs flush: (tenant, class, aux).
     pending: Vec<(TenantId, &'static str, u64)>,
     /// A policer gate deferred a packet (or a clamp was re-clocked)
@@ -222,6 +231,21 @@ impl EnforceState {
         }
     }
 
+    /// The tenant's row, created as a placeholder on first sight.
+    fn row_or_insert(&mut self, tenant: TenantId, now: Time) -> &mut TenantEnf {
+        let next = self.rows.len() as u32;
+        let r = *self.index.entry(tenant).or_insert(next);
+        if r == next {
+            self.rows.push(TenantEnf::placeholder(tenant, now));
+        }
+        &mut self.rows[r as usize]
+    }
+
+    /// The tenant's row number, if registered.
+    pub fn row(&self, tenant: TenantId) -> Option<u32> {
+        self.index.get(&tenant).copied()
+    }
+
     /// Register `tenant` with its per-host hose parameters (idempotent;
     /// a placeholder created by [`EnforceState::set_hostile`] is filled
     /// in on first call).
@@ -233,10 +257,7 @@ impl EnforceState {
         probe_budget: u32,
         now: Time,
     ) {
-        let e = self
-            .tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantEnf::placeholder(now));
+        let e = self.row_or_insert(tenant, now);
         if e.hose_bps == 0.0 && hose_bps > 0.0 {
             e.hose_bps = hose_bps;
             let rate = hose_bps * e.clamp.unwrap_or(1.0);
@@ -245,40 +266,24 @@ impl EnforceState {
         }
     }
 
-    /// Is the tenant already registered?
-    pub fn has(&self, tenant: TenantId) -> bool {
-        self.tenants.contains_key(&tenant)
-    }
-
     /// Registered *and* carrying real hose parameters (a
     /// [`EnforceState::set_hostile`] placeholder is not yet
     /// provisioned).
     pub fn is_provisioned(&self, tenant: TenantId) -> bool {
-        self.tenants
-            .get(&tenant)
-            .map(|e| e.hose_bps > 0.0)
-            .unwrap_or(false)
+        self.row(tenant)
+            .is_some_and(|r| self.rows[r as usize].hose_bps > 0.0)
     }
 
-    /// Send-time policer gate for one prospective data packet.
-    /// `over_window` marks traffic that bypassed the μFAB admission
-    /// window (a guarantee-exceeding sender); in-window traffic is
-    /// gated only while a quarantine clamp is active.
-    pub fn data_admit(
-        &mut self,
-        tenant: TenantId,
-        now: Time,
-        bytes: u64,
-        over_window: bool,
-    ) -> bool {
+    /// Send-time policer gate for one prospective data packet of the
+    /// tenant in `row`. `over_window` marks traffic that bypassed the
+    /// μFAB admission window (a guarantee-exceeding sender); in-window
+    /// traffic is gated only while a quarantine clamp is active.
+    pub fn data_admit(&mut self, row: u32, now: Time, bytes: u64, over_window: bool) -> bool {
         if !self.enabled {
             return true;
         }
-        let window = self.window;
-        let Some(e) = self.tenants.get_mut(&tenant) else {
-            return true;
-        };
-        Self::roll(e, window, now);
+        let e = &mut self.rows[row as usize];
+        Self::roll(e, self.window, now);
         if e.clamp.is_none() && !over_window {
             return true;
         }
@@ -290,7 +295,7 @@ impl EnforceState {
             e.policed_this_window = true;
             e.counters.policed_windows += 1;
             self.pending
-                .push((tenant, "policed", e.counters.policed_pkts));
+                .push((e.tenant, "policed", e.counters.policed_pkts));
         }
         self.deferred = true;
         false
@@ -302,29 +307,24 @@ impl EnforceState {
         std::mem::take(&mut self.deferred)
     }
 
-    /// Charge an actually-sent data packet against the tenant's bucket.
-    /// All traffic charges (so over-window overflow competes with the
-    /// in-window share for the same hose), only gated traffic defers.
-    pub fn data_charge(&mut self, tenant: TenantId, now: Time, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(e) = self.tenants.get_mut(&tenant) {
-            e.bucket.charge(now, bytes);
+    /// Charge an actually-sent data packet against the bucket of the
+    /// tenant in `row`. All traffic charges (so over-window overflow
+    /// competes with the in-window share for the same hose), only gated
+    /// traffic defers.
+    pub fn data_charge(&mut self, row: u32, now: Time, bytes: u64) {
+        if self.enabled {
+            self.rows[row as usize].bucket.charge(now, bytes);
         }
     }
 
     /// Probe-budget gate. Registering probes are exempt (they carry
     /// switch registration state) but still count against the window.
-    pub fn probe_admit(&mut self, tenant: TenantId, now: Time, registering: bool) -> bool {
+    pub fn probe_admit(&mut self, row: u32, now: Time, registering: bool) -> bool {
         if !self.enabled {
             return true;
         }
-        let window = self.window;
-        let Some(e) = self.tenants.get_mut(&tenant) else {
-            return true;
-        };
-        Self::roll(e, window, now);
+        let e = &mut self.rows[row as usize];
+        Self::roll(e, self.window, now);
         e.probes_this_window += 1;
         if registering || e.probes_this_window <= e.probe_budget {
             return true;
@@ -334,27 +334,24 @@ impl EnforceState {
             e.throttled_this_window = true;
             e.counters.probe_throttle_windows += 1;
             self.pending
-                .push((tenant, "probe_throttle", e.probes_this_window as u64));
+                .push((e.tenant, "probe_throttle", e.probes_this_window as u64));
         }
         false
     }
 
     /// Attribute `pkts` unsolicited packets (dropped at the source NIC)
-    /// to their tenant.
-    pub fn note_unsolicited(&mut self, tenant: TenantId, now: Time, pkts: u64) {
+    /// to the tenant in `row`.
+    pub fn note_unsolicited(&mut self, row: u32, now: Time, pkts: u64) {
         if !self.enabled || pkts == 0 {
             return;
         }
-        let window = self.window;
-        let Some(e) = self.tenants.get_mut(&tenant) else {
-            return;
-        };
-        Self::roll(e, window, now);
+        let e = &mut self.rows[row as usize];
+        Self::roll(e, self.window, now);
         e.counters.unsol_pkts += pkts;
         if !e.unsol_this_window {
             e.unsol_this_window = true;
             e.counters.unsol_windows += 1;
-            self.pending.push((tenant, "unsolicited", pkts));
+            self.pending.push((e.tenant, "unsolicited", pkts));
         }
     }
 
@@ -362,10 +359,7 @@ impl EnforceState {
     /// `fraction × hose` and drained (the clamp starts strict), and
     /// *all* the tenant's traffic is gated until the clamp lifts.
     pub fn set_clamp(&mut self, tenant: TenantId, now: Time, clamp: Option<f64>) {
-        let e = self
-            .tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantEnf::placeholder(now));
+        let e = self.row_or_insert(tenant, now);
         e.clamp = clamp;
         match clamp {
             Some(f) => {
@@ -379,42 +373,30 @@ impl EnforceState {
         self.deferred = true;
     }
 
-    /// The tenant's clamp fraction, if quarantined.
-    pub fn clamp_of(&self, tenant: TenantId) -> Option<f64> {
-        self.tenants.get(&tenant).and_then(|e| e.clamp)
-    }
-
     /// Attach a hostile behavior model to a tenant (workload setup).
     pub fn set_hostile(&mut self, tenant: TenantId, profile: HostileProfile, now: Time) {
-        self.tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantEnf::placeholder(now))
-            .hostile = Some(profile);
+        self.row_or_insert(tenant, now).hostile = Some(profile);
     }
 
-    /// Does the tenant bypass the admission window (OverGuar model)?
-    pub fn is_overguar(&self, tenant: TenantId) -> bool {
-        self.tenants
-            .get(&tenant)
-            .and_then(|e| e.hostile)
-            .map(|h| h.kind == HostileKind::OverGuar)
-            .unwrap_or(false)
+    /// Does the tenant in `row` bypass the admission window (OverGuar
+    /// model)?
+    pub fn is_overguar(&self, row: u32) -> bool {
+        self.rows[row as usize]
+            .hostile
+            .is_some_and(|h| h.kind == HostileKind::OverGuar)
     }
 
-    /// All hostile tenants in ascending id order.
-    pub fn hostile_tenants(&self) -> Vec<(TenantId, HostileProfile)> {
-        self.tenants
-            .iter()
-            .filter_map(|(&t, e)| e.hostile.map(|h| (t, h)))
+    /// The rows of all hostile tenants, ascending tenant id.
+    pub fn hostile_rows(&self) -> Vec<(u32, HostileProfile)> {
+        self.index
+            .values()
+            .filter_map(|&r| self.rows[r as usize].hostile.map(|h| (r, h)))
             .collect()
     }
 
-    /// Next flood-probe sequence number for a hostile tenant.
-    pub fn next_flood_seq(&mut self, tenant: TenantId) -> u64 {
-        let e = self
-            .tenants
-            .get_mut(&tenant)
-            .expect("hostile tenant registered");
+    /// Next flood-probe sequence number for the hostile tenant in `row`.
+    pub fn next_flood_seq(&mut self, row: u32) -> u64 {
+        let e = &mut self.rows[row as usize];
         let s = e.flood_seq;
         e.flood_seq += 1;
         s
@@ -422,12 +404,12 @@ impl EnforceState {
 
     /// Cumulative counters of one tenant.
     pub fn counters(&self, tenant: TenantId) -> Option<EnfCounters> {
-        self.tenants.get(&tenant).map(|e| e.counters)
+        self.row(tenant).map(|r| self.rows[r as usize].counters)
     }
 
     /// Registered tenants in ascending id order.
     pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.tenants.keys().copied().collect()
+        self.index.keys().copied().collect()
     }
 
     /// Drain the verdict events awaiting the obs flush.
@@ -472,94 +454,96 @@ mod tests {
         assert!(!b.admit(gap, MTU));
     }
 
-    fn armed(window: Time) -> EnforceState {
+    /// An armed stage with one provisioned tenant, and that tenant's row.
+    fn armed(window: Time) -> (EnforceState, u32) {
         let mut e = EnforceState::new(true, window);
         e.ensure(TenantId(7), 1e9, 2.0 * MTU as f64, 4, 0);
-        e
+        let row = e.row(TenantId(7)).unwrap();
+        (e, row)
     }
 
     #[test]
     fn disabled_stage_admits_everything_and_counts_nothing() {
-        let mut e = armed(250_000);
+        let (mut e, r) = armed(250_000);
         e.enabled = false;
         for _ in 0..100 {
-            assert!(e.data_admit(TenantId(7), 0, MTU, true));
-            assert!(e.probe_admit(TenantId(7), 0, false));
+            assert!(e.data_admit(r, 0, MTU, true));
+            assert!(e.probe_admit(r, 0, false));
         }
-        e.note_unsolicited(TenantId(7), 0, 64);
+        e.note_unsolicited(r, 0, 64);
         assert_eq!(e.counters(TenantId(7)).unwrap(), EnfCounters::default());
         assert!(e.take_pending().is_empty());
     }
 
     #[test]
     fn in_window_traffic_passes_but_still_charges() {
-        let mut e = armed(250_000);
+        let (mut e, r) = armed(250_000);
         // Unclamped, in-window: always admitted even with an empty
         // bucket...
         for _ in 0..10 {
-            assert!(e.data_admit(TenantId(7), 0, MTU, false));
-            e.data_charge(TenantId(7), 0, MTU);
+            assert!(e.data_admit(r, 0, MTU, false));
+            e.data_charge(r, 0, MTU);
         }
         // ...but the charges drained the hose, so over-window overflow
         // is policed immediately.
-        assert!(!e.data_admit(TenantId(7), 0, MTU, true));
+        assert!(!e.data_admit(r, 0, MTU, true));
         assert_eq!(e.counters(TenantId(7)).unwrap().policed_windows, 1);
     }
 
     #[test]
     fn verdict_events_dedupe_to_one_per_window() {
-        let mut e = armed(250_000);
+        let (mut e, r) = armed(250_000);
         // Drain the burst, then hammer within one window.
-        e.data_charge(TenantId(7), 0, 2 * MTU);
+        e.data_charge(r, 0, 2 * MTU);
         for _ in 0..50 {
-            assert!(!e.data_admit(TenantId(7), 10, MTU, true));
+            assert!(!e.data_admit(r, 10, MTU, true));
         }
         let c = e.counters(TenantId(7)).unwrap();
         assert_eq!(c.policed_windows, 1);
         assert_eq!(c.policed_pkts, 50);
         assert_eq!(e.take_pending().len(), 1);
         // Next window: one more event.
-        assert!(!e.data_admit(TenantId(7), 250_000 + 10, 100 * MTU, true));
+        assert!(!e.data_admit(r, 250_000 + 10, 100 * MTU, true));
         assert_eq!(e.counters(TenantId(7)).unwrap().policed_windows, 2);
         assert_eq!(e.take_pending(), vec![(TenantId(7), "policed", 51)]);
     }
 
     #[test]
     fn clamp_gates_in_window_traffic_at_penalty_rate() {
-        let mut e = armed(250_000);
+        let (mut e, r) = armed(250_000);
         e.set_clamp(TenantId(7), 0, Some(0.1));
         // Clamp starts drained: nothing passes at t=0.
-        assert!(!e.data_admit(TenantId(7), 0, MTU, false));
+        assert!(!e.data_admit(r, 0, MTU, false));
         // At 100 Mbps, one MTU refills in 120 µs.
-        assert!(e.data_admit(TenantId(7), 120_000, MTU, false));
-        e.data_charge(TenantId(7), 120_000, MTU);
-        assert!(!e.data_admit(TenantId(7), 120_001, MTU, false));
+        assert!(e.data_admit(r, 120_000, MTU, false));
+        e.data_charge(r, 120_000, MTU);
+        assert!(!e.data_admit(r, 120_001, MTU, false));
         // Lifting the clamp restores the full hose clock.
         e.set_clamp(TenantId(7), 120_001, None);
-        assert!(e.data_admit(TenantId(7), 120_001 + MTU * 8, MTU, true));
+        assert!(e.data_admit(r, 120_001 + MTU * 8, MTU, true));
     }
 
     #[test]
     fn probe_budget_throttles_floods_but_exempts_registering() {
-        let mut e = armed(250_000);
+        let (mut e, r) = armed(250_000);
         for _ in 0..4 {
-            assert!(e.probe_admit(TenantId(7), 0, false));
+            assert!(e.probe_admit(r, 0, false));
         }
-        assert!(!e.probe_admit(TenantId(7), 0, false));
+        assert!(!e.probe_admit(r, 0, false));
         // Registering probes pass even over budget.
-        assert!(e.probe_admit(TenantId(7), 0, true));
+        assert!(e.probe_admit(r, 0, true));
         let c = e.counters(TenantId(7)).unwrap();
         assert_eq!(c.probe_throttle_windows, 1);
         assert_eq!(c.throttled_probes, 1);
         // Budget resets with the window.
-        assert!(e.probe_admit(TenantId(7), 250_000, false));
+        assert!(e.probe_admit(r, 250_000, false));
     }
 
     #[test]
     fn flood_seqs_live_in_their_own_space() {
-        let mut e = armed(250_000);
-        let a = e.next_flood_seq(TenantId(7));
-        let b = e.next_flood_seq(TenantId(7));
+        let (mut e, r) = armed(250_000);
+        let a = e.next_flood_seq(r);
+        let b = e.next_flood_seq(r);
         assert_eq!(a, FLOOD_SEQ_BASE);
         assert_eq!(b, FLOOD_SEQ_BASE + 1);
     }

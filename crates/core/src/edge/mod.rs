@@ -11,7 +11,10 @@
 //!   admission window (§3.4), registration state at the switches, probe
 //!   self-clocking (§4.1), violation counters, and migration freeze
 //!   windows (§3.5) — stored struct-of-arrays in [`pairs`] so the
-//!   per-tick control walk is a linear scan over dense columns;
+//!   per-tick control walk is a linear scan over dense columns. A
+//!   callback resolves the `PairId` it was handed to a slot once; the
+//!   pump, the tick and every helper below take slots (DESIGN §4.3 has
+//!   the slot-space diagram);
 //! * the GP token loops (Appendix E) run every token update period for
 //!   both directions (sender assignment, receiver admission).
 //!
@@ -36,13 +39,12 @@ use metrics::recorder::SharedRecorder;
 use netsim::agent::{EdgeAgent, EdgeCtx};
 use netsim::packet::{Packet, PacketKind};
 use netsim::{
-    Inject, NodeId, PairId, PortNo, Route, TenantId, Time, VmId, ACK_SIZE, DATA_OVERHEAD,
+    FastMap, Inject, NodeId, PairId, PortNo, Route, TenantId, Time, VmId, ACK_SIZE, DATA_OVERHEAD,
 };
 use obs::{Category as ObsCategory, Event as ObsEvent, ObsHandle};
 use pairs::{PairCold, PairTable, PathInfo, PathTelem, PendingFinish, ProbeOut, Registration};
 use rand::Rng;
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 use telemetry::{wire, FinishFrame, ProbeFrame};
 use topology::Topo;
@@ -70,6 +72,35 @@ pub struct EdgeStats {
     pub corrupt_responses: u64,
 }
 
+/// Receiver-side GP state of one incoming pair (one row per endpoint
+/// slot).
+#[derive(Debug, Clone, Copy)]
+struct RxRow {
+    /// Sender demand φ_s carried by the pair's latest probe, and when.
+    phi_s: f64,
+    at: Time,
+    /// Token admitted at the last tick (∞ = unconstrained).
+    admitted: f64,
+    /// Listed in `rx_live` (demand seen and not yet stale).
+    live: bool,
+}
+
+const RX_IDLE: RxRow = RxRow {
+    phi_s: 0.0,
+    at: 0,
+    admitted: f64::INFINITY,
+    live: false,
+};
+
+/// Reused `try_migrate` candidate lists.
+#[derive(Default)]
+struct MigrateScratch {
+    /// (idx, subscription, potential) of fresh qualified candidates.
+    qualified: Vec<(usize, f64, f64)>,
+    /// (idx, subscription) of fresh candidates.
+    fresh: Vec<(usize, f64)>,
+}
+
 /// The μFAB-E edge agent.
 pub struct UfabEdge {
     cfg: UfabConfig,
@@ -80,17 +111,25 @@ pub struct UfabEdge {
     host: NodeId,
     mtu: u32,
     pairs: PairTable,
-    /// Receiver side: sender demand seen per incoming pair.
-    rx_demand: HashMap<PairId, (f64, Time)>,
-    /// Receiver side: admitted tokens per incoming pair.
-    rx_admitted: HashMap<PairId, f64>,
-    wfq: WfqScheduler,
-    routes_back: HashMap<NodeId, Route>,
-    reverse_cache: HashMap<(NodeId, Route), Route>,
+    /// Receiver side, indexed by endpoint slot (grown on demand).
+    rx: Vec<RxRow>,
+    /// The live rows of `rx` as `(destination VM, pair, endpoint slot)`,
+    /// kept ascending: the GP receiver tick reads each VM's incoming
+    /// pairs as one contiguous run in `PairId` order.
+    rx_live: Vec<(VmId, PairId, u32)>,
+    /// Queues hold pair-table slots.
+    wfq: WfqScheduler<u32>,
+    routes_back: FastMap<NodeId, Route>,
+    reverse_cache: FastMap<(NodeId, Route), Route>,
     /// Round-robin cursor for the budgeted demand-less keep-alive probes.
     keepalive_cursor: u64,
     /// Reused buffer for the keep-alive candidate scan (no per-tick alloc).
-    keepalive_scratch: Vec<PairId>,
+    keepalive_scratch: Vec<u32>,
+    /// Reused GP-tick buffers: one VM's pair slots, token views, demands.
+    gp_slots: Vec<u32>,
+    gp_views: Vec<PairTokens>,
+    gp_demands: Vec<f64>,
+    migrate_scratch: MigrateScratch,
     /// Counters.
     pub stats: EdgeStats,
     /// Per-tenant enforcement stage (DESIGN §10). Modeled as
@@ -119,13 +158,17 @@ impl UfabEdge {
             host,
             mtu,
             pairs: PairTable::default(),
-            rx_demand: HashMap::new(),
-            rx_admitted: HashMap::new(),
+            rx: Vec::new(),
+            rx_live: Vec::new(),
             wfq: WfqScheduler::new(),
-            routes_back: HashMap::new(),
-            reverse_cache: HashMap::new(),
+            routes_back: FastMap::default(),
+            reverse_cache: FastMap::default(),
             keepalive_cursor: 0,
             keepalive_scratch: Vec::new(),
+            gp_slots: Vec::new(),
+            gp_views: Vec::new(),
+            gp_demands: Vec::new(),
+            migrate_scratch: MigrateScratch::default(),
             stats: EdgeStats::default(),
             enforce,
             obs: ObsHandle::disabled(),
@@ -145,6 +188,38 @@ impl UfabEdge {
         self.ep.submit(ctx.now, msg);
         self.activate_pair(ctx, pair);
         self.pump(ctx);
+    }
+
+    /// The `ReadySetSound` audit (see [`crate::invariants`]): a clear
+    /// ready bit means nothing to send, and the three slot spaces agree
+    /// — every scheduler entry is an active pair-table slot of the
+    /// queue's tenant, and every pair-table row caches the endpoint slot
+    /// and enforcement row of its own pair and tenant.
+    pub fn check_ready_set(&self) -> Result<(), String> {
+        if let Some(pair) = self.ep.stale_ready_bit() {
+            return Err(format!("{pair}: ready bit clear with a segment to send"));
+        }
+        for (tenant, s) in self.wfq.queued() {
+            let s = s as usize;
+            if s >= self.pairs.len() || !self.pairs.active[s] {
+                return Err(format!("scheduler queues slot {s}: no active pair there"));
+            }
+            if self.pairs.cold[s].tenant != tenant {
+                return Err(format!(
+                    "scheduler queues slot {s} under {tenant}: wrong tenant"
+                ));
+            }
+        }
+        for s in self.pairs.slots_sorted() {
+            let (pair, tenant) = (self.pairs.id(s), self.pairs.cold[s].tenant);
+            if self.ep.slot(pair) != Some(self.pairs.ep_slot[s]) {
+                return Err(format!("{pair}: cached endpoint slot is another pair's"));
+            }
+            if self.enforce.row(tenant) != Some(self.pairs.enf_row[s]) {
+                return Err(format!("{pair}: cached enforcement row is not {tenant}'s"));
+            }
+        }
+        Ok(())
     }
 
     /// Current admission window of a pair in bytes (tests/experiments).
@@ -253,10 +328,15 @@ impl UfabEdge {
     /// clocked at the per-host hose share (Σ tokens of its VMs on this
     /// host × B_u), burst one RTT of guarantee floored at 2 MTUs, and
     /// its probe budget scales with the hose-implied self-clocked rate.
-    fn enforce_ensure(&mut self, tenant: TenantId) {
-        if self.enforce.is_provisioned(tenant) {
-            return;
+    /// Returns the tenant's enforcement row.
+    fn enforce_ensure(&mut self, tenant: TenantId) -> u32 {
+        if !self.enforce.is_provisioned(tenant) {
+            self.enforce_provision(tenant);
         }
+        self.enforce.row(tenant).expect("provisioned above")
+    }
+
+    fn enforce_provision(&mut self, tenant: TenantId) {
         let hose: f64 = self
             .fabric
             .vms_on_host(self.host)
@@ -281,15 +361,15 @@ impl UfabEdge {
     /// (it provably works — the packet just arrived on it); fall back to
     /// a shortest path for unrouted (ECMP) packets. Returns the inline
     /// [`Route`] directly — the hit path is a memcpy, no allocation.
-    fn reply_route(&mut self, pkt: &Packet) -> Route {
-        if pkt.route.is_empty() {
-            return self.route_back(pkt.src);
+    fn reply_route(&mut self, src: NodeId, route: &Route) -> Route {
+        if route.is_empty() {
+            return self.route_back(src);
         }
-        let key = (pkt.src, pkt.route.clone());
+        let key = (src, route.clone());
         if let Some(r) = self.reverse_cache.get(&key) {
             return r.clone();
         }
-        let rev: Route = self.topo.reverse_route(pkt.src, &pkt.route).into();
+        let rev: Route = self.topo.reverse_route(src, route).into();
         if self.reverse_cache.len() > 4096 {
             self.reverse_cache.clear();
         }
@@ -316,8 +396,8 @@ impl UfabEdge {
         let eta = self.cfg.target_utilization;
         let bu = self.fabric.bu_bps;
         if let Some(s) = self.pairs.slot(pair) {
-            let tenant = self.pairs.cold[s].tenant;
-            self.enforce_ensure(tenant);
+            // (The tenant's enforcement row was provisioned when the
+            // pair was inserted; hoses are static.)
             if !self.pairs.active[s] {
                 self.pairs.active[s] = true;
                 // §3.4 Scenario-2 re-entry: bootstrap from the pair's
@@ -341,8 +421,8 @@ impl UfabEdge {
                 }
                 self.pairs.w_claim[s] =
                     self.pairs.window[s].max(self.pairs.w_claim[s].min(8.0 * self.pairs.window[s]));
-                self.wfq.add_pair(self.pairs.cold[s].tenant, pair);
-                self.register_on_current(ctx, pair);
+                self.wfq.add_pair(self.pairs.cold[s].tenant, s as u32);
+                self.register_on_current(ctx, s);
             }
             return;
         }
@@ -410,40 +490,37 @@ impl UfabEdge {
             registered: None,
             reg_epoch: 0,
             probe_seq: 0,
-            cand_probes: HashMap::new(),
+            cand_probes: FastMap::default(),
             better_since: None,
             pending_finish: Vec::new(),
         };
-        self.pairs.insert(pair, cold, phi_s, window, boot, ctx.now);
+        let ep_slot = self.ep.slot_or_insert(pair);
+        let enf_row = self.enforce_ensure(tenant);
+        let s = self
+            .pairs
+            .insert(pair, cold, ep_slot, enf_row, phi_s, window, boot, ctx.now);
         self.wfq
             .set_tenant(tenant, weight_class(vm_tokens, self.cfg.wfq_levels));
-        self.wfq.add_pair(tenant, pair);
-        self.enforce_ensure(tenant);
-        self.register_on_current(ctx, pair);
-        self.probe_candidates(ctx, pair);
+        self.wfq.add_pair(tenant, s as u32);
+        self.register_on_current(ctx, s);
+        self.probe_candidates(ctx, s);
     }
 
     /// Send the registering probe on the current path.
-    fn register_on_current(&mut self, ctx: &mut EdgeCtx, pair: PairId) {
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
+    fn register_on_current(&mut self, ctx: &mut EdgeCtx, s: usize) {
         let phi = self.pairs.phi_eff(s);
         let w = self.pairs.w_claim[s];
         let cur = self.pairs.cold[s].cur;
         self.pairs.cold[s].registered = Some(Registration { path: cur, phi, w });
-        self.send_probe(ctx, pair, cur, true);
+        self.send_probe(ctx, s, cur, true);
     }
 
     /// Probe every non-current candidate read-only (registration-free).
-    fn probe_candidates(&mut self, ctx: &mut EdgeCtx, pair: PairId) {
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
+    fn probe_candidates(&mut self, ctx: &mut EdgeCtx, s: usize) {
         let n = self.pairs.cold[s].candidates.len();
         for i in 0..n {
             if self.pairs.cold[s].cur != i {
-                self.send_probe(ctx, pair, i, false);
+                self.send_probe(ctx, s, i, false);
             }
         }
         self.pairs.last_alt_probe[s] = ctx.now;
@@ -452,17 +529,17 @@ impl UfabEdge {
     /// Emit one probe on candidate `path_idx`. `registering` sends full
     /// values for switch registration; otherwise the probe carries deltas
     /// on the current path and nothing (pure read) on candidates.
-    fn send_probe(&mut self, ctx: &mut EdgeCtx, pair: PairId, path_idx: usize, registering: bool) {
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
+    fn send_probe(&mut self, ctx: &mut EdgeCtx, s: usize, path_idx: usize, registering: bool) {
         // Probe-budget throttle: a throttled probe is simply not sent —
         // no sequence number is burned and no bookkeeping moves, so the
         // self-clock / keep-alive machinery retries on its own schedule.
-        let tenant = self.pairs.cold[s].tenant;
-        if !self.enforce.probe_admit(tenant, ctx.now, registering) {
+        if !self
+            .enforce
+            .probe_admit(self.pairs.enf_row[s], ctx.now, registering)
+        {
             return;
         }
+        let pair = self.pairs.id(s);
         let seq = self.pairs.cold[s].probe_seq;
         self.pairs.cold[s].probe_seq += 1;
         let phi = self.pairs.phi_eff(s);
@@ -521,10 +598,7 @@ impl UfabEdge {
 
     /// Self-clocked probing (§4.1): after a response, the next probe goes
     /// out once L_m data bytes have been sent.
-    fn maybe_probe(&mut self, ctx: &mut EdgeCtx, pair: PairId) {
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
+    fn maybe_probe(&mut self, ctx: &mut EdgeCtx, s: usize) {
         if !self.pairs.active[s] || self.pairs.outstanding[s].is_some() {
             return;
         }
@@ -532,14 +606,14 @@ impl UfabEdge {
             None => {
                 if self.pairs.bytes_since_probe[s] >= self.cfg.probe_lm_bytes {
                     let cur = self.pairs.cold[s].cur;
-                    self.send_probe(ctx, pair, cur, false);
+                    self.send_probe(ctx, s, cur, false);
                 }
             }
             Some(n) => {
                 let period = n * self.pairs.cur_base_rtt[s];
                 if ctx.now.saturating_sub(self.pairs.last_probe_sent[s]) >= period {
                     let cur = self.pairs.cold[s].cur;
-                    self.send_probe(ctx, pair, cur, false);
+                    self.send_probe(ctx, s, cur, false);
                 }
             }
         }
@@ -604,7 +678,7 @@ impl UfabEdge {
         // before the min removes most of that bias (the register-backed
         // Φ_l/W_l are low-noise and taken fresh).
         let prev = std::mem::take(&mut self.pairs.cold[s].telem[path_idx]);
-        let mut hops = frame.hops.clone();
+        let mut hops = frame.hops;
         if prev.hops.len() == hops.len() {
             for (h, p) in hops.iter_mut().zip(prev.hops.iter()) {
                 if h.node == p.node && h.port == p.port {
@@ -621,8 +695,8 @@ impl UfabEdge {
             if path_idx == self.pairs.cold[s].cur {
                 self.pairs.violations[s] = self.cfg.violation_rtts;
                 self.stats.probe_timeouts += 1;
-                self.probe_candidates(ctx, pair);
-                self.try_migrate(ctx, pair, false, true);
+                self.probe_candidates(ctx, s);
+                self.try_migrate(ctx, s, false, true);
             }
             return;
         }
@@ -655,8 +729,9 @@ impl UfabEdge {
         self.pairs.w_claim[s] =
             (self.pairs.w_claim[s] + gain * (w3 - self.pairs.w_claim[s])).max(floor);
         let r_share = rate::path_share_rate(phi, &self.pairs.cold[s].telem[path_idx].hops, eta);
-        let measured_tx = self.ep.tx_rate_bps(ctx.now, pair);
-        let window_limited = self.ep.has_backlog(pair);
+        let e = self.pairs.ep_slot[s];
+        let measured_tx = self.ep.tx_rate_bps_at(ctx.now, e);
+        let window_limited = self.ep.has_backlog_at(e);
         if self.cfg.bounded_latency {
             match self.pairs.boot[s] {
                 Some(boot) => {
@@ -722,8 +797,8 @@ impl UfabEdge {
         let guar = phi * bu;
         let unqualified =
             !rate::path_qualified(&self.pairs.cold[s].telem[path_idx].hops, 0.0, bu, eta);
-        let has_demand = self.ep.has_backlog(pair) || self.ep.inflight(pair) > 0;
-        let measured = self.ep.delivered_rate_bps(ctx.now, pair);
+        let has_demand = self.ep.has_backlog_at(e) || self.ep.inflight_at(e) > 0;
+        let measured = self.ep.delivered_rate_bps_at(ctx.now, e);
         if has_demand && guar > 0.0 && (measured < 0.85 * guar || unqualified) {
             self.pairs.violations[s] += 1;
         } else {
@@ -784,7 +859,7 @@ impl UfabEdge {
             self.pairs.cold[s].better_since = None;
         }
         if migrate_violation || migrate_wc {
-            self.try_migrate(ctx, pair, migrate_wc && !migrate_violation, sustained);
+            self.try_migrate(ctx, s, migrate_wc && !migrate_violation, sustained);
         }
         self.pump(ctx);
     }
@@ -795,19 +870,29 @@ impl UfabEdge {
     fn try_migrate(
         &mut self,
         ctx: &mut EdgeCtx,
-        pair: PairId,
+        s: usize,
         work_conservation: bool,
         sustained: bool,
     ) {
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
+        let mut scratch = std::mem::take(&mut self.migrate_scratch);
+        scratch.qualified.clear();
+        scratch.fresh.clear();
+        self.try_migrate_with(ctx, s, work_conservation, sustained, &mut scratch);
+        self.migrate_scratch = scratch;
+    }
+
+    fn try_migrate_with(
+        &mut self,
+        ctx: &mut EdgeCtx,
+        s: usize,
+        work_conservation: bool,
+        sustained: bool,
+        MigrateScratch { qualified, fresh }: &mut MigrateScratch,
+    ) {
         let eta = self.cfg.target_utilization;
         let bu = self.fabric.bu_bps;
         let phi = self.pairs.phi_eff(s);
         let fresh_limit = 20 * self.pairs.cur_base_rtt[s];
-        let mut qualified: Vec<(usize, f64, f64)> = Vec::new(); // (idx, subscription, potential)
-        let mut fresh: Vec<(usize, f64)> = Vec::new(); // (idx, subscription)
         let cur_sub = {
             let c = &self.pairs.cold[s];
             for (i, t) in c.telem.iter().enumerate() {
@@ -842,7 +927,7 @@ impl UfabEdge {
                     .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN"))
                 {
                     if best_sub < 0.85 * cur_sub {
-                        self.do_migrate(ctx, pair, best);
+                        self.do_migrate(ctx, s, best);
                         // Descents between over-subscribed paths are prone
                         // to ping-pong; hold them back much longer.
                         let hold = self.pairs.freeze_until[s].saturating_sub(ctx.now);
@@ -853,8 +938,8 @@ impl UfabEdge {
             }
             // Otherwise: widen the search — replace one random non-current
             // candidate with a fresh path sample, then re-probe.
-            self.resample_candidate(ctx, pair);
-            self.probe_candidates(ctx, pair);
+            self.resample_candidate(ctx, s);
+            self.probe_candidates(ctx, s);
             return;
         }
         let new_idx = if work_conservation {
@@ -876,16 +961,13 @@ impl UfabEdge {
                 qualified[ctx.rng.gen_range(0..qualified.len())].0
             }
         };
-        self.do_migrate(ctx, pair, new_idx);
+        self.do_migrate(ctx, s, new_idx);
     }
 
     /// Swap one random non-current candidate for a path not currently in
     /// the candidate set (keeps the §3.5 random-subset search moving when
     /// every sampled candidate is disqualified).
-    fn resample_candidate(&mut self, ctx: &mut EdgeCtx, pair: PairId) {
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
+    fn resample_candidate(&mut self, ctx: &mut EdgeCtx, s: usize) {
         let dst_host = self.pairs.cold[s].dst_host;
         let all = self.topo.paths(self.host, dst_host, self.cfg.path_enum_cap);
         if all.len() <= self.pairs.cold[s].candidates.len() {
@@ -919,13 +1001,11 @@ impl UfabEdge {
         c.telem[victim] = PathTelem::default();
     }
 
-    fn do_migrate(&mut self, ctx: &mut EdgeCtx, pair: PairId, new_idx: usize) {
+    fn do_migrate(&mut self, ctx: &mut EdgeCtx, s: usize, new_idx: usize) {
         let floor = self.min_window();
         let eta = self.cfg.target_utilization;
         let bu = self.fabric.bu_bps;
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
+        let pair = self.pairs.id(s);
         if new_idx == self.pairs.cold[s].cur {
             return;
         }
@@ -988,17 +1068,15 @@ impl UfabEdge {
         }
         self.pairs.window[s] = w0;
         self.pairs.w_claim[s] = w0;
-        self.register_on_current(ctx, pair);
-        self.flush_finish(ctx, pair);
+        self.register_on_current(ctx, s);
+        self.flush_finish(ctx, s);
     }
 
-    fn flush_finish(&mut self, ctx: &mut EdgeCtx, pair: PairId) {
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
+    fn flush_finish(&mut self, ctx: &mut EdgeCtx, s: usize) {
         if self.pairs.cold[s].pending_finish.is_empty() {
             return;
         }
+        let pair = self.pairs.id(s);
         let retry_after = 4 * self.pairs.cur_base_rtt[s];
         let c = &mut self.pairs.cold[s];
         // Drop finishes that exhausted their retries (dead path; the
@@ -1039,52 +1117,70 @@ impl UfabEdge {
 
     /// GP sender side: split each local VM's hose across its active pairs.
     fn gp_sender_tick(&mut self, now: Time) {
-        let mut by_vm: HashMap<VmId, Vec<u32>> = HashMap::new();
-        // Walking slots in PairId order keeps each VM's list sorted.
-        for s in self.pairs.slots_sorted() {
-            if self.pairs.active[s] {
-                by_vm
-                    .entry(self.pairs.cold[s].src_vm)
-                    .or_default()
-                    .push(s as u32);
+        let mut slots = std::mem::take(&mut self.gp_slots);
+        let mut views = std::mem::take(&mut self.gp_views);
+        let pairs = &mut self.pairs;
+        // One VM's pairs are one run of `vm_order`, ascending PairId.
+        for run in pairs.vm_order.chunk_by(|a, b| a.0 == b.0) {
+            slots.clear();
+            views.clear();
+            for &(_, s) in run {
+                if pairs.active[s as usize] {
+                    let tx = self.ep.tx_rate_bps_at(now, pairs.ep_slot[s as usize]);
+                    slots.push(s);
+                    views.push(PairTokens::new(tx, pairs.phi_r[s as usize]));
+                }
             }
-        }
-        for (vm, slots) in by_vm {
-            let phi_vm = self.fabric.vm_tokens(vm);
-            let mut views: Vec<PairTokens> = slots
-                .iter()
-                .map(|&s| {
-                    let tx = self.ep.tx_rate_bps(now, self.pairs.id(s as usize));
-                    PairTokens::new(tx, self.pairs.phi_r[s as usize])
-                })
-                .collect();
-            token_assignment(phi_vm, self.fabric.bu_bps, &mut views);
+            let vm = run[0].0;
+            token_assignment(self.fabric.vm_tokens(vm), self.fabric.bu_bps, &mut views);
             for (&s, v) in slots.iter().zip(&views) {
-                self.pairs.phi_s[s as usize] = v.phi_s;
+                pairs.phi_s[s as usize] = v.phi_s;
             }
         }
+        self.gp_slots = slots;
+        self.gp_views = views;
+    }
+
+    /// Record the sender demand a probe carried for the incoming pair in
+    /// endpoint slot `e`; returns the token currently admitted for it.
+    fn note_rx_demand(&mut self, e: u32, pair: PairId, phi_s: f64, now: Time) -> f64 {
+        if self.rx.len() <= e as usize {
+            self.rx.resize(e as usize + 1, RX_IDLE);
+        }
+        let row = &mut self.rx[e as usize];
+        (row.phi_s, row.at) = (phi_s, now);
+        if !row.live {
+            row.live = true;
+            let key = (self.fabric.pair(pair).dst, pair, e);
+            let pos = self.rx_live.partition_point(|&k| k < key);
+            self.rx_live.insert(pos, key);
+        }
+        row.admitted
     }
 
     /// GP receiver side: admit incoming demands per destination VM.
     fn gp_receiver_tick(&mut self, now: Time) {
-        let stale = 8 * self.cfg.token_update_period;
-        self.rx_demand
-            .retain(|_, (_, at)| now.saturating_sub(*at) <= stale.max(1));
-        let mut by_vm: HashMap<VmId, Vec<(PairId, f64)>> = HashMap::new();
-        for (&pair, &(phi_s, _)) in &self.rx_demand {
-            let dst_vm = self.fabric.pair(pair).dst;
-            by_vm.entry(dst_vm).or_default().push((pair, phi_s));
-        }
-        self.rx_admitted.clear();
-        for (vm, mut entries) in by_vm {
-            entries.sort_by_key(|(p, _)| *p);
-            let phi_vm = self.fabric.vm_tokens(vm);
-            let demands: Vec<f64> = entries.iter().map(|(_, d)| *d).collect();
-            let admitted = token_admission(phi_vm, &demands);
-            for ((pair, _), adm) in entries.iter().zip(admitted) {
-                self.rx_admitted.insert(*pair, adm);
+        let stale = (8 * self.cfg.token_update_period).max(1);
+        let rx = &mut self.rx;
+        self.rx_live.retain(|&(_, _, e)| {
+            let row = &mut rx[e as usize];
+            row.live = now.saturating_sub(row.at) <= stale;
+            if !row.live {
+                row.admitted = f64::INFINITY;
+            }
+            row.live
+        });
+        let mut demands = std::mem::take(&mut self.gp_demands);
+        // One VM's incoming pairs are one run, ascending PairId.
+        for run in self.rx_live.chunk_by(|a, b| a.0 == b.0) {
+            demands.clear();
+            demands.extend(run.iter().map(|&(_, _, e)| rx[e as usize].phi_s));
+            let admitted = token_admission(self.fabric.vm_tokens(run[0].0), &demands);
+            for (&(_, _, e), adm) in run.iter().zip(admitted) {
+                rx[e as usize].admitted = adm;
             }
         }
+        self.gp_demands = demands;
     }
 
     /// The periodic control tick.
@@ -1101,7 +1197,7 @@ impl UfabEdge {
         let mut need_pump = false;
         for k in 0..n_pairs {
             let s = self.pairs.slot_at(k);
-            let pair = self.pairs.id(s);
+            let e = self.pairs.ep_slot[s];
             // Probe-loss detection (8 baseRTT timeout, §4.1).
             let base = self.pairs.cur_base_rtt[s];
             let active = self.pairs.active[s];
@@ -1109,8 +1205,8 @@ impl UfabEdge {
             let timed_out = self.pairs.outstanding[s]
                 .map(|o| now.saturating_sub(o.sent_at) > timeout)
                 .unwrap_or(false);
-            let idle_since = self.ep.last_activity(pair);
-            let rto_due = self.ep.inflight(pair) > 0;
+            let idle_since = self.ep.last_activity_at(e);
+            let rto_due = self.ep.inflight_at(e) > 0;
             let alt_due = active
                 && now.saturating_sub(self.pairs.last_alt_probe[s]) >= self.cfg.alt_probe_period;
             let period_probe = active
@@ -1126,34 +1222,34 @@ impl UfabEdge {
                     let cur = self.pairs.cold[s].cur;
                     self.pairs.cold[s].telem[cur] = PathTelem::default();
                     self.pairs.violations[s] = self.cfg.violation_rtts;
-                    self.probe_candidates(ctx, pair);
-                    self.try_migrate(ctx, pair, false, true);
+                    self.probe_candidates(ctx, s);
+                    self.try_migrate(ctx, s, false, true);
                 } else {
                     let cur = self.pairs.cold[s].cur;
                     let registered = self.pairs.cold[s].registered.is_some();
-                    self.send_probe(ctx, pair, cur, !registered);
+                    self.send_probe(ctx, s, cur, !registered);
                 }
             }
             if rto_due {
                 let rto = self.cfg.rto_rtts * base;
-                if self.ep.check_timeouts(now, pair, rto) {
+                if self.ep.check_timeouts_at(now, e, rto) {
                     need_pump = true;
                 }
             }
             if active {
                 if period_probe {
-                    self.maybe_probe(ctx, pair);
+                    self.maybe_probe(ctx, s);
                 }
                 if alt_due {
-                    self.probe_candidates(ctx, pair);
+                    self.probe_candidates(ctx, s);
                 }
                 // Idle detection → finish probes (§3.6).
-                let has_work = self.ep.has_backlog(pair) || self.ep.inflight(pair) > 0;
+                let has_work = self.ep.has_backlog_at(e) || self.ep.inflight_at(e) > 0;
                 if !has_work && now.saturating_sub(idle_since) >= self.cfg.idle_finish {
-                    self.deactivate_pair(ctx, pair);
+                    self.deactivate_pair(ctx, s);
                 }
             }
-            self.flush_finish(ctx, pair);
+            self.flush_finish(ctx, s);
         }
         // Budgeted keep-alives: beyond the L_m-self-clocked probes that
         // ride with data (§4.1 — the probes that give the 1.28 % bound),
@@ -1171,21 +1267,16 @@ impl UfabEdge {
                 && now.saturating_sub(self.pairs.last_probe_sent[s])
                     >= 4 * self.pairs.cur_base_rtt[s]
             {
-                idle_candidates.push(self.pairs.id(s));
+                idle_candidates.push(s as u32);
             }
         }
         let budget = 2usize.min(idle_candidates.len());
         for k in 0..budget {
             let idx = (self.keepalive_cursor as usize + k) % idle_candidates.len();
-            let pair = idle_candidates[idx];
-            let (cur, registered) = {
-                let s = self.pairs.slot(pair).expect("known pair");
-                (
-                    self.pairs.cold[s].cur,
-                    self.pairs.cold[s].registered.is_some(),
-                )
-            };
-            self.send_probe(ctx, pair, cur, !registered);
+            let s = idle_candidates[idx] as usize;
+            let cur = self.pairs.cold[s].cur;
+            let registered = self.pairs.cold[s].registered.is_some();
+            self.send_probe(ctx, s, cur, !registered);
         }
         self.keepalive_cursor = self.keepalive_cursor.wrapping_add(budget as u64);
         self.keepalive_scratch = idle_candidates;
@@ -1207,11 +1298,7 @@ impl UfabEdge {
     /// generators' edge-side half). Walks tenants and pairs in sorted
     /// order — abuse itself is deterministic.
     fn hostile_tick(&mut self, ctx: &mut EdgeCtx) {
-        let hostiles = self.enforce.hostile_tenants();
-        if hostiles.is_empty() {
-            return;
-        }
-        for (tenant, h) in hostiles {
+        for (row, h) in self.enforce.hostile_rows() {
             match h.kind {
                 // Acts in the pump's window bypass, nothing periodic.
                 HostileKind::OverGuar => {}
@@ -1221,15 +1308,12 @@ impl UfabEdge {
                     // miss the outstanding/candidate lookups and are
                     // dropped as stale, so honest control state is
                     // never touched.
-                    let mut flood: Vec<PairId> = Vec::new();
-                    for s in self.pairs.slots_sorted() {
-                        if self.pairs.active[s] && self.pairs.cold[s].tenant == tenant {
-                            flood.push(self.pairs.id(s));
-                        }
-                    }
-                    for pair in flood {
-                        for _ in 0..h.intensity {
-                            self.send_flood_probe(ctx, tenant, pair);
+                    for k in 0..self.pairs.len() {
+                        let s = self.pairs.slot_at(k);
+                        if self.pairs.active[s] && self.pairs.enf_row[s] == row {
+                            for _ in 0..h.intensity {
+                                self.send_flood_probe(ctx, s);
+                            }
                         }
                     }
                 }
@@ -1241,21 +1325,20 @@ impl UfabEdge {
                     // the enforcement stage adds the *attribution* that
                     // lets the quarantine machine punish the attempt.
                     self.enforce
-                        .note_unsolicited(tenant, ctx.now, 4 * h.intensity as u64);
+                        .note_unsolicited(row, ctx.now, 4 * h.intensity as u64);
                 }
             }
         }
     }
 
     /// Emit one flood probe (subject to the probe-budget throttle).
-    fn send_flood_probe(&mut self, ctx: &mut EdgeCtx, tenant: TenantId, pair: PairId) {
-        if !self.enforce.probe_admit(tenant, ctx.now, false) {
+    fn send_flood_probe(&mut self, ctx: &mut EdgeCtx, s: usize) {
+        let row = self.pairs.enf_row[s];
+        if !self.enforce.probe_admit(row, ctx.now, false) {
             return;
         }
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
-        let seq = self.enforce.next_flood_seq(tenant);
+        let pair = self.pairs.id(s);
+        let seq = self.enforce.next_flood_seq(row);
         let phi = self.pairs.phi_eff(s);
         let w = self.pairs.w_claim[s];
         let frame = ProbeFrame::probe(pair.raw(), seq, phi, w, ctx.now);
@@ -1266,7 +1349,7 @@ impl UfabEdge {
             src: self.host,
             dst: c.dst_host,
             pair,
-            tenant,
+            tenant: c.tenant,
             size,
             kind: PacketKind::Probe(frame),
             route: Route::from(info.route.as_slice()),
@@ -1299,10 +1382,7 @@ impl UfabEdge {
         }
     }
 
-    fn deactivate_pair(&mut self, ctx: &mut EdgeCtx, pair: PairId) {
-        let Some(s) = self.pairs.slot(pair) else {
-            return;
-        };
+    fn deactivate_pair(&mut self, ctx: &mut EdgeCtx, s: usize) {
         if !self.pairs.active[s] {
             return;
         }
@@ -1325,28 +1405,29 @@ impl UfabEdge {
             c.probe_seq += 1;
         }
         let tenant = self.pairs.cold[s].tenant;
-        self.wfq.remove_pair(tenant, pair);
-        self.flush_finish(ctx, pair);
+        self.wfq.remove_pair(tenant, s as u32);
+        self.flush_finish(ctx, s);
     }
 
     /// Pull-based data pump: fill the NIC up to two packets, picking pairs
-    /// via the hierarchical WFQ under their admission windows.
+    /// via the hierarchical WFQ under their admission windows. Everything
+    /// here is slot-indexed: the scheduler hands back a pair-table slot,
+    /// whose columns name the endpoint slot and the enforcement row.
     fn pump(&mut self, ctx: &mut EdgeCtx) {
         let mut budget = 2usize.saturating_sub(ctx.nic.queue_pkts);
+        let now = ctx.now;
         while budget > 0 {
-            let mut wfq = std::mem::take(&mut self.wfq);
-            let mut enf = std::mem::take(&mut self.enforce);
-            let picked = {
-                let pairs = &self.pairs;
-                let ep = &self.ep;
-                let now = ctx.now;
-                wfq.pick(|pair| {
-                    let s = pairs.slot(pair)?;
+            let (pairs, ep, enf) = (&self.pairs, &self.ep, &mut self.enforce);
+            let picked = self.wfq.pick_ready(
+                |s| ep.sendable_at(pairs.ep_slot[s as usize]),
+                |s| {
+                    let s = s as usize;
                     if !pairs.active[s] || now < pairs.data_paused_until[s] {
                         return None;
                     }
-                    let (payload, is_retx) = ep.peek_segment(pair)?;
-                    let inflight = ep.inflight(pair);
+                    let e = pairs.ep_slot[s];
+                    let (payload, is_retx) = ep.peek_segment_at(e)?;
+                    let inflight = ep.inflight_at(e);
                     let window_ok =
                         if is_retx || inflight + payload as u64 <= pairs.window[s] as u64 {
                             true
@@ -1360,43 +1441,42 @@ impl UfabEdge {
                             // token-proportional sharing breaks.
                             (inflight as f64) < pairs.window[s] && now >= pairs.next_send_at[s]
                         };
-                    let tenant = pairs.cold[s].tenant;
+                    let row = pairs.enf_row[s];
                     // A guarantee-exceeding sender ignores the admission
                     // window; the enforcement policer is what contains it.
-                    if !window_ok && !enf.is_overguar(tenant) {
+                    if !window_ok && !enf.is_overguar(row) {
                         return None;
                     }
                     let size = payload + DATA_OVERHEAD;
-                    if !enf.data_admit(tenant, now, size as u64, !window_ok) {
+                    if !enf.data_admit(row, now, size as u64, !window_ok) {
                         // Policed: a deferral, not a drop — the bytes stay
                         // in the backlog and the periodic tick re-pumps.
                         return None;
                     }
                     Some(size)
-                })
-            };
-            self.wfq = wfq;
-            self.enforce = enf;
-            let Some((pair, _size)) = picked else {
+                },
+            );
+            let Some((s, _size)) = picked else {
                 break;
             };
-            let Some((info, wire_size)) = self.ep.next_segment(ctx.now, pair) else {
+            let s = s as usize;
+            let e = self.pairs.ep_slot[s];
+            let Some((info, wire_size)) = self.ep.next_segment_at(now, e) else {
                 break;
             };
-            let s = self.pairs.slot(pair).expect("picked pair exists");
-            if self.ep.inflight(pair) > self.pairs.window[s] as u64 {
+            if self.ep.inflight_at(e) > self.pairs.window[s] as u64 {
                 // This send overshot the window (fractional credit): pace
                 // the next one so the average rate stays window/baseRTT.
                 let rate_bps =
                     self.pairs.window[s].max(1.0) * 8.0 / (self.pairs.cur_base_rtt[s] as f64 / 1e9);
                 let gap = (info.payload as f64 * 8.0 / rate_bps * 1e9) as Time;
-                self.pairs.next_send_at[s] = ctx.now + gap;
+                self.pairs.next_send_at[s] = now + gap;
             }
             let c = &self.pairs.cold[s];
             let pkt = Packet {
                 src: self.host,
                 dst: c.dst_host,
-                pair,
+                pair: self.pairs.id(s),
                 tenant: c.tenant,
                 size: wire_size,
                 kind: PacketKind::Data(info),
@@ -1404,16 +1484,16 @@ impl UfabEdge {
                 hop: 0,
                 ecn: false,
                 max_util: 0.0,
-                sent_at: ctx.now,
+                sent_at: now,
             };
             self.pairs.bytes_since_probe[s] += info.payload as u64;
-            let tenant = self.pairs.cold[s].tenant;
             ctx.send(pkt);
             // Charge the actual wire size against the tenant's hose
             // bucket (admit only peeked).
-            self.enforce.data_charge(tenant, ctx.now, wire_size as u64);
+            self.enforce
+                .data_charge(self.pairs.enf_row[s], now, wire_size as u64);
             budget -= 1;
-            self.maybe_probe(ctx, pair);
+            self.maybe_probe(ctx, s);
         }
     }
 }
@@ -1424,10 +1504,11 @@ impl EdgeAgent for UfabEdge {
     }
 
     fn on_packet(&mut self, ctx: &mut EdgeCtx, pkt: Packet) {
-        match &pkt.kind {
+        // `pkt` is ours: frames and their hop vectors move through.
+        match pkt.kind {
             PacketKind::Data(_) => {
                 let (ack, reply) = self.ep.on_data(ctx.now, &pkt);
-                let route = self.reply_route(&pkt);
+                let route = self.reply_route(pkt.src, &pkt.route);
                 ctx.send(Packet {
                     src: self.host,
                     dst: pkt.src,
@@ -1449,7 +1530,10 @@ impl EdgeAgent for UfabEdge {
                 }
             }
             PacketKind::Ack(ack) => {
-                let res = self.ep.on_ack(ctx.now, pkt.pair, ack);
+                let Some(e) = self.ep.slot(pkt.pair) else {
+                    return;
+                };
+                let res = self.ep.on_ack_at(ctx.now, e, &ack);
                 if let Some(rtt) = res.rtt {
                     self.ep.recorder().lock().unwrap().rtt(
                         ctx.now,
@@ -1464,14 +1548,10 @@ impl EdgeAgent for UfabEdge {
             }
             PacketKind::Probe(frame) => {
                 // We are the destination: record demand, respond.
-                self.rx_demand.insert(pkt.pair, (frame.phi, ctx.now));
-                let admitted = self
-                    .rx_admitted
-                    .get(&pkt.pair)
-                    .copied()
-                    .unwrap_or(f64::INFINITY);
-                let resp = frame.clone().into_response(admitted);
-                let route = self.reply_route(&pkt);
+                let e = self.ep.slot_or_insert(pkt.pair);
+                let admitted = self.note_rx_demand(e, pkt.pair, frame.phi, ctx.now);
+                let resp = frame.into_response(admitted);
+                let route = self.reply_route(pkt.src, &pkt.route);
                 let size = wire::probe_packet_bytes(resp.hops.len(), route.len()) as u32;
                 ctx.send(Packet {
                     src: self.host,
@@ -1487,15 +1567,11 @@ impl EdgeAgent for UfabEdge {
                     sent_at: ctx.now,
                 });
             }
-            PacketKind::Response(frame) => {
-                let frame = frame.clone();
-                self.handle_response(ctx, frame);
-            }
-            PacketKind::Finish(frame) => {
+            PacketKind::Response(frame) => self.handle_response(ctx, frame),
+            PacketKind::Finish(mut echo) => {
                 // Destination: echo the acknowledgements back.
-                let mut echo = frame.clone();
                 echo.forward = false;
-                let route = self.reply_route(&pkt);
+                let route = self.reply_route(pkt.src, &pkt.route);
                 ctx.send(Packet {
                     src: self.host,
                     dst: pkt.src,
@@ -1541,10 +1617,12 @@ impl EdgeAgent for UfabEdge {
         // receiver tokens, schedulers, route caches — is gone. The
         // transport endpoint survives (host memory: application queues and
         // inflight accounting), exactly the paper's split between the edge
-        // *program* and the host stack it serves.
+        // *program* and the host stack it serves. Its slots are never
+        // removed, so the endpoint slots that re-activated pairs cache
+        // (and that `rx` is indexed by) are the same ones as before.
         self.pairs.clear();
-        self.rx_demand.clear();
-        self.rx_admitted.clear();
+        self.rx.clear();
+        self.rx_live.clear();
         self.wfq = WfqScheduler::new();
         self.routes_back.clear();
         self.reverse_cache.clear();

@@ -2,27 +2,36 @@
 //!
 //! The μFAB-E control tick walks every pair once per token update period
 //! and touches only a handful of scalars per pair (timeouts, probe
-//! clocks, windows). Keeping those scalars in dense parallel columns —
-//! instead of scattered across one large heap struct per pair behind a
-//! `HashMap` — turns the tick into linear scans over a few cache lines
-//! and removes a hash lookup per field group.
+//! clocks, windows); the pump touches fewer still, once per scheduled
+//! packet. Keeping those scalars in dense parallel columns — instead of
+//! scattered across one large heap struct per pair — turns both into
+//! indexed loads over a few cache lines.
 //!
 //! Layout:
 //!
-//! * `index` maps `PairId` → slot. Slots are stable for the lifetime of
-//!   the agent (pairs deactivate but are never removed; a restart clears
-//!   the whole table), so a slot resolved once stays valid.
-//! * `order` keeps the slots sorted by `PairId`, maintained incrementally
-//!   on insert. Every control-loop walk iterates `order`, which preserves
-//!   the sorted-iteration determinism contract (same-seed runs are
-//!   byte-identical regardless of hash state) without the per-tick
-//!   collect + sort the `HashMap` walk needed.
+//! * `index` maps `PairId` → slot and is **lookup-only**: a callback
+//!   resolves the pair it was handed at most once (an arriving response,
+//!   a submit) and everything downstream — scheduler queues, helper
+//!   functions, the tick — passes the slot. Slots are stable until a
+//!   restart clears the whole table (pairs deactivate but are never
+//!   removed).
+//! * `order` keeps the slots sorted by `PairId` and `vm_order` by
+//!   `(source VM, PairId)`, both maintained incrementally on insert.
+//!   Every walk iterates one of them, which preserves the
+//!   sorted-iteration determinism contract without a per-tick collect +
+//!   sort or a per-tick group-by-VM map.
+//! * `ep_slot` and `enf_row` cache where the pair's transport state and
+//!   its tenant's enforcement row live (the [`Endpoint`] slot space and
+//!   the [`EnforceState`] rows, neither of which ever shrinks — they
+//!   outlive this table).
 //! * hot fields live in one `Vec` per field; everything bulky or rarely
 //!   touched (candidate paths, telemetry snapshots, pending finishes)
 //!   stays in the cold [`PairCold`] row.
+//!
+//! [`Endpoint`]: crate::endpoint::Endpoint
+//! [`EnforceState`]: super::enforce::EnforceState
 
-use netsim::{NodeId, PairId, PortNo, TenantId, Time, VmId};
-use std::collections::HashMap;
+use netsim::{FastMap, NodeId, PairId, PortNo, TenantId, Time, VmId};
 use telemetry::HopInfo;
 
 /// Telemetry snapshot for one candidate path.
@@ -79,7 +88,7 @@ pub(super) struct PairCold {
     pub(super) registered: Option<Registration>,
     pub(super) reg_epoch: u64,
     pub(super) probe_seq: u64,
-    pub(super) cand_probes: HashMap<u64, ProbeOut>,
+    pub(super) cand_probes: FastMap<u64, ProbeOut>,
     pub(super) better_since: Option<Time>,
     pub(super) pending_finish: Vec<PendingFinish>,
 }
@@ -88,10 +97,17 @@ pub(super) struct PairCold {
 /// resolve a slot once with [`PairTable::slot`] and index directly.
 #[derive(Debug, Default)]
 pub(super) struct PairTable {
-    index: HashMap<PairId, u32>,
+    index: FastMap<PairId, u32>,
     ids: Vec<PairId>,
     /// Slots sorted by `PairId` (the deterministic walk order).
     order: Vec<u32>,
+    /// `(source VM, slot)` sorted by `(VM, PairId)`: the GP sender tick
+    /// reads each VM's pairs as one contiguous ascending run.
+    pub(super) vm_order: Vec<(VmId, u32)>,
+    /// The pair's slot in the edge's `Endpoint`.
+    pub(super) ep_slot: Vec<u32>,
+    /// The pair's tenant's row in the edge's `EnforceState`.
+    pub(super) enf_row: Vec<u32>,
     // ---- hot columns (all Copy, one cache-dense Vec per field) ----
     pub(super) active: Vec<bool>,
     /// Sender-assigned token φ_s (GP).
@@ -179,6 +195,8 @@ impl PairTable {
         &mut self,
         pair: PairId,
         cold: PairCold,
+        ep_slot: u32,
+        enf_row: u32,
         phi_s: f64,
         window: f64,
         boot: Option<f64>,
@@ -190,6 +208,11 @@ impl PairTable {
         self.ids.push(pair);
         let pos = self.order.partition_point(|&s| self.ids[s as usize] < pair);
         self.order.insert(pos, slot);
+        let key = (cold.src_vm, pair);
+        let pos = (self.vm_order).partition_point(|&(vm, s)| (vm, self.ids[s as usize]) < key);
+        self.vm_order.insert(pos, (cold.src_vm, slot));
+        self.ep_slot.push(ep_slot);
+        self.enf_row.push(enf_row);
         self.cur_base_rtt.push(cold.candidates[cold.cur].base_rtt);
         self.cold.push(cold);
         self.active.push(true);
@@ -217,6 +240,9 @@ impl PairTable {
         self.index.clear();
         self.ids.clear();
         self.order.clear();
+        self.vm_order.clear();
+        self.ep_slot.clear();
+        self.enf_row.clear();
         self.active.clear();
         self.phi_s.clear();
         self.phi_r.clear();
@@ -246,7 +272,7 @@ mod tests {
     fn cold(dst: u32) -> PairCold {
         PairCold {
             tenant: TenantId(0),
-            src_vm: VmId(0),
+            src_vm: VmId((dst < 5) as u32),
             dst_host: NodeId(dst),
             candidates: vec![PathInfo {
                 route: vec![PortNo(0)],
@@ -258,7 +284,7 @@ mod tests {
             registered: None,
             reg_epoch: 0,
             probe_seq: 0,
-            cand_probes: HashMap::new(),
+            cand_probes: FastMap::default(),
             better_since: None,
             pending_finish: Vec::new(),
         }
@@ -267,15 +293,31 @@ mod tests {
     #[test]
     fn insert_keeps_sorted_order_and_columns_aligned() {
         let mut t = PairTable::default();
-        for raw in [5u32, 1, 9, 3] {
-            t.insert(PairId(raw), cold(raw), 1.0, 100.0, None, 42);
+        for raw in [5u32, 2, 9, 4] {
+            t.insert(
+                PairId(raw),
+                cold(raw),
+                10 + raw,
+                20 + raw,
+                1.0,
+                100.0,
+                None,
+                42,
+            );
         }
         let ids: Vec<u32> = t.ids_sorted().map(|p| p.raw()).collect();
-        assert_eq!(ids, vec![1, 3, 5, 9]);
+        assert_eq!(ids, vec![2, 4, 5, 9]);
         assert_eq!(t.len(), 4);
+        // Grouped by source VM, ascending PairId inside each group.
+        let by_vm: Vec<(u32, u32)> = (t.vm_order.iter())
+            .map(|&(vm, s)| (vm.raw(), t.id(s as usize).raw()))
+            .collect();
+        assert_eq!(by_vm, vec![(0, 5), (0, 9), (1, 2), (1, 4)]);
         for k in 0..t.len() {
             let s = t.slot_at(k);
             assert_eq!(t.slot(t.id(s)), Some(s));
+            assert_eq!(t.ep_slot[s], 10 + t.id(s).raw());
+            assert_eq!(t.enf_row[s], 20 + t.id(s).raw());
             assert_eq!(t.cur_base_rtt[s], t.cur_path(s).base_rtt);
             assert!(t.active[s]);
             assert_eq!(t.last_alt_probe[s], 42);

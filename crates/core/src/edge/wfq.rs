@@ -13,9 +13,16 @@
 //! `bytes/weight` per scheduled packet; the eligible tenant with the
 //! smallest virtual time sends next. This yields the same weighted
 //! scheduling results as the banked hardware engine.
+//!
+//! Like that engine, a pick only looks at queues with something in them:
+//! the caller passes a *ready* predicate (μFAB-E: the endpoint's ready
+//! bit, one indexed load) next to the full eligibility test, and pairs or
+//! whole tenants that fail it are passed over without being asked. A pick
+//! changes nothing until a pair is found eligible, so the skip cannot be
+//! observed (DESIGN §4.3; a differential property test against the old
+//! scan-everything pick pins it).
 
-use netsim::{PairId, TenantId};
-use std::collections::HashMap;
+use netsim::{FastMap, PairId, TenantId};
 
 /// Quantise a tenant's token count to one of `levels` power-of-two weight
 /// classes: 1, 2, 4, …, 2^(levels−1).
@@ -30,31 +37,33 @@ pub fn weight_class(tokens: f64, levels: u8) -> f64 {
 }
 
 #[derive(Debug)]
-struct TenantQueue {
+struct TenantQueue<K> {
     id: TenantId,
     weight: f64,
     vtime: f64,
-    pairs: Vec<PairId>,
+    pairs: Vec<K>,
     rr: usize,
 }
 
 /// The tenant-level weighted fair scheduler.
 ///
-/// Tenant queues live in a dense slot `Vec` (stable for the scheduler's
-/// lifetime) with a side index; the per-pick virtual-time ordering sorts
-/// a reused slot scratch with direct slot access — the pick path, called
-/// once per scheduled packet *and* on every NIC-idle poll, allocates
-/// nothing and never hashes inside a comparison.
+/// `K` is whatever the owner names a pair by: the baselines queue
+/// `PairId`s, μFAB-E queues its pair-table slots so that a pick resolves
+/// nothing. Tenant queues live in a dense slot `Vec` (stable for the
+/// scheduler's lifetime) behind a lookup-only index used by
+/// `set_tenant`/`add_pair`/`remove_pair`; the pick path, called once per
+/// scheduled packet *and* on every NIC-idle poll, sorts a reused scratch
+/// of tenant slots and neither allocates nor hashes.
 #[derive(Debug, Default)]
-pub struct WfqScheduler {
-    index: HashMap<TenantId, u32>,
-    slots: Vec<TenantQueue>,
+pub struct WfqScheduler<K = PairId> {
+    index: FastMap<TenantId, u32>,
+    slots: Vec<TenantQueue<K>>,
     /// Reused pick-order scratch (slot indices, sorted by (vtime, id)).
     order: Vec<u32>,
     min_vtime: f64,
 }
 
-impl WfqScheduler {
+impl<K: Copy + PartialEq + Default> WfqScheduler<K> {
     /// Empty scheduler.
     pub fn new() -> Self {
         Self::default()
@@ -80,7 +89,7 @@ impl WfqScheduler {
 
     /// Add a pair under its tenant (idempotent). The tenant must be
     /// registered first.
-    pub fn add_pair(&mut self, tenant: TenantId, pair: PairId) {
+    pub fn add_pair(&mut self, tenant: TenantId, pair: K) {
         let s = *self.index.get(&tenant).expect("tenant not registered");
         let t = &mut self.slots[s as usize];
         if !t.pairs.contains(&pair) {
@@ -89,7 +98,7 @@ impl WfqScheduler {
     }
 
     /// Remove a pair (e.g. deactivated).
-    pub fn remove_pair(&mut self, tenant: TenantId, pair: PairId) {
+    pub fn remove_pair(&mut self, tenant: TenantId, pair: K) {
         if let Some(&s) = self.index.get(&tenant) {
             let t = &mut self.slots[s as usize];
             t.pairs.retain(|&p| p != pair);
@@ -104,30 +113,47 @@ impl WfqScheduler {
         self.slots.iter().map(|t| t.pairs.len()).sum()
     }
 
+    /// Every queued `(tenant, pair)`, in slot then queue order (audits).
+    pub fn queued(&self) -> impl Iterator<Item = (TenantId, K)> + '_ {
+        self.slots
+            .iter()
+            .flat_map(|t| t.pairs.iter().map(move |&k| (t.id, k)))
+    }
+
+    /// [`WfqScheduler::pick_ready`] with every pair ready.
+    pub fn pick<F: FnMut(K) -> Option<u32>>(&mut self, eligible: F) -> Option<(K, u32)> {
+        self.pick_ready(|_| true, eligible)
+    }
+
     /// Pick the next pair to send from. `eligible(pair)` returns the wire
     /// size of the packet the pair would send, or `None` if the pair
     /// cannot send right now (no backlog / window full / paused).
+    /// `ready(pair)` is a cheap necessary condition (`false` must imply
+    /// `eligible` would return `None`, and must have no side effects):
+    /// pairs that fail it are skipped without asking, and tenants none of
+    /// whose pairs pass it never enter the sort. Neither skip is
+    /// observable — a pick only changes state once `eligible` says yes.
     ///
     /// Charges the chosen tenant's virtual time and advances its pair
     /// round-robin pointer. Returns `(pair, size)`.
-    pub fn pick<F: FnMut(PairId) -> Option<u32>>(
-        &mut self,
-        mut eligible: F,
-    ) -> Option<(PairId, u32)> {
+    pub fn pick_ready<R, F>(&mut self, ready: R, mut eligible: F) -> Option<(K, u32)>
+    where
+        R: Fn(K) -> bool,
+        F: FnMut(K) -> Option<u32>,
+    {
         // Tenants in ascending virtual-time order (stable by id for
-        // determinism). Tenants with no schedulable pairs are skipped
-        // before the sort — the inner loop would only skip them anyway.
+        // determinism).
         let mut order = std::mem::take(&mut self.order);
         order.clear();
         order.extend(
             self.slots
                 .iter()
                 .enumerate()
-                .filter(|(_, t)| !t.pairs.is_empty())
+                .filter(|(_, t)| t.pairs.iter().any(|&k| ready(k)))
                 .map(|(s, _)| s as u32),
         );
         let slots = &self.slots;
-        order.sort_by(|&a, &b| {
+        order.sort_unstable_by(|&a, &b| {
             let ta = &slots[a as usize];
             let tb = &slots[b as usize];
             ta.vtime
@@ -139,12 +165,17 @@ impl WfqScheduler {
         'outer: for &s in &order {
             let t = &mut self.slots[s as usize];
             let n = t.pairs.len();
-            for k in 0..n {
-                let idx = (t.rr + k) % n;
+            // Round-robin from `rr`, wrapping (`rr < n` whenever `n > 0`).
+            for idx in (t.rr..n).chain(0..t.rr) {
                 let pair = t.pairs[idx];
+                if !ready(pair) {
+                    continue;
+                }
                 if let Some(size) = eligible(pair) {
                     t.rr = (idx + 1) % n;
                     t.vtime += size as f64 / t.weight;
+                    // The floor a late joiner starts from: over tenants
+                    // with any *registered* pair, ready or not.
                     let floor = self
                         .slots
                         .iter()
@@ -162,11 +193,55 @@ impl WfqScheduler {
         self.order = order;
         picked
     }
+
+    /// The scan-everything pick this scheduler used before the ready
+    /// bit, kept as the reference the differential test compares with.
+    #[cfg(test)]
+    fn pick_reference<F: FnMut(K) -> Option<u32>>(&mut self, mut eligible: F) -> Option<(K, u32)> {
+        let mut order: Vec<u32> = (self.slots.iter().enumerate())
+            .filter(|(_, t)| !t.pairs.is_empty())
+            .map(|(s, _)| s as u32)
+            .collect();
+        let slots = &self.slots;
+        order.sort_by(|&a, &b| {
+            let ta = &slots[a as usize];
+            let tb = &slots[b as usize];
+            ta.vtime
+                .partial_cmp(&tb.vtime)
+                .expect("NaN vtime")
+                .then(ta.id.cmp(&tb.id))
+        });
+        for &s in &order {
+            let t = &mut self.slots[s as usize];
+            let n = t.pairs.len();
+            for k in 0..n {
+                let idx = (t.rr + k) % n;
+                let pair = t.pairs[idx];
+                if let Some(size) = eligible(pair) {
+                    t.rr = (idx + 1) % n;
+                    t.vtime += size as f64 / t.weight;
+                    let floor = self
+                        .slots
+                        .iter()
+                        .filter(|t| !t.pairs.is_empty())
+                        .map(|t| t.vtime)
+                        .fold(f64::INFINITY, f64::min);
+                    if floor.is_finite() {
+                        self.min_vtime = floor;
+                    }
+                    return Some((pair, size));
+                }
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn weight_class_bins_to_powers_of_two() {
@@ -241,7 +316,7 @@ mod tests {
         s.set_tenant(TenantId(0), 1.0);
         s.add_pair(TenantId(0), PairId(1));
         assert!(s.pick(|_| None).is_none());
-        assert!(WfqScheduler::new().pick(|_| Some(1)).is_none());
+        assert!(WfqScheduler::<PairId>::new().pick(|_| Some(1)).is_none());
     }
 
     #[test]
@@ -279,5 +354,104 @@ mod tests {
             assert_eq!(s.pick(|_| Some(10)).unwrap().0, PairId(2));
         }
         assert_eq!(s.n_pairs(), 1);
+    }
+
+    #[test]
+    fn unready_pairs_and_tenants_are_never_asked() {
+        let mut s = WfqScheduler::<u32>::new();
+        for t in 0..3 {
+            s.set_tenant(TenantId(t), 1.0);
+            s.add_pair(TenantId(t), 10 * t);
+            s.add_pair(TenantId(t), 10 * t + 1);
+        }
+        // Only pair 11 is ready: it is the only one asked, whatever the
+        // tenants' virtual times say.
+        let mut asked = Vec::new();
+        let got = s.pick_ready(
+            |k| k == 11,
+            |k| {
+                asked.push(k);
+                Some(100)
+            },
+        );
+        assert_eq!((got, asked), (Some((11, 100)), vec![11]));
+        assert_eq!(s.pick_ready(|_| false, |_| panic!("asked")), None);
+        // The late-joiner floor still spans tenants with registered but
+        // unready pairs (vtime 0 here), not only the one that sent.
+        assert_eq!(s.min_vtime, 0.0);
+        let all: Vec<(TenantId, u32)> = s.queued().collect();
+        assert_eq!(all.len(), 6);
+        assert_eq!(all[2], (TenantId(1), 10));
+    }
+
+    const N_PAIRS: u32 = 12;
+    const N_TENANTS: u32 = 4;
+
+    fn snapshot(s: &WfqScheduler<u32>) -> Vec<(u32, u64, u64, usize, Vec<u32>)> {
+        let mut v: Vec<_> = (s.slots.iter())
+            .map(|t| {
+                (
+                    t.id.raw(),
+                    t.weight.to_bits(),
+                    t.vtime.to_bits(),
+                    t.rr,
+                    t.pairs.clone(),
+                )
+            })
+            .collect();
+        v.push((u32::MAX, s.min_vtime.to_bits(), 0, 0, Vec::new()));
+        v
+    }
+
+    proptest! {
+        /// Differential test: the ready-bit pick against the
+        /// scan-everything reference, under random tenant/pair churn,
+        /// ready-bit flips and eligibility answers. Picked pair, every
+        /// `rr`, every `vtime` and `min_vtime` must agree after each
+        /// step, bit for bit.
+        #[test]
+        fn pick_ready_equals_scan_everything_reference(
+            ops in prop::collection::vec((0u8..8, 0u32..N_PAIRS, any::<u32>()), 1..200),
+        ) {
+            let mut new = WfqScheduler::<u32>::new();
+            let mut old = WfqScheduler::<u32>::new();
+            let mut ready = [false; N_PAIRS as usize];
+            for (step, &(op, pair, bits)) in ops.iter().enumerate() {
+                let tenant = TenantId(pair % N_TENANTS);
+                match op {
+                    0 => {
+                        let w = (1u32 << (bits % 4)) as f64;
+                        new.set_tenant(tenant, w);
+                        old.set_tenant(tenant, w);
+                    }
+                    1 if new.index.contains_key(&tenant) => {
+                        new.add_pair(tenant, pair);
+                        old.add_pair(tenant, pair);
+                    }
+                    2 => {
+                        new.remove_pair(tenant, pair);
+                        old.remove_pair(tenant, pair);
+                    }
+                    3 => ready[pair as usize] ^= true,
+                    4.. => {
+                        let size = |k: u32| 64 + 100 * k;
+                        let willing = |k: u32| bits >> k & 1 == 1;
+                        let got = new.pick_ready(
+                            |k| ready[k as usize],
+                            |k| {
+                                assert!(ready[k as usize], "asked unready pair {k}");
+                                willing(k).then(|| size(k))
+                            },
+                        );
+                        let want = old.pick_reference(|k| {
+                            (ready[k as usize] && willing(k)).then(|| size(k))
+                        });
+                        prop_assert_eq!(got, want, "step {}", step);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(snapshot(&new), snapshot(&old), "step {}", step);
+            }
+        }
     }
 }

@@ -17,12 +17,30 @@
 //! Keeping this engine common means the evaluation measures *control
 //! plane* differences (μFAB vs. PicNIC′+WCC+Clove vs. ES+Clove), never
 //! accidental transport differences.
+//!
+//! ## Slots and the ready bit
+//!
+//! Send and receive state live in `Vec`s indexed by a per-endpoint
+//! *slot*; one `PairId → slot` map is the only hash lookup. A slot is
+//! handed out the first time a pair is named and never removed, so a
+//! caller may cache it for the endpoint's lifetime (μFAB-E does, across
+//! its own restarts). Every public method takes a `PairId` and is a
+//! one-line wrapper over the crate-internal `*_at(slot)` method that the
+//! μFAB-E per-packet path calls directly.
+//!
+//! Each slot carries a **ready bit**: `msgs` or `retx` is non-empty.
+//! Clear means `peek_segment` is `None`; set promises nothing (queued
+//! retransmissions may all have been acked since). A scheduler may skip
+//! clear pairs without asking. Only `submit`, `next_segment`,
+//! `check_timeouts` and `clear_backlog` touch those queues and each
+//! re-derives the bit, so it cannot go stale; the `ReadySetSound`
+//! invariant checks that on live runs.
 
 use crate::fabric::FabricSpec;
 use metrics::recorder::{Completion, SharedRecorder};
 use netsim::packet::{AckInfo, DataInfo, Packet, PacketKind};
-use netsim::{FlowId, NodeId, PairId, Time, DATA_OVERHEAD};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use netsim::{FastMap, FlowId, NodeId, PairId, Time, DATA_OVERHEAD};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use telemetry::RateEstimator;
 
@@ -71,6 +89,9 @@ pub struct SendState {
     inflight: u64,
     retx: VecDeque<u64>,
     backlog: u64,
+    /// A message was submitted on this pair at some point (the slot is
+    /// not receive-only).
+    submitted: bool,
     /// Exponential RTO backoff exponent: grows by one per timeout
     /// round (capped at [`RTO_BACKOFF_CAP_EXP`]), reset by any valid
     /// ACK. Blackholed pairs thus retransmit at rto, 2·rto, 4·rto, …
@@ -97,12 +118,104 @@ impl SendState {
             inflight: 0,
             retx: VecDeque::new(),
             backlog: 0,
+            submitted: false,
             backoff: 0,
             acked_bytes: 0,
             tx_meter: RateEstimator::new(meter_tau),
             acked_meter: RateEstimator::new(meter_tau),
             last_activity: 0,
         }
+    }
+
+    /// The ready-bit definition: a queue `peek`/`pop_segment` reads from
+    /// is non-empty. An over-approximation of "has a segment to send"
+    /// (queued retransmissions may all have been acked meanwhile).
+    fn sendable(&self) -> bool {
+        !self.msgs.is_empty() || !self.retx.is_empty()
+    }
+
+    fn peek(&self, ppp: u32) -> Option<(u32, bool)> {
+        for seq in &self.retx {
+            if let Some(o) = self.outstanding.get(seq) {
+                return Some((o.payload, true));
+            }
+        }
+        let msg = self.msgs.front()?;
+        Some(((msg.size - msg.sent).min(ppp as u64) as u32, false))
+    }
+
+    /// Retransmissions first, then fresh data served round-robin across
+    /// the pair's messages.
+    fn pop_segment(
+        &mut self,
+        now: Time,
+        ppp: u32,
+        recorder: &SharedRecorder,
+    ) -> Option<(DataInfo, u32)> {
+        while let Some(seq) = self.retx.pop_front() {
+            if let Some(o) = self.outstanding.get_mut(&seq) {
+                o.sent_at = now;
+                o.retx = true;
+                o.queued_retx = false;
+                self.last_activity = now;
+                let info = DataInfo {
+                    seq,
+                    flow: o.flow,
+                    payload: o.payload,
+                    tag: o.tag,
+                    retx: true,
+                    msg_bytes: o.msg_bytes,
+                    flow_start: o.flow_start,
+                    reply_bytes: o.reply_bytes,
+                };
+                recorder.lock().expect("recorder poisoned").retransmits += 1;
+                return Some((info, o.payload + DATA_OVERHEAD));
+            }
+            // Acked while queued for retx: skip.
+        }
+        // Fresh data.
+        let msg = self.msgs.front_mut()?;
+        let remaining = msg.size - msg.sent;
+        let payload = remaining.min(ppp as u64) as u32;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        msg.sent += payload as u64;
+        let info = DataInfo {
+            seq,
+            flow: msg.flow,
+            payload,
+            tag: msg.tag,
+            retx: false,
+            msg_bytes: msg.size,
+            flow_start: msg.start,
+            reply_bytes: msg.reply_size,
+        };
+        self.outstanding.insert(
+            seq,
+            Outstanding {
+                payload,
+                sent_at: now,
+                flow: msg.flow,
+                tag: msg.tag,
+                msg_bytes: msg.size,
+                flow_start: msg.start,
+                reply_bytes: msg.reply_size,
+                retx: false,
+                queued_retx: false,
+            },
+        );
+        self.inflight += payload as u64;
+        self.backlog -= payload as u64;
+        self.tx_meter.on_bytes(now, payload as u64);
+        self.last_activity = now;
+        let fully_sent = msg.sent >= msg.size;
+        // Round-robin across the pair's messages: rotate unfinished
+        // messages to the back, drop finished ones.
+        let m = self.msgs.pop_front().expect("peeked above");
+        if !fully_sent {
+            self.msgs.push_back(m);
+        }
+        Some((info, payload + DATA_OVERHEAD))
     }
 }
 
@@ -119,8 +232,9 @@ struct FlowRx {
 #[derive(Debug, Default)]
 struct RecvState {
     rcv_next: u64,
-    ooo: std::collections::BTreeSet<u64>,
-    flows: HashMap<FlowId, FlowRx>,
+    /// Segments received above `rcv_next` (never contains `rcv_next`).
+    ooo: BTreeSet<u64>,
+    flows: FastMap<FlowId, FlowRx>,
 }
 
 /// Result of processing one ACK.
@@ -142,8 +256,16 @@ pub struct Endpoint {
     recorder: SharedRecorder,
     payload_per_pkt: u32,
     meter_tau: Time,
-    send: HashMap<PairId, SendState>,
-    recv: HashMap<PairId, RecvState>,
+    /// `PairId` → slot, lookup-only. A slot is created by the first
+    /// `submit` or `on_data` that names the pair and is never removed.
+    index: FastMap<PairId, u32>,
+    ids: Vec<PairId>,
+    send: Vec<SendState>,
+    recv: Vec<RecvState>,
+    /// The ready bit of each slot, kept equal to `send[s].sendable()` by
+    /// the four functions that mutate `msgs`/`retx`: `submit_at`,
+    /// `next_segment_at`, `check_timeouts_at`, `clear_backlog`.
+    sendable: Vec<bool>,
 }
 
 impl Endpoint {
@@ -163,8 +285,11 @@ impl Endpoint {
             recorder,
             payload_per_pkt: mtu - DATA_OVERHEAD,
             meter_tau,
-            send: HashMap::new(),
-            recv: HashMap::new(),
+            index: FastMap::default(),
+            ids: Vec::new(),
+            send: Vec::new(),
+            recv: Vec::new(),
+            sendable: Vec::new(),
         }
     }
 
@@ -183,9 +308,30 @@ impl Endpoint {
         &self.recorder
     }
 
-    fn send_state(&mut self, pair: PairId) -> &mut SendState {
-        let tau = self.meter_tau;
-        self.send.entry(pair).or_insert_with(|| SendState::new(tau))
+    /// The pair's slot, if the endpoint has state for it.
+    #[inline]
+    pub(crate) fn slot(&self, pair: PairId) -> Option<u32> {
+        self.index.get(&pair).copied()
+    }
+
+    /// The pair's slot, created empty on first sight.
+    pub(crate) fn slot_or_insert(&mut self, pair: PairId) -> u32 {
+        if let Some(&s) = self.index.get(&pair) {
+            return s;
+        }
+        let s = self.ids.len() as u32;
+        self.index.insert(pair, s);
+        self.ids.push(pair);
+        self.send.push(SendState::new(self.meter_tau));
+        self.recv.push(RecvState::default());
+        self.sendable.push(false);
+        s
+    }
+
+    /// The pair a slot belongs to.
+    #[inline]
+    pub(crate) fn pair_at(&self, s: u32) -> PairId {
+        self.ids[s as usize]
     }
 
     /// Queue a message for transmission.
@@ -201,7 +347,15 @@ impl Endpoint {
                 msg.pair
             );
         }
-        let st = self.send_state(msg.pair);
+        let s = self.slot_or_insert(msg.pair);
+        self.submit_at(now, s, msg);
+    }
+
+    /// [`Endpoint::submit`] on an already-resolved slot of `msg.pair`.
+    pub(crate) fn submit_at(&mut self, now: Time, s: u32, msg: AppMsg) {
+        debug_assert_eq!(self.ids[s as usize], msg.pair);
+        let st = &mut self.send[s as usize];
+        st.submitted = true;
         st.backlog += msg.size;
         st.last_activity = now;
         st.msgs.push_back(PendingMsg {
@@ -212,24 +366,33 @@ impl Endpoint {
             tag: msg.tag,
             reply_size: msg.reply_size,
         });
+        self.sendable[s as usize] = true;
     }
 
     /// True if the pair has unsent bytes or pending retransmissions.
     pub fn has_backlog(&self, pair: PairId) -> bool {
-        self.send
-            .get(&pair)
-            .map(|s| s.backlog > 0 || !s.retx.is_empty())
-            .unwrap_or(false)
+        self.slot(pair).is_some_and(|s| self.has_backlog_at(s))
+    }
+
+    #[inline]
+    pub(crate) fn has_backlog_at(&self, s: u32) -> bool {
+        let st = &self.send[s as usize];
+        st.backlog > 0 || !st.retx.is_empty()
     }
 
     /// Unsent payload bytes queued on the pair.
     pub fn backlog_bytes(&self, pair: PairId) -> u64 {
-        self.send.get(&pair).map(|s| s.backlog).unwrap_or(0)
+        self.slot(pair).map_or(0, |s| self.send[s as usize].backlog)
     }
 
     /// Outstanding (sent, unacked) payload bytes.
     pub fn inflight(&self, pair: PairId) -> u64 {
-        self.send.get(&pair).map(|s| s.inflight).unwrap_or(0)
+        self.slot(pair).map_or(0, |s| self.inflight_at(s))
+    }
+
+    #[inline]
+    pub(crate) fn inflight_at(&self, s: u32) -> u64 {
+        self.send[s as usize].inflight
     }
 
     /// Fault injection: add phantom inflight bytes that no ack will ever
@@ -237,44 +400,85 @@ impl Endpoint {
     /// accounting deliberately; never called on the production path.
     #[doc(hidden)]
     pub fn inject_inflight(&mut self, pair: PairId, bytes: u64) {
-        if let Some(st) = self.send.get_mut(&pair) {
-            st.inflight += bytes;
+        if let Some(s) = self.slot(pair) {
+            self.send[s as usize].inflight += bytes;
         }
     }
 
-    /// Pairs with sender state (ever submitted).
+    /// Pairs with sender state (ever submitted), ascending.
     pub fn sending_pairs(&self) -> Vec<PairId> {
-        let mut v: Vec<PairId> = self.send.keys().copied().collect();
+        let mut v: Vec<PairId> = (self.ids.iter().zip(&self.send))
+            .filter(|(_, st)| st.submitted)
+            .map(|(&p, _)| p)
+            .collect();
         v.sort();
         v
     }
 
     /// Sent-payload rate estimate (GP demand), bits/sec.
     pub fn tx_rate_bps(&mut self, now: Time, pair: PairId) -> f64 {
-        self.send
-            .get_mut(&pair)
-            .map(|s| s.tx_meter.rate_bps(now))
-            .unwrap_or(0.0)
+        self.slot(pair).map_or(0.0, |s| self.tx_rate_bps_at(now, s))
+    }
+
+    pub(crate) fn tx_rate_bps_at(&mut self, now: Time, s: u32) -> f64 {
+        self.send[s as usize].tx_meter.rate_bps(now)
     }
 
     /// Acked-payload (delivered) rate estimate, bits/sec.
     pub fn delivered_rate_bps(&mut self, now: Time, pair: PairId) -> f64 {
-        self.send
-            .get_mut(&pair)
-            .map(|s| s.acked_meter.rate_bps(now))
-            .unwrap_or(0.0)
+        self.slot(pair)
+            .map_or(0.0, |s| self.delivered_rate_bps_at(now, s))
+    }
+
+    pub(crate) fn delivered_rate_bps_at(&mut self, now: Time, s: u32) -> f64 {
+        self.send[s as usize].acked_meter.rate_bps(now)
     }
 
     /// Time of the pair's last send/submit/ack activity.
     pub fn last_activity(&self, pair: PairId) -> Time {
-        self.send.get(&pair).map(|s| s.last_activity).unwrap_or(0)
+        self.slot(pair).map_or(0, |s| self.last_activity_at(s))
+    }
+
+    pub(crate) fn last_activity_at(&self, s: u32) -> Time {
+        self.send[s as usize].last_activity
     }
 
     /// Drop all queued (unsent) messages on a pair (workload teardown).
     pub fn clear_backlog(&mut self, pair: PairId) {
-        if let Some(s) = self.send.get_mut(&pair) {
-            s.msgs.clear();
-            s.backlog = 0;
+        if let Some(s) = self.slot(pair) {
+            let st = &mut self.send[s as usize];
+            st.msgs.clear();
+            st.backlog = 0;
+            self.sendable[s as usize] = st.sendable();
+        }
+    }
+
+    /// The pair's ready bit: `false` guarantees
+    /// [`Endpoint::peek_segment`] is `None`; `true` promises nothing.
+    pub fn sendable(&self, pair: PairId) -> bool {
+        self.slot(pair).is_some_and(|s| self.sendable_at(s))
+    }
+
+    #[inline]
+    pub(crate) fn sendable_at(&self, s: u32) -> bool {
+        self.sendable[s as usize]
+    }
+
+    /// The first pair whose ready bit is clear although it has a segment
+    /// to send — the `ReadySetSound` invariant's endpoint half.
+    pub fn stale_ready_bit(&self) -> Option<PairId> {
+        (0..self.ids.len() as u32)
+            .find(|&s| !self.sendable_at(s) && self.peek_segment_at(s).is_some())
+            .map(|s| self.pair_at(s))
+    }
+
+    /// Fault injection: clear a pair's ready bit behind the endpoint's
+    /// back, so the `ReadySetSound` firing test has something to catch;
+    /// never called on the production path.
+    #[doc(hidden)]
+    pub fn corrupt_ready_bit(&mut self, pair: PairId) {
+        if let Some(s) = self.slot(pair) {
+            self.sendable[s as usize] = false;
         }
     }
 
@@ -284,17 +488,12 @@ impl Endpoint {
     /// already counted in the inflight window and must not be double
     /// charged, or a single loss wedges a window-full pair forever).
     pub fn peek_segment(&self, pair: PairId) -> Option<(u32, bool)> {
-        let st = self.send.get(&pair)?;
-        for seq in &st.retx {
-            if let Some(o) = st.outstanding.get(seq) {
-                return Some((o.payload, true));
-            }
-        }
-        let msg = st.msgs.front()?;
-        Some((
-            (msg.size - msg.sent).min(self.payload_per_pkt as u64) as u32,
-            false,
-        ))
+        self.peek_segment_at(self.slot(pair)?)
+    }
+
+    #[inline]
+    pub(crate) fn peek_segment_at(&self, s: u32) -> Option<(u32, bool)> {
+        self.send[s as usize].peek(self.payload_per_pkt)
     }
 
     /// Produce the next data segment for `pair`, if any (retransmissions
@@ -302,80 +501,24 @@ impl Endpoint {
     /// messages). Returns the `DataInfo` plus the wire size; the caller
     /// wraps it in a routed [`Packet`].
     pub fn next_segment(&mut self, now: Time, pair: PairId) -> Option<(DataInfo, u32)> {
-        let ppp = self.payload_per_pkt;
-        let st = self.send.get_mut(&pair)?;
-        // Retransmissions first.
-        while let Some(seq) = st.retx.pop_front() {
-            if let Some(o) = st.outstanding.get_mut(&seq) {
-                o.sent_at = now;
-                o.retx = true;
-                o.queued_retx = false;
-                st.last_activity = now;
-                let info = DataInfo {
-                    seq,
-                    flow: o.flow,
-                    payload: o.payload,
-                    tag: o.tag,
-                    retx: true,
-                    msg_bytes: o.msg_bytes,
-                    flow_start: o.flow_start,
-                    reply_bytes: o.reply_bytes,
-                };
-                self.recorder.lock().unwrap().retransmits += 1;
-                return Some((info, o.payload + DATA_OVERHEAD));
-            }
-            // Acked while queued for retx: skip.
-        }
-        // Fresh data.
-        let msg = st.msgs.front_mut()?;
-        let remaining = msg.size - msg.sent;
-        let payload = remaining.min(ppp as u64) as u32;
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        msg.sent += payload as u64;
-        let info = DataInfo {
-            seq,
-            flow: msg.flow,
-            payload,
-            tag: msg.tag,
-            retx: false,
-            msg_bytes: msg.size,
-            flow_start: msg.start,
-            reply_bytes: msg.reply_size,
-        };
-        st.outstanding.insert(
-            seq,
-            Outstanding {
-                payload,
-                sent_at: now,
-                flow: msg.flow,
-                tag: msg.tag,
-                msg_bytes: msg.size,
-                flow_start: msg.start,
-                reply_bytes: msg.reply_size,
-                retx: false,
-                queued_retx: false,
-            },
-        );
-        st.inflight += payload as u64;
-        st.backlog -= payload as u64;
-        st.tx_meter.on_bytes(now, payload as u64);
-        st.last_activity = now;
-        let fully_sent = msg.sent >= msg.size;
-        // Round-robin across the pair's messages: rotate unfinished
-        // messages to the back, drop finished ones.
-        let m = st.msgs.pop_front().expect("peeked above");
-        if !fully_sent {
-            st.msgs.push_back(m);
-        }
-        Some((info, payload + DATA_OVERHEAD))
+        self.next_segment_at(now, self.slot(pair)?)
+    }
+
+    pub(crate) fn next_segment_at(&mut self, now: Time, s: u32) -> Option<(DataInfo, u32)> {
+        let st = &mut self.send[s as usize];
+        let seg = st.pop_segment(now, self.payload_per_pkt, &self.recorder);
+        self.sendable[s as usize] = st.sendable();
+        seg
     }
 
     /// Process an ACK arriving on `pair`.
     pub fn on_ack(&mut self, now: Time, pair: PairId, ack: &AckInfo) -> AckResult {
-        let Some(st) = self.send.get_mut(&pair) else {
-            return AckResult::default();
-        };
+        self.slot(pair)
+            .map_or_else(AckResult::default, |s| self.on_ack_at(now, s, ack))
+    }
+
+    pub(crate) fn on_ack_at(&mut self, now: Time, s: u32, ack: &AckInfo) -> AckResult {
+        let st = &mut self.send[s as usize];
         let mut freed = 0u64;
         let mut rtt = None;
         let mut valid = false;
@@ -417,9 +560,12 @@ impl Endpoint {
     /// it. Returns `true` if any segment is now waiting in the
     /// retransmit queue.
     pub fn check_timeouts(&mut self, now: Time, pair: PairId, rto: Time) -> bool {
-        let Some(st) = self.send.get_mut(&pair) else {
-            return false;
-        };
+        self.slot(pair)
+            .is_some_and(|s| self.check_timeouts_at(now, s, rto))
+    }
+
+    pub(crate) fn check_timeouts_at(&mut self, now: Time, s: u32, rto: Time) -> bool {
+        let st = &mut self.send[s as usize];
         let eff_rto = rto.saturating_mul(1u64 << st.backoff.min(RTO_BACKOFF_CAP_EXP));
         let mut fired = false;
         for (&seq, o) in st.outstanding.iter_mut() {
@@ -434,18 +580,22 @@ impl Endpoint {
         if fired && st.backoff < RTO_BACKOFF_CAP_EXP {
             st.backoff += 1;
         }
+        if fired {
+            self.sendable[s as usize] = true;
+        }
         !st.retx.is_empty()
     }
 
     /// Current RTO backoff exponent for a pair (0 = no backoff).
     pub fn rto_backoff(&self, pair: PairId) -> u32 {
-        self.send.get(&pair).map(|s| s.backoff).unwrap_or(0)
+        self.slot(pair).map_or(0, |s| self.send[s as usize].backoff)
     }
 
     /// Cumulative acked payload bytes on a pair — a monotone progress
     /// counter for wedged-pair detection.
     pub fn acked_bytes(&self, pair: PairId) -> u64 {
-        self.send.get(&pair).map(|s| s.acked_bytes).unwrap_or(0)
+        self.slot(pair)
+            .map_or(0, |s| self.send[s as usize].acked_bytes)
     }
 
     /// Process an arriving data packet: update reassembly, record
@@ -456,14 +606,21 @@ impl Endpoint {
             panic!("on_data called with {}", pkt.kind.label());
         };
         let tenant = self.fabric.pair_tenant(pkt.pair);
-        let rx = self.recv.entry(pkt.pair).or_default();
-        let duplicate = d.seq < rx.rcv_next || rx.ooo.contains(&d.seq);
-        if !duplicate {
-            rx.ooo.insert(d.seq);
-            while rx.ooo.remove(&rx.rcv_next) {
-                rx.rcv_next += 1;
+        let s = self.slot_or_insert(pkt.pair);
+        let rx = &mut self.recv[s as usize];
+        // In-order arrival (the common case) never touches `ooo` unless
+        // it closes a gap.
+        let duplicate = if d.seq == rx.rcv_next {
+            rx.rcv_next += 1;
+            if !rx.ooo.is_empty() {
+                while rx.ooo.remove(&rx.rcv_next) {
+                    rx.rcv_next += 1;
+                }
             }
-        }
+            false
+        } else {
+            d.seq < rx.rcv_next || !rx.ooo.insert(d.seq)
+        };
         let mut reply = None;
         if !duplicate {
             let f = rx.flows.entry(d.flow).or_insert_with(|| FlowRx {
@@ -480,21 +637,21 @@ impl Endpoint {
                 f.done = true;
             }
             let (start, tag, size, want_reply) = (f.start, f.tag, f.size, f.reply);
-            self.recorder.lock().unwrap().delivered(
-                now,
-                pkt.pair.raw(),
-                tenant.raw(),
-                d.payload as u64,
-            );
+            {
+                let mut rec = self.recorder.lock().expect("recorder poisoned");
+                rec.delivered(now, pkt.pair.raw(), tenant.raw(), d.payload as u64);
+                if completed {
+                    rec.complete(Completion {
+                        flow: d.flow.raw(),
+                        pair: pkt.pair.raw(),
+                        bytes: size,
+                        start,
+                        end: now,
+                        tag,
+                    });
+                }
+            }
             if completed {
-                self.recorder.lock().unwrap().complete(Completion {
-                    flow: d.flow.raw(),
-                    pair: pkt.pair.raw(),
-                    bytes: size,
-                    start,
-                    end: now,
-                    tag,
-                });
                 rx.flows.remove(&d.flow);
                 if want_reply > 0 {
                     let rev = self
@@ -530,6 +687,7 @@ mod tests {
     use super::*;
     use metrics::recorder;
     use netsim::{PortNo, TenantId, US};
+    use proptest::prelude::*;
 
     fn fabric() -> (Arc<FabricSpec>, PairId, PairId) {
         let mut f = FabricSpec::new(1e9);
@@ -792,5 +950,124 @@ mod tests {
         let f = Arc::new(f);
         let mut tx = endpoint(NodeId(0), &f);
         tx.submit(0, AppMsg::request(1, ab, 10, 10, 0));
+    }
+
+    /// Every public `PairId` method answers what its slot method does,
+    /// and an unknown pair reads as an empty one.
+    #[test]
+    fn pair_methods_are_wrappers_over_slot_methods() {
+        let (f, ab, ba) = fabric();
+        let mut tx = endpoint(NodeId(0), &f);
+        assert_eq!(tx.slot(ab), None);
+        tx.submit(0, AppMsg::oneway(1, ab, 5000, 0));
+        let (d, _) = tx.next_segment(10, ab).unwrap();
+        let s = tx.slot(ab).unwrap();
+        assert_eq!(tx.pair_at(s), ab);
+        assert_eq!(tx.slot_or_insert(ab), s);
+        assert_eq!(tx.ids.len(), 1);
+        assert_eq!(tx.has_backlog(ab), tx.has_backlog_at(s));
+        assert_eq!(tx.inflight(ab), tx.inflight_at(s));
+        assert_eq!(tx.last_activity(ab), tx.last_activity_at(s));
+        assert_eq!(tx.sendable(ab), tx.sendable_at(s));
+        assert_eq!(tx.peek_segment(ab), tx.peek_segment_at(s));
+        assert_eq!(tx.tx_rate_bps(20, ab), tx.tx_rate_bps_at(20, s));
+        assert_eq!(
+            tx.delivered_rate_bps(20, ab),
+            tx.delivered_rate_bps_at(20, s)
+        );
+        assert!((tx.inflight(ab), tx.backlog_bytes(ab)) == (1442, 3558));
+        // Mutators: drive one endpoint by pair and a twin by slot.
+        let mut twin = endpoint(NodeId(0), &f);
+        let ts = twin.slot_or_insert(ab);
+        twin.submit_at(0, ts, AppMsg::oneway(1, ab, 5000, 0));
+        assert_eq!(twin.next_segment_at(10, ts).unwrap().0, d);
+        assert_eq!(
+            tx.check_timeouts(500 * US, ab, 100 * US),
+            twin.check_timeouts_at(500 * US, ts, 100 * US)
+        );
+        assert_eq!(
+            tx.next_segment(501 * US, ab),
+            twin.next_segment_at(501 * US, ts)
+        );
+        let ack = AckInfo {
+            seq: d.seq,
+            cum: d.seq + 1,
+            echo_ts: 10,
+            ecn: false,
+            max_util: 0.0,
+            grant_bps: 0.0,
+            payload: d.payload,
+        };
+        let (a, b) = (
+            tx.on_ack(600 * US, ab, &ack),
+            twin.on_ack_at(600 * US, ts, &ack),
+        );
+        assert_eq!((a.freed, a.rtt, a.valid), (b.freed, b.rtt, b.valid));
+        assert_eq!(tx.inflight(ab), twin.inflight_at(ts));
+        assert_eq!(tx.acked_bytes(ab), 1442);
+        assert_eq!(tx.sending_pairs(), vec![ab]);
+        // A pair never named reads as empty and gets no slot from reads.
+        assert!(!tx.has_backlog(ba) && !tx.sendable(ba) && tx.peek_segment(ba).is_none());
+        assert_eq!(
+            (tx.inflight(ba), tx.last_activity(ba), tx.rto_backoff(ba)),
+            (0, 0, 0)
+        );
+        assert_eq!(tx.tx_rate_bps(700 * US, ba), 0.0);
+        assert!(!tx.on_ack(700 * US, ba, &ack).valid);
+        assert!(!tx.check_timeouts(700 * US, ba, US));
+        assert!(tx.next_segment(700 * US, ba).is_none());
+        assert_eq!(tx.ids.len(), 1);
+        // A receive-only slot is not a sending pair.
+        let mut rx = endpoint(NodeId(1), &f);
+        rx.on_data(20, &wrap(NodeId(0), NodeId(1), ab, d, 10));
+        assert_eq!(rx.slot(ab), Some(0));
+        assert!(rx.sending_pairs().is_empty());
+    }
+
+    proptest! {
+        /// The ready bit equals its definition after any interleaving of
+        /// the functions that touch the send queues (and of acks, which
+        /// must not): clear implies `peek_segment` is `None`.
+        #[test]
+        fn ready_bit_tracks_the_send_queues(
+            ops in prop::collection::vec((0u8..6, 0u64..6000), 1..120),
+        ) {
+            let (f, ab, _) = fabric();
+            let mut tx = endpoint(NodeId(0), &f);
+            let mut now = 0;
+            let mut sent: Vec<DataInfo> = Vec::new();
+            prop_assert!(!tx.sendable(ab));
+            for (step, &(op, x)) in ops.iter().enumerate() {
+                now += 10 * US;
+                match op {
+                    0 => tx.submit(now, AppMsg::oneway(step as u64, ab, x, 0)),
+                    1 | 2 => sent.extend(tx.next_segment(now, ab).map(|(d, _)| d)),
+                    3 if !sent.is_empty() => {
+                        let d = sent.swap_remove(x as usize % sent.len());
+                        let cum = if x % 2 == 0 { d.seq + 1 } else { 0 };
+                        let ack = AckInfo {
+                            seq: d.seq,
+                            cum,
+                            echo_ts: 0,
+                            ecn: false,
+                            max_util: 0.0,
+                            grant_bps: 0.0,
+                            payload: d.payload,
+                        };
+                        tx.on_ack(now, ab, &ack);
+                    }
+                    4 => {
+                        tx.check_timeouts(now, ab, (x % 8) * 10 * US);
+                    }
+                    5 => tx.clear_backlog(ab),
+                    _ => {}
+                }
+                if let Some(s) = tx.slot(ab) {
+                    prop_assert_eq!(tx.sendable_at(s), tx.send[s as usize].sendable(), "step {}", step);
+                }
+                prop_assert!(tx.sendable(ab) || tx.peek_segment(ab).is_none(), "step {}", step);
+                prop_assert_eq!(tx.stale_ready_bit(), None);
+            }
+        }
     }
 }

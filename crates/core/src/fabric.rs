@@ -7,8 +7,7 @@
 //! ([`crate::tokens`]); this module is the static registry those dynamics
 //! run over.
 
-use netsim::{NodeId, PairId, TenantId, VmId};
-use std::collections::HashMap;
+use netsim::{FastMap, NodeId, PairId, TenantId, VmId};
 
 /// A tenant (one VF).
 #[derive(Debug, Clone)]
@@ -45,7 +44,7 @@ pub struct FabricSpec {
     tenants: Vec<TenantSpec>,
     vms: Vec<VmSpec>,
     pairs: Vec<PairSpec>,
-    reverse: HashMap<(VmId, VmId), PairId>,
+    reverse: FastMap<(VmId, VmId), PairId>,
 }
 
 impl FabricSpec {
@@ -60,7 +59,7 @@ impl FabricSpec {
             tenants: Vec::new(),
             vms: Vec::new(),
             pairs: Vec::new(),
-            reverse: HashMap::new(),
+            reverse: FastMap::default(),
         }
     }
 

@@ -10,6 +10,9 @@
 //! * [`EdgeAccounting`] — §3.4: an edge never *grows* a pair's inflight
 //!   beyond the admitted window (plus an MTU of pacing slack and a
 //!   retransmission credit).
+//! * [`ReadySetSound`] — DESIGN §4.3: a clear ready bit means the pair
+//!   has nothing to send, and the scheduler, pair-table and endpoint
+//!   slot spaces name the same pairs.
 //! * [`BoundedQueueWatchdog`] — DESIGN §3: with two-stage admission,
 //!   switch queues stay around/below ~3 BDP.
 //! * [`StaleRegistrationSweep`] — §4.2: registrations orphaned by a fault
@@ -26,9 +29,8 @@
 use crate::core_agent::UfabCore;
 use crate::edge::UfabEdge;
 use netsim::time::bdp_bytes;
-use netsim::{NodeId, PairId, Simulator, Time};
+use netsim::{FastMap, NodeId, PairId, Simulator, Time};
 use obs::Invariant;
-use std::collections::HashMap;
 
 /// §3.6 register conservation: for every switch port,
 /// `Φ_l == Σ φ(pair)` and `W_l == Σ w(pair)` over live registrations,
@@ -99,7 +101,7 @@ impl Invariant<Simulator> for RegisterConservation {
 /// convergence back down while they drain through a busy NIC.
 #[derive(Default)]
 pub struct EdgeAccounting {
-    prev: HashMap<(u32, PairId), u64>,
+    prev: FastMap<(u32, PairId), u64>,
 }
 
 impl Invariant<Simulator> for EdgeAccounting {
@@ -140,6 +142,32 @@ impl Invariant<Simulator> for EdgeAccounting {
             }
         }
         verdict
+    }
+}
+
+/// DESIGN §4.3 ready-set soundness: the μFAB-E pump skips every pair
+/// whose ready bit is clear without asking the endpoint, and reaches all
+/// per-pair state through cached slots. Both shortcuts are only correct
+/// while, on every edge, "bit clear ⇒ `peek_segment` is `None`" holds and
+/// the scheduler's queues, the pair table's columns and the endpoint's
+/// slots agree on which pair is which ([`UfabEdge::check_ready_set`]).
+#[derive(Default)]
+pub struct ReadySetSound;
+
+impl Invariant<Simulator> for ReadySetSound {
+    fn name(&self) -> &'static str {
+        "ready-set-sound"
+    }
+
+    fn check(&mut self, sim: &Simulator, _t: u64) -> Result<(), String> {
+        for i in 0..sim.n_nodes() {
+            let node = NodeId(i as u32);
+            if let Some(edge) = sim.try_edge::<UfabEdge>(node) {
+                edge.check_ready_set()
+                    .map_err(|e| format!("edge {node}: {e}"))?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -259,7 +287,7 @@ pub struct WedgedPairWatchdog {
     /// Max time a pair with work may go without acking new bytes.
     pub stall_ns: Time,
     /// Last observed (acked_bytes, time-of-last-progress) per pair.
-    prev: HashMap<(u32, PairId), (u64, Time)>,
+    prev: FastMap<(u32, PairId), (u64, Time)>,
 }
 
 impl WedgedPairWatchdog {
@@ -267,7 +295,7 @@ impl WedgedPairWatchdog {
     pub fn new(stall_ns: Time) -> Self {
         Self {
             stall_ns,
-            prev: HashMap::new(),
+            prev: FastMap::default(),
         }
     }
 }

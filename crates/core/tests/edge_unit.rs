@@ -19,6 +19,8 @@ struct Harness {
     rng: SmallRng,
     now: u64,
     host: NodeId,
+    /// The incoming direction of the pair (this host is its destination).
+    rev: netsim::PairId,
 }
 
 impl Harness {
@@ -30,7 +32,7 @@ impl Harness {
         let t = fabric.add_tenant("t", 2.0);
         let a = fabric.add_vm(t, host);
         let b = fabric.add_vm(t, dst);
-        let pair = fabric.add_pair(a, b);
+        let (pair, rev) = fabric.add_pair_bidir(a, b);
         let topo: Arc<Topo> = Arc::new(topo);
         let agent = UfabEdge::new(
             UfabConfig::default(),
@@ -45,6 +47,7 @@ impl Harness {
                 rng: SmallRng::seed_from_u64(1),
                 now: 0,
                 host,
+                rev,
             },
             pair,
         )
@@ -199,11 +202,11 @@ fn received_probe_is_answered_with_admitted_tokens() {
     // The harness host also acts as a destination: a probe arriving for an
     // incoming pair must be answered with a Response carrying rx tokens.
     let (mut h, _pair) = Harness::new();
-    let frame = telemetry::ProbeFrame::probe(7, 0, 3.0, 10_000.0, 0);
+    let frame = telemetry::ProbeFrame::probe(h.rev.raw(), 0, 3.0, 10_000.0, 0);
     let pkt = Packet {
         src: NodeId(1),
         dst: h.host,
-        pair: netsim::PairId(7),
+        pair: h.rev,
         tenant: netsim::TenantId(0),
         size: 90,
         kind: PacketKind::Probe(frame),
@@ -222,6 +225,57 @@ fn received_probe_is_answered_with_admitted_tokens() {
             _ => None,
         })
         .expect("a response must go back");
-    assert_eq!(resp.pair, 7);
+    assert_eq!(resp.pair, h.rev.raw());
     assert!(resp.rx_phi.is_some());
+}
+
+#[test]
+fn endpoint_slots_stay_valid_across_restart() {
+    let (mut h, pair) = Harness::new();
+    // Outgoing backlog plus incoming demand, so that both the pair table
+    // and the receiver rows cache endpoint slots.
+    h.with_ctx(|a, ctx| a.submit(ctx, AppMsg::oneway(1, pair, 1_000_000, 0)));
+    let probe = |rev: netsim::PairId, host, seq| Packet {
+        src: NodeId(1),
+        dst: host,
+        pair: rev,
+        tenant: netsim::TenantId(0),
+        size: 90,
+        kind: PacketKind::Probe(telemetry::ProbeFrame::probe(rev.raw(), seq, 3.0, 1e4, 0)),
+        route: [netsim::PortNo(0), netsim::PortNo(0)].into(),
+        hop: 2,
+        ecn: false,
+        max_util: 0.0,
+        sent_at: 0,
+    };
+    let pkt = probe(h.rev, h.host, 0);
+    h.with_ctx(|a, ctx| a.on_packet(ctx, pkt));
+    let inflight = h.agent.ep.inflight(pair);
+    assert!(inflight > 0);
+    h.agent.check_ready_set().unwrap();
+
+    h.now += 50 * US;
+    let (_, fx) = h.with_ctx(|a, ctx| a.on_restart(ctx));
+    // The transport state is the same state (same slot), the rebuilt pair
+    // table found it again, and the pump sends from it.
+    assert_eq!(h.agent.edge_stats().restarts, 1);
+    assert_eq!(h.agent.is_active(pair), Some(true));
+    assert!(h.agent.ep.inflight(pair) >= inflight);
+    assert!(h.agent.ep.sendable(pair));
+    h.agent.check_ready_set().unwrap();
+    let sends = fx.sends();
+    assert!(sends
+        .iter()
+        .any(|p| matches!(&p.kind, PacketKind::Probe(f) if f.registering)));
+    // A tick and another incoming probe after the restart index the
+    // receiver rows by the surviving endpoint slots.
+    h.now += 50 * US;
+    h.with_ctx(|a, ctx| a.on_timer(ctx, 1));
+    let pkt = probe(h.rev, h.host, 1);
+    let (_, fx) = h.with_ctx(|a, ctx| a.on_packet(ctx, pkt));
+    assert!(fx
+        .sends()
+        .iter()
+        .any(|p| matches!(p.kind, PacketKind::Response(_))));
+    h.agent.check_ready_set().unwrap();
 }

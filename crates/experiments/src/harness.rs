@@ -9,7 +9,7 @@ use std::sync::Arc;
 use topology::Topo;
 use ufab::endpoint::AppMsg;
 use ufab::invariants::{
-    BoundedQueueWatchdog, EdgeAccounting, PacketArenaBalance, RegisterConservation,
+    BoundedQueueWatchdog, EdgeAccounting, PacketArenaBalance, ReadySetSound, RegisterConservation,
     StaleRegistrationSweep, WedgedPairWatchdog,
 };
 use ufab::{CoreHwCfg, FabricSpec, UfabConfig, UfabCore, UfabEdge};
@@ -230,6 +230,7 @@ impl Runner {
         if self.system.is_ufab() {
             suite.register(Box::new(RegisterConservation::default()));
             suite.register(Box::new(EdgeAccounting::default()));
+            suite.register(Box::new(ReadySetSound));
         }
         // Size the BDP off the fabric diameter (max base RTT from the
         // first host), with margin over the paper's ~3 BDP bound so the
@@ -269,6 +270,7 @@ impl Runner {
         if self.system.is_ufab() {
             suite.register(Box::new(RegisterConservation::default()));
             suite.register(Box::new(EdgeAccounting::default()));
+            suite.register(Box::new(ReadySetSound));
             suite.register(Box::new(StaleRegistrationSweep::new(cleanup_period)));
             suite.register(Box::new(WedgedPairWatchdog::new(stall_ns)));
         }

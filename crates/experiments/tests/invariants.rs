@@ -8,7 +8,7 @@ use netsim::{FaultKind, FaultPlan, NodeId, PairId, PortNo, Time, MS};
 use obs::InvariantSuite;
 use topology::TestbedCfg;
 use ufab::invariants::{
-    BoundedQueueWatchdog, EdgeAccounting, PacketArenaBalance, RegisterConservation,
+    BoundedQueueWatchdog, EdgeAccounting, PacketArenaBalance, ReadySetSound, RegisterConservation,
 };
 use ufab::{UfabCore, UfabEdge};
 use workloads::driver::Driver;
@@ -133,6 +133,28 @@ fn edge_accounting_tolerates_draining_excess() {
     // window is legal while it drains.
     assert_eq!(suite.run(&r.sim, now, &r.obs), 1);
     assert_eq!(suite.run(&r.sim, now + 1, &r.obs), 0);
+}
+
+#[test]
+fn ready_set_fires_on_a_cleared_bit_with_backlog() {
+    let (mut r, srcs, pairs) = warm_run();
+    let mut suite: InvariantSuite<netsim::Simulator> = InvariantSuite::new(1);
+    suite.register(Box::new(ReadySetSound));
+    let now = r.sim.now();
+    assert_eq!(suite.run(&r.sim, now, &r.obs), 0, "sound before corruption");
+    // Mid-incast the pair still has megabytes queued; with its bit
+    // cleared the pump would skip it forever.
+    let ep = &mut r.sim.edge_mut::<UfabEdge>(srcs[0]).ep;
+    assert!(ep.sendable(pairs[0]) && ep.peek_segment(pairs[0]).is_some());
+    ep.corrupt_ready_bit(pairs[0]);
+    assert_eq!(suite.run(&r.sim, now + 1, &r.obs), 1);
+    let v = &suite.violations()[0];
+    assert_eq!(v.invariant, "ready-set-sound");
+    assert!(
+        v.detail.contains("ready bit clear") && v.detail.contains(&format!("{}", pairs[0])),
+        "detail: {}",
+        v.detail
+    );
 }
 
 #[test]

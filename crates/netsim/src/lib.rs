@@ -39,6 +39,7 @@ pub mod agent;
 pub mod builder;
 pub mod chaos;
 pub mod equeue;
+pub mod fastmap;
 pub mod ids;
 pub mod msg;
 pub mod packet;
@@ -51,6 +52,7 @@ pub use agent::{EdgeAgent, EdgeCtx, NicView, PortView, SwitchAgent, SwitchCtx};
 pub use builder::{LinkSpec, NetworkBuilder};
 pub use chaos::{ChaosStats, FaultKind, FaultPlan};
 pub use equeue::EventQueue;
+pub use fastmap::FastMap;
 pub use ids::{FlowId, NodeId, PairId, PortNo, TenantId, VmId};
 pub use msg::{AppMsg, Inject};
 pub use packet::{AckInfo, DataInfo, Packet, PacketKind};
