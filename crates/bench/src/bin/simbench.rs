@@ -417,6 +417,11 @@ fn main() {
                 false,
             );
         }
+        // What the queue probe above churned: ≈500-entry runs, against
+        // 14–59 on the end-to-end cells (`repro <cell> --trace` prints
+        // theirs) — read the probe's ns/op with that in mind.
+        let (_, qs) = bench::micro::equeue_churn_stats(50_000 * scale);
+        eprintln!("[simbench] micro_equeue_churn queue: {qs:?}");
 
         // (2) Anchor against the end-to-end cells so the trajectory file
         // ties micro movements to whole-scenario wall clock. Skipped in

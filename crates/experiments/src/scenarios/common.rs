@@ -98,6 +98,22 @@ pub fn obs_epilogue(scale: &Scale, r: &Runner, label: &str) -> String {
         s.link_flaps
     )
     .expect("write to string");
+    let q = r.sim.queue_stats();
+    let runs = (q.rotations - q.empty_rotations).max(1) as f64;
+    writeln!(
+        out,
+        "[obs {label}] equeue rotations {} ({} empty)  run-len mean {:.1} max {}  \
+         popped/run {:.1}  same-bucket inserts {}  far pushes {} (migrated {})",
+        q.rotations,
+        q.empty_rotations,
+        q.run_len_sum as f64 / runs,
+        q.run_len_max,
+        (q.run_len_sum + q.same_bucket_inserts) as f64 / runs,
+        q.same_bucket_inserts,
+        q.far_pushes,
+        q.far_migrations
+    )
+    .expect("write to string");
     if let Some(d) = r.sim.det_digest() {
         writeln!(out, "[obs {label}] determinism digest {d:016x}").expect("write to string");
     }

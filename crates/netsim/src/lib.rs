@@ -29,7 +29,7 @@
 //!   INT corruption, switch reboots, edge restarts).
 //!
 //! Determinism: all randomness flows from one master seed through per-node
-//! RNG streams, and the event heap breaks time ties by insertion sequence,
+//! RNG streams, and the event queue breaks time ties by insertion sequence,
 //! so a given (topology, agents, seed) triple always produces identical
 //! results.
 
@@ -51,7 +51,7 @@ pub mod time;
 pub use agent::{EdgeAgent, EdgeCtx, NicView, PortView, SwitchAgent, SwitchCtx};
 pub use builder::{LinkSpec, NetworkBuilder};
 pub use chaos::{ChaosStats, FaultKind, FaultPlan};
-pub use equeue::EventQueue;
+pub use equeue::{EventQueue, QueueStats};
 pub use fastmap::FastMap;
 pub use ids::{FlowId, NodeId, PairId, PortNo, TenantId, VmId};
 pub use msg::{AppMsg, Inject};

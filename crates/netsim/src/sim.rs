@@ -15,7 +15,7 @@ use crate::builder::{Network, Node, NodeKind};
 use crate::chaos::{
     self, ChaosRuntime, ChaosStats, FaultKind, FaultPlan, GeLoss, ModKind, RngProb,
 };
-use crate::equeue::EventQueue;
+use crate::equeue::{EventQueue, QueueStats};
 use crate::ids::{NodeId, PortNo};
 use crate::msg::Inject;
 use crate::packet::{ArenaStats, Packet, PacketArena, PacketKind};
@@ -111,10 +111,13 @@ struct Shard {
     rngs: Vec<SmallRng>,
     // Global node → owning LP (shared, immutable).
     owner: Arc<Vec<u32>>,
-    // Owned (node, port) pairs whose peer lives on another shard;
-    // scanned each round for the current lookahead (Degrade can change
-    // `prop_ns` mid-run).
+    // Owned (node, port) pairs whose peer lives on another shard.
     boundary: Vec<(u32, u16)>,
+    // Minimum `prop_ns` over `boundary` — this shard's contribution to
+    // the window lookahead. Cached: `prop_ns` has two in-run writers
+    // (chaos Degrade on/off) and is otherwise reachable only between
+    // runs, so it is refreshed there and on entry to `run_windows`.
+    boundary_la: Time,
     stamp_util: bool,
     bounce_probes_on_failure: bool,
     stats: GlobalStats,
@@ -172,6 +175,7 @@ impl Shard {
             rngs,
             owner,
             boundary,
+            boundary_la: Time::MAX,
             stamp_util: false,
             bounce_probes_on_failure: false,
             stats: GlobalStats::default(),
@@ -234,15 +238,15 @@ impl Shard {
         self.queue.peek_time().unwrap_or(Time::MAX)
     }
 
-    // Minimum propagation delay over this shard's outbound boundary
-    // links — its contribution to the global window lookahead.
-    // Re-scanned every round because chaos Degrade rewrites `prop_ns`.
-    fn boundary_lookahead(&self) -> Time {
-        self.boundary
+    // Recompute the minimum propagation delay over this shard's
+    // outbound boundary links (see `boundary_la`).
+    fn refresh_boundary_lookahead(&mut self) {
+        self.boundary_la = self
+            .boundary
             .iter()
             .map(|&(ni, pi)| self.nodes[ni as usize].ports[pi as usize].prop_ns)
             .min()
-            .unwrap_or(Time::MAX)
+            .unwrap_or(Time::MAX);
     }
 
     fn run_events_below(&mut self, end_excl: Time) {
@@ -321,6 +325,7 @@ impl Shard {
                 port.cap_bps = ((base_cap as f64 * cap_factor) as u64).max(1);
                 port.prop_ns = (base_prop as f64 * prop_factor) as Time;
                 ch.stats.degrade_transitions += 1;
+                self.refresh_boundary_lookahead();
             }
             ModKind::DegradeOff => {
                 if let Some(pc) = ch.ports.get_mut(&key) {
@@ -332,6 +337,7 @@ impl Shard {
                         port.prop_ns = prop;
                     }
                     ch.stats.degrade_transitions += 1;
+                    self.refresh_boundary_lookahead();
                 }
             }
             ModKind::BurstOn {
@@ -821,15 +827,17 @@ fn window_end(m: Time, la: Time, until: Option<Time>) -> Option<Time> {
 // pair is double-buffered: each round resets the *next* buffer before
 // the first barrier, so no worker can observe a half-reset value.
 //
-// With one worker (and `Barrier::new(1)`) this same loop runs the
-// shards sequentially in LP order — the per-shard event streams are
-// identical by construction at any worker count.
+// With one worker this same loop runs the shards sequentially in LP
+// order — the per-shard event streams are identical by construction at
+// any worker count — and `barrier` is `None`: a group that holds every
+// shard has nobody to wait for, and a barrier of one is two futex
+// system calls per window.
 fn worker_rounds(
     mut group: Vec<&mut Shard>,
     inboxes: &[Mutex<Vec<CrossMsg>>],
     mins: &[AtomicU64; 2],
     las: &[AtomicU64; 2],
-    barrier: &Barrier,
+    barrier: Option<&Barrier>,
     until: Option<Time>,
 ) {
     let mut r = 0usize;
@@ -842,7 +850,7 @@ fn worker_rounds(
         let mut lla = Time::MAX;
         for sh in group.iter_mut() {
             lmin = lmin.min(sh.peek_min());
-            lla = lla.min(sh.boundary_lookahead());
+            lla = lla.min(sh.boundary_la);
         }
         let cur = r % 2;
         let nxt = (r + 1) % 2;
@@ -850,7 +858,9 @@ fn worker_rounds(
         las[nxt].store(Time::MAX, Ordering::SeqCst);
         mins[cur].fetch_min(lmin, Ordering::SeqCst);
         las[cur].fetch_min(lla, Ordering::SeqCst);
-        barrier.wait();
+        if let Some(b) = barrier {
+            b.wait();
+        }
         let m = mins[cur].load(Ordering::SeqCst);
         let la = las[cur].load(Ordering::SeqCst).min(PROBE_BOUNCE_HOP_NS);
         let Some(end_excl) = window_end(m, la, until) else {
@@ -870,7 +880,9 @@ fn worker_rounds(
         for sh in group.iter_mut() {
             sh.flush_outbox(inboxes);
         }
-        barrier.wait();
+        if let Some(b) = barrier {
+            b.wait();
+        }
         r += 1;
     }
 }
@@ -1155,6 +1167,16 @@ impl Simulator {
         s
     }
 
+    /// Event-queue traffic counters (rotations, run lengths, tier
+    /// decisions), merged over all shards in LP order.
+    pub fn queue_stats(&self) -> QueueStats {
+        let mut t = QueueStats::default();
+        for sh in &self.shards {
+            t.merge(&sh.queue.stats());
+        }
+        t
+    }
+
     /// Chaos-engine counters (all zero when no plan was applied),
     /// summed over all shards.
     pub fn chaos_stats(&self) -> ChaosStats {
@@ -1372,22 +1394,24 @@ impl Simulator {
         };
         let mins = [AtomicU64::new(Time::MAX), AtomicU64::new(Time::MAX)];
         let las = [AtomicU64::new(Time::MAX), AtomicU64::new(Time::MAX)];
-        let barrier = Barrier::new(w);
         let inboxes = &self.inboxes;
         let mut groups: Vec<Vec<&mut Shard>> = (0..w).map(|_| Vec::new()).collect();
         for (k, sh) in self.shards.iter_mut().enumerate() {
+            // Ports are writable through `port_mut` between runs.
+            sh.refresh_boundary_lookahead();
             groups[k % w].push(sh);
         }
         if w == 1 {
             let group = groups.pop().unwrap();
-            worker_rounds(group, inboxes, &mins, &las, &barrier, until);
+            worker_rounds(group, inboxes, &mins, &las, None, until);
         } else {
+            let barrier = Barrier::new(w);
             // A fresh scope per run slice: cheap relative to a slice's
             // event work, and it keeps the engine free of long-lived
             // worker threads (no shutdown protocol, no unsafe).
             std::thread::scope(|scope| {
                 for group in groups {
-                    let (mins, las, barrier) = (&mins, &las, &barrier);
+                    let (mins, las, barrier) = (&mins, &las, Some(&barrier));
                     scope.spawn(move || worker_rounds(group, inboxes, mins, las, barrier, until));
                 }
             });
@@ -2366,6 +2390,7 @@ mod tests {
         sim.set_edge_agent(h0, pod_sender(h0, h1, 8, 2000));
         sim.set_edge_agent(h1, pod_sink(h1));
         sim.run_until(50 * crate::time::MS);
+        assert_eq!(sim.packets_in_flight(), sim.arena_stats().outstanding());
         (
             sim.det_digest().unwrap(),
             sim.edge::<WindowSender>(h0).acked,
@@ -2467,6 +2492,64 @@ mod tests {
         assert_eq!(base.3, 1, "switch must have wiped once");
         assert!(base.2 > 0, "switch fail must drop packets");
         assert_eq!(run(2), base);
+    }
+
+    #[test]
+    fn sharded_lookahead_follows_both_prop_ns_writers() {
+        // Shortening a boundary link mid-run must shorten the windows:
+        // a stale cached lookahead trips the `ingest` assertion. The
+        // link is t1:1 (t1 → core, owned by LP 1), which carries the
+        // acks: ~50 ns of serialization, so nothing hides a stale value.
+        let ms = crate::time::MS;
+        let run = |workers: usize| {
+            let (mut sim, h0, h1) = two_pods(9, true);
+            sim.enable_det_hash();
+            sim.set_workers(workers);
+            sim.set_edge_agent(h0, pod_sender(h0, h1, 8, 4000));
+            sim.set_edge_agent(h1, pod_sink(h1));
+            // Writer 1: chaos Degrade, 1 µs → 250 ns and back.
+            sim.apply_chaos(&FaultPlan::new(1).fault(FaultKind::Degrade {
+                node: NodeId(3),
+                port: PortNo(1),
+                from: 2 * ms,
+                until: 4 * ms,
+                cap_factor: 1.0,
+                prop_factor: 0.25,
+            }));
+            sim.run_until(5 * ms);
+            // Writer 2: `port_mut` between runs.
+            sim.port_mut(NodeId(3), PortNo(1)).prop_ns = US / 2;
+            sim.run_until(20 * ms);
+            assert_eq!(sim.chaos_stats().degrade_transitions, 2);
+            (
+                sim.det_digest().unwrap(),
+                sim.edge::<Sink>(h1).received_bytes,
+            )
+        };
+        let base = run(1);
+        assert_eq!(base.1, 4000 * 1500);
+        assert_eq!(run(2), base);
+    }
+
+    #[test]
+    fn queue_stats_account_for_every_event() {
+        let run = |workers: usize| {
+            let (mut sim, h0, h1) = two_pods(11, true);
+            sim.set_workers(workers);
+            sim.set_edge_agent(h0, pod_sender(h0, h1, 4, 50));
+            sim.set_edge_agent(h1, pod_sink(h1));
+            sim.run_to_quiescence();
+            (sim.queue_stats(), sim.stats().events)
+        };
+        let (qs, events) = run(1);
+        assert!(qs.rotations > qs.empty_rotations && qs.run_len_max > 0);
+        // Drained: every entry ever pushed was popped as one event, and
+        // reached a sorted run exactly once — through the ring (or the
+        // far heap) on a cursor move, or by a same-bucket insert.
+        assert_eq!(qs.run_len_sum + qs.same_bucket_inserts, events);
+        // Per-shard queue traffic is part of the schedule: identical
+        // with and without barriers.
+        assert_eq!(run(2), (qs, events));
     }
 
     #[test]
