@@ -409,6 +409,33 @@ impl Runner {
         out
     }
 
+    /// Acked bytes of each `(source host, pair)` right now — the baseline
+    /// a tenant's (re-)qualification must move past: qualifying takes
+    /// telemetry *and* delivered progress.
+    pub fn acked_baseline(&self, pairs: &[(NodeId, PairId)]) -> Vec<u64> {
+        pairs
+            .iter()
+            .map(|&(src, pair)| {
+                self.sim
+                    .try_edge::<UfabEdge>(src)
+                    .map(|e| e.ep.acked_bytes(pair))
+                    .unwrap_or(0)
+            })
+            .collect()
+    }
+
+    /// μFAB-E's qualification signal for one tenant: every pair's current
+    /// path telemetry qualifies and its acked bytes moved past `baseline`
+    /// (from [`Runner::acked_baseline`]).
+    pub fn pairs_qualified(&self, pairs: &[(NodeId, PairId)], baseline: &[u64]) -> bool {
+        pairs.iter().zip(baseline).all(|(&(src, pair), &base)| {
+            self.sim
+                .try_edge::<UfabEdge>(src)
+                .map(|e| e.pair_qualified(pair) == Some(true) && e.ep.acked_bytes(pair) > base)
+                .unwrap_or(false)
+        })
+    }
+
     /// Average delivered rate of a pair over `[from, to)` in bits/sec,
     /// summed across all per-LP recorders.
     pub fn pair_rate(&self, pair: PairId, from: Time, to: Time) -> f64 {

@@ -4,7 +4,7 @@
 //! the admitted tenants replaced by adversaries (DESIGN §10): the
 //! guarantee-exceeding sender, the probe flooder, and the UDP blaster,
 //! each at `--abuse-intensity`. The μFAB edge runs with the per-tenant
-//! enforcement stage armed (`UfabConfig::enforce`), the fabric manager
+//! enforcement stage armed (`UfabConfig::enforce`), the fabric service
 //! runs the misbehavior ledger + quarantine state machine, and every
 //! control-plane step closes the loop: enforcement counters are polled
 //! off the edges, integrated into misbehavior scores, and quarantine
@@ -37,20 +37,22 @@
 //! released while quarantined — and bounded qualifying time) always
 //! runs; a violation fails the scenario.
 
-use super::churn::{churn_cfg, demand_for, timeline, GUAR_FRACTION, STAGGER_BOUND, STEP};
+use super::churn::{
+    churn_cfg, demand_for, guaranteed_crossing, step_lifecycle, timeline, GUAR_FRACTION,
+    STAGGER_BOUND, STEP,
+};
 use super::common::{emit, f, obs_epilogue, us, Scale};
 use super::fig17::build_topo;
 use crate::executor::{run_jobs, Job};
 use crate::harness::{Runner, SystemKind, SLICE};
-use fabric::{
-    AbuseCfg, AdmissionCfg, FabricManager, LedgerConservation, Policy, QualifyingStagger,
-    TenantState,
-};
+use fabric::{AbuseCfg, AdmissionCfg, Policy, TenantState};
+use fabricd::{FabricService, LedgerConservation, QualifyingStagger};
 use metrics::table::Table;
 use metrics::Percentiles;
 use netsim::{FaultKind, FaultPlan, NodeId, PairId, TenantId, Time, MS};
 use obs::InvariantSuite;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use ufab::{FabricSpec, UfabConfig, UfabEdge};
 use workloads::abuse::{hostile_demand, select_hostiles};
 use workloads::churn::{gen_trace, ChurnDriver, DemandKind, TenantTraffic};
@@ -116,12 +118,12 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
     // 2) FabricSpec + traffic programs. Hostile tenants get the
     //    adversarial demand program; everyone else the churn mix.
     let mut fabric_spec = FabricSpec::new(acfg.bu_bps);
-    let mut fabric_ids: Vec<u32> = Vec::with_capacity(plan.admitted.len());
     let mut tenant_pairs: Vec<Vec<(NodeId, PairId)>> = Vec::with_capacity(plan.admitted.len());
     let mut programs: Vec<TenantTraffic> = Vec::with_capacity(plan.admitted.len());
     for (idx, p) in plan.admitted.iter().enumerate() {
         let kind = trace[p.req].kind;
         let tid = fabric_spec.add_tenant(&p.name, p.tokens_per_vm);
+        debug_assert_eq!(tid.raw() as usize, tenant_pairs.len());
         let vms: Vec<_> = p
             .hosts
             .iter()
@@ -140,7 +142,6 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
             };
             prog_pairs.push((p.hosts[i], pair, dem));
         }
-        fabric_ids.push(tid.raw());
         tenant_pairs.push(pairs);
         programs.push(TenantTraffic {
             tag: tid.raw(),
@@ -149,9 +150,6 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
             pairs: prog_pairs,
         });
     }
-    let mut mgr = FabricManager::new(&topo, acfg, &plan, &fabric_ids);
-    mgr.enable_abuse(AbuseCfg::default());
-
     // 3) Simulator + chaos (same core-switch failure as churn), with
     //    the edge enforcement stage armed.
     let dead_core = topo.cores[0];
@@ -182,14 +180,18 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
     if scale.check_invariants {
         r.enable_chaos_invariants(MS / 4, 5 * MS, tl.fault_recover + 15 * MS);
     }
-    mgr.set_obs(r.obs.clone());
+    // The one tenant lifecycle, scorer armed. Plan order is `add_tenant`
+    // order, so the service's tenant ids are the `FabricSpec` tenant ids.
+    let mut svc = FabricService::new(Arc::clone(&r.topo), acfg);
+    svc.enable_abuse(AbuseCfg::default());
+    svc.set_obs(r.obs.clone());
     r.sim.apply_chaos(&fplan);
 
     // Program the hostile behavior models into each aggressor's source
     // NICs (plan order; within a tenant, ascending host id).
     for (i, h) in hostiles.iter().enumerate() {
         let Some(h) = h else { continue };
-        let t = TenantId(fabric_ids[i]);
+        let t = TenantId(i as u32);
         let hosts: BTreeSet<NodeId> = tenant_pairs[i].iter().map(|&(src, _)| src).collect();
         for host in hosts {
             r.sim
@@ -198,7 +200,7 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
         }
     }
 
-    let mut fsuite: InvariantSuite<FabricManager> = InvariantSuite::new(MS);
+    let mut fsuite: InvariantSuite<FabricService> = InvariantSuite::new(MS);
     fsuite.register(Box::new(LedgerConservation));
     fsuite.register(Box::new(QualifyingStagger::new(STAGGER_BOUND)));
 
@@ -210,7 +212,7 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
     //    integration order is identical at any `--jobs`/`--shards`),
     //    feed the deltas to the misbehavior ledger, step the quarantine
     //    state machine, and program its clamp directives back down.
-    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); mgr.tenants().len()];
+    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); plan.admitted.len()];
     let mut enf_seen: BTreeMap<(u32, u32), [u64; 3]> = BTreeMap::new();
     let mut first_enf: BTreeMap<u32, Time> = BTreeMap::new();
     // Containment-settling bins: ms bins during which an *unclamped*
@@ -231,63 +233,20 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
             let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
             r.run(now, SLICE, &mut drivers);
         }
-        let out = mgr.advance(now);
-        for &i in &out.admitted {
-            baselines[i] = tenant_pairs[i]
-                .iter()
-                .map(|&(src, pair)| {
-                    r.sim
-                        .try_edge::<UfabEdge>(src)
-                        .map(|e| e.ep.acked_bytes(pair))
-                        .unwrap_or(0)
-                })
-                .collect();
+        for i in step_lifecycle(&mut svc, &plan, now) {
+            baselines[i] = r.acked_baseline(&tenant_pairs[i]);
         }
         if !fault_done && now >= tl.fault_at {
             fault_done = true;
-            let hit: Vec<usize> = mgr
-                .tenants()
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.state == TenantState::Guaranteed)
-                .map(|(i, _)| i)
-                .filter(|&i| {
-                    tenant_pairs[i].iter().any(|&(src, pair)| {
-                        r.sim
-                            .try_edge::<UfabEdge>(src)
-                            .and_then(|e| e.route_of(pair))
-                            .map(|route| r.topo.walk_route(src, &route).contains(&dead_core))
-                            .unwrap_or(false)
-                    })
-                })
-                .collect();
-            for i in hit {
-                mgr.requalify(i, now);
-                baselines[i] = tenant_pairs[i]
-                    .iter()
-                    .map(|&(src, pair)| {
-                        r.sim
-                            .try_edge::<UfabEdge>(src)
-                            .map(|e| e.ep.acked_bytes(pair))
-                            .unwrap_or(0)
-                    })
-                    .collect();
+            for i in guaranteed_crossing(&svc, &r, &tenant_pairs, dead_core) {
+                svc.requalify(i as u32, now);
+                baselines[i] = r.acked_baseline(&tenant_pairs[i]);
             }
         }
-        for (i, _) in mgr.qualifying() {
-            let ok = tenant_pairs[i]
-                .iter()
-                .zip(&baselines[i])
-                .all(|(&(src, pair), &base)| {
-                    r.sim
-                        .try_edge::<UfabEdge>(src)
-                        .map(|e| {
-                            e.pair_qualified(pair) == Some(true) && e.ep.acked_bytes(pair) > base
-                        })
-                        .unwrap_or(false)
-                });
-            if ok {
-                mgr.note_qualified(i, now);
+        for (id, _) in svc.qualifying() {
+            let i = id as usize;
+            if r.pairs_qualified(&tenant_pairs[i], &baselines[i]) {
+                svc.note_qualified(id, now);
             }
         }
 
@@ -327,12 +286,11 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
         // (The lifetime window matters: a departed aggressor's gated
         // backlog keeps drawing policer verdicts while it drains, but a
         // reclaimed tenant can no longer congest anything.)
-        let open_abuse = mgr.tenants().iter().enumerate().any(|(i, t)| {
+        let open_abuse = svc.tenants().iter().enumerate().any(|(i, t)| {
             hostiles[i].is_some()
-                && t.planned.decision <= now
-                && now < t.planned.depart
+                && now < t.depart_at
                 && t.state != TenantState::Quarantined
-                && deltas.contains_key(&t.fabric_tenant)
+                && deltas.contains_key(&(i as u32))
         });
         if open_abuse {
             for b in (step_start / MS) as usize..=(now / MS) as usize {
@@ -342,16 +300,16 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
 
         for (&t, &[p, pr, un]) in &deltas {
             first_enf.entry(t).or_insert(now);
-            mgr.note_enforcement(t, p, pr, un);
+            svc.note_enforcement(t, p, pr, un);
         }
-        for a in mgr.abuse_tick(now) {
-            let hosts: BTreeSet<NodeId> = tenant_pairs[a.tenant_idx]
+        for a in svc.abuse_tick(now) {
+            let hosts: BTreeSet<NodeId> = tenant_pairs[a.tenant as usize]
                 .iter()
                 .map(|&(src, _)| src)
                 .collect();
             for host in hosts {
                 r.sim.edge_mut::<UfabEdge>(host).set_enforce_clamp(
-                    TenantId(a.fabric_tenant),
+                    TenantId(a.tenant),
                     a.clamp,
                     now,
                 );
@@ -359,17 +317,17 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
         }
 
         if fsuite.due(now) {
-            fsuite.run(&mgr, now, &r.obs);
+            fsuite.run(&svc, now, &r.obs);
         }
     }
 
     // 5) Metrics.
-    let ab = mgr.abuse().expect("abuse ledger is enabled");
+    let ab = svc.abuse().expect("abuse ledger is enabled");
     let hostile = hostiles.iter().filter(|h| h.is_some()).count();
     let mut quarantined = 0usize;
     let mut false_quarantines = 0usize;
     let mut ttq = Percentiles::new();
-    for (i, t) in mgr.tenants().iter().enumerate() {
+    for i in 0..svc.tenants().len() {
         if ab.quarantines(i) == 0 {
             continue;
         }
@@ -378,7 +336,7 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
         } else {
             false_quarantines += 1;
         }
-        if let (Some(q), Some(&e0)) = (ab.first_quarantine_at(i), first_enf.get(&t.fabric_tenant)) {
+        if let (Some(q), Some(&e0)) = (ab.first_quarantine_at(i), first_enf.get(&(i as u32))) {
             ttq.add(q.saturating_sub(e0) as f64);
         }
     }
@@ -394,16 +352,14 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
     // Aggressor goodput clamp ratio: per quarantined aggressor, mean
     // delivered rate after its first quarantine entry ÷ before.
     let mut clamp_ratios: Vec<f64> = Vec::new();
-    for (i, t) in mgr.tenants().iter().enumerate() {
-        let series = rec.tenant_rates.get(&t.fabric_tenant);
+    for (i, t) in svc.tenants().iter().enumerate() {
+        let series = rec.tenant_rates.get(&(i as u32));
         if hostiles[i].is_none() {
-            if trace[t.planned.req].kind != DemandKind::Bulk {
+            if trace[plan.admitted[i].req].kind != DemandKind::Bulk {
                 continue;
             }
-            let tenant_guar = GUAR_FRACTION
-                * t.planned.tokens_per_vm
-                * mgr.cfg().bu_bps
-                * tenant_pairs[i].len() as f64;
+            let tenant_guar =
+                GUAR_FRACTION * t.tokens_per_vm * acfg.bu_bps * tenant_pairs[i].len() as f64;
             for &(enter, exit) in &t.guaranteed_spans {
                 let b0 = ((enter + MS) / MS + 1) as usize;
                 let b1 = (exit / MS) as usize;
@@ -419,9 +375,9 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
                 }
             }
         } else if let (Some(q), Some(s)) = (ab.first_quarantine_at(i), series) {
-            let start = (t.planned.decision / MS + 1) as usize;
+            let start = (t.admitted_at / MS + 1) as usize;
             let qb = (q / MS) as usize;
-            let stop = (t.planned.depart / MS) as usize;
+            let stop = (t.depart_at / MS) as usize;
             let mean = |b0: usize, b1: usize| {
                 if b1 <= b0 {
                     return None;
@@ -477,7 +433,7 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
         digest,
         sim_violations: r.invariant_violations(),
         admitted,
-        reclaimed: mgr.count(TenantState::Reclaimed),
+        reclaimed: svc.count(TenantState::Reclaimed),
     }
 }
 

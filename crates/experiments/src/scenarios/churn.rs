@@ -4,7 +4,7 @@
 //! Not a paper figure: the control-plane companion to the data-plane
 //! scenarios. A Poisson stream of tenant requests (lognormal lifetimes,
 //! paper-CDF demand mix, a deliberate over-subscribed class) flows
-//! through the fabric manager — hose-model admission against the
+//! through the fabric control plane — hose-model admission against the
 //! capacity ledger, VM placement, μFAB-E-driven qualification, and
 //! reclamation on departure — while the admitted tenants' traffic runs
 //! on the simulated fabric. Mid-run a core switch fails (chaos engine)
@@ -33,19 +33,19 @@ use super::common::{emit, f, obs_epilogue, us, Scale};
 use super::fig17::build_topo;
 use crate::executor::{run_jobs, Job};
 use crate::harness::{Runner, SystemKind, SLICE};
-use fabric::{
-    AdmissionCfg, FabricManager, LedgerConservation, Policy, QualifyingStagger, TenantState,
-};
+use fabric::{AdmissionCfg, Plan, Policy, TenantState};
+use fabricd::{FabricService, LedgerConservation, QualifyingStagger};
 use metrics::table::Table;
 use metrics::Percentiles;
 use netsim::{FaultKind, FaultPlan, NodeId, PairId, Time, MS, US};
 use obs::InvariantSuite;
+use std::sync::Arc;
 use ufab::{FabricSpec, UfabConfig, UfabEdge};
 use workloads::churn::{gen_trace, ChurnCfg, ChurnDriver, DemandKind, PairDemand, TenantTraffic};
 use workloads::dists::{kv_object_sizes, websearch_flow_sizes};
 use workloads::driver::Driver;
 
-/// Outer control-plane step: manager advance + qualification polling.
+/// Outer control-plane step: lifecycle advance + qualification polling.
 pub(crate) const STEP: Time = 250 * US;
 /// No tenant may sit in `Qualifying` longer than this. Residence in
 /// `Qualifying` is naturally bounded by the tenant's lifetime (clamped
@@ -143,6 +143,47 @@ pub(crate) fn demand_for(kind: DemandKind, guar_bps: f64) -> PairDemand {
     }
 }
 
+/// One control-plane step of a plan-driven cell: commit every planned
+/// admission decided by `now` (tenant id == plan index), then fire the
+/// departures and reclaims due by `now`. Returns the ids just admitted.
+pub(crate) fn step_lifecycle(
+    svc: &mut FabricService,
+    plan: &Plan,
+    now: Time,
+) -> std::ops::Range<usize> {
+    let first = svc.tenants().len();
+    while let Some(p) = plan.admitted.get(svc.tenants().len()) {
+        if p.decision > now {
+            break;
+        }
+        svc.admit_planned(p);
+    }
+    svc.advance(now);
+    first..svc.tenants().len()
+}
+
+/// Guaranteed tenants with a pair whose current route crosses `node` —
+/// the tenants a fault on `node` sends back through `Qualifying`.
+pub(crate) fn guaranteed_crossing(
+    svc: &FabricService,
+    r: &Runner,
+    tenant_pairs: &[Vec<(NodeId, PairId)>],
+    node: NodeId,
+) -> Vec<usize> {
+    (0..svc.tenants().len())
+        .filter(|&i| svc.tenants()[i].state == TenantState::Guaranteed)
+        .filter(|&i| {
+            tenant_pairs[i].iter().any(|&(src, pair)| {
+                r.sim
+                    .try_edge::<UfabEdge>(src)
+                    .and_then(|e| e.route_of(pair))
+                    .map(|route| r.topo.walk_route(src, &route).contains(&node))
+                    .unwrap_or(false)
+            })
+        })
+        .collect()
+}
+
 fn run_cell(scale: Scale, policy: Policy) -> CellOut {
     let tl = timeline(scale.quick);
     let servers = scale.servers.unwrap_or(512);
@@ -182,12 +223,12 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
     //    ring-pair (i → i+1 mod n); anti-affinity in the placer makes
     //    every pair cross-host.
     let mut fabric_spec = FabricSpec::new(acfg.bu_bps);
-    let mut fabric_ids: Vec<u32> = Vec::with_capacity(plan.admitted.len());
     let mut tenant_pairs: Vec<Vec<(NodeId, PairId)>> = Vec::with_capacity(plan.admitted.len());
     let mut programs: Vec<TenantTraffic> = Vec::with_capacity(plan.admitted.len());
     for p in &plan.admitted {
         let kind = trace[p.req].kind;
         let tid = fabric_spec.add_tenant(&p.name, p.tokens_per_vm);
+        debug_assert_eq!(tid.raw() as usize, tenant_pairs.len());
         let vms: Vec<_> = p
             .hosts
             .iter()
@@ -202,7 +243,6 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
             pairs.push((p.hosts[i], pair));
             prog_pairs.push((p.hosts[i], pair, demand_for(kind, guar)));
         }
-        fabric_ids.push(tid.raw());
         tenant_pairs.push(pairs);
         programs.push(TenantTraffic {
             tag: tid.raw(),
@@ -211,8 +251,6 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
             pairs: prog_pairs,
         });
     }
-    let mut mgr = FabricManager::new(&topo, acfg, &plan, &fabric_ids);
-
     // 3) Simulator + chaos: one core switch dies mid-window.
     let dead_core = topo.cores[0];
     let mut fplan = FaultPlan::new(scale.seed);
@@ -246,21 +284,24 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
         // Fault-aware suite: the run contains a switch failure by design.
         r.enable_chaos_invariants(MS / 4, 5 * MS, tl.fault_recover + 15 * MS);
     }
-    mgr.set_obs(r.obs.clone());
+    // The one tenant lifecycle. Plan order is `add_tenant` order, so the
+    // service's tenant ids are the `FabricSpec` tenant ids.
+    let mut svc = FabricService::new(Arc::clone(&r.topo), acfg);
+    svc.set_obs(r.obs.clone());
     r.sim.apply_chaos(&fplan);
 
-    // The fabric-manager suite always runs: ledger conservation is this
+    // The fabric suite always runs: ledger conservation is this
     // scenario's hard acceptance criterion, not an opt-in.
-    let mut fsuite: InvariantSuite<FabricManager> = InvariantSuite::new(MS);
+    let mut fsuite: InvariantSuite<FabricService> = InvariantSuite::new(MS);
     fsuite.register(Box::new(LedgerConservation));
     fsuite.register(Box::new(QualifyingStagger::new(STAGGER_BOUND)));
 
     let mut driver = ChurnDriver::new(programs, scale.seed ^ 0x5eed, 0);
 
     // 4) Run loop: advance the simulator one STEP at a time, then drive
-    //    the manager (admissions / departures / reclaims), poll the
+    //    the lifecycle (admissions / departures / reclaims), poll the
     //    qualification signal, and fire chaos re-qualification.
-    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); mgr.tenants().len()];
+    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); plan.admitted.len()];
     let mut util_sum = 0.0;
     let mut util_n = 0u64;
     let mut requal_total = 0u64;
@@ -272,79 +313,31 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
             let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
             r.run(now, SLICE, &mut drivers);
         }
-        let out = mgr.advance(now);
-        // Snapshot acked-bytes baselines for tenants entering Qualifying:
-        // qualification requires telemetry *and* delivered progress.
-        for &i in &out.admitted {
-            baselines[i] = tenant_pairs[i]
-                .iter()
-                .map(|&(src, pair)| {
-                    r.sim
-                        .try_edge::<UfabEdge>(src)
-                        .map(|e| e.ep.acked_bytes(pair))
-                        .unwrap_or(0)
-                })
-                .collect();
+        for i in step_lifecycle(&mut svc, &plan, now) {
+            baselines[i] = r.acked_baseline(&tenant_pairs[i]);
         }
         // Chaos interop: at the fault instant, every guaranteed tenant
         // whose current route crosses the dead switch re-qualifies
         // through the same state machine.
         if !fault_done && now >= tl.fault_at {
             fault_done = true;
-            let hit: Vec<usize> = mgr
-                .tenants()
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.state == TenantState::Guaranteed)
-                .map(|(i, _)| i)
-                .filter(|&i| {
-                    tenant_pairs[i].iter().any(|&(src, pair)| {
-                        r.sim
-                            .try_edge::<UfabEdge>(src)
-                            .and_then(|e| e.route_of(pair))
-                            .map(|route| r.topo.walk_route(src, &route).contains(&dead_core))
-                            .unwrap_or(false)
-                    })
-                })
-                .collect();
-            for i in hit {
-                mgr.requalify(i, now);
+            for i in guaranteed_crossing(&svc, &r, &tenant_pairs, dead_core) {
+                svc.requalify(i as u32, now);
                 requal_total += 1;
-                baselines[i] = tenant_pairs[i]
-                    .iter()
-                    .map(|&(src, pair)| {
-                        r.sim
-                            .try_edge::<UfabEdge>(src)
-                            .map(|e| e.ep.acked_bytes(pair))
-                            .unwrap_or(0)
-                    })
-                    .collect();
+                baselines[i] = r.acked_baseline(&tenant_pairs[i]);
             }
         }
-        // Qualification poll: a tenant is Guaranteed once every pair's
-        // current path telemetry qualifies and acked bytes moved past
-        // the baseline snapshot.
-        for (i, _) in mgr.qualifying() {
-            let ok = tenant_pairs[i]
-                .iter()
-                .zip(&baselines[i])
-                .all(|(&(src, pair), &base)| {
-                    r.sim
-                        .try_edge::<UfabEdge>(src)
-                        .map(|e| {
-                            e.pair_qualified(pair) == Some(true) && e.ep.acked_bytes(pair) > base
-                        })
-                        .unwrap_or(false)
-                });
-            if ok {
-                mgr.note_qualified(i, now);
+        for (id, _) in svc.qualifying() {
+            let i = id as usize;
+            if r.pairs_qualified(&tenant_pairs[i], &baselines[i]) {
+                svc.note_qualified(id, now);
             }
         }
         if fsuite.due(now) {
-            fsuite.run(&mgr, now, &r.obs);
+            fsuite.run(&svc, now, &r.obs);
         }
         if now >= tl.first_arrival && now <= tl.last_arrival {
-            util_sum += mgr.ledger().utilization();
+            util_sum += svc.ledger().utilization();
             util_n += 1;
         }
     }
@@ -355,7 +348,7 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
         adm.add(l as f64);
     }
     let mut ttg = Percentiles::new();
-    for t in mgr.tenants() {
+    for t in svc.tenants() {
         if let Some(x) = t.ttg_ns {
             ttg.add(x as f64);
         }
@@ -365,15 +358,13 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
     let rec = r.merged_recorder();
     let mut viol_ms = 0u64;
     let mut guaranteed_ms = 0u64;
-    for (i, t) in mgr.tenants().iter().enumerate() {
-        if trace[t.planned.req].kind != DemandKind::Bulk {
+    for (i, t) in svc.tenants().iter().enumerate() {
+        if trace[plan.admitted[i].req].kind != DemandKind::Bulk {
             continue;
         }
-        let tenant_guar = GUAR_FRACTION
-            * t.planned.tokens_per_vm
-            * mgr.cfg().bu_bps
-            * tenant_pairs[i].len() as f64;
-        let series = rec.tenant_rates.get(&t.fabric_tenant);
+        let tenant_guar =
+            GUAR_FRACTION * t.tokens_per_vm * acfg.bu_bps * tenant_pairs[i].len() as f64;
+        let series = rec.tenant_rates.get(&(i as u32));
         for &(enter, exit) in &t.guaranteed_spans {
             let b0 = ((enter + MS) / MS + 1) as usize; // entry grace
             let b1 = (exit / MS) as usize;
@@ -412,7 +403,7 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
         arrivals: trace.len(),
         admitted,
         rejected,
-        reclaimed: mgr.count(TenantState::Reclaimed),
+        reclaimed: svc.count(TenantState::Reclaimed),
         overclaim_admitted,
         fabric_violations: fsuite.violations().len(),
         fabric_report: fsuite.report(),

@@ -28,20 +28,20 @@
 //! invariant suite (ledger conservation, qualifying-stagger bound)
 //! always runs, and `--check-invariants` arms the simulator suite.
 
-use super::churn::{churn_cfg, demand_for, timeline, GUAR_FRACTION, STEP};
+use super::churn::{churn_cfg, demand_for, step_lifecycle, timeline, GUAR_FRACTION, STEP};
 use super::common::{emit, f, us, Scale};
 use super::fig17::build_topo;
 use crate::executor::{run_jobs, Job};
 use crate::harness::{Runner, SystemKind, SLICE};
 use dse::{cost_of, pareto_front, CostBreakdown, KnobPoint};
-use fabric::{
-    AdmissionCfg, FabricManager, LedgerConservation, Policy, QualifyingStagger, TenantState,
-};
+use fabric::{AdmissionCfg, Policy, TenantState};
+use fabricd::{FabricService, LedgerConservation, QualifyingStagger};
 use metrics::table::Table;
 use metrics::Percentiles;
 use netsim::{NodeId, PairId, MS};
 use obs::InvariantSuite;
-use ufab::{FabricSpec, UfabConfig, UfabCore, UfabEdge};
+use std::sync::Arc;
+use ufab::{FabricSpec, UfabConfig, UfabCore};
 use workloads::churn::{gen_trace, ChurnDriver, DemandKind, TenantTraffic};
 use workloads::driver::Driver;
 
@@ -101,12 +101,12 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
     let plan = fabric::plan(&topo, &acfg, &reqs);
 
     let mut fabric_spec = FabricSpec::new(acfg.bu_bps);
-    let mut fabric_ids: Vec<u32> = Vec::with_capacity(plan.admitted.len());
     let mut tenant_pairs: Vec<Vec<(NodeId, PairId)>> = Vec::with_capacity(plan.admitted.len());
     let mut programs: Vec<TenantTraffic> = Vec::with_capacity(plan.admitted.len());
     for p in &plan.admitted {
         let kind = trace[p.req].kind;
         let tid = fabric_spec.add_tenant(&p.name, p.tokens_per_vm);
+        debug_assert_eq!(tid.raw() as usize, tenant_pairs.len());
         let vms: Vec<_> = p
             .hosts
             .iter()
@@ -121,7 +121,6 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
             pairs.push((p.hosts[i], pair));
             prog_pairs.push((p.hosts[i], pair, demand_for(kind, guar)));
         }
-        fabric_ids.push(tid.raw());
         tenant_pairs.push(pairs);
         programs.push(TenantTraffic {
             tag: tid.raw(),
@@ -130,8 +129,6 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
             pairs: prog_pairs,
         });
     }
-    let mut mgr = FabricManager::new(&topo, acfg, &plan, &fabric_ids);
-
     // Data plane: thread the knob point through UfabConfig — the
     // harness builds every μFAB-C from CoreHwCfg::from(&cfg), so
     // register width, Bloom geometry, INT depth and cleanup period all
@@ -157,9 +154,12 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
         // itself a function of the cleanup knob under sweep.
         r.enable_invariants(MS / 4);
     }
-    mgr.set_obs(r.obs.clone());
+    // The one tenant lifecycle. Plan order is `add_tenant` order, so the
+    // service's tenant ids are the `FabricSpec` tenant ids.
+    let mut svc = FabricService::new(Arc::clone(&r.topo), acfg);
+    svc.set_obs(r.obs.clone());
 
-    let mut fsuite: InvariantSuite<FabricManager> = InvariantSuite::new(MS);
+    let mut fsuite: InvariantSuite<FabricService> = InvariantSuite::new(MS);
     fsuite.register(Box::new(LedgerConservation));
     fsuite.register(Box::new(QualifyingStagger::new(
         super::churn::STAGGER_BOUND,
@@ -167,7 +167,7 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
 
     let mut driver = ChurnDriver::new(programs, scale.seed ^ 0x5eed, 0);
 
-    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); mgr.tenants().len()];
+    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); plan.admitted.len()];
     let mut now = 0;
     while now < tl.horizon {
         now = (now + STEP).min(tl.horizon);
@@ -175,36 +175,17 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
             let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
             r.run(now, SLICE, &mut drivers);
         }
-        let out = mgr.advance(now);
-        for &i in &out.admitted {
-            baselines[i] = tenant_pairs[i]
-                .iter()
-                .map(|&(src, pair)| {
-                    r.sim
-                        .try_edge::<UfabEdge>(src)
-                        .map(|e| e.ep.acked_bytes(pair))
-                        .unwrap_or(0)
-                })
-                .collect();
+        for i in step_lifecycle(&mut svc, &plan, now) {
+            baselines[i] = r.acked_baseline(&tenant_pairs[i]);
         }
-        for (i, _) in mgr.qualifying() {
-            let ok = tenant_pairs[i]
-                .iter()
-                .zip(&baselines[i])
-                .all(|(&(src, pair), &base)| {
-                    r.sim
-                        .try_edge::<UfabEdge>(src)
-                        .map(|e| {
-                            e.pair_qualified(pair) == Some(true) && e.ep.acked_bytes(pair) > base
-                        })
-                        .unwrap_or(false)
-                });
-            if ok {
-                mgr.note_qualified(i, now);
+        for (id, _) in svc.qualifying() {
+            let i = id as usize;
+            if r.pairs_qualified(&tenant_pairs[i], &baselines[i]) {
+                svc.note_qualified(id, now);
             }
         }
         if fsuite.due(now) {
-            fsuite.run(&mgr, now, &r.obs);
+            fsuite.run(&svc, now, &r.obs);
         }
     }
 
@@ -231,7 +212,7 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
 
     let mut ttg = Percentiles::new();
     let mut qualified = 0usize;
-    for t in mgr.tenants() {
+    for t in svc.tenants() {
         if let Some(x) = t.ttg_ns {
             ttg.add(x as f64);
             qualified += 1;
@@ -243,15 +224,13 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
 
     let rec = r.merged_recorder();
     let mut viol_ms = 0u64;
-    for (i, t) in mgr.tenants().iter().enumerate() {
-        if trace[t.planned.req].kind != DemandKind::Bulk {
+    for (i, t) in svc.tenants().iter().enumerate() {
+        if trace[plan.admitted[i].req].kind != DemandKind::Bulk {
             continue;
         }
-        let tenant_guar = GUAR_FRACTION
-            * t.planned.tokens_per_vm
-            * mgr.cfg().bu_bps
-            * tenant_pairs[i].len() as f64;
-        let series = rec.tenant_rates.get(&t.fabric_tenant);
+        let tenant_guar =
+            GUAR_FRACTION * t.tokens_per_vm * acfg.bu_bps * tenant_pairs[i].len() as f64;
+        let series = rec.tenant_rates.get(&(i as u32));
         for &(enter, exit) in &t.guaranteed_spans {
             let b0 = ((enter + MS) / MS + 1) as usize;
             let b1 = (exit / MS) as usize;
@@ -282,7 +261,7 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
         viol_ms,
         ttg_p99_ns,
         admitted: plan.admitted.len(),
-        reclaimed: mgr.count(TenantState::Reclaimed),
+        reclaimed: svc.count(TenantState::Reclaimed),
         qualified,
         events: r.sim.stats().events,
         digest,
@@ -418,12 +397,8 @@ pub fn run(scale: Scale, grid: dse::GridKind) {
     // accuracy outcome. The starved 64 B filter must show a strictly
     // higher measured FP omission rate than the paper's 20 KB baseline
     // (§3.6's analytic prediction, observed behaviourally).
-    let idx = |want: fn(&KnobPoint) -> bool| {
-        points
-            .iter()
-            .position(want)
-            .expect("grid point present")
-    };
+    let idx =
+        |want: fn(&KnobPoint) -> bool| points.iter().position(want).expect("grid point present");
     let base = idx(|p| *p == KnobPoint::baseline());
     let starved = idx(|p| p.bloom_bytes == 64 && p.bloom_hashes == 2);
     assert!(

@@ -43,7 +43,7 @@ use netsim::{NodeId, PairId, Time, MS, US};
 use obs::{InvariantSuite, SnapshotRoundTrip};
 use std::sync::Arc;
 use topology::Topo;
-use ufab::{FabricSpec, UfabEdge};
+use ufab::FabricSpec;
 use workloads::churn::{
     gen_trace, ChurnCfg, ChurnDriver, DemandKind, PairDemand, TenantArrival, TenantTraffic,
 };
@@ -441,15 +441,7 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
                 FabricReply::Admitted { tenant, .. } => {
                     // Acked-bytes baseline: qualification requires
                     // delivered progress, not just telemetry.
-                    baselines[*tenant as usize] = tenant_pairs[*tenant as usize]
-                        .iter()
-                        .map(|&(src, pair)| {
-                            r.sim
-                                .try_edge::<UfabEdge>(src)
-                                .map(|e| e.ep.acked_bytes(pair))
-                                .unwrap_or(0)
-                        })
-                        .collect();
+                    baselines[*tenant as usize] = r.acked_baseline(&tenant_pairs[*tenant as usize]);
                 }
                 FabricReply::Resized { .. } => {
                     resized_ok += 1;
@@ -479,18 +471,7 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
             if i >= tenant_pairs.len() {
                 continue;
             }
-            let ok = tenant_pairs[i]
-                .iter()
-                .zip(&baselines[i])
-                .all(|(&(src, pair), &base)| {
-                    r.sim
-                        .try_edge::<UfabEdge>(src)
-                        .map(|e| {
-                            e.pair_qualified(pair) == Some(true) && e.ep.acked_bytes(pair) > base
-                        })
-                        .unwrap_or(false)
-                });
-            if ok {
+            if r.pairs_qualified(&tenant_pairs[i], &baselines[i]) {
                 svc.note_qualified(i as u32, now);
                 if let Some(d) = drain_at {
                     if drain_touched.contains(&(i as u32)) {

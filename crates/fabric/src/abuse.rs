@@ -2,9 +2,10 @@
 //!
 //! The edge enforcement stage (ufab-edge) reports per-tenant counter
 //! deltas — policed windows, throttled probes, unsolicited drops — to
-//! the fabric manager. This module turns those raw deltas into a
-//! decayed *misbehavior score* per tenant and drives the quarantine
-//! state machine layered on the admission lifecycle:
+//! the control plane. This module turns those raw deltas into a
+//! decayed *misbehavior score* per tenant; `fabricd::FabricService`
+//! reads the scores to walk the quarantine ladder layered on the
+//! admission lifecycle:
 //!
 //! ```text
 //! Guaranteed → Suspected → Quarantined → Reinstated → Guaranteed
@@ -67,15 +68,12 @@ impl Default for AbuseCfg {
     }
 }
 
-/// Clamp directive produced by
-/// [`crate::FabricManager::abuse_tick`]: the caller pushes it to the
-/// offending tenant's edges.
+/// Clamp directive produced by `fabricd::FabricService::abuse_tick`:
+/// the caller pushes it to the offending tenant's edges.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClampAction {
-    /// Index into [`crate::FabricManager::tenants`].
-    pub tenant_idx: usize,
-    /// `FabricSpec` tenant id (`TenantId::raw()`).
-    pub fabric_tenant: u32,
+    /// The service's tenant id.
+    pub tenant: u32,
     /// `Some(fraction)` clamps the tenant's edge policer to
     /// `fraction × hose`; `None` lifts the clamp.
     pub clamp: Option<f64>,
@@ -83,7 +81,7 @@ pub struct ClampAction {
 
 /// Per-tenant misbehavior bookkeeping (one row per managed tenant).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MisRow {
+struct MisRow {
     /// Decayed misbehavior score.
     pub score: f64,
     /// Enforcement deltas accumulated since the last tick:
@@ -103,11 +101,11 @@ pub(crate) struct MisRow {
 }
 
 /// The misbehavior ledger: scores and quarantine bookkeeping for every
-/// managed tenant, indexed like `FabricManager::tenants`.
+/// managed tenant, indexed by the service's tenant id.
 #[derive(Debug, Clone)]
 pub struct MisbehaviorLedger {
-    pub(crate) cfg: AbuseCfg,
-    pub(crate) rows: Vec<MisRow>,
+    cfg: AbuseCfg,
+    rows: Vec<MisRow>,
 }
 
 impl MisbehaviorLedger {

@@ -1,47 +1,40 @@
-//! The fabric manager: multi-tenant vFabric provisioning, admission
-//! control and lifecycle management over any [`topology`] graph.
+//! Hose-model capacity accounting, placement and admission planning
+//! over any [`topology`] graph.
 //!
 //! The paper's deliverable is a *predictable vFabric* — a hose-model
 //! guarantee (B_min per VM) that the provider must be able to admit,
-//! qualify, and reclaim as tenants come and go. This crate owns that
-//! control plane:
+//! qualify, and reclaim as tenants come and go. This crate holds the
+//! stateless machinery of that control plane; the one live tenant
+//! lifecycle that drives it is `fabricd::FabricService`:
 //!
 //! * [`ledger`] — per-link committed-B_min accounting with an
 //!   admissibility check (commit fractionally along the ECMP up-walk,
 //!   admit only while every touched link stays under η·cap);
 //! * [`place`] — first-fit / load-spread VM placement gated by the
 //!   ledger, all-or-nothing per tenant, anti-affinity within a tenant;
-//! * [`manager`] — the admission queue and per-tenant state machine
+//! * [`manager`] — the admission types, the lifecycle states
 //!   `Requested → Admitted → Qualifying → Guaranteed → Departing →
-//!   Reclaimed`, split into a deterministic [`plan`] pre-pass and a
-//!   run-time replay ([`FabricManager`]) driven by μFAB-E's
-//!   qualification signal;
-//! * [`abuse`] — the misbehavior ledger and quarantine state machine
-//!   (DESIGN §10): decayed per-tenant scores fed by edge enforcement
-//!   counters drive `Guaranteed → Suspected → Quarantined → Reinstated`
-//!   with hysteresis, releasing a quarantined tenant's guarantee back
-//!   to the ledger;
-//! * [`invariants`] — online checks (ledger conservation, bounded
-//!   qualifying time) pluggable into an [`obs::InvariantSuite`].
+//!   Reclaimed` with their transition table, and [`plan`]: a pure
+//!   pre-pass over a full arrival trace that fixes every tenant's
+//!   hosts and decision instant before a simulation is built, and the
+//!   reference model the live service is property-tested against;
+//! * [`abuse`] — the misbehavior ledger (DESIGN §10): decayed
+//!   per-tenant scores fed by edge enforcement counters, with the
+//!   hysteresis thresholds the service's quarantine ladder
+//!   `Guaranteed → Suspected → Quarantined → Reinstated` reads.
 //!
-//! Determinism: the plan pass is pure control-plane arithmetic over the
-//! arrival trace, and the replay consumes only the simulation clock and
-//! qualification edges — so a churn scenario is byte-identical at any
-//! `--jobs N`.
+//! Determinism: everything here is pure control-plane arithmetic — no
+//! simulator state, no randomness, no wall-clock — so a churn scenario
+//! is byte-identical at any `--jobs N`.
 
 #![deny(missing_docs)]
 
 pub mod abuse;
-pub mod invariants;
 pub mod ledger;
 pub mod manager;
 pub mod place;
 
 pub use abuse::{AbuseCfg, ClampAction, MisbehaviorLedger};
-pub use invariants::{LedgerConservation, QualifyingStagger};
 pub use ledger::Ledger;
-pub use manager::{
-    plan, AdmissionCfg, AdvanceOut, FabricManager, Plan, PlannedTenant, Rejection, TenantReq,
-    TenantRun, TenantState,
-};
+pub use manager::{plan, AdmissionCfg, Plan, PlannedTenant, Rejection, TenantReq, TenantState};
 pub use place::{Placer, Policy, RejectReason};

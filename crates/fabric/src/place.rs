@@ -268,23 +268,28 @@ impl Placer {
 
     /// Restore occupancy captured by [`Placer::dump_state`] into a fresh
     /// placer (cordon flags travel separately — they are manager state).
-    ///
-    /// # Panics
-    /// Panics if a row names an unknown host or exceeds the slot cap.
-    pub fn restore_state(&mut self, rows: &[(u32, usize, u64)]) {
+    /// Rows are outside input (a snapshot): one naming an unknown host
+    /// or exceeding the slot cap is an `Err` naming the row.
+    pub fn restore_state(&mut self, rows: &[(u32, usize, u64)]) -> Result<(), String> {
         for &(raw, vms, hose_bits) in rows {
-            let i = *self
-                .host_idx
-                .get(&raw)
-                .unwrap_or_else(|| panic!("placer snapshot names unknown host {raw}"));
-            assert!(
-                vms <= self.max_vms_per_host,
-                "placer snapshot puts {vms} VMs on host {raw} (cap {})",
-                self.max_vms_per_host
-            );
+            let Some(&i) = self.host_idx.get(&raw) else {
+                return Err(format!("placer row {raw}:{vms} names an unknown host"));
+            };
+            if vms > self.max_vms_per_host {
+                return Err(format!(
+                    "placer row {raw}:{vms} exceeds the slot cap {}",
+                    self.max_vms_per_host
+                ));
+            }
             self.vms[i] = vms;
             self.hose[i] = f64::from_bits(hose_bits);
         }
+        Ok(())
+    }
+
+    /// Is `host` one of the placer's hosts? One index lookup, no scan.
+    pub fn has_host(&self, host: NodeId) -> bool {
+        self.host_idx.contains_key(&host.raw())
     }
 }
 
@@ -439,7 +444,7 @@ mod tests {
         p.place(&mut ledger, 2, 0.7e9).unwrap();
         let rows = p.dump_state();
         let mut q = Placer::new(&t.hosts, Policy::LoadSpread, 4);
-        q.restore_state(&rows);
+        q.restore_state(&rows).unwrap();
         for &h in &t.hosts {
             assert_eq!(q.vms_on(h), p.vms_on(h), "host {h}");
             assert_eq!(q.hose_on(h).to_bits(), p.hose_on(h).to_bits(), "host {h}");

@@ -1,11 +1,11 @@
-//! Online invariants over the fabric manager.
+//! Online invariants over the tenant lifecycle.
 //!
-//! Both implement [`obs::Invariant`] with the [`FabricManager`] as
+//! Both implement [`obs::Invariant`] with the [`FabricService`] as
 //! context, so a scenario drives them from an
-//! [`obs::InvariantSuite<FabricManager>`] alongside the simulator-level
+//! [`obs::InvariantSuite<FabricService>`] alongside the simulator-level
 //! suite.
 
-use crate::manager::FabricManager;
+use crate::service::FabricService;
 use netsim::Time;
 use obs::Invariant;
 
@@ -14,13 +14,13 @@ use obs::Invariant;
 #[derive(Debug, Default)]
 pub struct LedgerConservation;
 
-impl Invariant<FabricManager> for LedgerConservation {
+impl Invariant<FabricService> for LedgerConservation {
     fn name(&self) -> &'static str {
         "fabric_ledger_conservation"
     }
 
-    fn check(&mut self, mgr: &FabricManager, _t_ns: u64) -> Result<(), String> {
-        mgr.audit()
+    fn check(&mut self, svc: &FabricService, _t_ns: u64) -> Result<(), String> {
+        svc.audit()
     }
 }
 
@@ -39,20 +39,20 @@ impl QualifyingStagger {
     }
 }
 
-impl Invariant<FabricManager> for QualifyingStagger {
+impl Invariant<FabricService> for QualifyingStagger {
     fn name(&self) -> &'static str {
         "fabric_qualifying_stagger"
     }
 
-    fn check(&mut self, mgr: &FabricManager, t_ns: u64) -> Result<(), String> {
-        let stuck: Vec<String> = mgr
+    fn check(&mut self, svc: &FabricService, t_ns: u64) -> Result<(), String> {
+        let stuck: Vec<String> = svc
             .qualifying()
             .into_iter()
             .filter(|&(_, since)| t_ns.saturating_sub(since) > self.bound_ns)
-            .map(|(i, since)| {
+            .map(|(id, since)| {
                 format!(
                     "{} ({} µs)",
-                    mgr.tenants()[i].planned.name,
+                    svc.tenants()[id as usize].name,
                     (t_ns - since) / 1_000
                 )
             })
@@ -72,12 +72,15 @@ impl Invariant<FabricManager> for QualifyingStagger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::{plan, AdmissionCfg, TenantReq};
+    use crate::ops::FabricOp;
+    use fabric::AdmissionCfg;
     use netsim::builder::LinkSpec;
     use netsim::{MS, US};
+    use std::sync::Arc;
     use topology::leaf_spine;
 
-    fn setup() -> FabricManager {
+    /// One 2-VM tenant "a" admitted at t = 0 with a 10 ms lifetime.
+    fn setup() -> FabricService {
         let t = leaf_spine(
             2,
             2,
@@ -86,38 +89,39 @@ mod tests {
             LinkSpec::gbps(10, 1000),
             1500,
         );
-        let cfg = AdmissionCfg::default();
-        let reqs = vec![TenantReq {
-            name: "a".into(),
-            n_vms: 2,
-            tokens_per_vm: 2.0,
-            arrival: 0,
-            lifetime: 10 * MS,
-        }];
-        let p = plan(&t, &cfg, &reqs);
-        FabricManager::new(&t, cfg, &p, &[0])
+        let mut s = FabricService::new(Arc::new(t), AdmissionCfg::default());
+        s.submit(
+            0,
+            FabricOp::Admit {
+                name: "a".into(),
+                n_vms: 2,
+                tokens_per_vm: 2.0,
+                lifetime: 10 * MS,
+            },
+        );
+        s
     }
 
     #[test]
     fn conservation_holds_through_lifecycle() {
-        let mut m = setup();
+        let mut s = setup();
         let mut inv = LedgerConservation;
-        assert!(inv.check(&m, 0).is_ok());
-        m.advance(0);
-        assert!(inv.check(&m, 0).is_ok());
-        m.advance(20 * MS);
-        assert!(inv.check(&m, 20 * MS).is_ok());
+        assert!(inv.check(&s, 0).is_ok());
+        s.advance(0);
+        assert!(inv.check(&s, 0).is_ok());
+        s.advance(20 * MS);
+        assert!(inv.check(&s, 20 * MS).is_ok());
     }
 
     #[test]
     fn stagger_flags_stuck_tenants() {
-        let mut m = setup();
-        m.advance(0);
+        let mut s = setup();
+        s.advance(0);
         let mut inv = QualifyingStagger::new(5 * MS);
-        assert!(inv.check(&m, 4 * MS).is_ok());
-        let err = inv.check(&m, 6 * MS).unwrap_err();
+        assert!(inv.check(&s, 4 * MS).is_ok());
+        let err = inv.check(&s, 6 * MS).unwrap_err();
         assert!(err.contains("a ("), "{err}");
-        m.note_qualified(0, 6 * MS + US);
-        assert!(inv.check(&m, 9 * MS).is_ok());
+        s.note_qualified(0, 6 * MS + US);
+        assert!(inv.check(&s, 9 * MS).is_ok());
     }
 }

@@ -1,23 +1,32 @@
-//! The fabric control-plane service: the `fabric` crate's
-//! ledger/placement/admission machinery operated *online* behind a
-//! typed command/query API.
+//! The fabric control plane: the one tenant lifecycle, operated online
+//! behind a typed command/query API over the `fabric` crate's
+//! ledger/placement machinery.
 //!
-//! PR 5's [`fabric::FabricManager`] replays an immutable batch plan; a
-//! production vFabric is operated live — tenants resize, switches get
-//! cordoned and drained, pods get added, and the control plane must
-//! survive restarts without violating any admitted guarantee. This
-//! crate owns that service:
+//! Every guaranteed byte in the repo is committed and released here —
+//! tenants are admitted, qualify, resize, get quarantined and
+//! reinstated, depart and are reclaimed; switches get cordoned and
+//! drained, pods get added, and the control plane survives restarts
+//! without violating any admitted guarantee. The batch scenarios
+//! (`repro churn`/`abuse`/`dse`) drive the same service with admissions
+//! pre-decided by [`fabric::plan`]; `repro ops` drives it with a live op
+//! stream.
 //!
 //! * [`ops`] — [`FabricOp`]/[`FabricQuery`]/[`FabricReply`] with a
 //!   canonical single-line wire form; the encoded bytes of every
 //!   applied op and its reply feed the service's determinism digest.
-//! * [`service`] — [`FabricService`]: a paced op queue applied in
-//!   `(timestamp, seq)` order; tenant CRUD plus in-place **resize**
-//!   (admissibility-checked delta commit/release on the existing ECMP
-//!   spread — no depart/re-admit round trip); **cordon/drain/expand**
-//!   (all-or-nothing migration off drained hosts, spread-table
-//!   rebuilds around cordoned aggs/cores and added pods); and the same
-//!   conservation audit as the batch manager.
+//! * [`service`] — [`FabricService`]: the tenant state machine
+//!   (`Requested → Admitted → Qualifying → Guaranteed → Departing →
+//!   Reclaimed`, chaos re-qualification, the DESIGN §10 quarantine
+//!   ladder), scheduled departures and reclaims, and the conservation
+//!   audit, under a paced op queue applied in `(timestamp, seq)` order;
+//!   tenant CRUD plus in-place **resize** (admissibility-checked delta
+//!   commit/release on the existing ECMP spread — no depart/re-admit
+//!   round trip) and **cordon/drain/expand** (all-or-nothing migration
+//!   off drained hosts, spread-table rebuilds around cordoned
+//!   aggs/cores and added pods).
+//! * [`invariants`] — online checks over the service (ledger
+//!   conservation, bounded qualifying time) pluggable into an
+//!   [`obs::InvariantSuite`].
 //! * [`snapshot`] — versioned serialization of tenants + ledger +
 //!   admission-queue state with byte-exact (IEEE-754 bit pattern)
 //!   floats; a restored service passes the conservation audit, re-
@@ -26,10 +35,12 @@
 
 #![deny(missing_docs)]
 
+pub mod invariants;
 pub mod ops;
 pub mod service;
 pub mod snapshot;
 
+pub use invariants::{LedgerConservation, QualifyingStagger};
 pub use ops::{FabricOp, FabricQuery, FabricReply, Moved};
 pub use service::{Applied, FabricService, SvcTenant};
 pub use snapshot::HEADER as SNAPSHOT_HEADER;

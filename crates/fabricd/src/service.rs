@@ -19,11 +19,19 @@
 //!   The digest state rides inside snapshots, so a restored service
 //!   continues the original stream — byte-identity with an
 //!   uninterrupted run is an O(1) comparison.
+//! * An admission the [`fabric::plan`] pre-pass already decided enters
+//!   through [`FabricService::admit_planned`] instead of the op queue:
+//!   same clock, same departure-first tie order, the plan's hosts
+//!   committed verbatim — the plan paced it, so the service does not
+//!   pace or digest it again.
 //! * No hash-map iteration anywhere: tenants are scanned by id,
 //!   the cordon set is a `BTreeSet`, heap keys are unique.
 
 use crate::ops::{FabricOp, FabricQuery, FabricReply, Moved};
-use fabric::{AbuseCfg, AdmissionCfg, ClampAction, Ledger, MisbehaviorLedger, Placer, TenantState};
+use fabric::{
+    AbuseCfg, AdmissionCfg, ClampAction, Ledger, MisbehaviorLedger, Placer, PlannedTenant,
+    TenantState,
+};
 use netsim::{NodeId, Time};
 use obs::{Category, DetHash, Event, ObsHandle, Snapshottable};
 use std::cmp::Reverse;
@@ -321,6 +329,49 @@ impl FabricService {
         }
     }
 
+    /// Tenant `id`'s qualified paths were invalidated (a chaos fault on
+    /// its route, a drain migration): close the open guarantee span and
+    /// send it back to `Qualifying`. No-op unless it is `Guaranteed`.
+    pub fn requalify(&mut self, id: u32, now: Time) {
+        let t = &mut self.tenants[id as usize];
+        if t.state != TenantState::Guaranteed {
+            return;
+        }
+        let enter = t.guaranteed_at.take().expect("open span");
+        t.guaranteed_spans.push((enter, now));
+        t.qualifying_since = now;
+        self.set_state(id, TenantState::Qualifying, now, 1);
+    }
+
+    /// Commit an admission that [`fabric::plan`] already decided: advance
+    /// the clock to `p.decision` (departures due by then free their
+    /// capacity first, exactly as the plan released them), commit
+    /// `p.hosts` verbatim and schedule the departure at `p.depart`.
+    /// Returns the tenant id. Not queued, not paced, not digested — the
+    /// plan did the pacing. The hosts are pinned rather than re-placed
+    /// because the caller froze its `FabricSpec` from the plan before the
+    /// run: a quarantine releases capacity mid-run, so a live placement
+    /// could legally pick hosts the data plane was not built with.
+    ///
+    /// # Panics
+    /// Panics if a queued op is due by `p.decision` (planned admissions
+    /// and the paced op queue are not mixed), or if the plan's hosts do
+    /// not fit the live ledger.
+    pub fn admit_planned(&mut self, p: &PlannedTenant) -> u32 {
+        let due = self.advance(p.decision);
+        assert!(due.is_empty(), "admit_planned with queued ops due");
+        let hose = p.tokens_per_vm * self.cfg.bu_bps;
+        self.placer.place_fixed(&mut self.ledger, &p.hosts, hose);
+        self.push_tenant(
+            &p.name,
+            p.tokens_per_vm,
+            p.hosts.clone(),
+            p.decision,
+            p.depart,
+            p.decision - p.arrival,
+        )
+    }
+
     /// Turn on the misbehavior scorer and quarantine machine
     /// (DESIGN §10). Idempotent only in the sense that calling it again
     /// resets every score; the snapshot carries the ledger, so a
@@ -372,21 +423,18 @@ impl FabricService {
                 aux: permille,
             });
         actions.push(ClampAction {
-            tenant_idx: i,
-            fabric_tenant: id,
+            tenant: id,
             clamp: Some(ab.cfg().penalty_fraction),
         });
     }
 
-    /// One observation tick of the quarantine machine, mirroring
-    /// [`fabric::FabricManager::abuse_tick`]: decay and integrate every
-    /// live tenant's misbehavior score and walk the hysteresis ladder.
-    /// Quarantine entry releases the tenant's hose back to the ledger;
-    /// reinstatement re-commits it on the planned hosts. Returns the
-    /// clamp directives for the offenders' edges (for fabricd both
-    /// `tenant_idx` and `fabric_tenant` are the service tenant id).
-    /// Iteration is in tenant-id order, so the emitted transitions and
-    /// actions are deterministic.
+    /// One observation tick of the quarantine machine: decay every live
+    /// tenant's misbehavior score, integrate the pending enforcement
+    /// deltas, and walk the hysteresis ladder. Quarantine entry releases
+    /// the tenant's hose back to the ledger; reinstatement re-commits it
+    /// on the same hosts. Returns the clamp directives the caller must
+    /// push to the offenders' edges. Iteration is in tenant-id order, so
+    /// the emitted transitions and actions are deterministic.
     pub fn abuse_tick(&mut self, now: Time) -> Vec<ClampAction> {
         let Some(mut ab) = self.abuse.take() else {
             return Vec::new();
@@ -450,8 +498,7 @@ impl FabricService {
                                 aux: 0,
                             });
                         actions.push(ClampAction {
-                            tenant_idx: i,
-                            fabric_tenant: id,
+                            tenant: id,
                             clamp: None,
                         });
                     }
@@ -520,7 +567,7 @@ impl FabricService {
             }
         }
         let mut placer = Placer::new(&new_topo.hosts, self.cfg.policy, self.cfg.max_vms_per_host);
-        placer.restore_state(&self.placer.dump_state());
+        placer.restore_state(&self.placer.dump_state())?;
         apply_host_cordons(&new_topo, &self.cordoned, &mut placer);
         let old_topo = std::mem::replace(&mut self.topo, new_topo);
         match self.try_reseat() {
@@ -683,35 +730,50 @@ impl FabricService {
         let hose = tokens * self.cfg.bu_bps;
         match self.placer.place(&mut self.ledger, n_vms, hose) {
             Ok(hosts) => {
-                let id = self.tenants.len() as u32;
-                self.tenants.push(SvcTenant {
-                    name: name.to_string(),
-                    tokens_per_vm: tokens,
-                    state: TenantState::Requested,
-                    hosts: hosts.clone(),
-                    admitted_at: t,
-                    depart_at: t + lifetime,
-                    departed_at: None,
-                    qualifying_since: t,
-                    guaranteed_at: None,
-                    ttg_ns: None,
-                    guaranteed_spans: Vec::new(),
-                    resizes: 0,
-                    migrations: 0,
-                });
-                self.departs.push(Reverse((t + lifetime, id)));
-                self.set_state(id, TenantState::Admitted, t, 0);
-                self.set_state(id, TenantState::Qualifying, t, 0);
-                FabricReply::Admitted {
-                    tenant: id,
-                    hosts: hosts.iter().map(|h| h.raw()).collect(),
-                }
+                let raw = hosts.iter().map(|h| h.raw()).collect();
+                let tenant = self.push_tenant(name, tokens, hosts, t, t + lifetime, 0);
+                FabricReply::Admitted { tenant, hosts: raw }
             }
             Err(reason) => {
                 self.n_rejected += 1;
                 FabricReply::Rejected { reason }
             }
         }
+    }
+
+    /// Record a tenant whose `hosts` were just committed at `t`, schedule
+    /// its departure, and walk it `Requested → Admitted → Qualifying`
+    /// (`queued_ns` is the `Admitted` event's aux: decision − arrival
+    /// where the caller knows it).
+    fn push_tenant(
+        &mut self,
+        name: &str,
+        tokens: f64,
+        hosts: Vec<NodeId>,
+        t: Time,
+        depart_at: Time,
+        queued_ns: u64,
+    ) -> u32 {
+        let id = self.tenants.len() as u32;
+        self.tenants.push(SvcTenant {
+            name: name.to_string(),
+            tokens_per_vm: tokens,
+            state: TenantState::Requested,
+            hosts,
+            admitted_at: t,
+            depart_at,
+            departed_at: None,
+            qualifying_since: t,
+            guaranteed_at: None,
+            ttg_ns: None,
+            guaranteed_spans: Vec::new(),
+            resizes: 0,
+            migrations: 0,
+        });
+        self.departs.push(Reverse((depart_at, id)));
+        self.set_state(id, TenantState::Admitted, t, queued_ns);
+        self.set_state(id, TenantState::Qualifying, t, 0);
+        id
     }
 
     fn apply_depart(&mut self, id: u32, t: Time) -> FabricReply {
@@ -979,15 +1041,7 @@ impl FabricService {
         touched.dedup();
         for &ti in &touched {
             self.tenants[ti as usize].migrations += 1;
-            if self.tenants[ti as usize].state == TenantState::Guaranteed {
-                let enter = self.tenants[ti as usize]
-                    .guaranteed_at
-                    .take()
-                    .expect("open span");
-                self.tenants[ti as usize].guaranteed_spans.push((enter, t));
-                self.set_state(ti, TenantState::Qualifying, t, 1);
-                self.tenants[ti as usize].qualifying_since = t;
-            }
+            self.requalify(ti, t);
         }
         self.n_drained_vms += moved.len() as u32;
         FabricReply::Drained { node, moved }
@@ -1065,7 +1119,7 @@ pub(crate) fn apply_host_cordons(topo: &Topo, cordoned: &BTreeSet<u32>, placer: 
 mod tests {
     use super::*;
     use crate::ops::{FabricOp, FabricQuery, FabricReply};
-    use fabric::RejectReason;
+    use fabric::{plan, RejectReason, TenantReq};
     use netsim::builder::LinkSpec;
     use netsim::{MS, US};
     use topology::{leaf_spine, three_tier, ThreeTierCfg};
@@ -1464,7 +1518,7 @@ mod tests {
             let actions = s.abuse_tick(now);
             now += 50 * US;
             if let Some(a) = actions.first() {
-                assert_eq!(a.fabric_tenant, id);
+                assert_eq!(a.tenant, id);
                 assert_eq!(a.clamp, Some(abuse_cfg().penalty_fraction));
                 return now;
             }
@@ -1539,6 +1593,135 @@ mod tests {
         assert_eq!(s.count(TenantState::Reclaimed), 1);
         assert!((s.ledger().utilization() - honest_only).abs() < 1e-9);
         s.audit().unwrap();
+    }
+
+    fn req(name: &str, n_vms: usize, tokens: f64, arrival: Time, lifetime: Time) -> TenantReq {
+        TenantReq {
+            name: name.into(),
+            n_vms,
+            tokens_per_vm: tokens,
+            arrival,
+            lifetime,
+        }
+    }
+
+    #[test]
+    fn planned_admissions_walk_the_full_lifecycle() {
+        let t = topo();
+        let c = AdmissionCfg::default();
+        let p = plan(
+            &t,
+            &c,
+            &[
+                req("a", 2, 2.0, 0, 2 * MS),
+                req("b", 2, 2.0, 100 * US, 2 * MS),
+            ],
+        );
+        let mut s = FabricService::new(t, c);
+        assert_eq!(s.admit_planned(&p.admitted[0]), 0);
+        assert_eq!(s.admit_planned(&p.admitted[1]), 1);
+        assert_eq!(s.count(TenantState::Qualifying), 2);
+        assert_eq!(s.tenants()[1].hosts, p.admitted[1].hosts);
+        assert_eq!(s.digest(), DetHash::new().digest(), "not digested");
+        s.audit().unwrap();
+
+        s.note_qualified(0, 300 * US);
+        s.note_qualified(1, 400 * US);
+        assert_eq!(s.count(TenantState::Guaranteed), 2);
+        assert_eq!(s.tenants()[0].ttg_ns, Some(300 * US));
+
+        // Chaos sends tenant 0 back: the open span closes at the fault,
+        // and the second guarantee keeps the first TTG.
+        s.requalify(0, 500 * US);
+        assert_eq!(s.qualifying(), vec![(0, 500 * US)]);
+        assert_eq!(s.tenants()[0].guaranteed_spans, vec![(300 * US, 500 * US)]);
+        s.requalify(0, 600 * US); // not Guaranteed: no-op
+        assert_eq!(s.tenants()[0].guaranteed_spans.len(), 1);
+        s.note_qualified(0, 700 * US);
+        assert_eq!(s.tenants()[0].ttg_ns, Some(300 * US));
+
+        // Departure closes spans and frees capacity; reclaim follows
+        // only after the teardown grace (1 ms) has elapsed.
+        s.advance(2500 * US);
+        assert_eq!(s.count(TenantState::Departing), 2);
+        assert!(s.ledger().utilization().abs() < 1e-12);
+        s.audit().unwrap();
+        s.advance(2500 * US + c.reclaim_grace + 1);
+        assert_eq!(s.count(TenantState::Reclaimed), 2);
+        assert_eq!(
+            s.tenants()[0].guaranteed_spans,
+            vec![(300 * US, 500 * US), (700 * US, 2 * MS)]
+        );
+        s.audit().unwrap();
+    }
+
+    #[test]
+    fn admit_planned_frees_departures_due_at_the_decision_instant() {
+        let t = topo();
+        let c = AdmissionCfg {
+            max_vms_per_host: 2,
+            ..AdmissionCfg::default()
+        };
+        // "big" (one 4.5G VM on every host) saturates both leaves' uplink
+        // pools and departs at exactly the instant "late" is decided:
+        // "late" only fits — in the plan and in the replay — if the
+        // departure fires first.
+        let p = plan(
+            &t,
+            &c,
+            &[req("big", 8, 9.0, 0, MS), req("late", 2, 9.0, MS, MS)],
+        );
+        assert_eq!(p.admitted.len(), 2, "{:?}", p.rejected);
+        let mut s = FabricService::new(t, c);
+        s.admit_planned(&p.admitted[0]);
+        s.admit_planned(&p.admitted[1]);
+        assert_eq!(s.tenants()[0].state, TenantState::Departing);
+        assert_eq!(s.tenants()[1].state, TenantState::Qualifying);
+        s.audit().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "illegal transition")]
+    fn illegal_transition_panics() {
+        let mut s = FabricService::new(topo(), AdmissionCfg::default());
+        s.submit(0, admit("a", 1, 1.0, MS));
+        s.advance(0);
+        s.note_qualified(0, 10 * US);
+        // Guaranteed → Guaranteed is not an edge of the state machine.
+        s.note_qualified(0, 20 * US);
+    }
+
+    #[test]
+    fn queued_admit_exists_only_once_advance_decides_it() {
+        let mut s = FabricService::new(topo(), AdmissionCfg::default());
+        s.submit(0, admit("a", 1, 1.0, MS));
+        assert!(s.tenants().is_empty() && s.qualifying().is_empty());
+        s.advance(0);
+        assert_eq!(s.count(TenantState::Qualifying), 1);
+        s.note_qualified(0, 10 * US);
+        assert_eq!(s.count(TenantState::Guaranteed), 1);
+    }
+
+    #[test]
+    fn bursty_honest_tenant_never_suspected() {
+        let mut s = FabricService::new(topo(), AdmissionCfg::default());
+        s.submit(0, admit("bursty", 1, 1.0, 20 * MS));
+        s.advance(0);
+        s.note_qualified(0, 100 * US);
+        s.enable_abuse(AbuseCfg::default());
+        // Policed in every *other* observation window: the decayed
+        // score peaks at 1/(1 − d²) = 4/3 < enter (1.5), so the
+        // hysteresis keeps the tenant in Guaranteed forever.
+        let mut now = 200 * US;
+        for tick in 0..128 {
+            if tick % 2 == 0 {
+                s.note_enforcement(0, 1, 0, 0);
+            }
+            assert!(s.abuse_tick(now).is_empty());
+            assert_eq!(s.tenants()[0].state, TenantState::Guaranteed);
+            now += 50 * US;
+        }
+        assert_eq!(s.abuse().unwrap().quarantines(0), 0);
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //! end
 //! ```
 //!
-//! `v2` added the quarantine machine (`abusecfg`/`abuserow`, DESIGN
-//! §10): the misbehavior scorer's thresholds and the per-tenant row
-//! words from [`fabric::MisbehaviorLedger::dump_row`] — so a service
+//! The `abusecfg`/`abuserow` records carry the quarantine machine
+//! (DESIGN §10): the misbehavior scorer's thresholds and the per-tenant
+//! row words from [`fabric::MisbehaviorLedger::dump_row`] — so a service
 //! restored mid-quarantine keeps every score, sustain count, and
-//! hold/probation deadline. `v1` snapshots predate the scorer and still
-//! restore (with the scorer off); both sections are simply absent.
+//! hold/probation deadline. With the scorer off both are absent.
 //!
 //! Every `f64` travels as its IEEE-754 bit pattern in fixed-width hex,
 //! so a restored ledger/placer is **byte-exact** — replaying
@@ -55,10 +54,6 @@ use topology::Topo;
 
 /// First line of every snapshot; bump the suffix on format changes.
 pub const HEADER: &str = "ufab-fabricd-snapshot v2";
-
-/// Previous format version, still accepted by [`FabricService::restore`]
-/// (no `abusecfg`/`abuserow` records; the scorer restores as off).
-pub const HEADER_V1: &str = "ufab-fabricd-snapshot v1";
 
 /// Serialize the complete service state.
 pub(crate) fn render(s: &FabricService) -> String {
@@ -190,10 +185,10 @@ impl FabricService {
     /// before it is returned, and re-snapshots byte-identically.
     pub fn restore(topo: Arc<Topo>, snap: &str) -> Result<Self, String> {
         let mut lines = snap.lines();
-        let header = lines.next();
-        if header != Some(HEADER) && header != Some(HEADER_V1) {
+        let header = lines.next().unwrap_or("");
+        if header != HEADER {
             return Err(format!(
-                "snapshot header mismatch (want {HEADER:?} or {HEADER_V1:?})"
+                "snapshot header mismatch (want {HEADER:?}, got {header:?})"
             ));
         }
 
@@ -341,13 +336,22 @@ impl FabricService {
         let mut ledger = baseline.clone();
         ledger.set_committed_bits(&ledger_bits);
         let mut placer = Placer::new(&topo.hosts, cfg.policy, cfg.max_vms_per_host);
-        placer.restore_state(&placer_rows);
+        placer.restore_state(&placer_rows)?;
         apply_host_cordons(&topo, &cordoned, &mut placer);
 
         let mut departs: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
         let mut reclaims: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
         for (i, t) in tenants.iter().enumerate() {
             if t.is_live() {
+                // The audit below (and a later reinstatement) commits on
+                // these hosts; the ledger panics on a node it has no
+                // spread for.
+                if let Some(h) = t.hosts.iter().find(|&&h| !placer.has_host(h)) {
+                    return Err(format!(
+                        "tenant {i} ({}) is placed on {h}, not a host of this topology",
+                        t.name
+                    ));
+                }
                 departs.push(Reverse((t.depart_at, i as u32)));
             } else if t.state == TenantState::Departing {
                 let dep = t
@@ -672,19 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_restore_with_the_scorer_off() {
-        let s = busy_service();
-        let snap = s.snapshot(); // v2 header, no abuse records
-        let v1 = snap.replacen(HEADER, HEADER_V1, 1);
-        assert_ne!(v1, snap);
-        let r = FabricService::restore(s.topo.clone(), &v1).unwrap();
-        assert!(r.abuse().is_none());
-        // Re-rendering upgrades the header; the body is unchanged.
-        assert_eq!(render(&r), snap);
-        r.audit().unwrap();
-    }
-
-    #[test]
     fn bad_snapshots_are_rejected_with_reasons() {
         let s = busy_service();
         let snap = s.snapshot();
@@ -711,5 +702,50 @@ mod tests {
         ));
         let e = FabricService::restore(small, &snap).err().unwrap();
         assert!(e.contains("wrong topology"), "{e}");
+
+        // Nothing ever wrote a v1 snapshot: its header is just a mismatch.
+        let v1 = snap.replacen("snapshot v2", "snapshot v1", 1);
+        assert_ne!(v1, snap);
+        let e = FabricService::restore(s.topo.clone(), &v1).err().unwrap();
+        assert!(e.contains("header mismatch") && e.contains("v1"), "{e}");
+
+        // Records the placer or the ledger cannot hold: each is an `Err`
+        // naming the offending record, never a panic.
+        let restore_edited = |tag: &str, edit: &dyn Fn(&str) -> String| {
+            let bad: String = snap
+                .lines()
+                .map(|l| {
+                    if l.starts_with(tag) {
+                        edit(l) + "\n"
+                    } else {
+                        format!("{l}\n")
+                    }
+                })
+                .collect();
+            assert_ne!(bad, snap, "no {tag} record was edited");
+            FabricService::restore(s.topo.clone(), &bad).err().unwrap()
+        };
+        let e = restore_edited("placer ", &|l| format!("{l} 9999:1:0000000000000000"));
+        assert!(
+            e.contains("placer row 9999:1") && e.contains("unknown host"),
+            "{e}"
+        );
+        let e = restore_edited("placer ", &|l| {
+            let (head, bits) = l.rsplit_once(':').unwrap();
+            let (head, _vms) = head.rsplit_once(':').unwrap();
+            format!("{head}:99:{bits}")
+        });
+        assert!(e.contains(":99 exceeds the slot cap"), "{e}");
+        // Tenant "a" is still active; put its first VM on a switch.
+        let tor = s.topo.tors[0].raw();
+        let e = restore_edited("tenant a ", &|l| {
+            let (head, tail) = l.split_once(" hosts ").unwrap();
+            let (_first, rest) = tail.split_once(',').unwrap();
+            format!("{head} hosts {tor},{rest}")
+        });
+        assert!(
+            e.contains("tenant 0 (a)") && e.contains("not a host"),
+            "{e}"
+        );
     }
 }

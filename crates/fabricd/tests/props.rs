@@ -1,7 +1,8 @@
-//! Property-based tests for the control-plane wire format and the
-//! snapshot/restore path.
+//! Property-based tests for the control-plane wire format, the
+//! snapshot/restore path, and the lifecycle against its reference
+//! model (`fabric::plan`).
 
-use fabric::AdmissionCfg;
+use fabric::{AdmissionCfg, Policy, TenantReq};
 use fabricd::{FabricOp, FabricReply, FabricService};
 use netsim::builder::LinkSpec;
 use netsim::{MS, US};
@@ -152,5 +153,110 @@ proptest! {
         prop_assert_eq!(back.digest(), s.digest());
         back.audit().unwrap();
         s.audit().unwrap();
+    }
+
+    /// `fabric::plan` is the service's reference model: the stateless
+    /// pre-pass and a live service fed the same requests as admit ops
+    /// agree on every decision instant, host list and rejection reason;
+    /// and a second service fed the plan through `admit_planned` holds
+    /// the same ledger after every decision — bit for bit until a
+    /// rejection rolls back a partial placement. The traces
+    /// mix sizes, tie arrivals (so pacing queues them), carry a class no
+    /// access link admits and one no host set can hold, and have
+    /// lifetimes short enough to depart mid-trace.
+    #[test]
+    fn plan_is_the_services_reference_model(
+        reqs in prop::collection::vec(
+            (0u64..60, 0usize..10, 1usize..6, 5u64..80, 30u64..3000),
+            1..40,
+        ),
+        load_spread in any::<bool>(),
+    ) {
+        let t = topo();
+        let cfg = AdmissionCfg {
+            policy: if load_spread { Policy::LoadSpread } else { Policy::FirstFit },
+            max_vms_per_host: 2,
+            ..AdmissionCfg::default()
+        };
+        let mut arrival = 0;
+        let reqs: Vec<TenantReq> = reqs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (gap_us, class, n_vms, tokens_tenths, life_us))| {
+                arrival += gap_us * US;
+                let (n_vms, tokens_per_vm) = match class {
+                    0 => (n_vms, 20.0), // 10 G hose on a 10 G access link
+                    1 => (t.hosts.len() + 1, 0.5), // more VMs than hosts
+                    _ => (n_vms, tokens_tenths as f64 / 10.0),
+                };
+                TenantReq {
+                    name: format!("r{i}"),
+                    n_vms,
+                    tokens_per_vm,
+                    arrival,
+                    lifetime: life_us * US,
+                }
+            })
+            .collect();
+        let plan = fabric::plan(&t, &cfg, &reqs);
+        prop_assert_eq!(plan.decision_latency_ns.len(), reqs.len());
+
+        let mut live = FabricService::new(t.clone(), cfg);
+        let mut replay = FabricService::new(t.clone(), cfg);
+        for r in &reqs {
+            live.submit(r.arrival, FabricOp::Admit {
+                name: r.name.clone(),
+                n_vms: r.n_vms,
+                tokens_per_vm: r.tokens_per_vm,
+                lifetime: r.lifetime,
+            });
+        }
+        let (mut admitted, mut rejected) = (plan.admitted.iter(), plan.rejected.iter());
+        let (mut next_adm, mut next_rej) = (admitted.next(), rejected.next());
+        let mut dusty = false;
+        for (k, r) in reqs.iter().enumerate() {
+            let t_dec = r.arrival + plan.decision_latency_ns[k];
+            let out = live.advance(t_dec);
+            prop_assert_eq!(out.len(), 1, "one decision per paced slot");
+            prop_assert_eq!(out[0].applied, t_dec);
+            match next_adm.filter(|p| p.req == k) {
+                Some(p) => {
+                    prop_assert_eq!((p.decision, p.depart), (t_dec, t_dec + r.lifetime));
+                    let id = replay.admit_planned(p);
+                    let hosts = p.hosts.iter().map(|h| h.raw()).collect();
+                    prop_assert_eq!(&out[0].reply, &FabricReply::Admitted { tenant: id, hosts });
+                    next_adm = admitted.next();
+                }
+                None => {
+                    let rej = next_rej.expect("a request is admitted or rejected");
+                    prop_assert_eq!((rej.req, rej.at), (k, t_dec));
+                    prop_assert_eq!(&out[0].reply, &FabricReply::Rejected { reason: rej.reason });
+                    replay.advance(t_dec);
+                    next_rej = rejected.next();
+                }
+            }
+            // A rejection that rolled back a partial placement leaves
+            // `x + h − h` float dust in the plan's and the live ledger;
+            // the replay never saw that request. Until the first one the
+            // two ledgers are bit-equal; from then on they agree within
+            // the audit's tolerance (the slack `place_fixed` relies on).
+            if !dusty && live.ledger().committed_bits() != replay.ledger().committed_bits() {
+                prop_assert!(
+                    matches!(out[0].reply, FabricReply::Rejected { .. }) && r.n_vms > 1,
+                    "ledgers diverged at request {k} without a rolled-back placement"
+                );
+                dusty = true;
+            }
+            live.ledger().diff(replay.ledger()).unwrap();
+        }
+        prop_assert!(next_adm.is_none() && next_rej.is_none());
+
+        for s in [&mut live, &mut replay] {
+            s.audit().unwrap();
+            s.advance(arrival + 10 * MS);
+            prop_assert_eq!(s.count(fabric::TenantState::Reclaimed), plan.admitted.len());
+            prop_assert!(s.ledger().utilization().abs() < 1e-12);
+            s.audit().unwrap();
+        }
     }
 }

@@ -1,13 +1,15 @@
-//! Full-stack fabric-manager lifecycle: plan → place → run traffic →
-//! qualify off μFAB-E telemetry → depart → reclaim, with the capacity
-//! ledger audited throughout and an over-subscribed request refused at
-//! admission.
+//! Full-stack tenant lifecycle on the fabric service: plan → place →
+//! run traffic → qualify off μFAB-E telemetry → depart → reclaim, with
+//! the capacity ledger audited throughout and an over-subscribed
+//! request refused at admission.
 
 use experiments::harness::{Runner, SystemKind, SLICE};
-use fabric::{AdmissionCfg, FabricManager, RejectReason, TenantReq, TenantState};
+use fabric::{AdmissionCfg, RejectReason, TenantReq, TenantState};
+use fabricd::FabricService;
 use netsim::{NodeId, PairId, Time, MS, US};
+use std::sync::Arc;
 use topology::TestbedCfg;
-use ufab::{FabricSpec, UfabEdge};
+use ufab::FabricSpec;
 use workloads::churn::{ChurnDriver, PairDemand, TenantTraffic};
 use workloads::driver::Driver;
 
@@ -50,7 +52,6 @@ fn tenant_lifecycle_end_to_end() {
     // Ring pairs over each admitted tenant's VMs, steady traffic at the
     // pair guarantee for the whole lifetime.
     let mut spec = FabricSpec::new(cfg.bu_bps);
-    let mut fabric_ids = Vec::new();
     let mut tenant_pairs: Vec<Vec<(NodeId, PairId)>> = Vec::new();
     let mut programs = Vec::new();
     for p in &plan.admitted {
@@ -64,7 +65,6 @@ fn tenant_lifecycle_end_to_end() {
             pairs.push((p.hosts[i], pair));
             prog.push((p.hosts[i], pair, PairDemand::Steady { bps: guar }));
         }
-        fabric_ids.push(tid.raw());
         tenant_pairs.push(pairs);
         programs.push(TenantTraffic {
             tag: tid.raw(),
@@ -74,22 +74,12 @@ fn tenant_lifecycle_end_to_end() {
         });
     }
     let grace = cfg.reclaim_grace;
-    let mut mgr = FabricManager::new(&topo, cfg, &plan, &fabric_ids);
     let mut r = Runner::new(topo, spec, SystemKind::Ufab, 7, None, MS);
+    // Plan order is `add_tenant` order: service tenant id == spec id.
+    let mut svc = FabricService::new(Arc::clone(&r.topo), cfg);
     let mut driver = ChurnDriver::new(programs, 7, 0);
 
-    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); mgr.tenants().len()];
-    let snapshot = |r: &Runner, pairs: &[(NodeId, PairId)]| -> Vec<u64> {
-        pairs
-            .iter()
-            .map(|&(src, pair)| {
-                r.sim
-                    .try_edge::<UfabEdge>(src)
-                    .map(|e| e.ep.acked_bytes(pair))
-                    .unwrap_or(0)
-            })
-            .collect()
-    };
+    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); plan.admitted.len()];
     let horizon = 8 * MS + 20 * MS;
     let mut now = 0;
     let mut saw_qualified_signal = false;
@@ -99,59 +89,49 @@ fn tenant_lifecycle_end_to_end() {
             let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
             r.run(now, SLICE, &mut drivers);
         }
-        let out = mgr.advance(now);
-        for &i in &out.admitted {
-            baselines[i] = snapshot(&r, &tenant_pairs[i]);
+        while let Some(p) = plan.admitted.get(svc.tenants().len()) {
+            if p.decision > now {
+                break;
+            }
+            let i = svc.admit_planned(p) as usize;
+            baselines[i] = r.acked_baseline(&tenant_pairs[i]);
         }
-        for (i, _) in mgr.qualifying() {
-            let ok = tenant_pairs[i]
-                .iter()
-                .zip(&baselines[i])
-                .all(|(&(src, pair), &base)| {
-                    r.sim
-                        .try_edge::<UfabEdge>(src)
-                        .map(|e| {
-                            e.pair_qualified(pair) == Some(true) && e.ep.acked_bytes(pair) > base
-                        })
-                        .unwrap_or(false)
-                });
-            if ok {
+        svc.advance(now);
+        for (id, _) in svc.qualifying() {
+            let i = id as usize;
+            if r.pairs_qualified(&tenant_pairs[i], &baselines[i]) {
                 saw_qualified_signal = true;
-                mgr.note_qualified(i, now);
+                svc.note_qualified(id, now);
             }
         }
         if now % MS == 0 {
-            mgr.audit().expect("ledger stays conserved through churn");
+            svc.audit().expect("ledger stays conserved through churn");
         }
-        if mgr.count(TenantState::Reclaimed) == 2 {
+        if svc.count(TenantState::Reclaimed) == 2 {
             break;
         }
     }
 
     assert!(saw_qualified_signal, "μFAB-E must report qualification");
     assert_eq!(
-        mgr.count(TenantState::Reclaimed),
+        svc.count(TenantState::Reclaimed),
         2,
         "both tenants reclaimed"
     );
-    assert_eq!(mgr.n_rejected(), 1);
-    for t in mgr.tenants() {
+    for (t, p) in svc.tenants().iter().zip(&plan.admitted) {
         assert_eq!(t.state, TenantState::Reclaimed);
-        assert!(
-            t.ttg_ns.is_some(),
-            "{} never reached Guaranteed",
-            t.planned.name
-        );
+        assert_eq!(t.hosts, p.hosts, "the plan's hosts were committed verbatim");
+        assert!(t.ttg_ns.is_some(), "{} never reached Guaranteed", t.name);
         let (enter, exit) = t.guaranteed_spans[0];
-        assert!(enter < exit && exit == t.planned.depart);
+        assert!(enter < exit && exit == p.depart);
         assert!(
-            t.planned.depart + grace <= now,
+            p.depart + grace <= now,
             "reclaim happened only after the teardown grace"
         );
     }
-    mgr.audit().expect("final ledger is clean");
+    svc.audit().expect("final ledger is clean");
     assert!(
-        mgr.ledger().utilization() < 1e-9,
+        svc.ledger().utilization() < 1e-9,
         "all committed capacity returned to the ledger"
     );
 }

@@ -18,7 +18,7 @@ use fabricd::{Applied, FabricOp, FabricReply, FabricService};
 use netsim::{NodeId, PairId, Time, MS, US};
 use std::sync::Arc;
 use topology::{TestbedCfg, Topo};
-use ufab::{FabricSpec, UfabEdge};
+use ufab::FabricSpec;
 use workloads::churn::{ChurnDriver, PairDemand, TenantTraffic};
 use workloads::driver::Driver;
 
@@ -205,15 +205,7 @@ fn lifecycle_cell(policy: Policy) -> Out {
         for ap in svc.advance(now) {
             match &ap.reply {
                 FabricReply::Admitted { tenant, .. } => {
-                    baselines[*tenant as usize] = tenant_pairs[*tenant as usize]
-                        .iter()
-                        .map(|&(src, pair)| {
-                            r.sim
-                                .try_edge::<UfabEdge>(src)
-                                .map(|e| e.ep.acked_bytes(pair))
-                                .unwrap_or(0)
-                        })
-                        .collect();
+                    baselines[*tenant as usize] = r.acked_baseline(&tenant_pairs[*tenant as usize]);
                 }
                 FabricReply::Resized { .. } => resized_ok += 1,
                 FabricReply::Drained { moved, .. } => {
@@ -230,18 +222,7 @@ fn lifecycle_cell(policy: Policy) -> Out {
         }
         for (i, _) in svc.qualifying() {
             let i = i as usize;
-            let ok = tenant_pairs[i]
-                .iter()
-                .zip(&baselines[i])
-                .all(|(&(src, pair), &base)| {
-                    r.sim
-                        .try_edge::<UfabEdge>(src)
-                        .map(|e| {
-                            e.pair_qualified(pair) == Some(true) && e.ep.acked_bytes(pair) > base
-                        })
-                        .unwrap_or(false)
-                });
-            if ok {
+            if r.pairs_qualified(&tenant_pairs[i], &baselines[i]) {
                 svc.note_qualified(i as u32, now);
                 if drain_at.is_some() && drain_touched.contains(&(i as u32)) {
                     requalified_after_drain = true;
