@@ -83,7 +83,7 @@ const SCENARIOS: &[(&str, &str)] = &[
     ),
     (
         "churn",
-        "fabric manager: tenant admission/qualification churn at 512 servers (opt-in)",
+        "fabric service: tenant admission/qualification churn at 512 servers (opt-in)",
     ),
     (
         "ops",
@@ -183,7 +183,15 @@ fn main() {
                 scale.seed = int_arg("--seed", it.next(), 1, u64::MAX);
             }
             "--servers" => {
-                scale.servers = Some(int_arg("--servers", it.next(), 8, 4096) as usize);
+                let n = int_arg("--servers", it.next(), 0, u64::MAX) as usize;
+                if !fig17::FABRIC_SIZES.contains(&n) {
+                    eprintln!(
+                        "error: --servers {n} is not a fabric size (have: {:?})",
+                        fig17::FABRIC_SIZES
+                    );
+                    std::process::exit(EXIT_USAGE);
+                }
+                scale.servers = Some(n);
             }
             "--trace" => {
                 // Optional capacity operand: `--trace 8192`.

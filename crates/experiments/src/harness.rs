@@ -232,19 +232,9 @@ impl Runner {
             suite.register(Box::new(EdgeAccounting::default()));
             suite.register(Box::new(ReadySetSound));
         }
-        // Size the BDP off the fabric diameter (max base RTT from the
-        // first host), with margin over the paper's ~3 BDP bound so the
-        // watchdog separates "bounded" from "runaway".
-        let h0 = self.topo.hosts[0];
-        let rtt = self
-            .topo
-            .hosts
-            .iter()
-            .skip(1)
-            .map(|&h| self.topo.base_rtt(h0, h))
-            .max()
-            .unwrap_or(10 * US)
-            .max(1);
+        // Margin over the paper's ~3 BDP bound so the watchdog separates
+        // "bounded" from "runaway".
+        let rtt = self.diameter_rtt();
         suite.register(Box::new(BoundedQueueWatchdog::new(rtt, 6.0)));
         suite.register(Box::new(PacketArenaBalance));
         self.invariants = Some(suite);
@@ -274,21 +264,26 @@ impl Runner {
             suite.register(Box::new(StaleRegistrationSweep::new(cleanup_period)));
             suite.register(Box::new(WedgedPairWatchdog::new(stall_ns)));
         }
+        let rtt = self.diameter_rtt();
+        suite.register(Box::new(BoundedQueueWatchdog::new(rtt, 40.0)));
+        // Arena accounting must stay exact through every fault path:
+        // switch-fail queue wipes, down-port drops, restart floods.
+        suite.register(Box::new(PacketArenaBalance));
+        self.invariants = Some(suite);
+    }
+
+    /// The fabric diameter as a round-trip time (max base RTT from the
+    /// first host): what the queue watchdogs size their BDP off.
+    fn diameter_rtt(&self) -> Time {
         let h0 = self.topo.hosts[0];
-        let rtt = self
-            .topo
+        self.topo
             .hosts
             .iter()
             .skip(1)
             .map(|&h| self.topo.base_rtt(h0, h))
             .max()
             .unwrap_or(10 * US)
-            .max(1);
-        suite.register(Box::new(BoundedQueueWatchdog::new(rtt, 40.0)));
-        // Arena accounting must stay exact through every fault path:
-        // switch-fail queue wipes, down-port drops, restart floods.
-        suite.register(Box::new(PacketArenaBalance));
-        self.invariants = Some(suite);
+            .max(1)
     }
 
     /// Number of invariant violations so far.

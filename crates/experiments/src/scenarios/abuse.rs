@@ -37,31 +37,21 @@
 //! released while quarantined — and bounded qualifying time) always
 //! runs; a violation fails the scenario.
 
-use super::churn::{
-    churn_cfg, demand_for, guaranteed_crossing, step_lifecycle, timeline, GUAR_FRACTION,
-    STAGGER_BOUND, STEP,
-};
-use super::common::{emit, f, obs_epilogue, us, Scale};
-use super::fig17::build_topo;
+use super::cell::{demand_for, hook_scale, Cell, CellEnd, Planned};
+use super::common::{emit, f, us, Scale};
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
-use fabric::{AbuseCfg, AdmissionCfg, Policy, TenantState};
-use fabricd::{FabricService, LedgerConservation, QualifyingStagger};
+use fabric::{AbuseCfg, Policy, TenantState};
 use metrics::table::Table;
 use metrics::Percentiles;
-use netsim::{FaultKind, FaultPlan, NodeId, PairId, TenantId, Time, MS};
-use obs::InvariantSuite;
+use netsim::{NodeId, PairId, TenantId, Time, MS};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-use ufab::{FabricSpec, UfabConfig, UfabEdge};
+use ufab::{UfabConfig, UfabEdge};
 use workloads::abuse::{hostile_demand, select_hostiles};
-use workloads::churn::{gen_trace, ChurnDriver, DemandKind, TenantTraffic};
-use workloads::driver::Driver;
 
 /// Everything the abuse cell reports back for asserts and the table.
 pub struct CellOut {
     row: [String; 9],
-    epilogue: String,
+    end: CellEnd,
     /// Admitted tenants marked hostile.
     pub hostile: usize,
     /// Hostile tenants that entered `Quarantined` at least once.
@@ -72,147 +62,65 @@ pub struct CellOut {
     pub victim_viol_ms: u64,
     /// Guaranteed ms of honest bulk tenants (denominator / coverage).
     pub victim_guar_ms: u64,
-    fabric_violations: usize,
-    fabric_report: String,
     /// Simulator events processed.
     pub events: u64,
     /// Determinism digest (empty when the det hash is off).
     pub digest: String,
-    sim_violations: usize,
-    admitted: usize,
-    reclaimed: usize,
 }
 
 /// One containment cell: the churn run with `pct`% hostile tenants and
-/// the enforcement/quarantine loop closed every [`STEP`].
+/// the enforcement/quarantine loop closed every control-plane step.
 pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellOut {
-    let tl = timeline(scale.quick);
-    let servers = scale.servers.unwrap_or(512);
-    let mut topo = build_topo(servers, false);
-    topo.enable_pod_partition();
-    let n_hosts = topo.hosts.len();
-
     // 1) Trace + admission plan — identical to the churn cell: hostile
     //    selection happens *after* admission (an adversary looks honest
     //    until it starts sending), so the plan and the honest tenants'
     //    programs are bit-identical to the enforcement-off run.
-    let trace = gen_trace(&churn_cfg(&scale, &tl, n_hosts));
-    let acfg = AdmissionCfg {
-        policy,
-        ..AdmissionCfg::default()
-    };
-    let reqs: Vec<fabric::TenantReq> = trace
-        .iter()
-        .enumerate()
-        .map(|(i, a)| fabric::TenantReq {
-            name: format!("churn-{i}"),
-            n_vms: a.n_vms,
-            tokens_per_vm: a.tokens_per_vm,
-            arrival: a.arrival,
-            lifetime: a.lifetime,
-        })
-        .collect();
-    let plan = fabric::plan(&topo, &acfg, &reqs);
-    let hostiles = select_hostiles(scale.seed, plan.admitted.len(), pct, intensity);
+    let planned = Planned::new(&scale, policy, 512);
+    let hostiles = select_hostiles(scale.seed, planned.plan.admitted.len(), pct, intensity);
 
-    // 2) FabricSpec + traffic programs. Hostile tenants get the
-    //    adversarial demand program; everyone else the churn mix.
-    let mut fabric_spec = FabricSpec::new(acfg.bu_bps);
-    let mut tenant_pairs: Vec<Vec<(NodeId, PairId)>> = Vec::with_capacity(plan.admitted.len());
-    let mut programs: Vec<TenantTraffic> = Vec::with_capacity(plan.admitted.len());
-    for (idx, p) in plan.admitted.iter().enumerate() {
-        let kind = trace[p.req].kind;
-        let tid = fabric_spec.add_tenant(&p.name, p.tokens_per_vm);
-        debug_assert_eq!(tid.raw() as usize, tenant_pairs.len());
-        let vms: Vec<_> = p
-            .hosts
-            .iter()
-            .map(|&h| fabric_spec.add_vm(tid, h))
-            .collect();
-        let guar = p.tokens_per_vm * acfg.bu_bps;
-        let mut pairs = Vec::with_capacity(vms.len());
-        let mut prog_pairs = Vec::with_capacity(vms.len());
-        for i in 0..vms.len() {
-            let j = (i + 1) % vms.len();
-            let pair = fabric_spec.add_pair(vms[i], vms[j]);
-            pairs.push((p.hosts[i], pair));
-            let dem = match &hostiles[idx] {
-                Some(h) => hostile_demand(h.kind, guar, h.intensity),
-                None => demand_for(kind, guar),
-            };
-            prog_pairs.push((p.hosts[i], pair, dem));
-        }
-        tenant_pairs.push(pairs);
-        programs.push(TenantTraffic {
-            tag: tid.raw(),
-            start: p.decision,
-            stop: p.depart,
-            pairs: prog_pairs,
-        });
-    }
-    // 3) Simulator + chaos (same core-switch failure as churn), with
-    //    the edge enforcement stage armed.
-    let dead_core = topo.cores[0];
-    let mut fplan = FaultPlan::new(scale.seed);
-    fplan.push(FaultKind::SwitchFail {
-        node: dead_core,
-        at: tl.fault_at,
-        recover_at: Some(tl.fault_recover),
-    });
+    // 2) The churn cell (same core-switch failure, same shortened idle
+    //    sweep) with the edge enforcement stage armed. Hostile tenants
+    //    get the adversarial demand program; everyone else the churn mix.
     let ucfg = UfabConfig {
         core_cleanup_period: 5 * MS,
         enforce: true,
         ..UfabConfig::default()
     };
-    let mut r = Runner::new(
-        topo,
-        fabric_spec,
-        SystemKind::Ufab,
-        scale.seed,
-        Some(ucfg),
-        MS,
+    let mut cell = Cell::build(
+        &scale,
+        planned,
+        ucfg,
+        true,
+        |i, kind, guar| match &hostiles[i] {
+            Some(h) => hostile_demand(h.kind, guar, h.intensity),
+            None => demand_for(kind, guar, 1.0),
+        },
     );
-    if let Some(cap) = scale.trace {
-        r.enable_trace(cap);
-    } else {
-        r.sim.enable_det_hash();
-    }
-    if scale.check_invariants {
-        r.enable_chaos_invariants(MS / 4, 5 * MS, tl.fault_recover + 15 * MS);
-    }
-    // The one tenant lifecycle, scorer armed. Plan order is `add_tenant`
-    // order, so the service's tenant ids are the `FabricSpec` tenant ids.
-    let mut svc = FabricService::new(Arc::clone(&r.topo), acfg);
-    svc.enable_abuse(AbuseCfg::default());
-    svc.set_obs(r.obs.clone());
-    r.sim.apply_chaos(&fplan);
+    // The one tenant lifecycle runs with the scorer armed.
+    cell.svc.enable_abuse(AbuseCfg::default());
 
     // Program the hostile behavior models into each aggressor's source
     // NICs (plan order; within a tenant, ascending host id).
+    let source_hosts = |pairs: &[(NodeId, PairId)]| -> BTreeSet<NodeId> {
+        pairs.iter().map(|&(src, _)| src).collect()
+    };
     for (i, h) in hostiles.iter().enumerate() {
         let Some(h) = h else { continue };
-        let t = TenantId(i as u32);
-        let hosts: BTreeSet<NodeId> = tenant_pairs[i].iter().map(|&(src, _)| src).collect();
-        for host in hosts {
-            r.sim
-                .edge_mut::<UfabEdge>(host)
-                .set_hostile(t, h.kind, h.intensity);
+        for host in source_hosts(&cell.tenant_pairs[i]) {
+            cell.r.sim.edge_mut::<UfabEdge>(host).set_hostile(
+                TenantId(i as u32),
+                h.kind,
+                h.intensity,
+            );
         }
     }
 
-    let mut fsuite: InvariantSuite<FabricService> = InvariantSuite::new(MS);
-    fsuite.register(Box::new(LedgerConservation));
-    fsuite.register(Box::new(QualifyingStagger::new(STAGGER_BOUND)));
-
-    let mut driver = ChurnDriver::new(programs, scale.seed ^ 0x5eed, 0);
-
-    // 4) Run loop: the churn loop plus the containment loop — poll the
+    // 3) Run loop: the cell's step plus the containment loop — poll the
     //    edges' enforcement counters (hosts ascending, tenants
     //    ascending: a sorted-iteration contract, so the misbehavior
     //    integration order is identical at any `--jobs`/`--shards`),
     //    feed the deltas to the misbehavior ledger, step the quarantine
     //    state machine, and program its clamp directives back down.
-    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); plan.admitted.len()];
     let mut enf_seen: BTreeMap<(u32, u32), [u64; 3]> = BTreeMap::new();
     let mut first_enf: BTreeMap<u32, Time> = BTreeMap::new();
     // Containment-settling bins: ms bins during which an *unclamped*
@@ -224,38 +132,16 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
     // in force*; inside the detection window the policer only bounds
     // the damage (DESIGN §10).
     let mut unsettled: BTreeSet<usize> = BTreeSet::new();
-    let mut fault_done = false;
-    let mut now = 0;
-    while now < tl.horizon {
-        let step_start = now;
-        now = (now + STEP).min(tl.horizon);
-        {
-            let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-            r.run(now, SLICE, &mut drivers);
-        }
-        for i in step_lifecycle(&mut svc, &plan, now) {
-            baselines[i] = r.acked_baseline(&tenant_pairs[i]);
-        }
-        if !fault_done && now >= tl.fault_at {
-            fault_done = true;
-            for i in guaranteed_crossing(&svc, &r, &tenant_pairs, dead_core) {
-                svc.requalify(i as u32, now);
-                baselines[i] = r.acked_baseline(&tenant_pairs[i]);
-            }
-        }
-        for (id, _) in svc.qualifying() {
-            let i = id as usize;
-            if r.pairs_qualified(&tenant_pairs[i], &baselines[i]) {
-                svc.note_qualified(id, now);
-            }
-        }
+    let mut step_start = 0;
+    while cell.step() {
+        let now = cell.now;
 
         // Containment loop. Counter *deltas* (not absolutes) feed the
         // scorer: the ledger weighs "was this class active this tick",
         // and a delta of zero must read as silence.
         let mut deltas: BTreeMap<u32, [u64; 3]> = BTreeMap::new();
-        for &host in &r.topo.hosts {
-            let Some(e) = r.sim.try_edge::<UfabEdge>(host) else {
+        for &host in &cell.r.topo.hosts {
+            let Some(e) = cell.r.sim.try_edge::<UfabEdge>(host) else {
                 continue;
             };
             for t in e.enforced_tenants() {
@@ -286,7 +172,7 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
         // (The lifetime window matters: a departed aggressor's gated
         // backlog keeps drawing policer verdicts while it drains, but a
         // reclaimed tenant can no longer congest anything.)
-        let open_abuse = svc.tenants().iter().enumerate().any(|(i, t)| {
+        let open_abuse = cell.svc.tenants().iter().enumerate().any(|(i, t)| {
             hostiles[i].is_some()
                 && now < t.depart_at
                 && t.state != TenantState::Quarantined
@@ -300,15 +186,11 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
 
         for (&t, &[p, pr, un]) in &deltas {
             first_enf.entry(t).or_insert(now);
-            svc.note_enforcement(t, p, pr, un);
+            cell.svc.note_enforcement(t, p, pr, un);
         }
-        for a in svc.abuse_tick(now) {
-            let hosts: BTreeSet<NodeId> = tenant_pairs[a.tenant as usize]
-                .iter()
-                .map(|&(src, _)| src)
-                .collect();
-            for host in hosts {
-                r.sim.edge_mut::<UfabEdge>(host).set_enforce_clamp(
+        for a in cell.svc.abuse_tick(now) {
+            for host in source_hosts(&cell.tenant_pairs[a.tenant as usize]) {
+                cell.r.sim.edge_mut::<UfabEdge>(host).set_enforce_clamp(
                     TenantId(a.tenant),
                     a.clamp,
                     now,
@@ -316,18 +198,18 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
             }
         }
 
-        if fsuite.due(now) {
-            fsuite.run(&svc, now, &r.obs);
-        }
+        // The suite audits the post-quarantine ledger of this step.
+        cell.audit();
+        step_start = now;
     }
 
-    // 5) Metrics.
-    let ab = svc.abuse().expect("abuse ledger is enabled");
+    // 4) Metrics.
+    let ab = cell.svc.abuse().expect("abuse ledger is enabled");
     let hostile = hostiles.iter().filter(|h| h.is_some()).count();
     let mut quarantined = 0usize;
     let mut false_quarantines = 0usize;
     let mut ttq = Percentiles::new();
-    for i in 0..svc.tenants().len() {
+    for i in 0..cell.svc.tenants().len() {
         if ab.quarantines(i) == 0 {
             continue;
         }
@@ -341,40 +223,28 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
         }
     }
 
-    let rec = r.merged_recorder();
+    let rec = cell.r.merged_recorder();
     // Victim-class violation ms: honest bulk tenants only, same
-    // accounting as churn (1 ms bins fully inside a Guaranteed span,
-    // 1 ms entry grace), minus the containment-settling bins collected
+    // accounting as churn, minus the containment-settling bins collected
     // above — inside a detection window the policer bounds the damage,
     // the zero-violation SLO starts when the clamp does.
     let mut victim_viol_ms = 0u64;
     let mut victim_guar_ms = 0u64;
+    cell.bulk_bins(&rec, |i, b, violated| {
+        if hostiles[i].is_none() && !unsettled.contains(&b) {
+            victim_guar_ms += 1;
+            victim_viol_ms += violated as u64;
+        }
+    });
     // Aggressor goodput clamp ratio: per quarantined aggressor, mean
     // delivered rate after its first quarantine entry ÷ before.
     let mut clamp_ratios: Vec<f64> = Vec::new();
-    for (i, t) in svc.tenants().iter().enumerate() {
-        let series = rec.tenant_rates.get(&(i as u32));
+    for (i, t) in cell.svc.tenants().iter().enumerate() {
         if hostiles[i].is_none() {
-            if trace[plan.admitted[i].req].kind != DemandKind::Bulk {
-                continue;
-            }
-            let tenant_guar =
-                GUAR_FRACTION * t.tokens_per_vm * acfg.bu_bps * tenant_pairs[i].len() as f64;
-            for &(enter, exit) in &t.guaranteed_spans {
-                let b0 = ((enter + MS) / MS + 1) as usize;
-                let b1 = (exit / MS) as usize;
-                for b in b0..b1 {
-                    if unsettled.contains(&b) {
-                        continue;
-                    }
-                    victim_guar_ms += 1;
-                    let rate = series.map(|s| s.rate_at(b)).unwrap_or(0.0);
-                    if rate < tenant_guar {
-                        victim_viol_ms += 1;
-                    }
-                }
-            }
-        } else if let (Some(q), Some(s)) = (ab.first_quarantine_at(i), series) {
+            continue;
+        }
+        let series = rec.tenant_rates.get(&(i as u32));
+        if let (Some(q), Some(s)) = (ab.first_quarantine_at(i), series) {
             let start = (t.admitted_at / MS + 1) as usize;
             let qb = (q / MS) as usize;
             let stop = (t.depart_at / MS) as usize;
@@ -398,17 +268,11 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
         clamp_ratios.iter().sum::<f64>() / clamp_ratios.len() as f64
     };
 
-    let digest = r
-        .sim
-        .det_digest()
-        .map(|d| format!("{d:016x}"))
-        .unwrap_or_default();
-    let epilogue = obs_epilogue(&scale, &r, &format!("abuse:{pct}pct"));
-    let admitted = plan.admitted.len();
+    let end = cell.end(&scale, &format!("abuse:{pct}pct"));
     CellOut {
         row: [
             format!("{pct}% x{intensity}"),
-            admitted.to_string(),
+            end.admitted.to_string(),
             hostile.to_string(),
             quarantined.to_string(),
             us(ttq.percentile(99.0).unwrap_or(0.0)),
@@ -419,21 +283,16 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
             },
             victim_viol_ms.to_string(),
             false_quarantines.to_string(),
-            digest.clone(),
+            end.digest.clone(),
         ],
-        epilogue,
         hostile,
         quarantined,
         false_quarantines,
         victim_viol_ms,
         victim_guar_ms,
-        fabric_violations: fsuite.violations().len(),
-        fabric_report: fsuite.report(),
-        events: r.sim.stats().events,
-        digest,
-        sim_violations: r.invariant_violations(),
-        admitted,
-        reclaimed: svc.count(TenantState::Reclaimed),
+        events: end.events,
+        digest: end.digest.clone(),
+        end,
     }
 }
 
@@ -455,16 +314,16 @@ pub fn run(scale: Scale, pct: u32, intensity: u32) -> Table {
     ]);
     for out in run_jobs(cells) {
         table.row(out.row.clone());
-        if !out.epilogue.is_empty() {
-            print!("{}", out.epilogue);
+        if !out.end.epilogue.is_empty() {
+            print!("{}", out.end.epilogue);
         }
         assert_eq!(
-            out.fabric_violations, 0,
+            out.end.fabric_violations, 0,
             "fabric invariants violated:\n{}",
-            out.fabric_report
+            out.end.fabric_report
         );
         assert_eq!(
-            out.reclaimed, out.admitted,
+            out.end.reclaimed, out.end.admitted,
             "every admitted tenant (hostile included) must be reclaimed"
         );
         assert_eq!(
@@ -498,14 +357,8 @@ pub fn run(scale: Scale, pct: u32, intensity: u32) -> Table {
 /// stage and the containment loop in the hot path, which is what the
 /// <3% overhead bound compares. Returns simulator events processed.
 pub fn bench_cell(seed: u64, pct: u32) -> u64 {
-    let scale = Scale {
-        seed,
-        quick: true,
-        servers: Some(64),
-        ..Scale::default()
-    };
-    let out = run_cell(scale, Policy::FirstFit, pct, 4);
-    assert_eq!(out.fabric_violations, 0, "{}", out.fabric_report);
+    let out = run_cell(hook_scale(seed, Some(64), false), Policy::FirstFit, pct, 4);
+    assert_eq!(out.end.fabric_violations, 0, "{}", out.end.fabric_report);
     assert_eq!(out.false_quarantines, 0, "false quarantine in bench cell");
     out.events
 }
@@ -513,15 +366,9 @@ pub fn bench_cell(seed: u64, pct: u32) -> u64 {
 /// Test hook for determinism and containment checks at arbitrary
 /// scale. Returns the full [`CellOut`].
 pub fn cell_checked(seed: u64, servers: usize, pct: u32, intensity: u32) -> CellOut {
-    let scale = Scale {
-        seed,
-        quick: true,
-        servers: Some(servers),
-        check_invariants: true,
-        ..Scale::default()
-    };
+    let scale = hook_scale(seed, Some(servers), true);
     let out = run_cell(scale, Policy::FirstFit, pct, intensity);
-    assert_eq!(out.fabric_violations, 0, "{}", out.fabric_report);
-    assert_eq!(out.sim_violations, 0, "sim invariants fired");
+    assert_eq!(out.end.fabric_violations, 0, "{}", out.end.fabric_report);
+    assert_eq!(out.end.sim_violations, 0, "sim invariants fired");
     out
 }

@@ -1,0 +1,554 @@
+//! The fabric-level *cell*: one simulated FatTree carrying a churn of
+//! tenants through the one tenant lifecycle (DESIGN §7, "The cell").
+//!
+//! `repro churn`, `abuse` and `dse` each run one [`Cell`] built from one
+//! [`Planned`], and differ in what they pass to the two constructors
+//! and in what they do between [`Cell::step`] and [`Cell::audit`].
+//! `repro ops` admits through the service's op queue, not a plan, so it
+//! keeps its own loop and shares the free functions.
+
+use super::common::{obs_epilogue, Scale};
+use super::fig17::build_topo;
+use crate::harness::{Runner, SystemKind, SLICE};
+use fabric::{AdmissionCfg, Plan, Policy, TenantReq, TenantState};
+use fabricd::{FabricService, LedgerConservation, QualifyingStagger};
+use metrics::{RateSeries, Recorder};
+use netsim::{FaultKind, FaultPlan, NodeId, PairId, Time, MS, US};
+use obs::InvariantSuite;
+use std::sync::Arc;
+use topology::Topo;
+use ufab::{FabricSpec, UfabConfig, UfabEdge};
+use workloads::churn::{
+    gen_trace, ChurnCfg, ChurnDriver, DemandKind, PairDemand, TenantArrival, TenantTraffic,
+};
+use workloads::dists::{kv_object_sizes, websearch_flow_sizes};
+
+/// Outer control-plane step: lifecycle advance + qualification polling.
+pub(crate) const STEP: Time = 250 * US;
+/// No tenant may sit in `Qualifying` longer than this. Residence in
+/// `Qualifying` is naturally bounded by the tenant's lifetime (clamped
+/// at 20 ms by the churn model — departure forces the transition out),
+/// so the enforceable stagger bound is that maximum plus admission
+/// queueing slack: a tenant beyond it has been *lost* by the state
+/// machine, not merely slowed by congestion or a chaos outage.
+const STAGGER_BOUND: Time = 25 * MS;
+/// Guarantee threshold for violation accounting (matches chaos SLOs).
+pub(crate) const GUAR_FRACTION: f64 = 0.85;
+
+/// Timeline of one cell (all instants in ns).
+pub(crate) struct Timeline {
+    first_arrival: Time,
+    last_arrival: Time,
+    fault_at: Time,
+    fault_recover: Time,
+    pub(crate) horizon: Time,
+}
+
+impl Timeline {
+    /// Tenants arrive for `window_ms` (×3 when not `quick`) from t = 2 ms;
+    /// the fault, where a cell has one, strikes mid-window for 5 ms.
+    pub(crate) fn new(quick: bool, window_ms: u64) -> Self {
+        let window = window_ms * MS * if quick { 1 } else { 3 };
+        let first_arrival = 2 * MS;
+        let last_arrival = first_arrival + window;
+        let fault_at = first_arrival + window / 2;
+        Timeline {
+            first_arrival,
+            last_arrival,
+            fault_at,
+            fault_recover: fault_at + 5 * MS,
+            // Latest depart: last_arrival + queueing + max lifetime; then
+            // the reclaim grace and a settling margin.
+            horizon: last_arrival + 20 * MS + MS + 4 * MS,
+        }
+    }
+
+    /// An instant at `pct`% of the arrival window.
+    pub(crate) fn at(&self, pct: u64) -> Time {
+        self.first_arrival + (self.last_arrival - self.first_arrival) * pct / 100
+    }
+
+    /// Inside the arrival window, where ledger utilisation is sampled.
+    pub(crate) fn in_window(&self, now: Time) -> bool {
+        now >= self.first_arrival && now <= self.last_arrival
+    }
+}
+
+/// The cell's arrival trace over the timeline's window:
+/// `per_sec_at_512` tenants/sec at 512 servers, scaled with the fabric.
+pub(crate) fn cell_trace(
+    seed: u64,
+    tl: &Timeline,
+    n_hosts: usize,
+    per_sec_at_512: f64,
+) -> Vec<TenantArrival> {
+    gen_trace(&ChurnCfg {
+        seed,
+        arrivals_per_sec: per_sec_at_512 * n_hosts as f64 / 512.0,
+        first_arrival: tl.first_arrival,
+        last_arrival: tl.last_arrival,
+        mean_lifetime_ns: 5e6,
+        sigma_lifetime: 0.8,
+        min_lifetime: 600 * US,
+        max_lifetime: 20 * MS,
+    })
+}
+
+/// The admission requests of a trace (request index == trace index).
+pub(crate) fn requests(trace: &[TenantArrival]) -> Vec<TenantReq> {
+    trace
+        .iter()
+        .enumerate()
+        .map(|(i, a)| TenantReq {
+            name: format!("churn-{i}"),
+            n_vms: a.n_vms,
+            tokens_per_vm: a.tokens_per_vm,
+            arrival: a.arrival,
+            lifetime: a.lifetime,
+        })
+        .collect()
+}
+
+/// Per-pair demand program for one admitted tenant of `kind`. Bulk
+/// tenants — the predictability probe — offer `bulk_factor` × their
+/// guarantee.
+pub(crate) fn demand_for(kind: DemandKind, guar_bps: f64, bulk_factor: f64) -> PairDemand {
+    match kind {
+        DemandKind::Bulk => PairDemand::Steady {
+            bps: bulk_factor * guar_bps,
+        },
+        // Whales stress the ledger, not the data plane: cap the offered
+        // rate well under the (huge) hose.
+        DemandKind::Whale => PairDemand::Steady {
+            bps: guar_bps.min(1.5e9),
+        },
+        DemandKind::WebFlows => {
+            let sizes = websearch_flow_sizes();
+            // ~30 % of the guarantee as heavy-tailed flow arrivals.
+            let rate = (0.3 * guar_bps / (sizes.mean() * 8.0)).max(1.0);
+            PairDemand::Flows {
+                mean_gap_ns: 1e9 / rate,
+                sizes,
+            }
+        }
+        // 2 000 lookups/sec of small objects per pair.
+        DemandKind::KvFlows => PairDemand::Flows {
+            mean_gap_ns: 500_000.0,
+            sizes: kv_object_sizes(),
+        },
+        DemandKind::Overclaim => unreachable!("overclaim tenants are never admitted"),
+    }
+}
+
+/// Register one tenant with VM *i* on `hosts[i]` and its VMs ring-paired
+/// (i → i+1 mod n; anti-affinity in the placer makes every pair
+/// cross-host). Returns the tenant's `(source host, pair)` list and its
+/// traffic program: tagged with the `FabricSpec` tenant id, live over
+/// `window`, one `demand()` per pair.
+pub(crate) fn add_ring_tenant(
+    spec: &mut FabricSpec,
+    name: &str,
+    tokens_per_vm: f64,
+    hosts: &[NodeId],
+    window: (Time, Time),
+    mut demand: impl FnMut() -> PairDemand,
+) -> (Vec<(NodeId, PairId)>, TenantTraffic) {
+    let tid = spec.add_tenant(name, tokens_per_vm);
+    let vms: Vec<_> = hosts.iter().map(|&h| spec.add_vm(tid, h)).collect();
+    let pairs: Vec<(NodeId, PairId)> = (0..vms.len())
+        .map(|i| (hosts[i], spec.add_pair(vms[i], vms[(i + 1) % vms.len()])))
+        .collect();
+    let program = TenantTraffic {
+        tag: tid.raw(),
+        start: window.0,
+        stop: window.1,
+        pairs: pairs.iter().map(|&(h, p)| (h, p, demand())).collect(),
+    };
+    (pairs, program)
+}
+
+/// Guarantee-violation accounting: visit every 1 ms rate bin fully
+/// inside one of a tenant's `Guaranteed` spans (1 ms entry grace for
+/// ramp-up) as `(bin, delivered < guar_bps)`. A tenant with no series
+/// delivered nothing.
+pub(crate) fn guaranteed_bins(
+    spans: &[(Time, Time)],
+    series: Option<&RateSeries>,
+    guar_bps: f64,
+    mut visit: impl FnMut(usize, bool),
+) {
+    for &(enter, exit) in spans {
+        let b0 = ((enter + MS) / MS + 1) as usize; // entry grace
+        let b1 = (exit / MS) as usize;
+        for b in b0..b1 {
+            let rate = series.map(|s| s.rate_at(b)).unwrap_or(0.0);
+            visit(b, rate < guar_bps);
+        }
+    }
+}
+
+/// `--trace` attaches the flight recorder (which starts the determinism
+/// digest itself); every other run still carries the digest.
+pub(crate) fn observe(scale: &Scale, r: &mut Runner) {
+    if let Some(cap) = scale.trace {
+        r.enable_trace(cap);
+    } else {
+        r.sim.enable_det_hash();
+    }
+}
+
+/// The quick-mode scale of the fixed cells behind the bench and test hooks.
+pub(crate) fn hook_scale(seed: u64, servers: Option<usize>, check_invariants: bool) -> Scale {
+    Scale {
+        seed,
+        quick: true,
+        servers,
+        check_invariants,
+        ..Scale::default()
+    }
+}
+
+/// The control-plane half of a plan-driven cell. Pure function of
+/// `(scale, policy, default_servers)`: what the data plane later does —
+/// hardware knobs, hostile programs — cannot move an admission, so
+/// outcome deltas between cells sharing these are the data plane's.
+pub(crate) struct Planned {
+    tl: Timeline,
+    trace: Vec<TenantArrival>,
+    acfg: AdmissionCfg,
+    pub(crate) plan: Plan,
+    topo: Topo,
+}
+
+impl Planned {
+    /// Trace + admission plan on the `--servers` (or `default_servers`)
+    /// FatTree: 22 k tenants/sec at 512 servers over a 68 ms window.
+    pub(crate) fn new(scale: &Scale, policy: Policy, default_servers: usize) -> Self {
+        let tl = Timeline::new(scale.quick, 68);
+        let mut topo = build_topo(scale.servers.unwrap_or(default_servers), false);
+        // These are the sharded-execution cells: partition the fabric at
+        // pod granularity so `--shards N` can spread it over N workers.
+        // The partition is a topology property (independent of worker
+        // count), so results and digests are identical at any `--shards`
+        // value.
+        topo.enable_pod_partition();
+        let trace = cell_trace(scale.seed, &tl, topo.hosts.len(), 22_000.0);
+        let acfg = AdmissionCfg {
+            policy,
+            ..AdmissionCfg::default()
+        };
+        let plan = fabric::plan(&topo, &acfg, &requests(&trace));
+        Planned {
+            tl,
+            trace,
+            acfg,
+            plan,
+            topo,
+        }
+    }
+}
+
+/// A built, steppable cell. Tenant id == plan index == `FabricSpec`
+/// tenant id, so every per-tenant `Vec` here is indexed by it.
+pub(crate) struct Cell {
+    pub(crate) tl: Timeline,
+    pub(crate) trace: Vec<TenantArrival>,
+    acfg: AdmissionCfg,
+    pub(crate) plan: Plan,
+    pub(crate) r: Runner,
+    pub(crate) svc: FabricService,
+    /// `(source host, pair)` of every pair of each tenant.
+    pub(crate) tenant_pairs: Vec<Vec<(NodeId, PairId)>>,
+    /// Simulated time the cell has been stepped to.
+    pub(crate) now: Time,
+    /// Chaos-driven re-qualifications so far.
+    pub(crate) requalified: u64,
+    driver: ChurnDriver,
+    /// Acked bytes of each pair when its tenant last entered `Qualifying`.
+    baselines: Vec<Vec<u64>>,
+    fsuite: InvariantSuite<FabricService>,
+    /// The core switch that fails at `tl.fault_at`, until it has.
+    pending_fault: Option<NodeId>,
+}
+
+/// What every cell reports once it has run to the horizon.
+pub(crate) struct CellEnd {
+    pub(crate) epilogue: String,
+    pub(crate) admitted: usize,
+    pub(crate) reclaimed: usize,
+    pub(crate) fabric_violations: usize,
+    pub(crate) fabric_report: String,
+    pub(crate) sim_violations: usize,
+    pub(crate) events: u64,
+    pub(crate) digest: String,
+}
+
+impl Cell {
+    /// Assemble simulator, service and traffic for a plan. `ucfg` is the
+    /// μFAB configuration of every edge and switch; `core_fault` kills
+    /// one core switch mid-window (and arms the fault-aware simulator
+    /// suite instead of the standard one); `demand(tenant, kind,
+    /// guarantee_bps)` is called once per pair.
+    pub(crate) fn build(
+        scale: &Scale,
+        planned: Planned,
+        ucfg: UfabConfig,
+        core_fault: bool,
+        mut demand: impl FnMut(usize, DemandKind, f64) -> PairDemand,
+    ) -> Self {
+        let Planned {
+            tl,
+            trace,
+            acfg,
+            plan,
+            topo,
+        } = planned;
+        let mut spec = FabricSpec::new(acfg.bu_bps);
+        let mut tenant_pairs = Vec::with_capacity(plan.admitted.len());
+        let mut programs = Vec::with_capacity(plan.admitted.len());
+        for (i, p) in plan.admitted.iter().enumerate() {
+            let kind = trace[p.req].kind;
+            let guar = p.tokens_per_vm * acfg.bu_bps;
+            let (pairs, program) = add_ring_tenant(
+                &mut spec,
+                &p.name,
+                p.tokens_per_vm,
+                &p.hosts,
+                (p.decision, p.depart),
+                || demand(i, kind, guar),
+            );
+            debug_assert_eq!(program.tag as usize, i);
+            tenant_pairs.push(pairs);
+            programs.push(program);
+        }
+        let dead_core = topo.cores[0];
+        let cleanup_period = ucfg.core_cleanup_period;
+        let mut r = Runner::new(topo, spec, SystemKind::Ufab, scale.seed, Some(ucfg), MS);
+        observe(scale, &mut r);
+        if scale.check_invariants && core_fault {
+            // Fault-aware suite: the run contains a switch failure by design.
+            r.enable_chaos_invariants(MS / 4, cleanup_period, tl.fault_recover + 15 * MS);
+        } else if scale.check_invariants {
+            // Standard suite. For `dse`, the one cell without a fault,
+            // it deliberately excludes the stale-registration sweep
+            // check, whose grace is itself a function of the cleanup
+            // knob under sweep.
+            r.enable_invariants(MS / 4);
+        }
+        // The one tenant lifecycle. Plan order is `add_tenant` order, so
+        // the service's tenant ids are the `FabricSpec` tenant ids.
+        let mut svc = FabricService::new(Arc::clone(&r.topo), acfg);
+        svc.set_obs(r.obs.clone());
+        if core_fault {
+            let mut fplan = FaultPlan::new(scale.seed);
+            fplan.push(FaultKind::SwitchFail {
+                node: dead_core,
+                at: tl.fault_at,
+                recover_at: Some(tl.fault_recover),
+            });
+            r.sim.apply_chaos(&fplan);
+        }
+        // The fabric suite always runs: ledger conservation is every
+        // cell's hard acceptance criterion, not an opt-in.
+        let mut fsuite: InvariantSuite<FabricService> = InvariantSuite::new(MS);
+        fsuite.register(Box::new(LedgerConservation));
+        fsuite.register(Box::new(QualifyingStagger::new(STAGGER_BOUND)));
+        Cell {
+            baselines: vec![Vec::new(); plan.admitted.len()],
+            driver: ChurnDriver::new(programs, scale.seed ^ 0x5eed, 0),
+            pending_fault: core_fault.then_some(dead_core),
+            tl,
+            trace,
+            acfg,
+            plan,
+            r,
+            svc,
+            tenant_pairs,
+            now: 0,
+            requalified: 0,
+            fsuite,
+        }
+    }
+
+    /// Advance one [`STEP`]: run the simulator, commit every planned
+    /// admission decided by then, fire the departures and reclaims due,
+    /// re-qualify across the fault, and poll the qualification signal.
+    /// Returns `false`, having done nothing, once the horizon is reached.
+    pub(crate) fn step(&mut self) -> bool {
+        if self.now >= self.tl.horizon {
+            return false;
+        }
+        self.now = (self.now + STEP).min(self.tl.horizon);
+        let now = self.now;
+        self.r.run(now, SLICE, &mut [&mut self.driver]);
+        let first_new = self.svc.tenants().len();
+        while let Some(p) = self.plan.admitted.get(self.svc.tenants().len()) {
+            if p.decision > now {
+                break;
+            }
+            self.svc.admit_planned(p);
+        }
+        self.svc.advance(now);
+        for i in first_new..self.svc.tenants().len() {
+            self.baselines[i] = self.r.acked_baseline(&self.tenant_pairs[i]);
+        }
+        // Chaos interop: at the fault instant, every guaranteed tenant
+        // whose current route crosses the dead switch re-qualifies
+        // through the same state machine.
+        if now >= self.tl.fault_at {
+            if let Some(dead) = self.pending_fault.take() {
+                for i in self.guaranteed_crossing(dead) {
+                    self.svc.requalify(i as u32, now);
+                    self.requalified += 1;
+                    self.baselines[i] = self.r.acked_baseline(&self.tenant_pairs[i]);
+                }
+            }
+        }
+        for (id, _) in self.svc.qualifying() {
+            let i = id as usize;
+            if self
+                .r
+                .pairs_qualified(&self.tenant_pairs[i], &self.baselines[i])
+            {
+                self.svc.note_qualified(id, now);
+            }
+        }
+        true
+    }
+
+    /// Guaranteed tenants with a pair whose current route crosses `node`
+    /// — the tenants a fault on `node` sends back through `Qualifying`.
+    fn guaranteed_crossing(&self, node: NodeId) -> Vec<usize> {
+        let r = &self.r;
+        (0..self.svc.tenants().len())
+            .filter(|&i| self.svc.tenants()[i].state == TenantState::Guaranteed)
+            .filter(|&i| {
+                self.tenant_pairs[i].iter().any(|&(src, pair)| {
+                    r.sim
+                        .try_edge::<UfabEdge>(src)
+                        .and_then(|e| e.route_of(pair))
+                        .map(|route| r.topo.walk_route(src, &route).contains(&node))
+                        .unwrap_or(false)
+                })
+            })
+            .collect()
+    }
+
+    /// Evaluate the fabric suite if due. Separate from [`Cell::step`]
+    /// because what a scenario does to the service after the step
+    /// (`abuse`'s quarantine ladder) must be audited in the same step.
+    pub(crate) fn audit(&mut self) {
+        if self.fsuite.due(self.now) {
+            self.fsuite.run(&self.svc, self.now, &self.r.obs);
+        }
+    }
+
+    /// Visit every guaranteed bin ([`guaranteed_bins`]) of every bulk
+    /// tenant as `(tenant, bin, violated)`, against [`GUAR_FRACTION`] of
+    /// the tenant's aggregate guarantee. `rec` is the merged recorder.
+    pub(crate) fn bulk_bins(&self, rec: &Recorder, mut visit: impl FnMut(usize, usize, bool)) {
+        for (i, t) in self.svc.tenants().iter().enumerate() {
+            if self.trace[self.plan.admitted[i].req].kind != DemandKind::Bulk {
+                continue;
+            }
+            let n_pairs = self.tenant_pairs[i].len() as f64;
+            let guar = GUAR_FRACTION * t.tokens_per_vm * self.acfg.bu_bps * n_pairs;
+            let series = rec.tenant_rates.get(&(i as u32));
+            guaranteed_bins(&t.guaranteed_spans, series, guar, |b, violated| {
+                visit(i, b, violated)
+            });
+        }
+    }
+
+    /// The common end-of-run readings; `label` names the cell in the
+    /// observability epilogue.
+    pub(crate) fn end(&self, scale: &Scale, label: &str) -> CellEnd {
+        CellEnd {
+            epilogue: obs_epilogue(scale, &self.r, label),
+            admitted: self.plan.admitted.len(),
+            reclaimed: self.svc.count(TenantState::Reclaimed),
+            fabric_violations: self.fsuite.violations().len(),
+            fabric_report: self.fsuite.report(),
+            sim_violations: self.r.invariant_violations(),
+            events: self.r.sim.stats().events,
+            digest: self
+                .r
+                .sim
+                .det_digest()
+                .map(|d| format!("{d:016x}"))
+                .unwrap_or_default(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fig17::FABRIC_SIZES;
+    use super::*;
+
+    /// The quick churn instants are the ones `ufabbench/src/twin.rs`
+    /// hard-codes for its copy of the cell.
+    #[test]
+    fn timeline_scales_its_window_and_keeps_its_margins() {
+        let q = Timeline::new(true, 68);
+        assert_eq!((q.first_arrival, q.last_arrival), (2 * MS, 70 * MS));
+        assert_eq!(
+            (q.fault_at, q.fault_recover, q.horizon),
+            (36 * MS, 41 * MS, 95 * MS)
+        );
+        let f = Timeline::new(false, 68);
+        assert_eq!((f.first_arrival, f.last_arrival), (2 * MS, 206 * MS));
+        assert_eq!(
+            (f.fault_at, f.fault_recover, f.horizon),
+            (104 * MS, 109 * MS, 231 * MS)
+        );
+        assert_eq!(Timeline::new(true, 48).at(50), 26 * MS);
+    }
+
+    #[test]
+    fn guaranteed_bins_skip_the_grace_and_count_equality_as_met() {
+        let visited = |span: (Time, Time), series: Option<&RateSeries>, guar_bps: f64| {
+            let mut seen = Vec::new();
+            guaranteed_bins(&[span], series, guar_bps, |b, violated| {
+                seen.push((b, violated))
+            });
+            seen
+        };
+        let mut series = RateSeries::new(MS);
+        for b in 0..5 {
+            series.add(b * MS, 1000);
+        }
+        let rate = 8e6; // 1000 B per 1 ms bin
+        let all = |violated| [(2, violated), (3, violated), (4, violated)];
+        assert_eq!(visited((0, 5 * MS), Some(&series), rate), all(false));
+        assert_eq!(visited((0, 5 * MS), Some(&series), 1.01 * rate), all(true));
+        assert_eq!(visited((0, 5 * MS), None, rate), all(true));
+        assert_eq!(visited((0, 3 * MS - 1), Some(&series), rate), []);
+    }
+
+    #[test]
+    fn ring_tenant_pairs_each_vm_with_the_next() {
+        let mut spec = FabricSpec::new(1e9);
+        spec.add_tenant("earlier", 1.0);
+        let h = [NodeId(7), NodeId(8), NodeId(9)];
+        let (pairs, program) = add_ring_tenant(&mut spec, "t", 2.0, &h, (3 * MS, 9 * MS), || {
+            PairDemand::Steady { bps: 1.0 }
+        });
+        let ends =
+            |&(src, p): &(NodeId, PairId)| (src, spec.pair_src_host(p), spec.pair_dst_host(p));
+        let ring = [(h[0], h[0], h[1]), (h[1], h[1], h[2]), (h[2], h[2], h[0])];
+        assert!(pairs.iter().map(ends).eq(ring));
+        assert_eq!(
+            (program.tag, program.start, program.stop),
+            (1, 3 * MS, 9 * MS)
+        );
+        assert!(program.pairs.iter().map(|&(src, p, _)| (src, p)).eq(pairs));
+    }
+
+    #[test]
+    fn fabric_sizes_are_the_shapes_build_topo_has() {
+        for n in FABRIC_SIZES {
+            assert_eq!(build_topo(n, false).hosts.len(), n);
+        }
+    }
+}

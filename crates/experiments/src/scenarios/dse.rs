@@ -28,22 +28,14 @@
 //! invariant suite (ledger conservation, qualifying-stagger bound)
 //! always runs, and `--check-invariants` arms the simulator suite.
 
-use super::churn::{churn_cfg, demand_for, step_lifecycle, timeline, GUAR_FRACTION, STEP};
+use super::cell::{demand_for, hook_scale, Cell, CellEnd, Planned};
 use super::common::{emit, f, us, Scale};
-use super::fig17::build_topo;
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
 use dse::{cost_of, pareto_front, CostBreakdown, KnobPoint};
-use fabric::{AdmissionCfg, Policy, TenantState};
-use fabricd::{FabricService, LedgerConservation, QualifyingStagger};
+use fabric::Policy;
 use metrics::table::Table;
 use metrics::Percentiles;
-use netsim::{NodeId, PairId, MS};
-use obs::InvariantSuite;
-use std::sync::Arc;
-use ufab::{FabricSpec, UfabConfig, UfabCore};
-use workloads::churn::{gen_trace, ChurnDriver, DemandKind, TenantTraffic};
-use workloads::driver::Driver;
+use ufab::{UfabConfig, UfabCore};
 
 /// Default fabric for a sweep cell: the 64-server FatTree (2 pods, so
 /// `--shards` has a pod partition to spread). The sweep runs one cell
@@ -54,6 +46,7 @@ const SWEEP_SERVERS: usize = 64;
 /// Everything one knob-point cell reports back.
 struct PointOut {
     label: String,
+    end: CellEnd,
     cost: CostBreakdown,
     fp_pct: f64,
     registrations: u64,
@@ -61,132 +54,26 @@ struct PointOut {
     truncs: u64,
     viol_ms: u64,
     ttg_p99_ns: f64,
-    admitted: usize,
-    reclaimed: usize,
     qualified: usize,
-    events: u64,
-    digest: String,
-    epilogue: String,
-    fabric_violations: usize,
-    fabric_report: String,
 }
 
 /// Simulate one knob point on the churn-style cell.
 fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
-    let tl = timeline(scale.quick);
-    let servers = scale.servers.unwrap_or(SWEEP_SERVERS);
-    let mut topo = build_topo(servers, false);
-    topo.enable_pod_partition();
-    let n_hosts = topo.hosts.len();
-
     // Control plane: trace + admission plan (identical at every point —
     // the knobs only change the data plane, so outcome deltas between
     // points are attributable to the hardware alone).
-    let trace = gen_trace(&churn_cfg(&scale, &tl, n_hosts));
-    let acfg = AdmissionCfg {
-        policy: Policy::FirstFit,
-        ..AdmissionCfg::default()
-    };
-    let reqs: Vec<fabric::TenantReq> = trace
-        .iter()
-        .enumerate()
-        .map(|(i, a)| fabric::TenantReq {
-            name: format!("dse-{i}"),
-            n_vms: a.n_vms,
-            tokens_per_vm: a.tokens_per_vm,
-            arrival: a.arrival,
-            lifetime: a.lifetime,
-        })
-        .collect();
-    let plan = fabric::plan(&topo, &acfg, &reqs);
-
-    let mut fabric_spec = FabricSpec::new(acfg.bu_bps);
-    let mut tenant_pairs: Vec<Vec<(NodeId, PairId)>> = Vec::with_capacity(plan.admitted.len());
-    let mut programs: Vec<TenantTraffic> = Vec::with_capacity(plan.admitted.len());
-    for p in &plan.admitted {
-        let kind = trace[p.req].kind;
-        let tid = fabric_spec.add_tenant(&p.name, p.tokens_per_vm);
-        debug_assert_eq!(tid.raw() as usize, tenant_pairs.len());
-        let vms: Vec<_> = p
-            .hosts
-            .iter()
-            .map(|&h| fabric_spec.add_vm(tid, h))
-            .collect();
-        let guar = p.tokens_per_vm * acfg.bu_bps;
-        let mut pairs = Vec::with_capacity(vms.len());
-        let mut prog_pairs = Vec::with_capacity(vms.len());
-        for i in 0..vms.len() {
-            let j = (i + 1) % vms.len();
-            let pair = fabric_spec.add_pair(vms[i], vms[j]);
-            pairs.push((p.hosts[i], pair));
-            prog_pairs.push((p.hosts[i], pair, demand_for(kind, guar)));
-        }
-        tenant_pairs.push(pairs);
-        programs.push(TenantTraffic {
-            tag: tid.raw(),
-            start: p.decision,
-            stop: p.depart,
-            pairs: prog_pairs,
-        });
-    }
+    let planned = Planned::new(&scale, Policy::FirstFit, SWEEP_SERVERS);
     // Data plane: thread the knob point through UfabConfig — the
     // harness builds every μFAB-C from CoreHwCfg::from(&cfg), so
     // register width, Bloom geometry, INT depth and cleanup period all
-    // take effect behaviourally.
+    // take effect behaviourally. No fault in this cell.
     let mut ucfg = UfabConfig::default();
     point.apply(&mut ucfg);
-    let mut r = Runner::new(
-        topo,
-        fabric_spec,
-        SystemKind::Ufab,
-        scale.seed,
-        Some(ucfg),
-        MS,
-    );
-    if let Some(cap) = scale.trace {
-        r.enable_trace(cap);
-    } else {
-        r.sim.enable_det_hash();
-    }
-    if scale.check_invariants {
-        // Standard suite (no fault in this cell). It deliberately
-        // excludes the stale-registration sweep check, whose grace is
-        // itself a function of the cleanup knob under sweep.
-        r.enable_invariants(MS / 4);
-    }
-    // The one tenant lifecycle. Plan order is `add_tenant` order, so the
-    // service's tenant ids are the `FabricSpec` tenant ids.
-    let mut svc = FabricService::new(Arc::clone(&r.topo), acfg);
-    svc.set_obs(r.obs.clone());
-
-    let mut fsuite: InvariantSuite<FabricService> = InvariantSuite::new(MS);
-    fsuite.register(Box::new(LedgerConservation));
-    fsuite.register(Box::new(QualifyingStagger::new(
-        super::churn::STAGGER_BOUND,
-    )));
-
-    let mut driver = ChurnDriver::new(programs, scale.seed ^ 0x5eed, 0);
-
-    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); plan.admitted.len()];
-    let mut now = 0;
-    while now < tl.horizon {
-        now = (now + STEP).min(tl.horizon);
-        {
-            let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-            r.run(now, SLICE, &mut drivers);
-        }
-        for i in step_lifecycle(&mut svc, &plan, now) {
-            baselines[i] = r.acked_baseline(&tenant_pairs[i]);
-        }
-        for (id, _) in svc.qualifying() {
-            let i = id as usize;
-            if r.pairs_qualified(&tenant_pairs[i], &baselines[i]) {
-                svc.note_qualified(id, now);
-            }
-        }
-        if fsuite.due(now) {
-            fsuite.run(&svc, now, &r.obs);
-        }
+    let mut cell = Cell::build(&scale, planned, ucfg, false, |_, kind, guar| {
+        demand_for(kind, guar, 1.0)
+    });
+    while cell.step() {
+        cell.audit();
     }
 
     // Outcomes. Switch-side accuracy counters, summed over the fabric.
@@ -194,14 +81,9 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
     let mut registrations = 0u64;
     let mut clamps = 0u64;
     let mut truncs = 0u64;
-    for &s in r
-        .topo
-        .tors
-        .iter()
-        .chain(r.topo.aggs.iter())
-        .chain(r.topo.cores.iter())
-    {
-        if let Some(c) = r.sim.try_switch_agent::<UfabCore>(s) {
+    let topo = &cell.r.topo;
+    for &s in topo.tors.iter().chain(&topo.aggs).chain(&topo.cores) {
+        if let Some(c) = cell.r.sim.try_switch_agent::<UfabCore>(s) {
             fp += c.stats.fp_omissions;
             registrations += c.stats.registrations;
             clamps += c.stats.reg_clamps;
@@ -212,7 +94,7 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
 
     let mut ttg = Percentiles::new();
     let mut qualified = 0usize;
-    for t in svc.tenants() {
+    for t in cell.svc.tenants() {
         if let Some(x) = t.ttg_ns {
             ttg.add(x as f64);
             qualified += 1;
@@ -220,38 +102,16 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
     }
     // Horizon sentinel: a configuration in which nothing qualifies must
     // score worst-case convergence, not a vacuous 0.
-    let ttg_p99_ns = ttg.percentile(99.0).unwrap_or(tl.horizon as f64);
+    let ttg_p99_ns = ttg.percentile(99.0).unwrap_or(cell.tl.horizon as f64);
 
-    let rec = r.merged_recorder();
     let mut viol_ms = 0u64;
-    for (i, t) in svc.tenants().iter().enumerate() {
-        if trace[plan.admitted[i].req].kind != DemandKind::Bulk {
-            continue;
-        }
-        let tenant_guar =
-            GUAR_FRACTION * t.tokens_per_vm * acfg.bu_bps * tenant_pairs[i].len() as f64;
-        let series = rec.tenant_rates.get(&(i as u32));
-        for &(enter, exit) in &t.guaranteed_spans {
-            let b0 = ((enter + MS) / MS + 1) as usize;
-            let b1 = (exit / MS) as usize;
-            for b in b0..b1 {
-                let rate = series.map(|s| s.rate_at(b)).unwrap_or(0.0);
-                if rate < tenant_guar {
-                    viol_ms += 1;
-                }
-            }
-        }
-    }
-    drop(rec);
+    cell.bulk_bins(&cell.r.merged_recorder(), |_, _, violated| {
+        viol_ms += violated as u64;
+    });
 
-    let digest = r
-        .sim
-        .det_digest()
-        .map(|d| format!("{d:016x}"))
-        .unwrap_or_default();
     let label = point.label();
-    let epilogue = super::common::obs_epilogue(&scale, &r, &format!("dse:{label}"));
     PointOut {
+        end: cell.end(&scale, &format!("dse:{label}")),
         label,
         cost: cost_of(&point),
         fp_pct,
@@ -260,14 +120,7 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
         truncs,
         viol_ms,
         ttg_p99_ns,
-        admitted: plan.admitted.len(),
-        reclaimed: svc.count(TenantState::Reclaimed),
         qualified,
-        events: r.sim.stats().events,
-        digest,
-        epilogue,
-        fabric_violations: fsuite.violations().len(),
-        fabric_report: fsuite.report(),
     }
 }
 
@@ -319,16 +172,16 @@ pub fn sweep(scale: Scale, points: &[KnobPoint]) -> SweepOut {
     let outs = run_jobs(jobs);
     let mut events = 0u64;
     for out in &outs {
-        if !out.epilogue.is_empty() {
-            print!("{}", out.epilogue);
+        if !out.end.epilogue.is_empty() {
+            print!("{}", out.end.epilogue);
         }
         assert_eq!(
-            out.fabric_violations, 0,
+            out.end.fabric_violations, 0,
             "[{}] fabric invariants violated:\n{}",
-            out.label, out.fabric_report
+            out.label, out.end.fabric_report
         );
         assert_eq!(
-            out.reclaimed, out.admitted,
+            out.end.reclaimed, out.end.admitted,
             "[{}] every admitted tenant must be reclaimed by the horizon",
             out.label
         );
@@ -337,7 +190,7 @@ pub fn sweep(scale: Scale, points: &[KnobPoint]) -> SweepOut {
             "[{}] cell produced no switch registrations — nothing measured",
             out.label
         );
-        events += out.events;
+        events += out.end.events;
         grid.row([
             out.label.clone(),
             f(out.cost.cost_units, 2),
@@ -350,7 +203,7 @@ pub fn sweep(scale: Scale, points: &[KnobPoint]) -> SweepOut {
             out.truncs.to_string(),
             out.viol_ms.to_string(),
             us(out.ttg_p99_ns),
-            out.digest.clone(),
+            out.end.digest.clone(),
         ]);
     }
     // Pareto extraction over the cost × outcome vector (all minimised).
@@ -434,23 +287,17 @@ pub fn run(scale: Scale, grid: dse::GridKind) {
 /// `simbench dse` sweep cell: the quick grid at bench scale. Returns
 /// total simulator events processed.
 pub fn bench_sweep(seed: u64) -> u64 {
-    let scale = Scale {
-        seed,
-        quick: true,
-        ..Scale::default()
-    };
-    sweep(scale, &dse::GridKind::Quick.points()).events
+    sweep(
+        hook_scale(seed, None, false),
+        &dse::GridKind::Quick.points(),
+    )
+    .events
 }
 
 /// `simbench dse` single-point cell: the baseline knob point alone
 /// (per-cell throughput without sweep fan-out). Returns events.
 pub fn bench_point(seed: u64) -> u64 {
-    let scale = Scale {
-        seed,
-        quick: true,
-        ..Scale::default()
-    };
-    let out = run_point(scale, KnobPoint::baseline());
-    assert_eq!(out.fabric_violations, 0, "{}", out.fabric_report);
-    out.events
+    let out = run_point(hook_scale(seed, None, false), KnobPoint::baseline());
+    assert_eq!(out.end.fabric_violations, 0, "{}", out.end.fabric_report);
+    out.end.events
 }

@@ -41,6 +41,10 @@ pub struct Workload {
     pub vm_hose: Vec<f64>,
 }
 
+/// The server counts [`build_topo`] has a shape for. It builds the
+/// 64-server shape for any other count, so `repro` rejects those.
+pub const FABRIC_SIZES: [usize; 4] = [64, 128, 512, 2048];
+
 /// Build the topology for one oversubscription setting.
 pub fn build_topo(servers: usize, oversub_1to1: bool) -> topology::Topo {
     let cfg = match servers {

@@ -52,7 +52,7 @@ fn probe_vf_convergence(
 
 /// Fig 18a/b: freeze-window sweep at two load levels.
 pub fn run_ab(scale: Scale) -> Table {
-    let servers = scale.servers.unwrap_or(32);
+    let servers = scale.servers.unwrap_or(64);
     let duration = if scale.quick { 20 * MS } else { 60 * MS };
     let mut table = Table::new([
         "load",
@@ -124,7 +124,7 @@ pub fn run_ab(scale: Scale) -> Table {
 
 /// Fig 18c: probing frequency under a 16-to-1 incast over background.
 pub fn run_c(scale: Scale) -> Table {
-    let servers = scale.servers.unwrap_or(32);
+    let servers = scale.servers.unwrap_or(64);
     let duration = if scale.quick { 12 * MS } else { 30 * MS };
     let mut table = Table::new(["probing", "incast_agg_gbps", "conv_time_us", "rtt_p99_us"]);
     let jobs_list: Vec<Job<[String; 4]>> = [

@@ -2,6 +2,7 @@
 
 pub mod ablation;
 pub mod abuse;
+mod cell;
 pub mod chaos;
 pub mod churn;
 pub mod common;

@@ -31,6 +31,10 @@
 //! byte-identical whether the mid-run restore happens or not
 //! (`--snapshot-at 0` disables it).
 
+use super::cell::{
+    add_ring_tenant, cell_trace, demand_for, guaranteed_bins, hook_scale, observe, Timeline,
+    GUAR_FRACTION, STEP,
+};
 use super::common::{emit, f, obs_epilogue, us, Scale};
 use super::fig17::build_topo;
 use crate::executor::{run_jobs, Job};
@@ -44,91 +48,25 @@ use obs::{InvariantSuite, SnapshotRoundTrip};
 use std::sync::Arc;
 use topology::Topo;
 use ufab::FabricSpec;
-use workloads::churn::{
-    gen_trace, ChurnCfg, ChurnDriver, DemandKind, PairDemand, TenantArrival, TenantTraffic,
-};
-use workloads::dists::{kv_object_sizes, websearch_flow_sizes};
-use workloads::driver::Driver;
+use workloads::churn::{ChurnDriver, DemandKind, TenantArrival, TenantTraffic};
 
 /// Operator-script presets accepted by `--ops-script`.
 pub const PRESETS: &[&str] = &["none", "resize", "drain", "mixed"];
 
-/// Outer control-plane step: op replay + qualification polling.
-const STEP: Time = 250 * US;
-/// Guarantee threshold for violation accounting.
-const GUAR_FRACTION: f64 = 0.85;
 /// Violation bins inspected around the restore instant (1 ms bins).
 const RESTORE_WINDOW_MS: u64 = 5;
 
-/// Timeline of one ops run (all instants in ns).
-struct Timeline {
-    first_arrival: Time,
-    last_arrival: Time,
-    horizon: Time,
-}
-
-impl Timeline {
-    /// An instant at `pct`% of the arrival window.
-    fn at(&self, pct: u64) -> Time {
-        self.first_arrival + (self.last_arrival - self.first_arrival) * pct / 100
-    }
-}
-
-fn timeline(quick: bool) -> Timeline {
-    let s: Time = if quick { 1 } else { 3 };
-    let first_arrival = 2 * MS;
-    let last_arrival = first_arrival + 48 * MS * s;
-    Timeline {
-        first_arrival,
-        last_arrival,
-        // Latest depart (queueing + max lifetime), reclaim grace, margin.
-        horizon: last_arrival + 20 * MS + MS + 4 * MS,
-    }
-}
-
-fn ops_churn_cfg(scale: &Scale, tl: &Timeline, n_hosts: usize) -> ChurnCfg {
-    ChurnCfg {
-        seed: scale.seed,
-        // Lighter than `repro churn`: the scenario probes operator ops
-        // on a loaded-but-conformant fabric, not admission pressure.
-        arrivals_per_sec: 8_000.0 * n_hosts as f64 / 512.0,
-        first_arrival: tl.first_arrival,
-        last_arrival: tl.last_arrival,
-        mean_lifetime_ns: 5e6,
-        sigma_lifetime: 0.8,
-        min_lifetime: 600 * US,
-        max_lifetime: 20 * MS,
-    }
-}
-
-/// Per-pair demand program for an admitted tenant of `kind`. Bulk
-/// tenants offer 15 % above their guarantee so delivered rate sits
+/// Arrival window of an ops run in ms: shorter than `repro churn`'s 68.
+const WINDOW_MS: u64 = 48;
+/// Tenant arrivals per second at 512 servers. Lighter than `repro
+/// churn`'s 22 k: the scenario probes operator ops on a
+/// loaded-but-conformant fabric, not admission pressure.
+const PER_SEC_AT_512: f64 = 8_000.0;
+/// Bulk tenants offer 15 % above their guarantee so delivered rate sits
 /// clearly over the violation threshold on a conformant fabric — the
 /// violation metric then isolates fabric misbehavior, not offered-load
 /// shortfall.
-fn demand_for(kind: DemandKind, guar_bps: f64) -> PairDemand {
-    match kind {
-        DemandKind::Bulk => PairDemand::Steady {
-            bps: 1.15 * guar_bps,
-        },
-        DemandKind::Whale => PairDemand::Steady {
-            bps: guar_bps.min(1.5e9),
-        },
-        DemandKind::WebFlows => {
-            let sizes = websearch_flow_sizes();
-            let rate = (0.3 * guar_bps / (sizes.mean() * 8.0)).max(1.0);
-            PairDemand::Flows {
-                mean_gap_ns: 1e9 / rate,
-                sizes,
-            }
-        }
-        DemandKind::KvFlows => PairDemand::Flows {
-            mean_gap_ns: 500_000.0,
-            sizes: kv_object_sizes(),
-        },
-        DemandKind::Overclaim => unreachable!("overclaim tenants are never admitted"),
-    }
-}
+const BULK_FACTOR: f64 = 1.15;
 
 /// One scripted operator action; targets are selected from live service
 /// state when the instant is reached.
@@ -299,23 +237,19 @@ struct CellOut {
 }
 
 fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>) -> CellOut {
-    let tl = timeline(scale.quick);
+    let tl = Timeline::new(scale.quick, WINDOW_MS);
     let servers = scale.servers.unwrap_or(512);
-    let n_hosts = build_topo(servers, false).hosts.len();
-    let trace = gen_trace(&ops_churn_cfg(&scale, &tl, n_hosts));
+    // One topology serves the pre-pass and the inline service in turn: a
+    // service replaces its `Arc` on `Expand`, it never mutates through it.
+    let svc_topo = Arc::new(build_topo(servers, false));
+    let trace = cell_trace(scale.seed, &tl, svc_topo.hosts.len(), PER_SEC_AT_512);
     let acfg = AdmissionCfg {
         policy,
         ..AdmissionCfg::default()
     };
 
     // 1) Uninterrupted reference run: records the op stream + digest.
-    let pre = prepass(
-        Arc::new(build_topo(servers, false)),
-        acfg,
-        &trace,
-        &tl,
-        &script,
-    );
+    let pre = prepass(Arc::clone(&svc_topo), acfg, &trace, &tl, &script);
 
     // 2) FabricSpec + traffic programs from the reference admit replies
     //    (tenant ids are dense over admissions, in admit order). VMs
@@ -324,7 +258,6 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
     //    data-plane probe keeps flowing.
     let mut fabric_spec = FabricSpec::new(acfg.bu_bps);
     let mut tenant_pairs: Vec<Vec<(NodeId, PairId)>> = Vec::new();
-    let mut tenant_fabric: Vec<u32> = Vec::new();
     let mut tenant_kind: Vec<DemandKind> = Vec::new();
     let mut min_tokens: Vec<f64> = Vec::new();
     let mut programs: Vec<TenantTraffic> = Vec::new();
@@ -356,33 +289,26 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
         };
         debug_assert_eq!(*tenant as usize, tenant_pairs.len());
         let kind = trace[req].kind;
-        let tid = fabric_spec.add_tenant(name, *tokens_per_vm);
         let hosts: Vec<NodeId> = hosts.iter().map(|&h| NodeId(h)).collect();
-        let vms: Vec<_> = hosts.iter().map(|&h| fabric_spec.add_vm(tid, h)).collect();
         let guar = tokens_per_vm * acfg.bu_bps;
-        let mut pairs = Vec::with_capacity(vms.len());
-        let mut prog_pairs = Vec::with_capacity(vms.len());
-        for i in 0..vms.len() {
-            let j = (i + 1) % vms.len();
-            let pair = fabric_spec.add_pair(vms[i], vms[j]);
-            pairs.push((hosts[i], pair));
-            prog_pairs.push((hosts[i], pair, demand_for(kind, guar)));
-        }
+        let (pairs, program) = add_ring_tenant(
+            &mut fabric_spec,
+            name,
+            *tokens_per_vm,
+            &hosts,
+            (ap.applied, ap.applied + lifetime),
+            || demand_for(kind, guar, BULK_FACTOR),
+        );
         tenant_pairs.push(pairs);
-        tenant_fabric.push(tid.raw());
+        debug_assert_eq!(program.tag, *tenant);
         tenant_kind.push(kind);
         min_tokens.push(*tokens_per_vm);
-        programs.push(TenantTraffic {
-            tag: tid.raw(),
-            start: ap.applied,
-            stop: ap.applied + lifetime,
-            pairs: prog_pairs,
-        });
+        programs.push(program);
     }
     let admitted = tenant_pairs.len();
 
-    // 3) Simulator + the inline service (its own identically-built topo).
-    let svc_topo = Arc::new(build_topo(servers, false));
+    // 3) Simulator (which consumes a topology of its own) + the inline
+    //    service.
     let mut r = Runner::new(
         build_topo(servers, false),
         fabric_spec,
@@ -391,11 +317,7 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
         None,
         MS,
     );
-    if let Some(cap) = scale.trace {
-        r.enable_trace(cap);
-    } else {
-        r.sim.enable_det_hash();
-    }
+    observe(&scale, &mut r);
     if scale.check_invariants {
         r.enable_invariants(MS / 4);
     }
@@ -432,10 +354,7 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
             svc.submit(*t, op.clone());
             next_op += 1;
         }
-        {
-            let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-            r.run(now, SLICE, &mut drivers);
-        }
+        r.run(now, SLICE, &mut [&mut driver]);
         for ap in svc.advance(now) {
             match &ap.reply {
                 FabricReply::Admitted { tenant, .. } => {
@@ -517,7 +436,7 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
         if scale.check_invariants && ssuite.due(now) {
             ssuite.run(&svc, now, &r.obs);
         }
-        if now >= tl.first_arrival && now <= tl.last_arrival {
+        if tl.in_window(now) {
             util_sum += svc.ledger().utilization();
             util_n += 1;
         }
@@ -530,9 +449,9 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
         "inline digest diverged from the uninterrupted reference run"
     );
 
-    // 5) Violation accounting: 1 ms rate bins fully inside a guarantee
-    //    span (1 ms entry grace), threshold at the lowest guarantee
-    //    ever in force for the tenant.
+    // 5) Violation accounting over every guarantee span, the open one
+    //    included, with the threshold at the lowest guarantee ever in
+    //    force for the tenant.
     let rec = r.rec.lock().unwrap();
     let mut viol_ms = 0u64;
     let mut guaranteed_ms = 0u64;
@@ -549,25 +468,20 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
         }
         let tenant_guar =
             GUAR_FRACTION * min_tokens[i] * acfg.bu_bps * tenant_pairs[i].len() as f64;
-        let series = rec.tenant_rates.get(&tenant_fabric[i]);
+        let series = rec.tenant_rates.get(&(i as u32));
         let mut spans = t.guaranteed_spans.clone();
         if let Some(g) = t.guaranteed_at {
             spans.push((g, tl.horizon));
         }
-        for &(enter, exit) in &spans {
-            let b0 = ((enter + MS) / MS + 1) as usize;
-            let b1 = (exit / MS) as usize;
-            for b in b0..b1 {
-                guaranteed_ms += 1;
-                let rate = series.map(|s| s.rate_at(b)).unwrap_or(0.0);
-                if rate < tenant_guar {
-                    viol_ms += 1;
-                    if (restore_bins.0..=restore_bins.1).contains(&(b as u64)) {
-                        restore_viol_ms += 1;
-                    }
+        guaranteed_bins(&spans, series, tenant_guar, |b, violated| {
+            guaranteed_ms += 1;
+            if violated {
+                viol_ms += 1;
+                if (restore_bins.0..=restore_bins.1).contains(&(b as u64)) {
+                    restore_viol_ms += 1;
                 }
             }
-        }
+        });
     }
     drop(rec);
 
@@ -610,7 +524,7 @@ pub fn run(scale: Scale, script: &str, snap_at_us: Option<u64>) -> Table {
         PRESETS.contains(&script),
         "unknown ops script preset {script:?} (have {PRESETS:?})"
     );
-    let tl = timeline(scale.quick);
+    let tl = Timeline::new(scale.quick, WINDOW_MS);
     let snap_at = match snap_at_us {
         Some(0) => None,
         Some(us_in) => Some(us_in * US),
@@ -688,13 +602,8 @@ pub fn run(scale: Scale, script: &str, snap_at_us: Option<u64>) -> Table {
 /// timeline, mixed script with a mid-run restore. Returns simulator
 /// events processed.
 pub fn bench_cell(seed: u64) -> u64 {
-    let scale = Scale {
-        seed,
-        quick: true,
-        servers: Some(64),
-        ..Scale::default()
-    };
-    let tl = timeline(true);
+    let scale = hook_scale(seed, Some(64), false);
+    let tl = Timeline::new(true, WINDOW_MS);
     let out = run_cell(scale, Policy::FirstFit, "mixed".into(), Some(tl.at(50)));
     assert_eq!(out.svc_violations, 0, "{}", out.svc_report);
     out.events
@@ -754,15 +663,9 @@ pub fn restore_bench(seed: u64, iters: usize) -> usize {
 /// A 64-server service carrying a settled tenant population, plus the
 /// clock it has advanced to.
 fn populated_service(seed: u64) -> (FabricService, Time) {
-    let scale = Scale {
-        seed,
-        quick: true,
-        servers: Some(64),
-        ..Scale::default()
-    };
-    let tl = timeline(true);
+    let tl = Timeline::new(true, WINDOW_MS);
     let topo = Arc::new(build_topo(64, false));
-    let trace = gen_trace(&ops_churn_cfg(&scale, &tl, topo.hosts.len()));
+    let trace = cell_trace(seed, &tl, topo.hosts.len(), PER_SEC_AT_512);
     let mut svc = FabricService::new(topo, AdmissionCfg::default());
     // Long-lived population: admit the first half of the trace with
     // lifetimes past the bench horizon so resizes hit live tenants.
