@@ -103,7 +103,8 @@ pub fn obs_epilogue(scale: &Scale, r: &Runner, label: &str) -> String {
     writeln!(
         out,
         "[obs {label}] equeue rotations {} ({} empty)  run-len mean {:.1} max {}  \
-         popped/run {:.1}  same-bucket inserts {}  far pushes {} (migrated {})",
+         popped/run {:.1}  same-bucket inserts {}  far pushes {} (migrated {})  \
+         bufs out max {}  buf cap max {}",
         q.rotations,
         q.empty_rotations,
         q.run_len_sum as f64 / runs,
@@ -111,7 +112,9 @@ pub fn obs_epilogue(scale: &Scale, r: &Runner, label: &str) -> String {
         (q.run_len_sum + q.same_bucket_inserts) as f64 / runs,
         q.same_bucket_inserts,
         q.far_pushes,
-        q.far_migrations
+        q.far_migrations,
+        q.bufs_out_max,
+        q.buf_cap_max
     )
     .expect("write to string");
     if let Some(d) = r.sim.det_digest() {

@@ -14,7 +14,6 @@
 use crate::stats::Percentiles;
 use crate::timeseries::SeriesSet;
 use crate::Nanos;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// A completed application message (the paper's "flow"/"query"/"task").
@@ -62,22 +61,16 @@ pub struct Recorder {
     pub tenant_rates: SeriesSet<u32>,
     /// All data-packet RTT samples (sender side, per ACK).
     pub rtts: Percentiles,
-    /// RTT samples grouped per tenant.
-    pub tenant_rtts: BTreeMap<u32, Percentiles>,
     /// Completed messages, in completion order.
     pub completions: Vec<Completion>,
     /// Completions not yet consumed by a closed-loop driver.
     unconsumed: usize,
     /// Total data bytes delivered (all pairs).
     pub delivered_bytes: u64,
-    /// Total probe/response bytes put on the wire (for Fig 15b overhead).
-    pub probe_bytes: u64,
     /// Count of data packets retransmitted after loss.
     pub retransmits: u64,
     /// Count of path migrations performed (Fig 18a/b).
     pub path_migrations: u64,
-    /// Per-pair cumulative delivered bytes.
-    pub pair_bytes: BTreeMap<u32, u64>,
 }
 
 impl Recorder {
@@ -87,14 +80,11 @@ impl Recorder {
             pair_rates: SeriesSet::new(bin_ns),
             tenant_rates: SeriesSet::new(bin_ns),
             rtts: Percentiles::new(),
-            tenant_rtts: BTreeMap::new(),
             completions: Vec::new(),
             unconsumed: 0,
             delivered_bytes: 0,
-            probe_bytes: 0,
             retransmits: 0,
             path_migrations: 0,
-            pair_bytes: BTreeMap::new(),
         }
     }
 
@@ -104,14 +94,12 @@ impl Recorder {
         self.pair_rates.add(pair, now, bytes);
         self.tenant_rates.add(tenant, now, bytes);
         self.delivered_bytes += bytes;
-        *self.pair_bytes.entry(pair).or_insert(0) += bytes;
     }
 
     /// Record one RTT sample.
     pub fn rtt(&mut self, now: Nanos, pair: u32, tenant: u32, rtt: Nanos) {
         self.rtts.add(rtt as f64);
-        self.tenant_rtts.entry(tenant).or_default().add(rtt as f64);
-        let _ = (now, pair);
+        let _ = (now, pair, tenant);
     }
 
     /// Record a completed message.
@@ -127,11 +115,6 @@ impl Recorder {
         out
     }
 
-    /// Cumulative delivered bytes for one pair.
-    pub fn pair_delivered(&self, pair: u32) -> u64 {
-        self.pair_bytes.get(&pair).copied().unwrap_or(0)
-    }
-
     /// Fold `other`'s measurements into this recorder.
     ///
     /// Rates, byte counters and percentile pools are additive, so the
@@ -143,17 +126,10 @@ impl Recorder {
         self.pair_rates.merge_from(&other.pair_rates);
         self.tenant_rates.merge_from(&other.tenant_rates);
         self.rtts.merge_from(&other.rtts);
-        for (t, p) in other.tenant_rtts.iter() {
-            self.tenant_rtts.entry(*t).or_default().merge_from(p);
-        }
         self.completions.extend(other.completions.iter().cloned());
         self.delivered_bytes += other.delivered_bytes;
-        self.probe_bytes += other.probe_bytes;
         self.retransmits += other.retransmits;
         self.path_migrations += other.path_migrations;
-        for (pair, b) in other.pair_bytes.iter() {
-            *self.pair_bytes.entry(*pair).or_insert(0) += b;
-        }
     }
 }
 
@@ -177,7 +153,6 @@ mod tests {
         r.delivered(MS, 7, 1, 500);
         r.delivered(0, 8, 1, 200);
         assert_eq!(r.delivered_bytes, 1700);
-        assert_eq!(r.pair_delivered(7), 1500);
         assert_eq!(r.pair_rates.get(&7).unwrap().total_bytes(), 1500);
         assert_eq!(r.tenant_rates.get(&1).unwrap().total_bytes(), 1700);
     }
@@ -219,14 +194,56 @@ mod tests {
         assert_eq!(r.completions.len(), 3);
     }
 
+    /// Sharded runs fold per-LP recorders in whatever order the LPs
+    /// are visited: nothing a scenario reads may depend on it.
     #[test]
-    fn rtt_grouped_by_tenant() {
-        let mut r = Recorder::new(MS);
-        r.rtt(0, 1, 10, 24_000);
-        r.rtt(0, 2, 10, 30_000);
-        r.rtt(0, 3, 11, 100_000);
-        assert_eq!(r.rtts.count(), 3);
-        assert_eq!(r.tenant_rtts[&10].count(), 2);
-        assert_eq!(r.tenant_rtts[&11].count(), 1);
+    fn merge_is_order_independent_for_everything_a_scenario_reads() {
+        let mk = |flow, pair, end| Completion {
+            flow,
+            pair,
+            bytes: 1000,
+            start: 0,
+            end,
+            tag: 0,
+        };
+        let mut a = Recorder::new(MS);
+        a.delivered(0, 7, 1, 1000);
+        a.delivered(MS, 8, 2, 500);
+        a.rtt(0, 7, 1, 24_000);
+        a.rtt(0, 8, 2, 30_000);
+        a.complete(mk(1, 7, MS));
+        a.retransmits = 3;
+        a.path_migrations = 1;
+        let mut b = Recorder::new(MS);
+        b.delivered(0, 7, 1, 200);
+        b.delivered(2 * MS, 9, 2, 700);
+        b.rtt(MS, 9, 2, 100_000);
+        b.complete(mk(2, 9, 2 * MS));
+        b.complete(mk(3, 7, 3 * MS));
+        b.retransmits = 4;
+        b.path_migrations = 2;
+
+        let fold = |parts: [&Recorder; 2]| {
+            let mut out = Recorder::new(MS);
+            parts.into_iter().for_each(|p| out.merge_from(p));
+            out
+        };
+        let (mut ab, mut ba) = (fold([&a, &b]), fold([&b, &a]));
+        assert_eq!(ab.rtts.count(), 3);
+        for q in [0.0, 50.0, 99.0, 100.0] {
+            assert_eq!(ab.rtts.percentile(q), ba.rtts.percentile(q));
+        }
+        assert_eq!(ab.pair_rates.get(&7).unwrap().total_bytes(), 1200);
+        assert_eq!(ab.tenant_rates.get(&2).unwrap().total_bytes(), 1200);
+        let rates = |s: &SeriesSet<u32>| -> Vec<_> {
+            s.iter().map(|(k, v)| (*k, v.points(4 * MS))).collect()
+        };
+        assert_eq!(rates(&ab.pair_rates), rates(&ba.pair_rates));
+        assert_eq!(rates(&ab.tenant_rates), rates(&ba.tenant_rates));
+        for r in [&ab, &ba] {
+            assert_eq!(r.completions.len(), 3);
+            assert_eq!(r.delivered_bytes, 2400);
+            assert_eq!((r.retransmits, r.path_migrations), (7, 3));
+        }
     }
 }

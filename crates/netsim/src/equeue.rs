@@ -11,8 +11,17 @@
 //!   near future `[bucket_start, bucket_start + NB·width)`. Pushes into
 //!   that window are an index computation and a `Vec::push`; ring
 //!   buckets are never ordered.
+//! * Only buckets that hold entries hold memory. An idle bucket is a
+//!   `Vec` with no allocation; the first push into it checks a buffer
+//!   out of a LIFO pool (`spare`) — the one retired most recently, so
+//!   the one still in cache — and the rotation that drains the bucket
+//!   sends a buffer back. The pool has no cap and never shrinks: it
+//!   holds what the busiest moment needed, one buffer per bucket that
+//!   was non-empty at once plus one for the run ([`QueueStats`] counts
+//!   both), not one worst-burst buffer per ring slot.
 //! * The *current* bucket is a sorted run (`active`): when the cursor
-//!   reaches a bucket its entries are sorted **once**, descending by
+//!   reaches a non-empty bucket that bucket's buffer *becomes* the run
+//!   (no copy), its entries are sorted **once**, descending by
 //!   `(time, seq)`, and every pop is `Vec::pop` off the back. A push
 //!   that lands in the current bucket (handlers scheduling at `now`),
 //!   or behind it after a fast-forward, is placed by binary search and
@@ -73,9 +82,9 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// Traffic counters of one [`EventQueue`], bumped per cursor move or
-/// per tier decision and never per pop. Every entry reaches the sorted
-/// run exactly once, so on a drained queue `run_len_sum +
+/// Traffic counters of one [`EventQueue`], bumped per cursor move, tier
+/// decision or buffer growth and never per pop. Every entry reaches the
+/// sorted run exactly once, so on a drained queue `run_len_sum +
 /// same_bucket_inserts` equals the number of entries ever pushed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
@@ -95,6 +104,13 @@ pub struct QueueStats {
     pub far_pushes: u64,
     /// Far-heap entries moved under the horizon.
     pub far_migrations: u64,
+    /// Most ring buckets holding a buffer at once (the sorted run holds
+    /// one more): bumped when a bucket needs one and the pool is empty,
+    /// which is exactly when more are out than ever before.
+    pub bufs_out_max: u64,
+    /// Largest capacity a bucket buffer grew to, in entries; bumped
+    /// when a buffer grows, never per push or pop.
+    pub buf_cap_max: u64,
 }
 
 impl QueueStats {
@@ -107,12 +123,15 @@ impl QueueStats {
         self.same_bucket_inserts += o.same_bucket_inserts;
         self.far_pushes += o.far_pushes;
         self.far_migrations += o.far_migrations;
+        self.bufs_out_max += o.bufs_out_max;
+        self.buf_cap_max = self.buf_cap_max.max(o.buf_cap_max);
     }
 }
 
 /// Calendar queue of `(time, seq, item)` entries (see module docs).
 pub struct EventQueue<T> {
     /// Ring buckets for `[bucket_start + width, horizon)`; unsorted.
+    /// A bucket owns a buffer exactly while it holds entries.
     ring: Vec<Vec<Entry<T>>>,
     /// Ring index of the current bucket.
     cur: usize,
@@ -121,6 +140,8 @@ pub struct EventQueue<T> {
     /// Entries of the current bucket (and any pushed behind it), sorted
     /// descending by `(time, seq)`: the next entry to pop is `last()`.
     active: Vec<Entry<T>>,
+    /// Drained bucket buffers, most recently retired last (LIFO).
+    spare: Vec<Vec<Entry<T>>>,
     /// Entries at or beyond the horizon.
     far: BinaryHeap<Entry<T>>,
     /// Entries waiting in `ring` (excludes `active` and `far`).
@@ -142,6 +163,7 @@ impl<T> EventQueue<T> {
             cur: 0,
             bucket_start: 0,
             active: Vec::new(),
+            spare: Vec::new(),
             far: BinaryHeap::new(),
             in_ring: 0,
             stats: QueueStats::default(),
@@ -168,9 +190,29 @@ impl<T> EventQueue<T> {
         1 << WIDTH_SHIFT
     }
 
+    /// Time the ring covers. Tier decisions compare an entry's distance
+    /// from `bucket_start` with this, never an absolute horizon, which
+    /// would overflow within one span of `Time::MAX`.
     #[inline]
-    fn horizon(&self) -> Time {
-        self.bucket_start + ((N_BUCKETS as Time) << WIDTH_SHIFT)
+    fn span() -> Time {
+        (N_BUCKETS as Time) << WIDTH_SHIFT
+    }
+
+    /// Capacity held over ring, sorted run and pool, in entries.
+    #[doc(hidden)]
+    pub fn held_capacity(&self) -> usize {
+        let bufs = self.ring.iter().chain(&self.spare);
+        self.active.capacity() + bufs.map(Vec::capacity).sum::<usize>()
+    }
+
+    /// Room for one more entry in `buf`; growth is where the largest
+    /// capacity is noted.
+    #[inline]
+    fn reserve_one(buf: &mut Vec<Entry<T>>, stats: &mut QueueStats) {
+        if buf.len() == buf.capacity() {
+            buf.reserve(1);
+            stats.buf_cap_max = stats.buf_cap_max.max(buf.capacity() as u64);
+        }
     }
 
     /// Queue `item` at `time`; `seq` must be unique and monotonically
@@ -182,13 +224,15 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn push(&mut self, time: Time, seq: u64, item: T) {
         let e = Entry { time, seq, item };
-        if time < self.bucket_start + Self::width() {
+        let ahead = time.saturating_sub(self.bucket_start);
+        if ahead < Self::width() {
             // Current bucket (or the past, after a fast-forward):
             // binary-search the descending run for its place.
             let at = self.active.partition_point(|x| x.key() > (time, seq));
+            Self::reserve_one(&mut self.active, &mut self.stats);
             self.active.insert(at, e);
             self.stats.same_bucket_inserts += 1;
-        } else if time < self.horizon() {
+        } else if ahead < Self::span() {
             self.push_ring(e);
         } else {
             self.far.push(e);
@@ -199,7 +243,16 @@ impl<T> EventQueue<T> {
     #[inline]
     fn push_ring(&mut self, e: Entry<T>) {
         let offset = ((e.time - self.bucket_start) >> WIDTH_SHIFT) as usize;
-        self.ring[(self.cur + offset) & (N_BUCKETS - 1)].push(e);
+        let bucket = &mut self.ring[(self.cur + offset) & (N_BUCKETS - 1)];
+        if bucket.capacity() == 0 {
+            // Idle bucket: check out the most recently retired buffer.
+            match self.spare.pop() {
+                Some(buf) => *bucket = buf,
+                None => self.stats.bufs_out_max += 1,
+            }
+        }
+        Self::reserve_one(bucket, &mut self.stats);
+        bucket.push(e);
         self.in_ring += 1;
     }
 
@@ -261,18 +314,20 @@ impl<T> EventQueue<T> {
                 };
                 self.bucket_start = (next >> WIDTH_SHIFT) << WIDTH_SHIFT;
             } else {
-                // Rotate to the next bucket and take its entries. `append`
-                // copies them out and leaves the bucket its capacity;
-                // swapping the two `Vec`s instead makes capacities wander
-                // round the ring (+9% peak RSS at 512 servers).
                 self.cur = (self.cur + 1) & (N_BUCKETS - 1);
                 self.bucket_start += Self::width();
-                let bucket = &mut self.ring[self.cur];
-                self.in_ring -= bucket.len();
-                self.active.append(bucket);
             }
             // The horizon moved: pull far entries that now fit under it.
             self.migrate_far();
+            // A bucket that holds entries trades buffers with the drained
+            // run (no copy), and the drained one retires to the pool,
+            // leaving the bucket no allocation. An idle bucket costs nothing.
+            let bucket = &mut self.ring[self.cur];
+            if !bucket.is_empty() {
+                self.in_ring -= bucket.len();
+                std::mem::swap(&mut self.active, bucket);
+                self.spare.push(std::mem::take(bucket));
+            }
             // `Entry`'s reversed `Ord` makes ascending = latest first;
             // `seq` is unique, so an unstable sort is exact.
             self.active.sort_unstable();
@@ -285,18 +340,16 @@ impl<T> EventQueue<T> {
     }
 
     /// Move far-heap entries that fit under the (new) horizon into the
-    /// ring, or onto the not-yet-sorted run when they belong to the
-    /// current bucket (only `advance` calls this, before it sorts).
+    /// ring — the cursor's own bucket included: only `advance` calls
+    /// this, just before it takes that bucket as the run.
     fn migrate_far(&mut self) {
-        let horizon = self.horizon();
-        while self.far.peek().is_some_and(|e| e.time < horizon) {
+        while let Some(head) = self.far.peek() {
+            if head.time - self.bucket_start >= Self::span() {
+                break;
+            }
             let e = self.far.pop().expect("peeked entry");
             self.stats.far_migrations += 1;
-            if e.time < self.bucket_start + Self::width() {
-                self.active.push(e);
-            } else {
-                self.push_ring(e);
-            }
+            self.push_ring(e);
         }
     }
 }
@@ -392,6 +445,55 @@ mod tests {
         assert_eq!(q.pop().map(|e| e.2), Some(1));
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    /// "Never" (`Time::MAX`) is a legal instant: within one ring span
+    /// of it no tier bound may overflow (debug: add-overflow panic;
+    /// release: the horizon wrapped, the entry never migrated and `pop`
+    /// spun for ever).
+    #[test]
+    fn entry_at_time_max_pops() {
+        let mut q = EventQueue::new();
+        q.push(10, 0, 0);
+        q.push(Time::MAX, 1, 1);
+        assert_eq!(drain(&mut q), vec![(10, 0, 0), (Time::MAX, 1, 1)]);
+        // The same through the ring's last two buckets.
+        let mut q = EventQueue::new();
+        q.push(10, 0, 0);
+        q.push(Time::MAX, 1, 1);
+        q.push(Time::MAX - 600, 2, 2);
+        assert_eq!(q.pop(), Some((10, 0, 0)));
+        assert_eq!(q.pop(), Some((Time::MAX - 600, 2, 2)));
+        // The cursor now sits one bucket short of the last: schedule
+        // into that ring bucket and into the current one.
+        q.push(Time::MAX, 3, 3);
+        q.push(Time::MAX - 512, 4, 4);
+        assert_eq!(q.pop(), Some((Time::MAX - 512, 4, 4)));
+        assert_eq!(q.pop(), Some((Time::MAX, 1, 1)));
+        assert_eq!(q.pop(), Some((Time::MAX, 3, 3)));
+        assert!(q.pop().is_none());
+    }
+
+    /// The queue holds memory for the buckets that are busy at once,
+    /// not for every ring slot a burst ever passed through.
+    #[test]
+    fn steady_state_footprint_follows_live_buckets_not_ring_size() {
+        let mut q = EventQueue::new();
+        let (mut now, mut seq) = (0, 0u64);
+        // Three buckets ahead is coprime with the ring size: three laps
+        // put a burst in every one of the `N_BUCKETS` slots.
+        for _ in 0..N_BUCKETS + 64 {
+            now += 3 * EventQueue::<u32>::width();
+            for _ in 0..200 {
+                q.push(now, seq, 0u32);
+                seq += 1;
+            }
+            assert_eq!(drain(&mut q).len(), 200);
+        }
+        let st = q.stats();
+        assert_eq!((st.bufs_out_max, st.buf_cap_max), (1, 256));
+        // Every slot keeping its burst's buffer would be N_BUCKETS × 256.
+        assert!(q.held_capacity() <= 16 * 256, "{}", q.held_capacity());
     }
 
     #[test]

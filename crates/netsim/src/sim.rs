@@ -1953,6 +1953,20 @@ mod tests {
         sim.edge_mut::<WindowSender>(h0).to_send = 0;
     }
 
+    /// `Time::MAX` is the "never" instant (`restore_at: Some(u64::MAX)`):
+    /// an event parked there must neither overflow the queue's tier
+    /// bounds nor wedge the run in front of it.
+    #[test]
+    fn link_event_at_time_max_does_not_wedge_the_run() {
+        let (mut sim, h0, h1, s) = line(LinkSpec::gbps(10, US), 5);
+        sim.set_edge_agent(h0, sender(h0, h1, 4, 100));
+        sim.set_edge_agent(h1, sink(h1));
+        sim.schedule_link_event(Time::MAX, s, PortNo(1), false);
+        sim.run_until(crate::time::MS);
+        assert_eq!(sim.edge::<Sink>(h1).received_bytes, 100 * 1500);
+        assert_eq!(sim.stats().drops, 0);
+    }
+
     #[test]
     fn ecmp_fallback_routes_and_spreads() {
         // h0 - s0 - {s1, s2} - s3 - h1 diamond with ECMP at s0.
@@ -2543,12 +2557,13 @@ mod tests {
         };
         let (qs, events) = run(1);
         assert!(qs.rotations > qs.empty_rotations && qs.run_len_max > 0);
+        assert!(qs.bufs_out_max > 0 && qs.buf_cap_max >= qs.run_len_max);
         // Drained: every entry ever pushed was popped as one event, and
         // reached a sorted run exactly once — through the ring (or the
         // far heap) on a cursor move, or by a same-bucket insert.
         assert_eq!(qs.run_len_sum + qs.same_bucket_inserts, events);
         // Per-shard queue traffic is part of the schedule: identical
-        // with and without barriers.
+        // with and without barriers, the buffer-pool counters included.
         assert_eq!(run(2), (qs, events));
     }
 

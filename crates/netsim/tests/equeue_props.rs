@@ -89,19 +89,36 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.iter_items().count(), model.len());
+            // The buffer pool's own bound: one buffer per bucket that was
+            // ever non-empty at once, plus the run's, none above the largest.
+            let st = q.stats();
+            prop_assert!(q.held_capacity() as u64 <= (st.bufs_out_max + 1) * st.buf_cap_max);
         }
         // Drain the remainder.
         loop {
             let got = q.pop().map(|(t, s, _)| (t, s));
             let want = model.pop().map(|Reverse(p)| p);
             prop_assert_eq!(got, want);
-            if got.is_none() {
-                break;
-            }
+            let Some((t, _)) = got else { break };
+            clock = t;
         }
         // Every entry reached the sorted run exactly once.
         let st = q.stats();
         prop_assert_eq!(st.run_len_sum + st.same_bucket_inserts, seq);
+        // A lap of the ring over idle buckets costs no memory. (The last
+        // pop came from the current bucket, so one bucket short of a span
+        // ahead of it is the ring's far end; the first lap may still
+        // allocate the one buffer its single entry travels in.)
+        let mut lap = |q: &mut EventQueue<u64>| {
+            let t = clock + (2047 << 9);
+            q.push(t, seq, seq);
+            assert_eq!(q.pop(), Some((t, seq, seq)));
+            (clock, seq) = (t, seq + 1);
+            q.held_capacity()
+        };
+        let held = lap(&mut q);
+        prop_assert_eq!(lap(&mut q), held);
+        prop_assert!(q.stats().empty_rotations - st.empty_rotations >= 2 * 2046);
     }
 
     /// peek_time always reports the time the next pop returns.
