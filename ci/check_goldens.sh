@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Re-make every committed golden from its own command line at
-# (--jobs, --shards) in {1,4}^2 and diff it against ci/golden/: stdout
-# for all five, and for dse also its two CSVs. A pairwise jobs=1-vs-4
-# diff passes a change that moves both sides; a golden does not.
+# Re-make every committed golden from its own command line at --jobs 1
+# and 4 and diff it against ci/golden/: stdout for all five, and for
+# dse also its two CSVs. A pairwise jobs=1-vs-4 diff passes a change
+# that moves both sides; a golden does not.
 #
 # usage: ci/check_goldens.sh [path/to/repro]   (default target/release/repro)
 set -euo pipefail
@@ -27,22 +27,20 @@ for c in "${cases[@]}"; do
   stem=${c%%|*}
   args=${c#*|}
   for jobs in 1 4; do
-    for shards in 1 4; do
-      echo "== $stem: repro $args --jobs $jobs --shards $shards"
-      dir=$work/$stem-j$jobs-s$shards
-      mkdir -p "$dir/results"
-      # shellcheck disable=SC2086  # $args is a word list on purpose
-      if ! (cd "$dir" && "$repro" $args --jobs "$jobs" --shards "$shards" >stdout 2>stderr); then
-        cat "$dir/stderr"
-        fail=1
-        continue
-      fi
-      diff -u "$golden/$stem.stdout" "$dir/stdout" || fail=1
-      # ci/golden/dse_64_seed2_grid.csv is results/dse_grid.csv, and so on.
-      for csv in "$golden/$stem"_*.csv; do
-        [ -e "$csv" ] || continue
-        diff -u "$csv" "$dir/results/${stem%%_*}_${csv##*_}" || fail=1
-      done
+    echo "== $stem: repro $args --jobs $jobs"
+    dir=$work/$stem-j$jobs
+    mkdir -p "$dir/results"
+    # shellcheck disable=SC2086  # $args is a word list on purpose
+    if ! (cd "$dir" && "$repro" $args --jobs "$jobs" >stdout 2>stderr); then
+      cat "$dir/stderr"
+      fail=1
+      continue
+    fi
+    diff -u "$golden/$stem.stdout" "$dir/stdout" || fail=1
+    # ci/golden/dse_64_seed2_grid.csv is results/dse_grid.csv, and so on.
+    for csv in "$golden/$stem"_*.csv; do
+      [ -e "$csv" ] || continue
+      diff -u "$csv" "$dir/results/${stem%%_*}_${csv##*_}" || fail=1
     done
   done
 done

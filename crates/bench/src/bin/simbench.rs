@@ -1,7 +1,7 @@
 //! `simbench` — wall-clock simulator benchmarks with a JSON trail.
 //!
 //! ```text
-//! simbench [churn|ops|micro|shard|abuse|dse] [--smoke] [--jobs N] [--out PATH]
+//! simbench [churn|ops|micro|abuse|dse] [--smoke] [--jobs N] [--out PATH]
 //! ```
 //!
 //! The default suite measures (1) single-run event-loop throughput
@@ -30,12 +30,6 @@
 //! them against the end-to-end cells: `fig11 --quick` (serial and
 //! parallel), `churn_cell` and `ops_cell`. Its trajectory file is
 //! `BENCH_PR7.json`.
-//!
-//! The `shard` suite measures sharded single-run execution: the
-//! end-to-end churn cell at `--shards` 1, 2 and 4 (event counts are
-//! asserted identical — sharding must not change the simulation), plus
-//! a 2048-server cell demonstrating beyond-paper scale under sharding.
-//! Its trajectory file is `BENCH_PR8.json`.
 //!
 //! The `abuse` suite measures the hostile-tenant containment stack: the
 //! 64-server churn cell with enforcement off (baseline), with the
@@ -98,7 +92,6 @@ fn main() {
     let mut churn_mode = false;
     let mut ops_mode = false;
     let mut micro_mode = false;
-    let mut shard_mode = false;
     let mut abuse_mode = false;
     let mut dse_mode = false;
     let mut it = std::env::args().skip(1);
@@ -107,7 +100,6 @@ fn main() {
             "churn" => churn_mode = true,
             "ops" => ops_mode = true,
             "micro" => micro_mode = true,
-            "shard" => shard_mode = true,
             "abuse" => abuse_mode = true,
             "dse" => dse_mode = true,
             "--smoke" => smoke = true,
@@ -121,7 +113,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: simbench [churn|ops|micro|shard|abuse|dse] [--smoke] [--jobs N] \
+                    "usage: simbench [churn|ops|micro|abuse|dse] [--smoke] [--jobs N] \
                      [--out PATH]"
                 );
                 return;
@@ -137,8 +129,6 @@ fn main() {
             "BENCH_PR10.json".to_string()
         } else if abuse_mode {
             "BENCH_PR9.json".to_string()
-        } else if shard_mode {
-            "BENCH_PR8.json".to_string()
         } else if micro_mode {
             "BENCH_PR7.json".to_string()
         } else if ops_mode {
@@ -178,14 +168,7 @@ fn main() {
              ({:.0} points/sec)",
             n as f64 / (best_ms / 1e3)
         );
-        rep.push(
-            "dse_pareto",
-            n as f64 / (best_ms / 1e3),
-            best_ms,
-            1,
-            executor::shards(),
-            false,
-        );
+        rep.push("dse_pareto", n as f64 / (best_ms / 1e3), best_ms, 1);
 
         // (2) One baseline knob-point cell: per-cell simulator
         // throughput without sweep fan-out.
@@ -201,14 +184,7 @@ fn main() {
             "[simbench] dse_cell: {events} events in {cell_ms:.0} ms ({:.0} events/sec)",
             events as f64 / (cell_ms / 1e3)
         );
-        rep.push(
-            "dse_cell",
-            events as f64 / (cell_ms / 1e3),
-            cell_ms,
-            1,
-            executor::shards(),
-            false,
-        );
+        rep.push("dse_cell", events as f64 / (cell_ms / 1e3), cell_ms, 1);
 
         // (3) Sweep throughput: the quick grid fanned over the parallel
         // executor — the headline number (aggregate simulated events per
@@ -230,8 +206,6 @@ fn main() {
                 events as f64 / (sweep_ms / 1e3),
                 sweep_ms,
                 par_jobs,
-                executor::shards(),
-                false,
             );
         }
 
@@ -271,14 +245,7 @@ fn main() {
                 "[simbench] {name}: {events} events in {wall_ms:.0} ms ({:.0} events/sec)",
                 events as f64 / (wall_ms / 1e3)
             );
-            rep.push(
-                name,
-                events as f64 / (wall_ms / 1e3),
-                wall_ms,
-                1,
-                executor::shards(),
-                false,
-            );
+            rep.push(name, events as f64 / (wall_ms / 1e3), wall_ms, 1);
         }
         let overhead = (best[1].0 - best[0].0) / best[0].0 * 100.0;
         eprintln!(
@@ -293,84 +260,6 @@ fn main() {
             best[1].0,
             best[0].0
         );
-
-        rep.write(&out);
-        return;
-    }
-
-    if shard_mode {
-        // (1) End-to-end churn cell at shard counts 1, 2, 4. The event
-        // count is asserted identical at every count — sharding changes
-        // how the simulation is *executed*, never what it computes.
-        //
-        // On a single-core host the shards>1 arms still run (the
-        // identity assert is the point), but their wall clock only
-        // measures scheduling overhead: flag them `degraded` so
-        // trajectory comparisons skip them.
-        let one_core = std::thread::available_parallelism()
-            .map(|n| n.get() == 1)
-            .unwrap_or(false);
-        if one_core {
-            eprintln!(
-                "[simbench] note: available_parallelism() == 1 — shards>1 arms cannot \
-                 parallelize on this host; recording them with \"degraded\": true"
-            );
-        }
-        let reps = if smoke { 1 } else { 2 };
-        let mut serial_events = None;
-        for shards in [1usize, 2, 4] {
-            executor::set_shards(shards);
-            let mut cell_ms = f64::INFINITY;
-            let mut events = 0u64;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                events = churn::bench_cell(1);
-                cell_ms = cell_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            match serial_events {
-                None => serial_events = Some(events),
-                Some(se) => assert_eq!(
-                    events, se,
-                    "sharded run diverged: {events} events at shards={shards} vs {se} serial"
-                ),
-            }
-            eprintln!(
-                "[simbench] churn_cell shards={shards}: {events} events in {cell_ms:.0} ms \
-                 ({:.0} events/sec)",
-                events as f64 / (cell_ms / 1e3)
-            );
-            rep.push(
-                "churn_cell",
-                events as f64 / (cell_ms / 1e3),
-                cell_ms,
-                1,
-                shards,
-                shards > 1 && one_core,
-            );
-        }
-
-        // (2) Beyond-paper scale: the 2048-server cell under 4-way
-        // sharding. Skipped in smoke mode (minutes of wall clock).
-        if !smoke {
-            executor::set_shards(4);
-            let t0 = Instant::now();
-            let events = churn::bench_cell_at(1, 2048);
-            let cell_ms = t0.elapsed().as_secs_f64() * 1e3;
-            eprintln!(
-                "[simbench] churn_cell_2048 shards=4: {events} events in {cell_ms:.0} ms \
-                 ({:.0} events/sec)",
-                events as f64 / (cell_ms / 1e3)
-            );
-            rep.push(
-                "churn_cell_2048",
-                events as f64 / (cell_ms / 1e3),
-                cell_ms,
-                1,
-                4,
-                one_core,
-            );
-        }
-        executor::set_shards(0);
 
         rep.write(&out);
         return;
@@ -408,14 +297,7 @@ fn main() {
                 "[simbench] {name}: {ops} ops in {best_ms:.1} ms ({:.0} ops/sec)",
                 ops as f64 / (best_ms / 1e3)
             );
-            rep.push(
-                name,
-                ops as f64 / (best_ms / 1e3),
-                best_ms,
-                1,
-                executor::shards(),
-                false,
-            );
+            rep.push(name, ops as f64 / (best_ms / 1e3), best_ms, 1);
         }
         // What the queue probe above churned: ≈500-entry runs, against
         // 14–59 on the end-to-end cells (`repro <cell> --trace` prints
@@ -451,14 +333,7 @@ fn main() {
                      ({:.0} events/sec)",
                     ev as f64 / (wall_ms / 1e3)
                 );
-                rep.push(
-                    "fig11_quick",
-                    ev as f64 / (wall_ms / 1e3),
-                    wall_ms,
-                    jobs,
-                    executor::shards(),
-                    false,
-                );
+                rep.push("fig11_quick", ev as f64 / (wall_ms / 1e3), wall_ms, jobs);
             }
             for (name, cell) in [
                 ("churn_cell", churn::bench_cell as fn(u64) -> u64),
@@ -476,14 +351,7 @@ fn main() {
                      ({:.0} events/sec)",
                     events as f64 / (cell_ms / 1e3)
                 );
-                rep.push(
-                    name,
-                    events as f64 / (cell_ms / 1e3),
-                    cell_ms,
-                    1,
-                    executor::shards(),
-                    false,
-                );
+                rep.push(name, events as f64 / (cell_ms / 1e3), cell_ms, 1);
             }
         }
 
@@ -509,14 +377,7 @@ fn main() {
             "[simbench] ops_resize: {applied} ops in {best_ms:.0} ms ({:.0} ops/sec)",
             applied as f64 / (best_ms / 1e3)
         );
-        rep.push(
-            "ops_resize",
-            applied as f64 / (best_ms / 1e3),
-            best_ms,
-            1,
-            executor::shards(),
-            false,
-        );
+        rep.push("ops_resize", applied as f64 / (best_ms / 1e3), best_ms, 1);
 
         // (2) Snapshot renders: full-state serialization with byte-exact
         // float encoding.
@@ -533,14 +394,7 @@ fn main() {
              ({:.0} renders/sec)",
             iters as f64 / (snap_ms / 1e3)
         );
-        rep.push(
-            "ops_snapshot",
-            iters as f64 / (snap_ms / 1e3),
-            snap_ms,
-            1,
-            executor::shards(),
-            false,
-        );
+        rep.push("ops_snapshot", iters as f64 / (snap_ms / 1e3), snap_ms, 1);
 
         // (3) Restores: parse + ledger/placer rebuild + conservation
         // audit + digest check per iteration.
@@ -555,14 +409,7 @@ fn main() {
             "[simbench] ops_restore: {iters} restores in {rst_ms:.0} ms ({:.0} restores/sec)",
             iters as f64 / (rst_ms / 1e3)
         );
-        rep.push(
-            "ops_restore",
-            iters as f64 / (rst_ms / 1e3),
-            rst_ms,
-            1,
-            executor::shards(),
-            false,
-        );
+        rep.push("ops_restore", iters as f64 / (rst_ms / 1e3), rst_ms, 1);
 
         // (4) End-to-end ops cell: 64-server mixed-script run with the
         // op replay, qualification polling, mid-run snapshot/restore
@@ -579,14 +426,7 @@ fn main() {
             "[simbench] ops_cell: {events} events in {cell_ms:.0} ms ({:.0} events/sec)",
             events as f64 / (cell_ms / 1e3)
         );
-        rep.push(
-            "ops_cell",
-            events as f64 / (cell_ms / 1e3),
-            cell_ms,
-            1,
-            executor::shards(),
-            false,
-        );
+        rep.push("ops_cell", events as f64 / (cell_ms / 1e3), cell_ms, 1);
 
         rep.write(&out);
         return;
@@ -615,8 +455,6 @@ fn main() {
             decisions as f64 / (best_ms / 1e3),
             best_ms,
             1,
-            executor::shards(),
-            false,
         );
 
         // (2) End-to-end churn cell: 64-server quick run with the full
@@ -635,14 +473,7 @@ fn main() {
              ({:.0} events/sec)",
             events as f64 / (cell_ms / 1e3)
         );
-        rep.push(
-            "churn_cell",
-            events as f64 / (cell_ms / 1e3),
-            cell_ms,
-            1,
-            executor::shards(),
-            false,
-        );
+        rep.push("churn_cell", events as f64 / (cell_ms / 1e3), cell_ms, 1);
 
         rep.write(&out);
         return;
@@ -669,8 +500,6 @@ fn main() {
         events as f64 / (best_ms / 1e3),
         best_ms,
         1,
-        executor::shards(),
-        false,
     );
 
     // (1b) The same workload with the chaos engine armed but idle — the
@@ -699,8 +528,6 @@ fn main() {
         chaos_events as f64 / (chaos_ms / 1e3),
         chaos_ms,
         1,
-        executor::shards(),
-        false,
     );
 
     // (2) End-to-end fig11 --quick, serial vs parallel executor. Skipped
@@ -716,14 +543,7 @@ fn main() {
                  ({:.0} events/sec)",
                 ev as f64 / (wall_ms / 1e3)
             );
-            rep.push(
-                "fig11_quick",
-                ev as f64 / (wall_ms / 1e3),
-                wall_ms,
-                jobs,
-                executor::shards(),
-                false,
-            );
+            rep.push("fig11_quick", ev as f64 / (wall_ms / 1e3), wall_ms, jobs);
         }
     }
 

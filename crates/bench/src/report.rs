@@ -7,8 +7,7 @@
 //!
 //! ```json
 //! [{"bench": "...", "events_per_sec": 1.2e6, "wall_ms": 830.0,
-//!   "jobs": 1, "shards": 1, "git_rev": "abc1234", "dirty": false,
-//!   "degraded": false}]
+//!   "jobs": 1, "git_rev": "abc1234", "dirty": false}]
 //! ```
 //!
 //! `git_rev` is the short HEAD hash at measurement time and `dirty`
@@ -32,18 +31,10 @@ pub struct BenchRecord {
     pub wall_ms: f64,
     /// Executor worker count the measurement ran with.
     pub jobs: usize,
-    /// Per-simulation shard worker count the measurement ran with
-    /// (1 = the serial engine).
-    pub shards: usize,
     /// `git rev-parse --short HEAD` at measurement time.
     pub git_rev: String,
     /// Whether the work tree had uncommitted changes at measurement time.
     pub dirty: bool,
-    /// The measurement ran under conditions that invalidate it as a
-    /// trajectory point (e.g. a `shards > 1` arm on a host with a
-    /// single available core, where sharding cannot win). Degraded
-    /// records document the run; comparisons must skip them.
-    pub degraded: bool,
 }
 
 /// Best-effort short git revision; `"unknown"` outside a work tree.
@@ -89,16 +80,13 @@ pub fn to_json(records: &[BenchRecord]) -> String {
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
             "  {{\"bench\": \"{}\", \"events_per_sec\": {:.1}, \"wall_ms\": {:.1}, \
-             \"jobs\": {}, \"shards\": {}, \"git_rev\": \"{}\", \"dirty\": {}, \
-             \"degraded\": {}}}{}\n",
+             \"jobs\": {}, \"git_rev\": \"{}\", \"dirty\": {}}}{}\n",
             escape(&r.bench),
             r.events_per_sec,
             r.wall_ms,
             r.jobs,
-            r.shards,
             escape(&r.git_rev),
             r.dirty,
-            r.degraded,
             if i + 1 == records.len() { "" } else { "," }
         ));
     }
@@ -142,24 +130,14 @@ impl Reporter {
 
     /// Append one measurement, stamped with the construction-time
     /// revision and dirty flag.
-    pub fn push(
-        &mut self,
-        bench: &str,
-        events_per_sec: f64,
-        wall_ms: f64,
-        jobs: usize,
-        shards: usize,
-        degraded: bool,
-    ) {
+    pub fn push(&mut self, bench: &str, events_per_sec: f64, wall_ms: f64, jobs: usize) {
         self.records.push(BenchRecord {
             bench: bench.to_string(),
             events_per_sec,
             wall_ms,
             jobs,
-            shards,
             git_rev: self.rev.clone(),
             dirty: self.dirty,
-            degraded,
         });
     }
 
@@ -209,10 +187,8 @@ mod tests {
             events_per_sec: 1_234_567.89,
             wall_ms: 12.345,
             jobs: 4,
-            shards: 2,
             git_rev: "abc1234".to_string(),
             dirty: true,
-            degraded: false,
         };
         let j = to_json(&[rec.clone(), rec]);
         assert!(j.starts_with("[\n"));
@@ -221,10 +197,8 @@ mod tests {
         assert!(j.contains("\"events_per_sec\": 1234567.9"));
         assert!(j.contains("\"wall_ms\": 12.3"));
         assert!(j.contains("\"jobs\": 4"));
-        assert!(j.contains("\"shards\": 2"));
         assert!(j.contains("\"git_rev\": \"abc1234\""));
         assert!(j.contains("\"dirty\": true"));
-        assert!(j.contains("\"degraded\": false"));
         // Exactly one comma: two records.
         assert_eq!(j.matches("},").count(), 1);
     }
@@ -237,15 +211,13 @@ mod tests {
     #[test]
     fn reporter_stamps_every_record_with_one_rev() {
         let mut rep = Reporter::new();
-        rep.push("a", 1.0, 2.0, 1, 1, false);
-        rep.push("b", 3.0, 4.0, 4, 2, true);
+        rep.push("a", 1.0, 2.0, 1);
+        rep.push("b", 3.0, 4.0, 4);
         assert_eq!(rep.records().len(), 2);
         for r in rep.records() {
             assert_eq!(r.git_rev, rep.rev());
             assert_eq!(r.dirty, rep.dirty());
         }
         assert_eq!(rep.records()[1].jobs, 4);
-        assert_eq!(rep.records()[1].shards, 2);
-        assert!(rep.records()[1].degraded);
     }
 }

@@ -26,7 +26,7 @@
 //! Verdicts are deduplicated to **one event per (tenant, observation
 //! window)** — the flight-recorder stream stays bounded regardless of
 //! abuse intensity, and windows are aligned to the absolute clock grid
-//! so event streams are identical at any `--jobs`/`--shards`.
+//! so event streams are identical at any `--jobs`.
 //!
 //! Enforcement state is modeled as control-plane-programmed NIC tables:
 //! it survives `on_restart` (a rebooting edge program re-reads them),

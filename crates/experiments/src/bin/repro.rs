@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [SCENARIO...] [--list] [--full] [--seed N] [--servers N]
-//!       [--jobs N] [--shards N] [--trace [EVENTS]] [--check-invariants]
+//!       [--jobs N] [--trace [EVENTS]] [--check-invariants]
 //!
 //! SCENARIO ∈ fig4 fig5 fig11 fig12 fig13 fig14 fig15a fig15b fig16
 //!            fig17 fig18ab fig18c fig20 table3 table4 tokens ablate
@@ -18,13 +18,6 @@
 //! cores. Results are merged in submission order, so the output —
 //! stdout, CSVs, and determinism digests — is byte-identical for every
 //! N (`--jobs 1` reproduces the fully serial run).
-//!
-//! `--shards N` (or `UFAB_SHARDS=N`) sets how many worker threads each
-//! *single* simulation may use for its pod-granular shards (default 1 =
-//! serial engine). Only scenarios whose topology carries a pod
-//! partition shard — today the churn harness. Cross-shard events merge
-//! in a total `(time, source)` order, so digests, CSVs and stdout are
-//! byte-identical at every shard count, on top of any `--jobs` value.
 //!
 //! `--trace` attaches a flight recorder (default 65536 events) and the
 //! determinism digest to every run and prints a drop/ECN/retransmit
@@ -107,7 +100,7 @@ fn usage() -> String {
     let names: Vec<&str> = SCENARIOS.iter().map(|&(n, _)| n).collect();
     format!(
         "usage: repro [SCENARIO...] [--list] [--full] [--seed N] [--servers N] [--jobs N] \
-         [--shards N] [--trace [EVENTS]] [--check-invariants] [--plan PRESET] [--ops-script PRESET] \
+         [--trace [EVENTS]] [--check-invariants] [--plan PRESET] [--ops-script PRESET] \
          [--snapshot-at US] [--hostile-pct N] [--abuse-intensity N] [--grid NAME]\n\
          scenarios: {}\n\
          chaos presets (--plan): {} all\n\
@@ -174,10 +167,6 @@ fn main() {
             "--jobs" => {
                 let n = int_arg("--jobs", it.next(), 1, 1024);
                 experiments::executor::set_jobs(n as usize);
-            }
-            "--shards" => {
-                let n = int_arg("--shards", it.next(), 1, 1024);
-                experiments::executor::set_shards(n as usize);
             }
             "--seed" => {
                 scale.seed = int_arg("--seed", it.next(), 1, u64::MAX);

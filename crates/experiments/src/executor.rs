@@ -24,11 +24,8 @@
 //! and evict each other's caches — without changing any output, so the
 //! excess is clamped away. Output is submission-ordered either way.
 //!
-//! Independently of the *grid* width, [`set_shards`]/[`shards`] resolve
-//! how many worker threads each *single simulation* may use for its
-//! pod-granular shards (`--shards N` / `UFAB_SHARDS`, default 1). The
-//! two compose: `--jobs 4 --shards 2` runs four grid cells at a time,
-//! each itself sharded two ways.
+//! The grid is the only thing spread over cores: one thread runs each
+//! simulation, its logical processes taking turns in LP order.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,35 +34,9 @@ use std::sync::Mutex;
 /// Worker-count override; 0 = unset (fall back to env / cores).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Per-simulation shard worker override; 0 = unset (fall back to env / 1).
-static SHARDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the per-simulation shard worker count explicitly (the
-/// `--shards N` flag). `0` clears the override.
-pub fn set_shards(n: usize) {
-    SHARDS.store(n, Ordering::Relaxed);
-}
-
-/// Resolved per-simulation shard worker count: the `--shards` flag if
-/// set, else the `UFAB_SHARDS` environment variable, else 1 (serial).
-///
-/// Unlike [`jobs`], the default is *not* the core count: sharding a
-/// simulation changes which engine path runs (windowed conservative
-/// sync instead of the plain event loop), so it stays opt-in.
-pub fn shards() -> usize {
-    let n = SHARDS.load(Ordering::Relaxed);
-    if n > 0 {
-        return n;
-    }
-    if let Ok(v) = std::env::var("UFAB_SHARDS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    1
-}
+// Only callers: `ufabbench/src/{suite,twin}.rs` (frozen); ROADMAP item 1's PR deletes both.
+#[doc(hidden)]
+pub fn set_shards(_n: usize) {}
 
 /// Set the worker count explicitly (the `--jobs N` flag). `0` clears the
 /// override.
@@ -214,18 +185,6 @@ mod tests {
         let parallel = run_jobs(mk());
         set_jobs(0);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn shards_defaults_to_serial_and_obeys_override() {
-        set_shards(0);
-        // No env override in the test environment ⇒ serial default.
-        if std::env::var("UFAB_SHARDS").is_err() {
-            assert_eq!(shards(), 1);
-        }
-        set_shards(4);
-        assert_eq!(shards(), 4);
-        set_shards(0);
     }
 
     #[test]

@@ -59,16 +59,15 @@ pub struct Runner {
     /// The fabric registry.
     pub fabric: Arc<FabricSpec>,
     /// Measurement sink of logical process 0. Unpartitioned topologies
-    /// (every scenario except the sharded churn runs) have exactly one
-    /// LP, making this *the* recorder — existing call sites keep working
+    /// (every scenario except the pod-partitioned fabric cells) have
+    /// exactly one LP, making this *the* recorder — existing call sites keep working
     /// unchanged. Partitioned runs must read merged views instead:
     /// [`Runner::merged_recorder`], [`Runner::pair_rate`],
     /// [`Runner::tenant_rate`].
     pub rec: SharedRecorder,
-    /// One measurement sink per logical process (`recs[0] == rec`).
-    /// Each edge agent writes to its owning LP's recorder so shards
-    /// never contend on — or nondeterministically interleave in — a
-    /// shared sink.
+    /// One measurement sink per logical process (`recs[0] == rec`):
+    /// each edge agent writes to its owning LP's recorder, and readers
+    /// take them per-LP, merged in LP order.
     pub recs: Vec<SharedRecorder>,
     /// System under test.
     pub system: SystemKind,
@@ -119,7 +118,6 @@ impl Runner {
         let topo = Arc::new(topo);
         let fabric = Arc::new(fabric);
         let mut sim = Simulator::new(net, seed);
-        sim.set_workers(crate::executor::shards());
         let recs: Vec<SharedRecorder> = (0..sim.n_lps())
             .map(|_| recorder::shared(rate_bin))
             .collect();
@@ -376,9 +374,8 @@ impl Runner {
     ///
     /// With one LP this is exactly the old single-recorder drain. With
     /// several, per-LP drains are merged by `(end, pair, flow)` — a
-    /// total order over completions that does not depend on which shard
-    /// flushed first, so closed-loop drivers behave identically at any
-    /// worker count.
+    /// total order over completions that does not depend on how the
+    /// nodes were split into LPs.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         if self.recs.len() == 1 {
             return self.rec.lock().unwrap().drain_new_completions();

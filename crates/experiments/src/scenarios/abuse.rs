@@ -10,9 +10,9 @@
 //! off the edges, integrated into misbehavior scores, and quarantine
 //! clamps are programmed back down to the edges.
 //!
-//! Everything of the parent cell is kept — the pod partition (PR 8
-//! sharded engine) and the mid-run core-switch failure (PR 4 chaos
-//! engine) — so containment is demonstrated *composed* with the rest of
+//! Everything of the parent cell is kept — the pod partition (per-LP
+//! recorders, merged in LP order) and the mid-run core-switch failure
+//! (chaos engine) — so containment is demonstrated *composed* with the rest of
 //! the harness, not in a sanitized corner.
 //!
 //! Reported:
@@ -30,8 +30,7 @@
 //!   − first enforcement verdict against that tenant.
 //! * **false_quar** — honest tenants ever quarantined. Must be **0**:
 //!   hysteresis separates bursty-but-honest from hostile.
-//! * **digest** — determinism digest, byte-identical at any `--jobs N`
-//!   and `--shards N`.
+//! * **digest** — determinism digest, byte-identical at any `--jobs N`.
 //!
 //! The fabric invariant suite (ledger conservation — including capacity
 //! released while quarantined — and bounded qualifying time) always
@@ -118,7 +117,7 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
     // 3) Run loop: the cell's step plus the containment loop — poll the
     //    edges' enforcement counters (hosts ascending, tenants
     //    ascending: a sorted-iteration contract, so the misbehavior
-    //    integration order is identical at any `--jobs`/`--shards`),
+    //    integration order is identical at any `--jobs`),
     //    feed the deltas to the misbehavior ledger, step the quarantine
     //    state machine, and program its clamp directives back down.
     let mut enf_seen: BTreeMap<(u32, u32), [u64; 3]> = BTreeMap::new();

@@ -226,11 +226,9 @@ impl Planned {
     pub(crate) fn new(scale: &Scale, policy: Policy, default_servers: usize) -> Self {
         let tl = Timeline::new(scale.quick, 68);
         let mut topo = build_topo(scale.servers.unwrap_or(default_servers), false);
-        // These are the sharded-execution cells: partition the fabric at
-        // pod granularity so `--shards N` can spread it over N workers.
-        // The partition is a topology property (independent of worker
-        // count), so results and digests are identical at any `--shards`
-        // value.
+        // Partition the fabric at pod granularity: one logical process
+        // and one recorder per pod, per-LP, merged in LP order. Every
+        // golden and digest of these cells was made on that layout.
         topo.enable_pod_partition();
         let trace = cell_trace(scale.seed, &tl, topo.hosts.len(), 22_000.0);
         let acfg = AdmissionCfg {
@@ -550,5 +548,11 @@ mod tests {
         for n in FABRIC_SIZES {
             assert_eq!(build_topo(n, false).hosts.len(), n);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "FABRIC_SIZES")]
+    fn build_topo_rejects_a_size_it_has_no_shape_for() {
+        build_topo(256, false);
     }
 }

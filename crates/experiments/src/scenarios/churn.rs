@@ -204,17 +204,17 @@ pub fn bench_cell(seed: u64) -> u64 {
     bench_cell_at(seed, 64)
 }
 
-/// [`bench_cell`] at an arbitrary server count (`simbench shard` uses
-/// 64 and 2048). Returns simulator events processed.
+/// [`bench_cell`] at any [`super::fig17::FABRIC_SIZES`] server count.
+/// Returns simulator events processed.
 pub fn bench_cell_at(seed: u64, servers: usize) -> u64 {
     let out = run_cell(hook_scale(seed, Some(servers), false), Policy::FirstFit);
     assert_eq!(out.end.fabric_violations, 0, "{}", out.end.fabric_report);
     out.end.events
 }
 
-/// Test hook for shard-identity checks: the bench cell with the
+/// Test hook for digest-identity checks: the bench cell with the
 /// fault-aware invariant suite armed (the timeline kills a core switch
-/// mid-run, which under sharding is a shard-boundary node). Returns
+/// mid-run, which under the pod partition is an LP-boundary node). Returns
 /// `(events, digest, sim_invariant_violations)`.
 pub fn bench_cell_checked(seed: u64, servers: usize) -> (u64, String, usize) {
     let out = run_cell(hook_scale(seed, Some(servers), true), Policy::FirstFit);

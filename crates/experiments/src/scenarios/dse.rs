@@ -24,7 +24,7 @@
 //! would you buy?" as a CSV.
 //!
 //! Every cell is an executor job, so the sweep parallelises under
-//! `--jobs N` / `--shards N` with byte-identical output; the fabric
+//! `--jobs N` with byte-identical output; the fabric
 //! invariant suite (ledger conservation, qualifying-stagger bound)
 //! always runs, and `--check-invariants` arms the simulator suite.
 
@@ -38,9 +38,9 @@ use metrics::Percentiles;
 use ufab::{UfabConfig, UfabCore};
 
 /// Default fabric for a sweep cell: the 64-server FatTree (2 pods, so
-/// `--shards` has a pod partition to spread). The sweep runs one cell
-/// per grid point; keeping each cell small is what makes a ~dozen-point
-/// grid CI-sized.
+/// two logical processes: per-LP, merged in LP order). The sweep runs
+/// one cell per grid point; keeping each cell small is what makes a
+/// ~dozen-point grid CI-sized.
 const SWEEP_SERVERS: usize = 64;
 
 /// Everything one knob-point cell reports back.
@@ -149,7 +149,7 @@ pub struct SweepOut {
 /// the measurement + Pareto tables. Output is a pure function of
 /// `(scale, points)`: jobs merge in submission order and the front is
 /// sorted by objective vector, so stdout and CSVs are byte-identical
-/// at any `--jobs` / `--shards` value.
+/// at any `--jobs` value.
 pub fn sweep(scale: Scale, points: &[KnobPoint]) -> SweepOut {
     let jobs: Vec<Job<PointOut>> = points
         .iter()

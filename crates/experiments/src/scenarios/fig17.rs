@@ -41,15 +41,15 @@ pub struct Workload {
     pub vm_hose: Vec<f64>,
 }
 
-/// The server counts [`build_topo`] has a shape for. It builds the
-/// 64-server shape for any other count, so `repro` rejects those.
+/// The server counts [`build_topo`] has a shape for; it panics on any
+/// other, and `repro` rejects those at the command line.
 pub const FABRIC_SIZES: [usize; 4] = [64, 128, 512, 2048];
 
 /// Build the topology for one oversubscription setting.
 pub fn build_topo(servers: usize, oversub_1to1: bool) -> topology::Topo {
     let cfg = match servers {
-        // Beyond-paper scale point for sharded runs: 16 pods × 16 ToRs
-        // × 8 hosts = 2048 servers.
+        // Beyond-paper scale point: 16 pods × 16 ToRs × 8 hosts = 2048
+        // servers.
         2048 => ThreeTierCfg {
             pods: 16,
             tors_per_pod: 16,
@@ -67,7 +67,7 @@ pub fn build_topo(servers: usize, oversub_1to1: bool) -> topology::Topo {
             cores: if oversub_1to1 { 16 } else { 8 },
             ..ThreeTierCfg::default()
         },
-        _ => ThreeTierCfg {
+        64 => ThreeTierCfg {
             pods: 2,
             tors_per_pod: 4,
             hosts_per_tor: 8,
@@ -75,6 +75,9 @@ pub fn build_topo(servers: usize, oversub_1to1: bool) -> topology::Topo {
             cores: if oversub_1to1 { 16 } else { 8 },
             ..ThreeTierCfg::default()
         },
+        _ => panic!(
+            "build_topo: no fabric shape for {servers} servers (FABRIC_SIZES = {FABRIC_SIZES:?})"
+        ),
     };
     three_tier(cfg)
 }

@@ -1,66 +1,45 @@
 //! Containment determinism properties: the hostile-tenant abuse cell
 //! (`repro abuse`) must produce a byte-identical determinism digest at
-//! every `--jobs` and `--shards` worker count, with **zero** honest
+//! every `--jobs` worker count, with **zero** honest
 //! victim guarantee-violation milliseconds and **zero** false
 //! quarantines — for arbitrary seeds and hostile fractions, not just
 //! the pinned defaults.
 //!
 //! The cell under test is the 64-server variant with the full invariant
 //! suite armed (`abuse::cell_checked`): pod-partitioned topology (the
-//! sharded engine path), a mid-run core-switch failure, enforcement on,
+//! windowed engine path), a mid-run core-switch failure, enforcement on,
 //! and the quarantine loop closed every control step.
 
 use experiments::executor::{self, run_jobs, Job};
 use experiments::scenarios::abuse;
 use std::sync::Mutex;
 
-/// Serializes tests in this file: the executor's jobs/shards worker
-/// counts are process-global.
+/// Serializes tests in this file: the executor's jobs worker count is
+/// process-global.
 static EXEC_LOCK: Mutex<()> = Mutex::new(());
 
 const SERVERS: usize = 64;
 const INTENSITY: u32 = 4;
 
-/// One invariant-checked abuse cell under a given shard worker count.
-fn cell_at_shards(seed: u64, pct: u32, shards: usize) -> abuse::CellOut {
-    executor::set_shards(shards);
-    let out = abuse::cell_checked(seed, SERVERS, pct, INTENSITY);
-    executor::set_shards(0);
-    out
-}
-
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
 
-    /// Sharding the engine must be invisible: same digest, same event
-    /// count, same quarantine outcome at 1, 2, and 4 shard workers —
-    /// and containment must hold (no victim violation-ms, no false
+    /// Containment must hold (no victim violation-ms, no false
     /// quarantines) for whatever seed and hostile fraction proptest
     /// draws.
     #[test]
-    fn containment_is_shard_invariant_for_any_seed(
+    fn containment_holds_for_any_seed(
         seed in 1u64..1_000,
         pct in proptest::sample::select(vec![0u32, 10, 30]),
     ) {
         let _guard = EXEC_LOCK.lock().unwrap();
-        let base = cell_at_shards(seed, pct, 1);
+        let base = abuse::cell_checked(seed, SERVERS, pct, INTENSITY);
         proptest::prop_assert!(!base.digest.is_empty(), "digest must be armed");
         proptest::prop_assert_eq!(
             base.victim_viol_ms, 0,
             "victims lost guarantee-ms at seed {} pct {}", seed, pct
         );
         proptest::prop_assert_eq!(base.false_quarantines, 0);
-        for shards in [2usize, 4] {
-            let out = cell_at_shards(seed, pct, shards);
-            proptest::prop_assert_eq!(
-                &out.digest, &base.digest,
-                "digest diverged at shards={} seed={} pct={}", shards, seed, pct
-            );
-            proptest::prop_assert_eq!(out.events, base.events);
-            proptest::prop_assert_eq!(out.quarantined, base.quarantined);
-            proptest::prop_assert_eq!(out.victim_viol_ms, 0);
-            proptest::prop_assert_eq!(out.false_quarantines, 0);
-        }
     }
 }
 

@@ -1,10 +1,10 @@
 //! Full-stack determinism of the `dse` sweep (ISSUE 10 satellite):
 //! the rendered measurement and Pareto tables — the exact bytes `repro
-//! dse` prints and writes to CSV — must be identical at any `--jobs` /
-//! `--shards` worker count, with the invariant suite armed.
+//! dse` prints and writes to CSV — must be identical at any `--jobs`
+//! worker count, with the invariant suite armed.
 //!
-//! Own test binary: the executor's jobs/shards knobs are process-wide,
-//! so this file must not share a process with tests that race them.
+//! Own test binary: the executor's jobs knob is process-wide, so this
+//! file must not share a process with tests that race it.
 
 use dse::KnobPoint;
 use experiments::scenarios::common::Scale;
@@ -24,9 +24,8 @@ fn mini_grid() -> Vec<KnobPoint> {
     ]
 }
 
-fn sweep_bytes(jobs: usize, shards: usize) -> (String, String, Vec<f64>) {
+fn sweep_bytes(jobs: usize) -> (String, String, Vec<f64>) {
     experiments::executor::set_jobs(jobs);
-    experiments::executor::set_shards(shards);
     let scale = Scale {
         seed: 1,
         quick: true,
@@ -35,14 +34,13 @@ fn sweep_bytes(jobs: usize, shards: usize) -> (String, String, Vec<f64>) {
     };
     let out = dse_scenario::sweep(scale, &mini_grid());
     experiments::executor::set_jobs(0);
-    experiments::executor::set_shards(0);
     assert!(out.front_size > 0, "front must be non-empty");
     (out.grid.render(), out.pareto.render(), out.fp_pct)
 }
 
 #[test]
 fn sweep_bytes_identical_at_any_worker_count() {
-    let serial = sweep_bytes(1, 1);
+    let serial = sweep_bytes(1);
     // The starved filter must show measurable FP omissions even in the
     // mini cell — the knob → behaviour thread the sweep exists to map.
     assert!(
@@ -51,10 +49,7 @@ fn sweep_bytes_identical_at_any_worker_count() {
         serial.2[1],
         serial.2[0]
     );
-    let jobs4 = sweep_bytes(4, 1);
+    let jobs4 = sweep_bytes(4);
     assert_eq!(serial.0, jobs4.0, "grid table changed under --jobs 4");
     assert_eq!(serial.1, jobs4.1, "pareto table changed under --jobs 4");
-    let shards4 = sweep_bytes(1, 4);
-    assert_eq!(serial.0, shards4.0, "grid table changed under --shards 4");
-    assert_eq!(serial.1, shards4.1, "pareto table changed under --shards 4");
 }

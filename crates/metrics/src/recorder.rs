@@ -6,10 +6,12 @@
 //! and message/flow completions. Experiments then read rates, latency
 //! distributions and FCTs out of one place regardless of which system ran.
 //!
-//! Sharded simulations run shards on worker threads, so the shared handle
-//! is an `Arc<Mutex<…>>`. Within one shard access is still effectively
-//! single-threaded (agents on a shard run serially), so the mutex is
-//! uncontended and the overhead is one atomic pair per access.
+//! A partitioned simulation gives every logical process its own
+//! recorder — per-LP, merged in LP order by [`Recorder::merge_from`] —
+//! and one thread runs all of them. The handle is an `Arc<Mutex<…>>`
+//! because the agents holding it are `Send` (a simulation may be built on
+//! an executor thread); the mutex is never contended and costs one atomic
+//! pair per access.
 
 use crate::stats::Percentiles;
 use crate::timeseries::SeriesSet;

@@ -122,9 +122,9 @@ impl<'a> EdgeCtx<'a> {
 /// One agent handles **all** VMs, VM-pairs, and tenants colocated on its
 /// host — mirroring μFAB-E, which is one SmartNIC program per server.
 ///
-/// `Send` because a sharded run moves each agent (inside its owning
-/// shard) onto a worker thread; agents are only ever *accessed* by one
-/// thread at a time, so no `Sync` is required.
+/// `Send` so a whole [`crate::Simulator`] can be handed to another
+/// thread (the `--jobs` executor runs each simulation on a pool
+/// thread); one thread runs a simulation, so no `Sync` is required.
 pub trait EdgeAgent: Any + Send {
     /// Called once when the simulation starts.
     fn on_start(&mut self, ctx: &mut EdgeCtx);
@@ -190,8 +190,7 @@ impl<'a> SwitchCtx<'a> {
 
 /// A programmable-switch dataplane program (μFAB-C or nothing).
 ///
-/// `Send` for the same reason as [`EdgeAgent`]: sharded runs move the
-/// agent with its owning shard onto a worker thread.
+/// `Send` for the same reason as [`EdgeAgent`].
 pub trait SwitchAgent: Any + Send {
     /// Called once when the simulation starts (schedule cleanup timers).
     fn on_start(&mut self, _ctx: &mut SwitchCtx) {}

@@ -96,9 +96,9 @@ pub struct Network {
     /// All nodes, indexed by `NodeId`.
     pub nodes: Vec<Node>,
     /// Optional logical-process assignment for sharded execution:
-    /// `partition[node]` = LP index. Must be a topology property only
-    /// (independent of worker count) so per-shard event streams — and
-    /// therefore the determinism digest — do not depend on `--shards N`.
+    /// `partition[node]` = LP index. Must be a topology property only,
+    /// so per-shard event streams — and therefore the determinism
+    /// digest — depend on nothing else.
     /// `None` means "one LP owns everything" (pure serial layout).
     pub partition: Option<Vec<u32>>,
 }

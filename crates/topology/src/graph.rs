@@ -352,9 +352,8 @@ impl Topo {
     /// switches — the boundary tier — are spread round-robin
     /// (`core i → LP i % n_pods`).
     ///
-    /// The result depends only on the topology, never on a worker count:
-    /// the same LPs run whether one thread or many execute them, which is
-    /// what keeps the determinism digest identical at any `--shards N`.
+    /// The result depends only on the topology, so the determinism
+    /// digest of a partitioned run does too.
     pub fn pod_partition(&self) -> Vec<u32> {
         let n = self.adj.len();
         let is_core = |id: NodeId| self.cores.contains(&id);

@@ -13,7 +13,7 @@
 //!
 //! Hostile-tenant *selection* is a pure function of `(seed, tenant
 //! index)` via a splitmix64 mix — no RNG stream is consumed, so the
-//! same tenants turn hostile at any `--jobs`/`--shards` and the honest
+//! same tenants turn hostile at any `--jobs` and the honest
 //! tenants' traffic programs are bit-identical to the enforcement-off
 //! run.
 
