@@ -1,14 +1,16 @@
-//! Benchmark crate: see `benches/` for the Criterion targets.
+//! What is measured, not what records it: the repo's one benchmark is
+//! `ufabbench/`, which times the loops in [`micro`] and [`scenario`] and
+//! stamps its reports with [`report`]. `tests/guards.rs` holds one exact
+//! guard (tier-1) and two release-only timing guards.
+//!
+//! `benches/` has the Criterion targets (`cargo bench --workspace`):
 //!
 //! * `microbench` — hot data-plane primitives: Bloom filters, the
 //!   Appendix-G wire codec, rate estimators, the WFQ scheduler, GP token
 //!   assignment, and the weighted max-min reference solver.
 //! * `simbench` — end-to-end simulator throughput (events/sec) under μFAB
 //!   and under the baselines, plus topology path enumeration.
-//!
-//! Run with `cargo bench --workspace`. The `simbench` *binary* (not the
-//! Criterion target) measures end-to-end wall clock and writes the
-//! `BENCH_*.json` perf trajectory — see [`report`].
+//! * `obsbench` — flight-recorder overhead.
 
 pub mod micro;
 pub mod report;
@@ -47,17 +49,16 @@ pub mod scenario {
     /// Drive the Fig-11-style cross-pod permutation on the 10 G testbed
     /// (three guarantee classes per source host, staggered joins, bulk
     /// demand) until `until`, returning the number of simulator events
-    /// processed. This is the single-run hot-path benchmark workload.
+    /// processed. `ufabbench`'s smoke form of `fig11_testbed`.
     pub fn run_testbed_permutation(seed: u64, until: Time) -> u64 {
         run_testbed_permutation_inner(seed, until, false)
     }
 
     /// The same workload with the chaos engine *armed but idle*: an empty
     /// [`netsim::FaultPlan`] is applied, so every transmitted packet takes
-    /// the runtime's lookup branch without any fault ever firing. The
-    /// wall-clock delta against [`run_testbed_permutation`] is the cost
-    /// chaos support adds to the fig11 hot path (should be ≈0; with no
-    /// plan applied at all the cost is one `Option` test per send).
+    /// the runtime's lookup branch without any fault ever firing. An
+    /// empty plan must not perturb the simulation: `tests/guards.rs`
+    /// holds the event count equal to [`run_testbed_permutation`]'s.
     pub fn run_testbed_permutation_chaos_idle(seed: u64, until: Time) -> u64 {
         run_testbed_permutation_inner(seed, until, true)
     }

@@ -4,9 +4,9 @@
 //! their time in — calendar-queue churn, packet-box recycling, the
 //! μFAB-E per-RTT tick, the μFAB-C egress pipeline — and runs it for a
 //! caller-chosen iteration count, returning the number of operations
-//! performed. `simbench micro` times them and appends the results to
-//! the perf trajectory, so a regression in any single hot path shows up
-//! in isolation instead of being smeared across a whole scenario run.
+//! performed. `ufabbench`'s standalone probes (`ufabbench/src/probes.rs`)
+//! time them, so a regression in any single hot path shows up in
+//! isolation instead of being smeared across a whole scenario run.
 //!
 //! The loops are deterministic (fixed seeds, no wall-clock reads inside
 //! the measured region) and feed results through [`std::hint::black_box`]
@@ -15,7 +15,7 @@
 use netsim::agent::{EdgeAgent, Effects, NicView, SwitchAgent, SwitchCtx};
 use netsim::agent::{EdgeCtx, PortView};
 use netsim::packet::{DataInfo, Packet, PacketArena, PacketKind};
-use netsim::{EventQueue, FlowId, NodeId, PairId, PortNo, QueueStats, Route, TenantId, MS};
+use netsim::{EventQueue, FlowId, NodeId, PairId, PortNo, Route, TenantId, MS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -58,8 +58,8 @@ fn data_packet(i: u64) -> Packet {
 /// buckets, so a bucket holds ≈500 entries as it becomes active — a
 /// *dense* probe of the sort and the same-bucket insert, an order of
 /// magnitude above the 14–59-entry runs measured on the benchmark cells
-/// ([`equeue_churn_stats`] reports both side by side). Returns the
-/// number of pop+push cycles.
+/// (`repro <cell> --trace` prints theirs; this module's test holds the
+/// probe's). Returns the number of pop+push cycles.
 pub fn equeue_churn(iters: u64) -> u64 {
     let mut q: EventQueue<u64> = EventQueue::default();
     let mut lcg = 0x2545F4914F6CDD1Du64;
@@ -85,32 +85,9 @@ pub fn equeue_churn(iters: u64) -> u64 {
     done
 }
 
-/// The [`equeue_churn`] loop once more, returning the queue's own
-/// traffic counters with the cycle count (`simbench micro` prints them;
-/// the timed loop above stays as the benchmark froze it).
-pub fn equeue_churn_stats(iters: u64) -> (u64, QueueStats) {
-    let mut q: EventQueue<u64> = EventQueue::default();
-    let mut lcg = 0x2545F4914F6CDD1Du64;
-    let mut step = || {
-        lcg = lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        lcg
-    };
-    for seq in 0..4096u64 {
-        q.push(step() >> 48, seq, seq);
-    }
-    for seq in 4096..4096 + iters {
-        let (t, _s, item) = q.pop().expect("standing population never drains");
-        q.push(t + 1 + (step() >> 52), seq, item);
-    }
-    (iters, q.stats())
-}
-
 /// Arena-backed packet churn: a 64-deep in-flight window, each iteration
 /// allocates one packet box from the arena and recycles the oldest —
-/// steady state touches the allocator zero times. Compare against
-/// [`box_churn`] for the malloc/free cost the arena removes.
+/// steady state touches the allocator zero times.
 pub fn arena_churn(iters: u64) -> u64 {
     let mut arena = PacketArena::default();
     let mut window: VecDeque<Box<Packet>> = VecDeque::with_capacity(64);
@@ -125,22 +102,6 @@ pub fn arena_churn(iters: u64) -> u64 {
     }
     let stats = arena.stats();
     assert_eq!(stats.fresh, 64, "steady state must recycle, not allocate");
-    iters
-}
-
-/// The same in-flight window churn with plain `Box::new`/drop — the
-/// baseline the arena is measured against.
-pub fn box_churn(iters: u64) -> u64 {
-    let mut window: VecDeque<Box<Packet>> = VecDeque::with_capacity(64);
-    for i in 0..64 {
-        window.push_back(Box::new(data_packet(i)));
-    }
-    for i in 64..64 + iters {
-        let old = window.pop_front().expect("window never empties");
-        black_box(old.size);
-        drop(old);
-        window.push_back(Box::new(data_packet(i)));
-    }
     iters
 }
 
@@ -260,15 +221,40 @@ pub fn core_tick(iters: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::QueueStats;
 
+    /// The [`equeue_churn`] loop once more, returning the queue's own
+    /// traffic counters (the timed loop above stays as the benchmark
+    /// froze it).
+    fn equeue_churn_stats(iters: u64) -> QueueStats {
+        let mut q: EventQueue<u64> = EventQueue::default();
+        let mut lcg = 0x2545F4914F6CDD1Du64;
+        let mut step = || {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lcg
+        };
+        for seq in 0..4096u64 {
+            q.push(step() >> 48, seq, seq);
+        }
+        for seq in 4096..4096 + iters {
+            let (t, _s, item) = q.pop().expect("standing population never drains");
+            q.push(t + 1 + (step() >> 52), seq, item);
+        }
+        q.stats()
+    }
+
+    /// Every probe loop runs and counts what it says. With the run-length
+    /// assert this is all the retired `microbench-smoke` CI job checked:
+    /// the loops execute, and the queue probe is the dense one its ns/op
+    /// is read as.
     #[test]
     fn all_microbenches_run_and_count() {
         assert_eq!(equeue_churn(1_000), 1_000);
-        let (ops, qs) = equeue_churn_stats(1_000);
-        assert_eq!(ops, 1_000);
+        let qs = equeue_churn_stats(1_000);
         assert!(qs.rotations > 0 && qs.run_len_max > 100, "dense by design");
         assert_eq!(arena_churn(1_000), 1_000);
-        assert_eq!(box_churn(1_000), 1_000);
         assert_eq!(edge_tick(50), 50);
         assert_eq!(core_tick(2_000), 2_000);
     }

@@ -145,6 +145,27 @@ fn int_arg(flag: &str, value: Option<&String>, lo: u64, hi: u64) -> u64 {
     }
 }
 
+/// Check a preset-name operand (`--plan`, `--ops-script`) against the
+/// names the scenario accepts. The `Err` is the message `main` prints
+/// before exiting 2, so a bad name never reaches a scenario's own assert.
+fn preset_arg(flag: &str, value: Option<&String>, have: &[&str]) -> Result<String, String> {
+    let Some(p) = value else {
+        return Err(format!("{flag} needs a preset name\n{}", usage()));
+    };
+    if !have.contains(&p.as_str()) {
+        return Err(format!(
+            "{flag} '{p}' is not a preset (have: {})",
+            have.join(" ")
+        ));
+    }
+    Ok(p.clone())
+}
+
+fn exit_usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(EXIT_USAGE);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::default();
@@ -195,18 +216,8 @@ fn main() {
             }
             "--check-invariants" => scale.check_invariants = true,
             "--ops-script" => {
-                let Some(p) = it.next() else {
-                    eprintln!("error: --ops-script needs a preset name\n{}", usage());
-                    std::process::exit(EXIT_USAGE);
-                };
-                if !ops::PRESETS.contains(&p.as_str()) {
-                    eprintln!(
-                        "error: --ops-script '{p}' is not a preset (have: {})",
-                        ops::PRESETS.join(" ")
-                    );
-                    std::process::exit(EXIT_USAGE);
-                }
-                ops_script = p.clone();
+                ops_script = preset_arg("--ops-script", it.next(), ops::PRESETS)
+                    .unwrap_or_else(|e| exit_usage(&e));
             }
             "--snapshot-at" => {
                 // µs of simulated time; 0 disables the restore drill.
@@ -221,11 +232,9 @@ fn main() {
                 abuse_intensity = int_arg("--abuse-intensity", it.next(), 1, 64) as u32;
             }
             "--plan" => {
-                let Some(p) = it.next() else {
-                    eprintln!("error: --plan needs a preset name\n{}", usage());
-                    std::process::exit(EXIT_USAGE);
-                };
-                plan = Some(p.clone());
+                let have: Vec<&str> = chaos::PRESETS.iter().copied().chain(["all"]).collect();
+                plan =
+                    Some(preset_arg("--plan", it.next(), &have).unwrap_or_else(|e| exit_usage(&e)));
             }
             "--grid" => {
                 let Some(g) = it.next() else {
@@ -341,5 +350,26 @@ fn main() {
         if v > 0 {
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn preset_arg_accepts_listed_names_and_labels_the_rest() {
+        let have = ["flap", "all"];
+        let arg = |s: &str| s.to_string();
+        assert_eq!(
+            preset_arg("--plan", Some(&arg("all")), &have),
+            Ok(arg("all"))
+        );
+        assert_eq!(
+            preset_arg("--plan", Some(&arg("nope")), &have),
+            Err(arg("--plan 'nope' is not a preset (have: flap all)"))
+        );
+        let missing = preset_arg("--plan", None, &have).unwrap_err();
+        assert!(missing.starts_with("--plan needs a preset name\nusage: repro"));
     }
 }

@@ -350,11 +350,13 @@ pub fn run(scale: Scale, pct: u32, intensity: u32) -> Table {
     table
 }
 
-/// Small fixed cell for `simbench abuse`: 64 servers, first-fit, quick
-/// timeline, enforcement armed. `pct = 0` is the clean-tenant path —
-/// identical workload to `churn::bench_cell` with the enforcement
-/// stage and the containment loop in the hot path, which is what the
-/// <3% overhead bound compares. Returns simulator events processed.
+/// Small fixed cell: 64 servers, first-fit, quick timeline, enforcement
+/// armed. `ufabbench`'s `abuse_64` runs it at `pct = 10`; `pct = 0` is
+/// the clean-tenant path — identical workload to
+/// `churn::bench_cell_at(seed, 64)` with the enforcement stage and the
+/// containment loop in the hot path, which is what the <3% overhead
+/// bound in `bench/tests/guards.rs` compares. Returns simulator events
+/// processed.
 pub fn bench_cell(seed: u64, pct: u32) -> u64 {
     let out = run_cell(hook_scale(seed, Some(64), false), Policy::FirstFit, pct, 4);
     assert_eq!(out.end.fabric_violations, 0, "{}", out.end.fabric_report);

@@ -184,6 +184,8 @@ fn plan_for(
                 at: from + 6 * MS * scale_t,
             });
         }
+        // Internal assert: `run` hands this function names out of
+        // `PRESETS` only.
         other => panic!("unknown chaos preset '{other}' (known: {PRESETS:?} or 'all')"),
     }
     plan
@@ -340,6 +342,8 @@ pub fn run(scale: Scale, plan: &str) -> Table {
     let presets: Vec<&str> = if plan == "all" {
         PRESETS.to_vec()
     } else {
+        // Internal assert: `repro`'s `--plan` arm checks the name against
+        // `PRESETS` + `all` and exits 2 before a scenario runs.
         assert!(
             PRESETS.contains(&plan),
             "unknown chaos preset '{plan}' (known: {PRESETS:?} or 'all')"

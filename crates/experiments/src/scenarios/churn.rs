@@ -198,14 +198,10 @@ pub fn run(scale: Scale) -> Table {
     table
 }
 
-/// Small fixed cell for `simbench churn`: 64 servers, first-fit, quick
-/// timeline. Returns simulator events processed.
-pub fn bench_cell(seed: u64) -> u64 {
-    bench_cell_at(seed, 64)
-}
-
-/// [`bench_cell`] at any [`super::fig17::FABRIC_SIZES`] server count.
-/// Returns simulator events processed.
+/// Small fixed cell (first-fit, quick timeline) at any
+/// [`super::fig17::FABRIC_SIZES`] server count: `ufabbench`'s `churn_64`
+/// and `churn_512` workloads, and the enforcement-off arm of
+/// `bench/tests/guards.rs`. Returns simulator events processed.
 pub fn bench_cell_at(seed: u64, servers: usize) -> u64 {
     let out = run_cell(hook_scale(seed, Some(servers), false), Policy::FirstFit);
     assert_eq!(out.end.fabric_violations, 0, "{}", out.end.fabric_report);
@@ -222,9 +218,10 @@ pub fn bench_cell_checked(seed: u64, servers: usize) -> (u64, String, usize) {
     (out.end.events, out.end.digest, out.end.sim_violations)
 }
 
-/// Admission-plan throughput input for `simbench churn`: generate
-/// `target` requests on the paper-512 fabric and plan them, returning
-/// the number of decisions taken.
+/// Admission-plan throughput input for `ufabbench` (`ctl_plane`, and
+/// the `fabric.plan.decisions_per_s` probe): generate `target` requests
+/// on the paper-512 fabric and plan them, returning the number of
+/// decisions taken.
 pub fn admission_bench(seed: u64, target: usize) -> usize {
     let topo = build_topo(512, false);
     let cfg = ChurnCfg {

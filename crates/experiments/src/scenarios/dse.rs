@@ -28,7 +28,7 @@
 //! invariant suite (ledger conservation, qualifying-stagger bound)
 //! always runs, and `--check-invariants` arms the simulator suite.
 
-use super::cell::{demand_for, hook_scale, Cell, CellEnd, Planned};
+use super::cell::{demand_for, Cell, CellEnd, Planned};
 use super::common::{emit, f, us, Scale};
 use crate::executor::{run_jobs, Job};
 use dse::{cost_of, pareto_front, CostBreakdown, KnobPoint};
@@ -124,8 +124,7 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
     }
 }
 
-/// Everything a sweep produces, for `run`, the determinism test, and
-/// `simbench dse`.
+/// Everything a sweep produces, for `run` and the determinism test.
 pub struct SweepOut {
     /// Per-point measurement table (one row per grid point, grid order).
     pub grid: Table,
@@ -141,8 +140,6 @@ pub struct SweepOut {
     pub qualified: Vec<usize>,
     /// Pareto-front size.
     pub front_size: usize,
-    /// Total simulator events over all cells (bench metric).
-    pub events: u64,
 }
 
 /// Sweep a set of knob points as parallel executor jobs and assemble
@@ -170,7 +167,6 @@ pub fn sweep(scale: Scale, points: &[KnobPoint]) -> SweepOut {
         "digest",
     ]);
     let outs = run_jobs(jobs);
-    let mut events = 0u64;
     for out in &outs {
         if !out.end.epilogue.is_empty() {
             print!("{}", out.end.epilogue);
@@ -190,7 +186,6 @@ pub fn sweep(scale: Scale, points: &[KnobPoint]) -> SweepOut {
             "[{}] cell produced no switch registrations — nothing measured",
             out.label
         );
-        events += out.end.events;
         grid.row([
             out.label.clone(),
             f(out.cost.cost_units, 2),
@@ -237,7 +232,6 @@ pub fn sweep(scale: Scale, points: &[KnobPoint]) -> SweepOut {
         viol_ms: outs.iter().map(|o| o.viol_ms).collect(),
         qualified: outs.iter().map(|o| o.qualified).collect(),
         front_size: front.len(),
-        events,
     }
 }
 
@@ -282,22 +276,4 @@ pub fn run(scale: Scale, grid: dse::GridKind) {
         points.len(),
         out.front_size
     );
-}
-
-/// `simbench dse` sweep cell: the quick grid at bench scale. Returns
-/// total simulator events processed.
-pub fn bench_sweep(seed: u64) -> u64 {
-    sweep(
-        hook_scale(seed, None, false),
-        &dse::GridKind::Quick.points(),
-    )
-    .events
-}
-
-/// `simbench dse` single-point cell: the baseline knob point alone
-/// (per-cell throughput without sweep fan-out). Returns events.
-pub fn bench_point(seed: u64) -> u64 {
-    let out = run_point(hook_scale(seed, None, false), KnobPoint::baseline());
-    assert_eq!(out.end.fabric_violations, 0, "{}", out.end.fabric_report);
-    out.end.events
 }

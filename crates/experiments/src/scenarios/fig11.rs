@@ -147,7 +147,7 @@ pub fn run(scale: Scale) -> Table {
 }
 
 /// Like [`run`] but also returns the total simulator events processed
-/// across the three systems (the `simbench` end-to-end metric).
+/// across the three systems (`ufabbench`'s `fig11_testbed` workload).
 pub fn run_with_stats(scale: Scale) -> (Table, u64) {
     let stagger = if scale.quick { 5 * MS } else { 20 * MS };
     let mut rates = Table::new(["system", "t_ms", "class_gbps", "vf", "rate_gbps"]);

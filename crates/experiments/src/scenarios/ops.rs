@@ -32,8 +32,8 @@
 //! (`--snapshot-at 0` disables it).
 
 use super::cell::{
-    add_ring_tenant, cell_trace, demand_for, guaranteed_bins, hook_scale, observe, Timeline,
-    GUAR_FRACTION, STEP,
+    add_ring_tenant, cell_trace, demand_for, guaranteed_bins, observe, Timeline, GUAR_FRACTION,
+    STEP,
 };
 use super::common::{emit, f, obs_epilogue, us, Scale};
 use super::fig17::build_topo;
@@ -233,7 +233,6 @@ struct CellOut {
     restore_viol_ms: u64,
     svc_violations: usize,
     svc_report: String,
-    events: u64,
 }
 
 fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>) -> CellOut {
@@ -512,7 +511,6 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
         restore_viol_ms,
         svc_violations: ssuite.violations().len(),
         svc_report: ssuite.report(),
-        events: r.sim.stats().events,
     }
 }
 
@@ -603,19 +601,9 @@ pub fn run(scale: Scale, script: &str, snap_at_us: Option<u64>) -> Table {
     table
 }
 
-/// Small fixed cell for `simbench ops`: 64 servers, first-fit, quick
-/// timeline, mixed script with a mid-run restore. Returns simulator
-/// events processed.
-pub fn bench_cell(seed: u64) -> u64 {
-    let scale = hook_scale(seed, Some(64), false);
-    let tl = Timeline::new(true, WINDOW_MS);
-    let out = run_cell(scale, Policy::FirstFit, "mixed".into(), Some(tl.at(50)));
-    assert_eq!(out.svc_violations, 0, "{}", out.svc_report);
-    out.events
-}
-
-/// `simbench ops` micro inputs: build a populated 64-server service and
-/// measure `iters` resize round-trips, returning ops applied.
+/// `ufabbench` input (`ctl_plane`, and the `fabricd.resize.ops_per_s`
+/// probe): build a populated 64-server service and run `iters` resize
+/// round-trips, returning ops applied.
 pub fn resize_bench(seed: u64, iters: usize) -> usize {
     let (mut svc, mut now) = populated_service(seed);
     let n = svc.tenants().len() as u32;
@@ -638,8 +626,9 @@ pub fn resize_bench(seed: u64, iters: usize) -> usize {
     applied
 }
 
-/// Snapshot serialization on a populated service, `iters` times.
-/// Returns total snapshot bytes rendered.
+/// Snapshot serialization on a populated service, `iters` times
+/// (`ufabbench`: `ctl_plane`, `fabricd.snapshot.per_s`). Returns total
+/// snapshot bytes rendered.
 pub fn snapshot_bench(seed: u64, iters: usize) -> usize {
     let (svc, _) = populated_service(seed);
     let mut bytes = 0;
@@ -650,8 +639,9 @@ pub fn snapshot_bench(seed: u64, iters: usize) -> usize {
 }
 
 /// Snapshot restore (parse + ledger/placer rebuild + conservation
-/// audit) on a populated service, `iters` times. Returns tenants
-/// restored across all iterations.
+/// audit) on a populated service, `iters` times (`ufabbench`:
+/// `ctl_plane`, `fabricd.restore.per_s`). Returns tenants restored
+/// across all iterations.
 pub fn restore_bench(seed: u64, iters: usize) -> usize {
     let (svc, _) = populated_service(seed);
     let topo = Arc::new(build_topo(64, false));
