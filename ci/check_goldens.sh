@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Re-make every committed golden from its own command line at --jobs 1
-# and 4 and diff it against ci/golden/: stdout for all five, and for
+# and 4 and diff it against ci/golden/: stdout for all six, and for
 # dse also its two CSVs. A pairwise jobs=1-vs-4 diff passes a change
 # that moves both sides; a golden does not.
 #
@@ -20,6 +20,7 @@ cases=(
   "abuse_64_seed2|abuse --servers 64 --seed 2"
   "ops_64_seed2|ops --servers 64 --seed 2"
   "dse_64_seed2|dse --grid quick --servers 64 --seed 2"
+  "churn_512_seed1|churn --servers 512 --seed 1"
 )
 
 fail=0

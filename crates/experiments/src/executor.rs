@@ -24,8 +24,8 @@
 //! and evict each other's caches — without changing any output, so the
 //! excess is clamped away. Output is submission-ordered either way.
 //!
-//! The grid is the only thing spread over cores: one thread runs each
-//! simulation, its logical processes taking turns in LP order.
+//! The grid is the only thing spread over cores: a simulation is one
+//! event queue run by one thread.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,7 +1,7 @@
 //! Simulator assembly and the experiment run loop.
 
 use baselines::edge::{BaselineCfg, BaselineEdge};
-use metrics::recorder::{self, Completion, Recorder, SharedRecorder};
+use metrics::recorder::{self, Completion, SharedRecorder};
 use metrics::Percentiles;
 use netsim::{NodeId, PairId, PortNo, Simulator, Time, MS, US};
 use obs::{InvariantSuite, ObsHandle};
@@ -58,16 +58,10 @@ pub struct Runner {
     pub topo: Arc<Topo>,
     /// The fabric registry.
     pub fabric: Arc<FabricSpec>,
-    /// Measurement sink of logical process 0. Unpartitioned topologies
-    /// (every scenario except the pod-partitioned fabric cells) have
-    /// exactly one LP, making this *the* recorder — existing call sites keep working
-    /// unchanged. Partitioned runs must read merged views instead:
-    /// [`Runner::merged_recorder`], [`Runner::pair_rate`],
-    /// [`Runner::tenant_rate`].
+    /// The measurement sink every edge agent writes to.
     pub rec: SharedRecorder,
-    /// One measurement sink per logical process (`recs[0] == rec`):
-    /// each edge agent writes to its owning LP's recorder, and readers
-    /// take them per-LP, merged in LP order.
+    /// `vec![rec.clone()]`. Until ROADMAP 1(f).
+    #[doc(hidden)]
     pub recs: Vec<SharedRecorder>,
     /// System under test.
     pub system: SystemKind,
@@ -83,8 +77,6 @@ pub struct Runner {
     /// Online invariant checkers, evaluated between run slices when
     /// installed via [`Runner::enable_invariants`].
     pub invariants: Option<InvariantSuite<Simulator>>,
-    /// Rate-series bin width the recorders were built with.
-    rate_bin: Time,
 }
 
 impl Runner {
@@ -118,11 +110,7 @@ impl Runner {
         let topo = Arc::new(topo);
         let fabric = Arc::new(fabric);
         let mut sim = Simulator::new(net, seed);
-        let recs: Vec<SharedRecorder> = (0..sim.n_lps())
-            .map(|_| recorder::shared(rate_bin))
-            .collect();
-        let rec = Arc::clone(&recs[0]);
-        let rec_for = |sim: &Simulator, h: NodeId| Arc::clone(&recs[sim.owner_of(h) as usize]);
+        let rec = recorder::shared(rate_bin);
         let mut cfg = ufab_cfg.unwrap_or_default();
         match system {
             SystemKind::Ufab | SystemKind::UfabPrime => {
@@ -136,7 +124,7 @@ impl Runner {
                             cfg.clone(),
                             Arc::clone(&topo),
                             Arc::clone(&fabric),
-                            rec_for(&sim, h),
+                            Arc::clone(&rec),
                             h,
                         )),
                     );
@@ -167,7 +155,7 @@ impl Runner {
                             bcfg.clone(),
                             Arc::clone(&topo),
                             Arc::clone(&fabric),
-                            rec_for(&sim, h),
+                            Arc::clone(&rec),
                             h,
                             nic,
                         )),
@@ -179,9 +167,8 @@ impl Runner {
             sim,
             topo,
             fabric,
+            recs: vec![Arc::clone(&rec)],
             rec,
-            recs,
-            rate_bin,
             system,
             queue_watch: Vec::new(),
             queue_samples: Percentiles::new(),
@@ -369,36 +356,15 @@ impl Runner {
         self.queue_series.push((self.sim.now(), max_q));
     }
 
-    /// Drain completions that arrived since the previous poll, across
-    /// all per-LP recorders, in a deterministic global order.
-    ///
-    /// With one LP this is exactly the old single-recorder drain. With
-    /// several, per-LP drains are merged by `(end, pair, flow)` — a
-    /// total order over completions that does not depend on how the
-    /// nodes were split into LPs.
+    /// Drain completions that arrived since the previous poll.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        if self.recs.len() == 1 {
-            return self.rec.lock().unwrap().drain_new_completions();
-        }
-        let mut all: Vec<Completion> = Vec::new();
-        for r in &self.recs {
-            all.extend(r.lock().unwrap().drain_new_completions());
-        }
-        all.sort_by_key(|c| (c.end, c.pair, c.flow));
-        all
+        self.rec.lock().unwrap().drain_new_completions()
     }
 
-    /// A fresh recorder folding every per-LP recorder together, with
-    /// completions sorted by `(end, pair, flow)`. The merge is additive
-    /// and LP-order independent; use this for end-of-run metrics on
-    /// partitioned topologies.
-    pub fn merged_recorder(&self) -> Recorder {
-        let mut out = Recorder::new(self.rate_bin);
-        for r in &self.recs {
-            out.merge_from(&r.lock().unwrap());
-        }
-        out.completions.sort_by_key(|c| (c.end, c.pair, c.flow));
-        out
+    /// The recorder itself, shared. Until ROADMAP 1(f).
+    #[doc(hidden)]
+    pub fn merged_recorder(&self) -> SharedRecorder {
+        Arc::clone(&self.rec)
     }
 
     /// Acked bytes of each `(source host, pair)` right now — the baseline
@@ -428,36 +394,18 @@ impl Runner {
         })
     }
 
-    /// Average delivered rate of a pair over `[from, to)` in bits/sec,
-    /// summed across all per-LP recorders.
+    /// Average delivered rate of a pair over `[from, to)` in bits/sec.
     pub fn pair_rate(&self, pair: PairId, from: Time, to: Time) -> f64 {
-        self.recs
-            .iter()
-            .map(|r| {
-                r.lock()
-                    .unwrap()
-                    .pair_rates
-                    .get(&pair.raw())
-                    .map(|s| s.avg_rate(from, to))
-                    .unwrap_or(0.0)
-            })
-            .sum()
+        let rec = self.rec.lock().unwrap();
+        let series = rec.pair_rates.get(&pair.raw());
+        series.map(|s| s.avg_rate(from, to)).unwrap_or(0.0)
     }
 
-    /// Average delivered rate of a tenant over `[from, to)` in bits/sec,
-    /// summed across all per-LP recorders.
+    /// Average delivered rate of a tenant over `[from, to)` in bits/sec.
     pub fn tenant_rate(&self, tenant: u32, from: Time, to: Time) -> f64 {
-        self.recs
-            .iter()
-            .map(|r| {
-                r.lock()
-                    .unwrap()
-                    .tenant_rates
-                    .get(&tenant)
-                    .map(|s| s.avg_rate(from, to))
-                    .unwrap_or(0.0)
-            })
-            .sum()
+        let rec = self.rec.lock().unwrap();
+        let series = rec.tenant_rates.get(&tenant);
+        series.map(|s| s.avg_rate(from, to)).unwrap_or(0.0)
     }
 
     /// Probing bandwidth overhead so far: probe bytes / all host TX bytes.

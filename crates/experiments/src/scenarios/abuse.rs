@@ -10,10 +10,9 @@
 //! off the edges, integrated into misbehavior scores, and quarantine
 //! clamps are programmed back down to the edges.
 //!
-//! Everything of the parent cell is kept — the pod partition (per-LP
-//! recorders, merged in LP order) and the mid-run core-switch failure
-//! (chaos engine) — so containment is demonstrated *composed* with the rest of
-//! the harness, not in a sanitized corner.
+//! The parent cell's mid-run core-switch failure (chaos engine) is kept, so
+//! containment is demonstrated *composed* with the rest of the harness, not
+//! in a sanitized corner.
 //!
 //! Reported:
 //!
@@ -222,7 +221,7 @@ pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellO
         }
     }
 
-    let rec = cell.r.merged_recorder();
+    let rec = cell.r.rec.lock().unwrap();
     // Victim-class violation ms: honest bulk tenants only, same
     // accounting as churn, minus the containment-settling bins collected
     // above — inside a detection window the policer bounds the damage,

@@ -225,11 +225,7 @@ impl Planned {
     /// FatTree: 22 k tenants/sec at 512 servers over a 68 ms window.
     pub(crate) fn new(scale: &Scale, policy: Policy, default_servers: usize) -> Self {
         let tl = Timeline::new(scale.quick, 68);
-        let mut topo = build_topo(scale.servers.unwrap_or(default_servers), false);
-        // Partition the fabric at pod granularity: one logical process
-        // and one recorder per pod, per-LP, merged in LP order. Every
-        // golden and digest of these cells was made on that layout.
-        topo.enable_pod_partition();
+        let topo = build_topo(scale.servers.unwrap_or(default_servers), false);
         let trace = cell_trace(scale.seed, &tl, topo.hosts.len(), 22_000.0);
         let acfg = AdmissionCfg {
             policy,
@@ -443,7 +439,8 @@ impl Cell {
 
     /// Visit every guaranteed bin ([`guaranteed_bins`]) of every bulk
     /// tenant as `(tenant, bin, violated)`, against [`GUAR_FRACTION`] of
-    /// the tenant's aggregate guarantee. `rec` is the merged recorder.
+    /// the tenant's aggregate guarantee. `rec` is the cell's recorder,
+    /// locked by the caller (`abuse` goes on reading it).
     pub(crate) fn bulk_bins(&self, rec: &Recorder, mut visit: impl FnMut(usize, usize, bool)) {
         for (i, t) in self.svc.tenants().iter().enumerate() {
             if self.trace[self.plan.admitted[i].req].kind != DemandKind::Bulk {

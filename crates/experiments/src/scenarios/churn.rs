@@ -99,7 +99,7 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
     }
     let mut viol_ms = 0u64;
     let mut guaranteed_ms = 0u64;
-    cell.bulk_bins(&cell.r.merged_recorder(), |_, _, violated| {
+    cell.bulk_bins(&cell.r.rec.lock().unwrap(), |_, _, violated| {
         guaranteed_ms += 1;
         viol_ms += violated as u64;
     });
@@ -210,8 +210,7 @@ pub fn bench_cell_at(seed: u64, servers: usize) -> u64 {
 
 /// Test hook for digest-identity checks: the bench cell with the
 /// fault-aware invariant suite armed (the timeline kills a core switch
-/// mid-run, which under the pod partition is an LP-boundary node). Returns
-/// `(events, digest, sim_invariant_violations)`.
+/// mid-run). Returns `(events, digest, sim_invariant_violations)`.
 pub fn bench_cell_checked(seed: u64, servers: usize) -> (u64, String, usize) {
     let out = run_cell(hook_scale(seed, Some(servers), true), Policy::FirstFit);
     assert_eq!(out.end.fabric_violations, 0, "{}", out.end.fabric_report);

@@ -37,9 +37,8 @@ use metrics::table::Table;
 use metrics::Percentiles;
 use ufab::{UfabConfig, UfabCore};
 
-/// Default fabric for a sweep cell: the 64-server FatTree (2 pods, so
-/// two logical processes: per-LP, merged in LP order). The sweep runs
-/// one cell per grid point; keeping each cell small is what makes a
+/// Default fabric for a sweep cell: the 64-server FatTree (2 pods). The
+/// sweep runs one cell per grid point; keeping each cell small is what makes a
 /// ~dozen-point grid CI-sized.
 const SWEEP_SERVERS: usize = 64;
 
@@ -105,7 +104,7 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
     let ttg_p99_ns = ttg.percentile(99.0).unwrap_or(cell.tl.horizon as f64);
 
     let mut viol_ms = 0u64;
-    cell.bulk_bins(&cell.r.merged_recorder(), |_, _, violated| {
+    cell.bulk_bins(&cell.r.rec.lock().unwrap(), |_, _, violated| {
         viol_ms += violated as u64;
     });
 

@@ -6,9 +6,8 @@
 //! the pinned defaults.
 //!
 //! The cell under test is the 64-server variant with the full invariant
-//! suite armed (`abuse::cell_checked`): pod-partitioned topology (the
-//! windowed engine path), a mid-run core-switch failure, enforcement on,
-//! and the quarantine loop closed every control step.
+//! suite armed (`abuse::cell_checked`): a mid-run core-switch failure,
+//! enforcement on, and the quarantine loop closed every control step.
 
 use experiments::executor::{self, run_jobs, Job};
 use experiments::scenarios::abuse;

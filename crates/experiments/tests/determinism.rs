@@ -123,40 +123,14 @@ fn batched_dispatch_digest_identity_incast() {
     assert_eq!(incast_digest_with(11, true), incast_digest_with(11, false));
 }
 
-// ---------------------------------------------------------------------
-// Partitioned execution: the digest, folded per LP and combined in LP
-// order, must be independent of batching.
-// ---------------------------------------------------------------------
-
-/// The 4-to-1 testbed incast on a pod-partitioned topology (2 pods ⇒
-/// 2 LPs; cores ride the LPs round-robin).
-fn sharded_incast_digest(seed: u64, batch: bool) -> u64 {
-    let (mut topo, fabric, srcs, pairs, _dst) =
-        incast_on_testbed(4, TestbedCfg::default(), 1.0, 500e6);
-    topo.enable_pod_partition();
-    let mut r = Runner::new(topo, fabric, SystemKind::Ufab, seed, None, MS);
-    assert!(r.sim.n_lps() > 1, "testbed must partition into several LPs");
-    r.sim.enable_det_hash();
-    r.sim.set_batch_delivery(batch);
-    let jobs: Vec<(Time, NodeId, PairId, u64, u32)> = srcs
-        .iter()
-        .zip(&pairs)
-        .map(|(&s, &p)| (MS, s, p, 2_000_000, 0))
-        .collect();
-    let mut driver = BulkDriver::new(jobs, 0);
-    let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-    r.run(8 * MS, SLICE, &mut drivers);
-    r.sim.det_digest().expect("digest enabled above")
-}
-
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
 
-    /// Digest identity across the batching axis on a partitioned
-    /// topology, for arbitrary seeds.
+    /// Digest identity across the batching axis on the multipath
+    /// incast, for arbitrary seeds.
     #[test]
-    fn sharded_digest_identity_any_seed(seed in 1u64..1_000) {
-        let base = sharded_incast_digest(seed, true);
-        proptest::prop_assert_eq!(sharded_incast_digest(seed, false), base);
+    fn batched_dispatch_digest_identity_incast_any_seed(seed in 1u64..1_000) {
+        let base = incast_digest_with(seed, true);
+        proptest::prop_assert_eq!(incast_digest_with(seed, false), base);
     }
 }

@@ -6,12 +6,10 @@
 //! and message/flow completions. Experiments then read rates, latency
 //! distributions and FCTs out of one place regardless of which system ran.
 //!
-//! A partitioned simulation gives every logical process its own
-//! recorder — per-LP, merged in LP order by [`Recorder::merge_from`] —
-//! and one thread runs all of them. The handle is an `Arc<Mutex<…>>`
-//! because the agents holding it are `Send` (a simulation may be built on
-//! an executor thread); the mutex is never contended and costs one atomic
-//! pair per access.
+//! A simulation has one recorder and one thread runs it. The handle is an
+//! `Arc<Mutex<…>>` because the agents holding it are `Send` (a simulation
+//! may be built on an executor thread); the mutex is never contended and
+//! costs one atomic pair per access.
 
 use crate::stats::Percentiles;
 use crate::timeseries::SeriesSet;
@@ -116,23 +114,6 @@ impl Recorder {
         self.unconsumed = self.completions.len();
         out
     }
-
-    /// Fold `other`'s measurements into this recorder.
-    ///
-    /// Rates, byte counters and percentile pools are additive, so the
-    /// merge is independent of the order recorders are folded in — the
-    /// property sharded runs rely on when combining per-LP recorders.
-    /// Completions are appended in `other`'s order; callers that need a
-    /// global order sort afterwards by `(end, pair, flow)`.
-    pub fn merge_from(&mut self, other: &Recorder) {
-        self.pair_rates.merge_from(&other.pair_rates);
-        self.tenant_rates.merge_from(&other.tenant_rates);
-        self.rtts.merge_from(&other.rtts);
-        self.completions.extend(other.completions.iter().cloned());
-        self.delivered_bytes += other.delivered_bytes;
-        self.retransmits += other.retransmits;
-        self.path_migrations += other.path_migrations;
-    }
 }
 
 /// Shared handle to a [`Recorder`].
@@ -194,58 +175,5 @@ mod tests {
         assert_eq!(second[0].flow, 3);
         // Full history still retained for end-of-run analysis.
         assert_eq!(r.completions.len(), 3);
-    }
-
-    /// Sharded runs fold per-LP recorders in whatever order the LPs
-    /// are visited: nothing a scenario reads may depend on it.
-    #[test]
-    fn merge_is_order_independent_for_everything_a_scenario_reads() {
-        let mk = |flow, pair, end| Completion {
-            flow,
-            pair,
-            bytes: 1000,
-            start: 0,
-            end,
-            tag: 0,
-        };
-        let mut a = Recorder::new(MS);
-        a.delivered(0, 7, 1, 1000);
-        a.delivered(MS, 8, 2, 500);
-        a.rtt(0, 7, 1, 24_000);
-        a.rtt(0, 8, 2, 30_000);
-        a.complete(mk(1, 7, MS));
-        a.retransmits = 3;
-        a.path_migrations = 1;
-        let mut b = Recorder::new(MS);
-        b.delivered(0, 7, 1, 200);
-        b.delivered(2 * MS, 9, 2, 700);
-        b.rtt(MS, 9, 2, 100_000);
-        b.complete(mk(2, 9, 2 * MS));
-        b.complete(mk(3, 7, 3 * MS));
-        b.retransmits = 4;
-        b.path_migrations = 2;
-
-        let fold = |parts: [&Recorder; 2]| {
-            let mut out = Recorder::new(MS);
-            parts.into_iter().for_each(|p| out.merge_from(p));
-            out
-        };
-        let (mut ab, mut ba) = (fold([&a, &b]), fold([&b, &a]));
-        assert_eq!(ab.rtts.count(), 3);
-        for q in [0.0, 50.0, 99.0, 100.0] {
-            assert_eq!(ab.rtts.percentile(q), ba.rtts.percentile(q));
-        }
-        assert_eq!(ab.pair_rates.get(&7).unwrap().total_bytes(), 1200);
-        assert_eq!(ab.tenant_rates.get(&2).unwrap().total_bytes(), 1200);
-        let rates = |s: &SeriesSet<u32>| -> Vec<_> {
-            s.iter().map(|(k, v)| (*k, v.points(4 * MS))).collect()
-        };
-        assert_eq!(rates(&ab.pair_rates), rates(&ba.pair_rates));
-        assert_eq!(rates(&ab.tenant_rates), rates(&ba.tenant_rates));
-        for r in [&ab, &ba] {
-            assert_eq!(r.completions.len(), 3);
-            assert_eq!(r.delivered_bytes, 2400);
-            assert_eq!((r.retransmits, r.path_migrations), (7, 3));
-        }
     }
 }

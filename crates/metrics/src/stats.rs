@@ -127,14 +127,6 @@ impl Percentiles {
         self.samples.is_empty()
     }
 
-    /// Append all of `other`'s samples. Percentiles over the union are
-    /// insertion-order independent, so merging per-shard recorders in any
-    /// order yields identical quantiles.
-    pub fn merge_from(&mut self, other: &Percentiles) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.samples

@@ -72,26 +72,6 @@ impl RateSeries {
             .collect()
     }
 
-    /// Add every bin of `other` into this series (bin-additive union).
-    ///
-    /// Sharded runs keep one recorder per logical process; merging their
-    /// series must be order-independent, which bin addition is.
-    ///
-    /// # Panics
-    /// Panics if the bin widths differ.
-    pub fn merge_from(&mut self, other: &RateSeries) {
-        assert_eq!(
-            self.bin_ns, other.bin_ns,
-            "cannot merge rate series with different bin widths"
-        );
-        if other.bins.len() > self.bins.len() {
-            self.bins.resize(other.bins.len(), 0);
-        }
-        for (i, &b) in other.bins.iter().enumerate() {
-            self.bins[i] += b;
-        }
-    }
-
     /// Average rate (bits/sec) over `[from, to)`.
     pub fn avg_rate(&self, from: Nanos, to: Nanos) -> f64 {
         if to <= from {
@@ -153,16 +133,6 @@ impl<K: Ord + Clone> SeriesSet<K> {
     /// True when no entity has been recorded.
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
-    }
-
-    /// Merge every series of `other` into this set (bin-additive per key).
-    pub fn merge_from(&mut self, other: &SeriesSet<K>) {
-        for (k, s) in other.series.iter() {
-            self.series
-                .entry(k.clone())
-                .or_insert_with(|| RateSeries::new(self.bin_ns))
-                .merge_from(s);
-        }
     }
 }
 

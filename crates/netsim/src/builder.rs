@@ -95,12 +95,6 @@ pub struct Node {
 pub struct Network {
     /// All nodes, indexed by `NodeId`.
     pub nodes: Vec<Node>,
-    /// Optional logical-process assignment for sharded execution:
-    /// `partition[node]` = LP index. Must be a topology property only,
-    /// so per-shard event streams — and therefore the determinism
-    /// digest — depend on nothing else.
-    /// `None` means "one LP owns everything" (pure serial layout).
-    pub partition: Option<Vec<u32>>,
 }
 
 impl Network {
@@ -119,7 +113,6 @@ impl Network {
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
     nodes: Vec<Node>,
-    partition: Option<Vec<u32>>,
 }
 
 impl NetworkBuilder {
@@ -208,33 +201,6 @@ impl NetworkBuilder {
         self.nodes[node.idx()].ecmp.insert(dst, ports);
     }
 
-    /// Install a logical-process assignment (`lp[node]` = LP index) for
-    /// sharded execution. The assignment must cover every node and use a
-    /// dense `0..n_lps` index range.
-    ///
-    /// # Panics
-    /// Panics if the vector length does not match the node count, or if
-    /// the LP indices are not dense starting at 0.
-    pub fn set_partition(&mut self, lp: Vec<u32>) {
-        assert_eq!(
-            lp.len(),
-            self.nodes.len(),
-            "partition length {} != node count {}",
-            lp.len(),
-            self.nodes.len()
-        );
-        let n_lps = lp.iter().copied().max().map_or(0, |m| m + 1);
-        let mut seen = vec![false; n_lps as usize];
-        for &l in &lp {
-            seen[l as usize] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "partition LP indices must be dense 0..{n_lps}"
-        );
-        self.partition = Some(lp);
-    }
-
     /// Number of nodes added so far.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -247,10 +213,7 @@ impl NetworkBuilder {
 
     /// Finish construction.
     pub fn build(self) -> Network {
-        Network {
-            nodes: self.nodes,
-            partition: self.partition,
-        }
+        Network { nodes: self.nodes }
     }
 }
 
@@ -291,32 +254,6 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let h = b.add_host();
         b.connect(h, h, LinkSpec::default());
-    }
-
-    #[test]
-    fn partition_threads_through_build() {
-        let mut b = NetworkBuilder::new();
-        b.add_hosts(2);
-        b.add_switch();
-        b.set_partition(vec![0, 1, 0]);
-        let net = b.build();
-        assert_eq!(net.partition, Some(vec![0, 1, 0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "partition length")]
-    fn partition_length_checked() {
-        let mut b = NetworkBuilder::new();
-        b.add_hosts(2);
-        b.set_partition(vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dense")]
-    fn partition_density_checked() {
-        let mut b = NetworkBuilder::new();
-        b.add_hosts(2);
-        b.set_partition(vec![0, 2]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   (no copy), its entries are sorted **once**, descending by
 //!   `(time, seq)`, and every pop is `Vec::pop` off the back. A push
 //!   that lands in the current bucket (handlers scheduling at `now`),
-//!   or behind it after a fast-forward, is placed by binary search and
+//!   or behind it after a peek ahead, is placed by binary search and
 //!   `Vec::insert`. Measured runs are short — 14–59 entries at pop time
 //!   on the benchmark cells, see [`QueueStats`] — so the insert's
 //!   `memmove` is a few hundred bytes.
@@ -98,7 +98,7 @@ pub struct QueueStats {
     /// Longest run as it became active.
     pub run_len_max: u64,
     /// Pushes placed straight into the sorted run (current bucket, or
-    /// behind the cursor after a fast-forward).
+    /// behind the cursor after a peek ahead).
     pub same_bucket_inserts: u64,
     /// Pushes beyond the ring horizon.
     pub far_pushes: u64,
@@ -111,21 +111,6 @@ pub struct QueueStats {
     /// Largest capacity a bucket buffer grew to, in entries; bumped
     /// when a buffer grows, never per push or pop.
     pub buf_cap_max: u64,
-}
-
-impl QueueStats {
-    /// Fold another queue's counters into this one.
-    pub fn merge(&mut self, o: &QueueStats) {
-        self.rotations += o.rotations;
-        self.empty_rotations += o.empty_rotations;
-        self.run_len_sum += o.run_len_sum;
-        self.run_len_max = self.run_len_max.max(o.run_len_max);
-        self.same_bucket_inserts += o.same_bucket_inserts;
-        self.far_pushes += o.far_pushes;
-        self.far_migrations += o.far_migrations;
-        self.bufs_out_max += o.bufs_out_max;
-        self.buf_cap_max = self.buf_cap_max.max(o.buf_cap_max);
-    }
 }
 
 /// Calendar queue of `(time, seq, item)` entries (see module docs).
@@ -220,13 +205,14 @@ impl<T> EventQueue<T> {
     ///
     /// Times earlier than the queue's current bucket are legal (the
     /// simulator clamps to `now`, which can trail the bucket cursor
-    /// after an idle fast-forward) and join the current sorted run.
+    /// after a peek rotated it to a later ring bucket) and join the
+    /// current sorted run.
     #[inline]
     pub fn push(&mut self, time: Time, seq: u64, item: T) {
         let e = Entry { time, seq, item };
         let ahead = time.saturating_sub(self.bucket_start);
         if ahead < Self::width() {
-            // Current bucket (or the past, after a fast-forward):
+            // Current bucket (or the past, after a peek ahead):
             // binary-search the descending run for its place.
             let at = self.active.partition_point(|x| x.key() > (time, seq));
             Self::reserve_one(&mut self.active, &mut self.stats);
@@ -256,18 +242,25 @@ impl<T> EventQueue<T> {
         self.in_ring += 1;
     }
 
-    /// Earliest `(time)` in the queue, advancing the internal cursor to
-    /// the bucket that holds it (cheap; does not remove anything).
+    /// Earliest `(time)` in the queue, rotating the cursor to the ring
+    /// bucket that holds it (cheap; does not remove anything).
     #[inline]
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.ensure_active();
-        self.active.last().map(|e| e.time)
+        self.ensure_active(false);
+        self.head().map(|e| e.time)
+    }
+
+    /// The next entry to pop, after `ensure_active`: an empty run then
+    /// means an empty ring, and the head is the far heap's.
+    #[inline]
+    fn head(&self) -> Option<&Entry<T>> {
+        self.active.last().or_else(|| self.far.peek())
     }
 
     /// Remove and return the entry with the smallest `(time, seq)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, u64, T)> {
-        self.ensure_active();
+        self.ensure_active(true);
         self.active.pop().map(|e| (e.time, e.seq, e.item))
     }
 
@@ -278,12 +271,12 @@ impl<T> EventQueue<T> {
     /// the global `(time, seq)` order.
     #[inline]
     pub fn pop_if(&mut self, pred: impl FnOnce(Time, &T) -> bool) -> Option<(Time, u64, T)> {
-        self.ensure_active();
-        let head = self.active.last()?;
+        self.ensure_active(false);
+        let head = self.head()?;
         if !pred(head.time, &head.item) {
             return None;
         }
-        self.active.pop().map(|e| (e.time, e.seq, e.item))
+        self.pop()
     }
 
     /// Visit every queued item in arbitrary order (O(len); accounting
@@ -297,21 +290,27 @@ impl<T> EventQueue<T> {
     }
 
     #[inline]
-    fn ensure_active(&mut self) {
+    fn ensure_active(&mut self, jump: bool) {
         if self.active.is_empty() {
-            self.advance();
+            self.advance(jump);
         }
     }
 
-    /// Rotate the ring (or fast-forward past empty space) until the
-    /// sorted run holds the globally-earliest entry.
-    fn advance(&mut self) {
+    /// Rotate the ring until the sorted run holds the globally-earliest
+    /// entry. Over an empty ring the next entry is the far heap's head,
+    /// and only a caller about to pop it (`jump`) fast-forwards there:
+    /// one that peeks and leaves it (`run_until` at the end of a slice)
+    /// goes on scheduling at its own clock, and a cursor parked ahead of
+    /// that clock would turn every such push into a sorted insert.
+    fn advance(&mut self, jump: bool) {
         while self.active.is_empty() {
             if self.in_ring == 0 {
-                // Ring is empty: fast-forward straight to the far heap.
                 let Some(next) = self.far.peek().map(|e| e.time) else {
                     return;
                 };
+                if !jump {
+                    return;
+                }
                 self.bucket_start = (next >> WIDTH_SHIFT) << WIDTH_SHIFT;
             } else {
                 self.cur = (self.cur + 1) & (N_BUCKETS - 1);
@@ -437,14 +436,32 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop().map(|e| e.2), Some(0));
         assert_eq!(q.pop().map(|e| e.2), Some(2));
-        // Fast-forward across the huge gap.
+        // The peek sees across the huge gap; the cursor stays for the
+        // push that follows.
         assert_eq!(q.peek_time(), Some(u64::MAX / 2));
-        // Pushing "in the past" after the fast-forward still works.
         q.push(30, 3, 3);
         assert_eq!(q.pop().map(|e| e.2), Some(3));
         assert_eq!(q.pop().map(|e| e.2), Some(1));
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    /// An idle queue holding only a far timer is what `run_until` leaves
+    /// between slices. Peeking at it must leave the cursor where the
+    /// caller's clock is, or every push until simulated time reached the
+    /// timer would be a sorted insert into the run.
+    #[test]
+    fn peek_at_a_far_entry_leaves_the_ring_to_later_pushes() {
+        let mut q = EventQueue::new();
+        q.push(60_000_000, 0, 0);
+        assert_eq!(q.peek_time(), Some(60_000_000));
+        for seq in 1..=10_000u64 {
+            q.push(seq * 1_000, seq, 0); // 1 µs … 10 ms
+        }
+        let order: Vec<u64> = drain(&mut q).into_iter().map(|e| e.1).collect();
+        assert!(order.into_iter().eq((1..=10_000).chain([0])));
+        let st = q.stats();
+        assert_eq!((st.same_bucket_inserts, st.run_len_sum), (0, 10_001));
     }
 
     /// "Never" (`Time::MAX`) is a legal instant: within one ring span

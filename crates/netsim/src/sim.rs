@@ -1,13 +1,9 @@
 //! The discrete-event engine.
 //!
-//! A [`Simulator`] is a set of *logical processes* ("shards"), each a
-//! complete sequential event engine owning a subset of the nodes (the
-//! assignment comes from [`crate::builder::Network::partition`]; with
-//! no partition there is exactly one shard and the engine behaves —
-//! and performs — like the classic serial simulator). Shards exchange
-//! cross-shard packets through per-shard mailboxes and advance in
-//! conservative windows bounded by link-latency lookahead. One thread
-//! runs every shard, in LP order within each window.
+//! A [`Simulator`] is one sequential event engine over one network: one
+//! calendar queue ordered by `(time, seq)`, one node grid, one packet
+//! arena, one RNG stream per node. One thread runs it; independent
+//! simulations run side by side under `--jobs`.
 
 use crate::agent::{EdgeAgent, EdgeCtx, Effects, NicView, PortView, SwitchAgent, SwitchCtx};
 use crate::builder::{Network, Node, NodeKind};
@@ -24,13 +20,10 @@ use crate::time::{tx_time, Time};
 use obs::{Category, DetHash, Event as ObsEvent, ObsHandle};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Abstract per-hop delay charged to a bounced probe (type-4 failure
-/// notification). Also the upper bound on cross-shard lookahead: a
-/// bounce may cross a shard boundary, and it is delivered no sooner
-/// than this many nanoseconds after the bounce point.
+/// notification): it is delivered this many nanoseconds per traversed
+/// hop after the bounce point.
 const PROBE_BOUNCE_HOP_NS: Time = 2_000;
 
 // Packets and injects are boxed so an event entry stays small (the
@@ -47,21 +40,6 @@ enum EvKind {
     ChaosMod(PortNo, Box<ModKind>),
     // Wipe the agent at this node: switch reboot / edge restart.
     AgentReset,
-}
-
-// A packet crossing a shard boundary. The sender returns its box to
-// its own arena (`unbox`) and ships the payload by value; the receiver
-// re-allocates from its own arena at ingest, so each shard's
-// `PacketArenaBalance` stays exact. `(time, src_lp, src_seq)` is a
-// total order: the receiver sorts its mailbox on it before assigning
-// fresh local sequence numbers, so the merge does not depend on the
-// order the senders flushed in.
-struct CrossMsg {
-    time: Time,
-    src_lp: u32,
-    src_seq: u64,
-    dst: NodeId,
-    pkt: Packet,
 }
 
 /// Global drop counters across all ports.
@@ -91,33 +69,23 @@ pub struct GlobalStats {
     pub host_bytes_tx: u64,
 }
 
-// One logical process: a complete sequential event engine owning the
-// nodes with `owner[i] == lp`. Non-owned slots hold placeholder nodes
-// (right kind, no ports) so global `NodeId` indexing works unchanged —
-// the hot path pays no translation cost, and a one-shard simulator is
-// bit-for-bit the old serial layout.
-struct Shard {
-    lp: u32,
+/// The simulator: one deterministic event queue over one network.
+pub struct Simulator {
     now: Time,
     seq: u64,
-    // Monotone counter ordering this shard's cross-shard sends.
-    out_seq: u64,
     queue: EventQueue<(NodeId, EvKind)>,
     nodes: Vec<Node>,
     edge: Vec<Option<Box<dyn EdgeAgent>>>,
     switch: Vec<Option<Box<dyn SwitchAgent>>>,
     rngs: Vec<SmallRng>,
-    // Global node → owning LP (shared, immutable).
-    owner: Arc<Vec<u32>>,
-    // Owned (node, port) pairs whose peer lives on another shard.
-    boundary: Vec<(u32, u16)>,
-    // Minimum `prop_ns` over `boundary` — this shard's contribution to
-    // the window lookahead. Cached: `prop_ns` has two in-run writers
-    // (chaos Degrade on/off) and is otherwise reachable only between
-    // runs, so it is refreshed there and on entry to `run_windows`.
-    boundary_la: Time,
-    stamp_util: bool,
-    bounce_probes_on_failure: bool,
+    started: bool,
+    /// Stamp `max_util` on packets at switch egress (Clove's feedback).
+    pub stamp_util: bool,
+    /// When a probe would be forwarded into a dead link, bounce it back to
+    /// its source as a type-4 failure notification (Appendix G) instead of
+    /// silently dropping it — gives the edge sub-RTT failure detection
+    /// instead of waiting out the 8×baseRTT probe timeout.
+    pub bounce_probes_on_failure: bool,
     stats: GlobalStats,
     obs: ObsHandle,
     det: Option<DetHash>,
@@ -137,43 +105,24 @@ struct Shard {
     // Batch consecutive same-timestamp arrivals at a host into one
     // agent checkout (`false` only in tests proving digest identity).
     batch_delivery: bool,
-    // Outgoing cross-shard packets, one bin per destination LP,
-    // flushed into the facade mailboxes at the end of each round.
-    outbox: Vec<Vec<CrossMsg>>,
 }
 
-impl Shard {
-    fn new(lp: u32, nodes: Vec<Node>, owner: Arc<Vec<u32>>, seed: u64, n_lps: usize) -> Self {
-        let n = nodes.len();
-        // Full-length RNG grid seeded by *global* index: the stream a
-        // node sees is independent of the partition.
+impl Simulator {
+    /// Wrap a built network. `seed` drives all randomness.
+    pub fn new(net: Network, seed: u64) -> Self {
+        let n = net.nodes.len();
         let rngs = (0..n)
             .map(|i| SmallRng::seed_from_u64(seed.wrapping_mul(0x9E3779B97F4A7C15) ^ i as u64))
             .collect();
-        let mut boundary = Vec::new();
-        for (i, nd) in nodes.iter().enumerate() {
-            if owner[i] != lp {
-                continue;
-            }
-            for (pi, p) in nd.ports.iter().enumerate() {
-                if owner[p.peer.idx()] != lp {
-                    boundary.push((i as u32, pi as u16));
-                }
-            }
-        }
         Self {
-            lp,
             now: 0,
             seq: 0,
-            out_seq: 0,
             queue: EventQueue::new(),
-            nodes,
+            nodes: net.nodes,
             edge: (0..n).map(|_| None).collect(),
             switch: (0..n).map(|_| None).collect(),
             rngs,
-            owner,
-            boundary,
-            boundary_la: Time::MAX,
+            started: false,
             stamp_util: false,
             bounce_probes_on_failure: false,
             stats: GlobalStats::default(),
@@ -184,7 +133,6 @@ impl Shard {
             fx: Effects::default(),
             burst: Vec::new(),
             batch_delivery: true,
-            outbox: (0..n_lps).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -196,76 +144,12 @@ impl Shard {
         self.queue.push(time.max(self.now), seq, (node, kind));
     }
 
-    // Hand a packet to another shard. The box returns to this shard's
-    // arena; the payload travels by value and is boxed again from the
-    // receiver's arena at ingest.
-    fn send_cross(&mut self, time: Time, dst: NodeId, boxed: Box<Packet>) {
-        let pkt = self.arena.unbox(boxed);
-        let src_seq = self.out_seq;
-        self.out_seq += 1;
-        self.outbox[self.owner[dst.idx()] as usize].push(CrossMsg {
-            time,
-            src_lp: self.lp,
-            src_seq,
-            dst,
-            pkt,
-        });
-    }
-
-    // Sort and absorb one round's incoming cross-shard packets. The
-    // `(time, src_lp, src_seq)` sort makes the local seq assignment —
-    // and therefore the whole downstream schedule — independent of the
-    // order the senders' flushes landed in the mailbox.
-    fn ingest(&mut self, msgs: &mut Vec<CrossMsg>) {
-        msgs.sort_unstable_by_key(|m| (m.time, m.src_lp, m.src_seq));
-        for m in msgs.drain(..) {
-            assert!(
-                m.time >= self.now,
-                "cross-shard lookahead violated: packet for {} at t={} behind shard {} now={}",
-                m.dst,
-                m.time,
-                self.lp,
-                self.now
-            );
-            let boxed = self.arena.alloc(m.pkt);
-            self.push(m.time, m.dst, EvKind::Arrive(boxed));
-        }
-    }
-
-    fn peek_min(&mut self) -> Time {
-        self.queue.peek_time().unwrap_or(Time::MAX)
-    }
-
-    // Recompute the minimum propagation delay over this shard's
-    // outbound boundary links (see `boundary_la`).
-    fn refresh_boundary_lookahead(&mut self) {
-        self.boundary_la = self
-            .boundary
-            .iter()
-            .map(|&(ni, pi)| self.nodes[ni as usize].ports[pi as usize].prop_ns)
-            .min()
-            .unwrap_or(Time::MAX);
-    }
-
-    fn run_events_below(&mut self, end_excl: Time) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= end_excl {
-                break;
-            }
-            self.step_one();
-        }
-    }
-
-    fn flush_outbox(&mut self, inboxes: &mut [Vec<CrossMsg>]) {
-        for (ob, inbox) in self.outbox.iter_mut().zip(inboxes) {
-            inbox.append(ob);
-        }
-    }
-
     /// Fold one popped event into the determinism digest: (kind, time,
     /// node, payload discriminant) — enough to distinguish any
-    /// divergent schedule; seq is implied by fold order.
-    #[inline]
+    /// divergent schedule; seq is implied by fold order. Runs once per
+    /// event: left to the inliner's discretion it ends up out of line
+    /// (`fig11_testbed` events/s ×0.97).
+    #[inline(always)]
     fn fold_det(&mut self, time: Time, node: NodeId, kind: &EvKind) {
         if let Some(det) = &mut self.det {
             let (code, aux) = match kind {
@@ -321,7 +205,6 @@ impl Shard {
                 port.cap_bps = ((base_cap as f64 * cap_factor) as u64).max(1);
                 port.prop_ns = (base_prop as f64 * prop_factor) as Time;
                 ch.stats.degrade_transitions += 1;
-                self.refresh_boundary_lookahead();
             }
             ModKind::DegradeOff => {
                 if let Some(pc) = ch.ports.get_mut(&key) {
@@ -333,7 +216,6 @@ impl Shard {
                         port.prop_ns = prop;
                     }
                     ch.stats.degrade_transitions += 1;
-                    self.refresh_boundary_lookahead();
                 }
             }
             ModKind::BurstOn {
@@ -517,15 +399,7 @@ impl Shard {
             pkt.dst = src;
             pkt.route = Route::new();
             pkt.hop = 0;
-            let at = self.now + delay;
-            // The bounce point may be on another shard than the probe's
-            // source (e.g. a core switch): cross-shard delivery. The
-            // delay is ≥ PROBE_BOUNCE_HOP_NS, which caps the lookahead.
-            if self.owner[src.idx()] != self.lp {
-                self.send_cross(at, src, pkt);
-            } else {
-                self.push(at, src, EvKind::Arrive(pkt));
-            }
+            self.push(self.now + delay, src, EvKind::Arrive(pkt));
             return;
         }
         let (pair, kind_label, bytes) = (pkt.pair.raw(), pkt.kind.label(), pkt.size);
@@ -684,16 +558,7 @@ impl Shard {
             });
             self.arena.recycle(pkt);
         } else {
-            let at = now + ser + prop;
-            // The receiving end of a boundary link lives on another
-            // shard: hand the packet over instead of a local push. The
-            // arrival is ≥ prop_ns in the future, which is what the
-            // conservative window lookahead is derived from.
-            if self.owner[peer.idx()] != self.lp {
-                self.send_cross(at, peer, pkt);
-            } else {
-                self.push(at, peer, EvKind::Arrive(pkt));
-            }
+            self.push(now + ser + prop, peer, EvKind::Arrive(pkt));
         }
     }
 
@@ -803,19 +668,6 @@ impl Shard {
     }
 }
 
-// One conservative window: given the global minimum next-event time
-// `m` and lookahead `la`, the half-open execution window is
-// `[m, min(m+la, t+1))` (or `[m, m+la)` when draining to quiescence).
-// `None` means the run is over.
-fn window_end(m: Time, la: Time, until: Option<Time>) -> Option<Time> {
-    match until {
-        Some(t) if m > t => None,
-        None if m == Time::MAX => None,
-        Some(t) => Some(m.saturating_add(la).min(t.saturating_add(1))),
-        None => Some(m.saturating_add(la)),
-    }
-}
-
 fn ecmp_hash(key: u64, salt: u32) -> u64 {
     let mut x = key ^ ((salt as u64) << 32) ^ 0xD6E8_FEB8_6659_FD93;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -823,163 +675,49 @@ fn ecmp_hash(key: u64, salt: u32) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The simulator: a deterministic set of logical processes (shards)
-/// over one network, presenting the classic single-engine API.
-///
-/// With no [`crate::builder::Network::partition`] there is exactly one
-/// shard and every run takes the sequential fast path. With a
-/// partition, [`Simulator::run_until`] executes conservative windows,
-/// the shards taking turns in LP order inside each one.
-pub struct Simulator {
-    now: Time,
-    shards: Vec<Shard>,
-    owner: Arc<Vec<u32>>,
-    // Cross-shard mailboxes, one per destination LP. Empty between
-    // runs (the round loop only exits after a final drain).
-    inboxes: Vec<Vec<CrossMsg>>,
-    started: bool,
-    /// Stamp `max_util` on packets at switch egress (Clove's feedback).
-    pub stamp_util: bool,
-    /// When a probe would be forwarded into a dead link, bounce it back to
-    /// its source as a type-4 failure notification (Appendix G) instead of
-    /// silently dropping it — gives the edge sub-RTT failure detection
-    /// instead of waiting out the 8×baseRTT probe timeout.
-    pub bounce_probes_on_failure: bool,
-    obs: ObsHandle,
-}
-
 impl Simulator {
-    /// Wrap a built network. `seed` drives all randomness.
-    pub fn new(net: Network, seed: u64) -> Self {
-        let n = net.nodes.len();
-        let owner: Arc<Vec<u32>> = Arc::new(net.partition.unwrap_or_else(|| vec![0; n]));
-        let n_lps = owner.iter().copied().max().map_or(1, |m| m as usize + 1);
-        // Every shard gets a full-length node grid: placeholders (right
-        // kind, no ports, no routes) everywhere, real nodes in the
-        // slots it owns. Kind is replicated so host/switch dispatch
-        // works on any shard without a lookup through `owner`.
-        let mut grids: Vec<Vec<Node>> = (0..n_lps)
-            .map(|_| {
-                net.nodes
-                    .iter()
-                    .map(|nd| Node {
-                        kind: nd.kind,
-                        ports: Vec::new(),
-                        ecmp: HashMap::new(),
-                    })
-                    .collect()
-            })
-            .collect();
-        for (i, node) in net.nodes.into_iter().enumerate() {
-            grids[owner[i] as usize][i] = node;
-        }
-        let shards = grids
-            .into_iter()
-            .enumerate()
-            .map(|(lp, nodes)| Shard::new(lp as u32, nodes, Arc::clone(&owner), seed, n_lps))
-            .collect();
-        Self {
-            now: 0,
-            shards,
-            owner,
-            inboxes: (0..n_lps).map(|_| Vec::new()).collect(),
-            started: false,
-            stamp_util: false,
-            bounce_probes_on_failure: false,
-            obs: ObsHandle::disabled(),
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, node: NodeId) -> usize {
-        self.owner[node.idx()] as usize
-    }
-
-    // The real (port-carrying) copy of `node`, on its owning shard.
-    #[inline]
-    fn node(&self, node: NodeId) -> &Node {
-        &self.shards[self.shard_of(node)].nodes[node.idx()]
-    }
-
-    fn push_at(&mut self, time: Time, node: NodeId, kind: EvKind) {
-        let lp = self.shard_of(node);
-        self.shards[lp].push(time, node, kind);
-    }
-
-    // Facade flags are plain pub fields (callers toggle them between
-    // runs); copy them down to every shard before running events.
-    fn sync_flags(&mut self) {
-        let (su, bp) = (self.stamp_util, self.bounce_probes_on_failure);
-        for sh in &mut self.shards {
-            sh.stamp_util = su;
-            sh.bounce_probes_on_failure = bp;
-        }
-    }
-
-    /// Number of logical processes (1 unless the network carried a
-    /// partition).
+    /// Always 1: a simulation is one event queue. Until ROADMAP 1(f).
+    #[doc(hidden)]
     pub fn n_lps(&self) -> usize {
-        self.shards.len()
+        1
     }
 
-    /// The logical process owning `node`.
-    pub fn owner_of(&self, node: NodeId) -> u32 {
-        self.owner[node.idx()]
+    /// Always 0: a simulation is one event queue. Until ROADMAP 1(f).
+    #[doc(hidden)]
+    pub fn owner_of(&self, _node: NodeId) -> u32 {
+        0
     }
 
     /// Toggle same-timestamp delivery batching (on by default). Exposed
     /// so tests can prove batched and one-at-a-time dispatch produce
     /// identical digests; there is no reason to disable it otherwise.
     pub fn set_batch_delivery(&mut self, on: bool) {
-        for sh in &mut self.shards {
-            sh.batch_delivery = on;
-        }
+        self.batch_delivery = on;
     }
 
-    /// Packet-arena counters (allocated / recycled / fresh / free),
-    /// summed over all shards. A packet crossing a shard boundary is
-    /// one recycle on the sending arena and one allocation on the
-    /// receiving arena, so the sum stays balanced.
+    /// Packet-arena counters (allocated / recycled / fresh / free).
     pub fn arena_stats(&self) -> ArenaStats {
-        let mut t = ArenaStats {
-            allocated: 0,
-            recycled: 0,
-            fresh: 0,
-            free: 0,
-        };
-        for sh in &self.shards {
-            let s = sh.arena.stats();
-            t.allocated += s.allocated;
-            t.recycled += s.recycled;
-            t.fresh += s.fresh;
-            t.free += s.free;
-        }
-        t
+        self.arena.stats()
     }
 
     /// Packets currently in flight: queued at any port or travelling as
-    /// an `Arrive` event, summed over all shards. Between runs this
-    /// must equal [`Simulator::arena_stats`]`.outstanding()` — the
-    /// `PacketArenaBalance` invariant checks exactly that (cross-shard
-    /// mailboxes are empty whenever the round loop is not running, so
-    /// they never hold hidden packets at a check point). O(total
+    /// an `Arrive` event. Between runs this must equal
+    /// [`Simulator::arena_stats`]`.outstanding()` — the
+    /// `PacketArenaBalance` invariant checks exactly that. O(total
     /// queued entries); accounting only.
     pub fn packets_in_flight(&self) -> u64 {
-        let mut total = 0usize;
-        for sh in &self.shards {
-            total += sh
-                .nodes
-                .iter()
-                .flat_map(|n| n.ports.iter())
-                .map(|p| p.queue.len())
-                .sum::<usize>();
-            total += sh
-                .queue
-                .iter_items()
-                .filter(|(_, k)| matches!(k, EvKind::Arrive(_)))
-                .count();
-        }
-        total as u64
+        let queued: usize = self
+            .nodes
+            .iter()
+            .flat_map(|n| n.ports.iter())
+            .map(|p| p.queue.len())
+            .sum();
+        let flying = self
+            .queue
+            .iter_items()
+            .filter(|(_, k)| matches!(k, EvKind::Arrive(_)))
+            .count();
+        (queued + flying) as u64
     }
 
     /// Attach a flight-recorder handle. The simulator (and, via
@@ -987,9 +725,6 @@ impl Simulator {
     /// events into it; a disabled handle (the default) costs one
     /// branch per site.
     pub fn set_obs(&mut self, obs: ObsHandle) {
-        for sh in &mut self.shards {
-            sh.obs = obs.clone();
-        }
         self.obs = obs;
     }
 
@@ -1000,137 +735,97 @@ impl Simulator {
 
     /// Start folding every event-loop step into a determinism digest.
     pub fn enable_det_hash(&mut self) {
-        for sh in &mut self.shards {
-            if sh.det.is_none() {
-                sh.det = Some(DetHash::new());
-            }
+        if self.det.is_none() {
+            self.det = Some(DetHash::new());
         }
     }
 
     /// The determinism digest so far (`None` unless
     /// [`Simulator::enable_det_hash`] was called). Two same-seed runs
-    /// of the same scenario must produce equal digests. A single-shard
-    /// simulator reports its raw stream digest (so pre-sharding golden
-    /// values stay valid); a partitioned one folds the per-shard
-    /// digests in LP order.
+    /// of the same scenario must produce equal digests.
     pub fn det_digest(&self) -> Option<u64> {
-        if self.shards.len() == 1 {
-            return self.shards[0].det.as_ref().map(|d| d.digest());
-        }
-        let mut fold = DetHash::new();
-        for sh in &self.shards {
-            fold.fold_u64(sh.det.as_ref()?.digest());
-        }
-        Some(fold.digest())
+        self.det.as_ref().map(|d| d.digest())
     }
 
-    /// Install the edge agent for a host (it lives on the host's
-    /// owning shard).
+    /// Install the edge agent for a host.
     ///
     /// # Panics
     /// Panics if `node` is not a host.
     pub fn set_edge_agent(&mut self, node: NodeId, agent: Box<dyn EdgeAgent>) {
         assert_eq!(
-            self.node(node).kind,
+            self.nodes[node.idx()].kind,
             NodeKind::Host,
             "edge agent on non-host {node}"
         );
-        let lp = self.shard_of(node);
-        self.shards[lp].edge[node.idx()] = Some(agent);
+        self.edge[node.idx()] = Some(agent);
     }
 
-    /// Install the switch agent for a switch (it lives on the switch's
-    /// owning shard).
+    /// Install the switch agent for a switch.
     ///
     /// # Panics
     /// Panics if `node` is not a switch.
     pub fn set_switch_agent(&mut self, node: NodeId, agent: Box<dyn SwitchAgent>) {
         assert_eq!(
-            self.node(node).kind,
+            self.nodes[node.idx()].kind,
             NodeKind::Switch,
             "switch agent on non-switch {node}"
         );
-        let lp = self.shard_of(node);
-        self.shards[lp].switch[node.idx()] = Some(agent);
+        self.switch[node.idx()] = Some(agent);
     }
 
-    /// Current simulation time (the horizon every shard has reached).
+    /// Current simulation time.
     pub fn now(&self) -> Time {
         self.now
     }
 
-    /// Aggregate counters, summed over all shards and ports.
+    /// Aggregate counters, drops and ECN marks summed over all ports.
     pub fn stats(&self) -> GlobalStats {
-        let mut s = GlobalStats::default();
-        for sh in &self.shards {
-            s.events += sh.stats.events;
-            s.retx_pkts += sh.stats.retx_pkts;
-            s.link_flaps += sh.stats.link_flaps;
-            s.probe_bytes_tx += sh.stats.probe_bytes_tx;
-            s.host_bytes_tx += sh.stats.host_bytes_tx;
-            for p in sh.nodes.iter().flat_map(|n| n.ports.iter()) {
-                s.drops_overflow += p.stats.drops_overflow;
-                s.drops_down += p.stats.drops_down;
-                s.drops_random += p.stats.drops_random;
-                s.drops_chaos += p.stats.drops_chaos;
-                s.ecn_marked += p.stats.ecn_marked;
-            }
+        let mut s = self.stats;
+        for p in self.nodes.iter().flat_map(|n| n.ports.iter()) {
+            s.drops_overflow += p.stats.drops_overflow;
+            s.drops_down += p.stats.drops_down;
+            s.drops_random += p.stats.drops_random;
+            s.drops_chaos += p.stats.drops_chaos;
+            s.ecn_marked += p.stats.ecn_marked;
         }
         s.drops = s.drops_overflow + s.drops_down + s.drops_random + s.drops_chaos;
         s
     }
 
     /// Event-queue traffic counters (rotations, run lengths, tier
-    /// decisions), merged over all shards in LP order.
+    /// decisions).
     pub fn queue_stats(&self) -> QueueStats {
-        let mut t = QueueStats::default();
-        for sh in &self.shards {
-            t.merge(&sh.queue.stats());
-        }
-        t
+        self.queue.stats()
     }
 
-    /// Chaos-engine counters (all zero when no plan was applied),
-    /// summed over all shards.
+    /// Chaos-engine counters (all zero when no plan was applied).
     pub fn chaos_stats(&self) -> ChaosStats {
-        let mut t = ChaosStats::default();
-        for sh in &self.shards {
-            if let Some(c) = &sh.chaos {
-                t.burst_drops += c.stats.burst_drops;
-                t.ctrl_drops += c.stats.ctrl_drops;
-                t.int_corruptions += c.stats.int_corruptions;
-                t.switch_wipes += c.stats.switch_wipes;
-                t.edge_restarts += c.stats.edge_restarts;
-                t.degrade_transitions += c.stats.degrade_transitions;
-            }
-        }
-        t
+        self.chaos.as_ref().map(|c| c.stats).unwrap_or_default()
     }
 
     /// Borrow a port (for queue sampling etc.).
     pub fn port(&self, node: NodeId, port: PortNo) -> &crate::port::Port {
-        &self.node(node).ports[port.idx()]
+        &self.nodes[node.idx()].ports[port.idx()]
     }
 
     /// Mutably borrow a port (e.g. to reconfigure loss mid-run).
     pub fn port_mut(&mut self, node: NodeId, port: PortNo) -> &mut crate::port::Port {
-        let lp = self.shard_of(node);
-        &mut self.shards[lp].nodes[node.idx()].ports[port.idx()]
+        &mut self.nodes[node.idx()].ports[port.idx()]
     }
 
     /// Number of ports on `node`.
     pub fn n_ports(&self, node: NodeId) -> usize {
-        self.node(node).ports.len()
+        self.nodes[node.idx()].ports.len()
     }
 
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
-        self.owner.len()
+        self.nodes.len()
     }
 
     /// Whether `node` is a host.
     pub fn is_host(&self, node: NodeId) -> bool {
-        self.node(node).kind == NodeKind::Host
+        self.nodes[node.idx()].kind == NodeKind::Host
     }
 
     /// Downcast an edge agent for introspection.
@@ -1138,7 +833,7 @@ impl Simulator {
     /// # Panics
     /// Panics if the host has no agent or the type does not match.
     pub fn edge<T: 'static>(&self, node: NodeId) -> &T {
-        self.shards[self.shard_of(node)].edge[node.idx()]
+        self.edge[node.idx()]
             .as_ref()
             .expect("no edge agent installed")
             .as_any()
@@ -1152,8 +847,7 @@ impl Simulator {
     /// *read-mostly* tweaks (configuration changes between run slices);
     /// injecting traffic should go through [`Simulator::inject`].
     pub fn edge_mut<T: 'static>(&mut self, node: NodeId) -> &mut T {
-        let lp = self.shard_of(node);
-        self.shards[lp].edge[node.idx()]
+        self.edge[node.idx()]
             .as_mut()
             .expect("no edge agent installed")
             .as_any_mut()
@@ -1165,16 +859,13 @@ impl Simulator {
     /// has no agent or a different concrete type (used by generic
     /// probes such as invariant checkers).
     pub fn try_edge<T: 'static>(&self, node: NodeId) -> Option<&T> {
-        self.shards[self.shard_of(node)].edge[node.idx()]
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        self.edge[node.idx()].as_ref()?.as_any().downcast_ref::<T>()
     }
 
     /// Downcast a switch agent without panicking (see
     /// [`Simulator::try_edge`]).
     pub fn try_switch_agent<T: 'static>(&self, node: NodeId) -> Option<&T> {
-        self.shards[self.shard_of(node)].switch[node.idx()]
+        self.switch[node.idx()]
             .as_ref()?
             .as_any()
             .downcast_ref::<T>()
@@ -1183,8 +874,7 @@ impl Simulator {
     /// Mutable downcast of a switch agent (configuration between run
     /// slices, e.g. attaching an observability handle).
     pub fn switch_agent_mut<T: 'static>(&mut self, node: NodeId) -> &mut T {
-        let lp = self.shard_of(node);
-        self.shards[lp].switch[node.idx()]
+        self.switch[node.idx()]
             .as_mut()
             .expect("no switch agent installed")
             .as_any_mut()
@@ -1194,7 +884,7 @@ impl Simulator {
 
     /// Downcast a switch agent for introspection.
     pub fn switch_agent<T: 'static>(&self, node: NodeId) -> &T {
-        self.shards[self.shard_of(node)].switch[node.idx()]
+        self.switch[node.idx()]
             .as_ref()
             .expect("no switch agent installed")
             .as_any()
@@ -1206,8 +896,7 @@ impl Simulator {
     /// (ordered with in-flight events). Anything convertible into
     /// [`Inject`] works; today that is [`crate::AppMsg`].
     pub fn inject(&mut self, node: NodeId, msg: impl Into<Inject>) {
-        let t = self.now;
-        self.push_at(t, node, EvKind::Inject(Box::new(msg.into())));
+        self.push(self.now, node, EvKind::Inject(Box::new(msg.into())));
     }
 
     /// Check that `node`:`port` names an existing egress port. Fails
@@ -1220,11 +909,11 @@ impl Simulator {
     /// out-of-range port.
     fn validate_port(&self, node: NodeId, port: PortNo, what: &str) {
         assert!(
-            node.idx() < self.owner.len(),
+            node.idx() < self.nodes.len(),
             "{what}: unknown node {node} (topology has {} nodes)",
-            self.owner.len()
+            self.nodes.len()
         );
-        let n_ports = self.node(node).ports.len();
+        let n_ports = self.nodes[node.idx()].ports.len();
         assert!(
             port.idx() < n_ports,
             "{what}: no such port {port} on {node} (node has {n_ports} ports)"
@@ -1238,18 +927,17 @@ impl Simulator {
     /// Panics on an unknown node or out-of-range port.
     pub fn schedule_link_event(&mut self, at: Time, node: NodeId, port: PortNo, up: bool) {
         self.validate_port(node, port, "schedule_link_event");
-        self.push_at(at.max(self.now), node, EvKind::LinkSet(port, up));
+        self.push(at, node, EvKind::LinkSet(port, up));
     }
 
     /// Take a link (both directions of a node-port pair) down at `at`.
-    /// Each direction's event lands on its endpoint's owning shard.
     ///
     /// # Panics
     /// Panics on an unknown node or out-of-range port.
     pub fn schedule_link_failure(&mut self, at: Time, node: NodeId, port: PortNo) {
         self.validate_port(node, port, "schedule_link_failure");
-        let peer = self.node(node).ports[port.idx()].peer;
-        let peer_port = self.node(node).ports[port.idx()].peer_port;
+        let peer = self.nodes[node.idx()].ports[port.idx()].peer;
+        let peer_port = self.nodes[node.idx()].ports[port.idx()].peer_port;
         self.schedule_link_event(at, node, port, false);
         self.schedule_link_event(at, peer, peer_port, false);
     }
@@ -1260,96 +948,40 @@ impl Simulator {
     /// Panics on an unknown node or out-of-range port.
     pub fn schedule_link_restore(&mut self, at: Time, node: NodeId, port: PortNo) {
         self.validate_port(node, port, "schedule_link_restore");
-        let peer = self.node(node).ports[port.idx()].peer;
-        let peer_port = self.node(node).ports[port.idx()].peer_port;
+        let peer = self.nodes[node.idx()].ports[port.idx()].peer;
+        let peer_port = self.nodes[node.idx()].ports[port.idx()].peer_port;
         self.schedule_link_event(at, node, port, true);
         self.schedule_link_event(at, peer, peer_port, true);
     }
 
-    /// Invoke `on_start` on every installed agent, in global node
-    /// order (on each node's owning shard), then hand any cross-shard
-    /// start-time sends to their destination mailboxes. Idempotent.
+    /// Invoke `on_start` on every installed agent, in node order.
+    /// Idempotent.
     pub fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        self.sync_flags();
-        for i in 0..self.owner.len() {
+        for i in 0..self.nodes.len() {
             let node = NodeId(i as u32);
-            let lp = self.owner[i] as usize;
-            let sh = &mut self.shards[lp];
-            match sh.nodes[i].kind {
+            match self.nodes[i].kind {
                 NodeKind::Host => {
-                    sh.with_edge(node, |agent, ctx| agent.on_start(ctx));
+                    self.with_edge(node, |agent, ctx| agent.on_start(ctx));
                 }
                 NodeKind::Switch => {
-                    sh.with_switch_timer_ctx(node, |agent, ctx| agent.on_start(ctx));
+                    self.with_switch_timer_ctx(node, |agent, ctx| agent.on_start(ctx));
                 }
-            }
-        }
-        for sh in &mut self.shards {
-            sh.flush_outbox(&mut self.inboxes);
-        }
-    }
-
-    // Run conservative windows over all shards until `until` (or to
-    // quiescence when `None`). Each round: every shard absorbs its
-    // mailbox, the window is cut from the global minimum next-event
-    // time and the minimum boundary lookahead, every shard runs its
-    // events below the window's end, and every outbox is flushed so the
-    // next round's ingest sees every message.
-    fn run_windows(&mut self, until: Option<Time>) {
-        for sh in &mut self.shards {
-            // Ports are writable through `port_mut` between runs.
-            sh.refresh_boundary_lookahead();
-        }
-        loop {
-            let mut m = Time::MAX;
-            let mut la = PROBE_BOUNCE_HOP_NS;
-            for sh in &mut self.shards {
-                sh.ingest(&mut self.inboxes[sh.lp as usize]);
-                m = m.min(sh.peek_min());
-                la = la.min(sh.boundary_la);
-            }
-            let Some(end_excl) = window_end(m, la, until) else {
-                // Exit invariant: the ingest above drained every
-                // mailbox, and every outbox was flushed last round — a
-                // message with an event ≤ the horizon would have kept
-                // the loop alive, so nothing is left in flight.
-                break;
-            };
-            assert!(
-                la >= 1,
-                "sharded run requires ≥1 ns propagation on every cross-shard link"
-            );
-            for sh in &mut self.shards {
-                sh.run_events_below(end_excl);
-            }
-            for sh in &mut self.shards {
-                sh.flush_outbox(&mut self.inboxes);
             }
         }
     }
 
     /// Process events until `t` (inclusive); leaves `now == t`.
     pub fn run_until(&mut self, t: Time) {
-        self.sync_flags();
         self.start();
-        if self.shards.len() == 1 {
-            // Serial fast path: identical to the classic engine.
-            let sh = &mut self.shards[0];
-            while let Some(time) = sh.queue.peek_time() {
-                if time > t {
-                    break;
-                }
-                sh.step_one();
+        while let Some(time) = self.queue.peek_time() {
+            if time > t {
+                break;
             }
-        } else {
-            self.run_windows(Some(t));
-        }
-        for sh in &mut self.shards {
-            sh.now = sh.now.max(t);
+            self.step_one();
         }
         self.now = self.now.max(t);
     }
@@ -1361,15 +993,8 @@ impl Simulator {
 
     /// Drain every remaining event (careful with self-sustaining traffic).
     pub fn run_to_quiescence(&mut self) {
-        self.sync_flags();
         self.start();
-        if self.shards.len() == 1 {
-            while self.shards[0].step_one() {}
-        } else {
-            self.run_windows(None);
-        }
-        let m = self.shards.iter().map(|s| s.now).max().unwrap_or(self.now);
-        self.now = self.now.max(m);
+        while self.step_one() {}
     }
 
     /// Expand a [`FaultPlan`] into scheduled events. Every stochastic
@@ -1377,21 +1002,15 @@ impl Simulator {
     /// so the per-node RNG streams are untouched and same-seed runs
     /// stay byte-identical. May be called multiple times (plans
     /// compose); an empty plan still arms the engine, which is how the
-    /// overhead benchmark measures the armed-but-idle cost. Every
-    /// fault's events land on the affected node's owning shard at the
-    /// scheduled instant.
+    /// overhead benchmark measures the armed-but-idle cost.
     ///
     /// # Panics
     /// Panics with a labelled message when a fault names an unknown
     /// node, an out-of-range port, a switch fault on a non-switch (or
     /// edge restart on a non-host), or a degenerate flap period.
     pub fn apply_chaos(&mut self, plan: &FaultPlan) {
-        // Arm every shard: faults may target nodes anywhere, and the
-        // facade sums stats across shards afterwards.
-        for sh in &mut self.shards {
-            if sh.chaos.is_none() {
-                sh.chaos = Some(Box::default());
-            }
+        if self.chaos.is_none() {
+            self.chaos = Some(Box::default());
         }
         for (idx, fault) in plan.faults().iter().enumerate() {
             let fseed = chaos::derive_seed(plan.seed(), idx as u64);
@@ -1448,7 +1067,7 @@ impl Simulator {
                         "chaos degrade: factors must be positive"
                     );
                     assert!(until > from, "chaos degrade: until {until} <= from {from}");
-                    self.push_at(
+                    self.push(
                         from,
                         node,
                         EvKind::ChaosMod(
@@ -1459,7 +1078,7 @@ impl Simulator {
                             }),
                         ),
                     );
-                    self.push_at(
+                    self.push(
                         until,
                         node,
                         EvKind::ChaosMod(port, Box::new(ModKind::DegradeOff)),
@@ -1480,7 +1099,7 @@ impl Simulator {
                         until > from,
                         "chaos burst-loss: until {until} <= from {from}"
                     );
-                    self.push_at(
+                    self.push(
                         from,
                         node,
                         EvKind::ChaosMod(
@@ -1494,7 +1113,7 @@ impl Simulator {
                             }),
                         ),
                     );
-                    self.push_at(
+                    self.push(
                         until,
                         node,
                         EvKind::ChaosMod(port, Box::new(ModKind::BurstOff)),
@@ -1512,12 +1131,12 @@ impl Simulator {
                         until > from,
                         "chaos ctrl-loss: until {until} <= from {from}"
                     );
-                    self.push_at(
+                    self.push(
                         from,
                         node,
                         EvKind::ChaosMod(port, Box::new(ModKind::CtrlOn { prob, seed: fseed })),
                     );
-                    self.push_at(
+                    self.push(
                         until,
                         node,
                         EvKind::ChaosMod(port, Box::new(ModKind::CtrlOff)),
@@ -1530,11 +1149,11 @@ impl Simulator {
                     prob,
                 } => {
                     assert!(
-                        node.idx() < self.owner.len(),
+                        node.idx() < self.nodes.len(),
                         "chaos int-corrupt: unknown node {node}"
                     );
                     assert_eq!(
-                        self.node(node).kind,
+                        self.nodes[node.idx()].kind,
                         NodeKind::Switch,
                         "chaos int-corrupt: {node} is not a switch"
                     );
@@ -1542,7 +1161,7 @@ impl Simulator {
                         until > from,
                         "chaos int-corrupt: until {until} <= from {from}"
                     );
-                    self.push_at(
+                    self.push(
                         from,
                         node,
                         EvKind::ChaosMod(
@@ -1550,7 +1169,7 @@ impl Simulator {
                             Box::new(ModKind::CorruptOn { prob, seed: fseed }),
                         ),
                     );
-                    self.push_at(
+                    self.push(
                         until,
                         node,
                         EvKind::ChaosMod(PortNo(0), Box::new(ModKind::CorruptOff)),
@@ -1562,15 +1181,15 @@ impl Simulator {
                     recover_at,
                 } => {
                     assert!(
-                        node.idx() < self.owner.len(),
+                        node.idx() < self.nodes.len(),
                         "chaos switch-fail: unknown node {node}"
                     );
                     assert_eq!(
-                        self.node(node).kind,
+                        self.nodes[node.idx()].kind,
                         NodeKind::Switch,
                         "chaos switch-fail: {node} is not a switch"
                     );
-                    let n_ports = self.node(node).ports.len();
+                    let n_ports = self.nodes[node.idx()].ports.len();
                     for p in 0..n_ports {
                         self.schedule_link_failure(at, node, PortNo(p as u16));
                     }
@@ -1579,9 +1198,7 @@ impl Simulator {
                         // Reset first (same timestamp, earlier seq):
                         // the reboot wipes registers, Bloom filter and
                         // shadow state *before* traffic can flow again.
-                        // Reset and restores target the same node, so
-                        // they share a shard and the seq order holds.
-                        self.push_at(r, node, EvKind::AgentReset);
+                        self.push(r, node, EvKind::AgentReset);
                         for p in 0..n_ports {
                             self.schedule_link_restore(r, node, PortNo(p as u16));
                         }
@@ -1589,15 +1206,15 @@ impl Simulator {
                 }
                 FaultKind::EdgeRestart { node, at } => {
                     assert!(
-                        node.idx() < self.owner.len(),
+                        node.idx() < self.nodes.len(),
                         "chaos edge-restart: unknown node {node}"
                     );
                     assert_eq!(
-                        self.node(node).kind,
+                        self.nodes[node.idx()].kind,
                         NodeKind::Host,
                         "chaos edge-restart: {node} is not a host"
                     );
-                    self.push_at(at, node, EvKind::AgentReset);
+                    self.push(at, node, EvKind::AgentReset);
                 }
             }
         }
@@ -1612,6 +1229,7 @@ mod tests {
     use crate::packet::{AckInfo, DataInfo, NO_PAIR};
     use crate::time::US;
     use std::any::Any;
+    use std::sync::Arc;
 
     /// Fixed-window sender: keeps `window` packets in flight to dst.
     struct WindowSender {
@@ -2257,14 +1875,8 @@ mod tests {
         let _ = NO_PAIR;
     }
 
-    // ------------------------------------------------------------------
-    // Sharded execution.
-    // ------------------------------------------------------------------
-
-    /// Two pods joined by one core: h0—t0—c—t1—h1, partitioned
-    /// `[0, 1, 0, 1, 0]` (pod 0 + core on LP 0, pod 1 on LP 1). Every
-    /// h0→h1 packet crosses the shard boundary twice.
-    fn two_pods(seed: u64, partitioned: bool) -> (Simulator, NodeId, NodeId) {
+    /// Two pods joined by one core: h0—t0—c—t1—h1 (nodes 0, 2, 4, 3, 1).
+    fn two_pods(seed: u64) -> (Simulator, NodeId, NodeId) {
         let mut b = NetworkBuilder::new();
         let h0 = b.add_host();
         let h1 = b.add_host();
@@ -2276,9 +1888,6 @@ mod tests {
         b.connect(h1, t1, spec); // h1:0 ↔ t1:0
         b.connect(t0, c, spec); // t0:1 ↔ c:0
         b.connect(t1, c, spec); // t1:1 ↔ c:1
-        if partitioned {
-            b.set_partition(vec![0, 1, 0, 1, 0]);
-        }
         (Simulator::new(b.build(), seed), h0, h1)
     }
 
@@ -2309,81 +1918,38 @@ mod tests {
         })
     }
 
-    fn sharded_run(batch: bool) -> (u64, u64, u64, u64) {
-        let (mut sim, h0, h1) = two_pods(7, true);
-        assert_eq!(sim.n_lps(), 2);
-        sim.enable_det_hash();
-        sim.set_batch_delivery(batch);
-        sim.set_edge_agent(h0, pod_sender(h0, h1, 8, 2000));
-        sim.set_edge_agent(h1, pod_sink(h1));
-        sim.run_until(50 * crate::time::MS);
-        assert_eq!(sim.packets_in_flight(), sim.arena_stats().outstanding());
-        (
-            sim.det_digest().unwrap(),
-            sim.edge::<WindowSender>(h0).acked,
-            sim.edge::<Sink>(h1).received_bytes,
-            sim.stats().events,
-        )
-    }
-
     #[test]
-    fn sharded_batching_digest_identical() {
-        let base = sharded_run(true);
+    fn batching_is_digest_identical() {
+        let run = |batch: bool| {
+            let (mut sim, h0, h1) = two_pods(7);
+            sim.enable_det_hash();
+            sim.set_batch_delivery(batch);
+            sim.set_edge_agent(h0, pod_sender(h0, h1, 8, 2000));
+            sim.set_edge_agent(h1, pod_sink(h1));
+            sim.run_until(50 * crate::time::MS);
+            assert_eq!(sim.packets_in_flight(), sim.arena_stats().outstanding());
+            (
+                sim.det_digest().unwrap(),
+                sim.edge::<WindowSender>(h0).acked,
+                sim.edge::<Sink>(h1).received_bytes,
+                sim.stats().events,
+            )
+        };
+        let base = run(true);
         assert_eq!(base.1, 2000, "transfer must complete");
         assert_eq!(base.2, 2000 * 1500);
-        assert_eq!(sharded_run(false), base);
+        assert_eq!(run(false), base);
     }
 
     #[test]
-    fn sharded_results_match_unpartitioned_run() {
-        // The digest differs (per-shard streams fold differently) but
-        // every observable outcome must match the serial engine.
-        let (mut sim, h0, h1) = two_pods(7, false);
-        assert_eq!(sim.n_lps(), 1);
-        sim.set_edge_agent(h0, pod_sender(h0, h1, 8, 2000));
-        sim.set_edge_agent(h1, pod_sink(h1));
-        sim.run_until(50 * crate::time::MS);
-        let serial = (
-            sim.edge::<WindowSender>(h0).acked,
-            sim.edge::<Sink>(h1).received_bytes,
-            sim.stats().events,
-            sim.stats().host_bytes_tx,
-        );
-        let sharded = sharded_run(true);
-        assert_eq!((sharded.1, sharded.2), (serial.0, serial.1));
-        assert_eq!(sharded.3, serial.2, "event counts must match");
-        let (mut sim2, h0b, h1b) = two_pods(7, true);
-        sim2.set_edge_agent(h0b, pod_sender(h0b, h1b, 8, 2000));
-        sim2.set_edge_agent(h1b, pod_sink(h1b));
-        sim2.run_until(50 * crate::time::MS);
-        assert_eq!(sim2.stats().host_bytes_tx, serial.3);
-    }
-
-    #[test]
-    fn sharded_arena_balance_holds() {
-        let (mut sim, h0, h1) = two_pods(3, true);
-        sim.set_edge_agent(h0, pod_sender(h0, h1, 16, u64::MAX));
-        sim.set_edge_agent(h1, pod_sink(h1));
-        sim.run_until(5 * crate::time::MS);
-        assert_eq!(
-            sim.packets_in_flight(),
-            sim.arena_stats().outstanding(),
-            "per-shard arenas must balance against in-flight packets"
-        );
-        assert!(sim.arena_stats().allocated > 0);
-        sim.edge_mut::<WindowSender>(h0).to_send = 0;
-    }
-
-    #[test]
-    fn sharded_chaos_switch_fail_on_boundary_is_digest_identical() {
+    fn chaos_switch_fail_on_the_only_path_is_digest_identical() {
         let ms = crate::time::MS;
         let run = || {
-            let (mut sim, h0, h1) = two_pods(5, true);
+            let (mut sim, h0, h1) = two_pods(5);
             sim.enable_det_hash();
             sim.set_edge_agent(h0, pod_sender(h0, h1, 8, 4000));
             sim.set_edge_agent(h1, pod_sink(h1));
-            // The core is the boundary node: failing it severs the
-            // only cross-shard path mid-run.
+            // Failing the core severs the only path mid-run.
             let c = NodeId(4);
             let plan = FaultPlan::new(1).fault(FaultKind::SwitchFail {
                 node: c,
@@ -2395,7 +1961,7 @@ mod tests {
             assert_eq!(
                 sim.packets_in_flight(),
                 sim.arena_stats().outstanding(),
-                "arena balance must survive a boundary switch wipe"
+                "arena balance must survive a switch wipe"
             );
             (
                 sim.det_digest().unwrap(),
@@ -2411,35 +1977,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lookahead_follows_both_prop_ns_writers() {
-        // Shortening a boundary link mid-run must shorten the windows:
-        // a stale cached lookahead trips the `ingest` assertion. The
-        // link is t1:1 (t1 → core, owned by LP 1), which carries the
-        // acks: ~50 ns of serialization, so nothing hides a stale value.
-        let ms = crate::time::MS;
-        let (mut sim, h0, h1) = two_pods(9, true);
-        sim.set_edge_agent(h0, pod_sender(h0, h1, 8, 4000));
-        sim.set_edge_agent(h1, pod_sink(h1));
-        // Writer 1: chaos Degrade, 1 µs → 250 ns and back.
-        sim.apply_chaos(&FaultPlan::new(1).fault(FaultKind::Degrade {
-            node: NodeId(3),
-            port: PortNo(1),
-            from: 2 * ms,
-            until: 4 * ms,
-            cap_factor: 1.0,
-            prop_factor: 0.25,
-        }));
-        sim.run_until(5 * ms);
-        // Writer 2: `port_mut` between runs.
-        sim.port_mut(NodeId(3), PortNo(1)).prop_ns = US / 2;
-        sim.run_until(20 * ms);
-        assert_eq!(sim.chaos_stats().degrade_transitions, 2);
-        assert_eq!(sim.edge::<Sink>(h1).received_bytes, 4000 * 1500);
-    }
-
-    #[test]
     fn queue_stats_account_for_every_event() {
-        let (mut sim, h0, h1) = two_pods(11, true);
+        let (mut sim, h0, h1) = two_pods(11);
         sim.set_edge_agent(h0, pod_sender(h0, h1, 4, 50));
         sim.set_edge_agent(h1, pod_sink(h1));
         sim.run_to_quiescence();
@@ -2450,17 +1989,6 @@ mod tests {
         // reached a sorted run exactly once — through the ring (or the
         // far heap) on a cursor move, or by a same-bucket insert.
         assert_eq!(qs.run_len_sum + qs.same_bucket_inserts, events);
-    }
-
-    #[test]
-    fn sharded_quiescence_and_owner_api() {
-        let (mut sim, h0, h1) = two_pods(11, true);
-        assert_eq!(sim.owner_of(h0), 0);
-        assert_eq!(sim.owner_of(h1), 1);
-        assert_eq!(sim.owner_of(NodeId(4)), 0, "core rides on LP 0");
-        sim.set_edge_agent(h0, pod_sender(h0, h1, 4, 50));
-        sim.set_edge_agent(h1, pod_sink(h1));
-        sim.run_to_quiescence();
         assert_eq!(sim.edge::<WindowSender>(h0).acked, 50);
         assert_eq!(sim.packets_in_flight(), 0);
         assert_eq!(sim.arena_stats().outstanding(), 0);

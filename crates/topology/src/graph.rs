@@ -345,61 +345,9 @@ impl Topo {
         self.builder.take().expect("network already taken").build()
     }
 
-    /// Compute a pod-granular logical-process assignment: removing the
-    /// core tier from the graph leaves one connected component per pod
-    /// (hosts + ToRs + aggs); each component becomes one LP, ordered by
-    /// its smallest node id so the assignment is deterministic. Core
-    /// switches — the boundary tier — are spread round-robin
-    /// (`core i → LP i % n_pods`).
-    ///
-    /// The result depends only on the topology, so the determinism
-    /// digest of a partitioned run does too.
-    pub fn pod_partition(&self) -> Vec<u32> {
-        let n = self.adj.len();
-        let is_core = |id: NodeId| self.cores.contains(&id);
-        let mut lp = vec![u32::MAX; n];
-        let mut n_lps: u32 = 0;
-        // BFS connected components, skipping core switches; seeds scanned
-        // in node-id order so components are numbered by smallest member.
-        for seed in 0..n {
-            let seed_id = NodeId(seed as u32);
-            if lp[seed] != u32::MAX || is_core(seed_id) {
-                continue;
-            }
-            let this = n_lps;
-            n_lps += 1;
-            let mut q = std::collections::VecDeque::new();
-            lp[seed] = this;
-            q.push_back(seed_id);
-            while let Some(u) = q.pop_front() {
-                for a in &self.adj[u.idx()] {
-                    if lp[a.peer.idx()] == u32::MAX && !is_core(a.peer) {
-                        lp[a.peer.idx()] = this;
-                        q.push_back(a.peer);
-                    }
-                }
-            }
-        }
-        if n_lps == 0 {
-            // Degenerate graph (all-core); everything in one LP.
-            return vec![0; n];
-        }
-        for (i, &c) in self.cores.iter().enumerate() {
-            lp[c.idx()] = (i as u32) % n_lps;
-        }
-        lp
-    }
-
-    /// Install the [`Self::pod_partition`] assignment on the underlying
-    /// network builder so the simulator can shard this topology. Must be
-    /// called before [`Self::take_network`].
-    ///
-    /// # Panics
-    /// Panics if the network was already taken.
-    pub fn enable_pod_partition(&mut self) {
-        let lp = self.pod_partition();
-        self.builder().set_partition(lp);
-    }
+    /// Does nothing: a simulation is one event queue. Until ROADMAP 1(f).
+    #[doc(hidden)]
+    pub fn enable_pod_partition(&mut self) {}
 }
 
 /// Switch tier tag.
@@ -531,61 +479,5 @@ mod tests {
         let mut t = diamond();
         let _ = t.take_network();
         let _ = t.take_network();
-    }
-
-    /// Two pods: (h0,t0) and (h1,t1), joined only through core c.
-    fn two_pods() -> Topo {
-        let mut t = Topo::new(1500);
-        let h0 = t.add_host();
-        let h1 = t.add_host();
-        let t0 = t.add_switch(Tier::Tor);
-        let t1 = t.add_switch(Tier::Tor);
-        let c = t.add_switch(Tier::Core);
-        let spec = LinkSpec::gbps(10, 1000);
-        t.connect(h0, t0, spec);
-        t.connect(h1, t1, spec);
-        t.connect(t0, c, spec);
-        t.connect(t1, c, spec);
-        t
-    }
-
-    #[test]
-    fn pod_partition_splits_at_core_tier() {
-        let t = two_pods();
-        let lp = t.pod_partition();
-        // Components numbered by smallest node id: pod of h0 first.
-        assert_eq!(lp[0], 0, "h0");
-        assert_eq!(lp[2], 0, "t0");
-        assert_eq!(lp[1], 1, "h1");
-        assert_eq!(lp[3], 1, "t1");
-        // Single core goes round-robin: core 0 → LP 0.
-        assert_eq!(lp[4], 0, "core");
-    }
-
-    #[test]
-    fn pod_partition_is_connected_without_cores() {
-        // The diamond has no core switches: one component, all LP 0.
-        let t = diamond();
-        assert!(t.pod_partition().iter().all(|&l| l == 0));
-    }
-
-    #[test]
-    fn pod_partition_cores_round_robin() {
-        let mut t = two_pods();
-        let c2 = t.add_switch(Tier::Core);
-        let spec = LinkSpec::gbps(10, 1000);
-        t.connect(NodeId(2), c2, spec);
-        t.connect(NodeId(3), c2, spec);
-        let lp = t.pod_partition();
-        assert_eq!(lp[4], 0, "core 0 → LP 0");
-        assert_eq!(lp[5], 1, "core 1 → LP 1");
-    }
-
-    #[test]
-    fn enable_pod_partition_installs_on_network() {
-        let mut t = two_pods();
-        t.enable_pod_partition();
-        let net = t.take_network();
-        assert_eq!(net.partition, Some(vec![0, 1, 0, 1, 0]));
     }
 }
