@@ -506,12 +506,7 @@ impl EdgeAgent for BaselineEdge {
                             self.mtu,
                             max_cwnd.max(2.0 * self.mtu as f64),
                         );
-                        self.ep.recorder().lock().unwrap().rtt(
-                            ctx.now,
-                            pkt.pair.raw(),
-                            pkt.tenant.raw(),
-                            rtt,
-                        );
+                        self.ep.recorder().lock().unwrap().rtt(rtt);
                     }
                     if ack.grant_bps > 0.0 {
                         p.grant_bps = ack.grant_bps;

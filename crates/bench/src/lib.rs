@@ -2,49 +2,18 @@
 //! `ufabbench/`, which times the loops in [`micro`] and [`scenario`] and
 //! stamps its reports with [`report`]. `tests/guards.rs` holds one exact
 //! guard (tier-1) and two release-only timing guards.
-//!
-//! `benches/` has the Criterion targets (`cargo bench --workspace`):
-//!
-//! * `microbench` — hot data-plane primitives: Bloom filters, the
-//!   Appendix-G wire codec, rate estimators, the WFQ scheduler, GP token
-//!   assignment, and the weighted max-min reference solver.
-//! * `simbench` — end-to-end simulator throughput (events/sec) under μFAB
-//!   and under the baselines, plus topology path enumeration.
-//! * `obsbench` — flight-recorder overhead.
 
 pub mod micro;
 pub mod report;
 
-/// Re-exported so the bench targets share one scenario builder.
+/// The testbed permutation `ufabbench` and `tests/guards.rs` both run.
 pub mod scenario {
     use experiments::harness::{Runner, SystemKind, SLICE};
     use netsim::{NodeId, PairId, Time, MS};
     use topology::TestbedCfg;
-    use ufab::endpoint::AppMsg;
     use ufab::FabricSpec;
     use workloads::driver::Driver;
     use workloads::patterns::BulkDriver;
-
-    /// A ready-to-run two-tenant dumbbell contention scenario.
-    pub fn dumbbell_contention(system: SystemKind, seed: u64) -> Runner {
-        let topo = topology::dumbbell(2, 10, 10);
-        let mut fabric = FabricSpec::new(500e6);
-        let ta = fabric.add_tenant("a", 2.0);
-        let tb = fabric.add_tenant("b", 8.0);
-        let a0 = fabric.add_vm(ta, topo.hosts[0]);
-        let a1 = fabric.add_vm(ta, topo.hosts[2]);
-        let b0 = fabric.add_vm(tb, topo.hosts[1]);
-        let b1 = fabric.add_vm(tb, topo.hosts[3]);
-        let pa = fabric.add_pair(a0, a1);
-        let pb = fabric.add_pair(b0, b1);
-        let h0 = topo.hosts[0];
-        let h1 = topo.hosts[1];
-        let mut r = Runner::new(topo, fabric, system, seed, None, MS);
-        r.sim.start();
-        r.sim.inject(h0, AppMsg::oneway(1, pa, 1_000_000_000, 0));
-        r.sim.inject(h1, AppMsg::oneway(2, pb, 1_000_000_000, 0));
-        r
-    }
 
     /// Drive the Fig-11-style cross-pod permutation on the 10 G testbed
     /// (three guarantee classes per source host, staggered joins, bulk

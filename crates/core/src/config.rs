@@ -144,17 +144,6 @@ impl Default for UfabConfig {
     }
 }
 
-impl UfabConfig {
-    /// The μFAB′ ablation: informative-core rate control without the
-    /// two-stage latency bound (§5.2 "Bounded Latency").
-    pub fn ufab_prime() -> Self {
-        Self {
-            bounded_latency: false,
-            ..Self::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,11 +169,5 @@ mod tests {
         // Enforcement is a containment layer, not baseline protocol:
         // default-off so the paper's scenarios are bit-for-bit unchanged.
         assert!(!c.enforce);
-    }
-
-    #[test]
-    fn prime_disables_latency_bound() {
-        assert!(!UfabConfig::ufab_prime().bounded_latency);
-        assert!(UfabConfig::ufab_prime().target_utilization == 0.95);
     }
 }

@@ -227,11 +227,6 @@ impl UfabEdge {
         self.pairs.slot(pair).map(|s| self.pairs.window[s])
     }
 
-    /// Every pair this edge currently manages (invariant checkers).
-    pub fn pair_ids(&self) -> Vec<PairId> {
-        self.pair_iter().collect()
-    }
-
     /// Every pair this edge manages, in ascending id order, without
     /// allocating — the form the periodic invariant audits walk.
     pub fn pair_iter(&self) -> impl Iterator<Item = PairId> + '_ {
@@ -253,11 +248,6 @@ impl UfabEdge {
         self.pairs
             .slot(pair)
             .map(|s| self.pairs.cur_path(s).route.clone())
-    }
-
-    /// Effective (min of sender/receiver) token of a pair.
-    pub fn phi_of(&self, pair: PairId) -> Option<f64> {
-        self.pairs.slot(pair).map(|s| self.pairs.phi_eff(s))
     }
 
     /// Claimed (Eqn 3) window of a pair (tests/experiments).
@@ -1535,12 +1525,7 @@ impl EdgeAgent for UfabEdge {
                 };
                 let res = self.ep.on_ack_at(ctx.now, e, &ack);
                 if let Some(rtt) = res.rtt {
-                    self.ep.recorder().lock().unwrap().rtt(
-                        ctx.now,
-                        pkt.pair.raw(),
-                        pkt.tenant.raw(),
-                        rtt,
-                    );
+                    self.ep.recorder().lock().unwrap().rtt(rtt);
                 }
                 if res.valid {
                     self.pump(ctx);

@@ -191,36 +191,11 @@ impl FabricSpec {
         self.vm_tokens(s.src).min(self.vm_tokens(s.dst)) * self.bu_bps
     }
 
-    /// All pairs originating at a VM.
-    pub fn pairs_from_vm(&self, v: VmId) -> Vec<PairId> {
-        (0..self.pairs.len())
-            .filter(|&i| self.pairs[i].src == v)
-            .map(|i| PairId(i as u32))
-            .collect()
-    }
-
-    /// All pairs terminating at a VM.
-    pub fn pairs_to_vm(&self, v: VmId) -> Vec<PairId> {
-        (0..self.pairs.len())
-            .filter(|&i| self.pairs[i].dst == v)
-            .map(|i| PairId(i as u32))
-            .collect()
-    }
-
     /// All VMs placed on `host`.
     pub fn vms_on_host(&self, host: NodeId) -> Vec<VmId> {
         (0..self.vms.len())
             .filter(|&i| self.vms[i].host == host)
             .map(|i| VmId(i as u32))
-            .collect()
-    }
-
-    /// Pairs whose source VM lives on `host` (the set a μFAB-E instance
-    /// manages).
-    pub fn pairs_from_host(&self, host: NodeId) -> Vec<PairId> {
-        (0..self.pairs.len())
-            .filter(|&i| self.vms[self.pairs[i].src.idx()].host == host)
-            .map(|i| PairId(i as u32))
             .collect()
     }
 }
@@ -272,14 +247,9 @@ mod tests {
         let t1 = f.add_tenant("t1", 1.0);
         let t2 = f.add_tenant("t2", 2.0);
         let a = f.add_vm(t1, NodeId(5));
-        let b = f.add_vm(t1, NodeId(6));
+        f.add_vm(t1, NodeId(6));
         let c = f.add_vm(t2, NodeId(5));
-        let ab = f.add_pair(a, b);
         assert_eq!(f.vms_on_host(NodeId(5)), vec![a, c]);
-        assert_eq!(f.pairs_from_host(NodeId(5)), vec![ab]);
-        assert_eq!(f.pairs_from_vm(a), vec![ab]);
-        assert_eq!(f.pairs_to_vm(b), vec![ab]);
-        assert!(f.pairs_to_vm(a).is_empty());
         assert_eq!(f.n_tenants(), 2);
         assert_eq!(f.n_vms(), 3);
     }

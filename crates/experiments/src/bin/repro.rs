@@ -13,11 +13,11 @@
 //! parameters (slower). `--list` prints every scenario with a one-line
 //! description and exits. CSV mirrors land in `results/`.
 //!
-//! `--jobs N` (or `UFAB_JOBS=N`) sets the worker-thread count for the
-//! parallel experiment executor; the default is the number of available
-//! cores. Results are merged in submission order, so the output —
-//! stdout, CSVs, and determinism digests — is byte-identical for every
-//! N (`--jobs 1` reproduces the fully serial run).
+//! `--jobs N` sets the worker-thread count for the parallel experiment
+//! executor; the default is the number of available cores. Results are
+//! merged in submission order, so the output — stdout, CSVs, and
+//! determinism digests — is byte-identical for every N (`--jobs 1`
+//! reproduces the fully serial run).
 //!
 //! `--trace` attaches a flight recorder (default 65536 events) and the
 //! determinism digest to every run and prints a drop/ECN/retransmit

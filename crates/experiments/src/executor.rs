@@ -13,10 +13,8 @@
 //! every job owning its own seeded simulator, `repro --jobs 8` produces
 //! byte-identical stdout/CSV output to `--jobs 1`.
 //!
-//! Worker count resolution (first match wins):
-//! 1. [`set_jobs`] (the `--jobs N` CLI flag),
-//! 2. the `UFAB_JOBS` environment variable,
-//! 3. [`std::thread::available_parallelism`].
+//! Worker count: [`set_jobs`] (the `--jobs N` CLI flag), else
+//! [`std::thread::available_parallelism`].
 //!
 //! Whatever the request, [`run_jobs`] never spawns more workers than the
 //! machine has cores: oversubscribing the pool (e.g. `--jobs 4` on one
@@ -31,7 +29,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker-count override; 0 = unset (fall back to env / cores).
+/// Worker-count override; 0 = unset (fall back to cores).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 // Only callers: `ufabbench/src/{suite,twin}.rs` (frozen); ROADMAP item 1's PR deletes both.
@@ -44,18 +42,11 @@ pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::Relaxed);
 }
 
-/// Resolved worker count (see module docs for precedence).
+/// Resolved worker count (see module docs).
 pub fn jobs() -> usize {
     let n = JOBS.load(Ordering::Relaxed);
     if n > 0 {
         return n;
-    }
-    if let Ok(v) = std::env::var("UFAB_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -188,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_jobs_overrides_env() {
+    fn explicit_jobs_override_cores_and_zero_clears() {
         let _g = TEST_LOCK.lock().unwrap();
         set_jobs(3);
         assert_eq!(jobs(), 3);

@@ -3,7 +3,7 @@
 use baselines::edge::{BaselineCfg, BaselineEdge};
 use metrics::recorder::{self, Completion, SharedRecorder};
 use metrics::Percentiles;
-use netsim::{NodeId, PairId, PortNo, Simulator, Time, MS, US};
+use netsim::{NodeId, PairId, PortNo, Simulator, Time, US};
 use obs::{InvariantSuite, ObsHandle};
 use std::sync::Arc;
 use topology::Topo;
@@ -401,13 +401,6 @@ impl Runner {
         series.map(|s| s.avg_rate(from, to)).unwrap_or(0.0)
     }
 
-    /// Average delivered rate of a tenant over `[from, to)` in bits/sec.
-    pub fn tenant_rate(&self, tenant: u32, from: Time, to: Time) -> f64 {
-        let rec = self.rec.lock().unwrap();
-        let series = rec.tenant_rates.get(&tenant);
-        series.map(|s| s.avg_rate(from, to)).unwrap_or(0.0)
-    }
-
     /// Probing bandwidth overhead so far: probe bytes / all host TX bytes.
     pub fn probe_overhead(&self) -> f64 {
         let st = self.sim.stats();
@@ -448,38 +441,13 @@ impl WorkloadPort for Runner {
     }
 }
 
-/// Convenience: evenly assign `tokens` guarantees and one pair per source
-/// host toward `dst_host`, registering one tenant per pair (the incast
-/// fabric of Fig 4/12).
-pub fn incast_fabric(
-    topo: &Topo,
-    srcs: &[NodeId],
-    dst: NodeId,
-    tokens: f64,
-    bu_bps: f64,
-) -> (FabricSpec, Vec<PairId>) {
-    let mut fabric = FabricSpec::new(bu_bps);
-    let mut pairs = Vec::new();
-    for (i, &s) in srcs.iter().enumerate() {
-        let t = fabric.add_tenant(&format!("vf{i}"), tokens);
-        let v0 = fabric.add_vm(t, s);
-        let v1 = fabric.add_vm(t, dst);
-        pairs.push(fabric.add_pair(v0, v1));
-    }
-    let _ = topo;
-    (fabric, pairs)
-}
-
 /// Default measurement slice for driver polling.
 pub const SLICE: Time = 50 * US;
-/// Convenience re-export.
-pub const fn ms(n: u64) -> Time {
-    n * MS
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::MS;
     use topology::dumbbell;
 
     fn small_fabric(topo: &Topo) -> (FabricSpec, PairId) {

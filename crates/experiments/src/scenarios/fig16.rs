@@ -18,38 +18,6 @@ use workloads::patterns::OnOffDriver;
 
 /// Run the on-off sweep over all four systems.
 pub fn run(scale: Scale) -> Table {
-    let n = if scale.quick { 30 } else { 90 };
-    // 100 G fabric so 90×1 G guarantees are feasible into one host.
-    let topo = if scale.quick {
-        leaf_spine(
-            4,
-            2,
-            8,
-            netsim::builder::LinkSpec::gbps(100, 1000),
-            netsim::builder::LinkSpec::gbps(100, 1000),
-            4096,
-        )
-    } else {
-        three_tier(ThreeTierCfg {
-            pods: 2,
-            tors_per_pod: 3,
-            hosts_per_tor: 16,
-            aggs_per_pod: 2,
-            cores: 4,
-            ..ThreeTierCfg::default()
-        })
-    };
-    let dst = *topo.hosts.last().unwrap();
-    let mut fabric = FabricSpec::new(500e6);
-    let mut pairs: Vec<(NodeId, PairId)> = Vec::new();
-    let srcs: Vec<NodeId> = topo.hosts.iter().copied().filter(|&h| h != dst).collect();
-    for i in 0..n {
-        let t = fabric.add_tenant(&format!("vf{i}"), 2.0); // 1 Gbps
-        let src = srcs[i % srcs.len()];
-        let v0 = fabric.add_vm(t, src);
-        let v1 = fabric.add_vm(t, dst);
-        pairs.push((src, fabric.add_pair(v0, v1)));
-    }
     let until = if scale.quick { 16 * MS } else { 32 * MS };
     let mut table = Table::new([
         "system",
@@ -68,10 +36,9 @@ pub fn run(scale: Scale) -> Table {
     ]
     .into_iter()
     .map(|system| {
-        let pairs = pairs.clone();
         Job::new(format!("fig16:{}", system.label()), move || {
-            // Rebuild per system (topo/fabric consumed by the runner).
-            let (topo, fabric) = rebuild(scale, n);
+            // Built per system (topo/fabric consumed by the runner).
+            let (topo, fabric, pairs) = build(scale);
             let mut r = Runner::new(topo, fabric, system, scale.seed, None, MS);
             let mut driver = OnOffDriver::new(pairs.clone(), 4 * MS, 500e6, 0);
             let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
@@ -144,8 +111,11 @@ pub fn run(scale: Scale) -> Table {
     table
 }
 
-fn rebuild(scale: Scale, _n: usize) -> (topology::Topo, FabricSpec) {
-    // Identical construction to `run` — kept in sync via shared seeds.
+/// The 90-to-1 (quick: 30-to-1) fabric: one 1 Gbps VF per sender, all
+/// toward the last host; returns each pair with its source host.
+fn build(scale: Scale) -> (topology::Topo, FabricSpec, Vec<(NodeId, PairId)>) {
+    let n = if scale.quick { 30 } else { 90 };
+    // 100 G fabric so 90×1 G guarantees are feasible into one host.
     let topo = if scale.quick {
         leaf_spine(
             4,
@@ -167,14 +137,14 @@ fn rebuild(scale: Scale, _n: usize) -> (topology::Topo, FabricSpec) {
     };
     let dst = *topo.hosts.last().unwrap();
     let mut fabric = FabricSpec::new(500e6);
+    let mut pairs: Vec<(NodeId, PairId)> = Vec::new();
     let srcs: Vec<NodeId> = topo.hosts.iter().copied().filter(|&h| h != dst).collect();
-    let n = if scale.quick { 30 } else { 90 };
     for i in 0..n {
-        let t = fabric.add_tenant(&format!("vf{i}"), 2.0);
+        let t = fabric.add_tenant(&format!("vf{i}"), 2.0); // 1 Gbps
         let src = srcs[i % srcs.len()];
         let v0 = fabric.add_vm(t, src);
         let v1 = fabric.add_vm(t, dst);
-        fabric.add_pair(v0, v1);
+        pairs.push((src, fabric.add_pair(v0, v1)));
     }
-    (topo, fabric)
+    (topo, fabric, pairs)
 }

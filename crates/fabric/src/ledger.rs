@@ -67,8 +67,6 @@ impl Link {
 #[derive(Debug, Clone)]
 pub struct Ledger {
     links: Vec<Link>,
-    /// Both `(node, port)` directions of a link map to its index.
-    by_port: HashMap<(u32, u16), usize>,
     /// Host → the links (and fractions) its hose commits to.
     spread: HashMap<u32, Vec<(usize, f64)>>,
     headroom: f64,
@@ -118,6 +116,7 @@ impl Ledger {
         // Enumerate undirected links once, in node-id order (the ledger
         // must be identical however the topology was assembled).
         let mut links = Vec::new();
+        // Both `(node, port)` directions of a link map to its index.
         let mut by_port = HashMap::new();
         for n in 0..topo.n_nodes() {
             let node = NodeId(n as u32);
@@ -202,7 +201,6 @@ impl Ledger {
 
         Self {
             links,
-            by_port,
             spread,
             headroom,
         }
@@ -231,13 +229,6 @@ impl Ledger {
         self.spread
             .get(&host.raw())
             .unwrap_or_else(|| panic!("node {host} is not a host of this ledger"))
-    }
-
-    /// Committed bandwidth on the link out of `(node, port)`, if tracked.
-    pub fn committed_on(&self, node: NodeId, port: PortNo) -> Option<f64> {
-        self.by_port
-            .get(&(node.raw(), port.0))
-            .map(|&i| self.links[i].committed_bps)
     }
 
     /// Float slack: commitments are sums of exact products, but admission
@@ -416,14 +407,6 @@ impl Ledger {
         } else {
             c / cap
         }
-    }
-
-    /// The most subscribed link's committed fraction of η·cap.
-    pub fn max_link_utilization(&self) -> f64 {
-        self.links
-            .iter()
-            .map(|l| l.committed_bps / l.limit(self.headroom))
-            .fold(0.0, f64::max)
     }
 }
 

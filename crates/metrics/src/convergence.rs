@@ -1,71 +1,10 @@
-//! Convergence-time detection and bandwidth-dissatisfaction accounting.
+//! Bandwidth-dissatisfaction accounting.
 //!
-//! Two paper-specific metrics live here:
-//!
-//! * **Convergence time** (Fig 18a/b, §1's "sub-millisecond convergence"):
-//!   the delay between a disturbance (VF join, failure) and the first moment
-//!   every tracked entity stays within a tolerance band around its target
-//!   for a configurable hold duration.
-//! * **Bandwidth dissatisfaction ratio** (Fig 11d, Fig 17a): the amount of
-//!   minimum-bandwidth violation accumulated over time, normalised by the
-//!   total guaranteed volume over the same interval.
+//! **Bandwidth dissatisfaction ratio** (Fig 11d, Fig 17a): the amount of
+//! minimum-bandwidth violation accumulated over time, normalised by the
+//! total guaranteed volume over the same interval.
 
 use crate::Nanos;
-
-/// Detects when a set of observed values has converged to targets.
-#[derive(Debug, Clone)]
-pub struct ConvergenceDetector {
-    tolerance: f64,
-    hold: Nanos,
-    start: Nanos,
-    in_band_since: Option<Nanos>,
-    converged_at: Option<Nanos>,
-}
-
-impl ConvergenceDetector {
-    /// `tolerance` is relative (0.1 = ±10 % of target); `hold` is how long
-    /// all values must stay in band; `start` is the disturbance time.
-    pub fn new(start: Nanos, tolerance: f64, hold: Nanos) -> Self {
-        Self {
-            tolerance,
-            hold,
-            start,
-            in_band_since: None,
-            converged_at: None,
-        }
-    }
-
-    /// Feed one sample round: `pairs` is `(observed, target)` per entity.
-    /// Entities with `target == 0` are ignored. Call with monotonically
-    /// increasing `now`.
-    pub fn observe(&mut self, now: Nanos, pairs: &[(f64, f64)]) {
-        if self.converged_at.is_some() {
-            return;
-        }
-        let all_in_band = pairs
-            .iter()
-            .filter(|(_, t)| *t > 0.0)
-            .all(|(o, t)| (o - t).abs() <= self.tolerance * t);
-        if all_in_band {
-            let since = *self.in_band_since.get_or_insert(now);
-            if now.saturating_sub(since) >= self.hold {
-                self.converged_at = Some(since);
-            }
-        } else {
-            self.in_band_since = None;
-        }
-    }
-
-    /// Time from the disturbance to entering the (held) band, if converged.
-    pub fn convergence_time(&self) -> Option<Nanos> {
-        self.converged_at.map(|t| t.saturating_sub(self.start))
-    }
-
-    /// Whether convergence has been declared.
-    pub fn converged(&self) -> bool {
-        self.converged_at.is_some()
-    }
-}
 
 /// Integrates minimum-bandwidth violations over time.
 ///
@@ -134,44 +73,7 @@ impl DissatisfactionMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MS, US};
-
-    #[test]
-    fn detects_convergence_after_hold() {
-        let mut d = ConvergenceDetector::new(0, 0.1, 500 * US);
-        // Out of band for 1 ms.
-        for i in 0..10 {
-            d.observe(i * 100 * US, &[(0.5, 1.0)]);
-        }
-        assert!(!d.converged());
-        // In band from t=1 ms.
-        for i in 10..30 {
-            d.observe(i * 100 * US, &[(0.95, 1.0)]);
-        }
-        assert!(d.converged());
-        assert_eq!(d.convergence_time(), Some(MS));
-    }
-
-    #[test]
-    fn band_exit_resets_hold() {
-        let mut d = ConvergenceDetector::new(0, 0.1, 300 * US);
-        d.observe(0, &[(1.0, 1.0)]);
-        d.observe(100 * US, &[(1.0, 1.0)]);
-        d.observe(200 * US, &[(0.2, 1.0)]); // leaves band before hold elapses
-        d.observe(300 * US, &[(1.0, 1.0)]);
-        d.observe(400 * US, &[(1.0, 1.0)]);
-        assert!(!d.converged());
-        d.observe(600 * US, &[(1.0, 1.0)]);
-        assert!(d.converged());
-        assert_eq!(d.convergence_time(), Some(300 * US));
-    }
-
-    #[test]
-    fn zero_targets_ignored() {
-        let mut d = ConvergenceDetector::new(0, 0.1, 0);
-        d.observe(10, &[(5.0, 0.0), (1.0, 1.0)]);
-        assert!(d.converged());
-    }
+    use crate::MS;
 
     #[test]
     fn dissatisfaction_halves() {

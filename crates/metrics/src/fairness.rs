@@ -1,8 +1,4 @@
-//! Fairness indices.
-//!
-//! μFAB's allocation target is *weighted* sharing: link capacity split
-//! proportionally to bandwidth tokens (§3.3, Eqn 1). The helpers here
-//! quantify how close a measured allocation comes to that target.
+//! Jain's fairness index.
 
 /// Jain's fairness index over raw rates: `(Σx)² / (n·Σx²)`.
 ///
@@ -19,33 +15,6 @@ pub fn jain_index(rates: &[f64]) -> f64 {
         return 1.0;
     }
     sum * sum / (n as f64 * sq)
-}
-
-/// Jain's index computed on weight-normalised rates `x_i / w_i`, which is
-/// the right fairness notion for token-proportional sharing.
-///
-/// Entries with non-positive weight are skipped.
-pub fn weighted_jain_index(rates: &[f64], weights: &[f64]) -> f64 {
-    let normalised: Vec<f64> = rates
-        .iter()
-        .zip(weights)
-        .filter(|(_, w)| **w > 0.0)
-        .map(|(x, w)| x / w)
-        .collect();
-    jain_index(&normalised)
-}
-
-/// Maximum relative deviation between an observed allocation and a target
-/// allocation: `max_i |x_i − t_i| / t_i` over entries with `t_i > 0`.
-///
-/// Returns 0.0 when there is nothing to compare.
-pub fn weighted_share_error(observed: &[f64], target: &[f64]) -> f64 {
-    observed
-        .iter()
-        .zip(target)
-        .filter(|(_, t)| **t > 0.0)
-        .map(|(x, t)| (x - t).abs() / t)
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -67,24 +36,5 @@ mod tests {
     fn jain_degenerate() {
         assert_eq!(jain_index(&[]), 1.0);
         assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn weighted_jain_proportional_is_fair() {
-        // Rates exactly proportional to weights 1:2:5 → index 1.
-        let idx = weighted_jain_index(&[1.0, 2.0, 5.0], &[1.0, 2.0, 5.0]);
-        assert!((idx - 1.0).abs() < 1e-12);
-        // Equal rates under unequal weights are NOT weighted-fair.
-        let idx2 = weighted_jain_index(&[1.0, 1.0, 1.0], &[1.0, 2.0, 5.0]);
-        assert!(idx2 < 0.8);
-    }
-
-    #[test]
-    fn share_error_picks_worst() {
-        let e = weighted_share_error(&[0.9, 2.0], &[1.0, 1.0]);
-        assert!((e - 1.0).abs() < 1e-12);
-        assert_eq!(weighted_share_error(&[], &[]), 0.0);
-        // Zero targets skipped.
-        assert_eq!(weighted_share_error(&[5.0], &[0.0]), 0.0);
     }
 }

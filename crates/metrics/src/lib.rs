@@ -9,14 +9,14 @@
 //!
 //! Main pieces:
 //!
-//! * [`stats`] — streaming moments, exact percentiles, CDF export.
+//! * [`stats`] — streaming moments, exact percentiles.
 //! * [`timeseries`] — per-entity rate series sampled on a fixed grid.
 //! * [`recorder`] — the shared [`Recorder`](recorder::Recorder) sink that
 //!   edge agents write delivered bytes / RTT samples / flow completions into
 //!   and that experiments read results out of.
-//! * [`convergence`] — convergence-time detection and the paper's
-//!   *bandwidth dissatisfaction ratio* (§5.2, Fig 11d / Fig 17a).
-//! * [`fairness`] — Jain's index and weighted-share error metrics.
+//! * [`convergence`] — the paper's *bandwidth dissatisfaction ratio*
+//!   (§5.2, Fig 11d / Fig 17a).
+//! * [`fairness`] — Jain's index.
 //! * [`table`] — plain-text table / CSV emission used by the `repro` binary.
 
 #![deny(missing_docs)]
@@ -28,10 +28,10 @@ pub mod stats;
 pub mod table;
 pub mod timeseries;
 
-pub use convergence::{ConvergenceDetector, DissatisfactionMeter};
-pub use fairness::{jain_index, weighted_share_error};
-pub use recorder::{Completion, Recorder, RttSample, SharedRecorder};
-pub use stats::{Cdf, OnlineStats, Percentiles};
+pub use convergence::DissatisfactionMeter;
+pub use fairness::jain_index;
+pub use recorder::{Completion, Recorder, SharedRecorder};
+pub use stats::{OnlineStats, Percentiles};
 pub use timeseries::{RateSeries, SeriesSet};
 
 /// Nanoseconds, mirroring `netsim::Time` without the dependency.

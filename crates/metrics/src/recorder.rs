@@ -41,17 +41,6 @@ impl Completion {
     }
 }
 
-/// One RTT observation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RttSample {
-    /// VM-pair that measured it.
-    pub pair: u32,
-    /// When the ACK arrived.
-    pub at: Nanos,
-    /// Measured round-trip in nanoseconds.
-    pub rtt: Nanos,
-}
-
 /// Central sink for everything the experiments measure.
 #[derive(Debug)]
 pub struct Recorder {
@@ -97,9 +86,8 @@ impl Recorder {
     }
 
     /// Record one RTT sample.
-    pub fn rtt(&mut self, now: Nanos, pair: u32, tenant: u32, rtt: Nanos) {
+    pub fn rtt(&mut self, rtt: Nanos) {
         self.rtts.add(rtt as f64);
-        let _ = (now, pair, tenant);
     }
 
     /// Record a completed message.

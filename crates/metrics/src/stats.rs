@@ -1,4 +1,4 @@
-//! Streaming statistics, exact percentiles, and CDF export.
+//! Streaming statistics and exact percentiles.
 
 /// Streaming first/second-moment accumulator (Welford's algorithm).
 ///
@@ -71,26 +71,6 @@ impl OnlineStats {
     /// Maximum observation (`None` when empty).
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-
-    /// Merge another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -179,51 +159,9 @@ impl Percentiles {
         self.samples.first().copied()
     }
 
-    /// Export an empirical CDF with at most `points` evenly spaced knots.
-    pub fn cdf(&mut self, points: usize) -> Cdf {
-        self.ensure_sorted();
-        let n = self.samples.len();
-        if n == 0 {
-            return Cdf { points: Vec::new() };
-        }
-        let points = points.max(2).min(n.max(2));
-        let mut out = Vec::with_capacity(points);
-        for i in 0..points {
-            let q = i as f64 / (points - 1) as f64;
-            let idx = ((n - 1) as f64 * q).round() as usize;
-            out.push((self.samples[idx], q));
-        }
-        Cdf { points: out }
-    }
-
     /// Borrow the raw samples (unsorted order not guaranteed).
     pub fn samples(&self) -> &[f64] {
         &self.samples
-    }
-
-    /// Merge another collection into this one.
-    pub fn merge(&mut self, other: &Percentiles) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-}
-
-/// An empirical CDF: `(value, cumulative_fraction)` knots, value-sorted.
-#[derive(Debug, Clone)]
-pub struct Cdf {
-    /// `(value, fraction ≤ value)` pairs in ascending value order.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Cdf {
-    /// The smallest value at which the CDF reaches `q` (0..1), or `None`
-    /// when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|(_, f)| *f >= q)
-            .or(self.points.last())
-            .map(|(v, _)| *v)
     }
 }
 
@@ -242,41 +180,6 @@ mod tests {
         assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.add(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_merge_empty() {
-        let mut a = OnlineStats::new();
-        let b = OnlineStats::new();
-        a.merge(&b);
-        assert_eq!(a.count(), 0);
-        let mut c = OnlineStats::new();
-        let mut d = OnlineStats::new();
-        d.add(3.0);
-        c.merge(&d);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.mean(), 3.0);
     }
 
     #[test]
@@ -300,32 +203,5 @@ mod tests {
         p.add(7.5);
         assert_eq!(p.percentile(10.0), Some(7.5));
         assert_eq!(p.percentile(99.9), Some(7.5));
-    }
-
-    #[test]
-    fn cdf_quantile() {
-        let mut p = Percentiles::new();
-        for i in 0..1000 {
-            p.add(i as f64);
-        }
-        let cdf = p.cdf(101);
-        let q50 = cdf.quantile(0.5).unwrap();
-        assert!((q50 - 500.0).abs() < 15.0, "q50={q50}");
-        assert!(cdf.quantile(1.0).unwrap() >= 990.0);
-    }
-
-    #[test]
-    fn percentiles_merge() {
-        let mut a = Percentiles::new();
-        let mut b = Percentiles::new();
-        for i in 0..50 {
-            a.add(i as f64);
-        }
-        for i in 50..100 {
-            b.add(i as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 100);
-        assert_eq!(a.max(), Some(99.0));
     }
 }

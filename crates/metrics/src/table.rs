@@ -108,30 +108,6 @@ impl Table {
     }
 }
 
-/// Format a nanosecond quantity as a human-readable latency string.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.0}ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.1}us", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2}ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3}s", ns / 1_000_000_000.0)
-    }
-}
-
-/// Format a bits/sec quantity as Mbps/Gbps.
-pub fn fmt_bps(bps: f64) -> String {
-    if bps >= 1e9 {
-        format!("{:.2}Gbps", bps / 1e9)
-    } else if bps >= 1e6 {
-        format!("{:.1}Mbps", bps / 1e6)
-    } else {
-        format!("{:.0}Kbps", bps / 1e3)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,14 +149,5 @@ mod tests {
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, "a\n1\n");
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn human_units() {
-        assert_eq!(fmt_ns(500.0), "500ns");
-        assert_eq!(fmt_ns(24_000.0), "24.0us");
-        assert_eq!(fmt_ns(2_200_000.0), "2.20ms");
-        assert_eq!(fmt_bps(10e9), "10.00Gbps");
-        assert_eq!(fmt_bps(500e6), "500.0Mbps");
     }
 }

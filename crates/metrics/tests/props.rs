@@ -36,27 +36,6 @@ proptest! {
         prop_assert!((s.variance() - var).abs() < 1e-4 * (1.0 + var));
     }
 
-    /// Splitting a stream across two accumulators and merging equals the
-    /// single-stream result.
-    #[test]
-    fn online_stats_merge_associative(
-        a in prop::collection::vec(-1e6f64..1e6, 1..100),
-        b in prop::collection::vec(-1e6f64..1e6, 1..100),
-    ) {
-        let mut whole = OnlineStats::new();
-        for &x in a.iter().chain(&b) {
-            whole.add(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &a { left.add(x); }
-        for &x in &b { right.add(x); }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((left.variance() - whole.variance()).abs() < 1e-4 * (1.0 + whole.variance()));
-    }
-
     /// A rate series preserves total bytes regardless of arrival pattern.
     #[test]
     fn rate_series_conserves_bytes(

@@ -136,19 +136,9 @@ impl NetworkBuilder {
         self.add_node(NodeKind::Host)
     }
 
-    /// Add `n` hosts, returning their ids.
-    pub fn add_hosts(&mut self, n: usize) -> Vec<NodeId> {
-        (0..n).map(|_| self.add_host()).collect()
-    }
-
     /// Add a switch.
     pub fn add_switch(&mut self) -> NodeId {
         self.add_node(NodeKind::Switch)
-    }
-
-    /// Add `n` switches, returning their ids.
-    pub fn add_switches(&mut self, n: usize) -> Vec<NodeId> {
-        (0..n).map(|_| self.add_switch()).collect()
     }
 
     /// Connect `a` and `b` with a symmetric bidirectional link; returns

@@ -882,16 +882,6 @@ impl Simulator {
             .expect("switch agent type mismatch")
     }
 
-    /// Downcast a switch agent for introspection.
-    pub fn switch_agent<T: 'static>(&self, node: NodeId) -> &T {
-        self.switch[node.idx()]
-            .as_ref()
-            .expect("no switch agent installed")
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("switch agent type mismatch")
-    }
-
     /// Deliver a message to a host's edge agent at the current time
     /// (ordered with in-flight events). Anything convertible into
     /// [`Inject`] works; today that is [`crate::AppMsg`].
@@ -984,11 +974,6 @@ impl Simulator {
             self.step_one();
         }
         self.now = self.now.max(t);
-    }
-
-    /// Process events for `dt` more nanoseconds.
-    pub fn run_for(&mut self, dt: Time) {
-        self.run_until(self.now + dt);
     }
 
     /// Drain every remaining event (careful with self-sustaining traffic).

@@ -113,11 +113,6 @@ impl<Ctx> InvariantSuite<Ctx> {
         self.checks.push(inv);
     }
 
-    /// Number of registered checkers.
-    pub fn n_checks(&self) -> usize {
-        self.checks.len()
-    }
-
     /// Total timer evaluations performed.
     pub fn evaluations(&self) -> u64 {
         self.evaluations

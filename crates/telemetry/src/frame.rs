@@ -123,16 +123,6 @@ impl ProbeFrame {
     pub fn n_hops(&self) -> usize {
         self.hops.len()
     }
-
-    /// The bottleneck hop by proportional guaranteed share
-    /// `(C_l·η)/Φ_l` — the link minimising the pair's worst-case share.
-    pub fn min_share_hop(&self, eta: f64) -> Option<&HopInfo> {
-        self.hops.iter().min_by(|a, b| {
-            let sa = eta * a.cap_bps as f64 / a.phi_total.max(1e-9);
-            let sb = eta * b.cap_bps as f64 / b.phi_total.max(1e-9);
-            sa.partial_cmp(&sb).expect("NaN share")
-        })
-    }
 }
 
 /// A finish probe (§3.6): tells every switch on the path that the VM-pair
@@ -182,18 +172,6 @@ impl FinishFrame {
 mod tests {
     use super::*;
 
-    fn hop(phi_total: f64, cap_gbps: f64) -> HopInfo {
-        HopInfo {
-            node: 0,
-            port: 0,
-            w_total: 0.0,
-            phi_total,
-            tx_bps: 0.0,
-            q_bytes: 0,
-            cap_bps: (cap_gbps * 1e9) as u64,
-        }
-    }
-
     #[test]
     fn response_carries_rx_token() {
         let p = ProbeFrame::probe(3, 9, 2.0, 30_000.0, 123);
@@ -203,19 +181,6 @@ mod tests {
         assert_eq!(r.rx_phi, Some(1.5));
         assert_eq!(r.pair, 3);
         assert_eq!(r.seq, 9);
-    }
-
-    #[test]
-    fn min_share_hop_picks_bottleneck() {
-        let mut p = ProbeFrame::probe(0, 0, 1.0, 0.0, 0);
-        // 10G with Φ=2 → 5G/token; 10G with Φ=10 → 1G/token (bottleneck).
-        p.hops.push(hop(2.0, 10.0));
-        p.hops.push(hop(10.0, 10.0));
-        let h = p.min_share_hop(1.0).unwrap();
-        assert_eq!(h.phi_total, 10.0);
-        // Empty hop list → None.
-        let q = ProbeFrame::probe(0, 0, 1.0, 0.0, 0);
-        assert!(q.min_share_hop(1.0).is_none());
     }
 
     #[test]

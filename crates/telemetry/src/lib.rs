@@ -11,24 +11,21 @@
 //!   *sizes* (and therefore Fig 15b's bandwidth overhead) are computed from
 //!   this encoding, and encode/decode round-trips are tested to the
 //!   quantisation step.
-//! * [`bloom`] — the 2-way-hashing Bloom filter μFAB-C uses to recognise
-//!   active VM-pairs (20 KB supports ≈20 K pairs at <5 % false positives).
+//! * [`counting`] — the counting Bloom filter μFAB-C uses to recognise
+//!   active VM-pairs and to forget them on a finish probe (two banks by
+//!   default, the paper's §4.2 layout).
 //! * [`rate`] — the per-port EWMA TX-rate estimator behind `tx_l`.
 //! * [`registers`] — the Φ_l / W_l register pair with saturating updates.
 
 #![deny(missing_docs)]
 
-pub mod bloom;
 pub mod counting;
 pub mod frame;
 pub mod rate;
 pub mod registers;
-pub mod timed;
 pub mod wire;
 
-pub use bloom::TwoBankBloom;
 pub use counting::CountingBloom;
 pub use frame::{FinishFrame, HopInfo, ProbeFrame, ProbeKind};
 pub use rate::RateEstimator;
 pub use registers::DemandRegisters;
-pub use timed::TimedBloom;

@@ -48,11 +48,6 @@ impl RateEstimator {
         self.rate_bps
     }
 
-    /// Current estimate without advancing the clock (slightly stale).
-    pub fn rate_bps_stale(&self) -> f64 {
-        self.rate_bps
-    }
-
     fn advance_to(&mut self, now: u64) {
         if now <= self.last_ns {
             return;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use telemetry::wire::{probe_packet_bytes, WireHop, WireProbe};
-use telemetry::{CountingBloom, TwoBankBloom};
+use telemetry::CountingBloom;
 
 fn arb_hop() -> impl Strategy<Value = WireHop> {
     (
@@ -75,10 +75,13 @@ proptest! {
         prop_assert!(sz <= 200);
     }
 
-    /// Bloom filters never produce false negatives.
+    /// The Bloom filter never produces false negatives, at any bank count.
     #[test]
-    fn bloom_no_false_negative(keys in prop::collection::hash_set(any::<u64>(), 1..500)) {
-        let mut bf = TwoBankBloom::new(8 * 1024);
+    fn bloom_no_false_negative(
+        keys in prop::collection::hash_set(any::<u64>(), 1..500),
+        k in 1u8..=8,
+    ) {
+        let mut bf = CountingBloom::with_hashes(8 * 1024, k);
         for &k in &keys {
             bf.insert(k);
         }

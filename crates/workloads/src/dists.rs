@@ -122,13 +122,6 @@ pub fn lognormal_mu_for_mean(mean: f64, sigma: f64) -> f64 {
     mean.ln() - sigma * sigma / 2.0
 }
 
-/// The per-pair flow arrival rate (flows/sec) that produces `load`
-/// (fraction of `link_bps`) with mean flow size `mean_bytes`, spread over
-/// `n_sources` sources sharing the link.
-pub fn arrival_rate_for_load(load: f64, link_bps: f64, mean_bytes: f64, n_sources: usize) -> f64 {
-    load * link_bps / (mean_bytes * 8.0) / n_sources.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,14 +173,6 @@ mod tests {
         let sum: u64 = (0..n).map(|_| exp_interarrival(&mut rng, mean)).sum();
         let emp = sum as f64 / n as f64;
         assert!((emp - mean).abs() / mean < 0.03, "mean {emp}");
-    }
-
-    #[test]
-    fn load_arithmetic() {
-        // 50 % of 10G with 1 MB flows over 10 sources:
-        // 5e9 / 8e6 = 625 flows/s total → 62.5 per source.
-        let r = arrival_rate_for_load(0.5, 10e9, 1e6, 10);
-        assert!((r - 62.5).abs() < 1e-9);
     }
 
     #[test]

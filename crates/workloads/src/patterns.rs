@@ -247,15 +247,6 @@ impl Driver for StripedBulkDriver {
     }
 }
 
-/// Cross-pod permutation pairing: host `i` of pod 1 sends to host `i` of
-/// pod 2 (the Fig-11 pattern); returns `(src_index, dst_index)` pairs into
-/// a host list split in halves.
-pub fn cross_pod_permutation(n_hosts: usize) -> Vec<(usize, usize)> {
-    assert!(n_hosts % 2 == 0);
-    let half = n_hosts / 2;
-    (0..half).map(|i| (i, half + i)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,11 +328,5 @@ mod tests {
             .filter(|(_, m)| m.pair == PairId(0))
             .count();
         assert!(zeros > 300 && zeros < 700);
-    }
-
-    #[test]
-    fn permutation_indices() {
-        let p = cross_pod_permutation(8);
-        assert_eq!(p, vec![(0, 4), (1, 5), (2, 6), (3, 7)]);
     }
 }
