@@ -189,9 +189,11 @@ fn incast_latency_bounded() {
         sim.inject(srcs[i], AppMsg::oneway(i as u64, p, 40_000_000, 0));
     }
     sim.run_until(40 * MS);
-    let mut rtts = rec.lock().unwrap().rtts.clone();
-    assert!(rtts.count() > 100, "too few RTT samples");
-    let p99 = rtts.percentile(99.0).unwrap();
+    let p99 = {
+        let rec = rec.lock().unwrap();
+        assert!(rec.rtts.count() > 100, "too few RTT samples");
+        rec.rtts.percentile(99.0).unwrap()
+    };
     // Bound: baseRTT + 3 BDP of queuing ≈ 4×baseRTT, with margin 6×.
     let bound = (6 * base_rtt) as f64;
     assert!(

@@ -110,8 +110,8 @@ pub fn run(scale: Scale) -> Table {
                     r.run(25 * MS, SLICE, &mut drivers);
                     r
                 };
-                let mut rtts = r.rec.lock().unwrap().rtts.clone();
-                let migrations = r.rec.lock().unwrap().path_migrations;
+                let rec = r.rec.lock().unwrap();
+                let (rtts, migrations) = (&rec.rtts, rec.path_migrations);
                 let util = work_conservation_util(&cfg, seed);
                 let _ = run_incast;
                 [

@@ -124,7 +124,7 @@ fn run_system(system: SystemKind, scale: Scale, stagger: Time) -> SystemResult {
         })
         .sum();
     drop(rec);
-    let mut q = r.queue_samples.clone();
+    let q = &r.queue_samples;
     let summary_row = [
         system.label().to_string(),
         format!("{:.4}", meter.ratio()),

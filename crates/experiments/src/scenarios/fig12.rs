@@ -26,7 +26,6 @@ fn run_system(system: SystemKind, scale: Scale) -> SystemResult {
     let (r, epilogue) = run_incast(
         topo, fabric, system, &scale, &srcs, &pairs, 30_000_000, MS, until,
     );
-    let mut rtts = r.rec.lock().unwrap().rtts.clone();
     let agg = pairs
         .iter()
         .map(|&p| r.pair_rate(p, 5 * MS, until))
@@ -55,16 +54,16 @@ fn run_system(system: SystemKind, scale: Scale) -> SystemResult {
             }
         }
     }
+    let rec = r.rec.lock().unwrap();
     let rtt_row = [
         system.label().to_string(),
-        us(rtts.median().unwrap_or(f64::NAN)),
-        us(rtts.percentile(99.0).unwrap_or(f64::NAN)),
-        us(rtts.percentile(99.9).unwrap_or(f64::NAN)),
-        us(rtts.max().unwrap_or(f64::NAN)),
+        us(rec.rtts.median().unwrap_or(f64::NAN)),
+        us(rec.rtts.percentile(99.0).unwrap_or(f64::NAN)),
+        us(rec.rtts.percentile(99.9).unwrap_or(f64::NAN)),
+        us(rec.rtts.max().unwrap_or(f64::NAN)),
         format!("{:.2}", agg / 1e9),
         format!("{conv_ms:.0}"),
     ];
-    let rec = r.rec.lock().unwrap();
     let mut rate_rows = Vec::new();
     for b in 0..(until / MS) as usize {
         let rates: Vec<f64> = pairs

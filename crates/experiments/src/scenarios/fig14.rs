@@ -87,14 +87,14 @@ pub fn run(scale: Scale) -> Table {
                 let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
                 r.run(until, SLICE, &mut drivers);
                 // The paper's bound at 10 G: 2 ms average, 10 ms tail.
-                let mut stats_rows: Vec<(&str, metrics::Percentiles)> = vec![
-                    ("SA", driver.sa_tct.clone()),
-                    ("BA", driver.ba_tct.clone()),
-                    ("Total", driver.total_tct.clone()),
-                    ("GC", driver.gc_tct.clone()),
+                let stats_rows = [
+                    ("SA", &driver.sa_tct),
+                    ("BA", &driver.ba_tct),
+                    ("Total", &driver.total_tct),
+                    ("GC", &driver.gc_tct),
                 ];
                 let mut rows = Vec::new();
-                for (name, stats) in stats_rows.iter_mut() {
+                for (name, stats) in stats_rows {
                     if stats.is_empty() {
                         continue;
                     }

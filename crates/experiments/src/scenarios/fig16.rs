@@ -78,16 +78,15 @@ pub fn run(scale: Scale) -> Table {
                     over_n += 1;
                 }
             }
-            let mut rtts = rec.rtts.clone();
-            drop(rec);
             let summary_row = [
                 system.label().to_string(),
                 format!("{:.2}", under / under_n.max(1) as f64 / 1e9),
                 format!("{:.2}", over / over_n.max(1) as f64 / 1e9),
-                us(rtts.median().unwrap_or(f64::NAN)),
-                us(rtts.percentile(99.0).unwrap_or(f64::NAN)),
-                us(rtts.max().unwrap_or(f64::NAN)),
+                us(rec.rtts.median().unwrap_or(f64::NAN)),
+                us(rec.rtts.percentile(99.0).unwrap_or(f64::NAN)),
+                us(rec.rtts.max().unwrap_or(f64::NAN)),
             ];
+            drop(rec);
             (series_rows, summary_row)
         })
     })

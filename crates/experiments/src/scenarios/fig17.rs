@@ -262,8 +262,7 @@ pub fn run_cell(
         }
     }
     // (b) RTT tail.
-    let mut rtts = rec.rtts.clone();
-    let rtt_p99 = rtts.percentile(99.0).unwrap_or(f64::NAN);
+    let rtt_p99 = rec.rtts.percentile(99.0).unwrap_or(f64::NAN);
     // (c)/(d) slowdown.
     let mut slow = Percentiles::new();
     let mut slow_stats = OnlineStats::new();
@@ -292,7 +291,7 @@ pub fn run_cell(
     }
     let breakdown = buckets
         .iter()
-        .zip(bucket_stats.iter_mut())
+        .zip(&bucket_stats)
         .map(|(&(label, _, _), (p, st))| {
             (
                 label.to_string(),

@@ -172,12 +172,11 @@ pub fn run_c(scale: Scale) -> Table {
                         .unwrap_or(0.0)
                 })
                 .sum();
-            let mut rtts = rec.rtts.clone();
             [
                 name.to_string(),
                 format!("{:.1}", agg / 1e9),
                 format!("{:.0}", conv / 1e3),
-                format!("{:.1}", rtts.percentile(99.0).unwrap_or(f64::NAN) / 1e3),
+                format!("{:.1}", rec.rtts.percentile(99.0).unwrap_or(f64::NAN) / 1e3),
             ]
         })
     })

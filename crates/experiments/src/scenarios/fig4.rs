@@ -41,7 +41,8 @@ pub fn run(scale: Scale) -> Table {
                     let (r, epilogue) = run_incast(
                         topo, fabric, system, &scale, &srcs, &pairs, 20_000_000, MS, until,
                     );
-                    let mut rtts = r.rec.lock().unwrap().rtts.clone();
+                    let rec = r.rec.lock().unwrap();
+                    let rtts = &rec.rtts;
                     let row = if rtts.is_empty() {
                         None
                     } else {

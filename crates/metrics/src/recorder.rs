@@ -48,7 +48,9 @@ pub struct Recorder {
     pub pair_rates: SeriesSet<u32>,
     /// Delivered goodput per tenant/VF.
     pub tenant_rates: SeriesSet<u32>,
-    /// All data-packet RTT samples (sender side, per ACK).
+    /// All data-packet RTT samples (sender side, per ACK), in integer ns,
+    /// so the store holds a count per distinct RTT once that is smaller
+    /// than the sample list (112 KB for 1.9 M samples at 512 servers).
     pub rtts: Percentiles,
     /// Completed messages, in completion order.
     pub completions: Vec<Completion>,

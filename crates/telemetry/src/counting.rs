@@ -14,12 +14,20 @@
 //! the paper's two-bank shape — bank 0/1 cell positions are identical to
 //! the historical two-bank implementation, so existing runs are
 //! bit-for-bit unchanged.
+//!
+//! The byte budget is the *hardware's*: it fixes the cell count and so the
+//! false-positive rate. The simulator stores only the non-zero cells, as a
+//! sorted vector, so its memory follows occupancy instead — a 512-server
+//! churn cell's fullest port peaks at 14 live pairs, ≤ 28 of 20 480 cells.
 
 /// A k-bank counting Bloom filter over `u64` keys with 8-bit saturating
 /// cells (paper default k = 2).
 #[derive(Debug, Clone)]
 pub struct CountingBloom {
-    banks: Vec<Vec<u8>>,
+    /// The non-zero cells as `(bank·cells_per_bank + position, count)`,
+    /// sorted by index; a cell whose count reaches 0 leaves.
+    cells: Vec<(u32, u8)>,
+    banks: usize,
     cells_per_bank: usize,
 }
 
@@ -45,14 +53,17 @@ impl CountingBloom {
     /// `hashes == 2` this is byte-identical to [`CountingBloom::new`].
     ///
     /// # Panics
-    /// Panics if `hashes == 0` or the budget yields zero cells per bank.
+    /// Panics if `hashes == 0`, or the budget yields zero cells per bank
+    /// or more than 2^32 cells in all.
     pub fn with_hashes(total_bytes: usize, hashes: u8) -> Self {
         assert!(hashes >= 1, "counting bloom needs at least one hash");
         let k = hashes as usize;
         let cells = total_bytes / k;
-        assert!(cells >= 1, "counting bloom too small for {k} banks");
+        let fits = (1..=u32::MAX as usize / k).contains(&cells);
+        assert!(fits, "counting bloom needs 1 to 2^32 cells, {k} banks");
         Self {
-            banks: vec![vec![0; cells]; k],
+            cells: Vec::new(),
+            banks: k,
             cells_per_bank: cells,
         }
     }
@@ -76,18 +87,28 @@ impl CountingBloom {
         (h % self.cells_per_bank as u64) as usize
     }
 
+    /// The cell of `bank` at the key's base hashes `(ha, hb)`: `Ok` with
+    /// its place in `cells` if non-zero, `Err` with its index and
+    /// insertion point if zero.
+    fn find(&self, (ha, hb): (u64, u64), bank: usize) -> Result<usize, (u32, usize)> {
+        let idx = (bank * self.cells_per_bank + self.position(ha, hb, bank)) as u32;
+        let at = self.cells.binary_search_by_key(&idx, |&(i, _)| i);
+        at.map_err(|at| (idx, at))
+    }
+
     /// Insert a key; returns `true` if it already appeared present
     /// (duplicate or false positive).
     pub fn insert(&mut self, key: u64) -> bool {
-        let (ha, hb) = Self::base_hashes(key);
+        let h = Self::base_hashes(key);
         let mut was = true;
-        for bank in 0..self.banks.len() {
-            let p = self.position(ha, hb, bank);
-            let cell = &mut self.banks[bank][p];
-            if *cell == 0 {
-                was = false;
+        for bank in 0..self.banks {
+            match self.find(h, bank) {
+                Ok(j) => self.cells[j].1 = self.cells[j].1.saturating_add(1),
+                Err((idx, at)) => {
+                    self.cells.insert(at, (idx, 1));
+                    was = false;
+                }
             }
-            *cell = cell.saturating_add(1);
         }
         was
     }
@@ -95,26 +116,27 @@ impl CountingBloom {
     /// Remove one occurrence of a key (no-op on zero cells, so a stray
     /// finish probe cannot underflow shared counters).
     pub fn remove(&mut self, key: u64) {
-        let (ha, hb) = Self::base_hashes(key);
-        for bank in 0..self.banks.len() {
-            let p = self.position(ha, hb, bank);
-            let cell = &mut self.banks[bank][p];
-            *cell = cell.saturating_sub(1);
+        let h = Self::base_hashes(key);
+        for bank in 0..self.banks {
+            if let Ok(j) = self.find(h, bank) {
+                self.cells[j].1 -= 1;
+                if self.cells[j].1 == 0 {
+                    self.cells.remove(j);
+                }
+            }
         }
     }
 
     /// Membership query (with Bloom false positives, no false negatives
     /// while inserted keys stay below the 255 saturation point).
     pub fn contains(&self, key: u64) -> bool {
-        let (ha, hb) = Self::base_hashes(key);
-        (0..self.banks.len()).all(|bank| self.banks[bank][self.position(ha, hb, bank)] > 0)
+        let h = Self::base_hashes(key);
+        (0..self.banks).all(|bank| self.find(h, bank).is_ok())
     }
 
     /// Reset all cells.
     pub fn clear(&mut self) {
-        for bank in &mut self.banks {
-            bank.fill(0);
-        }
+        self.cells.clear();
     }
 }
 

@@ -361,8 +361,7 @@ mod tests {
         port.now = 1_000_000;
         d.poll(&mut port, &ba_completions);
         assert_eq!(d.tasks_completed(), 1);
-        let mut total = d.total_tct.clone();
-        assert_eq!(total.max(), Some(900_002.0));
+        assert_eq!(d.total_tct.max(), Some(900_002.0));
     }
 
     #[test]

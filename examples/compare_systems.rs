@@ -88,7 +88,7 @@ fn main() {
             })
             .sum();
         drop(rec);
-        let mut q = r.queue_samples.clone();
+        let q = &r.queue_samples;
         println!(
             "{:<20} {:>12.2} {:>10.2} {:>10.1}",
             system.label(),

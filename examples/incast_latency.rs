@@ -34,7 +34,8 @@ fn run_one(system: SystemKind) -> (f64, f64, f64) {
     let mut driver = BulkDriver::new(jobs, 0);
     let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
     runner.run(30 * MS, SLICE, &mut drivers);
-    let mut rtts = runner.rec.lock().unwrap().rtts.clone();
+    let rec = runner.rec.lock().unwrap();
+    let rtts = &rec.rtts;
     (
         rtts.median().unwrap_or(f64::NAN) / 1e3,
         rtts.percentile(99.9).unwrap_or(f64::NAN) / 1e3,

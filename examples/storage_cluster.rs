@@ -72,10 +72,10 @@ fn main() {
     println!("EBS on uFAB — task completion times (bound: avg ≤ 2 ms, tail ≤ 10 ms)\n");
     println!("{:<8} {:>9} {:>9} {:>6}", "task", "avg_ms", "p99_ms", "n");
     for (name, stats) in [
-        ("SA", &mut driver.sa_tct.clone()),
-        ("BA", &mut driver.ba_tct.clone()),
-        ("Total", &mut driver.total_tct.clone()),
-        ("GC", &mut driver.gc_tct.clone()),
+        ("SA", &driver.sa_tct),
+        ("BA", &driver.ba_tct),
+        ("Total", &driver.total_tct),
+        ("GC", &driver.gc_tct),
     ] {
         if stats.is_empty() {
             continue;

@@ -229,8 +229,7 @@ fn incast_queue_within_3bdp_bound() {
     let mut drivers: [&mut dyn Driver; 1] = [&mut d];
     r.run(30 * MS, SLICE, &mut drivers);
     let bdp = 10e9 * (base_rtt as f64 / 1e9) / 8.0;
-    let mut q = r.queue_samples.clone();
-    let q999 = q.percentile(99.9).unwrap();
+    let q999 = r.queue_samples.percentile(99.9).unwrap();
     assert!(
         q999 < 3.5 * bdp,
         "q99.9 {:.0}B exceeds 3 BDP ({:.0}B)",
