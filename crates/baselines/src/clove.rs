@@ -17,7 +17,7 @@ use netsim::Time;
 
 /// Per-pair Clove path selector.
 #[derive(Debug, Clone)]
-pub struct Clove {
+pub(crate) struct Clove {
     /// Flowlet gap: a pause longer than this opens a new flowlet
     /// (paper: 200 μs recommended; 36 μs = 1.5×baseRTT forces per-flowlet
     /// behaviour in Case-2).
@@ -35,7 +35,7 @@ pub struct Clove {
 
 impl Clove {
     /// A selector over `n_paths` paths.
-    pub fn new(n_paths: usize, flowlet_gap: Time, decay_tau: Time) -> Self {
+    pub(crate) fn new(n_paths: usize, flowlet_gap: Time, decay_tau: Time) -> Self {
         assert!(n_paths > 0);
         Self {
             flowlet_gap,
@@ -49,7 +49,7 @@ impl Clove {
     }
 
     /// Feed a utilisation echo for `path` (from an ACK or pilot).
-    pub fn feedback(&mut self, now: Time, path: usize, util: f64) {
+    pub(crate) fn feedback(&mut self, now: Time, path: usize, util: f64) {
         // Fresh observation dominates; mild smoothing against jitter.
         let prev = self.decayed(now, path);
         self.utils[path] = 0.7 * util + 0.3 * prev;
@@ -61,14 +61,9 @@ impl Clove {
         self.utils[path] * (-dt / self.decay_tau.max(1) as f64).exp()
     }
 
-    /// Current (decayed) utilisation estimate of a path.
-    pub fn util_of(&self, now: Time, path: usize) -> f64 {
-        self.decayed(now, path)
-    }
-
     /// Which path to send the next packet on. Re-decides only at flowlet
     /// boundaries; records the send time.
-    pub fn choose(&mut self, now: Time) -> usize {
+    pub(crate) fn choose(&mut self, now: Time) -> usize {
         if !self.started || now.saturating_sub(self.last_send) > self.flowlet_gap {
             self.started = true;
             let mut best = 0usize;
@@ -87,13 +82,8 @@ impl Clove {
     }
 
     /// Currently selected path (without sending).
-    pub fn current(&self) -> usize {
+    pub(crate) fn current(&self) -> usize {
         self.cur
-    }
-
-    /// Number of paths.
-    pub fn n_paths(&self) -> usize {
-        self.utils.len()
     }
 }
 
@@ -135,8 +125,8 @@ mod tests {
         c.feedback(0, 1, 0.4);
         // Immediately, path 1 wins; after 5 decay constants path 0's
         // stale heat has evaporated below path 1's fresher reading.
-        assert!(c.util_of(10, 0) > c.util_of(10, 1));
-        assert!(c.util_of(5 * MS, 0) < 0.01);
+        assert!(c.decayed(10, 0) > c.decayed(10, 1));
+        assert!(c.decayed(5 * MS, 0) < 0.01);
     }
 
     #[test]

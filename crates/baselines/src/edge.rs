@@ -171,16 +171,6 @@ impl BaselineEdge {
         }
     }
 
-    /// The current admission window of a pair, in bytes.
-    pub fn window_of(&self, pair: PairId) -> Option<f64> {
-        self.pairs.get(&pair).map(|p| self.window(p))
-    }
-
-    /// Clove's currently-selected path index for a pair.
-    pub fn current_path_of(&self, pair: PairId) -> Option<usize> {
-        self.pairs.get(&pair).map(|p| p.clove.current())
-    }
-
     fn window(&self, p: &BPair) -> f64 {
         let t_s = p.base_rtt as f64 / 1e9;
         match self.cfg.kind {

@@ -1,13 +1,13 @@
 //! The baseline systems the paper compares μFAB against (§2.2, §5.1):
 //!
-//! * [`swift`] — Swift-style delay-based congestion control, weighted per
+//! * `swift` — Swift-style delay-based congestion control, weighted per
 //!   source (the WCC of Seawall/ElasticSwitch; the paper picks Swift as
 //!   the WCC basis "due to its excellent low latency").
-//! * [`clove`] — Clove: edge-based flowlet load balancing directed by
+//! * `clove` — Clove: edge-based flowlet load balancing directed by
 //!   explicit path utilisation (the simulator stamps `max_util` on data
 //!   packets; tiny per-path pilot packets keep estimates of unused paths
 //!   fresh, as Clove-INT does).
-//! * [`picnic`] — PicNIC′: the paper's reduction of PicNIC to its
+//! * `picnic` — PicNIC′: the paper's reduction of PicNIC to its
 //!   bandwidth-envelope components — sender-side WFQ plus receiver-driven
 //!   admission (per-sender grants ∝ guarantee tokens, as EyeQ).
 //! * [`edge`] — [`BaselineEdge`](edge::BaselineEdge): one edge agent
@@ -23,12 +23,7 @@
 
 #![deny(missing_docs)]
 
-pub mod clove;
+pub(crate) mod clove;
 pub mod edge;
-pub mod picnic;
-pub mod swift;
-
-pub use clove::Clove;
-pub use edge::{BaselineEdge, BaselineKind};
-pub use picnic::ReceiverGrants;
-pub use swift::{SwiftCfg, SwiftState};
+pub(crate) mod picnic;
+pub(crate) mod swift;

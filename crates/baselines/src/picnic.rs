@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 /// Receiver-side grant calculator for one host NIC.
 #[derive(Debug)]
-pub struct ReceiverGrants {
+pub(crate) struct ReceiverGrants {
     nic_bps: f64,
     headroom: f64,
     active_timeout: Time,
@@ -31,7 +31,7 @@ impl ReceiverGrants {
     /// `nic_bps` is the receiver line rate; `headroom` the admission
     /// target (e.g. 0.95); senders idle longer than `active_timeout` stop
     /// consuming grant share.
-    pub fn new(nic_bps: f64, headroom: f64, active_timeout: Time) -> Self {
+    pub(crate) fn new(nic_bps: f64, headroom: f64, active_timeout: Time) -> Self {
         Self {
             nic_bps,
             headroom,
@@ -42,7 +42,7 @@ impl ReceiverGrants {
 
     /// Record that data from `pair` (with guarantee weight `tokens`)
     /// arrived at time `now`.
-    pub fn on_data(&mut self, now: Time, pair: PairId, tokens: f64) {
+    pub(crate) fn on_data(&mut self, now: Time, pair: PairId, tokens: f64) {
         self.senders.insert(
             pair,
             SenderInfo {
@@ -53,7 +53,7 @@ impl ReceiverGrants {
     }
 
     /// The current grant for `pair` in bits/sec.
-    pub fn grant(&mut self, now: Time, pair: PairId) -> f64 {
+    pub(crate) fn grant(&mut self, now: Time, pair: PairId) -> f64 {
         self.senders
             .retain(|_, s| now.saturating_sub(s.last_seen) <= self.active_timeout);
         let total: f64 = self.senders.values().map(|s| s.tokens).sum();
@@ -64,11 +64,6 @@ impl ReceiverGrants {
             return self.nic_bps * self.headroom;
         }
         self.nic_bps * self.headroom * s.tokens / total
-    }
-
-    /// Number of currently-tracked senders.
-    pub fn n_active(&self) -> usize {
-        self.senders.len()
     }
 }
 
@@ -104,7 +99,7 @@ mod tests {
         g.on_data(2 * MS, PairId(1), 1.0);
         let grant = g.grant(3 * MS, PairId(1));
         assert!((grant - 10e9).abs() < 1.0);
-        assert_eq!(g.n_active(), 1);
+        assert_eq!(g.senders.len(), 1);
     }
 
     #[test]

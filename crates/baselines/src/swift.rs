@@ -42,7 +42,7 @@ impl Default for SwiftCfg {
 
 /// Per-pair Swift state.
 #[derive(Debug, Clone, Copy)]
-pub struct SwiftState {
+pub(crate) struct SwiftState {
     /// Congestion window in bytes.
     pub cwnd: f64,
     last_decrease: Time,
@@ -50,19 +50,10 @@ pub struct SwiftState {
 }
 
 impl SwiftState {
-    /// Initialise with one MTU of window.
-    pub fn new(base_rtt: Time, mtu: u32) -> Self {
-        Self {
-            cwnd: mtu as f64,
-            last_decrease: 0,
-            base_rtt,
-        }
-    }
-
     /// Initialise with an explicit window (datacenter transports start at
     /// the wire-speed BDP — the greedy start the paper's Case-1 blames
     /// for unbounded incast queueing).
-    pub fn with_initial(base_rtt: Time, cwnd: f64) -> Self {
+    pub(crate) fn with_initial(base_rtt: Time, cwnd: f64) -> Self {
         Self {
             cwnd,
             last_decrease: 0,
@@ -71,7 +62,7 @@ impl SwiftState {
     }
 
     /// The delay target in nanoseconds.
-    pub fn target(&self, cfg: &SwiftCfg) -> Time {
+    pub(crate) fn target(&self, cfg: &SwiftCfg) -> Time {
         (self.base_rtt as f64 * cfg.target_scale) as Time
     }
 
@@ -79,7 +70,7 @@ impl SwiftState {
     ///
     /// `weight` is the pair's bandwidth-token weight, `mtu` the fabric
     /// MTU, `max_cwnd` an upper clamp (e.g. NIC BDP).
-    pub fn on_ack(
+    pub(crate) fn on_ack(
         &mut self,
         now: Time,
         rtt: Time,
@@ -113,7 +104,7 @@ mod tests {
     #[test]
     fn grows_below_target() {
         let cfg = SwiftCfg::default();
-        let mut s = SwiftState::new(24 * US, MTU);
+        let mut s = SwiftState::with_initial(24 * US, MTU as f64);
         let start = s.cwnd;
         let mut now = 0;
         for _ in 0..50 {
@@ -126,7 +117,7 @@ mod tests {
     #[test]
     fn shrinks_above_target_once_per_rtt() {
         let cfg = SwiftCfg::default();
-        let mut s = SwiftState::new(24 * US, MTU);
+        let mut s = SwiftState::with_initial(24 * US, MTU as f64);
         s.cwnd = 100_000.0;
         // Two congested ACKs back-to-back: only one decrease applies.
         s.on_ack(100 * US, 100 * US, 1.0, &cfg, MTU, 1e9);
@@ -142,7 +133,7 @@ mod tests {
     #[test]
     fn decrease_bounded_by_max_mdf() {
         let cfg = SwiftCfg::default();
-        let mut s = SwiftState::new(24 * US, MTU);
+        let mut s = SwiftState::with_initial(24 * US, MTU as f64);
         s.cwnd = 100_000.0;
         // Enormous RTT: decrease clamps at 50 %.
         s.on_ack(10_000 * US, 5_000 * US, 1.0, &cfg, MTU, 1e9);
@@ -152,7 +143,7 @@ mod tests {
     #[test]
     fn floor_and_ceiling() {
         let cfg = SwiftCfg::default();
-        let mut s = SwiftState::new(24 * US, MTU);
+        let mut s = SwiftState::with_initial(24 * US, MTU as f64);
         s.cwnd = 2000.0;
         for i in 0..100 {
             s.on_ack((i + 1) * 100 * US, 100 * US, 1.0, &cfg, MTU, 1e9);
@@ -177,7 +168,7 @@ mod tests {
         // Measure growth over a fixed number of uncongested ACKs from the
         // same starting window.
         let grow = |weight: f64| {
-            let mut s = SwiftState::new(24 * US, MTU);
+            let mut s = SwiftState::with_initial(24 * US, MTU as f64);
             s.cwnd = 30_000.0;
             let mut now = 0;
             for _ in 0..20 {

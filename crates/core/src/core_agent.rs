@@ -111,14 +111,14 @@ impl PortSummary {
     }
 
     /// Number of tracked (registered) pairs.
-    pub fn n_pairs(&self) -> usize {
+    pub(crate) fn n_pairs(&self) -> usize {
         self.pairs.len()
     }
 
     /// Sum of the per-pair shadow contributions: (Σφ, Σw). The §3.6
     /// conservation invariant says these equal the port's Φ_l / W_l
     /// registers (up to float accumulation error).
-    pub fn pair_sums(&self) -> (f64, f64) {
+    pub(crate) fn pair_sums(&self) -> (f64, f64) {
         self.pairs
             .values()
             .fold((0.0, 0.0), |(p, w), pr| (p + pr.phi, w + pr.w))
@@ -198,11 +198,6 @@ impl UfabCore {
         }
     }
 
-    /// The hardware shape this switch was built with.
-    pub fn hw(&self) -> CoreHwCfg {
-        self.hw
-    }
-
     /// Attach a flight-recorder handle (shared with the simulator's) so
     /// register mutations leave a trace.
     pub fn set_obs(&mut self, obs: ObsHandle) {
@@ -210,7 +205,8 @@ impl UfabCore {
     }
 
     /// Summary for a port, if any probe has touched it.
-    pub fn port_summary(&self, port: u16) -> Option<&PortSummary> {
+    #[cfg(test)]
+    fn port_summary(&self, port: u16) -> Option<&PortSummary> {
         self.ports.get(&port)
     }
 
@@ -228,7 +224,8 @@ impl UfabCore {
     }
 
     /// Φ_l of a port (0 if untouched).
-    pub fn phi_total(&self, port: u16) -> f64 {
+    #[cfg(test)]
+    fn phi_total(&self, port: u16) -> f64 {
         self.ports
             .get(&port)
             .map(|p| p.registers.phi_total())
@@ -236,7 +233,8 @@ impl UfabCore {
     }
 
     /// W_l of a port (0 if untouched).
-    pub fn w_total(&self, port: u16) -> f64 {
+    #[cfg(test)]
+    fn w_total(&self, port: u16) -> f64 {
         self.ports
             .get(&port)
             .map(|p| p.registers.w_total())

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 
 /// A byte-clocked token bucket.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate_bps: f64,
     burst_bytes: f64,
     level: f64,
@@ -46,7 +46,7 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// A full bucket at `now`.
-    pub fn new(rate_bps: f64, burst_bytes: f64, now: Time) -> Self {
+    pub(crate) fn new(rate_bps: f64, burst_bytes: f64, now: Time) -> Self {
         Self {
             rate_bps,
             burst_bytes,
@@ -65,7 +65,7 @@ impl TokenBucket {
     /// deduct — call [`TokenBucket::charge`] once the packet actually
     /// goes out. One byte of slack absorbs ns-granular pacing rounding,
     /// so a sender paced *exactly* at the bucket rate is never policed.
-    pub fn admit(&mut self, now: Time, bytes: u64) -> bool {
+    pub(crate) fn admit(&mut self, now: Time, bytes: u64) -> bool {
         self.refill(now);
         self.level + 1.0 >= bytes as f64
     }
@@ -74,20 +74,20 @@ impl TokenBucket {
     /// does not carry debt across regimes (an honest work-conserving
     /// burst above the hose must not be punished retroactively if a
     /// clamp lands later).
-    pub fn charge(&mut self, now: Time, bytes: u64) {
+    pub(crate) fn charge(&mut self, now: Time, bytes: u64) {
         self.refill(now);
         self.level = (self.level - bytes as f64).max(0.0);
     }
 
     /// Re-clock the bucket to a new rate (quarantine clamp landing or
     /// lifting), preserving the current level.
-    pub fn set_rate(&mut self, now: Time, rate_bps: f64) {
+    pub(crate) fn set_rate(&mut self, now: Time, rate_bps: f64) {
         self.refill(now);
         self.rate_bps = rate_bps;
     }
 
     /// Empty the bucket (a clamp starts strict).
-    pub fn drain(&mut self) {
+    pub(crate) fn drain(&mut self) {
         self.level = 0.0;
     }
 }
@@ -188,7 +188,7 @@ impl TenantEnf {
 /// `BTreeMap` index, whose key order also gives every tenant walk a
 /// sorted, deterministic order.
 #[derive(Debug, Default)]
-pub struct EnforceState {
+pub(crate) struct EnforceState {
     /// Master switch (mirrors `UfabConfig::enforce`). Off ⇒ every gate
     /// admits and no counter moves: zero behavior change.
     pub enabled: bool,
@@ -208,7 +208,7 @@ pub struct EnforceState {
 
 impl EnforceState {
     /// An empty stage with the given master switch and window length.
-    pub fn new(enabled: bool, window: Time) -> Self {
+    pub(crate) fn new(enabled: bool, window: Time) -> Self {
         Self {
             enabled,
             window,
@@ -242,14 +242,14 @@ impl EnforceState {
     }
 
     /// The tenant's row number, if registered.
-    pub fn row(&self, tenant: TenantId) -> Option<u32> {
+    pub(crate) fn row(&self, tenant: TenantId) -> Option<u32> {
         self.index.get(&tenant).copied()
     }
 
     /// Register `tenant` with its per-host hose parameters (idempotent;
     /// a placeholder created by [`EnforceState::set_hostile`] is filled
     /// in on first call).
-    pub fn ensure(
+    pub(crate) fn ensure(
         &mut self,
         tenant: TenantId,
         hose_bps: f64,
@@ -269,7 +269,7 @@ impl EnforceState {
     /// Registered *and* carrying real hose parameters (a
     /// [`EnforceState::set_hostile`] placeholder is not yet
     /// provisioned).
-    pub fn is_provisioned(&self, tenant: TenantId) -> bool {
+    pub(crate) fn is_provisioned(&self, tenant: TenantId) -> bool {
         self.row(tenant)
             .is_some_and(|r| self.rows[r as usize].hose_bps > 0.0)
     }
@@ -278,7 +278,13 @@ impl EnforceState {
     /// tenant in `row`. `over_window` marks traffic that bypassed the
     /// μFAB admission window (a guarantee-exceeding sender); in-window
     /// traffic is gated only while a quarantine clamp is active.
-    pub fn data_admit(&mut self, row: u32, now: Time, bytes: u64, over_window: bool) -> bool {
+    pub(crate) fn data_admit(
+        &mut self,
+        row: u32,
+        now: Time,
+        bytes: u64,
+        over_window: bool,
+    ) -> bool {
         if !self.enabled {
             return true;
         }
@@ -303,7 +309,7 @@ impl EnforceState {
 
     /// Whether any gate deferred traffic since the last call (clearing
     /// the flag). The edge tick re-pumps while this keeps re-arming.
-    pub fn take_deferred(&mut self) -> bool {
+    pub(crate) fn take_deferred(&mut self) -> bool {
         std::mem::take(&mut self.deferred)
     }
 
@@ -311,7 +317,7 @@ impl EnforceState {
     /// tenant in `row`. All traffic charges (so over-window overflow
     /// competes with the in-window share for the same hose), only gated
     /// traffic defers.
-    pub fn data_charge(&mut self, row: u32, now: Time, bytes: u64) {
+    pub(crate) fn data_charge(&mut self, row: u32, now: Time, bytes: u64) {
         if self.enabled {
             self.rows[row as usize].bucket.charge(now, bytes);
         }
@@ -319,7 +325,7 @@ impl EnforceState {
 
     /// Probe-budget gate. Registering probes are exempt (they carry
     /// switch registration state) but still count against the window.
-    pub fn probe_admit(&mut self, row: u32, now: Time, registering: bool) -> bool {
+    pub(crate) fn probe_admit(&mut self, row: u32, now: Time, registering: bool) -> bool {
         if !self.enabled {
             return true;
         }
@@ -341,7 +347,7 @@ impl EnforceState {
 
     /// Attribute `pkts` unsolicited packets (dropped at the source NIC)
     /// to the tenant in `row`.
-    pub fn note_unsolicited(&mut self, row: u32, now: Time, pkts: u64) {
+    pub(crate) fn note_unsolicited(&mut self, row: u32, now: Time, pkts: u64) {
         if !self.enabled || pkts == 0 {
             return;
         }
@@ -358,7 +364,7 @@ impl EnforceState {
     /// Apply or lift a quarantine clamp: the bucket is re-clocked to
     /// `fraction × hose` and drained (the clamp starts strict), and
     /// *all* the tenant's traffic is gated until the clamp lifts.
-    pub fn set_clamp(&mut self, tenant: TenantId, now: Time, clamp: Option<f64>) {
+    pub(crate) fn set_clamp(&mut self, tenant: TenantId, now: Time, clamp: Option<f64>) {
         let e = self.row_or_insert(tenant, now);
         e.clamp = clamp;
         match clamp {
@@ -374,20 +380,20 @@ impl EnforceState {
     }
 
     /// Attach a hostile behavior model to a tenant (workload setup).
-    pub fn set_hostile(&mut self, tenant: TenantId, profile: HostileProfile, now: Time) {
+    pub(crate) fn set_hostile(&mut self, tenant: TenantId, profile: HostileProfile, now: Time) {
         self.row_or_insert(tenant, now).hostile = Some(profile);
     }
 
     /// Does the tenant in `row` bypass the admission window (OverGuar
     /// model)?
-    pub fn is_overguar(&self, row: u32) -> bool {
+    pub(crate) fn is_overguar(&self, row: u32) -> bool {
         self.rows[row as usize]
             .hostile
             .is_some_and(|h| h.kind == HostileKind::OverGuar)
     }
 
     /// The rows of all hostile tenants, ascending tenant id.
-    pub fn hostile_rows(&self) -> Vec<(u32, HostileProfile)> {
+    pub(crate) fn hostile_rows(&self) -> Vec<(u32, HostileProfile)> {
         self.index
             .values()
             .filter_map(|&r| self.rows[r as usize].hostile.map(|h| (r, h)))
@@ -395,7 +401,7 @@ impl EnforceState {
     }
 
     /// Next flood-probe sequence number for the hostile tenant in `row`.
-    pub fn next_flood_seq(&mut self, row: u32) -> u64 {
+    pub(crate) fn next_flood_seq(&mut self, row: u32) -> u64 {
         let e = &mut self.rows[row as usize];
         let s = e.flood_seq;
         e.flood_seq += 1;
@@ -403,17 +409,17 @@ impl EnforceState {
     }
 
     /// Cumulative counters of one tenant.
-    pub fn counters(&self, tenant: TenantId) -> Option<EnfCounters> {
+    pub(crate) fn counters(&self, tenant: TenantId) -> Option<EnfCounters> {
         self.row(tenant).map(|r| self.rows[r as usize].counters)
     }
 
     /// Registered tenants in ascending id order.
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
+    pub(crate) fn tenant_ids(&self) -> Vec<TenantId> {
         self.index.keys().copied().collect()
     }
 
     /// Drain the verdict events awaiting the obs flush.
-    pub fn take_pending(&mut self) -> Vec<(TenantId, &'static str, u64)> {
+    pub(crate) fn take_pending(&mut self) -> Vec<(TenantId, &'static str, u64)> {
         std::mem::take(&mut self.pending)
     }
 }

@@ -27,7 +27,7 @@
 
 pub mod enforce;
 mod pairs;
-pub mod rate;
+pub(crate) mod rate;
 pub mod wfq;
 
 use crate::config::UfabConfig;
@@ -229,18 +229,13 @@ impl UfabEdge {
 
     /// Every pair this edge manages, in ascending id order, without
     /// allocating — the form the periodic invariant audits walk.
-    pub fn pair_iter(&self) -> impl Iterator<Item = PairId> + '_ {
+    pub(crate) fn pair_iter(&self) -> impl Iterator<Item = PairId> + '_ {
         self.pairs.ids_sorted()
     }
 
     /// Link MTU this edge segments messages at.
-    pub fn mtu(&self) -> u32 {
+    pub(crate) fn mtu(&self) -> u32 {
         self.mtu
-    }
-
-    /// Index of the pair's current candidate path (tests/experiments).
-    pub fn current_path_of(&self, pair: PairId) -> Option<usize> {
-        self.pairs.slot(pair).map(|s| self.pairs.cold[s].cur)
     }
 
     /// The pair's current route (tests/experiments).

@@ -12,14 +12,14 @@ use telemetry::HopInfo;
 /// If the link reports no token mass yet (Φ_l < φ, e.g. the pair's own
 /// registration has not landed), the pair's own token is used as the
 /// floor so the share never exceeds the target capacity.
-pub fn share_rate(phi: f64, hop: &HopInfo, eta: f64) -> f64 {
+pub(crate) fn share_rate(phi: f64, hop: &HopInfo, eta: f64) -> f64 {
     let c_target = eta * hop.cap_bps as f64;
     let phi_total = hop.phi_total.max(phi).max(1e-9);
     (phi / phi_total) * c_target
 }
 
 /// Eqn (1) composed over a path: `r_{a→b} = min_l r^l`.
-pub fn path_share_rate(phi: f64, hops: &[HopInfo], eta: f64) -> f64 {
+pub(crate) fn path_share_rate(phi: f64, hops: &[HopInfo], eta: f64) -> f64 {
     hops.iter()
         .map(|h| share_rate(phi, h, eta))
         .fold(f64::INFINITY, f64::min)
@@ -34,7 +34,7 @@ pub fn path_share_rate(phi: f64, hops: &[HopInfo], eta: f64) -> f64 {
 /// with `T` the pair's baseRTT. Returns bytes. The denominator is floored
 /// at one `mtu` worth of bits so an idle link (tx = q = 0) yields the cap
 /// rather than a division blow-up.
-pub fn window_eqn3(
+pub(crate) fn window_eqn3(
     phi: f64,
     w_own: f64,
     hop: &HopInfo,
@@ -57,7 +57,7 @@ pub fn window_eqn3(
 
 /// Eqn (3) composed over a path: `w_{a→b} = min_l w^l`.
 #[allow(clippy::too_many_arguments)]
-pub fn path_window(
+pub(crate) fn path_window(
     phi: f64,
     w_own: f64,
     hops: &[HopInfo],
@@ -74,7 +74,7 @@ pub fn path_window(
 /// bandwidth iff every link satisfies `C_l ≥ (Φ_l + φ_add)·B_u`, where
 /// `φ_add` is the pair's token if it is **not** yet counted in Φ_l (a
 /// candidate path) and 0 if it is (the current path).
-pub fn path_qualified(hops: &[HopInfo], phi_add: f64, bu_bps: f64, eta: f64) -> bool {
+pub(crate) fn path_qualified(hops: &[HopInfo], phi_add: f64, bu_bps: f64, eta: f64) -> bool {
     hops.iter().all(|h| {
         let c_target = eta * h.cap_bps as f64;
         c_target >= (h.phi_total + phi_add) * bu_bps
@@ -83,7 +83,7 @@ pub fn path_qualified(hops: &[HopInfo], phi_add: f64, bu_bps: f64, eta: f64) -> 
 
 /// Bottleneck subscription ratio of a path: `max_l (Φ_l+φ_add)·B_u / C_l`.
 /// Lower is better — the §3.5 selection prefers minimum subscription.
-pub fn path_subscription(hops: &[HopInfo], phi_add: f64, bu_bps: f64, eta: f64) -> f64 {
+pub(crate) fn path_subscription(hops: &[HopInfo], phi_add: f64, bu_bps: f64, eta: f64) -> f64 {
     hops.iter()
         .map(|h| {
             let c_target = eta * h.cap_bps as f64;
@@ -95,7 +95,7 @@ pub fn path_subscription(hops: &[HopInfo], phi_add: f64, bu_bps: f64, eta: f64) 
 /// Work-conservation upper bound estimate (Eqn 2 in window form): what
 /// rate the pair could reach on this path — its proportional share of the
 /// target capacity plus any idle headroom.
-pub fn path_potential_rate(phi: f64, hops: &[HopInfo], eta: f64) -> f64 {
+pub(crate) fn path_potential_rate(phi: f64, hops: &[HopInfo], eta: f64) -> f64 {
     hops.iter()
         .map(|h| {
             let c_target = eta * h.cap_bps as f64;
@@ -108,13 +108,13 @@ pub fn path_potential_rate(phi: f64, hops: &[HopInfo], eta: f64) -> f64 {
 
 /// Scenario-1/2 bootstrap window (§3.4): guarantee (or current share) over
 /// one baseRTT.
-pub fn bootstrap_window(rate_bps: f64, base_rtt_s: f64) -> f64 {
+pub(crate) fn bootstrap_window(rate_bps: f64, base_rtt_s: f64) -> f64 {
     (rate_bps * base_rtt_s / 8.0).max(1.0)
 }
 
 /// Per-RTT additive increase of the bootstrap window:
 /// `(φ/Φ_l)·C_l·T` on the bottleneck link (§3.4 Scenario-1).
-pub fn bootstrap_increment(phi: f64, hops: &[HopInfo], base_rtt_s: f64, eta: f64) -> f64 {
+pub(crate) fn bootstrap_increment(phi: f64, hops: &[HopInfo], base_rtt_s: f64, eta: f64) -> f64 {
     let r = path_share_rate(phi, hops, eta);
     (r * base_rtt_s / 8.0).max(1.0)
 }

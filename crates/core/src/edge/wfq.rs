@@ -109,18 +109,19 @@ impl<K: Copy + PartialEq + Default> WfqScheduler<K> {
     }
 
     /// Number of schedulable pairs.
-    pub fn n_pairs(&self) -> usize {
+    #[cfg(test)]
+    fn n_pairs(&self) -> usize {
         self.slots.iter().map(|t| t.pairs.len()).sum()
     }
 
     /// Every queued `(tenant, pair)`, in slot then queue order (audits).
-    pub fn queued(&self) -> impl Iterator<Item = (TenantId, K)> + '_ {
+    pub(crate) fn queued(&self) -> impl Iterator<Item = (TenantId, K)> + '_ {
         self.slots
             .iter()
             .flat_map(|t| t.pairs.iter().map(move |&k| (t.id, k)))
     }
 
-    /// [`WfqScheduler::pick_ready`] with every pair ready.
+    /// `WfqScheduler::pick_ready` with every pair ready.
     pub fn pick<F: FnMut(K) -> Option<u32>>(&mut self, eligible: F) -> Option<(K, u32)> {
         self.pick_ready(|_| true, eligible)
     }
@@ -136,7 +137,7 @@ impl<K: Copy + PartialEq + Default> WfqScheduler<K> {
     ///
     /// Charges the chosen tenant's virtual time and advances its pair
     /// round-robin pointer. Returns `(pair, size)`.
-    pub fn pick_ready<R, F>(&mut self, ready: R, mut eligible: F) -> Option<(K, u32)>
+    pub(crate) fn pick_ready<R, F>(&mut self, ready: R, mut eligible: F) -> Option<(K, u32)>
     where
         R: Fn(K) -> bool,
         F: FnMut(K) -> Option<u32>,

@@ -51,7 +51,7 @@ pub const REPLY_FLAG: u64 = 1 << 63;
 /// `base_rto << RTO_BACKOFF_CAP_EXP` (64×). Keeps a long-blackholed
 /// pair probing often enough to notice repair quickly while bounding
 /// its retransmit-storm contribution.
-pub const RTO_BACKOFF_CAP_EXP: u32 = 6;
+pub(crate) const RTO_BACKOFF_CAP_EXP: u32 = 6;
 
 // `AppMsg` now lives in `netsim` (shared by every layer); re-exported
 // here so existing `ufab::endpoint::AppMsg` imports keep working.
@@ -82,7 +82,7 @@ struct Outstanding {
 
 /// Sender-side per-pair transport state.
 #[derive(Debug)]
-pub struct SendState {
+pub(crate) struct SendState {
     msgs: VecDeque<PendingMsg>,
     next_seq: u64,
     outstanding: BTreeMap<u64, Outstanding>,
@@ -293,16 +293,6 @@ impl Endpoint {
         }
     }
 
-    /// Payload bytes per full packet.
-    pub fn payload_per_pkt(&self) -> u32 {
-        self.payload_per_pkt
-    }
-
-    /// The fabric registry.
-    pub fn fabric(&self) -> &Arc<FabricSpec> {
-        &self.fabric
-    }
-
     /// The shared recorder.
     pub fn recorder(&self) -> &SharedRecorder {
         &self.recorder
@@ -406,7 +396,7 @@ impl Endpoint {
     }
 
     /// Pairs with sender state (ever submitted), ascending.
-    pub fn sending_pairs(&self) -> Vec<PairId> {
+    pub(crate) fn sending_pairs(&self) -> Vec<PairId> {
         let mut v: Vec<PairId> = (self.ids.iter().zip(&self.send))
             .filter(|(_, st)| st.submitted)
             .map(|(&p, _)| p)
@@ -422,12 +412,6 @@ impl Endpoint {
 
     pub(crate) fn tx_rate_bps_at(&mut self, now: Time, s: u32) -> f64 {
         self.send[s as usize].tx_meter.rate_bps(now)
-    }
-
-    /// Acked-payload (delivered) rate estimate, bits/sec.
-    pub fn delivered_rate_bps(&mut self, now: Time, pair: PairId) -> f64 {
-        self.slot(pair)
-            .map_or(0.0, |s| self.delivered_rate_bps_at(now, s))
     }
 
     pub(crate) fn delivered_rate_bps_at(&mut self, now: Time, s: u32) -> f64 {
@@ -466,7 +450,7 @@ impl Endpoint {
 
     /// The first pair whose ready bit is clear although it has a segment
     /// to send — the `ReadySetSound` invariant's endpoint half.
-    pub fn stale_ready_bit(&self) -> Option<PairId> {
+    pub(crate) fn stale_ready_bit(&self) -> Option<PairId> {
         (0..self.ids.len() as u32)
             .find(|&s| !self.sendable_at(s) && self.peek_segment_at(s).is_some())
             .map(|s| self.pair_at(s))
@@ -587,7 +571,8 @@ impl Endpoint {
     }
 
     /// Current RTO backoff exponent for a pair (0 = no backoff).
-    pub fn rto_backoff(&self, pair: PairId) -> u32 {
+    #[cfg(test)]
+    fn rto_backoff(&self, pair: PairId) -> u32 {
         self.slot(pair).map_or(0, |s| self.send[s as usize].backoff)
     }
 
@@ -971,10 +956,6 @@ mod tests {
         assert_eq!(tx.sendable(ab), tx.sendable_at(s));
         assert_eq!(tx.peek_segment(ab), tx.peek_segment_at(s));
         assert_eq!(tx.tx_rate_bps(20, ab), tx.tx_rate_bps_at(20, s));
-        assert_eq!(
-            tx.delivered_rate_bps(20, ab),
-            tx.delivered_rate_bps_at(20, s)
-        );
         assert!((tx.inflight(ab), tx.backlog_bytes(ab)) == (1442, 3558));
         // Mutators: drive one endpoint by pair and a twin by slot.
         let mut twin = endpoint(NodeId(0), &f);

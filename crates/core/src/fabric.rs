@@ -9,15 +9,6 @@
 
 use netsim::{FastMap, NodeId, PairId, TenantId, VmId};
 
-/// A tenant (one VF).
-#[derive(Debug, Clone)]
-pub struct TenantSpec {
-    /// Human-readable name for reports.
-    pub name: String,
-    /// Hose tokens per VM of this tenant (φ^a).
-    pub tokens_per_vm: f64,
-}
-
 /// A VM placement.
 #[derive(Debug, Clone, Copy)]
 pub struct VmSpec {
@@ -41,7 +32,8 @@ pub struct PairSpec {
 pub struct FabricSpec {
     /// Bits/sec one token guarantees (B_u).
     pub bu_bps: f64,
-    tenants: Vec<TenantSpec>,
+    /// Hose tokens per VM (φ^a) of each tenant, by tenant id.
+    tenant_tokens: Vec<f64>,
     vms: Vec<VmSpec>,
     pairs: Vec<PairSpec>,
     reverse: FastMap<(VmId, VmId), PairId>,
@@ -56,7 +48,7 @@ impl FabricSpec {
         assert!(bu_bps > 0.0, "B_u must be positive");
         Self {
             bu_bps,
-            tenants: Vec::new(),
+            tenant_tokens: Vec::new(),
             vms: Vec::new(),
             pairs: Vec::new(),
             reverse: FastMap::default(),
@@ -64,19 +56,17 @@ impl FabricSpec {
     }
 
     /// Register a tenant whose every VM holds `tokens_per_vm` hose tokens.
-    pub fn add_tenant(&mut self, name: &str, tokens_per_vm: f64) -> TenantId {
+    /// The name labels the call site only; the registry keeps ids.
+    pub fn add_tenant(&mut self, _name: &str, tokens_per_vm: f64) -> TenantId {
         assert!(tokens_per_vm >= 0.0);
-        let id = TenantId(self.tenants.len() as u32);
-        self.tenants.push(TenantSpec {
-            name: name.to_string(),
-            tokens_per_vm,
-        });
+        let id = TenantId(self.tenant_tokens.len() as u32);
+        self.tenant_tokens.push(tokens_per_vm);
         id
     }
 
     /// Place a VM of `tenant` on `host`.
     pub fn add_vm(&mut self, tenant: TenantId, host: NodeId) -> VmId {
-        assert!(tenant.idx() < self.tenants.len(), "unknown tenant");
+        assert!(tenant.idx() < self.tenant_tokens.len(), "unknown tenant");
         let id = VmId(self.vms.len() as u32);
         self.vms.push(VmSpec { host, tenant });
         id
@@ -126,11 +116,6 @@ impl FabricSpec {
         out
     }
 
-    /// Tenant record.
-    pub fn tenant(&self, t: TenantId) -> &TenantSpec {
-        &self.tenants[t.idx()]
-    }
-
     /// VM record.
     pub fn vm(&self, v: VmId) -> &VmSpec {
         &self.vms[v.idx()]
@@ -139,21 +124,6 @@ impl FabricSpec {
     /// Pair record.
     pub fn pair(&self, p: PairId) -> &PairSpec {
         &self.pairs[p.idx()]
-    }
-
-    /// Number of tenants.
-    pub fn n_tenants(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Number of VMs.
-    pub fn n_vms(&self) -> usize {
-        self.vms.len()
-    }
-
-    /// Number of registered pairs.
-    pub fn n_pairs(&self) -> usize {
-        self.pairs.len()
     }
 
     /// Tenant that owns a pair.
@@ -173,14 +143,14 @@ impl FabricSpec {
 
     /// The opposite-direction pair, if registered (needed for RPC
     /// auto-replies).
-    pub fn reverse_pair(&self, p: PairId) -> Option<PairId> {
+    pub(crate) fn reverse_pair(&self, p: PairId) -> Option<PairId> {
         let s = self.pairs[p.idx()];
         self.reverse.get(&(s.dst, s.src)).copied()
     }
 
     /// Hose tokens of a VM (φ^a).
     pub fn vm_tokens(&self, v: VmId) -> f64 {
-        self.tenants[self.vms[v.idx()].tenant.idx()].tokens_per_vm
+        self.tenant_tokens[self.vms[v.idx()].tenant.idx()]
     }
 
     /// The *static* worst-case guarantee of a pair in bits/sec:
@@ -192,7 +162,7 @@ impl FabricSpec {
     }
 
     /// All VMs placed on `host`.
-    pub fn vms_on_host(&self, host: NodeId) -> Vec<VmId> {
+    pub(crate) fn vms_on_host(&self, host: NodeId) -> Vec<VmId> {
         (0..self.vms.len())
             .filter(|&i| self.vms[i].host == host)
             .map(|i| VmId(i as u32))
@@ -228,7 +198,7 @@ mod tests {
         assert_eq!(f.add_pair(a, b), ab);
         assert_eq!(f.reverse_pair(ab), Some(ba));
         assert_eq!(f.reverse_pair(ba), Some(ab));
-        assert_eq!(f.n_pairs(), 2);
+        assert_eq!(f.pairs.len(), 2);
     }
 
     #[test]
@@ -250,8 +220,7 @@ mod tests {
         f.add_vm(t1, NodeId(6));
         let c = f.add_vm(t2, NodeId(5));
         assert_eq!(f.vms_on_host(NodeId(5)), vec![a, c]);
-        assert_eq!(f.n_tenants(), 2);
-        assert_eq!(f.n_vms(), 3);
+        assert_eq!((f.tenant_tokens.len(), f.vms.len()), (2, 3));
     }
 
     #[test]

@@ -47,8 +47,8 @@
 
 #![deny(missing_docs)]
 
-pub mod config;
-pub mod core_agent;
+pub(crate) mod config;
+pub(crate) mod core_agent;
 pub mod edge;
 pub mod endpoint;
 pub mod fabric;
@@ -60,5 +60,5 @@ pub mod tokens;
 pub use config::UfabConfig;
 pub use core_agent::{CoreHwCfg, UfabCore};
 pub use edge::UfabEdge;
-pub use endpoint::{AppMsg, Endpoint};
-pub use fabric::{FabricSpec, PairSpec, TenantSpec, VmSpec};
+pub use endpoint::AppMsg;
+pub use fabric::FabricSpec;

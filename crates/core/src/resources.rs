@@ -69,7 +69,7 @@ pub const FPGA_TABLE3: [FpgaRow; 6] = [
 ];
 
 /// Pair count Table 3 was measured at.
-pub const FPGA_BASE_PAIRS: u64 = 8_192;
+pub(crate) const FPGA_BASE_PAIRS: u64 = 8_192;
 
 /// Scale the FPGA *memory* resources to a different supported pair count.
 ///

@@ -142,14 +142,6 @@ pub fn weighted_max_min(capacities: &[f64], flows: &[TheoryFlow]) -> Vec<f64> {
     rate
 }
 
-/// The §3.4 worst-case inflight bound: with the two-stage admission every
-/// pair bootstraps at its guarantee and adds one link-BDP per RTT, and
-/// senders learn the burst within 2 RTTs, so inflight on a link never
-/// exceeds `3 · C_l · T_max`.
-pub fn inflight_bound_bytes(cap_bps: f64, t_max_ns: u64) -> f64 {
-    3.0 * cap_bps * (t_max_ns as f64 / 1e9) / 8.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,12 +257,5 @@ mod tests {
         assert!(weighted_max_min(&[1e9], &[]).is_empty());
         let r = weighted_max_min(&[0.0], &[TheoryFlow::elastic(1.0, vec![0])]);
         assert_eq!(r[0], 0.0);
-    }
-
-    #[test]
-    fn inflight_bound_example() {
-        // 10G link, 24 us diameter: 3 × 30 KB = 90 KB.
-        let b = inflight_bound_bytes(10e9, 24_000);
-        assert!((b - 90_000.0).abs() < 1.0);
     }
 }

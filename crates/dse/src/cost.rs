@@ -24,16 +24,16 @@ use crate::knobs::KnobPoint;
 use ufab::resources::{tofino_at_pairs, TofinoUsage};
 
 /// Pair count the cost bridge is anchored at (Table 4's first row).
-pub const COST_PAIRS: u64 = 20_000;
+pub(crate) const COST_PAIRS: u64 = 20_000;
 
 /// Fraction of the Table 4 SRAM share attributed to per-port demand
 /// state (Bloom cells + registers) rather than fixed match/action
 /// overhead.
-pub const STATE_SRAM_SHARE: f64 = 0.40;
+pub(crate) const STATE_SRAM_SHARE: f64 = 0.40;
 
 /// Fraction of the Table 4 PHV share attributed to the INT hop-record
 /// vector rather than fixed probe metadata.
-pub const INT_PHV_SHARE: f64 = 0.50;
+pub(crate) const INT_PHV_SHARE: f64 = 0.50;
 
 /// Per-resource switch cost of one knob point, in Tofino
 /// percent-of-chip shares on top of the Table 4 operating point.

@@ -10,13 +10,13 @@
 //! The crate is deliberately pure — no simulator dependency — so it can
 //! sit below `experiments` without a cycle:
 //!
-//! * [`knobs`] — the typed knob space ([`KnobPoint`]) and the sweep
+//! * `knobs` — the typed knob space ([`KnobPoint`]) and the sweep
 //!   grids ([`GridKind`]). Every knob maps to a real behaviour in
 //!   `ufab::core_agent` via [`KnobPoint::apply`] on a `UfabConfig`:
 //!   register width saturates INT read-outs, Bloom size/hashes change
 //!   real false-positive omissions, hop depth truncates telemetry,
 //!   cleanup period bounds stale-entry lifetime.
-//! * [`cost`] — bridges a knob point to the Table 4 Tofino operating
+//! * `cost` — bridges a knob point to the Table 4 Tofino operating
 //!   point ([`cost::cost_of`]), scaling the SRAM / hash-bit /
 //!   stateful-ALU / PHV shares with the knobs that consume them.
 //! * [`pareto`] — non-dominated sorting over the cost × outcome vector
@@ -28,10 +28,10 @@
 
 #![deny(missing_docs)]
 
-pub mod cost;
-pub mod knobs;
+pub(crate) mod cost;
+pub(crate) mod knobs;
 pub mod pareto;
 
 pub use cost::{cost_of, CostBreakdown};
 pub use knobs::{GridKind, KnobPoint};
-pub use pareto::{dominates, pareto_front};
+pub use pareto::pareto_front;

@@ -19,7 +19,8 @@
 //! determinism digests — is byte-identical for every N (`--jobs 1`
 //! reproduces the fully serial run).
 //!
-//! `--trace` attaches a flight recorder (default 65536 events) and the
+//! `--trace` attaches a flight recorder (default 65536 events, at most
+//! 4194304: the ring is allocated up front) and the
 //! determinism digest to every run and prints a drop/ECN/retransmit
 //! breakdown per system; `--check-invariants` additionally evaluates the
 //! online invariant suite (register conservation, edge window
@@ -96,6 +97,11 @@ const SCENARIOS: &[(&str, &str)] = &[
     ),
 ];
 
+/// Flight-recorder capacity of a bare `--trace`, and the largest
+/// `--trace EVENTS` accepted (the recorder allocates its ring up front).
+const TRACE_DEFAULT: u64 = 65_536;
+const TRACE_MAX: u64 = 4_194_304;
+
 fn usage() -> String {
     let names: Vec<&str> = SCENARIOS.iter().map(|&(n, _)| n).collect();
     format!(
@@ -103,6 +109,7 @@ fn usage() -> String {
          [--trace [EVENTS]] [--check-invariants] [--plan PRESET] [--ops-script PRESET] \
          [--snapshot-at US] [--hostile-pct N] [--abuse-intensity N] [--grid NAME]\n\
          scenarios: {}\n\
+         --trace EVENTS: flight-recorder capacity [1, {TRACE_MAX}] (default {TRACE_DEFAULT})\n\
          chaos presets (--plan): {} all\n\
          ops scripts (--ops-script): {}   --snapshot-at: restore instant in µs (0 disables)\n\
          abuse knobs: --hostile-pct [0, 90] (default 10)   --abuse-intensity [1, 64] (default 4)\n\
@@ -204,15 +211,16 @@ fn main() {
                 scale.servers = Some(n);
             }
             "--trace" => {
-                // Optional capacity operand: `--trace 8192`.
-                let cap = it
-                    .peek()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .inspect(|_| {
-                        it.next();
-                    })
-                    .unwrap_or(65_536);
-                scale.trace = Some(cap);
+                // Optional capacity operand: `--trace 8192`. A token that
+                // is not all digits (`--trace fig4`) is left for the
+                // scenario list.
+                let operand =
+                    it.next_if(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()));
+                let cap = match operand {
+                    Some(v) => int_arg("--trace", Some(v), 1, TRACE_MAX),
+                    None => TRACE_DEFAULT,
+                };
+                scale.trace = Some(cap as usize);
             }
             "--check-invariants" => scale.check_invariants = true,
             "--ops-script" => {

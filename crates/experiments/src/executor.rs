@@ -2,7 +2,7 @@
 //!
 //! Every scenario in this crate boils down to a grid of *independent*
 //! simulator runs: (system, seed, config) cells that share no mutable
-//! state. Each cell builds its own [`crate::Runner`] — simulators hold
+//! state. Each cell builds its own [`crate::harness::Runner`] — simulators hold
 //! `Rc`/`RefCell` plumbing and are deliberately **not** `Send`, so a job
 //! closure builds *and* drives the runner entirely inside one worker
 //! thread and returns only plain (`Send`) data: table rows, percentile
@@ -43,7 +43,7 @@ pub fn set_jobs(n: usize) {
 }
 
 /// Resolved worker count (see module docs).
-pub fn jobs() -> usize {
+pub(crate) fn jobs() -> usize {
     let n = JOBS.load(Ordering::Relaxed);
     if n > 0 {
         return n;

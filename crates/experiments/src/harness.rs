@@ -96,7 +96,7 @@ impl Runner {
 
     /// Like [`Runner::new`] with an explicit baseline configuration
     /// (e.g. Fig 5's 36 μs flowlet gap).
-    pub fn new_full(
+    pub(crate) fn new_full(
         mut topo: Topo,
         fabric: FabricSpec,
         system: SystemKind,
@@ -357,7 +357,7 @@ impl Runner {
     }
 
     /// Drain completions that arrived since the previous poll.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
+    pub(crate) fn drain_completions(&mut self) -> Vec<Completion> {
         self.rec.lock().unwrap().drain_new_completions()
     }
 
@@ -402,7 +402,7 @@ impl Runner {
     }
 
     /// Probing bandwidth overhead so far: probe bytes / all host TX bytes.
-    pub fn probe_overhead(&self) -> f64 {
+    pub(crate) fn probe_overhead(&self) -> f64 {
         let st = self.sim.stats();
         if st.host_bytes_tx == 0 {
             0.0

@@ -4,7 +4,7 @@
 //! [`harness`] assembles a simulator for any of the four systems under
 //! test — μFAB, μFAB′ (no bounded-latency stage), PicNIC′+WCC+Clove, and
 //! ElasticSwitch+Clove — over a chosen topology/fabric, implements the
-//! [`workloads::WorkloadPort`] bridge for closed-loop drivers, and samples
+//! [`workloads::driver::WorkloadPort`] bridge for closed-loop drivers, and samples
 //! queues.
 //!
 //! Each scenario module reproduces one figure/table and returns
@@ -16,6 +16,3 @@
 pub mod executor;
 pub mod harness;
 pub mod scenarios;
-
-pub use executor::{run_jobs, Job};
-pub use harness::{Runner, SystemKind};

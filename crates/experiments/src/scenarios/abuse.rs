@@ -68,7 +68,7 @@ pub struct CellOut {
 
 /// One containment cell: the churn run with `pct`% hostile tenants and
 /// the enforcement/quarantine loop closed every control-plane step.
-pub fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellOut {
+pub(crate) fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -> CellOut {
     // 1) Trace + admission plan — identical to the churn cell: hostile
     //    selection happens *after* admission (an adversary looks honest
     //    until it starts sending), so the plan and the honest tenants'

@@ -1,7 +1,7 @@
 //! `repro chaos` — the failure-recovery resilience harness.
 //!
 //! Not a paper figure: a chaos-engineering suite over the testbed that
-//! injects seed-deterministic faults ([`netsim::chaos`]) into a steady
+//! injects seed-deterministic faults (`netsim::chaos`) into a steady
 //! N-to-1 μFAB workload and measures recovery-time SLOs:
 //!
 //! * **requal_ms** — time from the end of the fault window until every

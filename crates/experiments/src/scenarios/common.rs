@@ -9,10 +9,10 @@ use workloads::driver::Driver;
 use workloads::patterns::BulkDriver;
 
 /// Output directory for CSVs.
-pub const RESULTS_DIR: &str = "results";
+pub(crate) const RESULTS_DIR: &str = "results";
 
 /// Write a table both to stdout and `results/<name>.csv`.
-pub fn emit(name: &str, title: &str, table: &Table) {
+pub(crate) fn emit(name: &str, title: &str, table: &Table) {
     println!("\n=== {title} ===");
     print!("{}", table.render());
     let path = format!("{RESULTS_DIR}/{name}.csv");
@@ -59,7 +59,7 @@ pub fn total_violations() -> usize {
 }
 
 /// Apply the CLI observability knobs to a freshly-built runner.
-pub fn apply_obs(scale: &Scale, r: &mut Runner) {
+pub(crate) fn apply_obs(scale: &Scale, r: &mut Runner) {
     if let Some(cap) = scale.trace {
         r.enable_trace(cap);
     }
@@ -76,7 +76,7 @@ pub fn apply_obs(scale: &Scale, r: &mut Runner) {
 /// instead of printing, so parallel jobs can run it on worker threads
 /// and the merge step can print reports in deterministic submission
 /// order.
-pub fn obs_epilogue(scale: &Scale, r: &Runner, label: &str) -> String {
+pub(crate) fn obs_epilogue(scale: &Scale, r: &Runner, label: &str) -> String {
     use std::fmt::Write;
     if scale.trace.is_none() && !scale.check_invariants {
         return String::new();
@@ -165,7 +165,7 @@ pub fn incast_on_testbed(
 /// the runner after `until` plus the observability epilogue text (print
 /// it in submission order when merging parallel jobs). Honors the
 /// observability knobs in `scale`.
-pub fn run_incast(
+pub(crate) fn run_incast(
     topo: Topo,
     fabric: FabricSpec,
     system: SystemKind,
@@ -207,11 +207,11 @@ pub fn det_shuffle<T>(items: &mut [T], seed: u64) {
 }
 
 /// Format a float with the given precision, for table cells.
-pub fn f(x: f64, prec: usize) -> String {
+pub(crate) fn f(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
 }
 
 /// Microseconds with one decimal.
-pub fn us(x_ns: f64) -> String {
+pub(crate) fn us(x_ns: f64) -> String {
     format!("{:.1}", x_ns / 1e3)
 }

@@ -112,7 +112,7 @@ fn run_system(system: SystemKind, scale: Scale, stagger: Time) -> SystemResult {
                 (rate, gbps as f64 * 1e9, f64::INFINITY)
             })
             .collect();
-        meter.observe(t, MS, &entries);
+        meter.observe(MS, &entries);
     }
     let agg: f64 = vfs
         .iter()

@@ -26,13 +26,11 @@ use workloads::driver::Driver;
 use workloads::patterns::BulkDriver;
 
 /// A synthesized multi-tenant workload instance.
-pub struct Workload {
+pub(crate) struct Workload {
     /// Arrival schedule: `(time, src_host, pair, bytes)`.
     pub jobs: Vec<(Time, NodeId, PairId, u64, u32)>,
     /// Per-pair minimum guarantee in bits/sec (for slowdown/dissatisfaction).
     pub pair_guar: Vec<f64>,
-    /// Pair → tenant.
-    pub pair_tenant: Vec<u32>,
     /// Pair → source VM index.
     pub pair_vm: Vec<u32>,
     /// Pair → destination VM index.
@@ -83,7 +81,7 @@ pub fn build_topo(servers: usize, oversub_1to1: bool) -> topology::Topo {
 }
 
 /// Synthesize tenants + arrivals for `duration` at `load` of host links.
-pub fn synthesize(
+pub(crate) fn synthesize(
     topo: &topology::Topo,
     load: f64,
     duration: Time,
@@ -98,7 +96,6 @@ pub fn synthesize(
     let target_vms = hosts.len() * 4;
     let mut pairs: Vec<(NodeId, PairId)> = Vec::new();
     let mut pair_guar = Vec::new();
-    let mut pair_tenant = Vec::new();
     let mut pair_vm = Vec::new();
     let mut pair_dst_vm = Vec::new();
     let mut vm_hose = Vec::new();
@@ -132,7 +129,6 @@ pub fn synthesize(
                 if p.idx() == pairs.len() {
                     pairs.push((fabric.vm(v).host, p));
                     pair_guar.push(fabric.pair_guarantee_bps(p));
-                    pair_tenant.push(t.raw());
                     pair_vm.push(v.raw());
                     pair_dst_vm.push(peer.raw());
                     made += 1;
@@ -158,7 +154,6 @@ pub fn synthesize(
         Workload {
             jobs,
             pair_guar,
-            pair_tenant,
             pair_vm,
             pair_dst_vm,
             vm_hose,
@@ -167,7 +162,7 @@ pub fn synthesize(
 }
 
 /// Results of one (system, oversub, load) cell.
-pub struct Cell {
+pub(crate) struct Cell {
     /// Dissatisfaction ratio.
     pub dissat: f64,
     /// RTT p99 (ns).
@@ -183,7 +178,7 @@ pub struct Cell {
 }
 
 /// Run one cell.
-pub fn run_cell(
+pub(crate) fn run_cell(
     system: SystemKind,
     servers: usize,
     oversub_1to1: bool,
@@ -246,7 +241,7 @@ pub fn run_cell(
                 .unwrap_or(0.0);
             entries.push((rate, entitled * scale, f64::INFINITY));
         }
-        meter.observe(b as Time * MS, MS, &entries);
+        meter.observe(MS, &entries);
         // Account deliveries after the bin.
         for p in 0..n_pairs {
             if remaining[p] > 0.0 {

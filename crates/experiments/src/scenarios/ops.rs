@@ -239,7 +239,7 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
     let tl = Timeline::new(scale.quick, WINDOW_MS);
     let servers = scale.servers.unwrap_or(512);
     // One topology serves the pre-pass and the inline service in turn: a
-    // service replaces its `Arc` on `Expand`, it never mutates through it.
+    // service only ever reads through its `Arc`.
     let svc_topo = Arc::new(build_topo(servers, false));
     let trace = cell_trace(scale.seed, &tl, svc_topo.hosts.len(), PER_SEC_AT_512);
     let acfg = AdmissionCfg {

@@ -85,7 +85,7 @@ impl Ledger {
     /// Like [`Ledger::new`], but the fractional up-walk skips any
     /// aggregation/core switch whose raw node id is in `cordoned`,
     /// renormalizing the remaining fractions so each tier still sums to
-    /// 1.0 — the spread-table rebuild behind topology drain/expand.
+    /// 1.0 — the spread-table rebuild behind an agg/core cordon.
     /// Cordoning a host or ToR does not change the spread (their links
     /// are only used by their own placements, which a drain migrates
     /// away); cordoning an agg or core moves its share of every hose
@@ -211,11 +211,6 @@ impl Ledger {
         self.links.len()
     }
 
-    /// The provisioning headroom η.
-    pub fn headroom(&self) -> f64 {
-        self.headroom
-    }
-
     /// The tracked links (committed totals included).
     pub fn links(&self) -> &[Link] {
         &self.links
@@ -239,7 +234,7 @@ impl Ledger {
 
     /// Would committing a `hose_bps` VM on `host` keep every touched
     /// link at or under η·cap?
-    pub fn admissible(&self, host: NodeId, hose_bps: f64) -> bool {
+    pub(crate) fn admissible(&self, host: NodeId, hose_bps: f64) -> bool {
         self.first_blocking_link(host, hose_bps).is_none()
     }
 
@@ -260,7 +255,7 @@ impl Ledger {
     ///
     /// # Panics
     /// Panics if the commitment is not admissible — the manager must
-    /// check [`Ledger::admissible`] first (reject, don't overbook).
+    /// check `Ledger::admissible` first (reject, don't overbook).
     pub fn commit(&mut self, host: NodeId, hose_bps: f64) {
         if let Some(l) = self.first_blocking_link(host, hose_bps) {
             panic!(

@@ -7,18 +7,18 @@
 //! stateless machinery of that control plane; the one live tenant
 //! lifecycle that drives it is `fabricd::FabricService`:
 //!
-//! * [`ledger`] — per-link committed-B_min accounting with an
+//! * `ledger` — per-link committed-B_min accounting with an
 //!   admissibility check (commit fractionally along the ECMP up-walk,
 //!   admit only while every touched link stays under η·cap);
-//! * [`place`] — first-fit / load-spread VM placement gated by the
+//! * `place` — first-fit / load-spread VM placement gated by the
 //!   ledger, all-or-nothing per tenant, anti-affinity within a tenant;
-//! * [`manager`] — the admission types, the lifecycle states
+//! * `manager` — the admission types, the lifecycle states
 //!   `Requested → Admitted → Qualifying → Guaranteed → Departing →
 //!   Reclaimed` with their transition table, and [`plan`]: a pure
 //!   pre-pass over a full arrival trace that fixes every tenant's
 //!   hosts and decision instant before a simulation is built, and the
 //!   reference model the live service is property-tested against;
-//! * [`abuse`] — the misbehavior ledger (DESIGN §10): decayed
+//! * `abuse` — the misbehavior ledger (DESIGN §10): decayed
 //!   per-tenant scores fed by edge enforcement counters, with the
 //!   hysteresis thresholds the service's quarantine ladder
 //!   `Guaranteed → Suspected → Quarantined → Reinstated` reads.
@@ -29,12 +29,12 @@
 
 #![deny(missing_docs)]
 
-pub mod abuse;
-pub mod ledger;
-pub mod manager;
-pub mod place;
+pub(crate) mod abuse;
+pub(crate) mod ledger;
+pub(crate) mod manager;
+pub(crate) mod place;
 
 pub use abuse::{AbuseCfg, ClampAction, MisbehaviorLedger};
 pub use ledger::Ledger;
-pub use manager::{plan, AdmissionCfg, Plan, PlannedTenant, Rejection, TenantReq, TenantState};
+pub use manager::{plan, AdmissionCfg, Plan, PlannedTenant, TenantReq, TenantState};
 pub use place::{Placer, Policy, RejectReason};

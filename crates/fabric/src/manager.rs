@@ -80,7 +80,7 @@ pub struct TenantReq {
 
 impl TenantReq {
     /// The per-VM hose bandwidth under `cfg`.
-    pub fn hose_bps(&self, cfg: &AdmissionCfg) -> f64 {
+    pub(crate) fn hose_bps(&self, cfg: &AdmissionCfg) -> f64 {
         self.tokens_per_vm * cfg.bu_bps
     }
 }

@@ -88,7 +88,8 @@ impl Placer {
     }
 
     /// Total VMs currently placed.
-    pub fn total_vms(&self) -> usize {
+    #[cfg(test)]
+    fn total_vms(&self) -> usize {
         self.vms.iter().sum()
     }
 
@@ -98,7 +99,8 @@ impl Placer {
     }
 
     /// Committed hose bps currently on `host`.
-    pub fn hose_on(&self, host: NodeId) -> f64 {
+    #[cfg(test)]
+    fn hose_on(&self, host: NodeId) -> f64 {
         self.hose[self.host_idx[&host.raw()]]
     }
 

@@ -1,5 +1,5 @@
-//! The typed management API: commands, queries and replies, each with
-//! a canonical single-line wire form.
+//! The typed management API: commands and replies, each with a
+//! canonical single-line wire form.
 //!
 //! The wire form is the determinism contract: the service folds the
 //! encoded bytes of every applied op and its reply into its digest, so
@@ -64,7 +64,7 @@ pub enum FabricOp {
 
 impl FabricOp {
     /// Stable lowercase label (obs events, tables).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             FabricOp::Admit { .. } => "admit",
             FabricOp::Depart { .. } => "depart",
@@ -134,52 +134,10 @@ impl FabricOp {
     }
 }
 
-/// A read-only query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricQuery {
-    /// One tenant's record.
-    Tenant {
-        /// Service tenant id.
-        tenant: u32,
-    },
-    /// Ledger occupancy summary.
-    Ledger,
-    /// Service counters.
-    Stats,
-}
-
-impl FabricQuery {
-    /// Canonical wire form.
-    pub fn encode(&self) -> String {
-        match self {
-            FabricQuery::Tenant { tenant } => format!("tenant {tenant}"),
-            FabricQuery::Ledger => "ledger".into(),
-            FabricQuery::Stats => "stats".into(),
-        }
-    }
-
-    /// Parse a wire line produced by [`FabricQuery::encode`].
-    pub fn decode(s: &str) -> Result<FabricQuery, String> {
-        let mut it = s.split_whitespace();
-        let q = match it.next().ok_or("empty query line")? {
-            "tenant" => FabricQuery::Tenant {
-                tenant: field(&mut it, "tenant", "tenant")?,
-            },
-            "ledger" => FabricQuery::Ledger,
-            "stats" => FabricQuery::Stats,
-            other => return Err(format!("unknown query verb {other:?}")),
-        };
-        match it.next() {
-            None => Ok(q),
-            Some(extra) => Err(format!("trailing token {extra:?} in query")),
-        }
-    }
-}
-
 /// One migrated VM: `(tenant, vm index, from host raw, to host raw)`.
-pub type Moved = (u32, u32, u32, u32);
+pub(crate) type Moved = (u32, u32, u32, u32);
 
-/// The service's answer to an op or query.
+/// The service's answer to an op.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FabricReply {
     /// Admission succeeded; `hosts[i]` holds VM *i*.
@@ -240,41 +198,6 @@ pub enum FabricReply {
         /// First blocking condition.
         detail: String,
     },
-    /// Tenant record (answer to [`FabricQuery::Tenant`]).
-    TenantInfo {
-        /// Service tenant id.
-        tenant: u32,
-        /// Lifecycle state label.
-        state: &'static str,
-        /// VM count.
-        n_vms: u32,
-        /// Hose tokens per VM currently in force.
-        tokens_per_vm: f64,
-        /// Raw host ids, one per VM.
-        hosts: Vec<u32>,
-    },
-    /// Ledger summary (answer to [`FabricQuery::Ledger`]).
-    LedgerInfo {
-        /// Tracked undirected links.
-        n_links: u32,
-        /// Mean access-tier committed fraction of η·cap.
-        utilization: f64,
-    },
-    /// Counters (answer to [`FabricQuery::Stats`]).
-    Stats {
-        /// Tenants currently admitted/qualifying/guaranteed.
-        active: u32,
-        /// Admissions ever granted.
-        admitted: u32,
-        /// Admissions ever refused.
-        rejected: u32,
-        /// Resizes committed.
-        resized: u32,
-        /// Resizes denied.
-        resize_denied: u32,
-        /// VMs migrated by drains.
-        drained_vms: u32,
-    },
     /// The op referenced a tenant/node the service does not know, or
     /// one in the wrong state.
     Error {
@@ -315,30 +238,6 @@ impl FabricReply {
                 format!("drained {node} {list}")
             }
             FabricReply::DrainFailed { node, detail } => format!("drain-failed {node} {detail}"),
-            FabricReply::TenantInfo {
-                tenant,
-                state,
-                n_vms,
-                tokens_per_vm,
-                hosts,
-            } => format!(
-                "tenant-info {tenant} {state} {n_vms} {tokens_per_vm} {}",
-                join_u32(hosts)
-            ),
-            FabricReply::LedgerInfo {
-                n_links,
-                utilization,
-            } => format!("ledger-info {n_links} {utilization}"),
-            FabricReply::Stats {
-                active,
-                admitted,
-                rejected,
-                resized,
-                resize_denied,
-                drained_vms,
-            } => format!(
-                "stats {active} {admitted} {rejected} {resized} {resize_denied} {drained_vms}"
-            ),
             FabricReply::Error { detail } => format!("err {detail}"),
         }
     }
@@ -408,25 +307,6 @@ impl FabricReply {
                 let (node, detail) = id_and_rest(rest, verb)?;
                 return Ok(FabricReply::DrainFailed { node, detail });
             }
-            "tenant-info" => FabricReply::TenantInfo {
-                tenant: field(&mut it, verb, "tenant")?,
-                state: state_label(it.next().ok_or("tenant-info: missing state")?)?,
-                n_vms: field(&mut it, verb, "n_vms")?,
-                tokens_per_vm: field(&mut it, verb, "tokens_per_vm")?,
-                hosts: split_u32(it.next().ok_or("tenant-info: missing hosts")?)?,
-            },
-            "ledger-info" => FabricReply::LedgerInfo {
-                n_links: field(&mut it, verb, "n_links")?,
-                utilization: field(&mut it, verb, "utilization")?,
-            },
-            "stats" => FabricReply::Stats {
-                active: field(&mut it, verb, "active")?,
-                admitted: field(&mut it, verb, "admitted")?,
-                rejected: field(&mut it, verb, "rejected")?,
-                resized: field(&mut it, verb, "resized")?,
-                resize_denied: field(&mut it, verb, "resize_denied")?,
-                drained_vms: field(&mut it, verb, "drained_vms")?,
-            },
             "err" => {
                 return Ok(FabricReply::Error {
                     detail: rest.to_string(),
@@ -482,23 +362,6 @@ fn split_u32(s: &str) -> Result<Vec<u32>, String> {
     s.split(',').map(|x| num(x, "id list entry")).collect()
 }
 
-fn state_label(s: &str) -> Result<&'static str, String> {
-    for l in [
-        "requested",
-        "admitted",
-        "qualifying",
-        "guaranteed",
-        "departing",
-        "reclaimed",
-        "rejected",
-    ] {
-        if l == s {
-            return Ok(l);
-        }
-    }
-    Err(format!("unknown tenant state {s:?}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,18 +389,6 @@ mod tests {
             let back = FabricOp::decode(&wire).unwrap();
             assert_eq!(back, op, "{wire}");
             assert_eq!(back.encode(), wire, "encoding must be canonical");
-        }
-    }
-
-    #[test]
-    fn query_wire_round_trips() {
-        for q in [
-            FabricQuery::Tenant { tenant: 2 },
-            FabricQuery::Ledger,
-            FabricQuery::Stats,
-        ] {
-            let wire = q.encode();
-            assert_eq!(FabricQuery::decode(&wire).unwrap(), q);
         }
     }
 
@@ -574,25 +425,6 @@ mod tests {
             FabricReply::DrainFailed {
                 node: 3,
                 detail: "no admissible host for tenant 2".into(),
-            },
-            FabricReply::TenantInfo {
-                tenant: 1,
-                state: "guaranteed",
-                n_vms: 2,
-                tokens_per_vm: 1.5,
-                hosts: vec![5, 6],
-            },
-            FabricReply::LedgerInfo {
-                n_links: 48,
-                utilization: 0.375,
-            },
-            FabricReply::Stats {
-                active: 3,
-                admitted: 10,
-                rejected: 2,
-                resized: 4,
-                resize_denied: 1,
-                drained_vms: 6,
             },
             FabricReply::Error {
                 detail: "tenant 99 unknown".into(),

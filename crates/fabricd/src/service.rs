@@ -1,7 +1,7 @@
 //! The long-running control-plane service.
 //!
 //! [`FabricService`] wraps the `fabric` crate's ledger/placement
-//! machinery behind the [`FabricOp`]/[`FabricQuery`] API. Determinism
+//! machinery behind the [`FabricOp`]/[`FabricReply`] API. Determinism
 //! rules:
 //!
 //! * Ops are queued with a submission timestamp and applied strictly in
@@ -27,7 +27,7 @@
 //! * No hash-map iteration anywhere: tenants are scanned by id,
 //!   the cordon set is a `BTreeSet`, heap keys are unique.
 
-use crate::ops::{FabricOp, FabricQuery, FabricReply, Moved};
+use crate::ops::{FabricOp, FabricReply, Moved};
 use fabric::{
     AbuseCfg, AdmissionCfg, ClampAction, Ledger, MisbehaviorLedger, Placer, PlannedTenant,
     TenantState,
@@ -88,7 +88,7 @@ impl SvcTenant {
     /// Is the tenant's lifecycle still running? A `Quarantined` tenant
     /// holds no capacity but its scheduled departure must still fire,
     /// and an operator may depart it early.
-    pub fn is_live(&self) -> bool {
+    pub(crate) fn is_live(&self) -> bool {
         self.is_active() || self.state == TenantState::Quarantined
     }
 }
@@ -109,7 +109,7 @@ pub struct Applied {
 }
 
 /// The control-plane service. See the module docs for the determinism
-/// contract; see [`crate::snapshot`] for the serialization format.
+/// contract; see `crate::snapshot` for the serialization format.
 pub struct FabricService {
     pub(crate) cfg: AdmissionCfg,
     pub(crate) topo: Arc<Topo>,
@@ -180,11 +180,6 @@ impl FabricService {
         self.obs = obs;
     }
 
-    /// The admission configuration.
-    pub fn cfg(&self) -> &AdmissionCfg {
-        &self.cfg
-    }
-
     /// The live ledger.
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
@@ -198,11 +193,6 @@ impl FabricService {
     /// All tenant records, id order (id = index).
     pub fn tenants(&self) -> &[SvcTenant] {
         &self.tenants
-    }
-
-    /// Raw ids of every cordoned node.
-    pub fn cordoned(&self) -> &BTreeSet<u32> {
-        &self.cordoned
     }
 
     /// Admissions refused so far.
@@ -243,37 +233,6 @@ impl FabricService {
         self.next_seq += 1;
         self.queue.push_back((now, seq, op));
         seq
-    }
-
-    /// Answer a read-only query against current state (not queued, not
-    /// digested — queries never mutate).
-    pub fn query(&self, q: FabricQuery) -> FabricReply {
-        match q {
-            FabricQuery::Tenant { tenant } => match self.tenants.get(tenant as usize) {
-                Some(t) => FabricReply::TenantInfo {
-                    tenant,
-                    state: t.state.label(),
-                    n_vms: t.hosts.len() as u32,
-                    tokens_per_vm: t.tokens_per_vm,
-                    hosts: t.hosts.iter().map(|h| h.raw()).collect(),
-                },
-                None => FabricReply::Error {
-                    detail: format!("tenant {tenant} unknown"),
-                },
-            },
-            FabricQuery::Ledger => FabricReply::LedgerInfo {
-                n_links: self.ledger.n_links() as u32,
-                utilization: self.ledger.utilization(),
-            },
-            FabricQuery::Stats => FabricReply::Stats {
-                active: self.tenants.iter().filter(|t| t.is_active()).count() as u32,
-                admitted: self.tenants.len() as u32,
-                rejected: self.n_rejected,
-                resized: self.n_resized,
-                resize_denied: self.n_resize_denied,
-                drained_vms: self.n_drained_vms,
-            },
-        }
     }
 
     /// Advance the service clock to `now`: apply every due op,
@@ -535,59 +494,6 @@ impl FabricService {
             }
         }
         self.ledger.diff(&shadow)
-    }
-
-    /// Grow the fabric: swap in a larger topology that preserves every
-    /// existing node id (e.g. a `three_tier` build with more pods at
-    /// the same core count), rebuild the spread table, and re-commit
-    /// every active tenant — all-or-nothing: on error the service is
-    /// unchanged.
-    pub fn expand(&mut self, new_topo: Arc<Topo>) -> Result<(), String> {
-        if new_topo.n_nodes() < self.topo.n_nodes() {
-            return Err(format!(
-                "expand target has {} nodes, current fabric has {}",
-                new_topo.n_nodes(),
-                self.topo.n_nodes()
-            ));
-        }
-        // Every existing node id must keep its tier: the cordon set
-        // stores raw ids, so a remapped switch would silently change
-        // what classify/hosts_behind and the spread rebuild act on.
-        let tiers: [(&[NodeId], &[NodeId], &str); 4] = [
-            (&self.topo.hosts, &new_topo.hosts, "host"),
-            (&self.topo.tors, &new_topo.tors, "tor"),
-            (&self.topo.aggs, &new_topo.aggs, "agg"),
-            (&self.topo.cores, &new_topo.cores, "core"),
-        ];
-        for (old, new, kind) in tiers {
-            for n in old {
-                if !new.contains(n) {
-                    return Err(format!("expand target remaps {kind} {n}"));
-                }
-            }
-        }
-        let mut placer = Placer::new(&new_topo.hosts, self.cfg.policy, self.cfg.max_vms_per_host);
-        placer.restore_state(&self.placer.dump_state())?;
-        apply_host_cordons(&new_topo, &self.cordoned, &mut placer);
-        let old_topo = std::mem::replace(&mut self.topo, new_topo);
-        match self.try_reseat() {
-            Ok((baseline, live)) => {
-                self.baseline = baseline;
-                self.ledger = live;
-                self.placer = placer;
-                let (n_hosts, aux) = (self.topo.hosts.len() as u32, self.ledger.n_links() as u64);
-                self.obs.rec(Category::Ops, self.clock, || Event::Op {
-                    kind: "expand",
-                    subject: n_hosts,
-                    aux,
-                });
-                Ok(())
-            }
-            Err(e) => {
-                self.topo = old_topo;
-                Err(format!("expand rejected: {e}"))
-            }
-        }
     }
 
     fn set_state(&mut self, id: u32, next: TenantState, now: Time, aux: u64) {
@@ -1118,7 +1024,7 @@ pub(crate) fn apply_host_cordons(topo: &Topo, cordoned: &BTreeSet<u32>, placer: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{FabricOp, FabricQuery, FabricReply};
+    use crate::ops::{FabricOp, FabricReply};
     use fabric::{plan, RejectReason, TenantReq};
     use netsim::builder::LinkSpec;
     use netsim::{MS, US};
@@ -1157,7 +1063,7 @@ mod tests {
             FabricReply::Admitted { tenant: 0, .. }
         ));
         // Pacing: second decision one gap after the first.
-        assert_eq!(out[1].applied - out[0].applied, s.cfg().decision_gap);
+        assert_eq!(out[1].applied - out[0].applied, s.cfg.decision_gap);
         assert_eq!(s.count(TenantState::Qualifying), 2);
         s.audit().unwrap();
 
@@ -1198,19 +1104,8 @@ mod tests {
         assert_eq!(s.count(TenantState::Reclaimed), 2);
         assert!(s.ledger().utilization().abs() < 1e-12);
         s.audit().unwrap();
-        match s.query(FabricQuery::Stats) {
-            FabricReply::Stats {
-                active,
-                admitted,
-                resized,
-                ..
-            } => {
-                assert_eq!(active, 0);
-                assert_eq!(admitted, 2);
-                assert_eq!(resized, 2);
-            }
-            other => panic!("unexpected stats reply {other:?}"),
-        }
+        let active = s.tenants().iter().filter(|t| t.is_active()).count();
+        assert_eq!((active, s.tenants().len(), s.n_resized), (0, 2, 2));
     }
 
     #[test]
@@ -1291,7 +1186,7 @@ mod tests {
         // The drained host is empty, cordoned, and both tenants must
         // requalify their migrated paths.
         assert_eq!(s.placer.vms_on(NodeId(first_host)), 0);
-        assert!(s.cordoned().contains(&first_host));
+        assert!(s.cordoned.contains(&first_host));
         assert_eq!(s.count(TenantState::Qualifying), 2);
         assert_eq!(s.tenants()[0].migrations, 1);
         assert_eq!(s.tenants()[0].guaranteed_spans.len(), 1);
@@ -1307,7 +1202,7 @@ mod tests {
         s.submit(700 * US, FabricOp::Uncordon { node: first_host });
         let out = s.advance(800 * US);
         assert!(matches!(out[0].reply, FabricReply::Uncordoned { .. }));
-        assert!(!s.cordoned().contains(&first_host));
+        assert!(!s.cordoned.contains(&first_host));
         s.audit().unwrap();
     }
 
@@ -1338,7 +1233,7 @@ mod tests {
         // Untouched: same placement, same ledger bits, no cordon.
         assert_eq!(s.tenants()[0].hosts[0].raw(), h0);
         assert_eq!(s.ledger().committed_bits(), bits);
-        assert!(!s.cordoned().contains(&h0));
+        assert!(!s.cordoned.contains(&h0));
         assert!(!s.placer.is_cordoned(NodeId(h0)));
         s.audit().unwrap();
     }
@@ -1371,33 +1266,51 @@ mod tests {
     }
 
     #[test]
-    fn expand_adds_a_pod_without_disturbing_tenants() {
-        let cfg_small = ThreeTierCfg::default();
-        let mut cfg_big = cfg_small;
-        cfg_big.pods += 1;
-        let mut s = FabricService::new(Arc::new(three_tier(cfg_small)), AdmissionCfg::default());
-        s.submit(0, admit("a", 4, 2.0, 50 * MS));
+    fn cordon_core_that_strands_a_hose_rolls_back() {
+        // 7 G hoses take a host each and two hosts per leaf, so each of a
+        // leaf's two spine uplinks carries 7 G of its 9 G ceiling. With
+        // one spine cordoned the other uplink would need 14 G.
+        let mut s = FabricService::new(topo(), AdmissionCfg::default());
+        s.submit(0, admit("wide", 4, 14.0, 50 * MS));
         let out = s.advance(100 * US);
-        let hosts_before = match &out[0].reply {
-            FabricReply::Admitted { hosts, .. } => hosts.clone(),
-            other => panic!("{other:?}"),
-        };
-        let n_hosts_before = s.topo().hosts.len();
-
-        s.expand(Arc::new(three_tier(cfg_big))).unwrap();
-        assert_eq!(
-            s.topo().hosts.len(),
-            n_hosts_before + cfg_big.tors_per_pod * cfg_big.hosts_per_tor
+        assert!(
+            matches!(out[0].reply, FabricReply::Admitted { .. }),
+            "{:?}",
+            out[0].reply
         );
-        // Existing placement untouched, audit clean on the new spread.
-        let now: Vec<u32> = s.tenants()[0].hosts.iter().map(|h| h.raw()).collect();
-        assert_eq!(now, hosts_before);
-        s.audit().unwrap();
+        let spine = s.topo().cores[0].raw();
+        // The `clock` record holds the op's own decision time, sequence
+        // number and digest; every other record is service state.
+        let state = |s: &FabricService| {
+            crate::snapshot::render(s)
+                .lines()
+                .filter(|l| !l.starts_with("clock "))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let before = (
+            s.cordoned.clone(),
+            s.ledger().committed_bits(),
+            s.placer.dump_state(),
+            state(&s),
+        );
 
-        // The new pod's hosts take placements.
-        s.submit(200 * US, admit("b", 2, 2.0, 50 * MS));
+        s.submit(200 * US, FabricOp::Cordon { node: spine });
         let out = s.advance(300 * US);
-        assert!(matches!(out[0].reply, FabricReply::Admitted { .. }));
+        match &out[0].reply {
+            FabricReply::Error { detail } => assert!(
+                detail.starts_with(&format!("cordon of core {spine} rejected: ")),
+                "{detail}"
+            ),
+            other => panic!("expected a rejected cordon, got {other:?}"),
+        }
+        let after = (
+            s.cordoned.clone(),
+            s.ledger().committed_bits(),
+            s.placer.dump_state(),
+            state(&s),
+        );
+        assert_eq!(after, before);
         s.audit().unwrap();
     }
 
@@ -1439,7 +1352,7 @@ mod tests {
         assert!(matches!(out[2].reply, FabricReply::Uncordoned { .. }));
         // Host h was cordoned independently of its ToR: lifting the
         // ToR cordon must not free it, only its siblings.
-        assert!(s.cordoned().contains(&h.raw()));
+        assert!(s.cordoned.contains(&h.raw()));
         assert!(s.placer.is_cordoned(h));
         for &o in &behind[1..] {
             assert!(!s.placer.is_cordoned(o));
@@ -1487,12 +1400,12 @@ mod tests {
             "{:?}",
             out[0].reply
         );
-        assert!(s.cordoned().contains(&x.raw()));
+        assert!(s.cordoned.contains(&x.raw()));
         assert!(
             s.placer.is_cordoned(x),
             "rollback cleared independent cordon"
         );
-        assert!(!s.cordoned().contains(&h0));
+        assert!(!s.cordoned.contains(&h0));
         assert!(!s.placer.is_cordoned(NodeId(h0)));
         s.audit().unwrap();
     }
@@ -1751,30 +1664,6 @@ mod tests {
             "late depart saw {:?}",
             coarse.1[1]
         );
-    }
-
-    #[test]
-    fn expand_rejects_switch_tier_remap() {
-        use topology::Tier;
-        let spec = LinkSpec::gbps(10, 1000);
-        let mut s = FabricService::new(topo(), AdmissionCfg::default());
-        // Same node-id layout as `topo()` but the second spine tagged
-        // agg instead of core: every host id is preserved, so only the
-        // switch-tier check can catch the remap.
-        let mut b = Topo::new(1500);
-        let sp0 = b.add_switch(Tier::Core);
-        let sp1 = b.add_switch(Tier::Agg);
-        for _ in 0..2 {
-            let leaf = b.add_switch(Tier::Tor);
-            for _ in 0..4 {
-                let h = b.add_host();
-                b.connect(h, leaf, spec);
-            }
-            b.connect(leaf, sp0, spec);
-            b.connect(leaf, sp1, spec);
-        }
-        let e = s.expand(Arc::new(b)).unwrap_err();
-        assert!(e.contains("remaps core"), "{e}");
     }
 
     #[test]

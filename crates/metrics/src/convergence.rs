@@ -17,7 +17,6 @@ use crate::Nanos;
 pub struct DissatisfactionMeter {
     violated_bytes: f64,
     entitled_bytes: f64,
-    per_interval: Vec<(Nanos, f64)>,
 }
 
 impl DissatisfactionMeter {
@@ -28,7 +27,7 @@ impl DissatisfactionMeter {
 
     /// Record one interval. `vfs` holds `(rate_bps, guarantee_bps,
     /// demand_bps)` per VF active in this interval.
-    pub fn observe(&mut self, now: Nanos, dt: Nanos, vfs: &[(f64, f64, f64)]) {
+    pub fn observe(&mut self, dt: Nanos, vfs: &[(f64, f64, f64)]) {
         let dt_s = dt as f64 / 1e9;
         let mut violated = 0.0;
         let mut entitled = 0.0;
@@ -42,12 +41,6 @@ impl DissatisfactionMeter {
         }
         self.violated_bytes += violated;
         self.entitled_bytes += entitled;
-        let ratio = if entitled > 0.0 {
-            violated / entitled
-        } else {
-            0.0
-        };
-        self.per_interval.push((now, ratio));
     }
 
     /// Overall dissatisfaction ratio in `[0, 1]`.
@@ -57,16 +50,6 @@ impl DissatisfactionMeter {
         } else {
             self.violated_bytes / self.entitled_bytes
         }
-    }
-
-    /// Per-interval `(time, ratio)` curve (Fig 11d).
-    pub fn curve(&self) -> &[(Nanos, f64)] {
-        &self.per_interval
-    }
-
-    /// Total violated volume in bytes.
-    pub fn violated_bytes(&self) -> f64 {
-        self.violated_bytes
     }
 }
 
@@ -79,7 +62,7 @@ mod tests {
     fn dissatisfaction_halves() {
         let mut m = DissatisfactionMeter::new();
         // One VF: guaranteed 1 Gbps, demand unlimited, gets 0.5 Gbps.
-        m.observe(0, MS, &[(0.5e9, 1e9, f64::INFINITY)]);
+        m.observe(MS, &[(0.5e9, 1e9, f64::INFINITY)]);
         assert!((m.ratio() - 0.5).abs() < 1e-12);
     }
 
@@ -87,7 +70,7 @@ mod tests {
     fn insufficient_demand_not_a_violation() {
         let mut m = DissatisfactionMeter::new();
         // Guaranteed 1 Gbps but only wants 0.2 Gbps and gets it.
-        m.observe(0, MS, &[(0.2e9, 1e9, 0.2e9)]);
+        m.observe(MS, &[(0.2e9, 1e9, 0.2e9)]);
         assert_eq!(m.ratio(), 0.0);
     }
 
@@ -95,9 +78,9 @@ mod tests {
     fn over_delivery_not_negative() {
         let mut m = DissatisfactionMeter::new();
         // Work conservation: got 3 Gbps with a 1 Gbps guarantee.
-        m.observe(0, MS, &[(3e9, 1e9, f64::INFINITY)]);
+        m.observe(MS, &[(3e9, 1e9, f64::INFINITY)]);
         assert_eq!(m.ratio(), 0.0);
-        assert!(m.violated_bytes() == 0.0);
+        assert!(m.violated_bytes == 0.0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub struct Recorder {
 
 impl Recorder {
     /// Create a recorder whose rate series use `bin_ns`-wide bins.
-    pub fn new(bin_ns: Nanos) -> Self {
+    pub(crate) fn new(bin_ns: Nanos) -> Self {
         Self {
             pair_rates: SeriesSet::new(bin_ns),
             tenant_rates: SeriesSet::new(bin_ns),
@@ -117,7 +117,7 @@ pub fn shared(bin_ns: Nanos) -> SharedRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MS, US};
+    use crate::MS;
 
     #[test]
     fn delivery_feeds_both_series() {
@@ -136,11 +136,11 @@ mod tests {
             flow: 1,
             pair: 0,
             bytes: 64_000,
-            start: 10 * US,
-            end: 110 * US,
+            start: MS,
+            end: 3 * MS,
             tag: 0,
         };
-        assert_eq!(c.fct(), 100 * US);
+        assert_eq!(c.fct(), 2 * MS);
     }
 
     #[test]

@@ -15,8 +15,6 @@ pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
@@ -26,8 +24,6 @@ impl OnlineStats {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -37,13 +33,6 @@ impl OnlineStats {
         let d = x - self.mean;
         self.mean += d / self.n as f64;
         self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Arithmetic mean (0.0 when empty).
@@ -67,16 +56,6 @@ impl OnlineStats {
     /// Population standard deviation.
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Minimum observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
     }
 }
 
@@ -255,11 +234,8 @@ mod tests {
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.add(x);
         }
-        assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
     }
 
     #[test]

@@ -38,21 +38,6 @@ impl RateSeries {
         self.bins[idx] += bytes;
     }
 
-    /// Bin width in nanoseconds.
-    pub fn bin_ns(&self) -> Nanos {
-        self.bin_ns
-    }
-
-    /// Number of bins currently materialised.
-    pub fn len(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// True when no bytes have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.bins.iter().all(|&b| b == 0)
-    }
-
     /// Total bytes across all bins.
     pub fn total_bytes(&self) -> u64 {
         self.bins.iter().sum()
@@ -61,15 +46,6 @@ impl RateSeries {
     /// Rate (bits/sec) of bin `i` (0.0 past the end).
     pub fn rate_at(&self, i: usize) -> f64 {
         bps(self.bins.get(i).copied().unwrap_or(0), self.bin_ns)
-    }
-
-    /// Export `(bin_start_ns, rate_bps)` points for all bins up to `until`
-    /// (exclusive), including trailing zero bins so plots show silence.
-    pub fn points(&self, until: Nanos) -> Vec<(Nanos, f64)> {
-        let n = (until / self.bin_ns) as usize;
-        (0..n)
-            .map(|i| (i as Nanos * self.bin_ns, self.rate_at(i)))
-            .collect()
     }
 
     /// Average rate (bits/sec) over `[from, to)`.
@@ -95,7 +71,7 @@ pub struct SeriesSet<K: Ord + Clone> {
 
 impl<K: Ord + Clone> SeriesSet<K> {
     /// Create an empty set with the given bin width.
-    pub fn new(bin_ns: Nanos) -> Self {
+    pub(crate) fn new(bin_ns: Nanos) -> Self {
         Self {
             bin_ns,
             series: BTreeMap::new(),
@@ -103,7 +79,7 @@ impl<K: Ord + Clone> SeriesSet<K> {
     }
 
     /// Record `bytes` for entity `key` at time `now`.
-    pub fn add(&mut self, key: K, now: Nanos, bytes: u64) {
+    pub(crate) fn add(&mut self, key: K, now: Nanos, bytes: u64) {
         self.series
             .entry(key)
             .or_insert_with(|| RateSeries::new(self.bin_ns))
@@ -113,26 +89,6 @@ impl<K: Ord + Clone> SeriesSet<K> {
     /// The series for `key`, if any bytes were recorded for it.
     pub fn get(&self, key: &K) -> Option<&RateSeries> {
         self.series.get(key)
-    }
-
-    /// Iterate over `(key, series)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &RateSeries)> {
-        self.series.iter()
-    }
-
-    /// All keys in order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.series.keys()
-    }
-
-    /// Number of entities tracked.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// True when no entity has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
     }
 }
 
@@ -147,22 +103,12 @@ mod tests {
         s.add(0, 1000);
         s.add(MS - 1, 1000);
         s.add(MS, 500);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.bins.len(), 2);
         assert_eq!(s.total_bytes(), 2500);
         // 2000 bytes in 1 ms = 16 Mbps.
         assert!((s.rate_at(0) - 16e6).abs() < 1.0);
         assert!((s.rate_at(1) - 4e6).abs() < 1.0);
         assert_eq!(s.rate_at(99), 0.0);
-    }
-
-    #[test]
-    fn points_include_trailing_zeros() {
-        let mut s = RateSeries::new(MS);
-        s.add(0, 100);
-        let pts = s.points(5 * MS);
-        assert_eq!(pts.len(), 5);
-        assert!(pts[4].1 == 0.0);
-        assert_eq!(pts[3].0, 3 * MS);
     }
 
     #[test]
@@ -182,7 +128,7 @@ mod tests {
         set.add(2, 0, 10);
         set.add(1, 0, 20);
         set.add(2, MS, 30);
-        let keys: Vec<_> = set.keys().copied().collect();
+        let keys: Vec<_> = set.series.keys().copied().collect();
         assert_eq!(keys, vec![1, 2]);
         assert_eq!(set.get(&2).unwrap().total_bytes(), 40);
         assert!(set.get(&3).is_none());

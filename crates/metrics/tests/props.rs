@@ -171,8 +171,8 @@ proptest! {
         obs in prop::collection::vec((0.0f64..20e9, 0.0f64..10e9, 0.0f64..20e9), 1..100),
     ) {
         let mut m = DissatisfactionMeter::new();
-        for (i, &(rate, guar, demand)) in obs.iter().enumerate() {
-            m.observe(i as u64 * 1_000_000, 1_000_000, &[(rate, guar, demand)]);
+        for &(rate, guar, demand) in obs.iter() {
+            m.observe(1_000_000, &[(rate, guar, demand)]);
         }
         prop_assert!(m.ratio() >= 0.0);
         prop_assert!(m.ratio() <= 1.0 + 1e-9);

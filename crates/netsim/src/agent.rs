@@ -51,11 +51,6 @@ impl Effects {
         std::mem::take(&mut self.sends)
     }
 
-    /// `(absolute_time, kind)` timers requested so far.
-    pub fn timers(&self) -> &[(Time, u64)] {
-        &self.timers
-    }
-
     /// Take the requested timers.
     pub fn take_timers(&mut self) -> Vec<(Time, u64)> {
         std::mem::take(&mut self.timers)
@@ -86,7 +81,8 @@ impl EdgeCtx<'_> {
     }
 
     /// Schedule `on_timer(kind)` at absolute time `at` (clamped to now).
-    pub fn set_timer_at(&mut self, at: Time, kind: u64) {
+    #[cfg(test)]
+    fn set_timer_at(&mut self, at: Time, kind: u64) {
         self.effects.timers.push((at.max(self.now), kind));
     }
 

@@ -46,7 +46,8 @@ impl LinkSpec {
     }
 
     /// Set the ECN threshold.
-    pub fn with_ecn(mut self, thresh_bytes: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_ecn(mut self, thresh_bytes: u64) -> Self {
         self.ecn_thresh = Some(thresh_bytes);
         self
     }
@@ -60,12 +61,6 @@ impl LinkSpec {
     /// Set the buffer size.
     pub fn with_buf(mut self, bytes: u64) -> Self {
         self.buf_bytes = bytes;
-        self
-    }
-
-    /// Set the rate-meter time constant.
-    pub fn with_tau(mut self, tau_ns: Time) -> Self {
-        self.meter_tau_ns = tau_ns;
         self
     }
 }
@@ -95,18 +90,6 @@ pub struct Node {
 pub struct Network {
     /// All nodes, indexed by `NodeId`.
     pub nodes: Vec<Node>,
-}
-
-impl Network {
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
 }
 
 /// Incremental network builder.
@@ -151,7 +134,7 @@ impl NetworkBuilder {
     }
 
     /// Connect with distinct per-direction specs (`ab` = a→b direction).
-    pub fn connect_asym(
+    pub(crate) fn connect_asym(
         &mut self,
         a: NodeId,
         b: NodeId,
@@ -189,16 +172,6 @@ impl NetworkBuilder {
     pub fn set_ecmp(&mut self, node: NodeId, dst: NodeId, ports: Vec<PortNo>) {
         assert!(!ports.is_empty(), "empty ECMP group");
         self.nodes[node.idx()].ecmp.insert(dst, ports);
-    }
-
-    /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when nothing has been added.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Finish construction.
@@ -251,12 +224,10 @@ mod tests {
         let s = LinkSpec::gbps(100, 1000)
             .with_ecn(65_000)
             .with_loss(0.01)
-            .with_buf(1 << 20)
-            .with_tau(10_000);
+            .with_buf(1 << 20);
         assert_eq!(s.cap_bps, 100_000_000_000);
         assert_eq!(s.ecn_thresh, Some(65_000));
         assert_eq!(s.loss_prob, 0.01);
         assert_eq!(s.buf_bytes, 1 << 20);
-        assert_eq!(s.meter_tau_ns, 10_000);
     }
 }

@@ -175,23 +175,13 @@ impl FaultPlan {
     }
 
     /// The plan's RNG seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
     /// The scheduled faults, in insertion order.
-    pub fn faults(&self) -> &[FaultKind] {
+    pub(crate) fn faults(&self) -> &[FaultKind] {
         &self.faults
-    }
-
-    /// Number of faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the plan has no faults.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 }
 
@@ -434,8 +424,7 @@ mod tests {
                 node: NodeId(1),
                 at: 30,
             });
-        assert_eq!(plan.len(), 2);
-        assert!(!plan.is_empty());
+        assert_eq!(plan.faults().len(), 2);
         assert_eq!(plan.seed(), 1);
     }
 

@@ -49,7 +49,7 @@ impl Hasher for FastHasher {
     write_word!(write_u16 u16, write_u32 u32, write_u64 u64, write_usize usize);
 }
 
-/// A `HashMap` keyed through [`FastHasher`]; build with `FastMap::default()`.
+/// A `HashMap` keyed through `FastHasher`; build with `FastMap::default()`.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //!   periodic timer (μFAB-C's idle cleanup).
 //! * **Faults**: links can be scheduled up/down and can drop packets at a
 //!   configured probability (the smoltcp guide's fault-injection ethos);
-//!   the [`chaos`] module generalises this into seed-deterministic
+//!   the `chaos` module generalises this into seed-deterministic
 //!   [`FaultPlan`]s (flapping, degradation, burst loss, selective loss,
 //!   INT corruption, switch reboots, edge restarts).
 //!
@@ -37,27 +37,24 @@
 
 pub mod agent;
 pub mod builder;
-pub mod chaos;
-pub mod equeue;
-pub mod fastmap;
-pub mod ids;
+pub(crate) mod chaos;
+pub(crate) mod equeue;
+pub(crate) mod fastmap;
+pub(crate) mod ids;
 pub mod msg;
 pub mod packet;
-pub mod port;
-pub mod route;
+pub(crate) mod port;
+pub(crate) mod route;
 pub mod sim;
 pub mod time;
 
-pub use agent::{EdgeAgent, EdgeCtx, NicView, PortView, SwitchAgent, SwitchCtx};
-pub use builder::{LinkSpec, NetworkBuilder};
-pub use chaos::{ChaosStats, FaultKind, FaultPlan};
+pub use agent::EdgeAgent;
+pub use chaos::{FaultKind, FaultPlan};
 pub use equeue::{EventQueue, QueueStats};
 pub use fastmap::FastMap;
 pub use ids::{FlowId, NodeId, PairId, PortNo, TenantId, VmId};
 pub use msg::{AppMsg, Inject};
-pub use packet::{AckInfo, DataInfo, Packet, PacketKind};
-pub use port::{Port, PortStats};
-pub use route::{Route, MAX_INLINE_HOPS};
+pub use route::Route;
 pub use sim::Simulator;
 pub use time::{Time, MS, SEC, US};
 

@@ -73,7 +73,7 @@ impl From<AppMsg> for Inject {
 impl Inject {
     /// `(discriminant, payload)` summary folded into the determinism
     /// digest — enough to distinguish divergent injection schedules.
-    pub fn det_aux(&self) -> u64 {
+    pub(crate) fn det_aux(&self) -> u64 {
         match self {
             Inject::App(m) => ((m.pair.raw() as u64) << 32) | (m.size & 0xFFFF_FFFF),
         }

@@ -81,7 +81,7 @@ impl PacketKind {
 
     /// Convert a probe into its type-4 failure-notification form
     /// (Appendix G); other kinds pass through unchanged.
-    pub fn into_failure(self) -> Self {
+    pub(crate) fn into_failure(self) -> Self {
         match self {
             PacketKind::Probe(f) => PacketKind::Response(f.into_failure()),
             other => other,
@@ -103,7 +103,7 @@ impl PacketKind {
     }
 
     /// True for probe-plane packets (counted as probing overhead, Fig 15b).
-    pub fn is_probe_plane(&self) -> bool {
+    pub(crate) fn is_probe_plane(&self) -> bool {
         matches!(
             self,
             PacketKind::Probe(_)
@@ -131,7 +131,7 @@ pub struct Packet {
     pub kind: PacketKind,
     /// Source route: egress port to take at each node, starting with the
     /// sending host. Empty route falls back to per-node ECMP tables.
-    /// Stored inline for ≤ [`crate::MAX_INLINE_HOPS`] hops (no per-packet
+    /// Stored inline for ≤ `crate::MAX_INLINE_HOPS` hops (no per-packet
     /// allocation on FatTree-depth paths).
     pub route: Route,
     /// Next index into `route` to consume.
@@ -164,25 +164,10 @@ impl Packet {
             sent_at: 0,
         }
     }
-
-    /// Route hops remaining, if source-routed.
-    pub fn hops_left(&self) -> usize {
-        self.route.len().saturating_sub(self.hop)
-    }
-
-    /// Build the reverse source route for a reply, given the reply
-    /// originator's egress port back towards the last switch.
-    ///
-    /// The forward route lists *egress* ports per node; replies in this
-    /// simulator are routed by the replying edge agent using its own route
-    /// table, so this helper is only used in tests.
-    pub fn is_routed(&self) -> bool {
-        !self.route.is_empty()
-    }
 }
 
 /// A `PairId` meaning "not pair traffic".
-pub const NO_PAIR: PairId = PairId(u32::MAX);
+pub(crate) const NO_PAIR: PairId = PairId(u32::MAX);
 
 /// Counters exported by [`PacketArena`] for accounting and invariants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -260,16 +245,11 @@ impl PacketArena {
     /// Move the payload out of `b` and park the shell (delivery path:
     /// the agent receives the `Packet` by value, the box stays here).
     #[inline]
-    pub fn unbox(&mut self, mut b: Box<Packet>) -> Packet {
+    pub(crate) fn unbox(&mut self, mut b: Box<Packet>) -> Packet {
         let pkt = std::mem::replace(&mut *b, Packet::shell());
         self.recycled += 1;
         self.free.push(b);
         pkt
-    }
-
-    /// Boxes handed out and not yet returned.
-    pub fn outstanding(&self) -> u64 {
-        self.allocated - self.recycled
     }
 
     /// Counter snapshot.
@@ -324,38 +304,19 @@ mod tests {
     }
 
     #[test]
-    fn hops_left_counts_down() {
-        let mut p = mk(PacketKind::Ack(AckInfo {
-            seq: 0,
-            cum: 0,
-            echo_ts: 0,
-            ecn: false,
-            max_util: 0.0,
-            grant_bps: 0.0,
-            payload: 0,
-        }));
-        assert_eq!(p.hops_left(), 2);
-        p.hop = 1;
-        assert_eq!(p.hops_left(), 1);
-        p.hop = 5;
-        assert_eq!(p.hops_left(), 0);
-        assert!(p.is_routed());
-    }
-
-    #[test]
     fn arena_recycles_and_balances() {
         let mut a = PacketArena::default();
         let b1 = a.alloc(mk(PacketKind::Probe(ProbeFrame::probe(0, 0, 1.0, 0.0, 0))));
         let b2 = a.alloc(mk(PacketKind::Probe(ProbeFrame::probe(1, 0, 1.0, 0.0, 0))));
         assert_eq!(a.stats().fresh, 2);
-        assert_eq!(a.outstanding(), 2);
+        assert_eq!(a.stats().outstanding(), 2);
         // Delivery path: payload moves out, shell parks.
         let p = a.unbox(b1);
         assert!(matches!(p.kind, PacketKind::Probe(_)));
-        assert_eq!(a.outstanding(), 1);
+        assert_eq!(a.stats().outstanding(), 1);
         // Drop path: payload parks with the shell.
         a.recycle(b2);
-        assert_eq!(a.outstanding(), 0);
+        assert_eq!(a.stats().outstanding(), 0);
         assert_eq!(a.stats().free, 2);
         // Steady state: reuse, no fresh allocation.
         let b3 = a.alloc(mk(PacketKind::Data(DataInfo {

@@ -62,7 +62,7 @@ pub struct Port {
 /// Outcome of an enqueue attempt. Drop variants hand the box back so
 /// the caller can return it to the packet arena instead of freeing it.
 #[derive(Debug)]
-pub enum EnqueueResult {
+pub(crate) enum EnqueueResult {
     /// Queued (possibly ECN-marked); `true` if the port was idle and
     /// transmission should start.
     Queued {
@@ -78,7 +78,7 @@ pub enum EnqueueResult {
 impl Port {
     /// Create a port. `meter_tau_ns` sets the TX-rate estimator time
     /// constant (≈RTT scale per §3.2's utilisation-gap argument).
-    pub fn new(
+    pub(crate) fn new(
         peer: NodeId,
         peer_port: PortNo,
         cap_bps: u64,
@@ -107,7 +107,7 @@ impl Port {
     }
 
     /// Attempt to enqueue `pkt`. Applies drop-tail and ECN marking.
-    pub fn enqueue(&mut self, mut pkt: Box<Packet>) -> EnqueueResult {
+    pub(crate) fn enqueue(&mut self, mut pkt: Box<Packet>) -> EnqueueResult {
         if !self.up {
             self.stats.drops_down += 1;
             return EnqueueResult::DroppedDown(pkt);
@@ -130,15 +130,10 @@ impl Port {
     }
 
     /// Pop the head-of-line packet for transmission, updating byte counts.
-    pub fn dequeue(&mut self) -> Option<Box<Packet>> {
+    pub(crate) fn dequeue(&mut self) -> Option<Box<Packet>> {
         let pkt = self.queue.pop_front()?;
         self.q_bytes -= pkt.size as u64;
         Some(pkt)
-    }
-
-    /// Instantaneous utilisation estimate in `[0, ~1]`.
-    pub fn utilization(&mut self, now: Time) -> f64 {
-        (self.meter.rate_bps(now) / self.cap_bps as f64).min(1.5)
     }
 }
 

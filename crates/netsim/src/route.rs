@@ -15,7 +15,7 @@ use std::ops::Deref;
 /// Hops stored inline before spilling to the heap. Covers every
 /// topology in the repo (deepest: three-tier at 6 switch+host hops)
 /// with slack for experimental fabrics.
-pub const MAX_INLINE_HOPS: usize = 8;
+pub(crate) const MAX_INLINE_HOPS: usize = 8;
 
 #[derive(Clone)]
 enum Repr {
@@ -29,7 +29,7 @@ enum Repr {
 /// A packet's source route: egress port to take at each node, starting
 /// with the sending host. Behaves like a `[PortNo]` slice (it derefs to
 /// one); construct with [`Route::new`], `from`, `collect()`, or
-/// [`Route::push`].
+/// `Route::push`.
 #[derive(Clone)]
 pub struct Route(Repr);
 
@@ -44,7 +44,7 @@ impl Route {
     }
 
     /// Append an egress port.
-    pub fn push(&mut self, p: PortNo) {
+    pub(crate) fn push(&mut self, p: PortNo) {
         match &mut self.0 {
             Repr::Inline { len, hops } => {
                 if (*len as usize) < MAX_INLINE_HOPS {
@@ -62,7 +62,7 @@ impl Route {
 
     /// The hops as a slice.
     #[inline]
-    pub fn as_slice(&self) -> &[PortNo] {
+    pub(crate) fn as_slice(&self) -> &[PortNo] {
         match &self.0 {
             Repr::Inline { len, hops } => &hops[..*len as usize],
             Repr::Heap(v) => v,

@@ -720,17 +720,12 @@ impl Simulator {
         (queued + flying) as u64
     }
 
-    /// Attach a flight-recorder handle. The simulator (and, via
-    /// [`Simulator::obs`], the agents it hosts) records structured
-    /// events into it; a disabled handle (the default) costs one
+    /// Attach a flight-recorder handle. The simulator records
+    /// structured events into it (agents attach the same handle through
+    /// their own `set_obs`); a disabled handle (the default) costs one
     /// branch per site.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = obs;
-    }
-
-    /// The attached observability handle (cheap to clone).
-    pub fn obs(&self) -> &ObsHandle {
-        &self.obs
     }
 
     /// Start folding every event-loop step into a determinism digest.
@@ -821,11 +816,6 @@ impl Simulator {
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Whether `node` is a host.
-    pub fn is_host(&self, node: NodeId) -> bool {
-        self.nodes[node.idx()].kind == NodeKind::Host
     }
 
     /// Downcast an edge agent for introspection.
@@ -936,7 +926,7 @@ impl Simulator {
     ///
     /// # Panics
     /// Panics on an unknown node or out-of-range port.
-    pub fn schedule_link_restore(&mut self, at: Time, node: NodeId, port: PortNo) {
+    pub(crate) fn schedule_link_restore(&mut self, at: Time, node: NodeId, port: PortNo) {
         self.validate_port(node, port, "schedule_link_restore");
         let peer = self.nodes[node.idx()].ports[port.idx()].peer;
         let peer_port = self.nodes[node.idx()].ports[port.idx()].peer_port;
@@ -977,7 +967,8 @@ impl Simulator {
     }
 
     /// Drain every remaining event (careful with self-sustaining traffic).
-    pub fn run_to_quiescence(&mut self) {
+    #[cfg(test)]
+    fn run_to_quiescence(&mut self) {
         self.start();
         while self.step_one() {}
     }

@@ -34,29 +34,13 @@ pub enum Category {
 }
 
 impl Category {
-    /// All categories, for iteration.
-    pub const ALL: [Category; 12] = [
-        Category::Enqueue,
-        Category::Dequeue,
-        Category::Drop,
-        Category::Link,
-        Category::Window,
-        Category::Register,
-        Category::Migration,
-        Category::Invariant,
-        Category::Custom,
-        Category::Tenant,
-        Category::Ops,
-        Category::Enforcement,
-    ];
-
     /// The category's bit in a [`CategoryMask`].
-    pub fn bit(self) -> u32 {
+    pub(crate) fn bit(self) -> u32 {
         1 << (self as u8)
     }
 
-    /// Stable lowercase name (used in JSONL output and CLI flags).
-    pub fn name(self) -> &'static str {
+    /// Stable lowercase name (used in JSONL output).
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Category::Enqueue => "enqueue",
             Category::Dequeue => "dequeue",
@@ -72,11 +56,6 @@ impl Category {
             Category::Enforcement => "enforcement",
         }
     }
-
-    /// Parse a name as produced by [`Category::name`].
-    pub fn parse(s: &str) -> Option<Category> {
-        Category::ALL.iter().copied().find(|c| c.name() == s)
-    }
 }
 
 /// Bitmask of enabled [`Category`]s.
@@ -85,9 +64,7 @@ pub struct CategoryMask(u32);
 
 impl CategoryMask {
     /// Everything enabled.
-    pub const ALL: CategoryMask = CategoryMask(u32::MAX);
-    /// Nothing enabled.
-    pub const NONE: CategoryMask = CategoryMask(0);
+    pub(crate) const ALL: CategoryMask = CategoryMask(u32::MAX);
 
     /// Mask with exactly the given categories.
     pub fn of(cats: &[Category]) -> Self {
@@ -95,18 +72,8 @@ impl CategoryMask {
     }
 
     /// Is `cat` enabled?
-    pub fn contains(self, cat: Category) -> bool {
+    pub(crate) fn contains(self, cat: Category) -> bool {
         self.0 & cat.bit() != 0
-    }
-
-    /// Enable `cat`.
-    pub fn enable(&mut self, cat: Category) {
-        self.0 |= cat.bit();
-    }
-
-    /// Disable `cat`.
-    pub fn disable(&mut self, cat: Category) {
-        self.0 &= !cat.bit();
     }
 }
 
@@ -263,7 +230,7 @@ pub enum Event {
 
 impl Event {
     /// The category this event belongs to.
-    pub fn category(&self) -> Category {
+    pub(crate) fn category(&self) -> Category {
         match self {
             Event::Enqueue { .. } => Category::Enqueue,
             Event::Dequeue { .. } => Category::Dequeue,
@@ -394,22 +361,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mask_roundtrip() {
-        let mut m = CategoryMask::NONE;
-        assert!(!m.contains(Category::Drop));
-        m.enable(Category::Drop);
-        m.enable(Category::Window);
+    fn mask_holds_exactly_its_categories() {
+        let m = CategoryMask::of(&[Category::Drop, Category::Window]);
         assert!(m.contains(Category::Drop));
         assert!(m.contains(Category::Window));
         assert!(!m.contains(Category::Enqueue));
-        m.disable(Category::Drop);
-        assert!(!m.contains(Category::Drop));
-        assert_eq!(m, CategoryMask::of(&[Category::Window]));
-        for c in Category::ALL {
-            assert!(CategoryMask::ALL.contains(c));
-            assert_eq!(Category::parse(c.name()), Some(c));
-        }
-        assert_eq!(Category::parse("nope"), None);
+        assert_eq!(m, CategoryMask::of(&[Category::Window, Category::Drop]));
+        assert!(CategoryMask::ALL.contains(Category::Enforcement));
     }
 
     #[test]

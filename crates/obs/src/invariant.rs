@@ -66,7 +66,7 @@ pub struct Violation {
 
 impl Violation {
     /// Multi-line human-readable report.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut s = format!(
             "INVARIANT VIOLATION [{}] at t={} ns\n  {}\n",
             self.invariant, self.t_ns, self.detail

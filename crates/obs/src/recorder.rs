@@ -39,7 +39,7 @@ impl Recorded {
 
 /// Anything that can receive recorder events. [`FlightRecorder`] is
 /// the real implementation; tests can supply counters or filters.
-pub trait ObsSink {
+pub(crate) trait ObsSink {
     /// Is this category currently recorded? Instrumentation must call
     /// this before building an event so disabled categories cost
     /// nothing.
@@ -63,7 +63,7 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// A recorder holding at most `cap` events (min 1), all categories
     /// enabled.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         let cap = cap.max(1);
         Self {
             buf: Vec::with_capacity(cap),
@@ -78,11 +78,6 @@ impl FlightRecorder {
     /// Replace the category enable mask.
     pub fn set_mask(&mut self, mask: CategoryMask) {
         self.mask = mask;
-    }
-
-    /// Current enable mask.
-    pub fn mask(&self) -> CategoryMask {
-        self.mask
     }
 
     /// Number of events currently held (≤ capacity).
@@ -111,7 +106,7 @@ impl FlightRecorder {
     }
 
     /// Oldest-to-newest iteration over the retained window.
-    pub fn iter(&self) -> impl Iterator<Item = &Recorded> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Recorded> {
         self.buf[self.head..]
             .iter()
             .chain(self.buf[..self.head].iter())
@@ -124,7 +119,7 @@ impl FlightRecorder {
     }
 
     /// Dump the retained window as JSONL.
-    pub fn dump_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
+    pub(crate) fn dump_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
         for r in self.iter() {
             writeln!(w, "{}", r.to_json())?;
         }
@@ -181,16 +176,6 @@ impl ObsHandle {
         ObsHandle(Some(Arc::new(Mutex::new(FlightRecorder::new(cap)))))
     }
 
-    /// Wrap an existing shared recorder.
-    pub fn from_shared(rec: Arc<Mutex<FlightRecorder>>) -> Self {
-        ObsHandle(Some(rec))
-    }
-
-    /// Is any recorder attached?
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// The shared recorder, if attached (for dumping / inspection).
     pub fn recorder(&self) -> Option<Arc<Mutex<FlightRecorder>>> {
         self.0.clone()
@@ -209,22 +194,10 @@ impl ObsHandle {
     }
 
     /// The newest `n` events (empty when disabled).
-    pub fn last(&self, n: usize) -> Vec<Recorded> {
+    pub(crate) fn last(&self, n: usize) -> Vec<Recorded> {
         match &self.0 {
             Some(cell) => cell.lock().unwrap().last(n),
             None => Vec::new(),
-        }
-    }
-
-    /// Dump to `path` if a recorder is attached. Returns whether a
-    /// dump was written.
-    pub fn dump_to_path(&self, path: &Path) -> io::Result<bool> {
-        match &self.0 {
-            Some(cell) => {
-                cell.lock().unwrap().dump_to_path(path)?;
-                Ok(true)
-            }
-            None => Ok(false),
         }
     }
 }
@@ -327,7 +300,7 @@ mod tests {
         assert_eq!(r.iter().next().unwrap().ev.category(), Category::Drop);
 
         // Through the handle, masked categories never build the event.
-        let h = ObsHandle::from_shared(Arc::new(Mutex::new(r)));
+        let h = ObsHandle(Some(Arc::new(Mutex::new(r))));
         let mut built = false;
         h.rec(Category::Custom, 3, || {
             built = true;
@@ -348,7 +321,7 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let h = ObsHandle::disabled();
-        assert!(!h.is_enabled());
+        assert!(h.recorder().is_none());
         let mut built = false;
         h.rec(Category::Enqueue, 0, || {
             built = true;
@@ -356,7 +329,6 @@ mod tests {
         });
         assert!(!built);
         assert!(h.last(5).is_empty());
-        assert!(!h.dump_to_path(Path::new("/nonexistent/x.jsonl")).unwrap());
     }
 
     #[test]
@@ -366,7 +338,8 @@ mod tests {
             h.rec(Category::Custom, i as u64, || ev(i));
         }
         let path = std::env::temp_dir().join(format!("obs-dump-{}.jsonl", std::process::id()));
-        assert!(h.dump_to_path(&path).unwrap());
+        let rec = h.recorder().unwrap();
+        rec.lock().unwrap().dump_to_path(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let lines: Vec<&str> = text.lines().collect();

@@ -118,11 +118,6 @@ impl ProbeFrame {
         self.kind = ProbeKind::Failure;
         self
     }
-
-    /// Number of hops that have stamped INT records.
-    pub fn n_hops(&self) -> usize {
-        self.hops.len()
-    }
 }
 
 /// A finish probe (§3.6): tells every switch on the path that the VM-pair

@@ -39,11 +39,6 @@ impl DemandRegisters {
     pub fn w_total(&self) -> f64 {
         self.w_total
     }
-
-    /// Reset both registers (cleanup rebuild).
-    pub fn clear(&mut self) {
-        *self = Self::default();
-    }
 }
 
 #[cfg(test)]
@@ -62,15 +57,5 @@ mod tests {
         assert_eq!(r.phi_total(), 0.0);
         r.add_w(-500.0);
         assert_eq!(r.w_total(), 500.0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut r = DemandRegisters::new();
-        r.add_phi(1.0);
-        r.add_w(1.0);
-        r.clear();
-        assert_eq!(r.phi_total(), 0.0);
-        assert_eq!(r.w_total(), 0.0);
     }
 }

@@ -31,20 +31,20 @@ pub const TX_UNIT_BPS: u64 = 2_000_000;
 pub const Q_UNIT_BYTES: u64 = 1024;
 
 /// Ethernet header + FCS overhead in bytes.
-pub const ETH_OVERHEAD: usize = 18;
+pub(crate) const ETH_OVERHEAD: usize = 18;
 /// IPv4 header bytes.
-pub const IP_HEADER: usize = 20;
+pub(crate) const IP_HEADER: usize = 20;
 /// Source-routing header: 4 bytes fixed plus 2 bytes per routed hop.
-pub const SR_FIXED: usize = 4;
+pub(crate) const SR_FIXED: usize = 4;
 /// Per-hop source-routing entry bytes.
-pub const SR_PER_HOP: usize = 2;
+pub(crate) const SR_PER_HOP: usize = 2;
 
 /// The 4-bit speed codes for the `C_l` field ("type of speed of the egress
 /// port" per Appendix G).
-pub const SPEED_CODES_GBPS: [u64; 9] = [1, 10, 25, 40, 50, 100, 200, 400, 800];
+pub(crate) const SPEED_CODES_GBPS: [u64; 9] = [1, 10, 25, 40, 50, 100, 200, 400, 800];
 
 /// Encode a link capacity to the nearest defined speed code.
-pub fn speed_to_code(cap_bps: u64) -> u8 {
+pub(crate) fn speed_to_code(cap_bps: u64) -> u8 {
     let gbps = cap_bps / 1_000_000_000;
     let mut best = 0u8;
     let mut best_err = u64::MAX;
@@ -59,7 +59,7 @@ pub fn speed_to_code(cap_bps: u64) -> u8 {
 }
 
 /// Decode a speed code back to bits/sec.
-pub fn code_to_speed(code: u8) -> u64 {
+pub(crate) fn code_to_speed(code: u8) -> u64 {
     SPEED_CODES_GBPS[(code as usize).min(SPEED_CODES_GBPS.len() - 1)] * 1_000_000_000
 }
 

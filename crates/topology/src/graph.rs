@@ -41,7 +41,7 @@ impl Path {
     }
 
     /// The links as `(node, port)` pairs — the unit μFAB-C keeps state per.
-    pub fn links(&self) -> impl Iterator<Item = (NodeId, PortNo)> + '_ {
+    pub(crate) fn links(&self) -> impl Iterator<Item = (NodeId, PortNo)> + '_ {
         self.nodes.iter().copied().zip(self.ports.iter().copied())
     }
 }
@@ -134,7 +134,7 @@ impl Topo {
 
     /// Hop distances (#links) from every node to `dst` (BFS).
     /// Unreachable nodes get `usize::MAX`.
-    pub fn dist_to(&self, dst: NodeId) -> Vec<usize> {
+    pub(crate) fn dist_to(&self, dst: NodeId) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.adj.len()];
         let mut q = std::collections::VecDeque::new();
         dist[dst.idx()] = 0;
@@ -247,7 +247,7 @@ impl Topo {
     }
 
     /// Reverse a path (the route a response takes back).
-    pub fn reverse(&self, path: &Path) -> Path {
+    pub(crate) fn reverse(&self, path: &Path) -> Path {
         let mut nodes: Vec<NodeId> = path.nodes.clone();
         nodes.reverse();
         let mut ports = Vec::with_capacity(path.ports.len());
@@ -268,7 +268,7 @@ impl Topo {
 
     /// One-way latency of `path` for a packet of `bytes` (serialization at
     /// every hop — store-and-forward — plus propagation).
-    pub fn one_way_ns(&self, path: &Path, bytes: u32) -> Time {
+    pub(crate) fn one_way_ns(&self, path: &Path, bytes: u32) -> Time {
         path.links()
             .map(|(n, p)| {
                 let a = self.adj[n.idx()]

@@ -19,8 +19,8 @@
 
 #![deny(missing_docs)]
 
-pub mod graph;
-pub mod shapes;
+pub(crate) mod graph;
+pub(crate) mod shapes;
 
-pub use graph::{Path, Tier, Topo};
+pub use graph::{Tier, Topo};
 pub use shapes::{case2, dumbbell, leaf_spine, testbed, three_tier, TestbedCfg, ThreeTierCfg};

@@ -153,11 +153,6 @@ impl ThreeTierCfg {
             ..Self::default()
         }
     }
-
-    /// Total host count.
-    pub fn n_hosts(&self) -> usize {
-        self.pods * self.tors_per_pod * self.hosts_per_tor
-    }
 }
 
 /// Build a [`ThreeTierCfg`] fabric.
@@ -297,7 +292,10 @@ mod tests {
     fn three_tier_counts() {
         let cfg = ThreeTierCfg::default();
         let t = three_tier(cfg);
-        assert_eq!(t.hosts.len(), cfg.n_hosts());
+        assert_eq!(
+            t.hosts.len(),
+            cfg.pods * cfg.tors_per_pod * cfg.hosts_per_tor
+        );
         assert_eq!(t.cores.len(), cfg.cores);
         assert_eq!(t.aggs.len(), cfg.pods * cfg.aggs_per_pod);
         // Cross-pod path count = aggs_per_pod × cores_per_agg = cores.
@@ -308,7 +306,7 @@ mod tests {
     #[test]
     fn paper_512_configs() {
         let c16 = ThreeTierCfg::paper_512(16);
-        assert_eq!(c16.n_hosts(), 512);
+        assert_eq!(c16.pods * c16.tors_per_pod * c16.hosts_per_tor, 512);
         let t = three_tier(ThreeTierCfg {
             pods: 2,
             tors_per_pod: 2,

@@ -52,19 +52,6 @@ pub enum DemandKind {
     Overclaim,
 }
 
-impl DemandKind {
-    /// Short label for tables and traces.
-    pub fn label(self) -> &'static str {
-        match self {
-            DemandKind::Bulk => "bulk",
-            DemandKind::WebFlows => "web",
-            DemandKind::KvFlows => "kv",
-            DemandKind::Whale => "whale",
-            DemandKind::Overclaim => "overclaim",
-        }
-    }
-}
-
 /// One tenant arrival in the generated trace.
 #[derive(Debug, Clone)]
 pub struct TenantArrival {

@@ -14,7 +14,7 @@ impl Empirical {
     ///
     /// # Panics
     /// Panics if the knots are empty, unsorted, or the last cdf ≠ 1.0.
-    pub fn new(points: Vec<(f64, f64)>) -> Self {
+    pub(crate) fn new(points: Vec<(f64, f64)>) -> Self {
         assert!(!points.is_empty());
         for w in points.windows(2) {
             assert!(w[0].1 <= w[1].1, "CDF must be non-decreasing");
@@ -34,7 +34,7 @@ impl Empirical {
     }
 
     /// The value at cumulative probability `u`.
-    pub fn quantile(&self, u: f64) -> f64 {
+    pub(crate) fn quantile(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
         let mut prev = (0.0f64, 0.0f64);
         for &(v, c) in &self.points {
@@ -109,7 +109,7 @@ pub fn exp_interarrival<R: Rng>(rng: &mut R, mean_ns: f64) -> u64 {
 
 /// One lognormal sample with parameters `mu`/`sigma` of the underlying
 /// normal (Box–Muller; used for tenant lifetimes in the churn model).
-pub fn lognormal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+pub(crate) fn lognormal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen();
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
@@ -118,7 +118,7 @@ pub fn lognormal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 
 /// The `mu` that gives a lognormal the target `mean` at shape `sigma`
 /// (mean = exp(μ + σ²/2), so μ = ln(mean) − σ²/2).
-pub fn lognormal_mu_for_mean(mean: f64, sigma: f64) -> f64 {
+pub(crate) fn lognormal_mu_for_mean(mean: f64, sigma: f64) -> f64 {
     mean.ln() - sigma * sigma / 2.0
 }
 

@@ -43,18 +43,18 @@ pub trait Driver {
 /// Monotonic flow-id allocator shared by drivers (keeps ids unique across
 /// concurrently-running drivers in one experiment).
 #[derive(Debug, Clone)]
-pub struct FlowIds {
+pub(crate) struct FlowIds {
     next: u64,
 }
 
 impl FlowIds {
     /// Start allocating from `base` (namespaces different drivers).
-    pub fn new(base: u64) -> Self {
+    pub(crate) fn new(base: u64) -> Self {
         Self { next: base }
     }
 
     /// Allocate a fresh id.
-    pub fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         let id = self.next;
         self.next += 1;
         id
@@ -68,7 +68,7 @@ mod tests {
 
     /// A scriptable in-memory port for driver unit tests.
     #[derive(Default)]
-    pub struct MockPort {
+    pub(crate) struct MockPort {
         /// Simulated current time.
         pub now: Time,
         /// Messages injected so far.
@@ -111,4 +111,4 @@ mod tests {
 }
 
 #[cfg(test)]
-pub use tests::MockPort;
+pub(crate) use tests::MockPort;

@@ -26,13 +26,13 @@ use std::collections::HashMap;
 use ufab::endpoint::{AppMsg, REPLY_FLAG};
 
 /// Tag: SA → BA writes.
-pub const TAG_SA: u32 = 31;
+pub(crate) const TAG_SA: u32 = 31;
 /// Tag: BA → CS replication.
-pub const TAG_BA: u32 = 32;
+pub(crate) const TAG_BA: u32 = 32;
 /// Tag: GC read requests/replies.
-pub const TAG_GC_READ: u32 = 33;
+pub(crate) const TAG_GC_READ: u32 = 33;
 /// Tag: GC compacted write-backs.
-pub const TAG_GC_WRITE: u32 = 34;
+pub(crate) const TAG_GC_WRITE: u32 = 34;
 
 /// Static wiring of the EBS deployment.
 pub struct EbsSpec {

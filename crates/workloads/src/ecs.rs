@@ -95,15 +95,6 @@ impl RpcClientDriver {
             until: Time::MAX,
         }
     }
-
-    /// Queries per second completed over `[from, to)`.
-    pub fn qps(&self, from: Time, to: Time) -> f64 {
-        let _ = from;
-        let _ = to;
-        // Completions are tracked incrementally; experiments normally use
-        // `completed` over the measured window. Provided for convenience:
-        self.completed as f64
-    }
 }
 
 impl Driver for RpcClientDriver {

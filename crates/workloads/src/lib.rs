@@ -5,7 +5,7 @@
 //!   key-value object sizes of the Memcached model (mean ≈ 2 KB, from
 //!   [10]), and Poisson arrival helpers.
 //! * [`driver`] — the closed-loop driver framework: drivers inject
-//!   [`AppMsg`]s through a [`WorkloadPort`] and react to completions the
+//!   [`AppMsg`]s through a [`driver::WorkloadPort`] and react to completions the
 //!   experiment harness drains from the shared recorder between
 //!   simulation slices.
 //! * [`patterns`] — open-loop patterns: permutation with guarantee
@@ -32,6 +32,4 @@ pub mod ebs;
 pub mod ecs;
 pub mod patterns;
 
-pub use dists::Empirical;
-pub use driver::{Driver, WorkloadPort};
 pub use ufab::endpoint::AppMsg;

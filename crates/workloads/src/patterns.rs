@@ -1,11 +1,8 @@
 //! Open-loop traffic patterns from the evaluation.
 
-use crate::dists::{exp_interarrival, Empirical};
 use crate::driver::{Driver, FlowIds, WorkloadPort};
 use metrics::recorder::Completion;
 use netsim::{NodeId, PairId, Time};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use ufab::endpoint::AppMsg;
 
 /// One-shot bulk transfers: every pair sends `bytes` at its configured
@@ -132,72 +129,6 @@ impl Driver for OnOffDriver {
     }
 }
 
-/// Poisson flow arrivals with empirical sizes over a fixed set of pairs
-/// (the §5.5 "real workload").
-pub struct PoissonDriver {
-    pairs: Vec<(NodeId, PairId)>,
-    sizes: Empirical,
-    mean_gap_ns: f64,
-    rng: SmallRng,
-    next_arrival: Time,
-    flows: FlowIds,
-    until: Time,
-    /// Number of flows injected so far.
-    pub injected: u64,
-}
-
-impl PoissonDriver {
-    /// `rate_per_sec` is the aggregate arrival rate across all pairs;
-    /// arrivals stop at `until`.
-    pub fn new(
-        pairs: Vec<(NodeId, PairId)>,
-        sizes: Empirical,
-        rate_per_sec: f64,
-        until: Time,
-        seed: u64,
-        flow_base: u64,
-    ) -> Self {
-        assert!(!pairs.is_empty());
-        assert!(rate_per_sec > 0.0);
-        Self {
-            pairs,
-            sizes,
-            mean_gap_ns: 1e9 / rate_per_sec,
-            rng: SmallRng::seed_from_u64(seed),
-            next_arrival: 0,
-            flows: FlowIds::new(flow_base),
-            until,
-            injected: 0,
-        }
-    }
-}
-
-impl Driver for PoissonDriver {
-    fn poll(&mut self, port: &mut dyn WorkloadPort, _completions: &[Completion]) {
-        let now = port.now();
-        while self.next_arrival <= now && self.next_arrival <= self.until {
-            let (host, pair) = self.pairs[self.rng.gen_range(0..self.pairs.len())];
-            let size = self.sizes.sample(&mut self.rng).max(64.0) as u64;
-            let flow = self.flows.next();
-            port.inject(host, AppMsg::oneway(flow, pair, size, 0));
-            self.injected += 1;
-            self.next_arrival += exp_interarrival(&mut self.rng, self.mean_gap_ns);
-        }
-    }
-
-    fn next_wake(&self) -> Time {
-        if self.next_arrival <= self.until {
-            self.next_arrival
-        } else {
-            Time::MAX
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.next_arrival > self.until
-    }
-}
-
 /// Bulk transfers striped across parallel fabric pairs (Appendix F):
 /// each job's bytes are split evenly over the pair's stripes, which μFAB
 /// manages on independent underlay paths — the way a VM-pair uses
@@ -303,30 +234,5 @@ mod tests {
         port.now = 8 * MS + 100 * US;
         d.poll(&mut port, &[]);
         assert_eq!(port.cleared.len(), 1);
-    }
-
-    #[test]
-    fn poisson_driver_injects_at_rate() {
-        let mut d = PoissonDriver::new(
-            vec![(NodeId(0), PairId(0)), (NodeId(1), PairId(1))],
-            Empirical::new(vec![(1000.0, 1.0)]),
-            10_000.0, // 10k flows/sec
-            100 * MS,
-            7,
-            0,
-        );
-        let mut port = MockPort::default();
-        port.now = 100 * MS;
-        d.poll(&mut port, &[]);
-        let n = port.injected.len() as f64;
-        assert!((n - 1000.0).abs() < 120.0, "injected {n}");
-        assert!(d.done());
-        // Spread across both pairs.
-        let zeros = port
-            .injected
-            .iter()
-            .filter(|(_, m)| m.pair == PairId(0))
-            .count();
-        assert!(zeros > 300 && zeros < 700);
     }
 }

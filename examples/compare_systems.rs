@@ -76,7 +76,7 @@ fn main() {
                     (rate, guar as f64, f64::INFINITY)
                 })
                 .collect();
-            meter.observe(t, MS, &entries);
+            meter.observe(MS, &entries);
         }
         let agg: f64 = vfs
             .iter()
