@@ -14,10 +14,10 @@
  * HEAPSITES_TOP (default 20) largest sites with their share and their call
  * stack, innermost frame first, inlined frames included and the standard
  * library's own left out (`addr2line` from binutils does the naming).
- * Allocations under 256 bytes are summed as one site without a stack.
+ * Every allocation, however small, is attributed to its own stack.
  * Bytes are as requested, so the total sits below the resident set by the
  * allocator's own slack and everything not on the heap. Expect the run to
- * take several times as long.
+ * take up to a few times as long.
  */
 #define _GNU_SOURCE
 #include <dlfcn.h>
@@ -37,7 +37,6 @@ extern void *__libc_memalign(size_t, size_t);
 extern void __libc_free(void *);
 
 #define DEPTH 8        /* frames kept per site, after the shim's own two */
-#define SMALL 256      /* below this, no stack is taken */
 #define N_SITES 16384  /* distinct stacks (power of two) */
 #define N_PTRS (1 << 23) /* live allocations (power of two) */
 
@@ -51,23 +50,19 @@ struct slot {
     uint32_t size, site; /* size 0 = never used; p 0 with size != 0 = tombstone */
 };
 
-static struct site sites[N_SITES]; /* sites[0]: everything small */
+static struct site sites[N_SITES];
 static struct slot ptrs[N_PTRS];
 static int64_t live, peak, snap;
 static pthread_mutex_t mu = PTHREAD_MUTEX_INITIALIZER;
 static __thread int inside; /* the shim's own allocations are not traced */
 
-static uint32_t site_of(size_t size) {
-    if (size < SMALL)
-        return 0;
+static uint32_t site_of(void) {
     void *pc[DEPTH + 2] = {0};
     int n = backtrace(pc, DEPTH + 2) - 2;
     uint64_t h = 1469598103934665603ull;
     for (int i = 2; i < n + 2; i++)
         h = (h ^ (uintptr_t)pc[i]) * 1099511628211ull;
     for (uint32_t i = h & (N_SITES - 1);; i = (i + 1) & (N_SITES - 1)) {
-        if (i == 0)
-            continue;
         struct site *s = &sites[i];
         if (s->n == 0) {
             s->n = n > 0 ? n : 1;
@@ -92,15 +87,14 @@ static struct slot *slot_of(void *p, int insert) {
     }
 }
 
-static void note_alloc(void *p, size_t size) {
-    if (p == NULL || inside)
+/* The books: `record` and `forget` run with `mu` held and `inside` set. */
+static void record(void *p, size_t size) {
+    if (p == NULL)
         return;
-    inside = 1;
-    pthread_mutex_lock(&mu);
     struct slot *s = slot_of(p, 1);
     s->p = p;
     s->size = size ? size : 1;
-    s->site = site_of(size);
+    s->site = site_of();
     sites[s->site].live += s->size;
     live += s->size;
     if (live > peak)
@@ -110,21 +104,42 @@ static void note_alloc(void *p, size_t size) {
         for (int i = 0; i < N_SITES; i++)
             sites[i].at_peak = sites[i].live;
     }
-    pthread_mutex_unlock(&mu);
-    inside = 0;
 }
 
-static void note_free(void *p) {
-    if (p == NULL || inside)
-        return;
-    pthread_mutex_lock(&mu);
-    struct slot *s = slot_of(p, 0);
+static void forget(void *p) {
+    struct slot *s = p ? slot_of(p, 0) : NULL;
     if (s) {
         sites[s->site].live -= s->size;
         live -= s->size;
         s->p = NULL; /* tombstone: size stays non-zero */
     }
+}
+
+static int enter(void) {
+    if (inside)
+        return 0;
+    inside = 1;
+    pthread_mutex_lock(&mu);
+    return 1;
+}
+
+static void leave(void) {
     pthread_mutex_unlock(&mu);
+    inside = 0;
+}
+
+static void note_alloc(void *p, size_t size) {
+    if (p != NULL && enter()) {
+        record(p, size);
+        leave();
+    }
+}
+
+static void note_free(void *p) {
+    if (p != NULL && enter()) {
+        forget(p);
+        leave();
+    }
 }
 
 void *malloc(size_t n) {
@@ -133,14 +148,25 @@ void *malloc(size_t n) {
     return p;
 }
 void *calloc(size_t a, size_t b) {
+    if (b != 0 && a > SIZE_MAX / b) { /* a*b would wrap: refuse, as glibc does */
+        errno = ENOMEM;
+        return NULL;
+    }
     void *p = __libc_calloc(a, b);
     note_alloc(p, a * b);
     return p;
 }
 void *realloc(void *old, size_t n) {
-    note_free(old);
+    if (!enter())
+        return __libc_realloc(old, n);
+    /* Under the lock, so no other thread can be handed `old`'s address
+     * between the move and the books catching up. */
     void *p = __libc_realloc(old, n);
-    note_alloc(p, n);
+    if (p != NULL || n == 0) { /* on failure `old` is still live */
+        forget(old);
+        record(p, n);
+    }
+    leave();
     return p;
 }
 void *memalign(size_t al, size_t n) {
@@ -179,10 +205,6 @@ __attribute__((destructor)) static void report(void) {
         struct site *s = order[k];
         fprintf(stderr, "[heapsites] #%d  %.1f MB  %.1f%%\n", k + 1, s->at_peak / 1048576.0,
                 100.0 * s->at_peak / snap);
-        if (s == &sites[0]) {
-            fprintf(stderr, "    (all allocations under %d bytes)\n", SMALL);
-            continue;
-        }
         char cmd[4096];
         int len = snprintf(cmd, sizeof cmd, "addr2line -f -C -i -s -p -e /proc/%d/exe", (int)getpid());
         for (int i = 0; i < s->n; i++) {

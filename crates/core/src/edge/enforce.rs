@@ -32,6 +32,7 @@
 //! it survives `on_restart` (a rebooting edge program re-reads them),
 //! which also means a quarantine clamp cannot be shed by crashing.
 
+use crate::put;
 use netsim::{TenantId, Time};
 use std::collections::BTreeMap;
 
@@ -181,10 +182,12 @@ impl TenantEnf {
 
 /// The whole enforcement stage of one edge.
 ///
-/// Rows live in a `Vec` and are never removed, so a row number stays
-/// valid for the agent's lifetime (across `on_restart` too): the pair
-/// table caches it per pair and the per-packet gates index directly.
-/// The control-plane entry points take a `TenantId` and go through the
+/// Rows live in a `Vec`, and a row number stays valid until its tenant
+/// is removed (across `on_restart` too): the pair table caches it per
+/// pair and the per-packet gates index directly. Only a retired tenant
+/// whose last pair on the edge is released is removed, so no pair can
+/// still name its row; the number goes on a free list. The
+/// control-plane entry points take a `TenantId` and go through the
 /// `BTreeMap` index, whose key order also gives every tenant walk a
 /// sorted, deterministic order.
 #[derive(Debug, Default)]
@@ -196,6 +199,8 @@ pub(crate) struct EnforceState {
     pub window: Time,
     index: BTreeMap<TenantId, u32>,
     rows: Vec<TenantEnf>,
+    /// Rows of removed tenants, reused before `rows` grows.
+    free: Vec<u32>,
     /// Verdicts awaiting the obs flush: (tenant, class, aux).
     pending: Vec<(TenantId, &'static str, u64)>,
     /// A policer gate deferred a packet (or a clamp was re-clocked)
@@ -233,12 +238,30 @@ impl EnforceState {
 
     /// The tenant's row, created as a placeholder on first sight.
     fn row_or_insert(&mut self, tenant: TenantId, now: Time) -> &mut TenantEnf {
-        let next = self.rows.len() as u32;
-        let r = *self.index.entry(tenant).or_insert(next);
-        if r == next {
-            self.rows.push(TenantEnf::placeholder(tenant, now));
+        let r = match self.index.get(&tenant) {
+            Some(&r) => r as usize,
+            None => {
+                let r = self.free.pop().map_or(self.rows.len(), |r| r as usize);
+                put(&mut self.rows, r, TenantEnf::placeholder(tenant, now));
+                self.index.insert(tenant, r as u32);
+                r
+            }
+        };
+        &mut self.rows[r]
+    }
+
+    /// Remove a tenant none of whose pairs is left on this edge. Its
+    /// counters stop moving once its pairs are gone, so dropping them
+    /// is not observable — except for a hostile tenant, whose generator
+    /// goes on attributing blasts to its row: that row stays.
+    pub(crate) fn remove(&mut self, tenant: TenantId) {
+        let Some(&r) = self.index.get(&tenant) else {
+            return;
+        };
+        if self.rows[r as usize].hostile.is_none() {
+            self.index.remove(&tenant);
+            self.free.push(r);
         }
-        &mut self.rows[r as usize]
     }
 
     /// The tenant's row number, if registered.

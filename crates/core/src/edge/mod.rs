@@ -16,7 +16,11 @@
 //!   pump, the tick and every helper below take slots (DESIGN §4.3 has
 //!   the slot-space diagram);
 //! * the GP token loops (Appendix E) run every token update period for
-//!   both directions (sender assignment, receiver admission).
+//!   both directions (sender assignment, receiver admission);
+//! * retirement: a pair the control plane has retired for good
+//!   ([`UfabEdge::retire`]) is released — pair-table row, endpoint slot
+//!   and receiver row freed for reuse — at the first tick that finds
+//!   nothing left that could touch it (DESIGN §4.3, *Retirement*).
 //!
 //! The control loop per pair: a **probe** carries the pair's (φ, w) along
 //! its underlay path; each μFAB-C adds its link's Φ_l/W_l/tx_l/q_l/C_l;
@@ -135,6 +139,12 @@ pub struct UfabEdge {
     /// Per-tenant enforcement stage (DESIGN §10). Modeled as
     /// control-plane-programmed NIC tables: survives `on_restart`.
     enforce: EnforceState,
+    /// Retired pairs whose state here is not released yet. Programmed
+    /// by the control plane, so it survives `on_restart`.
+    retired: Vec<PairId>,
+    /// Pairs released here, kept by debug builds only, for the
+    /// assertion that nothing of them ever arrives again.
+    released: Vec<PairId>,
     obs: ObsHandle,
 }
 
@@ -171,6 +181,8 @@ impl UfabEdge {
             migrate_scratch: MigrateScratch::default(),
             stats: EdgeStats::default(),
             enforce,
+            retired: Vec::new(),
+            released: Vec::new(),
             obs: ObsHandle::disabled(),
         }
     }
@@ -201,7 +213,7 @@ impl UfabEdge {
         }
         for (tenant, s) in self.wfq.queued() {
             let s = s as usize;
-            if s >= self.pairs.len() || !self.pairs.active[s] {
+            if self.pairs.active.get(s) != Some(&true) {
                 return Err(format!("scheduler queues slot {s}: no active pair there"));
             }
             if self.pairs.cold[s].tenant != tenant {
@@ -277,6 +289,72 @@ impl UfabEdge {
     /// Probe/response/migration counters snapshot.
     pub fn edge_stats(&self) -> EdgeStats {
         self.stats
+    }
+
+    /// Retire `pair` here (nothing will be submitted on it again); its
+    /// state is released at the first tick that finds it idle and none of
+    /// its packets in the network. Tell a destination edge only once the
+    /// source no longer [`holds`](UfabEdge::holds) the pair: until then
+    /// the source may retransmit into it.
+    pub fn retire(&mut self, pair: PairId) {
+        self.retired.push(pair);
+    }
+
+    /// Whether this edge holds any state of `pair`.
+    pub fn holds(&self, pair: PairId) -> bool {
+        self.pairs.slot(pair).is_some() || self.ep.slot(pair).is_some()
+    }
+
+    /// Pair-table rows and endpoint slots: `(held now, most ever held at
+    /// once)` of each.
+    pub fn slot_use(&self) -> [(usize, usize); 2] {
+        [self.pairs.slot_use(), self.ep.slot_use()]
+    }
+
+    /// Release every retired pair nothing can reach any more: the tick
+    /// is a no-op for it, none of its packets is in flight, and nothing
+    /// will submit on it, so freeing it cannot be observed.
+    fn release_retired(&mut self, ctx: &EdgeCtx) {
+        let mut retired = std::mem::take(&mut self.retired);
+        retired.retain(|&pair| !self.try_release(ctx, pair));
+        self.retired = retired;
+    }
+
+    fn try_release(&mut self, ctx: &EdgeCtx, pair: PairId) -> bool {
+        let s = self.pairs.slot(pair);
+        let e = self.ep.slot(pair);
+        let busy_row = s.is_some_and(|s| {
+            let c = &self.pairs.cold[s];
+            self.pairs.active[s]
+                || self.pairs.outstanding[s].is_some()
+                || !c.cand_probes.is_empty()
+                || !c.pending_finish.is_empty()
+        });
+        let busy_slot = e.is_some_and(|e| {
+            !self.ep.idle_at(e) || self.rx.get(e as usize).is_some_and(|r| r.live)
+        });
+        if busy_row || busy_slot || ctx.in_network(pair) > 0 {
+            return false;
+        }
+        if let Some(s) = s {
+            let tenant = self.pairs.cold[s].tenant;
+            self.pairs.remove(pair);
+            let pairs = &self.pairs;
+            if !pairs.slots_sorted().any(|s| pairs.cold[s].tenant == tenant) {
+                self.wfq.remove_tenant(tenant);
+                self.enforce.remove(tenant);
+            }
+        }
+        if let Some(e) = e {
+            self.ep.release(pair);
+            if let Some(row) = self.rx.get_mut(e as usize) {
+                *row = RX_IDLE;
+            }
+        }
+        if cfg!(debug_assertions) {
+            self.released.push(pair);
+        }
+        true
     }
 
     /// Attach a hostile behavior model to one of this host's tenants
@@ -1276,6 +1354,7 @@ impl UfabEdge {
             self.pump(ctx);
         }
         self.flush_enforcement_events(ctx.now);
+        self.release_retired(ctx);
         ctx.set_timer(self.cfg.token_update_period, TICK);
     }
 
@@ -1489,6 +1568,12 @@ impl EdgeAgent for UfabEdge {
     }
 
     fn on_packet(&mut self, ctx: &mut EdgeCtx, pkt: Packet) {
+        debug_assert!(
+            !self.released.contains(&pkt.pair),
+            "{} arrived at {} after its release",
+            pkt.pair,
+            self.host
+        );
         // `pkt` is ours: frames and their hop vectors move through.
         match pkt.kind {
             PacketKind::Data(_) => {
@@ -1597,9 +1682,10 @@ impl EdgeAgent for UfabEdge {
         // receiver tokens, schedulers, route caches — is gone. The
         // transport endpoint survives (host memory: application queues and
         // inflight accounting), exactly the paper's split between the edge
-        // *program* and the host stack it serves. Its slots are never
-        // removed, so the endpoint slots that re-activated pairs cache
-        // (and that `rx` is indexed by) are the same ones as before.
+        // *program* and the host stack it serves, and so do its slots
+        // (only a released pair gives one back), so the endpoint slots
+        // that re-activated pairs cache (and that `rx` is indexed by) are
+        // the same ones as before. The retired list survives too.
         self.pairs.clear();
         self.rx.clear();
         self.rx_live.clear();

@@ -12,18 +12,22 @@
 //! * `index` maps `PairId` → slot and is **lookup-only**: a callback
 //!   resolves the pair it was handed at most once (an arriving response,
 //!   a submit) and everything downstream — scheduler queues, helper
-//!   functions, the tick — passes the slot. Slots are stable until a
-//!   restart clears the whole table (pairs deactivate but are never
-//!   removed).
-//! * `order` keeps the slots sorted by `PairId` and `vm_order` by
-//!   `(source VM, PairId)`, both maintained incrementally on insert.
-//!   Every walk iterates one of them, which preserves the
+//!   functions, the tick — passes the slot. A slot is the pair's from
+//!   insert until [`PairTable::remove`] (a retired pair released, see
+//!   `UfabEdge::retire`) or a restart clears the whole table; a removed
+//!   slot goes on a free list and the next insert overwrites every
+//!   column of it, so the columns are as long as the most pairs ever
+//!   held at once.
+//! * `order` keeps the live slots sorted by `PairId` and `vm_order` by
+//!   `(source VM, PairId)`, both maintained incrementally on insert and
+//!   remove. Every walk iterates one of them, which preserves the
 //!   sorted-iteration determinism contract without a per-tick collect +
-//!   sort or a per-tick group-by-VM map.
+//!   sort or a per-tick group-by-VM map, and never visits a free slot.
 //! * `ep_slot` and `enf_row` cache where the pair's transport state and
 //!   its tenant's enforcement row live (the [`Endpoint`] slot space and
-//!   the [`EnforceState`] rows, neither of which ever shrinks — they
-//!   outlive this table).
+//!   the [`EnforceState`] rows). Both outlive the row: a pair's endpoint
+//!   slot is released with it, and a tenant's enforcement row only after
+//!   its last pair here.
 //! * hot fields live in one `Vec` per field; everything bulky or rarely
 //!   touched (candidate paths, telemetry snapshots, pending finishes)
 //!   stays in the cold [`PairCold`] row.
@@ -31,6 +35,7 @@
 //! [`Endpoint`]: crate::endpoint::Endpoint
 //! [`EnforceState`]: super::enforce::EnforceState
 
+use crate::put;
 use netsim::{FastMap, NodeId, PairId, PortNo, TenantId, Time, VmId};
 use telemetry::HopInfo;
 
@@ -77,7 +82,7 @@ pub(super) struct PendingFinish {
 
 /// Cold per-pair state: bulky, touched on control events (responses,
 /// migrations), not on every tick.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(super) struct PairCold {
     pub(super) tenant: TenantId,
     pub(super) src_vm: VmId,
@@ -99,7 +104,9 @@ pub(super) struct PairCold {
 pub(super) struct PairTable {
     index: FastMap<PairId, u32>,
     ids: Vec<PairId>,
-    /// Slots sorted by `PairId` (the deterministic walk order).
+    /// Removed slots, reused before the columns grow.
+    free: Vec<u32>,
+    /// Live slots sorted by `PairId` (the deterministic walk order).
     order: Vec<u32>,
     /// `(source VM, slot)` sorted by `(VM, PairId)`: the GP sender tick
     /// reads each VM's pairs as one contiguous ascending run.
@@ -140,8 +147,14 @@ pub(super) struct PairTable {
 }
 
 impl PairTable {
+    /// Pairs held now.
     pub(super) fn len(&self) -> usize {
-        self.ids.len()
+        self.order.len()
+    }
+
+    /// Pairs held now, and the most ever held at once.
+    pub(super) fn slot_use(&self) -> (usize, usize) {
+        (self.order.len(), self.ids.len())
     }
 
     /// Resolve a pair to its slot.
@@ -189,8 +202,9 @@ impl PairTable {
         self.cur_base_rtt[slot] = self.cold[slot].candidates[idx].base_rtt;
     }
 
-    /// Insert a fresh pair (must not exist). Hot fields start at their
-    /// activation defaults; returns the new slot.
+    /// Insert a fresh pair (must not exist) into a free slot, or a new
+    /// one. Every column is written: hot fields start at their activation
+    /// defaults. Returns the slot.
     pub(super) fn insert(
         &mut self,
         pair: PairId,
@@ -203,42 +217,62 @@ impl PairTable {
         now: Time,
     ) -> usize {
         debug_assert!(!self.index.contains_key(&pair), "duplicate pair insert");
-        let slot = self.ids.len() as u32;
+        let slot = self.free.pop().unwrap_or(self.ids.len() as u32);
+        let s = slot as usize;
         self.index.insert(pair, slot);
-        self.ids.push(pair);
+        put(&mut self.ids, s, pair);
         let pos = self.order.partition_point(|&s| self.ids[s as usize] < pair);
         self.order.insert(pos, slot);
         let key = (cold.src_vm, pair);
         let pos = (self.vm_order).partition_point(|&(vm, s)| (vm, self.ids[s as usize]) < key);
         self.vm_order.insert(pos, (cold.src_vm, slot));
-        self.ep_slot.push(ep_slot);
-        self.enf_row.push(enf_row);
-        self.cur_base_rtt.push(cold.candidates[cold.cur].base_rtt);
-        self.cold.push(cold);
-        self.active.push(true);
-        self.phi_s.push(phi_s);
-        self.phi_r.push(f64::INFINITY);
-        self.window.push(window);
-        self.w_claim.push(window);
-        self.boot.push(boot);
-        self.outstanding.push(None);
-        self.bytes_since_probe.push(0);
-        self.last_probe_sent.push(0);
-        self.probe_losses.push(0);
-        self.violations.push(0);
-        self.unqualified.push(0);
-        self.freeze_until.push(0);
-        self.data_paused_until.push(0);
-        self.next_send_at.push(0);
-        self.srtt.push(0);
-        self.last_alt_probe.push(now);
-        slot as usize
+        put(&mut self.ep_slot, s, ep_slot);
+        put(&mut self.enf_row, s, enf_row);
+        let base_rtt = cold.candidates[cold.cur].base_rtt;
+        put(&mut self.cur_base_rtt, s, base_rtt);
+        put(&mut self.cold, s, cold);
+        put(&mut self.active, s, true);
+        put(&mut self.phi_s, s, phi_s);
+        put(&mut self.phi_r, s, f64::INFINITY);
+        put(&mut self.window, s, window);
+        put(&mut self.w_claim, s, window);
+        put(&mut self.boot, s, boot);
+        put(&mut self.outstanding, s, None);
+        put(&mut self.bytes_since_probe, s, 0);
+        put(&mut self.last_probe_sent, s, 0);
+        put(&mut self.probe_losses, s, 0);
+        put(&mut self.violations, s, 0);
+        put(&mut self.unqualified, s, 0);
+        put(&mut self.freeze_until, s, 0);
+        put(&mut self.data_paused_until, s, 0);
+        put(&mut self.next_send_at, s, 0);
+        put(&mut self.srtt, s, 0);
+        put(&mut self.last_alt_probe, s, now);
+        s
+    }
+
+    /// Remove a pair: it leaves the index and both walks, its cold row is
+    /// dropped, and its slot goes on the free list.
+    pub(super) fn remove(&mut self, pair: PairId) {
+        let Some(slot) = self.index.remove(&pair) else {
+            return;
+        };
+        let pos = self.order.partition_point(|&s| self.ids[s as usize] < pair);
+        debug_assert_eq!(self.order[pos], slot);
+        self.order.remove(pos);
+        let key = (self.cold[slot as usize].src_vm, pair);
+        let pos = (self.vm_order).partition_point(|&(vm, s)| (vm, self.ids[s as usize]) < key);
+        debug_assert_eq!(self.vm_order[pos].1, slot);
+        self.vm_order.remove(pos);
+        self.cold[slot as usize] = PairCold::default();
+        self.free.push(slot);
     }
 
     /// Wipe the table (agent restart: volatile SmartNIC state is gone).
     pub(super) fn clear(&mut self) {
         self.index.clear();
         self.ids.clear();
+        self.free.clear();
         self.order.clear();
         self.vm_order.clear();
         self.ep_slot.clear();
@@ -268,6 +302,8 @@ impl PairTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn cold(dst: u32) -> PairCold {
         PairCold {
@@ -326,5 +362,59 @@ mod tests {
         t.clear();
         assert_eq!(t.len(), 0);
         assert_eq!(t.slot(PairId(5)), None);
+    }
+
+    proptest! {
+        /// Random inserts and removes against a `BTreeMap` model: after
+        /// every step both walks list exactly the live pairs in order,
+        /// live slots are distinct, a removed pair is not found, and a
+        /// reused slot starts from the insert defaults whatever the pair
+        /// before it left there.
+        #[test]
+        fn insert_and_remove_keep_walks_and_slots_exact(
+            ops in prop::collection::vec((any::<bool>(), 0u32..24), 1..200),
+        ) {
+            let mut t = PairTable::default();
+            let mut model: BTreeMap<PairId, usize> = BTreeMap::new();
+            let mut peak = 0;
+            for (step, &(insert, raw)) in ops.iter().enumerate() {
+                let pair = PairId(raw);
+                if insert && !model.contains_key(&pair) {
+                    let s = t.insert(pair, cold(raw), raw, 2 * raw, 1.5, 100.0, None, step as Time);
+                    prop_assert_eq!((t.ep_slot[s], t.enf_row[s]), (raw, 2 * raw));
+                    prop_assert!(t.active[s] && t.phi_r[s].is_infinite());
+                    prop_assert_eq!((t.window[s], t.w_claim[s], t.boot[s]), (100.0, 100.0, None));
+                    prop_assert!(t.outstanding[s].is_none());
+                    prop_assert_eq!((t.violations[s], t.srtt[s], t.freeze_until[s]), (0, 0, 0));
+                    prop_assert_eq!(t.last_alt_probe[s], step as Time);
+                    prop_assert!(t.cold[s].pending_finish.is_empty());
+                    // Dirty the row, as a pair's life would.
+                    t.active[s] = false;
+                    t.window[s] = 9e9;
+                    t.violations[s] = 7;
+                    t.srtt[s] = 5;
+                    t.outstanding[s] = Some(ProbeOut { seq: 1, path: 0, sent_at: 1 });
+                    t.cold[s].cand_probes.insert(3, ProbeOut { seq: 3, path: 0, sent_at: 1 });
+                    model.insert(pair, s);
+                } else if !insert {
+                    t.remove(pair);
+                    model.remove(&pair);
+                }
+                peak = peak.max(model.len());
+                prop_assert!(t.ids_sorted().eq(model.keys().copied()), "step {}", step);
+                let by_vm: BTreeSet<(VmId, PairId)> =
+                    model.keys().map(|&p| (cold(p.raw()).src_vm, p)).collect();
+                let walk = t.vm_order.iter().map(|&(vm, s)| (vm, t.id(s as usize)));
+                prop_assert!(walk.eq(by_vm.iter().copied()), "step {}", step);
+                let slots: BTreeSet<usize> = model.values().copied().collect();
+                prop_assert_eq!(slots.len(), model.len());
+                for (&p, &s) in &model {
+                    prop_assert_eq!(t.slot(p), Some(s));
+                }
+                prop_assert!(insert || t.slot(pair).is_none());
+                prop_assert_eq!(t.slot_use(), (model.len(), t.ids.len()));
+                prop_assert!(t.ids.len() <= peak);
+            }
+        }
     }
 }

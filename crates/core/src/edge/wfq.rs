@@ -49,9 +49,10 @@ struct TenantQueue<K> {
 ///
 /// `K` is whatever the owner names a pair by: the baselines queue
 /// `PairId`s, μFAB-E queues its pair-table slots so that a pick resolves
-/// nothing. Tenant queues live in a dense slot `Vec` (stable for the
-/// scheduler's lifetime) behind a lookup-only index used by
-/// `set_tenant`/`add_pair`/`remove_pair`; the pick path, called once per
+/// nothing. Tenant queues live in a dense slot `Vec` behind a lookup-only
+/// index used by `set_tenant`/`add_pair`/`remove_pair`/`remove_tenant`
+/// (no walk depends on slot order: picks sort by `(vtime, id)`); the
+/// pick path, called once per
 /// scheduled packet *and* on every NIC-idle poll, sorts a reused scratch
 /// of tenant slots and neither allocates nor hashes.
 #[derive(Debug, Default)]
@@ -105,6 +106,20 @@ impl<K: Copy + PartialEq + Default> WfqScheduler<K> {
             if t.rr >= t.pairs.len() {
                 t.rr = 0;
             }
+        }
+    }
+
+    /// Forget a tenant whose queue is empty for good (an empty queue
+    /// enters no pick and no floor). A tenant that may send again keeps
+    /// its queue: `set_tenant` would restart its vtime at the floor.
+    pub(crate) fn remove_tenant(&mut self, tenant: TenantId) {
+        let Some(s) = self.index.remove(&tenant) else {
+            return;
+        };
+        debug_assert!(self.slots[s as usize].pairs.is_empty());
+        self.slots.swap_remove(s as usize);
+        if let Some(moved) = self.slots.get(s as usize) {
+            self.index.insert(moved.id, s);
         }
     }
 
@@ -383,6 +398,29 @@ mod tests {
         let all: Vec<(TenantId, u32)> = s.queued().collect();
         assert_eq!(all.len(), 6);
         assert_eq!(all[2], (TenantId(1), 10));
+    }
+
+    #[test]
+    fn removing_an_empty_tenant_changes_no_pick() {
+        let run = |drop_idle: bool| {
+            let mut s = WfqScheduler::new();
+            for t in 0..4 {
+                s.set_tenant(TenantId(t), (1 + t) as f64);
+                s.add_pair(TenantId(t), PairId(t));
+            }
+            let mut picks = Vec::new();
+            for i in 0..40u32 {
+                if i == 10 {
+                    s.remove_pair(TenantId(1), PairId(1));
+                    if drop_idle {
+                        s.remove_tenant(TenantId(1));
+                    }
+                }
+                picks.push(s.pick(|p| Some(100 + 10 * p.raw())).unwrap());
+            }
+            (picks, s.min_vtime.to_bits(), s.queued().count())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     const N_PAIRS: u32 = 12;

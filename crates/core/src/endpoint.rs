@@ -22,11 +22,15 @@
 //!
 //! Send and receive state live in `Vec`s indexed by a per-endpoint
 //! *slot*; one `PairId → slot` map is the only hash lookup. A slot is
-//! handed out the first time a pair is named and never removed, so a
-//! caller may cache it for the endpoint's lifetime (μFAB-E does, across
-//! its own restarts). Every public method takes a `PairId` and is a
-//! one-line wrapper over the crate-internal `*_at(slot)` method that the
-//! μFAB-E per-packet path calls directly.
+//! handed out the first time a pair is named and stays the pair's until
+//! [`Endpoint::release`] gives it back, which μFAB-E does only for a
+//! retired pair that nothing can reach any more; a released slot goes
+//! on a free list and the next pair named gets it with fresh state. So
+//! the slot count follows the pairs live at once, and a caller may cache
+//! a slot for as long as its pair lives (μFAB-E does, across its own
+//! restarts). Every public method takes a `PairId` and is a one-line
+//! wrapper over the crate-internal `*_at(slot)` method that the μFAB-E
+//! per-packet path calls directly.
 //!
 //! Each slot carries a **ready bit**: `msgs` or `retx` is non-empty.
 //! Clear means `peek_segment` is `None`; set promises nothing (queued
@@ -37,6 +41,7 @@
 //! invariant checks that on live runs.
 
 use crate::fabric::FabricSpec;
+use crate::put;
 use metrics::recorder::{Completion, SharedRecorder};
 use netsim::packet::{AckInfo, DataInfo, Packet, PacketKind};
 use netsim::{FastMap, FlowId, NodeId, PairId, Time, DATA_OVERHEAD};
@@ -257,7 +262,8 @@ pub struct Endpoint {
     payload_per_pkt: u32,
     meter_tau: Time,
     /// `PairId` → slot, lookup-only. A slot is created by the first
-    /// `submit` or `on_data` that names the pair and is never removed.
+    /// `submit` or `on_data` that names the pair (or probe arrival, via
+    /// `slot_or_insert`) and removed by `release`.
     index: FastMap<PairId, u32>,
     ids: Vec<PairId>,
     send: Vec<SendState>,
@@ -266,6 +272,8 @@ pub struct Endpoint {
     /// the four functions that mutate `msgs`/`retx`: `submit_at`,
     /// `next_segment_at`, `check_timeouts_at`, `clear_backlog`.
     sendable: Vec<bool>,
+    /// Released slots, reused before the columns grow.
+    free: Vec<u32>,
 }
 
 impl Endpoint {
@@ -290,6 +298,7 @@ impl Endpoint {
             send: Vec::new(),
             recv: Vec::new(),
             sendable: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -304,18 +313,42 @@ impl Endpoint {
         self.index.get(&pair).copied()
     }
 
-    /// The pair's slot, created empty on first sight.
+    /// The pair's slot, created empty on first sight (a released one if
+    /// there is one).
     pub(crate) fn slot_or_insert(&mut self, pair: PairId) -> u32 {
         if let Some(&s) = self.index.get(&pair) {
             return s;
         }
-        let s = self.ids.len() as u32;
+        let s = self.free.pop().unwrap_or(self.ids.len() as u32);
+        let i = s as usize;
+        put(&mut self.ids, i, pair);
+        put(&mut self.send, i, SendState::new(self.meter_tau));
+        put(&mut self.recv, i, RecvState::default());
+        put(&mut self.sendable, i, false);
         self.index.insert(pair, s);
-        self.ids.push(pair);
-        self.send.push(SendState::new(self.meter_tau));
-        self.recv.push(RecvState::default());
-        self.sendable.push(false);
         s
+    }
+
+    /// No message, outstanding segment or retransmission is held for the
+    /// pair in slot `s`: nothing it owns can send or be acked any more.
+    pub(crate) fn idle_at(&self, s: u32) -> bool {
+        let st = &self.send[s as usize];
+        st.msgs.is_empty() && st.outstanding.is_empty() && st.retx.is_empty()
+    }
+
+    /// Drop the pair's state and put its slot on the free list. The
+    /// caller guarantees nothing names the pair here again.
+    pub(crate) fn release(&mut self, pair: PairId) {
+        if let Some(s) = self.index.remove(&pair) {
+            self.send[s as usize] = SendState::new(self.meter_tau);
+            self.recv[s as usize] = RecvState::default();
+            self.free.push(s);
+        }
+    }
+
+    /// Slots holding a pair now, and the most ever held at once.
+    pub(crate) fn slot_use(&self) -> (usize, usize) {
+        (self.index.len(), self.ids.len())
     }
 
     /// The pair a slot belongs to.
@@ -448,12 +481,14 @@ impl Endpoint {
         self.sendable[s as usize]
     }
 
-    /// The first pair whose ready bit is clear although it has a segment
-    /// to send — the `ReadySetSound` invariant's endpoint half.
+    /// The lowest pair whose ready bit is clear although it has a
+    /// segment to send — the `ReadySetSound` invariant's endpoint half.
+    /// (Lowest, not first by slot: slot order depends on reuse.)
     pub(crate) fn stale_ready_bit(&self) -> Option<PairId> {
         (0..self.ids.len() as u32)
-            .find(|&s| !self.sendable_at(s) && self.peek_segment_at(s).is_some())
+            .filter(|&s| !self.sendable_at(s) && self.peek_segment_at(s).is_some())
             .map(|s| self.pair_at(s))
+            .min()
     }
 
     /// Fault injection: clear a pair's ready bit behind the endpoint's
@@ -1006,6 +1041,64 @@ mod tests {
     }
 
     proptest! {
+        /// Random naming and releasing of pairs against a `BTreeMap`
+        /// model: live slots are distinct, a released pair is not found,
+        /// a reused slot starts empty whatever the pair before it left
+        /// there, and the slot columns grow only past the most pairs
+        /// ever live at once.
+        #[test]
+        fn release_and_reuse_keep_slots_exact(
+            ops in prop::collection::vec((0u8..3, 0u32..12), 1..150),
+        ) {
+            let mut f = FabricSpec::new(1e9);
+            let t = f.add_tenant("t", 1.0);
+            let (a, b) = (f.add_vm(t, NodeId(0)), f.add_vm(t, NodeId(1)));
+            let pairs: Vec<PairId> = (0..12).map(|_| f.add_pair(a, b)).collect();
+            let f = Arc::new(f);
+            let mut ep = endpoint(NodeId(0), &f);
+            let mut model: BTreeMap<PairId, u32> = BTreeMap::new();
+            let mut peak = 0;
+            for (step, &(op, k)) in ops.iter().enumerate() {
+                let pair = pairs[k as usize];
+                let now = step as Time * US;
+                match op {
+                    0 | 1 => {
+                        let fresh = !model.contains_key(&pair);
+                        let s = if op == 0 {
+                            ep.submit(now, AppMsg::oneway(step as u64, pair, 3000, 0));
+                            ep.slot(pair).unwrap()
+                        } else {
+                            ep.slot_or_insert(pair)
+                        };
+                        if fresh && op == 1 {
+                            prop_assert!(ep.idle_at(s) && !ep.sendable_at(s));
+                            prop_assert_eq!((ep.inflight_at(s), ep.last_activity_at(s)), (0, 0));
+                            prop_assert_eq!((ep.acked_bytes(pair), ep.backlog_bytes(pair)), (0, 0));
+                            prop_assert!(ep.peek_segment_at(s).is_none());
+                        }
+                        // Leave state behind for whoever reuses the slot.
+                        ep.next_segment_at(now, s);
+                        model.insert(pair, s);
+                    }
+                    _ => {
+                        ep.release(pair);
+                        model.remove(&pair);
+                        prop_assert_eq!(ep.slot(pair), None);
+                        prop_assert_eq!(ep.inflight(pair), 0);
+                    }
+                }
+                peak = peak.max(model.len());
+                let slots: BTreeSet<u32> = model.values().copied().collect();
+                prop_assert_eq!(slots.len(), model.len(), "step {}", step);
+                for (&p, &s) in &model {
+                    prop_assert_eq!((ep.slot(p), ep.pair_at(s)), (Some(s), p));
+                }
+                prop_assert_eq!(ep.slot_use(), (model.len(), ep.ids.len()));
+                prop_assert!(ep.ids.len() <= peak);
+                prop_assert_eq!(ep.stale_ready_bit(), None);
+            }
+        }
+
         /// The ready bit equals its definition after any interleaving of
         /// the functions that touch the send queues (and of acks, which
         /// must not): clear implies `peek_segment` is `None`.

@@ -62,3 +62,13 @@ pub use core_agent::{CoreHwCfg, UfabCore};
 pub use edge::UfabEdge;
 pub use endpoint::AppMsg;
 pub use fabric::FabricSpec;
+
+/// Set slot `s` of a slot-indexed column to `v`, growing the column when
+/// `s` is one past its end (a new slot) and overwriting a reused one.
+pub(crate) fn put<T>(col: &mut Vec<T>, s: usize, v: T) {
+    if s == col.len() {
+        col.push(v);
+    } else {
+        col[s] = v;
+    }
+}

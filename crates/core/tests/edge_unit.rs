@@ -1,6 +1,6 @@
 //! Unit-level tests of the μFAB-E agent, driven through a standalone
 //! `EdgeCtx` (no simulator): activation, probing, registration,
-//! response handling, idle deregistration.
+//! response handling, idle deregistration, retirement.
 
 use metrics::recorder;
 use netsim::agent::{EdgeAgent, EdgeCtx, Effects, NicView};
@@ -17,6 +17,9 @@ use ufab::{FabricSpec, UfabConfig, UfabEdge};
 struct Harness {
     agent: UfabEdge,
     rng: SmallRng,
+    /// Every packet the agent sends is in the network until a test hands
+    /// it back with [`Harness::deliver`].
+    arena: PacketArena,
     now: u64,
     host: NodeId,
     /// The incoming direction of the pair (this host is its destination).
@@ -45,6 +48,7 @@ impl Harness {
             Self {
                 agent,
                 rng: SmallRng::seed_from_u64(1),
+                arena: PacketArena::default(),
                 now: 0,
                 host,
                 rev,
@@ -55,7 +59,6 @@ impl Harness {
 
     fn with_ctx<R>(&mut self, f: impl FnOnce(&mut UfabEdge, &mut EdgeCtx) -> R) -> (R, Effects) {
         let mut fx = Effects::new();
-        let mut arena = PacketArena::default();
         let nic = NicView {
             queue_pkts: 0,
             queue_bytes: 0,
@@ -63,11 +66,33 @@ impl Harness {
             cap_bps: 10_000_000_000,
         };
         let r = {
-            let mut ctx =
-                EdgeCtx::standalone(self.now, self.host, nic, &mut self.rng, &mut fx, &mut arena);
+            let mut ctx = EdgeCtx::standalone(
+                self.now,
+                self.host,
+                nic,
+                &mut self.rng,
+                &mut fx,
+                &mut self.arena,
+            );
             f(&mut self.agent, &mut ctx)
         };
         (r, fx)
+    }
+
+    /// Take the packets out of the network: each one is delivered (or
+    /// dropped) somewhere, whatever a test then does with its copy.
+    fn deliver(&mut self, mut fx: Effects) -> Vec<Packet> {
+        let sends = fx.take_sends();
+        let copies = sends.iter().map(|b| (**b).clone()).collect();
+        sends.into_iter().for_each(|b| self.arena.recycle(b));
+        copies
+    }
+
+    /// One control tick at `now += dt`; its packets are delivered.
+    fn tick(&mut self, dt: u64) -> Vec<Packet> {
+        self.now += dt;
+        let (_, fx) = self.with_ctx(|a, ctx| a.on_timer(ctx, 1));
+        self.deliver(fx)
     }
 }
 
@@ -149,27 +174,7 @@ fn idle_pair_sends_finish_and_deactivates() {
     // A tiny message that is fully sent immediately.
     let (_, _fx) = h.with_ctx(|a, ctx| a.submit(ctx, AppMsg::oneway(1, pair, 500, 0)));
     // Pretend the single data packet got acked so the pair drains.
-    let ack = Packet {
-        src: NodeId(1),
-        dst: h.host,
-        pair,
-        tenant: netsim::TenantId(0),
-        size: 64,
-        kind: PacketKind::Ack(netsim::packet::AckInfo {
-            seq: 0,
-            cum: 1,
-            echo_ts: 0,
-            ecn: false,
-            max_util: 0.0,
-            grant_bps: 0.0,
-            payload: 500,
-        }),
-        route: netsim::Route::new(),
-        hop: 0,
-        ecn: false,
-        max_util: 0.0,
-        sent_at: 0,
-    };
+    let ack = ack_of_500_bytes(pair, h.host);
     h.now += 10 * US;
     h.with_ctx(|a, ctx| a.on_packet(ctx, ack));
     // Advance past the idle_finish threshold and run control ticks.
@@ -278,4 +283,88 @@ fn endpoint_slots_stay_valid_across_restart() {
         .iter()
         .any(|p| matches!(p.kind, PacketKind::Response(_))));
     h.agent.check_ready_set().unwrap();
+}
+
+#[test]
+fn retired_pair_is_released_only_once_none_of_its_packets_is_left() {
+    let (mut h, pair) = Harness::new();
+    let (_, fx) = h.with_ctx(|a, ctx| a.submit(ctx, AppMsg::oneway(1, pair, 500, 0)));
+    h.deliver(fx);
+    h.now += 10 * US;
+    let ack = ack_of_500_bytes(pair, h.host);
+    let (_, fx) = h.with_ctx(|a, ctx| a.on_packet(ctx, ack));
+    h.deliver(fx);
+    // Idle: the pair deactivates and sends its finish; the echo comes
+    // back acknowledged by every switch.
+    let finish = h.tick(2 * MS);
+    let mut echo = finish
+        .into_iter()
+        .find(|p| matches!(p.kind, PacketKind::Finish(_)))
+        .expect("a finish probe");
+    let PacketKind::Finish(mut frame) = echo.kind else {
+        unreachable!()
+    };
+    (frame.forward, frame.acks) = (false, vec![true; 8]);
+    (echo.kind, echo.src, echo.dst) = (PacketKind::FinishAck(frame), echo.dst, echo.src);
+    let (_, fx) = h.with_ctx(|a, ctx| a.on_packet(ctx, echo));
+    h.deliver(fx);
+    assert_eq!(h.agent.is_active(pair), Some(false));
+
+    // Retired with one of its packets still out there (a late duplicate,
+    // say): every tick keeps the pair's state until the packet is gone.
+    h.agent.retire(pair);
+    let stray = h.arena.alloc(ack_of_500_bytes(pair, h.host));
+    for _ in 0..3 {
+        h.tick(MS);
+        assert!(h.agent.holds(pair));
+        assert_eq!(h.agent.is_active(pair), Some(false));
+    }
+    h.arena.recycle(stray);
+    h.tick(MS);
+    assert!(!h.agent.holds(pair));
+    assert_eq!(h.agent.is_active(pair), None);
+    assert_eq!(h.agent.slot_use(), [(0, 1), (0, 1)]);
+    h.agent.check_ready_set().unwrap();
+    // Its slots are the next pair's: the reverse pair, arriving fresh.
+    let probe = Packet {
+        src: NodeId(1),
+        dst: h.host,
+        pair: h.rev,
+        tenant: netsim::TenantId(0),
+        size: 90,
+        kind: PacketKind::Probe(telemetry::ProbeFrame::probe(h.rev.raw(), 0, 3.0, 1e4, 0)),
+        route: [netsim::PortNo(0), netsim::PortNo(0)].into(),
+        hop: 2,
+        ecn: false,
+        max_util: 0.0,
+        sent_at: 0,
+    };
+    let (_, fx) = h.with_ctx(|a, ctx| a.on_packet(ctx, probe));
+    h.deliver(fx);
+    assert_eq!(h.agent.slot_use(), [(0, 1), (1, 1)]);
+}
+
+/// The ack of `pair`'s first 500-byte segment, headed for `host`.
+fn ack_of_500_bytes(pair: netsim::PairId, host: NodeId) -> Packet {
+    Packet {
+        src: NodeId(1),
+        dst: host,
+        pair,
+        tenant: netsim::TenantId(0),
+        size: 64,
+        kind: PacketKind::Ack(netsim::packet::AckInfo {
+            seq: 0,
+            cum: 1,
+            echo_ts: 0,
+            ecn: false,
+            max_util: 0.0,
+            grant_bps: 0.0,
+            payload: 500,
+        }),
+        route: netsim::Route::new(),
+        hop: 0,
+        ecn: false,
+        max_util: 0.0,
+        sent_at: 0,
+    }
 }

@@ -77,6 +77,9 @@ pub struct Runner {
     /// Online invariant checkers, evaluated between run slices when
     /// installed via [`Runner::enable_invariants`].
     pub invariants: Option<InvariantSuite<Simulator>>,
+    /// Retired `(source host, pair)`s whose destination edge is told
+    /// once the source has let go of them ([`Runner::retire`]).
+    retiring: Vec<(NodeId, PairId)>,
 }
 
 impl Runner {
@@ -175,6 +178,7 @@ impl Runner {
             queue_series: Vec::new(),
             obs: ObsHandle::disabled(),
             invariants: None,
+            retiring: Vec::new(),
         }
     }
 
@@ -341,6 +345,28 @@ impl Runner {
             self.sample_queues();
             self.check_invariants_if_due();
         }
+        // A retired pair's destination edge is told once its source has
+        // let go of the pair.
+        let (sim, fabric) = (&mut self.sim, &self.fabric);
+        self.retiring.retain(|&(src, pair)| {
+            let held = sim.edge::<UfabEdge>(src).holds(pair);
+            if !held {
+                let dst = fabric.pair_dst_host(pair);
+                sim.edge_mut::<UfabEdge>(dst).retire(pair);
+            }
+            held
+        });
+    }
+
+    /// Retire a reclaimed μFAB tenant's `(source host, pair)`s at their
+    /// source edges; each destination edge is told at the end of the
+    /// first [`Runner::run`] after its source let go of the pair (see
+    /// `UfabEdge::retire`).
+    pub fn retire(&mut self, pairs: &[(NodeId, PairId)]) {
+        for &(src, pair) in pairs {
+            self.sim.edge_mut::<UfabEdge>(src).retire(pair);
+        }
+        self.retiring.extend_from_slice(pairs);
     }
 
     fn sample_queues(&mut self) {
@@ -496,6 +522,47 @@ mod tests {
         assert!(r.backlog(host, pair) > 0);
         r.clear_backlog(host, pair);
         assert_eq!(r.backlog(host, pair), 0);
+    }
+
+    /// A pair retired while its data is in flight keeps its state at both
+    /// edges until everything of it has left the network and gone idle,
+    /// is then released at both — source first — and the run is the run
+    /// without the retirement, event for event.
+    #[test]
+    fn retiring_a_pair_mid_flight_defers_its_release_and_changes_nothing() {
+        let run = |retire: bool| {
+            let topo = dumbbell(1, 10, 10);
+            let (fabric, pair) = small_fabric(&topo);
+            let (src, dst) = (topo.hosts[0], topo.hosts[1]);
+            let mut r = Runner::new(topo, fabric, SystemKind::Ufab, 1, None, MS);
+            r.sim.enable_det_hash();
+            r.inject(src, AppMsg::oneway(1, pair, 200_000, 0));
+            let mut none: [&mut dyn Driver; 0] = [];
+            r.run(50 * US, SLICE, &mut none);
+            assert!(r.sim.packets_in_flight() > 0);
+            let held = |r: &Runner| {
+                let at = |h| r.sim.edge::<UfabEdge>(h).holds(pair);
+                (at(src), at(dst))
+            };
+            if retire {
+                r.retire(&[(src, pair)]);
+            }
+            let mut seen = vec![held(&r)];
+            for k in 1..=40 {
+                r.run(50 * US + k * MS / 2, SLICE, &mut none);
+                seen.dedup();
+                seen.push(held(&r));
+            }
+            seen.dedup();
+            let delivered = r.rec.lock().unwrap().delivered_bytes;
+            (seen, delivered, r.sim.stats().events, r.sim.det_digest())
+        };
+        let ends = |o: &(Vec<(bool, bool)>, u64, u64, Option<u64>)| (o.1, o.2, o.3);
+        let (kept, retired) = (run(false), run(true));
+        assert_eq!(kept.0, [(true, true)]);
+        assert_eq!(retired.0, [(true, true), (false, true), (false, false)]);
+        assert_eq!(retired.1, 200_000);
+        assert_eq!(ends(&retired), ends(&kept));
     }
 
     #[test]

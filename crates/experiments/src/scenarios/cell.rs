@@ -260,6 +260,8 @@ pub(crate) struct Cell {
     driver: ChurnDriver,
     /// Acked bytes of each pair when its tenant last entered `Qualifying`.
     baselines: Vec<Vec<u64>>,
+    /// Tenants whose pairs were handed to [`Runner::retire`].
+    retired: Vec<bool>,
     fsuite: InvariantSuite<FabricService>,
     /// The core switch that fails at `tl.fault_at`, until it has.
     pending_fault: Option<NodeId>,
@@ -349,6 +351,7 @@ impl Cell {
         fsuite.register(Box::new(QualifyingStagger::new(STAGGER_BOUND)));
         Cell {
             baselines: vec![Vec::new(); plan.admitted.len()],
+            retired: vec![false; plan.admitted.len()],
             driver: ChurnDriver::new(programs, scale.seed ^ 0x5eed, 0),
             pending_fault: core_fault.then_some(dead_core),
             tl,
@@ -366,8 +369,9 @@ impl Cell {
 
     /// Advance one [`STEP`]: run the simulator, commit every planned
     /// admission decided by then, fire the departures and reclaims due,
-    /// re-qualify across the fault, and poll the qualification signal.
-    /// Returns `false`, having done nothing, once the horizon is reached.
+    /// retire the pairs of the tenants just reclaimed, re-qualify across
+    /// the fault, and poll the qualification signal. Returns `false`,
+    /// having done nothing, once the horizon is reached.
     pub(crate) fn step(&mut self) -> bool {
         if self.now >= self.tl.horizon {
             return false;
@@ -385,6 +389,12 @@ impl Cell {
         self.svc.advance(now);
         for i in first_new..self.svc.tenants().len() {
             self.baselines[i] = self.r.acked_baseline(&self.tenant_pairs[i]);
+        }
+        for (i, t) in self.svc.tenants().iter().enumerate() {
+            if t.state == TenantState::Reclaimed && !self.retired[i] {
+                self.retired[i] = true;
+                self.r.retire(&self.tenant_pairs[i]);
+            }
         }
         // Chaos interop: at the fault instant, every guaranteed tenant
         // whose current route crosses the dead switch re-qualifies
@@ -538,6 +548,61 @@ mod tests {
             (1, 3 * MS, 9 * MS)
         );
         assert!(program.pairs.iter().map(|&(src, p, _)| (src, p)).eq(pairs));
+    }
+
+    /// Retirement on the 64-server churn cell: by the horizon no edge
+    /// holds any state of a reclaimed tenant, and the per-pair slots the
+    /// edges ever held at once follow the pairs active at once, not the
+    /// pairs the run has seen.
+    #[test]
+    fn reclaimed_tenants_leave_no_pair_state_behind() {
+        let scale = hook_scale(1, Some(64), false);
+        let planned = Planned::new(&scale, fabric::Policy::FirstFit, 64);
+        let ucfg = UfabConfig {
+            core_cleanup_period: 5 * MS,
+            ..UfabConfig::default()
+        };
+        let mut cell = Cell::build(&scale, planned, ucfg, true, |_, kind, guar| {
+            demand_for(kind, guar, 1.0)
+        });
+        fn edge(cell: &Cell, h: NodeId) -> &UfabEdge {
+            cell.r.sim.edge(h)
+        }
+        let mut peak_active = 0;
+        while cell.step() {
+            let active = (cell.tenant_pairs.iter().flatten())
+                .filter(|&&(src, p)| edge(&cell, src).is_active(p) == Some(true))
+                .count();
+            peak_active = peak_active.max(active);
+        }
+        let ever: usize = cell.tenant_pairs.iter().map(Vec::len).sum();
+        for (i, pairs) in cell.tenant_pairs.iter().enumerate() {
+            assert_eq!(cell.svc.tenants()[i].state, TenantState::Reclaimed);
+            for &(src, p) in pairs {
+                let dst = cell.r.fabric.pair_dst_host(p);
+                assert!(!edge(&cell, src).holds(p), "{p} still held at its source");
+                assert!(
+                    !edge(&cell, dst).holds(p),
+                    "{p} still held at its destination"
+                );
+            }
+        }
+        let (mut rows, mut slots) = (0, 0);
+        for &h in &cell.r.topo.hosts {
+            let [(_, r), (_, e)] = edge(&cell, h).slot_use();
+            (rows, slots) = (rows + r, slots + e);
+        }
+        // Seed 1: 760 pairs, at most 98 active at once; every pair has a
+        // row at its source and a slot at both ends.
+        assert!(ever > 4 * peak_active, "{ever} pairs, {peak_active} active");
+        assert!(
+            rows <= 2 * peak_active,
+            "{rows} rows for {peak_active} active"
+        );
+        assert!(
+            slots <= 2 * 2 * peak_active,
+            "{slots} slots for {peak_active} active"
+        );
     }
 
     #[test]

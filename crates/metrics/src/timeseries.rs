@@ -9,10 +9,13 @@
 use crate::{bps, Nanos};
 use std::collections::BTreeMap;
 
-/// Accumulates byte deltas into fixed-width time bins.
+/// Accumulates byte deltas into fixed-width time bins. Only the series'
+/// own span is stored — `bins[k]` is bin `first + k` — so a pair that
+/// lived 5 ms late in a run holds 5 bins; bins outside it read as zero.
 #[derive(Debug, Clone)]
 pub struct RateSeries {
     bin_ns: Nanos,
+    first: usize,
     bins: Vec<u64>,
 }
 
@@ -25,6 +28,7 @@ impl RateSeries {
         assert!(bin_ns > 0, "bin width must be positive");
         Self {
             bin_ns,
+            first: 0,
             bins: Vec::new(),
         }
     }
@@ -32,10 +36,26 @@ impl RateSeries {
     /// Record `bytes` delivered at absolute time `now`.
     pub fn add(&mut self, now: Nanos, bytes: u64) {
         let idx = (now / self.bin_ns) as usize;
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, 0);
+        if self.bins.is_empty() {
+            self.first = idx;
+        } else if idx < self.first {
+            let pad = self.first - idx;
+            self.bins.splice(0..0, std::iter::repeat_n(0, pad));
+            self.first = idx;
         }
-        self.bins[idx] += bytes;
+        let k = idx - self.first;
+        if k >= self.bins.len() {
+            self.bins.resize(k + 1, 0);
+        }
+        self.bins[k] += bytes;
+    }
+
+    /// Bytes of bin `i` (0 outside the span).
+    fn bin(&self, i: usize) -> u64 {
+        i.checked_sub(self.first)
+            .and_then(|k| self.bins.get(k))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Total bytes across all bins.
@@ -43,9 +63,9 @@ impl RateSeries {
         self.bins.iter().sum()
     }
 
-    /// Rate (bits/sec) of bin `i` (0.0 past the end).
+    /// Rate (bits/sec) of bin `i` (0.0 outside the span).
     pub fn rate_at(&self, i: usize) -> f64 {
-        bps(self.bins.get(i).copied().unwrap_or(0), self.bin_ns)
+        bps(self.bin(i), self.bin_ns)
     }
 
     /// Average rate (bits/sec) over `[from, to)`.
@@ -55,9 +75,7 @@ impl RateSeries {
         }
         let b0 = (from / self.bin_ns) as usize;
         let b1 = ((to + self.bin_ns - 1) / self.bin_ns) as usize;
-        let bytes: u64 = (b0..b1)
-            .map(|i| self.bins.get(i).copied().unwrap_or(0))
-            .sum();
+        let bytes: u64 = (b0..b1).map(|i| self.bin(i)).sum();
         bps(bytes, to - from)
     }
 }
@@ -103,12 +121,25 @@ mod tests {
         s.add(0, 1000);
         s.add(MS - 1, 1000);
         s.add(MS, 500);
-        assert_eq!(s.bins.len(), 2);
+        assert_eq!((s.first, s.bins.len()), (0, 2));
         assert_eq!(s.total_bytes(), 2500);
         // 2000 bytes in 1 ms = 16 Mbps.
         assert!((s.rate_at(0) - 16e6).abs() < 1.0);
         assert!((s.rate_at(1) - 4e6).abs() < 1.0);
         assert_eq!(s.rate_at(99), 0.0);
+    }
+
+    #[test]
+    fn a_late_series_holds_only_its_span() {
+        let mut s = RateSeries::new(MS);
+        s.add(60 * MS, 1000);
+        s.add(64 * MS, 1000);
+        assert_eq!((s.first, s.bins.len()), (60, 5));
+        s.add(58 * MS, 500);
+        assert_eq!((s.first, s.bins.len()), (58, 7));
+        assert_eq!(s.rate_at(57), 0.0);
+        assert!((s.rate_at(58) - 4e6).abs() < 1.0);
+        assert_eq!(s.total_bytes(), 2500);
     }
 
     #[test]

@@ -165,6 +165,40 @@ proptest! {
         prop_assert!((avg - expect).abs() / expect.max(1.0) < 1e-9);
     }
 
+    /// A series that stores only its own span answers every query as a
+    /// grid zero-padded from t = 0 does, bit for bit — adds landing
+    /// before its first bin included.
+    #[test]
+    fn rate_series_span_equals_a_dense_grid(
+        events in prop::collection::vec((0u64..200, 0u64..1_000_000), 1..100),
+        queries in prop::collection::vec((0u64..660, 0u64..660), 1..20),
+    ) {
+        let bin = 1_000_000u64;
+        let mut s = RateSeries::new(bin);
+        let mut dense = vec![0u64; 220];
+        for &(t, b) in &events {
+            // Times within a bin vary too: 1/7 of a bin per step of `b`.
+            let now = t * bin + (b % 7) * bin / 7;
+            s.add(now, b);
+            dense[t as usize] += b;
+        }
+        let rate = |bytes: u64, ns: u64| bytes as f64 * 8.0 * 1e9 / ns as f64;
+        prop_assert_eq!(s.total_bytes(), dense.iter().sum::<u64>());
+        for (i, &d) in dense.iter().enumerate() {
+            prop_assert_eq!(s.rate_at(i).to_bits(), rate(d, bin).to_bits(), "bin {}", i);
+        }
+        for &(a, b) in &queries {
+            let (from, to) = (a * bin / 3, b * bin / 3);
+            let want = if to <= from {
+                0.0
+            } else {
+                let b1 = ((to + bin - 1) / bin) as usize;
+                rate(dense[(from / bin) as usize..b1].iter().sum(), to - from)
+            };
+            prop_assert_eq!(s.avg_rate(from, to).to_bits(), want.to_bits());
+        }
+    }
+
     /// The dissatisfaction ratio always lands in [0, 1].
     #[test]
     fn dissatisfaction_in_unit_range(

@@ -1,6 +1,6 @@
 //! Agent traits: the plug points for transports and switch dataplanes.
 
-use crate::ids::{NodeId, PortNo};
+use crate::ids::{NodeId, PairId, PortNo};
 use crate::msg::Inject;
 use crate::packet::{Packet, PacketArena};
 use crate::time::Time;
@@ -78,6 +78,13 @@ impl EdgeCtx<'_> {
     /// index `pkt.hop` (hosts have a single NIC: `PortNo(0)`).
     pub fn send(&mut self, pkt: Packet) {
         self.effects.sends.push(self.arena.alloc(pkt));
+    }
+
+    /// Packets of `pair` in the network right now, in either direction:
+    /// sent (this callback's sends included) and not yet delivered or
+    /// dropped.
+    pub fn in_network(&self, pair: PairId) -> u32 {
+        self.arena.in_network(pair)
     }
 
     /// Schedule `on_timer(kind)` at absolute time `at` (clamped to now).

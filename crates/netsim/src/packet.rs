@@ -206,7 +206,9 @@ impl ArenaStats {
 /// whenever the simulator is between events. The `PacketArenaBalance`
 /// invariant (registered by the experiment harness) checks this
 /// online, so a leaked or double-freed box is caught during the run
-/// rather than as an unexplained slowdown.
+/// rather than as an unexplained slowdown. The same two points keep a
+/// per-pair count of the packets out there ([`PacketArena::in_network`]):
+/// an edge may forget a pair only when none of its packets is left.
 #[derive(Debug, Default)]
 pub struct PacketArena {
     // The free list *is* a stash of boxes — the whole point is to keep
@@ -216,6 +218,8 @@ pub struct PacketArena {
     allocated: u64,
     recycled: u64,
     fresh: u64,
+    /// Outstanding boxes per `PairId` (grown on demand).
+    in_network: Vec<u32>,
 }
 
 impl PacketArena {
@@ -223,6 +227,11 @@ impl PacketArena {
     #[inline]
     pub fn alloc(&mut self, pkt: Packet) -> Box<Packet> {
         self.allocated += 1;
+        let i = pkt.pair.idx();
+        if i >= self.in_network.len() {
+            self.in_network.resize(i + 1, 0);
+        }
+        self.in_network[i] += 1;
         match self.free.pop() {
             Some(mut b) => {
                 *b = pkt;
@@ -239,6 +248,7 @@ impl PacketArena {
     #[inline]
     pub fn recycle(&mut self, b: Box<Packet>) {
         self.recycled += 1;
+        self.in_network[b.pair.idx()] -= 1;
         self.free.push(b);
     }
 
@@ -248,8 +258,14 @@ impl PacketArena {
     pub(crate) fn unbox(&mut self, mut b: Box<Packet>) -> Packet {
         let pkt = std::mem::replace(&mut *b, Packet::shell());
         self.recycled += 1;
+        self.in_network[pkt.pair.idx()] -= 1;
         self.free.push(b);
         pkt
+    }
+
+    /// Packets of `pair` handed out and not yet delivered or dropped.
+    pub fn in_network(&self, pair: PairId) -> u32 {
+        self.in_network.get(pair.idx()).copied().unwrap_or(0)
     }
 
     /// Counter snapshot.
@@ -310,13 +326,16 @@ mod tests {
         let b2 = a.alloc(mk(PacketKind::Probe(ProbeFrame::probe(1, 0, 1.0, 0.0, 0))));
         assert_eq!(a.stats().fresh, 2);
         assert_eq!(a.stats().outstanding(), 2);
+        assert_eq!(a.in_network(PairId(0)), 2);
         // Delivery path: payload moves out, shell parks.
         let p = a.unbox(b1);
         assert!(matches!(p.kind, PacketKind::Probe(_)));
         assert_eq!(a.stats().outstanding(), 1);
+        assert_eq!(a.in_network(PairId(0)), 1);
         // Drop path: payload parks with the shell.
         a.recycle(b2);
         assert_eq!(a.stats().outstanding(), 0);
+        assert_eq!((a.in_network(PairId(0)), a.in_network(PairId(7))), (0, 0));
         assert_eq!(a.stats().free, 2);
         // Steady state: reuse, no fresh allocation.
         let b3 = a.alloc(mk(PacketKind::Data(DataInfo {
