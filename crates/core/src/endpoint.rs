@@ -761,22 +761,20 @@ mod tests {
         assert_eq!(segs.len(), 3);
         assert_eq!(tx.inflight(ab), 3000);
         assert!(!tx.has_backlog(ab));
-        let mut completions = 0;
+        let mut completions = Vec::new();
         for d in segs {
             let (ack, reply) = rx.on_data(100, &wrap(NodeId(0), NodeId(1), ab, d, 10));
             assert!(reply.is_none());
             let res = tx.on_ack(110, ab, &ack);
             assert!(res.valid);
-            completions += rx.recorder().lock().unwrap().drain_new_completions().len();
+            completions.extend(rx.recorder().lock().unwrap().drain_new_completions());
         }
-        assert_eq!(completions, 1);
         assert_eq!(tx.inflight(ab), 0);
-        let rec = rx.recorder().lock().unwrap();
-        assert_eq!(rec.completions.len(), 1);
-        assert_eq!(rec.completions[0].bytes, 3000);
-        assert_eq!(rec.completions[0].tag, 7);
-        assert_eq!(rec.completions[0].start, 0);
-        assert_eq!(rec.completions[0].end, 100);
+        assert_eq!(completions.len(), 1);
+        assert_eq!(completions[0].bytes, 3000);
+        assert_eq!(completions[0].tag, 7);
+        assert_eq!(completions[0].start, 0);
+        assert_eq!(completions[0].end, 100);
     }
 
     #[test]

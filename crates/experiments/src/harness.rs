@@ -1,7 +1,7 @@
 //! Simulator assembly and the experiment run loop.
 
 use baselines::edge::{BaselineCfg, BaselineEdge};
-use metrics::recorder::{self, Completion, SharedRecorder};
+use metrics::recorder::{self, SharedRecorder};
 use metrics::Percentiles;
 use netsim::{NodeId, PairId, PortNo, Simulator, Time, US};
 use obs::{InvariantSuite, ObsHandle};
@@ -324,7 +324,7 @@ impl Runner {
         assert!(slice > 0);
         self.sim.start();
         // Initial poll lets drivers seed their first messages.
-        let comps = self.drain_completions();
+        let comps = self.rec.lock().unwrap().drain_new_completions();
         for d in drivers.iter_mut() {
             d.poll(self, &comps);
         }
@@ -338,7 +338,7 @@ impl Runner {
                 .min(until)
                 .min(next_wake.max(self.sim.now() + 1));
             self.sim.run_until(target);
-            let comps = self.drain_completions();
+            let comps = self.rec.lock().unwrap().drain_new_completions();
             for d in drivers.iter_mut() {
                 d.poll(self, &comps);
             }
@@ -380,11 +380,6 @@ impl Runner {
             max_q = max_q.max(q);
         }
         self.queue_series.push((self.sim.now(), max_q));
-    }
-
-    /// Drain completions that arrived since the previous poll.
-    pub(crate) fn drain_completions(&mut self) -> Vec<Completion> {
-        self.rec.lock().unwrap().drain_new_completions()
     }
 
     /// The recorder itself, shared. Until ROADMAP 1(f).

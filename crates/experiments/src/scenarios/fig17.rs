@@ -190,7 +190,8 @@ pub(crate) fn run_cell(
     let (fabric, wl) = synthesize(&topo, load, duration, seed);
     let mut r = Runner::new(topo, fabric, system, seed, None, MS);
     let mut driver = BulkDriver::new(wl.jobs.clone(), 0);
-    let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
+    let mut done = Vec::new();
+    let mut drivers: [&mut dyn Driver; 2] = [&mut driver, &mut done];
     // Run past the arrival horizon to drain.
     r.run(duration + duration / 2, SLICE, &mut drivers);
 
@@ -271,7 +272,7 @@ pub(crate) fn run_cell(
         .iter()
         .map(|_| (Percentiles::new(), OnlineStats::new()))
         .collect();
-    for c in &rec.completions {
+    for c in &done {
         let guar = wl.pair_guar.get(c.pair as usize).copied().unwrap_or(1e9);
         let ideal_ns = c.bytes as f64 * 8.0 / guar * 1e9;
         let s = (c.fct() as f64 / ideal_ns.max(1.0)).max(0.0);

@@ -52,10 +52,9 @@ pub struct Recorder {
     /// so the store holds a count per distinct RTT once that is smaller
     /// than the sample list (112 KB for 1.9 M samples at 512 servers).
     pub rtts: Percentiles,
-    /// Completed messages, in completion order.
+    /// Completed messages not yet drained, in completion order (a run
+    /// that needs the whole history collects the drained batches).
     pub completions: Vec<Completion>,
-    /// Completions not yet consumed by a closed-loop driver.
-    unconsumed: usize,
     /// Total data bytes delivered (all pairs).
     pub delivered_bytes: u64,
     /// Count of data packets retransmitted after loss.
@@ -72,7 +71,6 @@ impl Recorder {
             tenant_rates: SeriesSet::new(bin_ns),
             rtts: Percentiles::new(),
             completions: Vec::new(),
-            unconsumed: 0,
             delivered_bytes: 0,
             retransmits: 0,
             path_migrations: 0,
@@ -97,12 +95,11 @@ impl Recorder {
         self.completions.push(c);
     }
 
-    /// Drain completions that arrived since the previous call. Closed-loop
-    /// workload drivers poll this between simulation slices.
+    /// Move out the completions that arrived since the previous call,
+    /// leaving none held. Closed-loop workload drivers poll this between
+    /// simulation slices.
     pub fn drain_new_completions(&mut self) -> Vec<Completion> {
-        let out = self.completions[self.unconsumed..].to_vec();
-        self.unconsumed = self.completions.len();
-        out
+        std::mem::take(&mut self.completions)
     }
 }
 
@@ -118,6 +115,7 @@ pub fn shared(bin_ns: Nanos) -> SharedRecorder {
 mod tests {
     use super::*;
     use crate::MS;
+    use proptest::prelude::*;
 
     #[test]
     fn delivery_feeds_both_series() {
@@ -163,7 +161,41 @@ mod tests {
         let second = r.drain_new_completions();
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].flow, 3);
-        // Full history still retained for end-of-run analysis.
-        assert_eq!(r.completions.len(), 3);
+        // Nothing is held once handed out.
+        assert!(r.completions.is_empty());
+    }
+
+    proptest! {
+        /// Over any interleaving of `complete` and
+        /// `drain_new_completions`, the drained batches hand out every
+        /// completion exactly once, in completion order, and a drain
+        /// leaves nothing held.
+        #[test]
+        fn every_completion_is_handed_out_once_in_order(
+            ops in prop::collection::vec(any::<bool>(), 0..200),
+        ) {
+            let mut r = Recorder::new(MS);
+            let mut completed = 0u64;
+            let mut handed = Vec::new();
+            for complete in ops {
+                if complete {
+                    r.complete(Completion {
+                        flow: completed,
+                        pair: 0,
+                        bytes: 1,
+                        start: 0,
+                        end: completed,
+                        tag: 0,
+                    });
+                    completed += 1;
+                } else {
+                    handed.extend(r.drain_new_completions().into_iter().map(|c| c.flow));
+                    prop_assert!(r.completions.is_empty());
+                }
+            }
+            handed.extend(r.drain_new_completions().into_iter().map(|c| c.flow));
+            prop_assert!(r.completions.is_empty());
+            prop_assert_eq!(handed, (0..completed).collect::<Vec<_>>());
+        }
     }
 }

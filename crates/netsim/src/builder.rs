@@ -3,7 +3,7 @@
 use crate::ids::{NodeId, PortNo};
 use crate::port::Port;
 use crate::time::{Time, US};
-use std::collections::HashMap;
+use crate::FastMap;
 
 /// Parameters of one unidirectional channel (one egress port).
 #[derive(Debug, Clone, Copy)]
@@ -81,8 +81,23 @@ pub struct Node {
     pub kind: NodeKind,
     /// Egress ports.
     pub ports: Vec<Port>,
-    /// ECMP table: destination host → candidate egress ports.
-    pub ecmp: HashMap<NodeId, Vec<PortNo>>,
+    /// Distinct ECMP groups (candidate egress ports in installed order),
+    /// each held once however many destinations share it.
+    groups: Vec<Box<[PortNo]>>,
+    /// Destination node index → its group in `groups`, or [`NO_GROUP`].
+    group_of: Vec<u16>,
+}
+
+/// `Node::group_of` entry of a destination with no ECMP group.
+const NO_GROUP: u16 = u16::MAX;
+
+impl Node {
+    /// The ECMP group for destination `dst`: the candidate egress ports,
+    /// or `None` if no entry was installed.
+    pub fn ecmp(&self, dst: NodeId) -> Option<&[PortNo]> {
+        let g = *self.group_of.get(dst.idx())?;
+        (g != NO_GROUP).then(|| &*self.groups[g as usize])
+    }
 }
 
 /// The finished network handed to [`crate::Simulator`].
@@ -96,6 +111,8 @@ pub struct Network {
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
     nodes: Vec<Node>,
+    /// `(node, port list)` → that node's group index, for interning.
+    interned: FastMap<(NodeId, Vec<PortNo>), u16>,
 }
 
 impl NetworkBuilder {
@@ -109,7 +126,8 @@ impl NetworkBuilder {
         self.nodes.push(Node {
             kind,
             ports: Vec::new(),
-            ecmp: HashMap::new(),
+            groups: Vec::new(),
+            group_of: Vec::new(),
         });
         id
     }
@@ -168,10 +186,31 @@ impl NetworkBuilder {
     }
 
     /// Install an ECMP entry: at `node`, traffic for destination host
-    /// `dst` may leave through any of `ports`.
+    /// `dst` may leave through any of `ports`, replacing an earlier entry.
+    /// A list equal to one `node` holds, in the same order, shares its group.
+    ///
+    /// # Panics
+    /// Panics on an empty list, a port `node` lacks, or more distinct
+    /// groups at `node` than a `u16` indexes.
     pub fn set_ecmp(&mut self, node: NodeId, dst: NodeId, ports: Vec<PortNo>) {
         assert!(!ports.is_empty(), "empty ECMP group");
-        self.nodes[node.idx()].ecmp.insert(dst, ports);
+        let n_dsts = self.nodes.len().max(dst.idx() + 1);
+        let n = &mut self.nodes[node.idx()];
+        let n_ports = n.ports.len();
+        if let Some(p) = ports.iter().find(|p| p.idx() >= n_ports) {
+            panic!("ECMP port {p} out of range at {node} ({n_ports} ports)");
+        }
+        let g = *self
+            .interned
+            .entry((node, ports))
+            .or_insert_with_key(|(_, ports)| {
+                let g = n.groups.len() as u16;
+                assert!(g != NO_GROUP, "more than {NO_GROUP} ECMP groups at {node}");
+                n.groups.push(ports.as_slice().into());
+                g
+            });
+        n.group_of.resize(n.group_of.len().max(n_dsts), NO_GROUP);
+        n.group_of[dst.idx()] = g;
     }
 
     /// Finish construction.
@@ -183,6 +222,8 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn connect_creates_paired_ports() {
@@ -217,6 +258,74 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let h = b.add_host();
         b.connect(h, h, LinkSpec::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "ECMP port PortNo(2) out of range at NodeId(1) (2 ports)")]
+    fn ecmp_port_beyond_the_node_rejected() {
+        let mut b = NetworkBuilder::new();
+        let h = b.add_host();
+        let s = b.add_switch();
+        b.connect(h, s, LinkSpec::default());
+        b.connect(h, s, LinkSpec::default());
+        b.set_ecmp(s, h, vec![PortNo(1), PortNo(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 65535 ECMP groups at NodeId(1)")]
+    fn ecmp_groups_beyond_the_u16_index_rejected() {
+        let mut b = NetworkBuilder::new();
+        let h = b.add_host();
+        let s = b.add_switch();
+        for _ in 0..256 {
+            b.connect(h, s, LinkSpec::default());
+        }
+        // 256 × 256 distinct two-port lists: the last has no index left.
+        for i in 0..256 {
+            for j in 0..256 {
+                b.set_ecmp(s, h, vec![PortNo(i), PortNo(j)]);
+            }
+        }
+    }
+
+    proptest! {
+        /// Random `set_ecmp` sequences, with repeated lists and repeated
+        /// (node, dst) entries, against a `HashMap` model of the table
+        /// the interned groups replace: every node answers every
+        /// destination index as the model does, and holds each distinct
+        /// list at most once.
+        #[test]
+        fn interned_groups_answer_as_a_per_destination_map(
+            ops in prop::collection::vec(
+                (0u32..4, 0u32..6, prop::collection::vec(0u16..3, 1..4)),
+                1..120,
+            ),
+        ) {
+            let mut b = NetworkBuilder::new();
+            let ids: Vec<NodeId> = (0..4).map(|_| b.add_switch()).collect();
+            for (i, &x) in ids.iter().enumerate() {
+                for &y in &ids[i + 1..] {
+                    b.connect(x, y, LinkSpec::default());
+                }
+            }
+            let mut model: HashMap<(NodeId, NodeId), Vec<PortNo>> = HashMap::new();
+            for (node, dst, ports) in ops {
+                let ports: Vec<PortNo> = ports.into_iter().map(PortNo).collect();
+                b.set_ecmp(NodeId(node), NodeId(dst), ports.clone());
+                model.insert((NodeId(node), NodeId(dst)), ports);
+            }
+            let net = b.build();
+            for (i, n) in net.nodes.iter().enumerate() {
+                let node = NodeId(i as u32);
+                for dst in (0..8).map(NodeId) {
+                    prop_assert_eq!(n.ecmp(dst), model.get(&(node, dst)).map(Vec::as_slice));
+                }
+                let mut held = n.groups.clone();
+                held.sort();
+                held.dedup();
+                prop_assert_eq!(held.len(), n.groups.len());
+            }
+        }
     }
 
     #[test]

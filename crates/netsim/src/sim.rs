@@ -351,8 +351,7 @@ impl Simulator {
             pkt.route[pkt.hop]
         } else {
             // ECMP fallback.
-            let n = &self.nodes[node.idx()];
-            let Some(group) = n.ecmp.get(&pkt.dst) else {
+            let Some(group) = self.nodes[node.idx()].ecmp(pkt.dst) else {
                 debug_assert!(false, "no route at {node} for dst {}", pkt.dst);
                 self.arena.recycle(pkt);
                 return;

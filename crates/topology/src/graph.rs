@@ -386,6 +386,90 @@ mod tests {
         t
     }
 
+    /// The ECMP tables `install_ecmp` hands to the simulator equal, for
+    /// every (switch, host), the group recomputed the way the tables
+    /// were built before groups were interned: every port whose peer is
+    /// one hop nearer to the host, in adjacency order. Runs on the
+    /// 64-, 128- and 512-server fabrics at both core counts.
+    #[test]
+    fn installed_ecmp_groups_equal_the_shortest_hop_ports() {
+        use crate::shapes::{three_tier, ThreeTierCfg};
+        let small = |pods, cores| ThreeTierCfg {
+            pods,
+            tors_per_pod: 4,
+            hosts_per_tor: 8,
+            aggs_per_pod: 4,
+            cores,
+            ..ThreeTierCfg::default()
+        };
+        for cfg in [
+            small(2, 8),
+            small(2, 16),
+            small(4, 8),
+            small(4, 16),
+            ThreeTierCfg::paper_512(16),
+            ThreeTierCfg::paper_512(32),
+        ] {
+            let mut t = three_tier(cfg);
+            t.install_ecmp();
+            let switches: Vec<NodeId> = t
+                .tors
+                .iter()
+                .chain(&t.aggs)
+                .chain(&t.cores)
+                .copied()
+                .collect();
+            let oracle: Vec<Vec<Vec<PortNo>>> = t
+                .hosts
+                .iter()
+                .map(|&h| {
+                    let dist = t.dist_to(h);
+                    switches
+                        .iter()
+                        .map(|sw| {
+                            t.neighbors(*sw)
+                                .iter()
+                                .filter(|a| {
+                                    dist[a.peer.idx()] != usize::MAX
+                                        && dist[sw.idx()] != usize::MAX
+                                        && dist[a.peer.idx()] + 1 == dist[sw.idx()]
+                                })
+                                .map(|a| a.port)
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let net = t.take_network();
+            let mut most = 0;
+            for (s, sw) in switches.iter().enumerate() {
+                let node = &net.nodes[sw.idx()];
+                let mut distinct = std::collections::HashSet::new();
+                for (h, &host) in t.hosts.iter().enumerate() {
+                    let want = &oracle[h][s];
+                    let got = node.ecmp(host);
+                    assert_eq!(
+                        got,
+                        (!want.is_empty()).then_some(want.as_slice()),
+                        "{sw} → {host}"
+                    );
+                    distinct.extend(got);
+                }
+                assert!(
+                    distinct.len() <= node.ports.len() + 1,
+                    "{sw}: {} groups",
+                    distinct.len()
+                );
+                most = most.max(distinct.len());
+            }
+            eprintln!(
+                "{} servers, {} cores: at most {most} distinct ECMP groups per switch",
+                t.hosts.len(),
+                cfg.cores
+            );
+        }
+    }
+
     #[test]
     fn enumerates_all_shortest_paths() {
         let t = diamond();

@@ -361,8 +361,8 @@ mod tests {
         // Every switch must know both sample destinations.
         for node in &net.nodes {
             if matches!(node.kind, netsim::builder::NodeKind::Switch) {
-                assert!(node.ecmp.contains_key(&h0));
-                assert!(node.ecmp.contains_key(&h7));
+                assert!(node.ecmp(h0).is_some());
+                assert!(node.ecmp(h7).is_some());
             }
         }
     }

@@ -40,6 +40,14 @@ pub trait Driver {
     }
 }
 
+/// A list of completions is a driver that injects nothing and keeps each
+/// batch it is handed: the run's history, which the recorder hands out once.
+impl Driver for Vec<Completion> {
+    fn poll(&mut self, _port: &mut dyn WorkloadPort, completions: &[Completion]) {
+        self.extend_from_slice(completions);
+    }
+}
+
 /// Monotonic flow-id allocator shared by drivers (keeps ids unique across
 /// concurrently-running drivers in one experiment).
 #[derive(Debug, Clone)]

@@ -150,19 +150,25 @@ fn harness_deterministic_per_system() {
             let b1 = fabric.add_vm(t, topo.hosts[3]);
             let p0 = fabric.add_pair(a0, a1);
             let p1 = fabric.add_pair(b0, b1);
+            // The two 300 KB messages complete inside the run (the 30 MB
+            // ones do not), so the compared history is not empty.
             let jobs = vec![
+                (0, topo.hosts[0], p0, 300_000u64, 0u32),
+                (0, topo.hosts[1], p1, 300_000u64, 0u32),
                 (MS, topo.hosts[0], p0, 30_000_000u64, 0u32),
                 (2 * MS, topo.hosts[1], p1, 30_000_000u64, 0u32),
             ];
             let mut r = Runner::new(topo, fabric, system, 9, None, MS);
             let mut d = BulkDriver::new(jobs, 0);
-            let mut drivers: [&mut dyn Driver; 1] = [&mut d];
+            let mut done = Vec::new();
+            let mut drivers: [&mut dyn Driver; 2] = [&mut d, &mut done];
             r.run(25 * MS, SLICE, &mut drivers);
             let delivered = r.rec.lock().unwrap().delivered_bytes;
-            let completions = r.rec.lock().unwrap().completions.len();
-            (delivered, completions, r.sim.stats().events)
+            (delivered, done, r.sim.stats().events)
         };
-        assert_eq!(run(), run(), "{} not deterministic", system.label());
+        let first = run();
+        assert_eq!(first.1.len(), 2, "{}: {:?}", system.label(), first.1);
+        assert_eq!(first, run(), "{} not deterministic", system.label());
     }
 }
 
@@ -188,10 +194,12 @@ fn rpc_roundtrip_all_systems() {
         r.sim
             .inject(client_host, AppMsg::request(7, req, 200, 100_000, 42));
         r.sim.run_until(20 * MS);
-        let rec = r.rec.lock().unwrap();
-        let reply = rec
-            .completions
-            .iter()
+        let reply = r
+            .rec
+            .lock()
+            .unwrap()
+            .drain_new_completions()
+            .into_iter()
             .find(|c| c.flow & ufab::endpoint::REPLY_FLAG != 0)
             .unwrap_or_else(|| panic!("{}: no reply completed", system.label()));
         assert_eq!(reply.bytes, 100_000);
