@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Re-make every committed golden from its own command line at --jobs 1
-# and 4 and diff it against ci/golden/: stdout for all six, and for
+# and 4 and diff it against ci/golden/: stdout for all seven, and for
 # dse also its two CSVs. A pairwise jobs=1-vs-4 diff passes a change
 # that moves both sides; a golden does not.
 #
@@ -21,6 +21,7 @@ cases=(
   "ops_64_seed2|ops --servers 64 --seed 2"
   "dse_64_seed2|dse --grid quick --servers 64 --seed 2"
   "churn_512_seed1|churn --servers 512 --seed 1"
+  "ops_512_seed1|ops --servers 512 --seed 1"
 )
 
 fail=0

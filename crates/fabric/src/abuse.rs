@@ -109,21 +109,28 @@ pub struct MisbehaviorLedger {
 }
 
 impl MisbehaviorLedger {
-    /// A ledger over `n_tenants` with the given thresholds.
+    /// A ledger over `n_tenants` with the given thresholds; panics where
+    /// [`MisbehaviorLedger::try_new`] returns `Err`.
     pub fn new(cfg: AbuseCfg, n_tenants: usize) -> Self {
-        assert!(
-            cfg.exit_score < cfg.enter_score,
-            "hysteresis needs exit_score < enter_score"
-        );
-        assert!((0.0..1.0).contains(&cfg.decay), "decay must be in [0, 1)");
-        assert!(
-            cfg.penalty_fraction > 0.0 && cfg.penalty_fraction < 1.0,
-            "penalty fraction must be in (0, 1)"
-        );
-        Self {
+        Self::try_new(cfg, n_tenants).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`MisbehaviorLedger::new`] for thresholds read from outside input
+    /// (a snapshot): an out-of-range one is an `Err` naming it.
+    pub fn try_new(cfg: AbuseCfg, n_tenants: usize) -> Result<Self, &'static str> {
+        if cfg.exit_score.partial_cmp(&cfg.enter_score) != Some(std::cmp::Ordering::Less) {
+            return Err("hysteresis needs exit_score < enter_score");
+        }
+        if !(0.0..1.0).contains(&cfg.decay) {
+            return Err("decay must be in [0, 1)");
+        }
+        if !(cfg.penalty_fraction > 0.0 && cfg.penalty_fraction < 1.0) {
+            return Err("penalty fraction must be in (0, 1)");
+        }
+        Ok(Self {
             cfg,
             rows: vec![MisRow::default(); n_tenants],
-        }
+        })
     }
 
     /// The configured thresholds.

@@ -19,7 +19,7 @@
 //! conservative edge-only hose model.
 
 use netsim::{NodeId, PortNo};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use topology::Topo;
 
 /// Node-tier codes used for the up-walk.
@@ -30,7 +30,7 @@ const T_CORE: u8 = 3;
 const T_OTHER: u8 = 4;
 
 /// One undirected link with its running committed-B_min total.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Link {
     /// Canonical endpoint (the lower node id).
     pub node: NodeId,
@@ -67,8 +67,10 @@ impl Link {
 #[derive(Debug, Clone)]
 pub struct Ledger {
     links: Vec<Link>,
-    /// Host → the links (and fractions) its hose commits to.
-    spread: HashMap<u32, Vec<(usize, f64)>>,
+    /// Every host's `(link, fraction)` spread, back to back in host order.
+    spread: Vec<(usize, f64)>,
+    /// Node id → `(start, end)` of its spread, `(u32::MAX, 0)` if not a host.
+    span: Vec<(u32, u32)>,
     headroom: f64,
 }
 
@@ -100,31 +102,37 @@ impl Ledger {
             "ledger headroom must be in (0, 1], got {headroom}"
         );
         let mut tier = vec![T_OTHER; topo.n_nodes()];
-        for &h in &topo.hosts {
-            tier[h.idx()] = T_HOST;
-        }
-        for &t in &topo.tors {
-            tier[t.idx()] = T_TOR;
-        }
-        for &a in &topo.aggs {
-            tier[a.idx()] = T_AGG;
-        }
-        for &c in &topo.cores {
-            tier[c.idx()] = T_CORE;
+        let tiers = [
+            (&topo.hosts, T_HOST),
+            (&topo.tors, T_TOR),
+            (&topo.aggs, T_AGG),
+            (&topo.cores, T_CORE),
+        ];
+        for (ids, t) in tiers {
+            for &n in ids {
+                tier[n.idx()] = t;
+            }
         }
 
         // Enumerate undirected links once, in node-id order (the ledger
         // must be identical however the topology was assembled).
+        // `link_at[port_base[n] + port]` is the link behind `(n, port)`,
+        // for both directions of every link (a node's ports number its
+        // adjacency, `0..degree`).
+        let mut port_base = vec![0];
+        for n in 0..topo.n_nodes() {
+            port_base.push(port_base[n] + topo.neighbors(NodeId(n as u32)).len());
+        }
+        let mut link_at = vec![usize::MAX; port_base[topo.n_nodes()]];
         let mut links = Vec::new();
-        // Both `(node, port)` directions of a link map to its index.
-        let mut by_port = HashMap::new();
         for n in 0..topo.n_nodes() {
             let node = NodeId(n as u32);
             for a in topo.neighbors(node) {
                 if a.peer.idx() < n {
                     continue; // recorded from the other side
                 }
-                let idx = links.len();
+                link_at[port_base[n] + a.port.0 as usize] = links.len();
+                link_at[port_base[a.peer.idx()] + a.peer_port.0 as usize] = links.len();
                 links.push(Link {
                     node,
                     port: a.port,
@@ -133,60 +141,53 @@ impl Ledger {
                     committed_bps: 0.0,
                     access: tier[n] == T_HOST || tier[a.peer.idx()] == T_HOST,
                 });
-                by_port.insert((node.raw(), a.port.0), idx);
-                by_port.insert((a.peer.raw(), a.peer_port.0), idx);
             }
         }
+        let link = |n: NodeId, p: PortNo| link_at[port_base[n.idx()] + p.0 as usize];
 
-        // Per-host fractional spread along the tiered up-walk.
-        let mut spread = HashMap::new();
+        // Each node's uplinks that take a share of a hose — a ToR's to
+        // aggs and cores, an agg's to cores, none to a cordoned switch —
+        // as `(link, far end)`: node `n`'s are `ups[up_at[n]..up_at[n + 1]]`.
+        let (mut ups, mut up_at) = (Vec::new(), vec![0]);
+        for n in 0..topo.n_nodes() {
+            for a in topo.neighbors(NodeId(n as u32)) {
+                let t = tier[a.peer.idx()];
+                if t != T_OTHER && t > tier[n] && !cordoned.contains(&a.peer.raw()) {
+                    ups.push((link(NodeId(n as u32), a.port), a.peer));
+                }
+            }
+            up_at.push(ups.len());
+        }
+        let ups_of = |n: NodeId| &ups[up_at[n.idx()]..up_at[n.idx() + 1]];
+
+        // Per-host fractional spread along the tiered up-walk, each
+        // fraction computed exactly as `f0`, `f0 / k`, `(f0 / k) / m`.
+        let mut spread = Vec::new();
+        let mut span = vec![(u32::MAX, 0); topo.n_nodes()];
+        let mut frac: Vec<(usize, f64)> = Vec::new();
         for &h in &topo.hosts {
-            let mut frac: Vec<(usize, f64)> = Vec::new();
+            frac.clear();
             let nics = topo.neighbors(h);
             let f0 = 1.0 / nics.len() as f64;
             for nic in nics {
-                frac.push((by_port[&(h.raw(), nic.port.0)], f0));
-                let tor = nic.peer;
-                if tier[tor.idx()] != T_TOR {
+                frac.push((link(h, nic.port), f0));
+                let (tor, tor_ups) = (nic.peer, ups_of(nic.peer));
+                if tier[tor.idx()] != T_TOR || tor_ups.is_empty() {
                     continue; // untiered graph: access-only accounting
                 }
-                let ups: Vec<_> = topo
-                    .neighbors(tor)
-                    .iter()
-                    .filter(|a| {
-                        tier[a.peer.idx()] > T_TOR
-                            && tier[a.peer.idx()] != T_OTHER
-                            && !cordoned.contains(&a.peer.raw())
-                    })
-                    .collect();
-                if ups.is_empty() {
-                    continue;
-                }
-                let f1 = f0 / ups.len() as f64;
-                for up in ups {
-                    frac.push((by_port[&(tor.raw(), up.port.0)], f1));
-                    let agg = up.peer;
-                    if tier[agg.idx()] != T_AGG {
+                let f1 = f0 / tor_ups.len() as f64;
+                for &(l, agg) in tor_ups {
+                    frac.push((l, f1));
+                    let agg_ups = ups_of(agg);
+                    if tier[agg.idx()] != T_AGG || agg_ups.is_empty() {
                         continue; // ToR wired straight into the core tier
                     }
-                    let cores: Vec<_> = topo
-                        .neighbors(agg)
-                        .iter()
-                        .filter(|a| {
-                            tier[a.peer.idx()] == T_CORE && !cordoned.contains(&a.peer.raw())
-                        })
-                        .collect();
-                    if cores.is_empty() {
-                        continue;
-                    }
-                    let f2 = f1 / cores.len() as f64;
-                    for c in cores {
-                        frac.push((by_port[&(agg.raw(), c.port.0)], f2));
-                    }
+                    let f2 = f1 / agg_ups.len() as f64;
+                    frac.extend(agg_ups.iter().map(|&(l, _)| (l, f2)));
                 }
             }
             // Fold duplicate links (e.g. two ToR uplinks reaching the
-            // same agg) into one entry each, sorted for determinism.
+            // same agg) into one entry each, summed in push order.
             frac.sort_by_key(|&(i, _)| i);
             frac.dedup_by(|b, a| {
                 if a.0 == b.0 {
@@ -196,12 +197,14 @@ impl Ledger {
                     false
                 }
             });
-            spread.insert(h.raw(), frac);
+            spread.extend_from_slice(&frac);
+            span[h.idx()] = ((spread.len() - frac.len()) as u32, spread.len() as u32);
         }
 
         Self {
             links,
             spread,
+            span,
             headroom,
         }
     }
@@ -221,9 +224,15 @@ impl Ledger {
     /// # Panics
     /// Panics if `host` is not a host of the ledger's topology.
     pub fn spread_of(&self, host: NodeId) -> &[(usize, f64)] {
-        self.spread
-            .get(&host.raw())
-            .unwrap_or_else(|| panic!("node {host} is not a host of this ledger"))
+        &self.spread[self.span_of(host)]
+    }
+
+    /// Where `host`'s spread sits in the flat table.
+    fn span_of(&self, host: NodeId) -> std::ops::Range<usize> {
+        match self.span.get(host.idx()) {
+            Some(&(start, end)) if start != u32::MAX => start as usize..end as usize,
+            _ => panic!("node {host} is not a host of this ledger"),
+        }
     }
 
     /// Float slack: commitments are sums of exact products, but admission
@@ -274,11 +283,7 @@ impl Ledger {
     /// and the snapshot/restore path — where the original commitment was
     /// already admission-checked.
     pub fn replay_commit(&mut self, host: NodeId, hose_bps: f64) {
-        let spread = self
-            .spread
-            .get(&host.raw())
-            .unwrap_or_else(|| panic!("node {host} is not a host of this ledger"));
-        for &(i, f) in spread {
+        for &(i, f) in &self.spread[self.span_of(host)] {
             self.links[i].committed_bps += f * hose_bps;
         }
     }
@@ -289,21 +294,14 @@ impl Ledger {
     /// Panics if the release would drive a link's committed total
     /// negative (a double release).
     pub fn release(&mut self, host: NodeId, hose_bps: f64) {
-        let spread = self
-            .spread
-            .get(&host.raw())
-            .unwrap_or_else(|| panic!("node {host} is not a host of this ledger"));
-        for &(i, f) in spread {
+        for &(i, f) in &self.spread[self.span_of(host)] {
             let l = &mut self.links[i];
             l.committed_bps -= f * hose_bps;
             assert!(
                 l.committed_bps >= -Self::eps(l.cap_bps),
-                "ledger double release: link {}:{} ({} ↔ {}) committed {} bps after \
+                "ledger double release: link {} committed {} bps after \
                  releasing {hose_bps} bps on host {host}",
-                l.node,
-                l.port,
-                l.node,
-                l.peer,
+                l.describe(),
                 l.committed_bps
             );
             if l.committed_bps < 0.0 {
@@ -312,12 +310,12 @@ impl Ledger {
         }
     }
 
-    /// Σ committed ≤ η·cap (and ≥ 0) on every link — the conservation
-    /// half of the ledger invariant.
+    /// Σ committed ≤ η·cap (and ≥ 0, and finite) on every link — the
+    /// conservation half of the ledger invariant.
     pub fn conservation(&self) -> Result<(), String> {
         for l in &self.links {
             let eps = Self::eps(l.cap_bps);
-            if l.committed_bps > l.limit(self.headroom) + eps {
+            if !l.committed_bps.is_finite() || l.committed_bps > l.limit(self.headroom) + eps {
                 return Err(format!(
                     "link {} committed {:.0} bps exceeds η·cap = {:.0} bps",
                     l.describe(),
@@ -346,7 +344,9 @@ impl Ledger {
             "ledger diff across different topologies"
         );
         for (live, want) in self.links.iter().zip(&rebuilt.links) {
-            if (live.committed_bps - want.committed_bps).abs() > Self::eps(live.cap_bps) {
+            // NaN on either side (or ∞ on both) makes the gap NaN.
+            let gap = (live.committed_bps - want.committed_bps).abs();
+            if gap.is_nan() || gap > Self::eps(live.cap_bps) {
                 return Err(format!(
                     "ledger drift on link {} — live {:.0} bps vs rebuilt {:.0} bps",
                     live.describe(),
@@ -409,7 +409,8 @@ impl Ledger {
 mod tests {
     use super::*;
     use netsim::builder::LinkSpec;
-    use topology::{leaf_spine, three_tier, ThreeTierCfg};
+    use std::collections::HashMap;
+    use topology::{leaf_spine, three_tier, ThreeTierCfg, Tier};
 
     fn small_leaf_spine() -> Topo {
         leaf_spine(
@@ -587,6 +588,192 @@ mod tests {
         let t = small_leaf_spine();
         let mut l = Ledger::new(&t, 0.9);
         l.commit(t.hosts[0], 20e9);
+    }
+
+    #[test]
+    fn non_finite_totals_fail_conservation_and_diff() {
+        let t = small_leaf_spine();
+        let clean = Ledger::new(&t, 0.9);
+        let mut l = clean.clone();
+        l.replay_commit(t.hosts[0], f64::NAN);
+        let err = l.conservation().unwrap_err();
+        assert!(err.contains("committed NaN bps"), "{err}");
+        assert!(l.diff(&clean).is_err());
+        assert!(clean.diff(&l).is_err());
+        assert!(l.diff(&l.clone()).is_err(), "NaN never matches itself");
+        let mut inf = clean.clone();
+        inf.replay_commit(t.hosts[0], f64::INFINITY);
+        assert!(inf.conservation().is_err());
+        assert!(inf.diff(&inf.clone()).is_err());
+    }
+
+    /// The build as it stood with hashed `(node, port)` and per-host
+    /// lookups: the oracle the flat tables must match bit for bit.
+    fn hashed_build(
+        topo: &Topo,
+        cordoned: &BTreeSet<u32>,
+    ) -> (Vec<Link>, HashMap<u32, Vec<(usize, f64)>>) {
+        let mut tier = vec![T_OTHER; topo.n_nodes()];
+        for (ids, t) in [
+            (&topo.hosts, T_HOST),
+            (&topo.tors, T_TOR),
+            (&topo.aggs, T_AGG),
+            (&topo.cores, T_CORE),
+        ] {
+            for &n in ids {
+                tier[n.idx()] = t;
+            }
+        }
+        let mut links = Vec::new();
+        let mut by_port = HashMap::new();
+        for n in 0..topo.n_nodes() {
+            let node = NodeId(n as u32);
+            for a in topo.neighbors(node) {
+                if a.peer.idx() < n {
+                    continue;
+                }
+                let idx = links.len();
+                links.push(Link {
+                    node,
+                    port: a.port,
+                    peer: a.peer,
+                    cap_bps: a.cap_bps as f64,
+                    committed_bps: 0.0,
+                    access: tier[n] == T_HOST || tier[a.peer.idx()] == T_HOST,
+                });
+                by_port.insert((node.raw(), a.port.0), idx);
+                by_port.insert((a.peer.raw(), a.peer_port.0), idx);
+            }
+        }
+        let mut spread = HashMap::new();
+        for &h in &topo.hosts {
+            let mut frac: Vec<(usize, f64)> = Vec::new();
+            let nics = topo.neighbors(h);
+            let f0 = 1.0 / nics.len() as f64;
+            for nic in nics {
+                frac.push((by_port[&(h.raw(), nic.port.0)], f0));
+                let tor = nic.peer;
+                if tier[tor.idx()] != T_TOR {
+                    continue;
+                }
+                let ups: Vec<_> = topo
+                    .neighbors(tor)
+                    .iter()
+                    .filter(|a| {
+                        tier[a.peer.idx()] > T_TOR
+                            && tier[a.peer.idx()] != T_OTHER
+                            && !cordoned.contains(&a.peer.raw())
+                    })
+                    .collect();
+                if ups.is_empty() {
+                    continue;
+                }
+                let f1 = f0 / ups.len() as f64;
+                for up in ups {
+                    frac.push((by_port[&(tor.raw(), up.port.0)], f1));
+                    let agg = up.peer;
+                    if tier[agg.idx()] != T_AGG {
+                        continue;
+                    }
+                    let cores: Vec<_> = topo
+                        .neighbors(agg)
+                        .iter()
+                        .filter(|a| {
+                            tier[a.peer.idx()] == T_CORE && !cordoned.contains(&a.peer.raw())
+                        })
+                        .collect();
+                    if cores.is_empty() {
+                        continue;
+                    }
+                    let f2 = f1 / cores.len() as f64;
+                    for c in cores {
+                        frac.push((by_port[&(agg.raw(), c.port.0)], f2));
+                    }
+                }
+            }
+            frac.sort_by_key(|&(i, _)| i);
+            frac.dedup_by(|b, a| {
+                if a.0 == b.0 {
+                    a.1 += b.1;
+                    true
+                } else {
+                    false
+                }
+            });
+            spread.insert(h.raw(), frac);
+        }
+        (links, spread)
+    }
+
+    /// A host homed on three ToRs with 1, 2 and 4 uplinks, all reaching
+    /// one agg with a single core uplink: that link collects 1/3 + 1/6 +
+    /// 1/12, whose last bit depends on the order the dedup sums them in.
+    fn multi_homed() -> Topo {
+        let mut t = Topo::new(1500);
+        let spec = LinkSpec::gbps(10, 1000);
+        let (h0, h1) = (t.add_host(), t.add_host());
+        let tors: Vec<_> = (0..3).map(|_| t.add_switch(Tier::Tor)).collect();
+        let aggs: Vec<_> = (0..4).map(|_| t.add_switch(Tier::Agg)).collect();
+        let cores: Vec<_> = (0..2).map(|_| t.add_switch(Tier::Core)).collect();
+        for &tor in &tors {
+            t.connect(h0, tor, spec);
+        }
+        t.connect(h1, tors[0], spec);
+        for (tor, n) in tors.iter().zip([1, 2, 4]) {
+            for &agg in &aggs[..n] {
+                t.connect(*tor, agg, spec);
+            }
+        }
+        for (agg, cs) in aggs.iter().zip([0..1, 0..2, 1..2, 1..2]) {
+            for &core in &cores[cs] {
+                t.connect(*agg, core, spec);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn flat_tables_match_the_hashed_build_bit_for_bit() {
+        // The 64-, 128- and 512-server shapes the experiments build.
+        let shapes = [
+            ThreeTierCfg {
+                pods: 2,
+                tors_per_pod: 4,
+                hosts_per_tor: 8,
+                aggs_per_pod: 4,
+                cores: 8,
+                ..ThreeTierCfg::default()
+            },
+            ThreeTierCfg {
+                pods: 4,
+                tors_per_pod: 4,
+                hosts_per_tor: 8,
+                aggs_per_pod: 4,
+                cores: 8,
+                ..ThreeTierCfg::default()
+            },
+            ThreeTierCfg::paper_512(16),
+        ];
+        let topos = shapes.into_iter().map(three_tier).chain([multi_homed()]);
+        for t in topos {
+            for cordoned in [vec![], vec![t.aggs[1].raw()], vec![t.cores[1].raw()]] {
+                let cordoned: BTreeSet<u32> = cordoned.into_iter().collect();
+                let l = Ledger::new_excluding(&t, 0.9, &cordoned);
+                let (links, spread) = hashed_build(&t, &cordoned);
+                let ends = |l: &Link| (l.node, l.port, l.peer, l.cap_bps.to_bits(), l.access);
+                assert!(l.links().iter().map(ends).eq(links.iter().map(ends)));
+                for &h in &t.hosts {
+                    let bits = |s: &[(usize, f64)]| {
+                        s.iter().map(|&(i, f)| (i, f.to_bits())).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        bits(l.spread_of(h)),
+                        bits(&spread[&h.raw()]),
+                        "host {h}, cordoned {cordoned:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

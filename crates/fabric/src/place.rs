@@ -9,7 +9,6 @@
 
 use crate::ledger::Ledger;
 use netsim::NodeId;
-use std::collections::HashMap;
 
 /// Placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,18 +63,18 @@ pub struct Placer {
     /// Cordoned hosts take no new placements (existing VMs stay until
     /// drained); indexed like `hosts`.
     cordoned: Vec<bool>,
-    host_idx: HashMap<u32, usize>,
+    /// Node id → index into `hosts`; `u32::MAX` (out of bounds) for a switch.
+    host_idx: Vec<u32>,
 }
 
 impl Placer {
     /// A placer over `hosts` with the given policy and per-host slot cap.
     pub fn new(hosts: &[NodeId], policy: Policy, max_vms_per_host: usize) -> Self {
         assert!(max_vms_per_host >= 1, "need at least one VM slot per host");
-        let host_idx = hosts
-            .iter()
-            .enumerate()
-            .map(|(i, h)| (h.raw(), i))
-            .collect();
+        let mut host_idx = vec![u32::MAX; hosts.iter().map(|h| h.idx() + 1).max().unwrap_or(0)];
+        for (i, h) in hosts.iter().enumerate() {
+            host_idx[h.idx()] = i as u32;
+        }
         Self {
             hosts: hosts.to_vec(),
             policy,
@@ -93,15 +92,21 @@ impl Placer {
         self.vms.iter().sum()
     }
 
+    /// `host`'s index into the per-host tables, if it is a placer host.
+    fn slot(&self, host: NodeId) -> Option<usize> {
+        let i = *self.host_idx.get(host.idx())?;
+        (i != u32::MAX).then_some(i as usize)
+    }
+
     /// VMs currently on `host`.
     pub fn vms_on(&self, host: NodeId) -> usize {
-        self.vms[self.host_idx[&host.raw()]]
+        self.vms[self.host_idx[host.idx()] as usize]
     }
 
     /// Committed hose bps currently on `host`.
     #[cfg(test)]
     fn hose_on(&self, host: NodeId) -> f64 {
-        self.hose[self.host_idx[&host.raw()]]
+        self.hose[self.host_idx[host.idx()] as usize]
     }
 
     /// Mark `host` cordoned (`true`): it takes no new placements until
@@ -111,16 +116,15 @@ impl Placer {
     /// # Panics
     /// Panics if `host` is unknown to the placer.
     pub fn set_cordoned(&mut self, host: NodeId, cordoned: bool) {
-        let i = *self
-            .host_idx
-            .get(&host.raw())
+        let i = self
+            .slot(host)
             .unwrap_or_else(|| panic!("cordon target {host} is not a placer host"));
         self.cordoned[i] = cordoned;
     }
 
     /// Is `host` cordoned?
     pub fn is_cordoned(&self, host: NodeId) -> bool {
-        self.cordoned[self.host_idx[&host.raw()]]
+        self.cordoned[self.host_idx[host.idx()] as usize]
     }
 
     fn pick(&self, ledger: &Ledger, hose_bps: f64, used: &[NodeId]) -> Result<usize, RejectReason> {
@@ -165,7 +169,8 @@ impl Placer {
         n_vms: usize,
         hose_bps: f64,
     ) -> Result<Vec<NodeId>, RejectReason> {
-        let mut placed: Vec<NodeId> = Vec::with_capacity(n_vms);
+        // Anti-affinity caps a tenant at one VM per host.
+        let mut placed: Vec<NodeId> = Vec::with_capacity(n_vms.min(self.hosts.len()));
         for _ in 0..n_vms {
             match self.pick(ledger, hose_bps, &placed) {
                 Ok(i) => {
@@ -178,7 +183,7 @@ impl Placer {
                 Err(reason) => {
                     // All-or-nothing: unwind the partial placement.
                     for &h in &placed {
-                        let j = self.host_idx[&h.raw()];
+                        let j = self.host_idx[h.idx()] as usize;
                         ledger.release(h, hose_bps);
                         self.vms[j] -= 1;
                         self.hose[j] -= hose_bps;
@@ -198,9 +203,8 @@ impl Placer {
     /// replay must match the plan exactly.
     pub fn place_fixed(&mut self, ledger: &mut Ledger, hosts: &[NodeId], hose_bps: f64) {
         for &h in hosts {
-            let i = *self
-                .host_idx
-                .get(&h.raw())
+            let i = self
+                .slot(h)
                 .unwrap_or_else(|| panic!("replayed host {h} unknown to placer"));
             assert!(
                 self.vms[i] < self.max_vms_per_host,
@@ -215,7 +219,7 @@ impl Placer {
     /// Release a departed tenant's VMs.
     pub fn release(&mut self, ledger: &mut Ledger, hosts: &[NodeId], hose_bps: f64) {
         for &h in hosts {
-            let i = self.host_idx[&h.raw()];
+            let i = self.host_idx[h.idx()] as usize;
             assert!(self.vms[i] > 0, "releasing VM on empty host {h}");
             ledger.release(h, hose_bps);
             self.vms[i] -= 1;
@@ -250,7 +254,7 @@ impl Placer {
     /// resize (the ledger delta is committed/released by the caller,
     /// which owns the all-or-nothing check across the tenant's hosts).
     pub fn adjust_hose(&mut self, host: NodeId, delta_bps: f64) {
-        let i = self.host_idx[&host.raw()];
+        let i = self.host_idx[host.idx()] as usize;
         self.hose[i] += delta_bps;
         if self.hose[i] < 0.0 {
             self.hose[i] = 0.0; // float dust
@@ -274,7 +278,7 @@ impl Placer {
     /// or exceeding the slot cap is an `Err` naming the row.
     pub fn restore_state(&mut self, rows: &[(u32, usize, u64)]) -> Result<(), String> {
         for &(raw, vms, hose_bits) in rows {
-            let Some(&i) = self.host_idx.get(&raw) else {
+            let Some(i) = self.slot(NodeId(raw)) else {
                 return Err(format!("placer row {raw}:{vms} names an unknown host"));
             };
             if vms > self.max_vms_per_host {
@@ -291,7 +295,7 @@ impl Placer {
 
     /// Is `host` one of the placer's hosts? One index lookup, no scan.
     pub fn has_host(&self, host: NodeId) -> bool {
-        self.host_idx.contains_key(&host.raw())
+        self.slot(host).is_some()
     }
 }
 
@@ -353,6 +357,18 @@ mod tests {
         assert!(ledger.utilization().abs() < 1e-12);
         // The fabric is untouched: a feasible tenant still fits.
         assert!(p.place(&mut ledger, 8, 1e9).is_ok());
+    }
+
+    #[test]
+    fn huge_vm_counts_are_refused_without_allocating_them() {
+        let t = topo();
+        let mut ledger = Ledger::new(&t, 0.9);
+        let mut p = Placer::new(&t.hosts, Policy::FirstFit, 4);
+        for n in [100_000_000_000_000_000, usize::MAX] {
+            assert_eq!(p.place(&mut ledger, n, 1e8), Err(RejectReason::NoSlots));
+            assert_eq!(p.total_vms(), 0);
+        }
+        assert!(ledger.utilization().abs() < 1e-12);
     }
 
     #[test]

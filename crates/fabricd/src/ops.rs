@@ -12,6 +12,7 @@
 //! `f64` `Display`), which is canonical and exact.
 
 use fabric::RejectReason;
+use std::fmt;
 
 /// A state-mutating operator command.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,24 +76,9 @@ impl FabricOp {
         }
     }
 
-    /// Canonical wire form.
+    /// Canonical wire form (the [`fmt::Display`] output).
     pub fn encode(&self) -> String {
-        match self {
-            FabricOp::Admit {
-                name,
-                n_vms,
-                tokens_per_vm,
-                lifetime,
-            } => format!("admit {name} {n_vms} {tokens_per_vm} {lifetime}"),
-            FabricOp::Depart { tenant } => format!("depart {tenant}"),
-            FabricOp::Resize {
-                tenant,
-                new_tokens_per_vm,
-            } => format!("resize {tenant} {new_tokens_per_vm}"),
-            FabricOp::Cordon { node } => format!("cordon {node}"),
-            FabricOp::Uncordon { node } => format!("uncordon {node}"),
-            FabricOp::Drain { node } => format!("drain {node}"),
-        }
+        self.to_string()
     }
 
     /// Parse a wire line produced by [`FabricOp::encode`].
@@ -130,6 +116,28 @@ impl FabricOp {
         match it.next() {
             None => Ok(op),
             Some(extra) => Err(format!("trailing token {extra:?} after {verb} op")),
+        }
+    }
+}
+
+/// The canonical wire form: what `encode` returns and the digest folds.
+impl fmt::Display for FabricOp {
+    fn fmt(&self, f: &mut fmt::Formatter) -> fmt::Result {
+        match self {
+            FabricOp::Admit {
+                name,
+                n_vms,
+                tokens_per_vm,
+                lifetime,
+            } => write!(f, "admit {name} {n_vms} {tokens_per_vm} {lifetime}"),
+            FabricOp::Depart { tenant } => write!(f, "depart {tenant}"),
+            FabricOp::Resize {
+                tenant,
+                new_tokens_per_vm,
+            } => write!(f, "resize {tenant} {new_tokens_per_vm}"),
+            FabricOp::Cordon { node } => write!(f, "cordon {node}"),
+            FabricOp::Uncordon { node } => write!(f, "uncordon {node}"),
+            FabricOp::Drain { node } => write!(f, "drain {node}"),
         }
     }
 }
@@ -207,39 +215,9 @@ pub enum FabricReply {
 }
 
 impl FabricReply {
-    /// Canonical wire form.
+    /// Canonical wire form (the [`fmt::Display`] output).
     pub fn encode(&self) -> String {
-        match self {
-            FabricReply::Admitted { tenant, hosts } => {
-                format!("admitted {tenant} {}", join_u32(hosts))
-            }
-            FabricReply::Rejected { reason } => format!("rejected {}", reason.label()),
-            FabricReply::Departed { tenant } => format!("departed {tenant}"),
-            FabricReply::Resized {
-                tenant,
-                old_tokens,
-                new_tokens,
-            } => format!("resized {tenant} {old_tokens} {new_tokens}"),
-            FabricReply::ResizeDenied { tenant, detail } => {
-                format!("resize-denied {tenant} {detail}")
-            }
-            FabricReply::Cordoned { node } => format!("cordoned {node}"),
-            FabricReply::Uncordoned { node } => format!("uncordoned {node}"),
-            FabricReply::Drained { node, moved } => {
-                let list = if moved.is_empty() {
-                    "-".to_string()
-                } else {
-                    moved
-                        .iter()
-                        .map(|(t, v, f, to)| format!("{t}:{v}:{f}:{to}"))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                format!("drained {node} {list}")
-            }
-            FabricReply::DrainFailed { node, detail } => format!("drain-failed {node} {detail}"),
-            FabricReply::Error { detail } => format!("err {detail}"),
-        }
+        self.to_string()
     }
 
     /// Parse a wire line produced by [`FabricReply::encode`].
@@ -252,7 +230,7 @@ impl FabricReply {
         let reply = match verb {
             "admitted" => FabricReply::Admitted {
                 tenant: field(&mut it, verb, "tenant")?,
-                hosts: split_u32(it.next().ok_or("admitted: missing hosts")?)?,
+                hosts: split_list(it.next().ok_or("admitted: missing hosts")?)?,
             },
             "rejected" => FabricReply::Rejected {
                 reason: match it.next().ok_or("rejected: missing reason")? {
@@ -321,6 +299,59 @@ impl FabricReply {
     }
 }
 
+/// The canonical wire form: what `encode` returns and the digest folds.
+impl fmt::Display for FabricReply {
+    fn fmt(&self, f: &mut fmt::Formatter) -> fmt::Result {
+        match self {
+            FabricReply::Admitted { tenant, hosts } => {
+                write!(f, "admitted {tenant} ")?;
+                write_list(f, hosts, ',', |f, h| write!(f, "{h}"))
+            }
+            FabricReply::Rejected { reason } => write!(f, "rejected {}", reason.label()),
+            FabricReply::Departed { tenant } => write!(f, "departed {tenant}"),
+            FabricReply::Resized {
+                tenant,
+                old_tokens,
+                new_tokens,
+            } => write!(f, "resized {tenant} {old_tokens} {new_tokens}"),
+            FabricReply::ResizeDenied { tenant, detail } => {
+                write!(f, "resize-denied {tenant} {detail}")
+            }
+            FabricReply::Cordoned { node } => write!(f, "cordoned {node}"),
+            FabricReply::Uncordoned { node } => write!(f, "uncordoned {node}"),
+            FabricReply::Drained { node, moved } => {
+                write!(f, "drained {node} ")?;
+                write_list(f, moved, ',', |f, (t, v, a, b)| {
+                    write!(f, "{t}:{v}:{a}:{b}")
+                })
+            }
+            FabricReply::DrainFailed { node, detail } => write!(f, "drain-failed {node} {detail}"),
+            FabricReply::Error { detail } => write!(f, "err {detail}"),
+        }
+    }
+}
+
+/// Write `items` separated by `sep`, or `-` when there are none — the
+/// list form of the wire and snapshot records, with no per-item strings.
+pub(crate) fn write_list<W: fmt::Write, T>(
+    w: &mut W,
+    items: impl IntoIterator<Item = T>,
+    sep: char,
+    mut item: impl FnMut(&mut W, T) -> fmt::Result,
+) -> fmt::Result {
+    let mut empty = true;
+    for x in items {
+        if !std::mem::take(&mut empty) {
+            w.write_char(sep)?;
+        }
+        item(w, x)?;
+    }
+    if empty {
+        w.write_char('-')?;
+    }
+    Ok(())
+}
+
 fn field<T: std::str::FromStr>(
     it: &mut std::str::SplitWhitespace,
     verb: &str,
@@ -331,7 +362,7 @@ fn field<T: std::str::FromStr>(
         .map_err(|_| format!("{verb}: bad {name} {tok:?}"))
 }
 
-fn num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
+pub(crate) fn num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
     tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
 }
 
@@ -344,22 +375,12 @@ fn id_and_rest(rest: &str, verb: &str) -> Result<(u32, String), String> {
     Ok((num(id, "id")?, detail.to_string()))
 }
 
-fn join_u32(v: &[u32]) -> String {
-    if v.is_empty() {
-        "-".to_string()
-    } else {
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-}
-
-fn split_u32(s: &str) -> Result<Vec<u32>, String> {
+/// Parse a `,`-separated list written by [`write_list`].
+pub(crate) fn split_list<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String> {
     if s == "-" {
         return Ok(Vec::new());
     }
-    s.split(',').map(|x| num(x, "id list entry")).collect()
+    s.split(',').map(|x| num(x, "list entry")).collect()
 }
 
 #[cfg(test)]
@@ -435,6 +456,47 @@ mod tests {
             let back = FabricReply::decode(&wire).unwrap();
             assert_eq!(back, r, "{wire}");
             assert_eq!(back.encode(), wire, "encoding must be canonical");
+        }
+    }
+
+    #[test]
+    fn encode_is_the_display_form_of_every_variant() {
+        let ops = [
+            "admit t0 4 2.5 5000000",
+            "depart 3",
+            "resize 1 0.125",
+            "cordon 17",
+            "uncordon 17",
+            "drain 9",
+        ];
+        for line in ops {
+            let op = FabricOp::decode(line).unwrap();
+            assert_eq!(
+                (op.encode(), format!("{op}")),
+                (line.to_string(), line.to_string())
+            );
+        }
+        let replies = [
+            "admitted 0 4,9,12",
+            "admitted 1 -",
+            "rejected no_slots",
+            "rejected no_capacity",
+            "departed 7",
+            "resized 7 2 3.5",
+            "resize-denied 7 blocked on link 4:1 (4 ↔ 5)",
+            "cordoned 3",
+            "uncordoned 3",
+            "drained 3 0:1:3:8,2:0:3:9",
+            "drained 4 -",
+            "drain-failed 3 no admissible host for tenant 2",
+            "err tenant 99 unknown",
+        ];
+        for line in replies {
+            let r = FabricReply::decode(line).unwrap();
+            assert_eq!(
+                (r.encode(), format!("{r}")),
+                (line.to_string(), line.to_string())
+            );
         }
     }
 

@@ -36,6 +36,7 @@ use netsim::{NodeId, Time};
 use obs::{Category, DetHash, Event, ObsHandle, Snapshottable};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use topology::Topo;
 
@@ -369,8 +370,8 @@ impl FabricService {
             self.tenants[i].guaranteed_spans.push((enter, now));
         }
         let hose = self.tenants[i].tokens_per_vm * self.cfg.bu_bps;
-        let hosts = self.tenants[i].hosts.clone();
-        self.placer.release(&mut self.ledger, &hosts, hose);
+        self.placer
+            .release(&mut self.ledger, &self.tenants[i].hosts, hose);
         let permille = (ab.cfg().penalty_fraction * 1000.0).round() as u64;
         self.set_state(id, TenantState::Quarantined, now, permille);
         ab.begin_quarantine(i, now);
@@ -444,8 +445,8 @@ impl FabricService {
                         // hosts, so the ledger returns exactly to its
                         // pre-quarantine level) and lift the edge clamp.
                         let hose = self.tenants[i].tokens_per_vm * self.cfg.bu_bps;
-                        let hosts = self.tenants[i].hosts.clone();
-                        self.placer.place_fixed(&mut self.ledger, &hosts, hose);
+                        self.placer
+                            .place_fixed(&mut self.ledger, &self.tenants[i].hosts, hose);
                         self.set_state(id, Reinstated, now, 0);
                         self.tenants[i].guaranteed_at = Some(now);
                         ab.begin_probation(i, now);
@@ -550,8 +551,8 @@ impl FabricService {
         // quarantine entry; releasing again would corrupt the ledger.
         if self.tenants[i].state != TenantState::Quarantined {
             let hose = self.tenants[i].tokens_per_vm * self.cfg.bu_bps;
-            let hosts = self.tenants[i].hosts.clone();
-            self.placer.release(&mut self.ledger, &hosts, hose);
+            self.placer
+                .release(&mut self.ledger, &self.tenants[i].hosts, hose);
         }
         self.set_state(id, TenantState::Departing, t, 0);
         self.tenants[i].departed_at = Some(t);
@@ -565,8 +566,8 @@ impl FabricService {
         let reply = self.apply(&op, at);
         self.digest.fold_u64(at);
         self.digest.fold_u64(seq);
-        self.digest.fold_bytes(op.encode().as_bytes());
-        self.digest.fold_bytes(reply.encode().as_bytes());
+        let _ = write!(self.digest, "{op}");
+        let _ = write!(self.digest, "{reply}");
         let kind = op.label();
         let subject = match &op {
             FabricOp::Admit { .. } => match &reply {
@@ -631,6 +632,11 @@ impl FabricService {
         if n_vms == 0 || tokens <= 0.0 || lifetime == 0 {
             return FabricReply::Error {
                 detail: format!("admit {name}: need n_vms > 0, tokens > 0, lifetime > 0"),
+            };
+        }
+        if !tokens.is_finite() {
+            return FabricReply::Error {
+                detail: format!("admit {name}: tokens {tokens} must be finite"),
             };
         }
         let hose = tokens * self.cfg.bu_bps;
@@ -717,9 +723,14 @@ impl FabricService {
                 detail: format!("resize to {new_tokens} tokens — must be positive"),
             };
         }
+        if !new_tokens.is_finite() {
+            return FabricReply::Error {
+                detail: format!("resize to {new_tokens} tokens — must be finite"),
+            };
+        }
         let old = self.tenants[i].tokens_per_vm;
         let delta = (new_tokens - old) * self.cfg.bu_bps;
-        let hosts = self.tenants[i].hosts.clone();
+        let hosts = &self.tenants[i].hosts;
         if delta > 0.0 {
             // Grow: admissibility-checked commit per host, all-or-nothing.
             let mut done = 0;
@@ -742,12 +753,12 @@ impl FabricService {
                 done += 1;
             }
             debug_assert_eq!(done, hosts.len());
-            for &h in &hosts {
+            for &h in hosts {
                 self.placer.adjust_hose(h, delta);
             }
         } else if delta < 0.0 {
             // Shrink never fails: it only returns capacity.
-            for &h in &hosts {
+            for &h in hosts {
                 self.ledger.release(h, -delta);
                 self.placer.adjust_hose(h, delta);
             }
@@ -1106,6 +1117,87 @@ mod tests {
         s.audit().unwrap();
         let active = s.tenants().iter().filter(|t| t.is_active()).count();
         assert_eq!((active, s.tenants().len(), s.n_resized), (0, 2, 2));
+    }
+
+    /// Submit each wire line at `t`, advance past them, and return the
+    /// replies' wire forms.
+    fn drive(s: &mut FabricService, t: Time, lines: &[&str]) -> Vec<String> {
+        for l in lines {
+            s.submit(t, FabricOp::decode(l).unwrap());
+        }
+        let out = s.advance(t + MS);
+        out.iter().map(|a| a.reply.to_string()).collect()
+    }
+
+    #[test]
+    fn non_finite_tokens_never_reach_the_ledger() {
+        let mut s = FabricService::new(topo(), AdmissionCfg::default());
+        let replies = drive(
+            &mut s,
+            0,
+            &[
+                "admit evil 2 NaN 5000000",
+                // A 50 Gb/s hose on 10 Gb/s access links.
+                "admit big 2 100 5000000",
+                "admit up 1 inf 5000000",
+                "admit down 1 -inf 5000000",
+            ],
+        );
+        assert_eq!(
+            replies,
+            [
+                "err admit evil: tokens NaN must be finite",
+                "rejected no_capacity",
+                "err admit up: tokens inf must be finite",
+                "err admit down: need n_vms > 0, tokens > 0, lifetime > 0",
+            ]
+        );
+        s.audit().unwrap();
+
+        let replies = drive(
+            &mut s,
+            2 * MS,
+            &[
+                "admit a 2 1 5000000",
+                "resize 0 NaN",
+                "resize 0 inf",
+                "resize 0 -inf",
+            ],
+        );
+        assert_eq!(
+            replies[0].split(' ').take(2).collect::<Vec<_>>(),
+            ["admitted", "0"]
+        );
+        assert_eq!(
+            replies[1..],
+            [
+                "err resize to NaN tokens — must be finite",
+                "err resize to inf tokens — must be finite",
+                "err resize to -inf tokens — must be positive",
+            ]
+        );
+        // The scheduled departure releases exactly what was committed.
+        s.advance(20 * MS);
+        assert_eq!(s.count(TenantState::Reclaimed), 1);
+        assert!(s.ledger().utilization().abs() < 1e-12);
+        s.audit().unwrap();
+    }
+
+    #[test]
+    fn huge_vm_counts_are_refused_for_want_of_slots() {
+        let mut s = FabricService::new(topo(), AdmissionCfg::default());
+        let replies = drive(
+            &mut s,
+            0,
+            &[
+                "admit big 100000000000000000 0.1 5000000",
+                "admit max 18446744073709551615 0.1 5000000",
+                "admit some 1000 0.1 5000000",
+            ],
+        );
+        assert_eq!(replies, ["rejected no_slots"; 3]);
+        assert!(s.tenants().is_empty());
+        s.audit().unwrap();
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! departure/reclaim heaps (rebuilt from tenant records), and the obs
 //! handle (re-attach with [`FabricService::set_obs`]).
 
-use crate::ops::FabricOp;
+use crate::ops::{num, split_list, write_list, FabricOp};
 use crate::service::{apply_host_cordons, FabricService, SvcTenant};
 use fabric::{AbuseCfg, AdmissionCfg, Ledger, MisbehaviorLedger, Placer, Policy, TenantState};
 use netsim::Time;
@@ -55,9 +55,14 @@ use topology::Topo;
 /// First line of every snapshot; bump the suffix on format changes.
 pub(crate) const HEADER: &str = "ufab-fabricd-snapshot v2";
 
-/// Serialize the complete service state.
+/// Serialize the complete service state, every record written straight
+/// into one buffer sized for it.
 pub(crate) fn render(s: &FabricService) -> String {
-    let mut out = String::new();
+    let rows = s.placer.dump_state();
+    let mut buf = String::with_capacity(
+        400 + 17 * s.ledger.n_links() + 30 * rows.len() + 160 * (s.tenants.len() + s.queue.len()),
+    );
+    let out = &mut buf;
     let _ = writeln!(out, "{HEADER}");
     let c = &s.cfg;
     let _ = writeln!(
@@ -84,58 +89,49 @@ pub(crate) fn render(s: &FabricService) -> String {
         "counters {} {} {} {}",
         s.n_rejected, s.n_resized, s.n_resize_denied, s.n_drained_vms
     );
-    let _ = writeln!(
-        out,
-        "cordon {}",
-        dash_join(s.cordoned.iter().map(|x| x.to_string()))
-    );
+    out.push_str("cordon ");
+    let _ = write_list(out, &s.cordoned, ',', |o, x| write!(o, "{x}"));
+    out.push('\n');
+    // An `Option` is a list of at most one: `-` when it is `None`.
+    let one = |o: &mut String, x| write!(o, "{x}");
     for t in &s.tenants {
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "tenant {} {:016x} {} {} {} {} {} {} {} {} {} hosts {} spans {}",
+            "tenant {} {:016x} {} {} {} ",
             t.name,
             t.tokens_per_vm.to_bits(),
             t.state.label(),
             t.admitted_at,
             t.depart_at,
-            opt(t.departed_at),
-            t.qualifying_since,
-            opt(t.guaranteed_at),
-            opt(t.ttg_ns),
-            t.resizes,
-            t.migrations,
-            dash_join(t.hosts.iter().map(|h| h.raw().to_string())),
-            dash_join(t.guaranteed_spans.iter().map(|(a, b)| format!("{a}:{b}")))
         );
+        let _ = write_list(out, t.departed_at, ' ', one);
+        let _ = write!(out, " {} ", t.qualifying_since);
+        let _ = write_list(out, t.guaranteed_at, ' ', one);
+        out.push(' ');
+        let _ = write_list(out, t.ttg_ns, ' ', one);
+        let _ = write!(out, " {} {} hosts ", t.resizes, t.migrations);
+        let _ = write_list(out, &t.hosts, ',', |o, h| write!(o, "{}", h.raw()));
+        out.push_str(" spans ");
+        let _ = write_list(out, &t.guaranteed_spans, ',', |o, (a, b)| {
+            write!(o, "{a}:{b}")
+        });
+        out.push('\n');
     }
     for (t, seq, op) in &s.queue {
-        let _ = writeln!(out, "queue {t} {seq} {}", op.encode());
+        let _ = writeln!(out, "queue {t} {seq} {op}");
     }
-    let _ = writeln!(
-        out,
-        "ledger {}",
-        s.ledger
-            .committed_bits()
-            .iter()
-            .map(|b| format!("{b:016x}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    let rows: Vec<String> = s
-        .placer
-        .dump_state()
-        .iter()
-        .map(|(raw, vms, bits)| format!("{raw}:{vms}:{bits:016x}"))
-        .collect();
-    let _ = writeln!(
-        out,
-        "placer {}",
-        if rows.is_empty() {
-            "-".to_string()
-        } else {
-            rows.join(" ")
+    out.push_str("ledger ");
+    for (i, l) in s.ledger.links().iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
         }
-    );
+        let _ = write!(out, "{:016x}", l.committed_bps.to_bits());
+    }
+    out.push_str("\nplacer ");
+    let _ = write_list(out, rows, ' ', |o, (raw, vms, bits)| {
+        write!(o, "{raw}:{vms}:{bits:016x}")
+    });
+    out.push('\n');
     if let Some(ab) = &s.abuse {
         let c = ab.cfg();
         let _ = writeln!(
@@ -162,7 +158,7 @@ pub(crate) fn render(s: &FabricService) -> String {
         }
     }
     out.push_str("end\n");
-    out
+    buf
 }
 
 impl FabricService {
@@ -206,6 +202,12 @@ impl FabricService {
             },
             reclaim_grace: int(&mut f, "cfg reclaim_grace")?,
         };
+        if !(cfg.headroom > 0.0 && cfg.headroom <= 1.0) || cfg.max_vms_per_host == 0 {
+            let (h, m) = (cfg.headroom, cfg.max_vms_per_host);
+            return Err(format!(
+                "cfg needs 0 < headroom ≤ 1 and max_vms ≥ 1, got {h} and {m}"
+            ));
+        }
 
         let clock_line = expect(&mut lines, "clock")?;
         let mut f = clock_line.split_whitespace();
@@ -223,7 +225,7 @@ impl FabricService {
         let n_drained_vms = int(&mut f, "counters n_drained_vms")?;
 
         let cordon_line = expect(&mut lines, "cordon")?;
-        let cordoned: BTreeSet<u32> = dash_split(cordon_line.trim(), ',')?.into_iter().collect();
+        let cordoned: BTreeSet<u32> = split_list(cordon_line.trim())?.into_iter().collect();
 
         // Variable-count sections: tenants, then queued ops, then the
         // fixed tail (ledger, placer, end).
@@ -312,7 +314,8 @@ impl FabricService {
         let placer_rows = placer_rows.ok_or("snapshot missing placer record")?;
         let abuse = match abuse_cfg {
             Some(c) => {
-                let mut ab = MisbehaviorLedger::new(c, tenants.len());
+                let mut ab = MisbehaviorLedger::try_new(c, tenants.len())
+                    .map_err(|e| format!("abusecfg: {e}"))?;
                 for &(i, w) in &abuse_rows {
                     if i >= tenants.len() {
                         return Err(format!("abuserow {i} has no matching tenant"));
@@ -418,7 +421,7 @@ fn parse_tenant(rest: &str) -> Result<SvcTenant, String> {
     if f.next() != Some("hosts") {
         return Err("tenant: missing hosts marker".into());
     }
-    let hosts = dash_split(f.next().ok_or("tenant: missing hosts")?, ',')?
+    let hosts = split_list(f.next().ok_or("tenant: missing hosts")?)?
         .into_iter()
         .map(netsim::NodeId)
         .collect();
@@ -450,26 +453,6 @@ fn parse_tenant(rest: &str) -> Result<SvcTenant, String> {
     })
 }
 
-fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "-".into())
-}
-
-fn dash_join(items: impl Iterator<Item = String>) -> String {
-    let v: Vec<String> = items.collect();
-    if v.is_empty() {
-        "-".into()
-    } else {
-        v.join(",")
-    }
-}
-
-fn dash_split<T: std::str::FromStr>(s: &str, sep: char) -> Result<Vec<T>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split(sep).map(|x| num(x, "list entry")).collect()
-}
-
 fn expect<'a>(lines: &mut std::str::Lines<'a>, tag: &str) -> Result<&'a str, String> {
     let line = lines
         .next()
@@ -477,10 +460,6 @@ fn expect<'a>(lines: &mut std::str::Lines<'a>, tag: &str) -> Result<&'a str, Str
     line.strip_prefix(tag)
         .map(str::trim_start)
         .ok_or_else(|| format!("expected {tag} record, got {line:?}"))
-}
-
-fn num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
-    tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
 }
 
 fn int<T: std::str::FromStr>(f: &mut std::str::SplitWhitespace, what: &str) -> Result<T, String> {
@@ -616,6 +595,87 @@ mod tests {
         // carry it (the next tick after restore integrates it).
         s.note_enforcement(0, 1, 0, 0);
         (s, now)
+    }
+
+    /// `quarantined_service` past its pending admit, with a host, a
+    /// ToR and a core cordoned and one more op left in the queue.
+    fn cordoned_service() -> FabricService {
+        let (mut s, _) = quarantined_service();
+        let t = s.topo.clone();
+        for node in [t.hosts[5], t.tors[1], t.cores[1]] {
+            s.submit(2 * MS, FabricOp::Cordon { node: node.raw() });
+        }
+        let out = s.advance(2 * MS + 200 * US);
+        assert_eq!(out.len(), 4);
+        for a in &out[1..] {
+            assert!(
+                matches!(a.reply, crate::ops::FabricReply::Cordoned { .. }),
+                "{:?}",
+                a.reply
+            );
+        }
+        s.submit(5 * MS, FabricOp::Depart { tenant: 2 });
+        s
+    }
+
+    #[test]
+    fn render_of_a_fixed_service_is_pinned() {
+        // Taken from the `format!`-and-`join` renderer this one replaced:
+        // every record byte, and (through the `clock` digest) every
+        // op and reply the service folded, must stay as it was.
+        let snap = render(&cordoned_service());
+        let mut h = DetHash::new();
+        h.fold_bytes(snap.as_bytes());
+        assert_eq!(
+            (h.digest(), snap.len()),
+            (0xe429_e402_b2cb_7fd9, 1189),
+            "{snap}"
+        );
+    }
+
+    #[test]
+    fn restore_never_panics_on_a_mangled_token() {
+        // Every whitespace-separated token of a busy, quarantined,
+        // cordoned snapshot, replaced one at a time with each of these.
+        const VALUES: [&str; 12] = [
+            "0",
+            "1",
+            "-1",
+            "-",
+            "NaN",
+            "-inf",
+            "4294967295",
+            "18446744073709551615",
+            "ffffffffffffffff",
+            "7ff8000000000000",
+            "fff0000000000000",
+            "x:y,z",
+        ];
+        let s = cordoned_service();
+        let snap = render(&s);
+        let lines: Vec<&str> = snap.lines().collect();
+        let mut panicked = Vec::new();
+        let mut restores = 0;
+        for (l, line) in lines.iter().enumerate() {
+            let toks: Vec<&str> = line.split(' ').collect();
+            for k in 0..toks.len() {
+                for v in VALUES {
+                    let mut edited = toks.clone();
+                    edited[k] = v;
+                    let mut bad: Vec<String> = lines.iter().map(|x| x.to_string()).collect();
+                    bad[l] = edited.join(" ");
+                    let bad = bad.join("\n") + "\n";
+                    let topo = s.topo.clone();
+                    restores += 1;
+                    let r = std::panic::catch_unwind(|| FabricService::restore(topo, &bad).is_ok());
+                    if r.is_err() {
+                        panicked.push(format!("line {} token {k} := {v}", l + 1));
+                    }
+                }
+            }
+        }
+        assert!(restores > 1000, "{restores}");
+        assert!(panicked.is_empty(), "restore panicked on: {panicked:#?}");
     }
 
     #[test]

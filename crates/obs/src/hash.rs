@@ -52,6 +52,14 @@ impl DetHash {
     }
 }
 
+/// `write!(h, "{x}")` folds the bytes of `x.to_string()` without building it.
+impl std::fmt::Write for DetHash {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.fold_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 impl Default for DetHash {
     fn default() -> Self {
         Self::new()
