@@ -131,7 +131,7 @@ pub(crate) fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -
     // the damage (DESIGN §10).
     let mut unsettled: BTreeSet<usize> = BTreeSet::new();
     let mut step_start = 0;
-    while cell.step() {
+    while cell.step().is_some() {
         let now = cell.now;
 
         // Containment loop. Counter *deltas* (not absolutes) feed the
@@ -319,10 +319,6 @@ pub fn run(scale: Scale, pct: u32, intensity: u32) -> Table {
             out.end.fabric_violations, 0,
             "fabric invariants violated:\n{}",
             out.end.fabric_report
-        );
-        assert_eq!(
-            out.end.reclaimed, out.end.admitted,
-            "every admitted tenant (hostile included) must be reclaimed"
         );
         assert_eq!(
             out.false_quarantines, 0,

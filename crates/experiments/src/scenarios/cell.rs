@@ -1,20 +1,24 @@
 //! The fabric-level *cell*: one simulated FatTree carrying a churn of
 //! tenants through the one tenant lifecycle (DESIGN §7, "The cell").
 //!
-//! `repro churn`, `abuse` and `dse` each run one [`Cell`] built from one
-//! [`Planned`], and differ in what they pass to the two constructors
-//! and in what they do between [`Cell::step`] and [`Cell::audit`].
-//! `repro ops` admits through the service's op queue, not a plan, so it
-//! keeps its own loop and shares the free functions.
+//! `repro churn`, `abuse`, `dse` and `ops` each run one [`Cell`] built
+//! from one [`Planned`], and differ in what they pass to the
+//! constructors and in what they do between [`Cell::step`] and
+//! [`Cell::audit`]. `ops` builds its `Planned` from the applied log of
+//! its pre-pass, so its cell submits the recorded op stream instead of
+//! committing a plan.
 
 use super::common::{obs_epilogue, Scale};
 use super::fig17::build_topo;
 use crate::harness::{Runner, SystemKind, SLICE};
-use fabric::{AdmissionCfg, Plan, Policy, TenantReq, TenantState};
-use fabricd::{FabricService, LedgerConservation, QualifyingStagger};
+use fabric::{AdmissionCfg, Plan, PlannedTenant, Policy, Rejection, TenantReq, TenantState};
+use fabricd::{
+    Applied, FabricOp, FabricReply, FabricService, LedgerConservation, QualifyingStagger,
+};
 use metrics::{RateSeries, Recorder};
 use netsim::{FaultKind, FaultPlan, NodeId, PairId, Time, MS, US};
-use obs::InvariantSuite;
+use obs::{InvariantSuite, SnapshotRoundTrip};
+use std::iter::Peekable;
 use std::sync::Arc;
 use topology::Topo;
 use ufab::{FabricSpec, UfabConfig, UfabEdge};
@@ -145,7 +149,7 @@ pub(crate) fn demand_for(kind: DemandKind, guar_bps: f64, bulk_factor: f64) -> P
 /// cross-host). Returns the tenant's `(source host, pair)` list and its
 /// traffic program: tagged with the `FabricSpec` tenant id, live over
 /// `window`, one `demand()` per pair.
-pub(crate) fn add_ring_tenant(
+fn add_ring_tenant(
     spec: &mut FabricSpec,
     name: &str,
     tokens_per_vm: f64,
@@ -189,7 +193,7 @@ pub(crate) fn guaranteed_bins(
 
 /// `--trace` attaches the flight recorder (which starts the determinism
 /// digest itself); every other run still carries the digest.
-pub(crate) fn observe(scale: &Scale, r: &mut Runner) {
+fn observe(scale: &Scale, r: &mut Runner) {
     if let Some(cap) = scale.trace {
         r.enable_trace(cap);
     } else {
@@ -208,29 +212,53 @@ pub(crate) fn hook_scale(seed: u64, servers: Option<usize>, check_invariants: bo
     }
 }
 
-/// The control-plane half of a plan-driven cell. Pure function of
-/// `(scale, policy, default_servers)`: what the data plane later does —
-/// hardware knobs, hostile programs — cannot move an admission, so
-/// outcome deltas between cells sharing these are the data plane's.
+/// Where a cell's admissions come from. A plan's are committed through
+/// `admit_planned` at their decision instants. An op stream is
+/// `submit`ted to the service's queue once due, because only the queue
+/// digests every op, and `admit_planned` panics with queued ops due.
+enum Admissions {
+    Plan,
+    Ops(Peekable<std::vec::IntoIter<(Time, FabricOp)>>),
+}
+
+/// The control-plane half of a cell. Pure function of its inputs: what
+/// the data plane later does — hardware knobs, hostile programs —
+/// cannot move an admission, so outcome deltas between cells sharing
+/// these are the data plane's.
 pub(crate) struct Planned {
     tl: Timeline,
     trace: Vec<TenantArrival>,
     acfg: AdmissionCfg,
     pub(crate) plan: Plan,
     topo: Topo,
+    admissions: Admissions,
+}
+
+/// A cell's timeline (`window_ms` of arrivals), `--servers` (or
+/// `default_servers`) FatTree, arrival trace (`per_sec_at_512`) and
+/// admission config.
+pub(crate) fn inputs(
+    scale: &Scale,
+    policy: Policy,
+    window_ms: u64,
+    per_sec_at_512: f64,
+    default_servers: usize,
+) -> (Timeline, Topo, Vec<TenantArrival>, AdmissionCfg) {
+    let tl = Timeline::new(scale.quick, window_ms);
+    let topo = build_topo(scale.servers.unwrap_or(default_servers), false);
+    let trace = cell_trace(scale.seed, &tl, topo.hosts.len(), per_sec_at_512);
+    let acfg = AdmissionCfg {
+        policy,
+        ..AdmissionCfg::default()
+    };
+    (tl, topo, trace, acfg)
 }
 
 impl Planned {
-    /// Trace + admission plan on the `--servers` (or `default_servers`)
-    /// FatTree: 22 k tenants/sec at 512 servers over a 68 ms window.
+    /// Trace + admission plan: 22 k tenants/sec at 512 servers over a
+    /// 68 ms window.
     pub(crate) fn new(scale: &Scale, policy: Policy, default_servers: usize) -> Self {
-        let tl = Timeline::new(scale.quick, 68);
-        let topo = build_topo(scale.servers.unwrap_or(default_servers), false);
-        let trace = cell_trace(scale.seed, &tl, topo.hosts.len(), 22_000.0);
-        let acfg = AdmissionCfg {
-            policy,
-            ..AdmissionCfg::default()
-        };
+        let (tl, topo, trace, acfg) = inputs(scale, policy, 68, 22_000.0, default_servers);
         let plan = fabric::plan(&topo, &acfg, &requests(&trace));
         Planned {
             tl,
@@ -238,6 +266,59 @@ impl Planned {
             acfg,
             plan,
             topo,
+            admissions: Admissions::Plan,
+        }
+    }
+
+    /// The plan an op stream applied: `ops` is the `(submit instant, op)`
+    /// stream a pre-pass played into a service on `topo`, with the
+    /// `Admit` of trace entry *k* its *k*-th admit, and `applied` that
+    /// service's log. Each `Admitted` reply is a tenant decided when
+    /// applied and departing a lifetime later on the reply's hosts.
+    pub(crate) fn from_ops(
+        (tl, topo, trace, acfg): (Timeline, Arc<Topo>, Vec<TenantArrival>, AdmissionCfg),
+        ops: Vec<(Time, FabricOp)>,
+        applied: &[Applied],
+    ) -> Self {
+        let (mut admitted, mut rejected, mut decision_latency_ns) = (vec![], vec![], vec![]);
+        let admits = applied.iter().filter_map(|ap| match &ap.op {
+            FabricOp::Admit { name, .. } => Some((ap, name)),
+            _ => None,
+        });
+        for (req, (ap, name)) in admits.enumerate() {
+            let a = &trace[req];
+            decision_latency_ns.push(ap.applied - ap.submitted);
+            match &ap.reply {
+                FabricReply::Admitted { hosts, .. } => admitted.push(PlannedTenant {
+                    req,
+                    name: name.clone(),
+                    n_vms: a.n_vms,
+                    tokens_per_vm: a.tokens_per_vm,
+                    arrival: ap.submitted,
+                    decision: ap.applied,
+                    depart: ap.applied + a.lifetime,
+                    hosts: hosts.iter().map(|&h| NodeId(h)).collect(),
+                }),
+                FabricReply::Rejected { reason } => rejected.push(Rejection {
+                    req,
+                    at: ap.applied,
+                    reason: *reason,
+                }),
+                other => unreachable!("admit {name} replied {other}"),
+            }
+        }
+        let plan = Plan {
+            admitted,
+            rejected,
+            decision_latency_ns,
+        };
+        Planned {
+            tl,
+            trace,
+            acfg,
+            plan,
+            topo: Arc::into_inner(topo).expect("the pre-pass service is gone"),
+            admissions: Admissions::Ops(ops.into_iter().peekable()),
         }
     }
 }
@@ -247,7 +328,7 @@ impl Planned {
 pub(crate) struct Cell {
     pub(crate) tl: Timeline,
     pub(crate) trace: Vec<TenantArrival>,
-    acfg: AdmissionCfg,
+    pub(crate) acfg: AdmissionCfg,
     pub(crate) plan: Plan,
     pub(crate) r: Runner,
     pub(crate) svc: FabricService,
@@ -257,6 +338,7 @@ pub(crate) struct Cell {
     pub(crate) now: Time,
     /// Chaos-driven re-qualifications so far.
     pub(crate) requalified: u64,
+    admissions: Admissions,
     driver: ChurnDriver,
     /// Acked bytes of each pair when its tenant last entered `Qualifying`.
     baselines: Vec<Vec<u64>>,
@@ -271,7 +353,6 @@ pub(crate) struct Cell {
 pub(crate) struct CellEnd {
     pub(crate) epilogue: String,
     pub(crate) admitted: usize,
-    pub(crate) reclaimed: usize,
     pub(crate) fabric_violations: usize,
     pub(crate) fabric_report: String,
     pub(crate) sim_violations: usize,
@@ -298,6 +379,7 @@ impl Cell {
             acfg,
             plan,
             topo,
+            admissions,
         } = planned;
         let mut spec = FabricSpec::new(acfg.bu_bps);
         let mut tenant_pairs = Vec::with_capacity(plan.admitted.len());
@@ -345,10 +427,15 @@ impl Cell {
             r.sim.apply_chaos(&fplan);
         }
         // The fabric suite always runs: ledger conservation is every
-        // cell's hard acceptance criterion, not an opt-in.
+        // cell's hard acceptance criterion, not an opt-in. With
+        // invariants on, every evaluation also requires the service's
+        // snapshot to restore byte-identical and audit-clean.
         let mut fsuite: InvariantSuite<FabricService> = InvariantSuite::new(MS);
         fsuite.register(Box::new(LedgerConservation));
         fsuite.register(Box::new(QualifyingStagger::new(STAGGER_BOUND)));
+        if scale.check_invariants {
+            fsuite.register(Box::new(SnapshotRoundTrip));
+        }
         Cell {
             baselines: vec![Vec::new(); plan.admitted.len()],
             retired: vec![false; plan.admitted.len()],
@@ -363,30 +450,41 @@ impl Cell {
             tenant_pairs,
             now: 0,
             requalified: 0,
+            admissions,
             fsuite,
         }
     }
 
     /// Advance one [`STEP`]: run the simulator, commit every planned
-    /// admission decided by then, fire the departures and reclaims due,
-    /// retire the pairs of the tenants just reclaimed, re-qualify across
-    /// the fault, and poll the qualification signal. Returns `false`,
-    /// having done nothing, once the horizon is reached.
-    pub(crate) fn step(&mut self) -> bool {
+    /// admission decided by then (or submit every op due), fire the ops,
+    /// departures and reclaims due, retire the pairs of the tenants just
+    /// reclaimed, re-qualify across the fault, and poll the
+    /// qualification signal. Returns the ops the service applied, or
+    /// `None`, having done nothing, once the horizon is reached.
+    pub(crate) fn step(&mut self) -> Option<Vec<Applied>> {
         if self.now >= self.tl.horizon {
-            return false;
+            return None;
         }
         self.now = (self.now + STEP).min(self.tl.horizon);
         let now = self.now;
         self.r.run(now, SLICE, &mut [&mut self.driver]);
         let first_new = self.svc.tenants().len();
-        while let Some(p) = self.plan.admitted.get(self.svc.tenants().len()) {
-            if p.decision > now {
-                break;
+        match &mut self.admissions {
+            Admissions::Plan => {
+                while let Some(p) = self.plan.admitted.get(self.svc.tenants().len()) {
+                    if p.decision > now {
+                        break;
+                    }
+                    self.svc.admit_planned(p);
+                }
             }
-            self.svc.admit_planned(p);
+            Admissions::Ops(ops) => {
+                while let Some((t, op)) = ops.next_if(|&(t, _)| t <= now) {
+                    self.svc.submit(t, op);
+                }
+            }
         }
-        self.svc.advance(now);
+        let applied = self.svc.advance(now);
         for i in first_new..self.svc.tenants().len() {
             self.baselines[i] = self.r.acked_baseline(&self.tenant_pairs[i]);
         }
@@ -417,7 +515,7 @@ impl Cell {
                 self.svc.note_qualified(id, now);
             }
         }
-        true
+        Some(applied)
     }
 
     /// Guaranteed tenants with a pair whose current route crosses `node`
@@ -466,12 +564,17 @@ impl Cell {
     }
 
     /// The common end-of-run readings; `label` names the cell in the
-    /// observability epilogue.
+    /// observability epilogue. Every admitted tenant must have been
+    /// reclaimed by the horizon, so no guarantee span is still open.
     pub(crate) fn end(&self, scale: &Scale, label: &str) -> CellEnd {
+        assert_eq!(
+            self.svc.count(TenantState::Reclaimed),
+            self.plan.admitted.len(),
+            "[{label}] every admitted tenant must be reclaimed by the horizon"
+        );
         CellEnd {
             epilogue: obs_epilogue(scale, &self.r, label),
             admitted: self.plan.admitted.len(),
-            reclaimed: self.svc.count(TenantState::Reclaimed),
             fabric_violations: self.fsuite.violations().len(),
             fabric_report: self.fsuite.report(),
             sim_violations: self.r.invariant_violations(),
@@ -550,26 +653,16 @@ mod tests {
         assert!(program.pairs.iter().map(|&(src, p, _)| (src, p)).eq(pairs));
     }
 
-    /// Retirement on the 64-server churn cell: by the horizon no edge
-    /// holds any state of a reclaimed tenant, and the per-pair slots the
-    /// edges ever held at once follow the pairs active at once, not the
-    /// pairs the run has seen.
-    #[test]
-    fn reclaimed_tenants_leave_no_pair_state_behind() {
-        let scale = hook_scale(1, Some(64), false);
-        let planned = Planned::new(&scale, fabric::Policy::FirstFit, 64);
-        let ucfg = UfabConfig {
-            core_cleanup_period: 5 * MS,
-            ..UfabConfig::default()
-        };
-        let mut cell = Cell::build(&scale, planned, ucfg, true, |_, kind, guar| {
-            demand_for(kind, guar, 1.0)
-        });
+    /// Step `cell` to the horizon and check retirement: no edge holds
+    /// any state of a reclaimed tenant, and the per-pair slots the edges
+    /// ever held at once follow the pairs active at once, not the pairs
+    /// the run has seen.
+    fn assert_retired(mut cell: Cell) {
         fn edge(cell: &Cell, h: NodeId) -> &UfabEdge {
             cell.r.sim.edge(h)
         }
         let mut peak_active = 0;
-        while cell.step() {
+        while cell.step().is_some() {
             let active = (cell.tenant_pairs.iter().flatten())
                 .filter(|&&(src, p)| edge(&cell, src).is_active(p) == Some(true))
                 .count();
@@ -592,9 +685,8 @@ mod tests {
             let [(_, r), (_, e)] = edge(&cell, h).slot_use();
             (rows, slots) = (rows + r, slots + e);
         }
-        // Seed 1: 760 pairs, at most 98 active at once; every pair has a
-        // row at its source and a slot at both ends.
         assert!(ever > 4 * peak_active, "{ever} pairs, {peak_active} active");
+        // Every pair has a row at its source and a slot at both ends.
         assert!(
             rows <= 2 * peak_active,
             "{rows} rows for {peak_active} active"
@@ -603,6 +695,25 @@ mod tests {
             slots <= 2 * 2 * peak_active,
             "{slots} slots for {peak_active} active"
         );
+    }
+
+    /// Retirement on the two 64-server cells: the plan-driven churn cell
+    /// and the op-driven ops cell, whose tenants come from its pre-pass.
+    #[test]
+    fn reclaimed_tenants_leave_no_pair_state_behind() {
+        let scale = hook_scale(1, Some(64), false);
+        let planned = Planned::new(&scale, Policy::FirstFit, 64);
+        let ucfg = UfabConfig {
+            core_cleanup_period: 5 * MS,
+            ..UfabConfig::default()
+        };
+        let churn = Cell::build(&scale, planned, ucfg, true, |_, kind, guar| {
+            demand_for(kind, guar, 1.0)
+        });
+        // Seed 1: 760 pairs, at most 98 active at once.
+        assert_retired(churn);
+        // Seed 1: 200 pairs, at most 38 active at once.
+        assert_retired(super::super::ops::build_cell(&scale, Policy::FirstFit, "mixed").0);
     }
 
     #[test]

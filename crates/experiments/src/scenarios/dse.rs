@@ -71,7 +71,7 @@ fn run_point(scale: Scale, point: KnobPoint) -> PointOut {
     let mut cell = Cell::build(&scale, planned, ucfg, false, |_, kind, guar| {
         demand_for(kind, guar, 1.0)
     });
-    while cell.step() {
+    while cell.step().is_some() {
         cell.audit();
     }
 
@@ -174,11 +174,6 @@ pub fn sweep(scale: Scale, points: &[KnobPoint]) -> SweepOut {
             out.end.fabric_violations, 0,
             "[{}] fabric invariants violated:\n{}",
             out.label, out.end.fabric_report
-        );
-        assert_eq!(
-            out.end.reclaimed, out.end.admitted,
-            "[{}] every admitted tenant must be reclaimed by the horizon",
-            out.label
         );
         assert!(
             out.registrations > 0,

@@ -9,11 +9,13 @@
 //!    [`FabricService`] end to end, *uninterrupted*. This run both
 //!    records the op stream — operator targets are selected from
 //!    service state at the scripted instants — and produces the
-//!    reference determinism digest.
-//! 2. **Inline run**: a fresh service consumes the recorded stream in
-//!    lock-step with the simulated fabric (admitted tenants' traffic,
-//!    μFAB-E-driven qualification). At `--snapshot-at` the service is
-//!    serialized, dropped, and restored from the snapshot mid-run.
+//!    reference determinism digest. Its applied log is the plan of the
+//!    cell (`Planned::from_ops`).
+//! 2. **Inline run**: a `Cell` submits the recorded stream to its own
+//!    fresh service in lock-step with the simulated fabric (admitted
+//!    tenants' traffic, μFAB-E-driven qualification, pair retirement,
+//!    the fabric suite). At `--snapshot-at` the service is serialized,
+//!    dropped, and restored from the snapshot mid-run.
 //!
 //! The acceptance criteria are exact, not statistical: the restored
 //! service must (a) pass the ledger conservation audit, (b) preserve
@@ -32,23 +34,21 @@
 //! (`--snapshot-at 0` disables it).
 
 use super::cell::{
-    add_ring_tenant, cell_trace, demand_for, guaranteed_bins, observe, Timeline, GUAR_FRACTION,
-    STEP,
+    cell_trace, demand_for, guaranteed_bins, inputs, Cell, CellEnd, Planned, Timeline,
+    GUAR_FRACTION,
 };
-use super::common::{emit, f, obs_epilogue, us, Scale};
+use super::common::{emit, f, us, Scale};
 use super::fig17::build_topo;
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
 use fabric::{AdmissionCfg, Policy};
 use fabricd::{Applied, FabricOp, FabricReply, FabricService};
 use metrics::table::Table;
 use metrics::Percentiles;
-use netsim::{NodeId, PairId, Time, MS, US};
-use obs::{InvariantSuite, SnapshotRoundTrip};
+use netsim::{Time, MS, US};
 use std::sync::Arc;
 use topology::Topo;
-use ufab::FabricSpec;
-use workloads::churn::{ChurnDriver, DemandKind, TenantArrival, TenantTraffic};
+use ufab::UfabConfig;
+use workloads::churn::{DemandKind, TenantArrival};
 
 /// Operator-script presets accepted by `--ops-script`.
 pub const PRESETS: &[&str] = &["none", "resize", "drain", "mixed"];
@@ -147,11 +147,9 @@ fn select_ops(ev: ScriptEv, svc: &FabricService, resize_round: &mut u32) -> Vec<
 /// Output of the uninterrupted reference pre-pass.
 struct Prepass {
     /// The recorded op stream: `(submit instant, op)` in order. The
-    /// inline run replays exactly this — operator targets are already
+    /// cell replays exactly this — operator targets are already
     /// resolved.
     ops: Vec<(Time, FabricOp)>,
-    /// Trace index of each admit op in `ops` order.
-    admit_req: Vec<usize>,
     /// Full applied stream of the uninterrupted run.
     applied: Vec<Applied>,
     /// Reference determinism digest.
@@ -170,7 +168,6 @@ fn prepass(
     let mut svc = FabricService::new(topo, acfg);
     let script_pts = script_events(script, tl);
     let mut ops: Vec<(Time, FabricOp)> = Vec::with_capacity(trace.len() + 8);
-    let mut admit_req: Vec<usize> = Vec::with_capacity(trace.len());
     let mut applied: Vec<Applied> = Vec::new();
     let mut resize_round = 0u32;
     let (mut i, mut j) = (0usize, 0usize);
@@ -194,7 +191,6 @@ fn prepass(
             };
             svc.submit(a, op.clone());
             ops.push((a, op));
-            admit_req.push(i);
             i += 1;
         } else {
             let t = next_script.expect("script point pending");
@@ -213,7 +209,6 @@ fn prepass(
     svc.audit().expect("reference run fails conservation audit");
     Prepass {
         ops,
-        admit_req,
         applied,
         digest: svc.digest(),
     }
@@ -222,8 +217,7 @@ fn prepass(
 /// Everything a policy cell reports back for asserts and the table.
 struct CellOut {
     row: [String; 11],
-    epilogue: String,
-    admitted: usize,
+    end: CellEnd,
     rejected: u32,
     drain_failed: bool,
     script_has_drain: bool,
@@ -231,108 +225,37 @@ struct CellOut {
     viol_ms: u64,
     guaranteed_ms: u64,
     restore_viol_ms: u64,
-    svc_violations: usize,
-    svc_report: String,
+}
+
+/// The ops cell of `policy` under `script`, and the digest of the
+/// uninterrupted reference pre-pass whose op stream it replays.
+pub(super) fn build_cell(scale: &Scale, policy: Policy, script: &str) -> (Cell, u64) {
+    let (tl, topo, trace, acfg) = inputs(scale, policy, WINDOW_MS, PER_SEC_AT_512, 512);
+    // 1) Uninterrupted reference run: records the op stream + digest.
+    //    Its service only reads the topology the simulator then takes.
+    let topo = Arc::new(topo);
+    let pre = prepass(Arc::clone(&topo), acfg, &trace, &tl, script);
+    // 2) The cell's tenants are the reference admissions. Traffic runs
+    //    on the *original* placement for the whole lifetime — a drain
+    //    migrates the control-plane slot, the data-plane probe keeps
+    //    flowing.
+    let planned = Planned::from_ops((tl, topo, trace, acfg), pre.ops, &pre.applied);
+    let cell = Cell::build(
+        scale,
+        planned,
+        UfabConfig::default(),
+        false,
+        |_, kind, guar| demand_for(kind, guar, BULK_FACTOR),
+    );
+    (cell, pre.digest)
 }
 
 fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>) -> CellOut {
-    let tl = Timeline::new(scale.quick, WINDOW_MS);
-    let servers = scale.servers.unwrap_or(512);
-    // One topology serves the pre-pass and the inline service in turn: a
-    // service only ever reads through its `Arc`.
-    let svc_topo = Arc::new(build_topo(servers, false));
-    let trace = cell_trace(scale.seed, &tl, svc_topo.hosts.len(), PER_SEC_AT_512);
-    let acfg = AdmissionCfg {
-        policy,
-        ..AdmissionCfg::default()
-    };
-
-    // 1) Uninterrupted reference run: records the op stream + digest.
-    let pre = prepass(Arc::clone(&svc_topo), acfg, &trace, &tl, &script);
-
-    // 2) FabricSpec + traffic programs from the reference admit replies
-    //    (tenant ids are dense over admissions, in admit order). VMs
-    //    ring-pair; traffic runs on the *original* placement for the
-    //    whole lifetime — a drain migrates the control-plane slot, the
-    //    data-plane probe keeps flowing.
-    let mut fabric_spec = FabricSpec::new(acfg.bu_bps);
-    let mut tenant_pairs: Vec<Vec<(NodeId, PairId)>> = Vec::new();
-    let mut tenant_kind: Vec<DemandKind> = Vec::new();
-    let mut min_tokens: Vec<f64> = Vec::new();
-    let mut programs: Vec<TenantTraffic> = Vec::new();
-    let mut admit_seen = 0usize;
-    for ap in &pre.applied {
-        let FabricOp::Admit {
-            name,
-            tokens_per_vm,
-            lifetime,
-            ..
-        } = &ap.op
-        else {
-            // Track the lowest guarantee ever in force per tenant: the
-            // violation threshold for a tenant whose traffic program is
-            // static must follow its committed resizes downward.
-            if let FabricReply::Resized {
-                tenant, new_tokens, ..
-            } = &ap.reply
-            {
-                let e = &mut min_tokens[*tenant as usize];
-                *e = e.min(*new_tokens);
-            }
-            continue;
-        };
-        let req = pre.admit_req[admit_seen];
-        admit_seen += 1;
-        let FabricReply::Admitted { tenant, hosts } = &ap.reply else {
-            continue;
-        };
-        debug_assert_eq!(*tenant as usize, tenant_pairs.len());
-        let kind = trace[req].kind;
-        let hosts: Vec<NodeId> = hosts.iter().map(|&h| NodeId(h)).collect();
-        let guar = tokens_per_vm * acfg.bu_bps;
-        let (pairs, program) = add_ring_tenant(
-            &mut fabric_spec,
-            name,
-            *tokens_per_vm,
-            &hosts,
-            (ap.applied, ap.applied + lifetime),
-            || demand_for(kind, guar, BULK_FACTOR),
-        );
-        tenant_pairs.push(pairs);
-        debug_assert_eq!(program.tag, *tenant);
-        tenant_kind.push(kind);
-        min_tokens.push(*tokens_per_vm);
-        programs.push(program);
-    }
-    let admitted = tenant_pairs.len();
-
-    // 3) Simulator (which consumes a topology of its own) + the inline
-    //    service.
-    let mut r = Runner::new(
-        build_topo(servers, false),
-        fabric_spec,
-        SystemKind::Ufab,
-        scale.seed,
-        None,
-        MS,
-    );
-    observe(&scale, &mut r);
-    if scale.check_invariants {
-        r.enable_invariants(MS / 4);
-    }
-    let mut svc = FabricService::new(svc_topo.clone(), acfg);
-    svc.set_obs(r.obs.clone());
-
-    // The service invariant: at every evaluation the snapshot must
-    // restore to a byte-identical, audit-clean service.
-    let mut ssuite: InvariantSuite<FabricService> = InvariantSuite::new(2 * MS);
-    ssuite.register(Box::new(SnapshotRoundTrip));
-
-    let mut driver = ChurnDriver::new(programs, scale.seed ^ 0x5eed, 0);
-
-    // 4) Run loop: replay the recorded op stream in lock-step with the
-    //    simulator; snapshot/kill/restore the service at `snap_at`.
-    let mut baselines: Vec<Vec<u64>> = vec![Vec::new(); admitted];
+    let (mut cell, reference) = build_cell(&scale, policy, &script);
+    // The lowest guarantee ever in force per tenant: the violation
+    // threshold for a tenant whose traffic program is static must follow
+    // its committed resizes downward.
+    let mut min_tokens: Vec<f64> = cell.plan.admitted.iter().map(|p| p.tokens_per_vm).collect();
     let mut resize_lat = Percentiles::new();
     let mut resized_ok = 0u32;
     let mut resized_denied = 0u32;
@@ -344,26 +267,20 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
     let mut util_sum = 0.0;
     let mut util_n = 0u64;
     let mut snapshot_fired = false;
-    let mut next_op = 0usize;
-    let mut now = 0;
-    while now < tl.horizon {
-        now = (now + STEP).min(tl.horizon);
-        while next_op < pre.ops.len() && pre.ops[next_op].0 <= now {
-            let (t, op) = &pre.ops[next_op];
-            svc.submit(*t, op.clone());
-            next_op += 1;
-        }
-        r.run(now, SLICE, &mut [&mut driver]);
-        for ap in svc.advance(now) {
-            match &ap.reply {
-                FabricReply::Admitted { tenant, .. } => {
-                    // Acked-bytes baseline: qualification requires
-                    // delivered progress, not just telemetry.
-                    baselines[*tenant as usize] = r.acked_baseline(&tenant_pairs[*tenant as usize]);
-                }
-                FabricReply::Resized { .. } => {
+    // 3) Run loop: the cell replays the recorded op stream in lock-step
+    //    with the simulator; snapshot/kill/restore the service at
+    //    `snap_at`.
+    while let Some(applied) = cell.step() {
+        let now = cell.now;
+        for ap in applied {
+            match ap.reply {
+                FabricReply::Resized {
+                    tenant, new_tokens, ..
+                } => {
                     resized_ok += 1;
                     resize_lat.add((ap.applied - ap.submitted) as f64);
+                    let e = &mut min_tokens[tenant as usize];
+                    *e = e.min(new_tokens);
                 }
                 FabricReply::ResizeDenied { .. } => {
                     resized_denied += 1;
@@ -382,19 +299,12 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
                 _ => {}
             }
         }
-        // Qualification poll: every pair's current path telemetry
-        // qualifies and acked bytes moved past the baseline.
-        for (i, _) in svc.qualifying() {
-            let i = i as usize;
-            if i >= tenant_pairs.len() {
-                continue;
-            }
-            if r.pairs_qualified(&tenant_pairs[i], &baselines[i]) {
-                svc.note_qualified(i as u32, now);
-                if let Some(d) = drain_at {
-                    if drain_touched.contains(&(i as u32)) {
-                        requal_ns.push(now - d);
-                    }
+        // Drained tenants the step's qualification poll just found
+        // guaranteed again.
+        if let Some(d) = drain_at {
+            for &i in &drain_touched {
+                if cell.svc.tenants()[i as usize].guaranteed_at == Some(now) {
+                    requal_ns.push(now - d);
                 }
             }
         }
@@ -402,29 +312,29 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
         if let Some(at) = snap_at {
             if !snapshot_fired && now >= at {
                 snapshot_fired = true;
-                let open_spans: Vec<(u32, Time)> = svc
+                let open_spans: Vec<(u32, Time)> = cell
+                    .svc
                     .tenants()
                     .iter()
                     .enumerate()
                     .filter_map(|(i, t)| t.guaranteed_at.map(|g| (i as u32, g)))
                     .collect();
-                let snap = svc.snapshot();
+                let snap = cell.svc.snapshot();
                 eprintln!(
                     "[ops {}] snapshot at {} µs: {} bytes, digest {:016x}",
                     policy.label(),
                     now / US,
                     snap.len(),
-                    svc.digest()
+                    cell.svc.digest()
                 );
-                drop(svc);
-                svc = FabricService::restore(svc_topo.clone(), &snap)
+                cell.svc = FabricService::restore(Arc::clone(&cell.r.topo), &snap)
                     .expect("mid-run snapshot must restore");
-                svc.set_obs(r.obs.clone());
+                cell.svc.set_obs(cell.r.obs.clone());
                 // No guarantee blinks across the restart: every open
                 // span survives with its original start instant.
                 for (i, g) in open_spans {
                     assert_eq!(
-                        svc.tenants()[i as usize].guaranteed_at,
+                        cell.svc.tenants()[i as usize].guaranteed_at,
                         Some(g),
                         "restore interrupted tenant {i}'s open guarantee span"
                     );
@@ -432,26 +342,26 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
                 eprintln!("[ops {}] restored, audit clean", policy.label());
             }
         }
-        if scale.check_invariants && ssuite.due(now) {
-            ssuite.run(&svc, now, &r.obs);
-        }
-        if tl.in_window(now) {
-            util_sum += svc.ledger().utilization();
+        cell.audit();
+        if cell.tl.in_window(now) {
+            util_sum += cell.svc.ledger().utilization();
             util_n += 1;
         }
     }
-    svc.audit()
+    cell.svc
+        .audit()
         .expect("inline service fails conservation audit");
     assert_eq!(
-        svc.digest(),
-        pre.digest,
+        cell.svc.digest(),
+        reference,
         "inline digest diverged from the uninterrupted reference run"
     );
+    let end = cell.end(&scale, &format!("ops:{}", policy.label()));
 
-    // 5) Violation accounting over every guarantee span, the open one
-    //    included, with the threshold at the lowest guarantee ever in
-    //    force for the tenant.
-    let rec = r.rec.lock().unwrap();
+    // 4) Violation accounting over every guarantee span (`end` found
+    //    them all closed), with the threshold at the lowest guarantee
+    //    ever in force for the tenant.
+    let rec = cell.r.rec.lock().unwrap();
     let mut viol_ms = 0u64;
     let mut guaranteed_ms = 0u64;
     let mut restore_viol_ms = 0u64;
@@ -459,20 +369,16 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
     // restore drill actually ran there — a correct restore must leave
     // the data plane untouched, so the count is identical either way
     // (and stdout stays byte-identical across `--snapshot-at`).
-    let window_at = snap_at.unwrap_or_else(|| tl.at(50));
+    let window_at = snap_at.unwrap_or_else(|| cell.tl.at(50));
     let restore_bins = (window_at / MS, window_at / MS + RESTORE_WINDOW_MS);
-    for (i, t) in svc.tenants().iter().enumerate() {
-        if i >= tenant_kind.len() || tenant_kind[i] != DemandKind::Bulk {
+    for (i, t) in cell.svc.tenants().iter().enumerate() {
+        if cell.trace[cell.plan.admitted[i].req].kind != DemandKind::Bulk {
             continue;
         }
-        let tenant_guar =
-            GUAR_FRACTION * min_tokens[i] * acfg.bu_bps * tenant_pairs[i].len() as f64;
+        let n_pairs = cell.tenant_pairs[i].len() as f64;
+        let tenant_guar = GUAR_FRACTION * min_tokens[i] * cell.acfg.bu_bps * n_pairs;
         let series = rec.tenant_rates.get(&(i as u32));
-        let mut spans = t.guaranteed_spans.clone();
-        if let Some(g) = t.guaranteed_at {
-            spans.push((g, tl.horizon));
-        }
-        guaranteed_bins(&spans, series, tenant_guar, |b, violated| {
+        guaranteed_bins(&t.guaranteed_spans, series, tenant_guar, |b, violated| {
             guaranteed_ms += 1;
             if violated {
                 viol_ms += 1;
@@ -484,13 +390,12 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
     }
     drop(rec);
 
-    let epilogue = obs_epilogue(&scale, &r, &format!("ops:{}", policy.label()));
     let requal_max_ms = requal_ns.iter().max().map(|&n| f(n as f64 / 1e6, 1));
     CellOut {
         row: [
             policy.label().to_string(),
-            admitted.to_string(),
-            svc.n_rejected().to_string(),
+            end.admitted.to_string(),
+            cell.svc.n_rejected().to_string(),
             format!("{resized_ok}+{resized_denied}"),
             us(resize_lat.percentile(99.0).unwrap_or(0.0)),
             drained_vms.to_string(),
@@ -498,19 +403,16 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
             viol_ms.to_string(),
             restore_viol_ms.to_string(),
             f(100.0 * util_sum / util_n.max(1) as f64, 1),
-            format!("{:016x}", svc.digest()),
+            format!("{:016x}", cell.svc.digest()),
         ],
-        epilogue,
-        admitted,
-        rejected: svc.n_rejected(),
+        end,
+        rejected: cell.svc.n_rejected(),
         drain_failed,
         script_has_drain: script == "drain" || script == "mixed",
         snapshot_fired,
         viol_ms,
         guaranteed_ms,
         restore_viol_ms,
-        svc_violations: ssuite.violations().len(),
-        svc_report: ssuite.report(),
     }
 }
 
@@ -552,21 +454,21 @@ pub fn run(scale: Scale, script: &str, snap_at_us: Option<u64>) -> Table {
     ]);
     for out in run_jobs(cells) {
         table.row(out.row.clone());
-        if !out.epilogue.is_empty() {
-            print!("{}", out.epilogue);
+        if !out.end.epilogue.is_empty() {
+            print!("{}", out.end.epilogue);
         }
         assert_eq!(
-            out.svc_violations, 0,
-            "service invariants violated:\n{}",
-            out.svc_report
+            out.end.fabric_violations, 0,
+            "fabric invariants violated:\n{}",
+            out.end.fabric_report
         );
         // Whether the trace over-subscribes a class is a property of
         // the seed, not an invariant of the service.
-        if out.rejected == 0 && out.admitted >= 50 {
+        if out.rejected == 0 && out.end.admitted >= 50 {
             eprintln!(
                 "[note] {}: all {} requests admitted — this seed's trace never \
                  over-subscribes a class, so the reject column is empty",
-                out.row[0], out.admitted
+                out.row[0], out.end.admitted
             );
         }
         if out.script_has_drain {
@@ -679,4 +581,47 @@ fn populated_service(seed: u64) -> (FabricService, Time) {
     svc.advance(now);
     assert!(!svc.tenants().is_empty(), "bench service admitted nothing");
     (svc, now)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::cell::hook_scale;
+    use super::*;
+
+    /// The cells of the `ops_64_seed2` golden (mixed script, restore
+    /// drill mid-window). The service digests are the golden's; the
+    /// simulator digests and event counts are the ones `--trace`
+    /// prints, which no golden holds.
+    #[test]
+    fn ops_cells_keep_their_service_and_simulator_digests() {
+        let scale = hook_scale(2, Some(64), false);
+        let snap_at = Some(Timeline::new(true, WINDOW_MS).at(50));
+        for (policy, svc, sim, events) in [
+            (
+                Policy::FirstFit,
+                "0f16cdb2132a4138",
+                "9e1dd4441746958e",
+                1_229_811,
+            ),
+            (
+                Policy::LoadSpread,
+                "8c5c849e296efeee",
+                "64e83a754825c15b",
+                1_618_691,
+            ),
+        ] {
+            let out = run_cell(scale, policy, "mixed".into(), snap_at);
+            assert!(out.snapshot_fired, "{}", policy.label());
+            assert_eq!(
+                (
+                    out.row[10].as_str(),
+                    out.end.digest.as_str(),
+                    out.end.events
+                ),
+                (svc, sim, events),
+                "{}",
+                policy.label()
+            );
+        }
+    }
 }

@@ -36,5 +36,5 @@ pub(crate) mod place;
 
 pub use abuse::{AbuseCfg, ClampAction, MisbehaviorLedger};
 pub use ledger::Ledger;
-pub use manager::{plan, AdmissionCfg, Plan, PlannedTenant, TenantReq, TenantState};
+pub use manager::{plan, AdmissionCfg, Plan, PlannedTenant, Rejection, TenantReq, TenantState};
 pub use place::{Placer, Policy, RejectReason};

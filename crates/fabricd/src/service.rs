@@ -56,9 +56,9 @@ pub struct SvcTenant {
     /// Scheduled departure (`admitted_at + lifetime`).
     pub depart_at: Time,
     /// When the tenant actually departed, once it has.
-    pub departed_at: Option<Time>,
+    pub(crate) departed_at: Option<Time>,
     /// When the tenant last entered `Qualifying`.
-    pub qualifying_since: Time,
+    pub(crate) qualifying_since: Time,
     /// Open guarantee span start, while `Guaranteed`.
     pub guaranteed_at: Option<Time>,
     /// Time-to-guarantee: first `Guaranteed` − admission (ns).
@@ -66,9 +66,9 @@ pub struct SvcTenant {
     /// Closed `[enter, exit)` guarantee windows.
     pub guaranteed_spans: Vec<(Time, Time)>,
     /// Committed resizes.
-    pub resizes: u32,
+    pub(crate) resizes: u32,
     /// Drains that moved at least one of this tenant's VMs.
-    pub migrations: u32,
+    pub(crate) migrations: u32,
 }
 
 impl SvcTenant {
@@ -101,8 +101,6 @@ pub struct Applied {
     pub submitted: Time,
     /// Decision instant (submission plus queue pacing).
     pub applied: Time,
-    /// Submission sequence number.
-    pub seq: u64,
     /// The op itself.
     pub op: FabricOp,
     /// The service's reply.
@@ -588,7 +586,6 @@ impl FabricService {
         Applied {
             submitted,
             applied: at,
-            seq,
             op,
             reply,
         }
