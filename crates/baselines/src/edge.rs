@@ -23,7 +23,7 @@
 
 use crate::clove::Clove;
 use crate::picnic::ReceiverGrants;
-use crate::swift::{SwiftCfg, SwiftState};
+use crate::swift::SwiftState;
 use metrics::recorder::SharedRecorder;
 use netsim::agent::{EdgeAgent, EdgeCtx};
 use netsim::packet::{Packet, PacketKind};
@@ -54,24 +54,8 @@ pub enum BaselineKind {
 pub struct BaselineCfg {
     /// Composite selection.
     pub kind: BaselineKind,
-    /// Swift parameters.
-    pub swift: SwiftCfg,
     /// Clove flowlet gap (paper: 200 μs recommended, 36 μs forced).
     pub flowlet_gap: Time,
-    /// Clove utilisation decay constant.
-    pub clove_decay: Time,
-    /// Per-path pilot probe period (utilisation freshness).
-    pub pilot_period: Time,
-    /// Guarantee-partitioning refresh period.
-    pub token_update_period: Time,
-    /// Retransmission timeout in baseRTTs.
-    pub rto_rtts: u64,
-    /// Candidate paths per pair.
-    pub candidate_paths: usize,
-    /// WFQ weight levels.
-    pub wfq_levels: u8,
-    /// Receiver-grant activity timeout.
-    pub grant_timeout: Time,
 }
 
 impl BaselineCfg {
@@ -79,15 +63,7 @@ impl BaselineCfg {
     pub fn pwc() -> Self {
         Self {
             kind: BaselineKind::PicnicWccClove,
-            swift: SwiftCfg::default(),
             flowlet_gap: 200 * US,
-            clove_decay: 10 * MS,
-            pilot_period: 500 * US,
-            token_update_period: 128 * US,
-            rto_rtts: 16,
-            candidate_paths: 4,
-            wfq_levels: 8,
-            grant_timeout: MS,
         }
     }
 
@@ -99,6 +75,23 @@ impl BaselineCfg {
         }
     }
 }
+
+// The baselines' fixed operating constants: no run varies them.
+
+/// Clove utilisation decay constant.
+const CLOVE_DECAY: Time = 10 * MS;
+/// Per-path pilot probe period (utilisation freshness).
+const PILOT_PERIOD: Time = 500 * US;
+/// Guarantee-partitioning refresh period.
+const TOKEN_UPDATE_PERIOD: Time = 128 * US;
+/// Retransmission timeout in baseRTTs.
+const RTO_RTTS: u64 = 16;
+/// Candidate paths per pair.
+const CANDIDATE_PATHS: usize = 4;
+/// WFQ weight levels.
+const WFQ_LEVELS: u8 = 8;
+/// Receiver-grant activity timeout.
+const GRANT_TIMEOUT: Time = MS;
 
 const TICK: u64 = 2;
 
@@ -154,7 +147,7 @@ impl BaselineEdge {
     ) -> Self {
         let mtu = topo.mtu;
         let ep = Endpoint::new(host, Arc::clone(&fabric), recorder, mtu, 100 * US);
-        let grants = ReceiverGrants::new(nic_bps as f64, 0.95, cfg.grant_timeout);
+        let grants = ReceiverGrants::new(nic_bps as f64, 0.95, GRANT_TIMEOUT);
         Self {
             cfg,
             topo,
@@ -250,7 +243,7 @@ impl BaselineEdge {
             let j = ctx.rng.gen_range(0..=i);
             idxs.swap(i, j);
         }
-        idxs.truncate(self.cfg.candidate_paths.max(1));
+        idxs.truncate(CANDIDATE_PATHS);
         let paths: Vec<BPath> = idxs
             .iter()
             .map(|&i| BPath {
@@ -273,7 +266,7 @@ impl BaselineEdge {
             tokens: vm_tokens / n_active as f64,
             phi_r: f64::INFINITY,
             paths,
-            clove: Clove::new(n_paths, self.cfg.flowlet_gap, self.cfg.clove_decay),
+            clove: Clove::new(n_paths, self.cfg.flowlet_gap, CLOVE_DECAY),
             // Greedy start at the NIC BDP (§2.2 Case-1's burst source).
             swift: SwiftState::with_initial(
                 base_rtt,
@@ -288,7 +281,7 @@ impl BaselineEdge {
         };
         self.pairs.insert(pair, p);
         self.wfq
-            .set_tenant(tenant, weight_class(vm_tokens, self.cfg.wfq_levels));
+            .set_tenant(tenant, weight_class(vm_tokens, WFQ_LEVELS));
         self.wfq.add_pair(tenant, pair);
         self.send_pilots(ctx, pair);
     }
@@ -415,15 +408,13 @@ impl BaselineEdge {
                 (
                     p.active,
                     p.base_rtt,
-                    now.saturating_sub(p.last_pilot) >= self.cfg.pilot_period,
+                    now.saturating_sub(p.last_pilot) >= PILOT_PERIOD,
                 )
             };
             if !active {
                 continue;
             }
-            if self.ep.inflight(pair) > 0
-                && self.ep.check_timeouts(now, pair, self.cfg.rto_rtts * base)
-            {
+            if self.ep.inflight(pair) > 0 && self.ep.check_timeouts(now, pair, RTO_RTTS * base) {
                 need_pump = true;
             }
             if pilot_due {
@@ -442,13 +433,13 @@ impl BaselineEdge {
         if need_pump {
             self.pump(ctx);
         }
-        ctx.set_timer(self.cfg.token_update_period, TICK);
+        ctx.set_timer(TOKEN_UPDATE_PERIOD, TICK);
     }
 }
 
 impl EdgeAgent for BaselineEdge {
     fn on_start(&mut self, ctx: &mut EdgeCtx) {
-        ctx.set_timer(self.cfg.token_update_period, TICK);
+        ctx.set_timer(TOKEN_UPDATE_PERIOD, TICK);
     }
 
     fn on_packet(&mut self, ctx: &mut EdgeCtx, pkt: Packet) {
@@ -492,7 +483,6 @@ impl EdgeAgent for BaselineEdge {
                             ctx.now,
                             rtt,
                             p.tokens.max(0.1),
-                            &self.cfg.swift,
                             self.mtu,
                             max_cwnd.max(2.0 * self.mtu as f64),
                         );

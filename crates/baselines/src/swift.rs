@@ -11,34 +11,20 @@
 
 use netsim::Time;
 
-/// Swift parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SwiftCfg {
-    /// Additive increase in MTUs per RTT per unit weight.
-    pub ai_mtus: f64,
-    /// Multiplicative-decrease sensitivity β.
-    pub beta: f64,
-    /// Maximum fractional decrease per RTT.
-    pub max_mdf: f64,
-    /// Lower bound of the window in MTUs.
-    pub min_cwnd_mtus: f64,
-    /// Target delay as a multiple of the flow's base RTT (Swift's fabric
-    /// target scales with hops; 1.5× base is the paper's Fig-5 flowlet
-    /// threshold scale).
-    pub target_scale: f64,
-}
+// Swift's parameters: no run varies them.
 
-impl Default for SwiftCfg {
-    fn default() -> Self {
-        Self {
-            ai_mtus: 1.0,
-            beta: 0.8,
-            max_mdf: 0.5,
-            min_cwnd_mtus: 1.0,
-            target_scale: 1.5,
-        }
-    }
-}
+/// Additive increase in MTUs per RTT per unit weight.
+const AI_MTUS: f64 = 1.0;
+/// Multiplicative-decrease sensitivity β.
+const BETA: f64 = 0.8;
+/// Maximum fractional decrease per RTT.
+const MAX_MDF: f64 = 0.5;
+/// Lower bound of the window in MTUs.
+const MIN_CWND_MTUS: f64 = 1.0;
+/// Target delay as a multiple of the flow's base RTT (Swift's fabric
+/// target scales with hops; 1.5× base is the paper's Fig-5 flowlet
+/// threshold scale).
+const TARGET_SCALE: f64 = 1.5;
 
 /// Per-pair Swift state.
 #[derive(Debug, Clone, Copy)]
@@ -61,36 +47,23 @@ impl SwiftState {
         }
     }
 
-    /// The delay target in nanoseconds.
-    pub(crate) fn target(&self, cfg: &SwiftCfg) -> Time {
-        (self.base_rtt as f64 * cfg.target_scale) as Time
-    }
-
     /// Process one RTT sample from an ACK.
     ///
     /// `weight` is the pair's bandwidth-token weight, `mtu` the fabric
     /// MTU, `max_cwnd` an upper clamp (e.g. NIC BDP).
-    pub(crate) fn on_ack(
-        &mut self,
-        now: Time,
-        rtt: Time,
-        weight: f64,
-        cfg: &SwiftCfg,
-        mtu: u32,
-        max_cwnd: f64,
-    ) {
-        let target = self.target(cfg);
+    pub(crate) fn on_ack(&mut self, now: Time, rtt: Time, weight: f64, mtu: u32, max_cwnd: f64) {
+        let target = (self.base_rtt as f64 * TARGET_SCALE) as Time;
         let mtu_f = mtu as f64;
         if rtt < target {
             // Per-ACK share of "weight·ai MTUs per RTT".
-            self.cwnd += weight * cfg.ai_mtus * mtu_f * (mtu_f / self.cwnd);
+            self.cwnd += weight * AI_MTUS * mtu_f * (mtu_f / self.cwnd);
         } else if now.saturating_sub(self.last_decrease) >= rtt {
             let over = (rtt - target) as f64 / rtt as f64;
-            let factor = (1.0 - cfg.beta * over).max(1.0 - cfg.max_mdf);
+            let factor = (1.0 - BETA * over).max(1.0 - MAX_MDF);
             self.cwnd *= factor;
             self.last_decrease = now;
         }
-        self.cwnd = self.cwnd.clamp(cfg.min_cwnd_mtus * mtu_f, max_cwnd);
+        self.cwnd = self.cwnd.clamp(MIN_CWND_MTUS * mtu_f, max_cwnd);
     }
 }
 
@@ -103,68 +76,56 @@ mod tests {
 
     #[test]
     fn grows_below_target() {
-        let cfg = SwiftCfg::default();
         let mut s = SwiftState::with_initial(24 * US, MTU as f64);
         let start = s.cwnd;
         let mut now = 0;
         for _ in 0..50 {
             now += 24 * US;
-            s.on_ack(now, 20 * US, 1.0, &cfg, MTU, 1e9);
+            s.on_ack(now, 20 * US, 1.0, MTU, 1e9);
         }
         assert!(s.cwnd > start * 10.0, "cwnd {}", s.cwnd);
     }
 
     #[test]
     fn shrinks_above_target_once_per_rtt() {
-        let cfg = SwiftCfg::default();
         let mut s = SwiftState::with_initial(24 * US, MTU as f64);
         s.cwnd = 100_000.0;
         // Two congested ACKs back-to-back: only one decrease applies.
-        s.on_ack(100 * US, 100 * US, 1.0, &cfg, MTU, 1e9);
+        s.on_ack(100 * US, 100 * US, 1.0, MTU, 1e9);
         let after_first = s.cwnd;
         assert!(after_first < 100_000.0);
-        s.on_ack(101 * US, 100 * US, 1.0, &cfg, MTU, 1e9);
+        s.on_ack(101 * US, 100 * US, 1.0, MTU, 1e9);
         assert_eq!(s.cwnd, after_first);
         // After an RTT has passed, it may decrease again.
-        s.on_ack(300 * US, 100 * US, 1.0, &cfg, MTU, 1e9);
+        s.on_ack(300 * US, 100 * US, 1.0, MTU, 1e9);
         assert!(s.cwnd < after_first);
     }
 
     #[test]
     fn decrease_bounded_by_max_mdf() {
-        let cfg = SwiftCfg::default();
         let mut s = SwiftState::with_initial(24 * US, MTU as f64);
         s.cwnd = 100_000.0;
         // Enormous RTT: decrease clamps at 50 %.
-        s.on_ack(10_000 * US, 5_000 * US, 1.0, &cfg, MTU, 1e9);
+        s.on_ack(10_000 * US, 5_000 * US, 1.0, MTU, 1e9);
         assert!((s.cwnd - 50_000.0).abs() < 1.0);
     }
 
     #[test]
     fn floor_and_ceiling() {
-        let cfg = SwiftCfg::default();
         let mut s = SwiftState::with_initial(24 * US, MTU as f64);
         s.cwnd = 2000.0;
         for i in 0..100 {
-            s.on_ack((i + 1) * 100 * US, 100 * US, 1.0, &cfg, MTU, 1e9);
+            s.on_ack((i + 1) * 100 * US, 100 * US, 1.0, MTU, 1e9);
         }
-        assert_eq!(s.cwnd, cfg.min_cwnd_mtus * MTU as f64);
+        assert_eq!(s.cwnd, MIN_CWND_MTUS * MTU as f64);
         for i in 0..10_000u64 {
-            s.on_ack(
-                i * 24 * US + 2_000_000_000,
-                10 * US,
-                1.0,
-                &cfg,
-                MTU,
-                50_000.0,
-            );
+            s.on_ack(i * 24 * US + 2_000_000_000, 10 * US, 1.0, MTU, 50_000.0);
         }
         assert_eq!(s.cwnd, 50_000.0);
     }
 
     #[test]
     fn weighted_growth_is_proportional() {
-        let cfg = SwiftCfg::default();
         // Measure growth over a fixed number of uncongested ACKs from the
         // same starting window.
         let grow = |weight: f64| {
@@ -173,7 +134,7 @@ mod tests {
             let mut now = 0;
             for _ in 0..20 {
                 now += 24 * US;
-                s.on_ack(now, 20 * US, weight, &cfg, MTU, 1e9);
+                s.on_ack(now, 20 * US, weight, MTU, 1e9);
             }
             s.cwnd - 30_000.0
         };

@@ -49,7 +49,7 @@ const CLEANUP_TIMER: u64 = 0xC1EA;
 /// saturates the Φ_l/W_l values stamped into probes; `int_hop_depth`
 /// truncates telemetry past the header budget; `cleanup_period` bounds
 /// stale-registration lifetime (§4.2).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreHwCfg {
     /// Counting-Bloom memory per egress port (paper: 20 KB).
     pub bloom_bytes: usize,

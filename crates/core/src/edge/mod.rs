@@ -44,6 +44,7 @@ use netsim::agent::{EdgeAgent, EdgeCtx};
 use netsim::packet::{Packet, PacketKind};
 use netsim::{
     FastMap, Inject, NodeId, PairId, PortNo, Route, TenantId, Time, VmId, ACK_SIZE, DATA_OVERHEAD,
+    MS, SEC, US,
 };
 use obs::{Category as ObsCategory, Event as ObsEvent, ObsHandle};
 use pairs::{PairCold, PairTable, PathInfo, PathTelem, PendingFinish, ProbeOut, Registration};
@@ -56,6 +57,59 @@ use wfq::{weight_class, WfqScheduler};
 
 /// Timer kind: the periodic control tick (GP, timeouts, probing upkeep).
 const TICK: u64 = 1;
+
+// The paper's μFAB-E operating constants (§3.3–§3.5, §4.1, §5.1). They
+// are design parameters, not operator settings: no run varies them, so
+// each is named here rather than carried in `UfabConfig`.
+
+/// Target link utilisation η; C_l = η·C^max_l (95 % headroom absorbs
+/// transient bursts, §3.3 footnote).
+const TARGET_UTILIZATION: f64 = 0.95;
+/// Data bytes a pair transmits between probes (L_m, §4.1). The probe
+/// overhead bound is L_p/(L_p+L_m) — 1.28 % at 4 KB.
+const PROBE_LM_BYTES: u64 = 4096;
+/// GP token (re)assignment period (32 μs, §5.1).
+const TOKEN_UPDATE_PERIOD: Time = 32 * US;
+/// Consecutive RTT-scale violations of the minimum bandwidth before a
+/// migration is triggered (5 RTTs, §3.5).
+const VIOLATION_RTTS: u32 = 5;
+/// How long a persistently better path must be observed before a
+/// work-conservation migration (30 s, §3.5).
+const BETTER_PATH_HOLD: Time = 30 * SEC;
+/// Probe-loss timeout in baseRTTs (8, §4.1).
+const PROBE_TIMEOUT_RTTS: u64 = 8;
+/// Number of candidate underlay paths a pair randomly samples (§3.5).
+const CANDIDATE_PATHS: usize = 4;
+/// Number of WFQ weight levels in the packet scheduler (8, §4.1).
+const WFQ_LEVELS: u8 = 8;
+/// Floor for the admission window in MTUs. May be fractional:
+/// sub-MTU windows are enforced by pacing (one packet per
+/// window/baseRTT interval), as the FPGA packet scheduler does.
+const MIN_WINDOW_MTUS: f64 = 0.1;
+/// Retransmission timeout in baseRTTs.
+const RTO_RTTS: u64 = 16;
+/// Idle time after which a pair deregisters with a finish probe.
+const IDLE_FINISH: Time = MS;
+/// How often to probe *alternative* candidate paths for the
+/// work-conservation trigger (kept slow to bound overhead).
+const ALT_PROBE_PERIOD: Time = 10 * MS;
+/// Typical fabric RTT, used to scale rate-estimator time constants
+/// (the per-pair baseRTT is computed exactly from the topology).
+const RTT_SCALE: Time = 25 * US;
+/// Cap on shortest-path enumeration when sampling candidates.
+const PATH_ENUM_CAP: usize = 16;
+/// Policer burst in RTTs of the tenant's per-host hose guarantee
+/// (floored at 2 MTUs).
+const ENFORCE_BURST_RTTS: f64 = 1.0;
+/// Enforcement observation window (ns): verdict events and the
+/// probe budget are accounted per window.
+const ENFORCE_WINDOW: Time = 250 * US;
+/// Probe-budget floor per observation window (keep-alives and
+/// candidate probing must never be throttled for honest tenants).
+const ENFORCE_PROBE_FLOOR: u32 = 32;
+/// Probe-budget margin over the self-clocked rate implied by the
+/// hose (budget = floor + margin·hose·window/(8·L_m)).
+const ENFORCE_PROBE_MARGIN: f64 = 2.0;
 
 /// Counters exported for experiments and tests.
 #[derive(Debug, Clone, Copy, Default)]
@@ -158,8 +212,8 @@ impl UfabEdge {
         host: NodeId,
     ) -> Self {
         let mtu = topo.mtu;
-        let ep = Endpoint::new(host, Arc::clone(&fabric), recorder, mtu, 4 * cfg.rtt_scale);
-        let enforce = EnforceState::new(cfg.enforce, cfg.enforce_window);
+        let ep = Endpoint::new(host, Arc::clone(&fabric), recorder, mtu, 4 * RTT_SCALE);
+        let enforce = EnforceState::new(cfg.enforce, ENFORCE_WINDOW);
         Self {
             cfg,
             topo,
@@ -277,7 +331,7 @@ impl UfabEdge {
             &t.hops,
             0.0,
             self.fabric.bu_bps,
-            self.cfg.target_utilization,
+            TARGET_UTILIZATION,
         ))
     }
 
@@ -408,16 +462,16 @@ impl UfabEdge {
             .map(|&v| self.fabric.vm_tokens(v))
             .sum::<f64>()
             * self.fabric.bu_bps;
-        let burst = (self.cfg.enforce_burst_rtts * hose * (self.cfg.rtt_scale as f64 / 1e9) / 8.0)
-            .max(2.0 * self.mtu as f64);
-        let budget = self.cfg.enforce_probe_floor
-            + (self.cfg.enforce_probe_margin * hose * (self.cfg.enforce_window as f64 / 1e9)
-                / (8.0 * self.cfg.probe_lm_bytes as f64)) as u32;
+        let burst =
+            (ENFORCE_BURST_RTTS * hose * (RTT_SCALE as f64 / 1e9) / 8.0).max(2.0 * self.mtu as f64);
+        let budget = ENFORCE_PROBE_FLOOR
+            + (ENFORCE_PROBE_MARGIN * hose * (ENFORCE_WINDOW as f64 / 1e9)
+                / (8.0 * PROBE_LM_BYTES as f64)) as u32;
         self.enforce.ensure(tenant, hose, burst, budget, 0);
     }
 
     fn min_window(&self) -> f64 {
-        self.cfg.min_window_mtus * (self.mtu - DATA_OVERHEAD) as f64
+        MIN_WINDOW_MTUS * (self.mtu - DATA_OVERHEAD) as f64
     }
 
     /// Route for a reply to `pkt`: retrace the packet's own source route
@@ -456,7 +510,7 @@ impl UfabEdge {
 
     fn activate_pair(&mut self, ctx: &mut EdgeCtx, pair: PairId) {
         let floor = self.min_window();
-        let eta = self.cfg.target_utilization;
+        let eta = TARGET_UTILIZATION;
         let bu = self.fabric.bu_bps;
         if let Some(s) = self.pairs.slot(pair) {
             // (The tenant's enforcement row was provisioned when the
@@ -496,7 +550,7 @@ impl UfabEdge {
         let dst_host = self.fabric.pair_dst_host(pair);
         assert_eq!(self.fabric.pair_src_host(pair), self.host, "pair not ours");
         assert_ne!(dst_host, self.host, "same-host VM pairs need no fabric");
-        let all = self.topo.paths(self.host, dst_host, self.cfg.path_enum_cap);
+        let all = self.topo.paths(self.host, dst_host, PATH_ENUM_CAP);
         assert!(!all.is_empty(), "no path {} -> {}", self.host, dst_host);
         // Randomly sample k candidates (§3.5).
         let mut idxs: Vec<usize> = (0..all.len()).collect();
@@ -504,7 +558,7 @@ impl UfabEdge {
             let j = ctx.rng.gen_range(0..=i);
             idxs.swap(i, j);
         }
-        idxs.truncate(self.cfg.candidate_paths.max(1));
+        idxs.truncate(CANDIDATE_PATHS);
         let candidates: Vec<PathInfo> = idxs
             .iter()
             .map(|&i| {
@@ -563,7 +617,7 @@ impl UfabEdge {
             .pairs
             .insert(pair, cold, ep_slot, enf_row, phi_s, window, boot, ctx.now);
         self.wfq
-            .set_tenant(tenant, weight_class(vm_tokens, self.cfg.wfq_levels));
+            .set_tenant(tenant, weight_class(vm_tokens, WFQ_LEVELS));
         self.wfq.add_pair(tenant, s as u32);
         self.register_on_current(ctx, s);
         self.probe_candidates(ctx, s);
@@ -667,7 +721,7 @@ impl UfabEdge {
         }
         match self.cfg.probe_period_rtts {
             None => {
-                if self.pairs.bytes_since_probe[s] >= self.cfg.probe_lm_bytes {
+                if self.pairs.bytes_since_probe[s] >= PROBE_LM_BYTES {
                     let cur = self.pairs.cold[s].cur;
                     self.send_probe(ctx, s, cur, false);
                 }
@@ -756,7 +810,7 @@ impl UfabEdge {
         if frame.kind == telemetry::ProbeKind::Failure {
             self.pairs.cold[s].telem[path_idx] = PathTelem::default();
             if path_idx == self.pairs.cold[s].cur {
-                self.pairs.violations[s] = self.cfg.violation_rtts;
+                self.pairs.violations[s] = VIOLATION_RTTS;
                 self.stats.probe_timeouts += 1;
                 self.probe_candidates(ctx, s);
                 self.try_migrate(ctx, s, false, true);
@@ -768,7 +822,7 @@ impl UfabEdge {
             return;
         }
         // ---- Rate control on the current path (Eqn 3 + two-stage) ----
-        let eta = self.cfg.target_utilization;
+        let eta = TARGET_UTILIZATION;
         let t_s = self.pairs.cur_base_rtt[s] as f64 / 1e9;
         let phi = self.pairs.phi_eff(s);
         let w3 = rate::path_window(
@@ -779,7 +833,7 @@ impl UfabEdge {
             eta,
             self.mtu,
         );
-        let floor = self.cfg.min_window_mtus * (self.mtu - DATA_OVERHEAD) as f64;
+        let floor = MIN_WINDOW_MTUS * (self.mtu - DATA_OVERHEAD) as f64;
         // The *claim* tracks Eqn 3: an under-demanded pair keeps claiming
         // its proportional share so W_l stays honest and the
         // C_l·T/(tx_l·T+q_l) multiplier can drive work conservation. The
@@ -879,10 +933,10 @@ impl UfabEdge {
         // Disqualification alone is not actionable (the placement may be
         // hose-infeasible and everyone still gets a proportional share);
         // it only accelerates an actual measured violation.
-        let migrate_violation = (self.pairs.violations[s] >= self.cfg.violation_rtts
+        let migrate_violation = (self.pairs.violations[s] >= VIOLATION_RTTS
             || (self.pairs.unqualified[s] >= 2 && self.pairs.violations[s] >= 2))
             && ctx.now >= self.pairs.freeze_until[s];
-        let sustained = self.pairs.violations[s] >= self.cfg.violation_rtts;
+        let sustained = self.pairs.violations[s] >= VIOLATION_RTTS;
         // ---- Work-conservation trigger (ii): persistently better path --
         let cur_potential =
             rate::path_potential_rate(phi, &self.pairs.cold[s].telem[path_idx].hops, eta);
@@ -910,7 +964,7 @@ impl UfabEdge {
         if let Some((_, alt_p)) = best_alt {
             if alt_p > 1.25 * cur_potential && has_demand {
                 let since = *self.pairs.cold[s].better_since.get_or_insert(ctx.now);
-                if ctx.now.saturating_sub(since) >= self.cfg.better_path_hold
+                if ctx.now.saturating_sub(since) >= BETTER_PATH_HOLD
                     && ctx.now >= self.pairs.freeze_until[s]
                 {
                     migrate_wc = true;
@@ -952,7 +1006,7 @@ impl UfabEdge {
         sustained: bool,
         MigrateScratch { qualified, fresh }: &mut MigrateScratch,
     ) {
-        let eta = self.cfg.target_utilization;
+        let eta = TARGET_UTILIZATION;
         let bu = self.fabric.bu_bps;
         let phi = self.pairs.phi_eff(s);
         let fresh_limit = 20 * self.pairs.cur_base_rtt[s];
@@ -1032,7 +1086,7 @@ impl UfabEdge {
     /// every sampled candidate is disqualified).
     fn resample_candidate(&mut self, ctx: &mut EdgeCtx, s: usize) {
         let dst_host = self.pairs.cold[s].dst_host;
-        let all = self.topo.paths(self.host, dst_host, self.cfg.path_enum_cap);
+        let all = self.topo.paths(self.host, dst_host, PATH_ENUM_CAP);
         if all.len() <= self.pairs.cold[s].candidates.len() {
             return; // nothing new to draw from
         }
@@ -1066,7 +1120,7 @@ impl UfabEdge {
 
     fn do_migrate(&mut self, ctx: &mut EdgeCtx, s: usize, new_idx: usize) {
         let floor = self.min_window();
-        let eta = self.cfg.target_utilization;
+        let eta = TARGET_UTILIZATION;
         let bu = self.fabric.bu_bps;
         let pair = self.pairs.id(s);
         if new_idx == self.pairs.cold[s].cur {
@@ -1223,7 +1277,7 @@ impl UfabEdge {
 
     /// GP receiver side: admit incoming demands per destination VM.
     fn gp_receiver_tick(&mut self, now: Time) {
-        let stale = (8 * self.cfg.token_update_period).max(1);
+        let stale = 8 * TOKEN_UPDATE_PERIOD;
         let rx = &mut self.rx;
         self.rx_live.retain(|&(_, _, e)| {
             let row = &mut rx[e as usize];
@@ -1264,14 +1318,14 @@ impl UfabEdge {
             // Probe-loss detection (8 baseRTT timeout, §4.1).
             let base = self.pairs.cur_base_rtt[s];
             let active = self.pairs.active[s];
-            let timeout = (self.cfg.probe_timeout_rtts * base).max(3 * self.pairs.srtt[s]);
+            let timeout = (PROBE_TIMEOUT_RTTS * base).max(3 * self.pairs.srtt[s]);
             let timed_out = self.pairs.outstanding[s]
                 .map(|o| now.saturating_sub(o.sent_at) > timeout)
                 .unwrap_or(false);
             let idle_since = self.ep.last_activity_at(e);
             let rto_due = self.ep.inflight_at(e) > 0;
-            let alt_due = active
-                && now.saturating_sub(self.pairs.last_alt_probe[s]) >= self.cfg.alt_probe_period;
+            let alt_due =
+                active && now.saturating_sub(self.pairs.last_alt_probe[s]) >= ALT_PROBE_PERIOD;
             let period_probe = active
                 && self.cfg.probe_period_rtts.is_some()
                 && self.pairs.outstanding[s].is_none();
@@ -1284,7 +1338,7 @@ impl UfabEdge {
                     // migrate anywhere qualified.
                     let cur = self.pairs.cold[s].cur;
                     self.pairs.cold[s].telem[cur] = PathTelem::default();
-                    self.pairs.violations[s] = self.cfg.violation_rtts;
+                    self.pairs.violations[s] = VIOLATION_RTTS;
                     self.probe_candidates(ctx, s);
                     self.try_migrate(ctx, s, false, true);
                 } else {
@@ -1294,7 +1348,7 @@ impl UfabEdge {
                 }
             }
             if rto_due {
-                let rto = self.cfg.rto_rtts * base;
+                let rto = RTO_RTTS * base;
                 if self.ep.check_timeouts_at(now, e, rto) {
                     need_pump = true;
                 }
@@ -1308,7 +1362,7 @@ impl UfabEdge {
                 }
                 // Idle detection → finish probes (§3.6).
                 let has_work = self.ep.has_backlog_at(e) || self.ep.inflight_at(e) > 0;
-                if !has_work && now.saturating_sub(idle_since) >= self.cfg.idle_finish {
+                if !has_work && now.saturating_sub(idle_since) >= IDLE_FINISH {
                     self.deactivate_pair(ctx, s);
                 }
             }
@@ -1355,7 +1409,7 @@ impl UfabEdge {
         }
         self.flush_enforcement_events(ctx.now);
         self.release_retired(ctx);
-        ctx.set_timer(self.cfg.token_update_period, TICK);
+        ctx.set_timer(TOKEN_UPDATE_PERIOD, TICK);
     }
 
     /// Drive this host's hostile tenants for one tick (the adversarial
@@ -1564,7 +1618,7 @@ impl UfabEdge {
 
 impl EdgeAgent for UfabEdge {
     fn on_start(&mut self, ctx: &mut EdgeCtx) {
-        ctx.set_timer(self.cfg.token_update_period, TICK);
+        ctx.set_timer(TOKEN_UPDATE_PERIOD, TICK);
     }
 
     fn on_packet(&mut self, ctx: &mut EdgeCtx, pkt: Packet) {

@@ -177,7 +177,7 @@ fn idle_pair_sends_finish_and_deactivates() {
     let ack = ack_of_500_bytes(pair, h.host);
     h.now += 10 * US;
     h.with_ctx(|a, ctx| a.on_packet(ctx, ack));
-    // Advance past the idle_finish threshold and run control ticks.
+    // Advance past the 1 ms `IDLE_FINISH` threshold and run control ticks.
     h.now += 2 * MS;
     let (_, fx) = h.with_ctx(|a, ctx| a.on_timer(ctx, 1));
     let finishes = fx

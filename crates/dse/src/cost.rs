@@ -20,8 +20,9 @@
 //!   data-plane resources (it only moves accuracy outcomes), which is
 //!   exactly why it is interesting on a Pareto front.
 
-use crate::knobs::KnobPoint;
+use crate::knobs::baseline;
 use ufab::resources::{tofino_at_pairs, TofinoUsage};
+use ufab::CoreHwCfg;
 
 /// Pair count the cost bridge is anchored at (Table 4's first row).
 pub(crate) const COST_PAIRS: u64 = 20_000;
@@ -55,18 +56,17 @@ pub struct CostBreakdown {
 
 /// Bits of per-port demand state a knob point keeps in SRAM: 8-bit
 /// Bloom cells plus the two (Φ, W) demand registers.
-fn state_bits(p: &KnobPoint) -> f64 {
+fn state_bits(p: &CoreHwCfg) -> f64 {
     (8 * p.bloom_bytes) as f64 + 2.0 * p.reg_width_bits as f64
 }
 
 /// Cost a knob point against the Table 4 anchor. The
-/// [`KnobPoint::baseline`] point reproduces the Table 4 row exactly
+/// [`baseline`] point reproduces the Table 4 row exactly
 /// (its shortened cleanup period is cost-free by construction).
-pub fn cost_of(p: &KnobPoint) -> CostBreakdown {
+pub fn cost_of(p: &CoreHwCfg) -> CostBreakdown {
     let base: TofinoUsage = tofino_at_pairs(COST_PAIRS);
-    let baseline = KnobPoint::baseline();
     let sram_pct = base.sram_pct * (1.0 - STATE_SRAM_SHARE)
-        + base.sram_pct * STATE_SRAM_SHARE * (state_bits(p) / state_bits(&baseline));
+        + base.sram_pct * STATE_SRAM_SHARE * (state_bits(p) / state_bits(&baseline()));
     let hash_bits_pct = base.hash_bits_pct * (p.bloom_hashes as f64 / 2.0);
     let stateful_alu_pct = base.stateful_alu_pct * ((2 + p.bloom_hashes as u32) as f64 / 4.0);
     let phv_pct = base.phv_pct * (1.0 - INT_PHV_SHARE)
@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn baseline_reproduces_table4_row() {
-        let c = cost_of(&KnobPoint::baseline());
+        let c = cost_of(&baseline());
         let t = TOFINO_TABLE4[0];
         assert!((c.sram_pct - t.sram_pct).abs() < 1e-9, "{}", c.sram_pct);
         assert!((c.hash_bits_pct - t.hash_bits_pct).abs() < 1e-9);
@@ -100,12 +100,12 @@ mod tests {
     /// holding the others at baseline.
     #[test]
     fn cost_monotone_in_each_knob() {
-        let base = KnobPoint::baseline();
-        let cost = |p: KnobPoint| cost_of(&p).cost_units;
+        let base = baseline();
+        let cost = |p: CoreHwCfg| cost_of(&p).cost_units;
         // Bloom bytes.
         let mut prev = f64::NEG_INFINITY;
         for b in [64usize, 256, 1024, 20 * 1024, 64 * 1024] {
-            let c = cost(KnobPoint {
+            let c = cost(CoreHwCfg {
                 bloom_bytes: b,
                 ..base
             });
@@ -115,7 +115,7 @@ mod tests {
         // Register width.
         prev = f64::NEG_INFINITY;
         for w in [6u8, 8, 12, 16, 32] {
-            let c = cost(KnobPoint {
+            let c = cost(CoreHwCfg {
                 reg_width_bits: w,
                 ..base
             });
@@ -125,7 +125,7 @@ mod tests {
         // Hash count.
         prev = f64::NEG_INFINITY;
         for h in [1u8, 2, 4, 8] {
-            let c = cost(KnobPoint {
+            let c = cost(CoreHwCfg {
                 bloom_hashes: h,
                 ..base
             });
@@ -135,7 +135,7 @@ mod tests {
         // Hop depth.
         prev = f64::NEG_INFINITY;
         for d in [1u8, 2, 4, 8] {
-            let c = cost(KnobPoint {
+            let c = cost(CoreHwCfg {
                 int_hop_depth: d,
                 ..base
             });
@@ -146,9 +146,9 @@ mod tests {
 
     #[test]
     fn cleanup_period_is_cost_free() {
-        let base = KnobPoint::baseline();
+        let base = baseline();
         for c in [1 * MS, 20 * MS, 10_000 * MS] {
-            let p = KnobPoint {
+            let p = CoreHwCfg {
                 cleanup_period: c,
                 ..base
             };

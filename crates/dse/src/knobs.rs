@@ -1,74 +1,57 @@
-//! The typed μFAB-C hardware knob space and the sweep grids.
+//! The μFAB-C hardware knob space and the sweep grids.
+//!
+//! A point of the space is a [`CoreHwCfg`], the one type that carries
+//! the five knobs into every simulated switch, so each knob changes what
+//! the switch *does*, not just what the analytic cost model reports:
+//!
+//! | knob             | mechanism (crates/core)                          |
+//! |------------------|--------------------------------------------------|
+//! | `reg_width_bits` | Φ/W INT read-outs saturate at `2^w − 1` wire units |
+//! | `bloom_bytes`    | real §3.6 false-positive omissions               |
+//! | `bloom_hashes`   | banks split the byte budget (accuracy/ALU trade) |
+//! | `int_hop_depth`  | probes past the depth are forwarded unstamped    |
+//! | `cleanup_period` | stale-entry lifetime after lost finish probes    |
 
 use netsim::{Time, MS};
-use ufab::UfabConfig;
+use ufab::{CoreHwCfg, UfabConfig};
 
-/// One point in the μFAB-C hardware design space.
-///
-/// Each knob is threaded through [`UfabConfig`] into
-/// `ufab::core_agent::CoreHwCfg`, so it changes what the simulated
-/// switch *does*, not just what the analytic cost model reports:
-///
-/// | knob             | mechanism (crates/core)                          |
-/// |------------------|--------------------------------------------------|
-/// | `reg_width_bits` | Φ/W INT read-outs saturate at `2^w − 1` wire units |
-/// | `bloom_bytes`    | real §3.6 false-positive omissions               |
-/// | `bloom_hashes`   | banks split the byte budget (accuracy/ALU trade) |
-/// | `int_hop_depth`  | probes past the depth are forwarded unstamped    |
-/// | `cleanup_period` | stale-entry lifetime after lost finish probes    |
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KnobPoint {
-    /// Φ_l/W_l register width in bits as read out at INT stamping time.
-    pub reg_width_bits: u8,
-    /// Counting-Bloom-filter memory per egress port (bytes).
-    pub bloom_bytes: usize,
-    /// Bloom banks (hash functions) splitting the byte budget.
-    pub bloom_hashes: u8,
-    /// Maximum INT hop records a probe may carry.
-    pub int_hop_depth: u8,
-    /// μFAB-C idle-pair cleanup period.
-    pub cleanup_period: Time,
+/// The sweep's reference point: the paper's §4.2 deployment (20 KB /
+/// 2-bank filter, 32-bit registers, depth-8 INT) with the churn
+/// scenario's shortened 5 ms cleanup so idle-sweep behaviour is
+/// observable inside a simulated cell.
+pub fn baseline() -> CoreHwCfg {
+    CoreHwCfg {
+        reg_width_bits: 32,
+        bloom_bytes: 20 * 1024,
+        bloom_hashes: 2,
+        int_hop_depth: 8,
+        cleanup_period: 5 * MS,
+    }
 }
 
-impl KnobPoint {
-    /// The sweep's reference point: the paper's §4.2 deployment
-    /// (20 KB / 2-bank filter, 32-bit registers, depth-8 INT) with the
-    /// churn scenario's shortened 5 ms cleanup so idle-sweep behaviour
-    /// is observable inside a simulated cell.
-    pub fn baseline() -> Self {
-        Self {
-            reg_width_bits: 32,
-            bloom_bytes: 20 * 1024,
-            bloom_hashes: 2,
-            int_hop_depth: 8,
-            cleanup_period: 5 * MS,
-        }
-    }
+/// Stable human/CSV label of a point, e.g. `w32:b20480:h2:d8:c5000`
+/// (cleanup period in µs). Doubles as the dedup key when grids are
+/// assembled.
+pub fn label(p: &CoreHwCfg) -> String {
+    format!(
+        "w{}:b{}:h{}:d{}:c{}",
+        p.reg_width_bits,
+        p.bloom_bytes,
+        p.bloom_hashes,
+        p.int_hop_depth,
+        p.cleanup_period / 1_000
+    )
+}
 
-    /// Stable human/CSV label, e.g. `w32:b20480:h2:d8:c5000`
-    /// (cleanup period in µs). Doubles as the dedup key when grids are
-    /// assembled.
-    pub fn label(&self) -> String {
-        format!(
-            "w{}:b{}:h{}:d{}:c{}",
-            self.reg_width_bits,
-            self.bloom_bytes,
-            self.bloom_hashes,
-            self.int_hop_depth,
-            self.cleanup_period / 1_000
-        )
-    }
-
-    /// Thread this point into a [`UfabConfig`] (the harness builds
-    /// `CoreHwCfg` from it, so every μFAB-C instance in the run adopts
-    /// the knobs).
-    pub fn apply(&self, cfg: &mut UfabConfig) {
-        cfg.reg_width_bits = self.reg_width_bits;
-        cfg.bloom_bytes = self.bloom_bytes;
-        cfg.bloom_hashes = self.bloom_hashes;
-        cfg.int_hop_depth = self.int_hop_depth;
-        cfg.core_cleanup_period = self.cleanup_period;
-    }
+/// Thread a point into a [`UfabConfig`], the inverse of
+/// `CoreHwCfg::from(&UfabConfig)`: the harness builds every μFAB-C of
+/// the run from the config, so each adopts the knobs.
+pub fn apply(p: &CoreHwCfg, cfg: &mut UfabConfig) {
+    cfg.reg_width_bits = p.reg_width_bits;
+    cfg.bloom_bytes = p.bloom_bytes;
+    cfg.bloom_hashes = p.bloom_hashes;
+    cfg.int_hop_depth = p.int_hop_depth;
+    cfg.core_cleanup_period = p.cleanup_period;
 }
 
 /// Which sweep grid to run.
@@ -94,15 +77,14 @@ impl GridKind {
     /// CLI help string of the accepted names.
     pub const NAMES: &'static str = "quick|full";
 
-    /// Materialise the grid. Points are deduplicated by
-    /// [`KnobPoint::label`] and returned in a fixed order (baseline
-    /// first, then each knob's star arm), so the grid itself is part of
-    /// the determinism contract.
-    pub fn points(&self) -> Vec<KnobPoint> {
-        let base = KnobPoint::baseline();
+    /// Materialise the grid. Points are deduplicated and returned in a
+    /// fixed order (baseline first, then each knob's star arm), so the
+    /// grid itself is part of the determinism contract.
+    pub fn points(&self) -> Vec<CoreHwCfg> {
+        let base = baseline();
         let mut pts = vec![base];
-        let push = |p: KnobPoint, pts: &mut Vec<KnobPoint>| {
-            if pts.iter().all(|q| q.label() != p.label()) {
+        let push = |p: CoreHwCfg, pts: &mut Vec<CoreHwCfg>| {
+            if !pts.contains(&p) {
                 pts.push(p);
             }
         };
@@ -125,7 +107,7 @@ impl GridKind {
             };
         for &w in widths {
             push(
-                KnobPoint {
+                CoreHwCfg {
                     reg_width_bits: w,
                     ..base
                 },
@@ -134,7 +116,7 @@ impl GridKind {
         }
         for &b in blooms {
             push(
-                KnobPoint {
+                CoreHwCfg {
                     bloom_bytes: b,
                     ..base
                 },
@@ -143,7 +125,7 @@ impl GridKind {
         }
         for &h in hashes {
             push(
-                KnobPoint {
+                CoreHwCfg {
                     bloom_hashes: h,
                     ..base
                 },
@@ -152,7 +134,7 @@ impl GridKind {
         }
         for &d in depths {
             push(
-                KnobPoint {
+                CoreHwCfg {
                     int_hop_depth: d,
                     ..base
                 },
@@ -161,7 +143,7 @@ impl GridKind {
         }
         for &c in cleanups {
             push(
-                KnobPoint {
+                CoreHwCfg {
                     cleanup_period: c,
                     ..base
                 },
@@ -175,7 +157,7 @@ impl GridKind {
             for &b in &[64usize, 256] {
                 for &h in &[1u8, 2, 4] {
                     push(
-                        KnobPoint {
+                        CoreHwCfg {
                             bloom_bytes: b,
                             bloom_hashes: h,
                             ..base
@@ -195,12 +177,12 @@ mod tests {
 
     #[test]
     fn baseline_label_stable() {
-        assert_eq!(KnobPoint::baseline().label(), "w32:b20480:h2:d8:c5000");
+        assert_eq!(label(&baseline()), "w32:b20480:h2:d8:c5000");
     }
 
     #[test]
     fn apply_threads_every_knob() {
-        let p = KnobPoint {
+        let p = CoreHwCfg {
             reg_width_bits: 8,
             bloom_bytes: 64,
             bloom_hashes: 4,
@@ -208,7 +190,7 @@ mod tests {
             cleanup_period: 20 * MS,
         };
         let mut cfg = UfabConfig::default();
-        p.apply(&mut cfg);
+        apply(&p, &mut cfg);
         assert_eq!(cfg.reg_width_bits, 8);
         assert_eq!(cfg.bloom_bytes, 64);
         assert_eq!(cfg.bloom_hashes, 4);
@@ -225,11 +207,11 @@ mod tests {
                 "{kind:?}: {} points",
                 pts.len()
             );
-            let mut labels: Vec<_> = pts.iter().map(|p| p.label()).collect();
+            let mut labels: Vec<_> = pts.iter().map(label).collect();
             labels.sort();
             labels.dedup();
             assert_eq!(labels.len(), pts.len(), "{kind:?} has duplicate labels");
-            assert_eq!(pts[0], KnobPoint::baseline(), "baseline leads the grid");
+            assert_eq!(pts[0], baseline(), "baseline leads the grid");
         }
     }
 

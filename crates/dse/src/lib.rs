@@ -10,9 +10,10 @@
 //! The crate is deliberately pure — no simulator dependency — so it can
 //! sit below `experiments` without a cycle:
 //!
-//! * `knobs` — the typed knob space ([`KnobPoint`]) and the sweep
-//!   grids ([`GridKind`]). Every knob maps to a real behaviour in
-//!   `ufab::core_agent` via [`KnobPoint::apply`] on a `UfabConfig`:
+//! * `knobs` — the knob space, whose points are `ufab::CoreHwCfg`s
+//!   around the reference point [`baseline`], and the sweep grids
+//!   ([`GridKind`]). Every knob maps to a real behaviour in
+//!   `ufab::core_agent` via [`apply`] on a `UfabConfig`:
 //!   register width saturates INT read-outs, Bloom size/hashes change
 //!   real false-positive omissions, hop depth truncates telemetry,
 //!   cleanup period bounds stale-entry lifetime.
@@ -33,5 +34,5 @@ pub(crate) mod knobs;
 pub mod pareto;
 
 pub use cost::{cost_of, CostBreakdown};
-pub use knobs::{GridKind, KnobPoint};
+pub use knobs::{apply, baseline, label, GridKind};
 pub use pareto::pareto_front;

@@ -175,7 +175,7 @@ fn add_ring_tenant(
 /// inside one of a tenant's `Guaranteed` spans (1 ms entry grace for
 /// ramp-up) as `(bin, delivered < guar_bps)`. A tenant with no series
 /// delivered nothing.
-pub(crate) fn guaranteed_bins(
+fn guaranteed_bins(
     spans: &[(Time, Time)],
     series: Option<&RateSeries>,
     guar_bps: f64,
@@ -344,6 +344,9 @@ pub(crate) struct Cell {
     baselines: Vec<Vec<u64>>,
     /// Tenants whose pairs were handed to [`Runner::retire`].
     retired: Vec<bool>,
+    /// The lowest guarantee (tokens per VM) in force for each tenant so
+    /// far: its plan's, lowered by every committed resize.
+    min_tokens: Vec<f64>,
     fsuite: InvariantSuite<FabricService>,
     /// The core switch that fails at `tl.fault_at`, until it has.
     pending_fault: Option<NodeId>,
@@ -353,8 +356,6 @@ pub(crate) struct Cell {
 pub(crate) struct CellEnd {
     pub(crate) epilogue: String,
     pub(crate) admitted: usize,
-    pub(crate) fabric_violations: usize,
-    pub(crate) fabric_report: String,
     pub(crate) sim_violations: usize,
     pub(crate) events: u64,
     pub(crate) digest: String,
@@ -439,6 +440,7 @@ impl Cell {
         Cell {
             baselines: vec![Vec::new(); plan.admitted.len()],
             retired: vec![false; plan.admitted.len()],
+            min_tokens: plan.admitted.iter().map(|p| p.tokens_per_vm).collect(),
             driver: ChurnDriver::new(programs, scale.seed ^ 0x5eed, 0),
             pending_fault: core_fault.then_some(dead_core),
             tl,
@@ -457,7 +459,8 @@ impl Cell {
 
     /// Advance one [`STEP`]: run the simulator, commit every planned
     /// admission decided by then (or submit every op due), fire the ops,
-    /// departures and reclaims due, retire the pairs of the tenants just
+    /// departures and reclaims due, lower the guarantee in force of the
+    /// tenants just resized, retire the pairs of the tenants just
     /// reclaimed, re-qualify across the fault, and poll the
     /// qualification signal. Returns the ops the service applied, or
     /// `None`, having done nothing, once the horizon is reached.
@@ -485,6 +488,15 @@ impl Cell {
             }
         }
         let applied = self.svc.advance(now);
+        for ap in &applied {
+            if let FabricReply::Resized {
+                tenant, new_tokens, ..
+            } = ap.reply
+            {
+                let e = &mut self.min_tokens[tenant as usize];
+                *e = e.min(new_tokens);
+            }
+        }
         for i in first_new..self.svc.tenants().len() {
             self.baselines[i] = self.r.acked_baseline(&self.tenant_pairs[i]);
         }
@@ -547,15 +559,17 @@ impl Cell {
 
     /// Visit every guaranteed bin ([`guaranteed_bins`]) of every bulk
     /// tenant as `(tenant, bin, violated)`, against [`GUAR_FRACTION`] of
-    /// the tenant's aggregate guarantee. `rec` is the cell's recorder,
-    /// locked by the caller (`abuse` goes on reading it).
+    /// the lowest aggregate guarantee ever in force for the tenant: its
+    /// traffic program is static, so the threshold follows its committed
+    /// resizes downward. `rec` is the cell's recorder, locked by the
+    /// caller (`abuse` goes on reading it).
     pub(crate) fn bulk_bins(&self, rec: &Recorder, mut visit: impl FnMut(usize, usize, bool)) {
         for (i, t) in self.svc.tenants().iter().enumerate() {
             if self.trace[self.plan.admitted[i].req].kind != DemandKind::Bulk {
                 continue;
             }
             let n_pairs = self.tenant_pairs[i].len() as f64;
-            let guar = GUAR_FRACTION * t.tokens_per_vm * self.acfg.bu_bps * n_pairs;
+            let guar = GUAR_FRACTION * self.min_tokens[i] * self.acfg.bu_bps * n_pairs;
             let series = rec.tenant_rates.get(&(i as u32));
             guaranteed_bins(&t.guaranteed_spans, series, guar, |b, violated| {
                 visit(i, b, violated)
@@ -564,19 +578,23 @@ impl Cell {
     }
 
     /// The common end-of-run readings; `label` names the cell in the
-    /// observability epilogue. Every admitted tenant must have been
-    /// reclaimed by the horizon, so no guarantee span is still open.
+    /// observability epilogue and in the verdicts. Every admitted tenant
+    /// must have been reclaimed by the horizon, so no guarantee span is
+    /// still open, and the fabric suite must have recorded no violation.
     pub(crate) fn end(&self, scale: &Scale, label: &str) -> CellEnd {
         assert_eq!(
             self.svc.count(TenantState::Reclaimed),
             self.plan.admitted.len(),
             "[{label}] every admitted tenant must be reclaimed by the horizon"
         );
+        assert!(
+            self.fsuite.violations().is_empty(),
+            "[{label}] fabric invariants violated:\n{}",
+            self.fsuite.report()
+        );
         CellEnd {
             epilogue: obs_epilogue(scale, &self.r, label),
             admitted: self.plan.admitted.len(),
-            fabric_violations: self.fsuite.violations().len(),
-            fabric_report: self.fsuite.report(),
             sim_violations: self.r.invariant_violations(),
             events: self.r.sim.stats().events,
             digest: self
@@ -714,6 +732,59 @@ mod tests {
         assert_retired(churn);
         // Seed 1: 200 pairs, at most 38 active at once.
         assert_retired(super::super::ops::build_cell(&scale, Policy::FirstFit, "mixed").0);
+    }
+
+    /// `bulk_bins` holds a bulk tenant to the lowest guarantee ever in
+    /// force, not the one in force at the end: a tenant halved and then
+    /// restored, delivering 60 % of its guarantee, sits above 85 % of the
+    /// halved guarantee and below 85 % of the restored one.
+    #[test]
+    fn bulk_bins_hold_a_resized_tenant_to_its_lowest_guarantee() {
+        let scale = hook_scale(1, Some(64), false);
+        let mut cell = super::super::ops::build_cell(&scale, Policy::FirstFit, "none").0;
+        let i = loop {
+            cell.step()
+                .expect("a bulk tenant is guaranteed before the horizon");
+            let bulk_guaranteed = |&i: &usize| {
+                cell.trace[cell.plan.admitted[i].req].kind == DemandKind::Bulk
+                    && cell.svc.tenants()[i].state == TenantState::Guaranteed
+            };
+            if let Some(i) = (0..cell.svc.tenants().len()).find(bulk_guaranteed) {
+                break i;
+            }
+        };
+        let tokens = cell.plan.admitted[i].tokens_per_vm;
+        for factor in [0.5, 1.0] {
+            let op = FabricOp::Resize {
+                tenant: i as u32,
+                new_tokens_per_vm: factor * tokens,
+            };
+            cell.svc.submit(cell.now, op);
+        }
+        while cell.step().is_some() {}
+        assert_eq!(cell.svc.tenants()[i].tokens_per_vm, tokens);
+        assert_eq!(cell.min_tokens[i], 0.5 * tokens);
+
+        let rec = metrics::recorder::shared(MS);
+        let guar_bps = tokens * cell.acfg.bu_bps * cell.tenant_pairs[i].len() as f64;
+        let bytes_per_bin = (0.6 * guar_bps / 8.0 * (MS as f64 / 1e9)) as u64;
+        for b in 0..cell.tl.horizon / MS {
+            rec.lock()
+                .unwrap()
+                .delivered(b * MS, 0, i as u32, bytes_per_bin);
+        }
+        let (mut bins, mut violated) = (0, 0);
+        cell.bulk_bins(&rec.lock().unwrap(), |t, _, v| {
+            if t == i {
+                bins += 1;
+                violated += v as u32;
+            }
+        });
+        assert!(bins > 0, "tenant {i} has no guaranteed bin");
+        assert_eq!(
+            violated, 0,
+            "tenant {i} judged against its restored guarantee"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use netsim::MS;
 use topology::TestbedCfg;
 use ufab::FabricSpec;
 use workloads::driver::Driver;
-use workloads::ebs::{EbsCfg, EbsDriver, EbsSpec};
+use workloads::ebs::{EbsDriver, EbsSpec};
 
 fn setup() -> (topology::Topo, FabricSpec, EbsSpec) {
     let topo = topology::testbed(TestbedCfg::default());
@@ -82,7 +82,7 @@ pub fn run(scale: Scale) -> Table {
             Job::new(format!("fig14:{}", system.label()), move || {
                 let (topo, fabric, spec) = setup();
                 let mut r = Runner::new(topo, fabric, system, seed, None, MS);
-                let mut driver = EbsDriver::new(spec, EbsCfg::default(), seed, 1 << 40);
+                let mut driver = EbsDriver::new(spec, seed, 1 << 40);
                 driver.until = until - 10 * MS; // let tasks drain
                 let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
                 r.run(until, SLICE, &mut drivers);

@@ -6,18 +6,18 @@
 //! Own test binary: the executor's jobs knob is process-wide, so this
 //! file must not share a process with tests that race it.
 
-use dse::KnobPoint;
 use experiments::scenarios::common::Scale;
 use experiments::scenarios::dse as dse_scenario;
+use ufab::CoreHwCfg;
 
 /// A two-point mini-grid (paper baseline + starved 64 B Bloom filter):
 /// enough to exercise sweep fan-out, the cost bridge, and a non-trivial
 /// front, while keeping the debug-build runtime test-sized.
-fn mini_grid() -> Vec<KnobPoint> {
-    let base = KnobPoint::baseline();
+fn mini_grid() -> Vec<CoreHwCfg> {
+    let base = dse::baseline();
     vec![
         base,
-        KnobPoint {
+        CoreHwCfg {
             bloom_bytes: 64,
             ..base
         },

@@ -4,7 +4,7 @@
 //! needing isolated network resources (§2.1):
 //!
 //! * **SA** (Storage Agent): sends a 64 KB write to a random Block Agent
-//!   every 320 μs.
+//!   every 640 μs.
 //! * **BA** (Block Agent): after receiving the whole message, replicates
 //!   it to three distinct Chunk Servers.
 //! * **GC** (Garbage Collection): every 1 ms reads a block from a random
@@ -46,38 +46,23 @@ pub struct EbsSpec {
     pub gc: Vec<(NodeId, Vec<PairId>, Vec<PairId>)>,
 }
 
-/// Sizes/periods of the EBS model (defaults = paper's).
-#[derive(Debug, Clone, Copy)]
-pub struct EbsCfg {
-    /// SA write size (64 KB).
-    pub block_bytes: u64,
-    /// SA period (320 μs).
-    pub sa_period: Time,
-    /// Replication fan-out (3).
-    pub replicas: usize,
-    /// GC period (1 ms).
-    pub gc_period: Time,
-    /// GC read size (256 KB).
-    pub gc_read_bytes: u64,
-    /// GC write-back size (128 KB — compacted).
-    pub gc_write_bytes: u64,
-}
+// Sizes and periods of the EBS model. Calibrated so the testbed's
+// overall utilisation sits near the paper's reported ~27 % (Fig 2a)
+// after the 3× replication amplification: SA 0.8 G/agent, BA 2.4 G/host,
+// GC ≈ 0.8 G/agent.
 
-impl Default for EbsCfg {
-    fn default() -> Self {
-        // Calibrated so the testbed's overall utilisation sits near the
-        // paper's reported ~27 % (Fig 2a) after the 3× replication
-        // amplification: SA 0.8 G/agent, BA 2.4 G/host, GC ≈ 0.8 G/agent.
-        Self {
-            block_bytes: 64 * 1024,
-            sa_period: 640 * netsim::US,
-            replicas: 3,
-            gc_period: netsim::MS,
-            gc_read_bytes: 64 * 1024,
-            gc_write_bytes: 32 * 1024,
-        }
-    }
-}
+/// SA write size: 64 KB.
+const BLOCK_BYTES: u64 = 64 * 1024;
+/// SA period: 640 μs.
+const SA_PERIOD: Time = 640 * netsim::US;
+/// Replication fan-out: 3.
+const REPLICAS: usize = 3;
+/// GC period: 1 ms.
+const GC_PERIOD: Time = netsim::MS;
+/// GC read size: 64 KB.
+const GC_READ_BYTES: u64 = 64 * 1024;
+/// GC write-back size: 32 KB (compacted).
+const GC_WRITE_BYTES: u64 = 32 * 1024;
 
 struct Task {
     start: Time,
@@ -89,7 +74,6 @@ struct Task {
 /// The EBS workload driver.
 pub struct EbsDriver {
     spec: EbsSpec,
-    cfg: EbsCfg,
     rng: SmallRng,
     flows: FlowIds,
     next_sa: Vec<Time>,
@@ -112,23 +96,21 @@ pub struct EbsDriver {
 
 impl EbsDriver {
     /// Create the driver.
-    pub fn new(spec: EbsSpec, cfg: EbsCfg, seed: u64, flow_base: u64) -> Self {
+    pub fn new(spec: EbsSpec, seed: u64, flow_base: u64) -> Self {
         assert!(!spec.sa.is_empty() && !spec.ba.is_empty());
         for (_, pairs) in &spec.sa {
             assert_eq!(pairs.len(), spec.ba.len(), "SA must reach every BA");
         }
         for (_, pairs) in &spec.ba {
             assert!(
-                pairs.len() >= cfg.replicas,
-                "BA needs at least {} CS pairs",
-                cfg.replicas
+                pairs.len() >= REPLICAS,
+                "BA needs at least {REPLICAS} CS pairs"
             );
         }
         let n_sa = spec.sa.len();
         let n_gc = spec.gc.len();
         Self {
             spec,
-            cfg,
             rng: SmallRng::seed_from_u64(seed),
             flows: FlowIds::new(flow_base),
             next_sa: vec![0; n_sa],
@@ -172,12 +154,12 @@ impl Driver for EbsDriver {
                         let j = self.rng.gen_range(0..=i);
                         order.swap(i, j);
                     }
-                    for &cs in order.iter().take(self.cfg.replicas) {
+                    for &cs in order.iter().take(REPLICAS) {
                         let flow = self.flows.next();
                         self.ba_flow_task.insert(flow, task_id);
                         port.inject(
                             ba_host,
-                            AppMsg::oneway(flow, cs_pairs[cs], self.cfg.block_bytes, TAG_BA),
+                            AppMsg::oneway(flow, cs_pairs[cs], BLOCK_BYTES, TAG_BA),
                         );
                     }
                 }
@@ -208,7 +190,7 @@ impl Driver for EbsDriver {
                     let flow = self.flows.next();
                     port.inject(
                         *host,
-                        AppMsg::oneway(flow, pair, self.cfg.gc_write_bytes, TAG_GC_WRITE),
+                        AppMsg::oneway(flow, pair, GC_WRITE_BYTES, TAG_GC_WRITE),
                     );
                 }
                 _ => {}
@@ -227,15 +209,12 @@ impl Driver for EbsDriver {
                 self.tasks.push(Task {
                     start: self.next_sa[i],
                     sa_done: None,
-                    replicas_left: self.cfg.replicas,
+                    replicas_left: REPLICAS,
                     last_replica: 0,
                 });
                 self.sa_flow_task.insert(flow, task_id);
-                port.inject(
-                    *host,
-                    AppMsg::oneway(flow, pair, self.cfg.block_bytes, TAG_SA),
-                );
-                self.next_sa[i] += self.cfg.sa_period;
+                port.inject(*host, AppMsg::oneway(flow, pair, BLOCK_BYTES, TAG_SA));
+                self.next_sa[i] += SA_PERIOD;
             }
         }
         for i in 0..self.spec.gc.len() {
@@ -246,9 +225,9 @@ impl Driver for EbsDriver {
                 self.gc_reads_inflight.insert(flow, i);
                 port.inject(
                     *host,
-                    AppMsg::request(flow, pair, 256, self.cfg.gc_read_bytes, TAG_GC_READ),
+                    AppMsg::request(flow, pair, 256, GC_READ_BYTES, TAG_GC_READ),
                 );
-                self.next_gc[i] += self.cfg.gc_period;
+                self.next_gc[i] += GC_PERIOD;
             }
         }
     }
@@ -288,7 +267,7 @@ mod tests {
 
     #[test]
     fn sa_emits_periodically() {
-        let mut d = EbsDriver::new(spec(), EbsCfg::default(), 1, 0);
+        let mut d = EbsDriver::new(spec(), 1, 0);
         let mut port = MockPort::default();
         port.now = 0;
         d.poll(&mut port, &[]);
@@ -310,7 +289,7 @@ mod tests {
 
     #[test]
     fn sa_completion_triggers_three_replicas() {
-        let mut d = EbsDriver::new(spec(), EbsCfg::default(), 1, 0);
+        let mut d = EbsDriver::new(spec(), 1, 0);
         let mut port = MockPort::default();
         d.poll(&mut port, &[]);
         let sa_flow = port
@@ -366,7 +345,7 @@ mod tests {
 
     #[test]
     fn gc_read_then_writeback() {
-        let mut d = EbsDriver::new(spec(), EbsCfg::default(), 1, 0);
+        let mut d = EbsDriver::new(spec(), 1, 0);
         let mut port = MockPort::default();
         d.poll(&mut port, &[]);
         let gc_req = port
@@ -399,7 +378,7 @@ mod tests {
 
     #[test]
     fn until_stops_generation() {
-        let mut d = EbsDriver::new(spec(), EbsCfg::default(), 1, 0);
+        let mut d = EbsDriver::new(spec(), 1, 0);
         d.until = 1;
         let mut port = MockPort::default();
         port.now = 10_000_000;

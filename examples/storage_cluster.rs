@@ -15,7 +15,7 @@ use netsim::MS;
 use topology::TestbedCfg;
 use ufab::FabricSpec;
 use workloads::driver::Driver;
-use workloads::ebs::{EbsCfg, EbsDriver, EbsSpec};
+use workloads::ebs::{EbsDriver, EbsSpec};
 
 fn main() {
     let topo = topology::testbed(TestbedCfg::default());
@@ -64,7 +64,7 @@ fn main() {
     }
 
     let mut r = Runner::new(topo, fabric, SystemKind::Ufab, 11, None, MS);
-    let mut driver = EbsDriver::new(EbsSpec { sa, ba, gc }, EbsCfg::default(), 11, 1 << 40);
+    let mut driver = EbsDriver::new(EbsSpec { sa, ba, gc }, 11, 1 << 40);
     driver.until = 50 * MS;
     let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
     r.run(60 * MS, SLICE, &mut drivers);

@@ -6,7 +6,7 @@
 //! ```
 //! use ufab_repro::ufab;
 //! let cfg = ufab::UfabConfig::default();
-//! assert!(cfg.target_utilization > 0.9);
+//! assert!(cfg.bounded_latency);
 //! ```
 
 pub use baselines;
