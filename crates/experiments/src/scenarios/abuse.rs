@@ -38,7 +38,7 @@
 use super::cell::{demand_for, hook_scale, Cell, CellEnd, Planned};
 use super::common::{emit, f, us, Scale};
 use crate::executor::{run_jobs, Job};
-use fabric::{AbuseCfg, Policy, TenantState};
+use fabric::{Policy, TenantState};
 use metrics::table::Table;
 use metrics::Percentiles;
 use netsim::{NodeId, PairId, TenantId, Time, MS};
@@ -95,7 +95,7 @@ pub(crate) fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -
         },
     );
     // The one tenant lifecycle runs with the scorer armed.
-    cell.svc.enable_abuse(AbuseCfg::default());
+    cell.svc.enable_abuse();
 
     // Program the hostile behavior models into each aggressor's source
     // NICs (plan order; within a tenant, ascending host id).

@@ -560,6 +560,45 @@ mod tests {
     use super::super::cell::hook_scale;
     use super::*;
 
+    /// `resize_bench`'s ×1.25/×0.8 pattern leaves the live ledger and
+    /// placer equal to a rebuild from the tenant records (a restore) at
+    /// every checkpoint: resizes leave no trace beyond the tenants'
+    /// current tokens.
+    #[test]
+    fn resizes_leave_the_ledger_equal_to_a_rebuild_from_the_tenants() {
+        let (mut svc, mut now) = populated_service(1);
+        let topo = Arc::new(build_topo(64, false));
+        let n = svc.tenants().len() as u32;
+        for k in 0..2_000 {
+            let tenant = (k as u32) % n;
+            let tokens = svc.tenants()[tenant as usize].tokens_per_vm;
+            let factor = if k % 2 == 0 { 1.25 } else { 0.8 };
+            now += 25 * US;
+            let new_tokens_per_vm = tokens * factor;
+            svc.submit(
+                now,
+                FabricOp::Resize {
+                    tenant,
+                    new_tokens_per_vm,
+                },
+            );
+            svc.advance(now + 25 * US);
+            if k % 100 == 99 {
+                let back = FabricService::restore(topo.clone(), &svc.snapshot()).unwrap();
+                assert!(
+                    back.ledger() == svc.ledger(),
+                    "ledger drift after {} resizes",
+                    k + 1
+                );
+                assert!(
+                    back.placer() == svc.placer(),
+                    "placer drift after {} resizes",
+                    k + 1
+                );
+            }
+        }
+    }
+
     /// The cells of the `ops_64_seed2` golden (mixed script, restore
     /// drill mid-window). The service digests are the golden's; the
     /// simulator digests and event counts are the ones `--trace`

@@ -13,60 +13,39 @@
 //! ```
 //!
 //! Hysteresis is structural, not a tuning accident: entering
-//! `Suspected` needs the score above [`AbuseCfg::enter_score`], leaving
-//! it needs decay below the *lower* [`AbuseCfg::exit_score`], and
+//! `Suspected` needs the score above [`ENTER_SCORE`], leaving
+//! it needs decay below the *lower* [`EXIT_SCORE`], and
 //! `Quarantined` additionally requires the score to stay above the
-//! enter threshold for [`AbuseCfg::sustain_ticks`] consecutive
+//! enter threshold for [`SUSTAIN_TICKS`] consecutive
 //! observation ticks. A bursty-but-honest tenant that trips the policer
 //! in isolated windows oscillates below the enter threshold and never
 //! leaves `Guaranteed`; only *sustained* abuse walks the whole ladder.
 
 use netsim::Time;
 
-/// Configuration of the misbehavior scorer and quarantine machine.
-#[derive(Debug, Clone, Copy)]
-pub struct AbuseCfg {
-    /// Score weight of a policed (token-bucket) window.
-    pub w_policed: f64,
-    /// Score weight of a probe-throttle window.
-    pub w_probe: f64,
-    /// Score weight of an unsolicited-traffic drop window.
-    pub w_unsol: f64,
-    /// Multiplicative score decay applied every observation tick.
-    pub decay: f64,
-    /// Score at or above which `Guaranteed → Suspected` fires.
-    pub enter_score: f64,
-    /// Score at or below which `Suspected → Guaranteed` fires (must be
-    /// `< enter_score`: the hysteresis band).
-    pub exit_score: f64,
-    /// Consecutive suspect ticks with the score at or above
-    /// `enter_score` before `Suspected → Quarantined`.
-    pub sustain_ticks: u32,
-    /// Rate clamp applied at the edge while quarantined, as a fraction
-    /// of the (released) hose guarantee.
-    pub penalty_fraction: f64,
-    /// Minimum residency in `Quarantined` before reinstatement (ns).
-    pub quarantine_hold: Time,
-    /// Probation length in `Reinstated` before full `Guaranteed` (ns).
-    pub probation: Time,
-}
-
-impl Default for AbuseCfg {
-    fn default() -> Self {
-        Self {
-            w_policed: 1.0,
-            w_probe: 1.0,
-            w_unsol: 1.0,
-            decay: 0.5,
-            enter_score: 1.5,
-            exit_score: 0.5,
-            sustain_ticks: 8,
-            penalty_fraction: 0.1,
-            quarantine_hold: 5 * netsim::MS,
-            probation: 5 * netsim::MS,
-        }
-    }
-}
+/// Score weight of a policed (token-bucket) window.
+const W_POLICED: f64 = 1.0;
+/// Score weight of a probe-throttle window.
+const W_PROBE: f64 = 1.0;
+/// Score weight of an unsolicited-traffic drop window.
+const W_UNSOL: f64 = 1.0;
+/// Multiplicative score decay applied every observation tick.
+const DECAY: f64 = 0.5;
+/// Score at or above which `Guaranteed → Suspected` fires.
+pub const ENTER_SCORE: f64 = 1.5;
+/// Score at or below which `Suspected → Guaranteed` fires (below
+/// [`ENTER_SCORE`]: the hysteresis band).
+pub const EXIT_SCORE: f64 = 0.5;
+/// Consecutive suspect ticks with the score at or above
+/// [`ENTER_SCORE`] before `Suspected → Quarantined`.
+pub const SUSTAIN_TICKS: u32 = 8;
+/// Rate clamp applied at the edge while quarantined, as a fraction of
+/// the (released) hose guarantee.
+pub const PENALTY_FRACTION: f64 = 0.1;
+/// Minimum residency in `Quarantined` before reinstatement (ns).
+pub const QUARANTINE_HOLD: Time = 5 * netsim::MS;
+/// Probation length in `Reinstated` before full `Guaranteed` (ns).
+pub const PROBATION: Time = 5 * netsim::MS;
 
 /// Clamp directive produced by `fabricd::FabricService::abuse_tick`:
 /// the caller pushes it to the offending tenant's edges.
@@ -104,38 +83,15 @@ struct MisRow {
 /// managed tenant, indexed by the service's tenant id.
 #[derive(Debug, Clone)]
 pub struct MisbehaviorLedger {
-    cfg: AbuseCfg,
     rows: Vec<MisRow>,
 }
 
 impl MisbehaviorLedger {
-    /// A ledger over `n_tenants` with the given thresholds; panics where
-    /// [`MisbehaviorLedger::try_new`] returns `Err`.
-    pub fn new(cfg: AbuseCfg, n_tenants: usize) -> Self {
-        Self::try_new(cfg, n_tenants).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`MisbehaviorLedger::new`] for thresholds read from outside input
-    /// (a snapshot): an out-of-range one is an `Err` naming it.
-    pub fn try_new(cfg: AbuseCfg, n_tenants: usize) -> Result<Self, &'static str> {
-        if cfg.exit_score.partial_cmp(&cfg.enter_score) != Some(std::cmp::Ordering::Less) {
-            return Err("hysteresis needs exit_score < enter_score");
-        }
-        if !(0.0..1.0).contains(&cfg.decay) {
-            return Err("decay must be in [0, 1)");
-        }
-        if !(cfg.penalty_fraction > 0.0 && cfg.penalty_fraction < 1.0) {
-            return Err("penalty fraction must be in (0, 1)");
-        }
-        Ok(Self {
-            cfg,
+    /// A ledger over `n_tenants`, every row clean.
+    pub fn new(n_tenants: usize) -> Self {
+        Self {
             rows: vec![MisRow::default(); n_tenants],
-        })
-    }
-
-    /// The configured thresholds.
-    pub fn cfg(&self) -> &AbuseCfg {
-        &self.cfg
+        }
     }
 
     /// Number of tenant rows tracked.
@@ -176,17 +132,16 @@ impl MisbehaviorLedger {
     /// returning the updated score. Each abuse class contributes at
     /// most its weight per tick (the counters are window-rate signals,
     /// not byte counts), so one tick can raise the score by at most
-    /// `w_policed + w_probe + w_unsol` — the bound the hysteresis
+    /// `W_POLICED + W_PROBE + W_UNSOL` — the bound the hysteresis
     /// thresholds are calibrated against.
     pub fn integrate(&mut self, i: usize) -> f64 {
-        let cfg = self.cfg;
         let row = &mut self.rows[i];
         let [policed, probes, unsol] = row.pending;
         row.pending = [0; 3];
-        let inc = cfg.w_policed * (policed > 0) as u64 as f64
-            + cfg.w_probe * (probes > 0) as u64 as f64
-            + cfg.w_unsol * (unsol > 0) as u64 as f64;
-        row.score = row.score * cfg.decay + inc;
+        let inc = W_POLICED * (policed > 0) as u64 as f64
+            + W_PROBE * (probes > 0) as u64 as f64
+            + W_UNSOL * (unsol > 0) as u64 as f64;
+        row.score = row.score * DECAY + inc;
         row.score
     }
 
@@ -294,7 +249,7 @@ mod tests {
     #[test]
     fn isolated_windows_never_cross_enter_threshold() {
         // A bursty-but-honest tenant: policed in every *other* window.
-        let mut l = MisbehaviorLedger::new(AbuseCfg::default(), 1);
+        let mut l = MisbehaviorLedger::new(1);
         let mut peak: f64 = 0.0;
         for tick in 0..64 {
             if tick % 2 == 0 {
@@ -303,28 +258,28 @@ mod tests {
             peak = peak.max(l.integrate(0));
         }
         // Geometric steady state: 1/(1 − d²) = 4/3 < enter (1.5).
-        assert!(peak < l.cfg().enter_score, "peak {peak}");
+        assert!(peak < ENTER_SCORE, "peak {peak}");
     }
 
     #[test]
     fn sustained_abuse_converges_above_enter_threshold() {
-        let mut l = MisbehaviorLedger::new(AbuseCfg::default(), 1);
+        let mut l = MisbehaviorLedger::new(1);
         for _ in 0..32 {
             l.note(0, 1, 0, 0);
             l.integrate(0);
         }
         // Steady state 1/(1 − d) = 2 ≥ enter (1.5).
-        assert!(l.score(0) >= l.cfg().enter_score);
+        assert!(l.score(0) >= ENTER_SCORE);
         // And decays back below exit once the abuse stops.
         for _ in 0..8 {
             l.integrate(0);
         }
-        assert!(l.score(0) <= l.cfg().exit_score);
+        assert!(l.score(0) <= EXIT_SCORE);
     }
 
     #[test]
     fn class_contributions_are_bounded_per_tick() {
-        let mut l = MisbehaviorLedger::new(AbuseCfg::default(), 1);
+        let mut l = MisbehaviorLedger::new(1);
         // A flood of 10⁶ events in one tick scores exactly like one.
         l.note(0, 1_000_000, 1_000_000, 1_000_000);
         let s = l.integrate(0);
@@ -333,7 +288,7 @@ mod tests {
 
     #[test]
     fn dump_restore_round_trips() {
-        let mut l = MisbehaviorLedger::new(AbuseCfg::default(), 2);
+        let mut l = MisbehaviorLedger::new(2);
         l.note(1, 1, 1, 0);
         l.integrate(1);
         l.rows[1].suspect_ticks = 3;
@@ -342,7 +297,7 @@ mod tests {
         l.rows[1].first_quarantine_at = Some(777);
         l.note(1, 4, 0, 5); // un-integrated deltas must survive too
         let w = l.dump_row(1);
-        let mut m = MisbehaviorLedger::new(AbuseCfg::default(), 2);
+        let mut m = MisbehaviorLedger::new(2);
         m.restore_row(1, w);
         assert_eq!(m.score(1).to_bits(), l.score(1).to_bits());
         assert_eq!(m.rows[1].suspect_ticks, 3);
@@ -355,7 +310,7 @@ mod tests {
 
     #[test]
     fn ensure_rows_grows_but_never_shrinks() {
-        let mut l = MisbehaviorLedger::new(AbuseCfg::default(), 1);
+        let mut l = MisbehaviorLedger::new(1);
         l.note(0, 1, 0, 0);
         l.integrate(0);
         let s = l.score(0);

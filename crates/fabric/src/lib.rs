@@ -9,7 +9,8 @@
 //!
 //! * `ledger` — per-link committed-B_min accounting with an
 //!   admissibility check (commit fractionally along the ECMP up-walk,
-//!   admit only while every touched link stays under η·cap);
+//!   admit only while every touched link stays under η·cap), in exact
+//!   integer units so its state is a function of the live tenants;
 //! * `place` — first-fit / load-spread VM placement gated by the
 //!   ledger, all-or-nothing per tenant, anti-affinity within a tenant;
 //! * `manager` — the admission types, the lifecycle states
@@ -34,7 +35,12 @@ pub(crate) mod ledger;
 pub(crate) mod manager;
 pub(crate) mod place;
 
-pub use abuse::{AbuseCfg, ClampAction, MisbehaviorLedger};
+pub use abuse::{
+    ClampAction, MisbehaviorLedger, ENTER_SCORE, EXIT_SCORE, PENALTY_FRACTION, PROBATION,
+    QUARANTINE_HOLD, SUSTAIN_TICKS,
+};
 pub use ledger::Ledger;
-pub use manager::{plan, AdmissionCfg, Plan, PlannedTenant, Rejection, TenantReq, TenantState};
+pub use manager::{
+    plan, AdmissionCfg, Plan, PlannedTenant, Rejection, TenantReq, TenantState, DECISION_GAP,
+};
 pub use place::{Placer, Policy, RejectReason};

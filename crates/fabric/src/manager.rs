@@ -9,7 +9,7 @@
 //!   transition table [`TenantState::can_go`];
 //! * [`plan`], a stateless pre-pass over a full arrival trace. It paces
 //!   decisions through the admission queue (one every
-//!   [`AdmissionCfg::decision_gap`] ns), releases departures that
+//!   [`DECISION_GAP`] ns), releases departures that
 //!   precede each decision, and runs the placement policy — producing
 //!   an immutable [`Plan`] of per-tenant host assignments, decision
 //!   times and rejections. Pure control-plane math: no state machine,
@@ -30,6 +30,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use topology::Topo;
 
+/// Minimum spacing between admission decisions (ns). The queue drains
+/// one decision per gap, which both rate-limits control-plane churn and
+/// staggers qualification load.
+pub const DECISION_GAP: Time = 20_000;
+
 /// Admission-control configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionCfg {
@@ -37,17 +42,10 @@ pub struct AdmissionCfg {
     pub bu_bps: f64,
     /// Ledger provisioning headroom η: links admit hose up to η·cap.
     pub headroom: f64,
-    /// Minimum spacing between admission decisions (ns). The queue
-    /// drains one decision per gap, which both rate-limits control-plane
-    /// churn and staggers qualification load.
-    pub decision_gap: Time,
     /// VM slots per host.
     pub max_vms_per_host: usize,
     /// Placement policy.
     pub policy: Policy,
-    /// Time a departed tenant lingers in `Departing` before `Reclaimed`
-    /// (models control-plane teardown; capacity is freed at departure).
-    pub reclaim_grace: Time,
 }
 
 impl Default for AdmissionCfg {
@@ -55,11 +53,19 @@ impl Default for AdmissionCfg {
         Self {
             bu_bps: 500e6,
             headroom: 0.9,
-            decision_gap: 20_000,
             max_vms_per_host: 8,
             policy: Policy::FirstFit,
-            reclaim_grace: netsim::MS,
         }
+    }
+}
+
+impl AdmissionCfg {
+    /// The hose of one VM holding `tokens`: tokens × B_u in integer bps,
+    /// rounded to the nearest, saturating at 0 and `u64::MAX` (so an
+    /// absurd token count is an inadmissible hose, never a wrap). Every
+    /// ledger and placer amount is made of these.
+    pub fn hose(&self, tokens: f64) -> u64 {
+        (tokens * self.bu_bps).round() as u64
     }
 }
 
@@ -76,13 +82,6 @@ pub struct TenantReq {
     pub arrival: Time,
     /// Requested lifetime from the admission decision (ns).
     pub lifetime: Time,
-}
-
-impl TenantReq {
-    /// The per-VM hose bandwidth under `cfg`.
-    pub(crate) fn hose_bps(&self, cfg: &AdmissionCfg) -> f64 {
-        self.tokens_per_vm * cfg.bu_bps
-    }
 }
 
 /// Tenant lifecycle states.
@@ -218,7 +217,7 @@ impl Plan {
 /// Run the admission queue over a full arrival trace.
 ///
 /// `reqs` must be sorted by arrival time. Decisions are paced one per
-/// `cfg.decision_gap`; before each decision every tenant whose departure
+/// [`DECISION_GAP`]; before each decision every tenant whose departure
 /// precedes the decision instant has its capacity released, so the
 /// ledger the decision sees is exactly the ledger the live
 /// `fabricd::FabricService` holds at that instant.
@@ -240,7 +239,7 @@ pub fn plan(topo: &Topo, cfg: &AdmissionCfg, reqs: &[TenantReq]) -> Plan {
 
     for (req_idx, r) in reqs.iter().enumerate() {
         let t_dec = r.arrival.max(next_slot);
-        next_slot = t_dec + cfg.decision_gap;
+        next_slot = t_dec + DECISION_GAP;
         // Free everything that departs before this decision lands.
         while let Some(&Reverse((dep, ai))) = departs.peek() {
             if dep > t_dec {
@@ -248,10 +247,10 @@ pub fn plan(topo: &Topo, cfg: &AdmissionCfg, reqs: &[TenantReq]) -> Plan {
             }
             departs.pop();
             let t = &admitted[ai];
-            placer.release(&mut ledger, &t.hosts, t.tokens_per_vm * cfg.bu_bps);
+            placer.release(&mut ledger, &t.hosts, cfg.hose(t.tokens_per_vm));
         }
         latency.push(t_dec - r.arrival);
-        match placer.place(&mut ledger, r.n_vms, r.hose_bps(cfg)) {
+        match placer.place(&mut ledger, r.n_vms, cfg.hose(r.tokens_per_vm)) {
             Ok(hosts) => {
                 let ai = admitted.len();
                 departs.push(Reverse((t_dec + r.lifetime, ai)));
@@ -332,7 +331,7 @@ mod tests {
         assert_eq!(p.rejected.len(), 1);
         assert_eq!(p.rejected[0].reason, RejectReason::NoCapacity);
         assert_eq!(p.admitted[0].decision, 0);
-        assert_eq!(p.decision_latency_ns, vec![0, c.decision_gap, 0]);
+        assert_eq!(p.decision_latency_ns, vec![0, DECISION_GAP, 0]);
         assert!(p.rejection_rate() > 0.3 && p.rejection_rate() < 0.4);
     }
 

@@ -6,6 +6,11 @@
 //! tenant the placer enforces anti-affinity — at most one VM per host —
 //! so a tenant's ring pairs always cross the fabric and exercise the
 //! qualification machinery.
+//!
+//! A host's committed hose is an integer bps sum, like the ledger's
+//! totals, so the placer's state too is a function of the live
+//! placements alone: re-placing the live tenants on their hosts with
+//! [`Placer::place_fixed`] gives an equal placer in any order.
 
 use crate::ledger::Ledger;
 use netsim::NodeId;
@@ -51,7 +56,7 @@ impl RejectReason {
 
 /// The placement engine: per-host slot occupancy plus committed hose
 /// tallies, always consulted together with the [`Ledger`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placer {
     hosts: Vec<NodeId>,
     policy: Policy,
@@ -59,7 +64,7 @@ pub struct Placer {
     /// VM count per host (indexed like `hosts`).
     vms: Vec<usize>,
     /// Committed hose bps per host (indexed like `hosts`).
-    hose: Vec<f64>,
+    hose: Vec<u64>,
     /// Cordoned hosts take no new placements (existing VMs stay until
     /// drained); indexed like `hosts`.
     cordoned: Vec<bool>,
@@ -80,7 +85,7 @@ impl Placer {
             policy,
             max_vms_per_host,
             vms: vec![0; hosts.len()],
-            hose: vec![0.0; hosts.len()],
+            hose: vec![0; hosts.len()],
             cordoned: vec![false; hosts.len()],
             host_idx,
         }
@@ -105,7 +110,7 @@ impl Placer {
 
     /// Committed hose bps currently on `host`.
     #[cfg(test)]
-    fn hose_on(&self, host: NodeId) -> f64 {
+    fn hose_on(&self, host: NodeId) -> u64 {
         self.hose[self.host_idx[host.idx()] as usize]
     }
 
@@ -127,7 +132,7 @@ impl Placer {
         self.cordoned[self.host_idx[host.idx()] as usize]
     }
 
-    fn pick(&self, ledger: &Ledger, hose_bps: f64, used: &[NodeId]) -> Result<usize, RejectReason> {
+    fn pick(&self, ledger: &Ledger, hose_bps: u64, used: &[NodeId]) -> Result<usize, RejectReason> {
         let mut best: Option<usize> = None;
         let mut saw_slot = false;
         for i in 0..self.hosts.len() {
@@ -167,7 +172,7 @@ impl Placer {
         &mut self,
         ledger: &mut Ledger,
         n_vms: usize,
-        hose_bps: f64,
+        hose_bps: u64,
     ) -> Result<Vec<NodeId>, RejectReason> {
         // Anti-affinity caps a tenant at one VM per host.
         let mut placed: Vec<NodeId> = Vec::with_capacity(n_vms.min(self.hosts.len()));
@@ -195,38 +200,45 @@ impl Placer {
         Ok(placed)
     }
 
-    /// Replay a placement decided earlier by [`crate::plan`]: commit the
-    /// exact hosts without re-running policy.
-    ///
-    /// # Panics
-    /// Panics if any host is unknown, slot-capped, or inadmissible —
-    /// replay must match the plan exactly.
-    pub fn place_fixed(&mut self, ledger: &mut Ledger, hosts: &[NodeId], hose_bps: f64) {
+    /// Place a tenant on hosts decided earlier — by [`crate::plan`], or
+    /// the hosts a tenant record holds — without re-running policy.
+    /// Each VM is admission-checked: a host that is unknown, at its slot
+    /// cap, or whose hose no longer fits a link is an `Err` naming it,
+    /// with the VMs before it left committed (a caller that goes on
+    /// after an `Err` discards this placer and ledger).
+    pub fn place_fixed(
+        &mut self,
+        ledger: &mut Ledger,
+        hosts: &[NodeId],
+        hose_bps: u64,
+    ) -> Result<(), String> {
         for &h in hosts {
-            let i = self
-                .slot(h)
-                .unwrap_or_else(|| panic!("replayed host {h} unknown to placer"));
-            assert!(
-                self.vms[i] < self.max_vms_per_host,
-                "replayed placement on {h} exceeds slot cap"
-            );
+            let Some(i) = self.slot(h) else {
+                return Err(format!("host {h} is not a placer host"));
+            };
+            if self.vms[i] >= self.max_vms_per_host {
+                let cap = self.max_vms_per_host;
+                return Err(format!("host {h} exceeds the slot cap {cap}"));
+            }
+            if let Some(l) = ledger.first_blocking_link(h, hose_bps) {
+                let link = l.describe();
+                return Err(format!("hose {hose_bps} bps no longer fits on link {link}"));
+            }
             ledger.commit(h, hose_bps);
             self.vms[i] += 1;
             self.hose[i] += hose_bps;
         }
+        Ok(())
     }
 
     /// Release a departed tenant's VMs.
-    pub fn release(&mut self, ledger: &mut Ledger, hosts: &[NodeId], hose_bps: f64) {
+    pub fn release(&mut self, ledger: &mut Ledger, hosts: &[NodeId], hose_bps: u64) {
         for &h in hosts {
             let i = self.host_idx[h.idx()] as usize;
             assert!(self.vms[i] > 0, "releasing VM on empty host {h}");
             ledger.release(h, hose_bps);
             self.vms[i] -= 1;
             self.hose[i] -= hose_bps;
-            if self.hose[i] < 0.0 {
-                self.hose[i] = 0.0; // float dust
-            }
         }
     }
 
@@ -238,7 +250,7 @@ impl Placer {
     pub fn place_one_avoiding(
         &mut self,
         ledger: &mut Ledger,
-        hose_bps: f64,
+        hose_bps: u64,
         avoid: &[NodeId],
     ) -> Result<NodeId, RejectReason> {
         let i = self.pick(ledger, hose_bps, avoid)?;
@@ -249,48 +261,13 @@ impl Placer {
         Ok(h)
     }
 
-    /// Adjust the committed-hose tally of `host` by `delta_bps` without
+    /// Replace one VM's `old` hose on `host` with `new` without
     /// changing its VM count — the placer half of an in-place tenant
     /// resize (the ledger delta is committed/released by the caller,
     /// which owns the all-or-nothing check across the tenant's hosts).
-    pub fn adjust_hose(&mut self, host: NodeId, delta_bps: f64) {
+    pub fn resize_hose(&mut self, host: NodeId, old: u64, new: u64) {
         let i = self.host_idx[host.idx()] as usize;
-        self.hose[i] += delta_bps;
-        if self.hose[i] < 0.0 {
-            self.hose[i] = 0.0; // float dust
-        }
-    }
-
-    /// Snapshot the per-host occupancy as `(host_raw, vms, hose_bits)`
-    /// rows in host order, skipping empty uncordoned hosts. Hose totals
-    /// are IEEE-754 bit patterns so restore is byte-exact (LoadSpread
-    /// ties compare these floats).
-    pub fn dump_state(&self) -> Vec<(u32, usize, u64)> {
-        (0..self.hosts.len())
-            .filter(|&i| self.vms[i] > 0 || self.hose[i] != 0.0 || self.cordoned[i])
-            .map(|i| (self.hosts[i].raw(), self.vms[i], self.hose[i].to_bits()))
-            .collect()
-    }
-
-    /// Restore occupancy captured by [`Placer::dump_state`] into a fresh
-    /// placer (cordon flags travel separately — they are manager state).
-    /// Rows are outside input (a snapshot): one naming an unknown host
-    /// or exceeding the slot cap is an `Err` naming the row.
-    pub fn restore_state(&mut self, rows: &[(u32, usize, u64)]) -> Result<(), String> {
-        for &(raw, vms, hose_bits) in rows {
-            let Some(i) = self.slot(NodeId(raw)) else {
-                return Err(format!("placer row {raw}:{vms} names an unknown host"));
-            };
-            if vms > self.max_vms_per_host {
-                return Err(format!(
-                    "placer row {raw}:{vms} exceeds the slot cap {}",
-                    self.max_vms_per_host
-                ));
-            }
-            self.vms[i] = vms;
-            self.hose[i] = f64::from_bits(hose_bits);
-        }
-        Ok(())
+        self.hose[i] = self.hose[i] - old + new;
     }
 
     /// Is `host` one of the placer's hosts? One index lookup, no scan.
@@ -304,6 +281,9 @@ mod tests {
     use super::*;
     use netsim::builder::LinkSpec;
     use topology::{leaf_spine, Topo};
+
+    /// 1 Gb/s.
+    const G: u64 = 1_000_000_000;
 
     fn topo() -> Topo {
         // 2 leaves × 4 hosts, 10G everywhere.
@@ -322,11 +302,11 @@ mod tests {
         let t = topo();
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::FirstFit, 4);
-        let placed = p.place(&mut ledger, 3, 1e9).unwrap();
+        let placed = p.place(&mut ledger, 3, G).unwrap();
         assert_eq!(placed, vec![t.hosts[0], t.hosts[1], t.hosts[2]]);
         // Second tenant starts over from host 0 — anti-affinity is
         // per-tenant, not global.
-        let placed2 = p.place(&mut ledger, 2, 1e9).unwrap();
+        let placed2 = p.place(&mut ledger, 2, G).unwrap();
         assert_eq!(placed2, vec![t.hosts[0], t.hosts[1]]);
         assert_eq!(p.total_vms(), 5);
     }
@@ -337,7 +317,7 @@ mod tests {
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::LoadSpread, 4);
         for _ in 0..4 {
-            p.place(&mut ledger, 2, 1e9).unwrap();
+            p.place(&mut ledger, 2, G).unwrap();
         }
         // 8 VMs over 8 hosts: exactly one each.
         for &h in &t.hosts {
@@ -351,12 +331,12 @@ mod tests {
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::FirstFit, 1);
         // 9 VMs > 8 hosts with anti-affinity → NoSlots, nothing committed.
-        let err = p.place(&mut ledger, 9, 1e9).unwrap_err();
+        let err = p.place(&mut ledger, 9, G).unwrap_err();
         assert_eq!(err, RejectReason::NoSlots);
         assert_eq!(p.total_vms(), 0);
         assert!(ledger.utilization().abs() < 1e-12);
         // The fabric is untouched: a feasible tenant still fits.
-        assert!(p.place(&mut ledger, 8, 1e9).is_ok());
+        assert!(p.place(&mut ledger, 8, G).is_ok());
     }
 
     #[test]
@@ -365,7 +345,7 @@ mod tests {
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::FirstFit, 4);
         for n in [100_000_000_000_000_000, usize::MAX] {
-            assert_eq!(p.place(&mut ledger, n, 1e8), Err(RejectReason::NoSlots));
+            assert_eq!(p.place(&mut ledger, n, G / 10), Err(RejectReason::NoSlots));
             assert_eq!(p.total_vms(), 0);
         }
         assert!(ledger.utilization().abs() < 1e-12);
@@ -386,9 +366,9 @@ mod tests {
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::FirstFit, 8);
         for _ in 0..8 {
-            p.place(&mut ledger, 1, 8.5e9).unwrap();
+            p.place(&mut ledger, 1, 85 * G / 10).unwrap();
         }
-        let err = p.place(&mut ledger, 1, 8.5e9).unwrap_err();
+        let err = p.place(&mut ledger, 1, 85 * G / 10).unwrap_err();
         assert_eq!(err, RejectReason::NoCapacity);
     }
 
@@ -397,11 +377,11 @@ mod tests {
         let t = topo();
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::FirstFit, 1);
-        let a = p.place(&mut ledger, 8, 1e9).unwrap();
-        assert!(p.place(&mut ledger, 1, 1e9).is_err());
-        p.release(&mut ledger, &a, 1e9);
+        let a = p.place(&mut ledger, 8, G).unwrap();
+        assert!(p.place(&mut ledger, 1, G).is_err());
+        p.release(&mut ledger, &a, G);
         assert_eq!(p.total_vms(), 0);
-        assert!(p.place(&mut ledger, 8, 1e9).is_ok());
+        assert!(p.place(&mut ledger, 8, G).is_ok());
     }
 
     #[test]
@@ -411,10 +391,10 @@ mod tests {
         let mut p = Placer::new(&t.hosts, Policy::FirstFit, 4);
         p.set_cordoned(t.hosts[0], true);
         assert!(p.is_cordoned(t.hosts[0]));
-        let placed = p.place(&mut ledger, 2, 1e9).unwrap();
+        let placed = p.place(&mut ledger, 2, G).unwrap();
         assert_eq!(placed, vec![t.hosts[1], t.hosts[2]]);
         p.set_cordoned(t.hosts[0], false);
-        let placed2 = p.place(&mut ledger, 1, 1e9).unwrap();
+        let placed2 = p.place(&mut ledger, 1, G).unwrap();
         assert_eq!(placed2, vec![t.hosts[0]]);
     }
 
@@ -424,50 +404,60 @@ mod tests {
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::FirstFit, 4);
         p.set_cordoned(t.hosts[1], true);
-        let h = p
-            .place_one_avoiding(&mut ledger, 1e9, &[t.hosts[0]])
-            .unwrap();
+        let h = p.place_one_avoiding(&mut ledger, G, &[t.hosts[0]]).unwrap();
         // Host 0 avoided, host 1 cordoned → host 2.
         assert_eq!(h, t.hosts[2]);
         assert_eq!(p.vms_on(t.hosts[2]), 1);
         assert!(ledger.conservation().is_ok());
         // Avoiding everything reports NoSlots and commits nothing.
         let all: Vec<_> = t.hosts.clone();
-        let err = p.place_one_avoiding(&mut ledger, 1e9, &all).unwrap_err();
+        let err = p.place_one_avoiding(&mut ledger, G, &all).unwrap_err();
         assert_eq!(err, RejectReason::NoSlots);
         assert_eq!(p.total_vms(), 1);
     }
 
     #[test]
-    fn adjust_hose_moves_tallies_without_vm_counts() {
+    fn resize_hose_moves_tallies_without_vm_counts() {
         let t = topo();
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::LoadSpread, 4);
-        p.place(&mut ledger, 1, 2e9).unwrap();
+        p.place(&mut ledger, 1, 2 * G).unwrap();
         let h = t.hosts[0];
-        assert_eq!(p.hose_on(h), 2e9);
-        p.adjust_hose(h, 1e9);
-        assert_eq!(p.hose_on(h), 3e9);
+        assert_eq!(p.hose_on(h), 2 * G);
+        p.resize_hose(h, 2 * G, 3 * G);
+        assert_eq!(p.hose_on(h), 3 * G);
         assert_eq!(p.vms_on(h), 1);
-        p.adjust_hose(h, -3e9);
-        assert_eq!(p.hose_on(h), 0.0);
+        p.resize_hose(h, 3 * G, 0);
+        assert_eq!(p.hose_on(h), 0);
     }
 
     #[test]
-    fn dump_restore_round_trips_occupancy_exactly() {
+    fn fixed_placement_of_the_live_tenants_rebuilds_the_placer_exactly() {
         let t = topo();
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::LoadSpread, 4);
-        p.place(&mut ledger, 3, 1.5e9).unwrap();
-        p.place(&mut ledger, 2, 0.7e9).unwrap();
-        let rows = p.dump_state();
+        let a = p.place(&mut ledger, 3, 15 * G / 10 + 1).unwrap();
+        let b = p.place(&mut ledger, 2, 7 * G / 10 + 3).unwrap();
+        let c = p.place(&mut ledger, 4, G / 3).unwrap();
+        p.release(&mut ledger, &b, 7 * G / 10 + 3);
+        // Only `a` and `c` are live: replaying them, `c` first, gives
+        // the same placer and ledger.
+        let mut ledger2 = Ledger::new(&t, 0.9);
         let mut q = Placer::new(&t.hosts, Policy::LoadSpread, 4);
-        q.restore_state(&rows).unwrap();
-        for &h in &t.hosts {
-            assert_eq!(q.vms_on(h), p.vms_on(h), "host {h}");
-            assert_eq!(q.hose_on(h).to_bits(), p.hose_on(h).to_bits(), "host {h}");
-        }
-        assert_eq!(q.dump_state(), rows);
+        q.place_fixed(&mut ledger2, &c, G / 3).unwrap();
+        q.place_fixed(&mut ledger2, &a, 15 * G / 10 + 1).unwrap();
+        assert_eq!(q, p);
+        assert_eq!(ledger2, ledger);
+        // What does not fit is an `Err` naming why, never a panic.
+        let mut r = Placer::new(&t.hosts, Policy::LoadSpread, 1);
+        let mut ledger3 = Ledger::new(&t, 0.9);
+        let e = r.place_fixed(&mut ledger3, &a, 10 * G).unwrap_err();
+        assert!(e.contains("no longer fits on link"), "{e}");
+        r.place_fixed(&mut ledger3, &a[..1], G).unwrap();
+        let e = r.place_fixed(&mut ledger3, &a[..1], G).unwrap_err();
+        assert!(e.contains("exceeds the slot cap 1"), "{e}");
+        let e = r.place_fixed(&mut ledger3, &[t.tors[0]], G).unwrap_err();
+        assert!(e.contains("not a placer host"), "{e}");
     }
 
     #[test]
@@ -476,7 +466,7 @@ mod tests {
         let mut ledger = Ledger::new(&t, 0.9);
         let mut p = Placer::new(&t.hosts, Policy::LoadSpread, 4);
         let hosts = vec![t.hosts[3], t.hosts[5]];
-        p.place_fixed(&mut ledger, &hosts, 2e9);
+        p.place_fixed(&mut ledger, &hosts, 2 * G).unwrap();
         assert_eq!(p.vms_on(t.hosts[3]), 1);
         assert_eq!(p.vms_on(t.hosts[5]), 1);
         assert!(ledger.conservation().is_ok());

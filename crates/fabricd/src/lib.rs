@@ -26,10 +26,11 @@
 //! * `invariants` — online checks over the service (ledger
 //!   conservation, bounded qualifying time) pluggable into an
 //!   [`obs::InvariantSuite`].
-//! * `snapshot` — versioned serialization of tenants + ledger +
+//! * `snapshot` — versioned serialization of tenants + cordons +
 //!   admission-queue state with byte-exact (IEEE-754 bit pattern)
-//!   floats; a restored service passes the conservation audit, re-
-//!   snapshots byte-identically (the `SnapshotRoundTrip` invariant),
+//!   floats; restore rebuilds the ledger and placer from the active
+//!   tenants, and a restored service passes the conservation audit,
+//!   re-snapshots byte-identically (the `SnapshotRoundTrip` invariant),
 //!   and continues the original digest stream.
 
 #![deny(missing_docs)]
@@ -41,4 +42,4 @@ pub(crate) mod snapshot;
 
 pub use invariants::{LedgerConservation, QualifyingStagger};
 pub use ops::{FabricOp, FabricReply};
-pub use service::{Applied, FabricService};
+pub use service::{Applied, FabricService, RECLAIM_GRACE};

@@ -3,8 +3,8 @@
 //! Format (line-oriented text, one `\n`-terminated record per line):
 //!
 //! ```text
-//! ufab-fabricd-snapshot v2
-//! cfg <bu_bits> <headroom_bits> <decision_gap> <max_vms> <policy> <reclaim_grace>
+//! ufab-fabricd-snapshot v3
+//! cfg <bu_bits> <headroom_bits> <max_vms> <policy>
 //! clock <clock> <last_submit> <next_slot> <next_seq> <digest>
 //! counters <n_rejected> <n_resized> <n_resize_denied> <n_drained_vms>
 //! cordon <raw,...|->
@@ -12,38 +12,37 @@
 //!        <qsince> <guaranteed|-> <ttg|-> <resizes> <migrations>
 //!        hosts <raw,...> spans <a:b,...|->          (one line per tenant)
 //! queue <submitted> <seq> <op wire form>            (one line per pending op)
-//! ledger <bits> <bits> ...                          (one entry per link)
-//! placer <raw:vms:bits> ...|-
-//! abusecfg <wp> <wpr> <wu> <decay> <enter> <exit> <sustain> <penalty>
-//!          <hold> <probation>                       (only when the scorer is on)
+//! abuse                                             (only when the scorer is on)
 //! abuserow <id> <w0> .. <w8>                        (one line per scorer row)
 //! end
 //! ```
 //!
-//! The `abusecfg`/`abuserow` records carry the quarantine machine
-//! (DESIGN §10): the misbehavior scorer's thresholds and the per-tenant
-//! row words from [`fabric::MisbehaviorLedger::dump_row`] — so a service
-//! restored mid-quarantine keeps every score, sustain count, and
-//! hold/probation deadline. With the scorer off both are absent.
+//! The `abuse` marker and `abuserow` records carry the quarantine
+//! machine (DESIGN §10): the per-tenant row words from
+//! [`fabric::MisbehaviorLedger::dump_row`], so a service restored
+//! mid-quarantine keeps every score, sustain count, and hold/probation
+//! deadline (the marker alone stands for a scorer with no rows yet).
+//! With the scorer off both are absent.
 //!
-//! Every `f64` travels as its IEEE-754 bit pattern in fixed-width hex,
-//! so a restored ledger/placer is **byte-exact** — replaying
-//! commitments in tenant order would accumulate different float dust
-//! than the chronological live sums and could flip a later admission
-//! decision near the headroom ceiling. The admission-queue ops reuse
-//! the canonical wire form, and the digest state rides along so the
-//! restored service continues the original reply stream. Rendering is
-//! canonical: `render(restore(s)) == s`, which is what the
-//! `SnapshotRoundTrip` invariant asserts online.
+//! Every `f64` travels as its IEEE-754 bit pattern in fixed-width hex.
+//! The admission-queue ops reuse the canonical wire form, and the
+//! digest state rides along so the restored service continues the
+//! original reply stream. Rendering is canonical: `render(restore(s))
+//! == s`, which is what the `SnapshotRoundTrip` invariant asserts
+//! online.
 //!
 //! What is *not* serialized: the topology (the restore caller provides
 //! an identically-built one — it is static config, not state), the
-//! departure/reclaim heaps (rebuilt from tenant records), and the obs
-//! handle (re-attach with [`FabricService::set_obs`]).
+//! ledger and placer (the ledger's integer arithmetic makes both a
+//! function of the active tenants, so `restore` re-commits each on its
+//! recorded hosts, [`FabricService::rebuilt`]), the departure/reclaim
+//! heaps (rebuilt from tenant records), and the obs handle (re-attach
+//! with [`FabricService::set_obs`]). A snapshot's size therefore follows
+//! its tenant records, cordons and queued ops, not the link count.
 
 use crate::ops::{num, split_list, write_list, FabricOp};
-use crate::service::{apply_host_cordons, FabricService, SvcTenant};
-use fabric::{AbuseCfg, AdmissionCfg, Ledger, MisbehaviorLedger, Placer, Policy, TenantState};
+use crate::service::{FabricService, SvcTenant, RECLAIM_GRACE};
+use fabric::{AdmissionCfg, Ledger, MisbehaviorLedger, Placer, Policy, TenantState};
 use netsim::Time;
 use obs::{DetHash, ObsHandle};
 use std::cmp::Reverse;
@@ -53,27 +52,23 @@ use std::sync::Arc;
 use topology::Topo;
 
 /// First line of every snapshot; bump the suffix on format changes.
-pub(crate) const HEADER: &str = "ufab-fabricd-snapshot v2";
+pub(crate) const HEADER: &str = "ufab-fabricd-snapshot v3";
 
 /// Serialize the complete service state, every record written straight
 /// into one buffer sized for it.
 pub(crate) fn render(s: &FabricService) -> String {
-    let rows = s.placer.dump_state();
-    let mut buf = String::with_capacity(
-        400 + 17 * s.ledger.n_links() + 30 * rows.len() + 160 * (s.tenants.len() + s.queue.len()),
-    );
+    let rows = s.abuse.as_ref().map_or(0, |ab| ab.len());
+    let mut buf = String::with_capacity(400 + 160 * (s.tenants.len() + s.queue.len()) + 80 * rows);
     let out = &mut buf;
     let _ = writeln!(out, "{HEADER}");
     let c = &s.cfg;
     let _ = writeln!(
         out,
-        "cfg {:016x} {:016x} {} {} {} {}",
+        "cfg {:016x} {:016x} {} {}",
         c.bu_bps.to_bits(),
         c.headroom.to_bits(),
-        c.decision_gap,
         c.max_vms_per_host,
         c.policy.label(),
-        c.reclaim_grace
     );
     let _ = writeln!(
         out,
@@ -120,34 +115,8 @@ pub(crate) fn render(s: &FabricService) -> String {
     for (t, seq, op) in &s.queue {
         let _ = writeln!(out, "queue {t} {seq} {op}");
     }
-    out.push_str("ledger ");
-    for (i, l) in s.ledger.links().iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        let _ = write!(out, "{:016x}", l.committed_bps.to_bits());
-    }
-    out.push_str("\nplacer ");
-    let _ = write_list(out, rows, ' ', |o, (raw, vms, bits)| {
-        write!(o, "{raw}:{vms}:{bits:016x}")
-    });
-    out.push('\n');
     if let Some(ab) = &s.abuse {
-        let c = ab.cfg();
-        let _ = writeln!(
-            out,
-            "abusecfg {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {} {:016x} {} {}",
-            c.w_policed.to_bits(),
-            c.w_probe.to_bits(),
-            c.w_unsol.to_bits(),
-            c.decay.to_bits(),
-            c.enter_score.to_bits(),
-            c.exit_score.to_bits(),
-            c.sustain_ticks,
-            c.penalty_fraction.to_bits(),
-            c.quarantine_hold,
-            c.probation
-        );
+        out.push_str("abuse\n");
         for i in 0..ab.len() {
             let w = ab.dump_row(i);
             let _ = writeln!(
@@ -177,8 +146,12 @@ impl FabricService {
     }
 
     /// Rebuild a service from a snapshot over an identically-built
-    /// `topo`. The restored instance passes the conservation audit
-    /// before it is returned, and re-snapshots byte-identically.
+    /// `topo`: parse the records and place every active tenant on its
+    /// recorded hosts (`FabricService::rebuilt`, the conservation
+    /// audit's own shadow, so the result passes the audit by
+    /// construction). A snapshot whose tenants overbook a link or a
+    /// host's slots is an `Err` naming the tenant. The restored service
+    /// re-snapshots byte-identically.
     pub fn restore(topo: Arc<Topo>, snap: &str) -> Result<Self, String> {
         let mut lines = snap.lines();
         let header = lines.next().unwrap_or("");
@@ -193,14 +166,12 @@ impl FabricService {
         let cfg = AdmissionCfg {
             bu_bps: f64::from_bits(hex(&mut f, "cfg bu_bps")?),
             headroom: f64::from_bits(hex(&mut f, "cfg headroom")?),
-            decision_gap: int(&mut f, "cfg decision_gap")?,
             max_vms_per_host: int(&mut f, "cfg max_vms_per_host")?,
             policy: match f.next().ok_or("cfg: missing policy")? {
                 "first_fit" => Policy::FirstFit,
                 "load_spread" => Policy::LoadSpread,
                 p => return Err(format!("unknown placement policy {p:?}")),
             },
-            reclaim_grace: int(&mut f, "cfg reclaim_grace")?,
         };
         if !(cfg.headroom > 0.0 && cfg.headroom <= 1.0) || cfg.max_vms_per_host == 0 {
             let (h, m) = (cfg.headroom, cfg.max_vms_per_host);
@@ -227,14 +198,10 @@ impl FabricService {
         let cordon_line = expect(&mut lines, "cordon")?;
         let cordoned: BTreeSet<u32> = split_list(cordon_line.trim())?.into_iter().collect();
 
-        // Variable-count sections: tenants, then queued ops, then the
-        // fixed tail (ledger, placer, end).
+        // Variable-count sections: tenants, queued ops, the scorer, end.
         let mut tenants: Vec<SvcTenant> = Vec::new();
         let mut queue: VecDeque<(Time, u64, FabricOp)> = VecDeque::new();
-        let mut ledger_bits: Option<Vec<u64>> = None;
-        let mut placer_rows: Option<Vec<(u32, usize, u64)>> = None;
-        let mut abuse_cfg: Option<AbuseCfg> = None;
-        let mut abuse_rows: Vec<(usize, [u64; 9])> = Vec::new();
+        let mut abuse: Option<MisbehaviorLedger> = None;
         let mut saw_end = false;
         for line in lines {
             let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
@@ -247,58 +214,23 @@ impl FabricService {
                     let op = FabricOp::decode(f.next().ok_or("queue: missing op")?)?;
                     queue.push_back((t, seq, op));
                 }
-                "ledger" => {
-                    ledger_bits = Some(
-                        rest.split_whitespace()
-                            .map(|b| {
-                                u64::from_str_radix(b, 16)
-                                    .map_err(|_| format!("bad ledger bits {b:?}"))
-                            })
-                            .collect::<Result<_, String>>()?,
-                    );
-                }
-                "placer" => {
-                    let mut rows = Vec::new();
-                    if rest.trim() != "-" {
-                        for tok in rest.split_whitespace() {
-                            let p: Vec<&str> = tok.split(':').collect();
-                            if p.len() != 3 {
-                                return Err(format!("bad placer row {tok:?}"));
-                            }
-                            rows.push((
-                                num(p[0], "placer host")?,
-                                num(p[1], "placer vms")?,
-                                u64::from_str_radix(p[2], 16)
-                                    .map_err(|_| format!("bad placer bits {:?}", p[2]))?,
-                            ));
-                        }
-                    }
-                    placer_rows = Some(rows);
-                }
-                "abusecfg" => {
-                    let mut f = rest.split_whitespace();
-                    abuse_cfg = Some(AbuseCfg {
-                        w_policed: f64::from_bits(hex(&mut f, "abusecfg w_policed")?),
-                        w_probe: f64::from_bits(hex(&mut f, "abusecfg w_probe")?),
-                        w_unsol: f64::from_bits(hex(&mut f, "abusecfg w_unsol")?),
-                        decay: f64::from_bits(hex(&mut f, "abusecfg decay")?),
-                        enter_score: f64::from_bits(hex(&mut f, "abusecfg enter")?),
-                        exit_score: f64::from_bits(hex(&mut f, "abusecfg exit")?),
-                        sustain_ticks: int(&mut f, "abusecfg sustain")?,
-                        penalty_fraction: f64::from_bits(hex(&mut f, "abusecfg penalty")?),
-                        quarantine_hold: int(&mut f, "abusecfg hold")?,
-                        probation: int(&mut f, "abusecfg probation")?,
-                    });
-                }
+                "abuse" if rest.is_empty() => abuse = Some(MisbehaviorLedger::new(0)),
                 "abuserow" => {
+                    let ab = abuse.as_mut().ok_or("abuserow before the abuse record")?;
                     let mut f = rest.split_whitespace();
                     let i: usize = int(&mut f, "abuserow id")?;
+                    if i >= tenants.len() {
+                        return Err(format!("abuserow {i} has no matching tenant"));
+                    }
                     let mut w = [0u64; 9];
                     w[0] = hex(&mut f, "abuserow score")?;
                     for slot in w.iter_mut().skip(1) {
                         *slot = int(&mut f, "abuserow word")?;
                     }
-                    abuse_rows.push((i, w));
+                    // The scorer grows its rows lazily, so it may have
+                    // fewer than there are tenants: restore as many.
+                    ab.ensure_rows(i + 1);
+                    ab.restore_row(i, w);
                 }
                 "end" => {
                     saw_end = true;
@@ -310,48 +242,22 @@ impl FabricService {
         if !saw_end {
             return Err("snapshot truncated: missing end record".into());
         }
-        let ledger_bits = ledger_bits.ok_or("snapshot missing ledger record")?;
-        let placer_rows = placer_rows.ok_or("snapshot missing placer record")?;
-        let abuse = match abuse_cfg {
-            Some(c) => {
-                let mut ab = MisbehaviorLedger::try_new(c, tenants.len())
-                    .map_err(|e| format!("abusecfg: {e}"))?;
-                for &(i, w) in &abuse_rows {
-                    if i >= tenants.len() {
-                        return Err(format!("abuserow {i} has no matching tenant"));
-                    }
-                    ab.restore_row(i, w);
-                }
-                Some(ab)
-            }
-            None if abuse_rows.is_empty() => None,
-            None => return Err("abuserow records without an abusecfg record".into()),
-        };
 
+        // The ledger and placer are filled in from the tenants below.
         let baseline = Ledger::new_excluding(&topo, cfg.headroom, &cordoned);
-        if ledger_bits.len() != baseline.n_links() {
-            return Err(format!(
-                "snapshot ledger has {} links, topology has {} — wrong topology?",
-                ledger_bits.len(),
-                baseline.n_links()
-            ));
-        }
-        let mut ledger = baseline.clone();
-        ledger.set_committed_bits(&ledger_bits);
-        let mut placer = Placer::new(&topo.hosts, cfg.policy, cfg.max_vms_per_host);
-        placer.restore_state(&placer_rows)?;
-        apply_host_cordons(&topo, &cordoned, &mut placer);
+        let placer = Placer::new(&topo.hosts, cfg.policy, cfg.max_vms_per_host);
 
         let mut departs: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
         let mut reclaims: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
         for (i, t) in tenants.iter().enumerate() {
             if t.is_live() {
-                // The audit below (and a later reinstatement) commits on
-                // these hosts; the ledger panics on a node it has no
+                // The rebuild below (and a later reinstatement) commits
+                // on these hosts; the ledger panics on a node it has no
                 // spread for.
                 if let Some(h) = t.hosts.iter().find(|&&h| !placer.has_host(h)) {
                     return Err(format!(
-                        "tenant {i} ({}) is placed on {h}, not a host of this topology",
+                        "tenant {i} ({}) is placed on {h}, not a host of this topology \
+                         — wrong topology?",
                         t.name
                     ));
                 }
@@ -360,14 +266,14 @@ impl FabricService {
                 let dep = t
                     .departed_at
                     .ok_or_else(|| format!("departing tenant {i} has no departed_at"))?;
-                reclaims.push(Reverse((dep + cfg.reclaim_grace, i as u32)));
+                reclaims.push(Reverse((dep + RECLAIM_GRACE, i as u32)));
             }
         }
 
-        let svc = Self {
+        let mut svc = Self {
             cfg,
             topo,
-            ledger,
+            ledger: baseline.clone(),
             baseline,
             placer,
             tenants,
@@ -387,7 +293,8 @@ impl FabricService {
             abuse,
             obs: ObsHandle::disabled(),
         };
-        svc.audit()
+        (svc.ledger, svc.placer) = svc
+            .rebuilt(&svc.baseline)
             .map_err(|e| format!("restored state fails conservation audit: {e}"))?;
         Ok(svc)
     }
@@ -486,9 +393,11 @@ fn hex(f: &mut std::str::SplitWhitespace, what: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric::{PROBATION, QUARANTINE_HOLD};
     use netsim::builder::LinkSpec;
     use netsim::{MS, US};
     use obs::Snapshottable;
+    use proptest::prelude::*;
     use topology::leaf_spine;
 
     fn topo() -> Arc<Topo> {
@@ -536,12 +445,15 @@ mod tests {
 
     #[test]
     fn restore_re_renders_byte_identically() {
-        let s = busy_service();
-        let snap = s.snapshot();
-        let r = FabricService::restore(s.topo.clone(), &snap).unwrap();
-        assert_eq!(render(&r), snap);
-        // The trait-level check (what the invariant runs online).
-        s.verify_restore(&snap).unwrap();
+        // The cordoned service admitted a tenant after the scorer's last
+        // tick, so it has one more tenant than scorer rows.
+        for s in [busy_service(), quarantined_service().0, cordoned_service()] {
+            let snap = s.snapshot();
+            let r = FabricService::restore(s.topo.clone(), &snap).unwrap();
+            assert_eq!(render(&r), snap);
+            // The trait-level check (what the invariant runs online).
+            s.verify_restore(&snap).unwrap();
+        }
     }
 
     #[test]
@@ -574,12 +486,7 @@ mod tests {
     /// enforcement delta that has not been integrated yet.
     fn quarantined_service() -> (FabricService, Time) {
         let mut s = busy_service();
-        s.enable_abuse(fabric::AbuseCfg {
-            sustain_ticks: 2,
-            quarantine_hold: 500 * US,
-            probation: 500 * US,
-            ..fabric::AbuseCfg::default()
-        });
+        s.enable_abuse();
         let mut now = 900 * US;
         loop {
             s.note_enforcement(0, 3, 1, 0);
@@ -618,17 +525,48 @@ mod tests {
         s
     }
 
+    proptest! {
+        /// The ledger and placer are a function of the active tenants:
+        /// restoring the busy, quarantined, cordoned snapshot gives the
+        /// live pair, and so does committing its tenant records in any
+        /// order (ids are positional, so only the commit order moves).
+        #[test]
+        fn restore_in_any_tenant_order_gives_the_live_ledger_and_placer(
+            keys in prop::collection::vec(any::<u64>(), 4..=4)
+        ) {
+            let s = cordoned_service();
+            assert_eq!(s.tenants.len(), keys.len());
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let r = FabricService::restore(s.topo.clone(), &render(&s)).unwrap();
+            let mut ledger = Ledger::new_excluding(&s.topo, s.cfg.headroom, &s.cordoned);
+            let mut placer = Placer::new(&s.topo.hosts, s.cfg.policy, s.cfg.max_vms_per_host);
+            crate::service::apply_host_cordons(&s.topo, &s.cordoned, &mut placer);
+            for &i in &order {
+                let t = &s.tenants[i];
+                if t.is_active() {
+                    let hose = s.cfg.hose(t.tokens_per_vm);
+                    placer.place_fixed(&mut ledger, &t.hosts, hose).unwrap();
+                }
+            }
+            prop_assert!(r.ledger == s.ledger && r.placer == s.placer);
+            prop_assert!(ledger == s.ledger && placer == s.placer);
+        }
+    }
+
     #[test]
     fn render_of_a_fixed_service_is_pinned() {
-        // Taken from the `format!`-and-`join` renderer this one replaced:
-        // every record byte, and (through the `clock` digest) every
-        // op and reply the service folded, must stay as it was.
+        // Pinned at v3: every record but the header, `cfg` and the
+        // `abuse` marker is the one the v2 renderer wrote for this
+        // service (which also carried 500 bytes of `ledger` and `placer`
+        // records), so every op and reply the service folded into the
+        // `clock` digest must stay as it was.
         let snap = render(&cordoned_service());
         let mut h = DetHash::new();
         h.fold_bytes(snap.as_bytes());
         assert_eq!(
             (h.digest(), snap.len()),
-            (0xe429_e402_b2cb_7fd9, 1189),
+            (0xfe3e_0ac6_9107_e041, 694),
             "{snap}"
         );
     }
@@ -637,7 +575,7 @@ mod tests {
     fn restore_never_panics_on_a_mangled_token() {
         // Every whitespace-separated token of a busy, quarantined,
         // cordoned snapshot, replaced one at a time with each of these.
-        const VALUES: [&str; 12] = [
+        const VALUES: [&str; 13] = [
             "0",
             "1",
             "-1",
@@ -649,6 +587,7 @@ mod tests {
             "ffffffffffffffff",
             "7ff8000000000000",
             "fff0000000000000",
+            "7fefffffffffffff",
             "x:y,z",
         ];
         let s = cordoned_service();
@@ -683,7 +622,7 @@ mod tests {
         let (s, _) = quarantined_service();
         let snap = s.snapshot();
         assert!(snap.starts_with(HEADER), "{snap}");
-        assert!(snap.contains("abusecfg "), "{snap}");
+        assert!(snap.contains("\nabuse\n"), "{snap}");
         let r = FabricService::restore(s.topo.clone(), &snap).unwrap();
         assert_eq!(render(&r), snap);
         s.verify_restore(&snap).unwrap();
@@ -709,7 +648,8 @@ mod tests {
             s.submit(3 * MS, admit("d", 1, 1.0, 4 * MS));
             s.submit(3 * MS + 10 * US, FabricOp::Depart { tenant: 0 });
         }
-        for k in 0..60u64 {
+        let ticks = (QUARANTINE_HOLD + PROBATION) / (50 * US) + 20;
+        for k in 0..ticks {
             let t = now + k * 50 * US;
             let (a, b) = (live.abuse_tick(t), back.abuse_tick(t));
             assert_eq!(a, b, "clamp actions diverged at {t} ns");
@@ -744,7 +684,7 @@ mod tests {
             .unwrap();
         assert!(e.contains("truncated") || e.contains("missing"), "{e}");
 
-        // A topology of a different shape has a different link count.
+        // A topology of a different shape lacks the tenants' hosts.
         let small = Arc::new(leaf_spine(
             1,
             1,
@@ -756,14 +696,17 @@ mod tests {
         let e = FabricService::restore(small, &snap).err().unwrap();
         assert!(e.contains("wrong topology"), "{e}");
 
-        // Nothing ever wrote a v1 snapshot: its header is just a mismatch.
-        let v1 = snap.replacen("snapshot v2", "snapshot v1", 1);
-        assert_ne!(v1, snap);
-        let e = FabricService::restore(s.topo.clone(), &v1).err().unwrap();
-        assert!(e.contains("header mismatch") && e.contains("v1"), "{e}");
+        // Nothing ever wrote a v1 snapshot, and v2 stored the ledger and
+        // placer v3 rebuilds: either header is just a mismatch.
+        for old in ["v1", "v2"] {
+            let v = snap.replacen("snapshot v3", &format!("snapshot {old}"), 1);
+            assert_ne!(v, snap);
+            let e = FabricService::restore(s.topo.clone(), &v).err().unwrap();
+            assert!(e.contains("header mismatch") && e.contains(old), "{e}");
+        }
 
-        // Records the placer or the ledger cannot hold: each is an `Err`
-        // naming the offending record, never a panic.
+        // Tenants the placer or the ledger cannot hold: each is an `Err`
+        // naming what overflows, never a panic.
         let restore_edited = |tag: &str, edit: &dyn Fn(&str) -> String| {
             let bad: String = snap
                 .lines()
@@ -778,17 +721,28 @@ mod tests {
             assert_ne!(bad, snap, "no {tag} record was edited");
             FabricService::restore(s.topo.clone(), &bad).err().unwrap()
         };
-        let e = restore_edited("placer ", &|l| format!("{l} 9999:1:0000000000000000"));
+        // Tenant "a" (3 VMs) at 19 tokens: a 9.5 G hose on a 9 G access
+        // ceiling.
+        let e = restore_edited("tenant a ", &|l| {
+            l.replacen(
+                &format!("{:016x}", 2.0f64.to_bits()),
+                &format!("{:016x}", 19.0f64.to_bits()),
+                1,
+            )
+        });
         assert!(
-            e.contains("placer row 9999:1") && e.contains("unknown host"),
+            e.contains("fails conservation audit: tenant 0 (a) hose 9500000000 bps")
+                && e.contains("no longer fits on link"),
             "{e}"
         );
-        let e = restore_edited("placer ", &|l| {
-            let (head, bits) = l.rsplit_once(':').unwrap();
-            let (head, _vms) = head.rsplit_once(':').unwrap();
-            format!("{head}:99:{bits}")
-        });
-        assert!(e.contains(":99 exceeds the slot cap"), "{e}");
+        // One VM slot per host, but "a" and "c" share first-fit hosts.
+        let e = restore_edited("cfg ", &|l| l.replacen(" 8 first_fit", " 1 first_fit", 1));
+        assert!(
+            e.contains("tenant 2 (c)") && e.contains("exceeds the slot cap 1"),
+            "{e}"
+        );
+        let e = restore_edited("end", &|_| "abuserow 0 0 0 0 0 0 0 0 0 0\nend".into());
+        assert!(e.contains("abuserow before the abuse record"), "{e}");
         // Tenant "a" is still active; put its first VM on a switch.
         let tor = s.topo.tors[0].raw();
         let e = restore_edited("tenant a ", &|l| {

@@ -5,7 +5,7 @@
 
 use experiments::harness::{Runner, SystemKind, SLICE};
 use fabric::{AdmissionCfg, RejectReason, TenantReq, TenantState};
-use fabricd::FabricService;
+use fabricd::{FabricService, RECLAIM_GRACE};
 use netsim::{NodeId, PairId, Time, MS, US};
 use std::sync::Arc;
 use topology::TestbedCfg;
@@ -73,7 +73,7 @@ fn tenant_lifecycle_end_to_end() {
             pairs: prog,
         });
     }
-    let grace = cfg.reclaim_grace;
+    let grace = RECLAIM_GRACE;
     let mut r = Runner::new(topo, spec, SystemKind::Ufab, 7, None, MS);
     // Plan order is `add_tenant` order: service tenant id == spec id.
     let mut svc = FabricService::new(Arc::clone(&r.topo), cfg);
