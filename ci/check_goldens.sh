@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Re-make every committed golden from its own command line at --jobs 1
-# and 4 and diff it against ci/golden/: stdout for all ten, and for
+# and 4 and diff it against ci/golden/: stdout for all thirteen, and for
 # dse also its two CSVs. A pairwise jobs=1-vs-4 diff passes a change
 # that moves both sides; a golden does not.
 #
@@ -17,7 +17,10 @@ trap 'rm -rf "$work"' EXIT
 cases=(
   "fig11_quick|fig11 --quick"
   "fig5_quick|fig5 --quick"
+  "fig12_quick|fig12 --quick"
+  "fig13_quick|fig13 --quick"
   "fig14_quick|fig14 --quick"
+  "fig16_quick|fig16 --quick"
   "ablate_quick|ablate --quick"
   "churn_64_seed2|churn --servers 64 --seed 2"
   "abuse_64_seed2|abuse --servers 64 --seed 2"

@@ -391,7 +391,7 @@ impl Runner {
     /// Acked bytes of each `(source host, pair)` right now — the baseline
     /// a tenant's (re-)qualification must move past: qualifying takes
     /// telemetry *and* delivered progress.
-    pub fn acked_baseline(&self, pairs: &[(NodeId, PairId)]) -> Vec<u64> {
+    pub(crate) fn acked_baseline(&self, pairs: &[(NodeId, PairId)]) -> Vec<u64> {
         pairs
             .iter()
             .map(|&(src, pair)| {
@@ -406,7 +406,7 @@ impl Runner {
     /// μFAB-E's qualification signal for one tenant: every pair's current
     /// path telemetry qualifies and its acked bytes moved past `baseline`
     /// (from [`Runner::acked_baseline`]).
-    pub fn pairs_qualified(&self, pairs: &[(NodeId, PairId)], baseline: &[u64]) -> bool {
+    pub(crate) fn pairs_qualified(&self, pairs: &[(NodeId, PairId)], baseline: &[u64]) -> bool {
         pairs.iter().zip(baseline).all(|(&(src, pair), &base)| {
             self.sim
                 .try_edge::<UfabEdge>(src)

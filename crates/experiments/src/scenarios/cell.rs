@@ -6,7 +6,9 @@
 //! constructors and in what they do between [`Cell::step`] and
 //! [`Cell::audit`]. `ops` builds its `Planned` from the applied log of
 //! its pre-pass, so its cell submits the recorded op stream instead of
-//! committing a plan.
+//! committing a plan. The same drill (`ops::drill`) also runs the
+//! umbrella lifecycle tests' cells: the 8-host testbed with a caller's
+//! requests, horizon and operator script, or with the requests planned.
 
 use super::common::{obs_epilogue, Scale};
 use super::fig17::build_topo;
@@ -14,11 +16,13 @@ use crate::harness::{Runner, SystemKind, SLICE};
 use fabric::{AdmissionCfg, Plan, PlannedTenant, Policy, Rejection, TenantReq, TenantState};
 use fabricd::{
     Applied, FabricOp, FabricReply, FabricService, LedgerConservation, QualifyingStagger,
+    RECLAIM_GRACE,
 };
 use metrics::{RateSeries, Recorder};
 use netsim::{FaultKind, FaultPlan, NodeId, PairId, Time, MS, US};
 use obs::{InvariantSuite, SnapshotRoundTrip};
 use std::iter::Peekable;
+use std::ops::Range;
 use std::sync::Arc;
 use topology::Topo;
 use ufab::{FabricSpec, UfabConfig, UfabEdge};
@@ -41,29 +45,32 @@ pub(crate) const GUAR_FRACTION: f64 = 0.85;
 
 /// Timeline of one cell (all instants in ns).
 pub(crate) struct Timeline {
-    first_arrival: Time,
-    last_arrival: Time,
+    pub(crate) first_arrival: Time,
+    pub(crate) last_arrival: Time,
     fault_at: Time,
     fault_recover: Time,
     pub(crate) horizon: Time,
 }
 
 impl Timeline {
-    /// Tenants arrive for `window_ms` (×3 when not `quick`) from t = 2 ms;
-    /// the fault, where a cell has one, strikes mid-window for 5 ms.
+    /// Tenants arrive for `window_ms` (×3 when not `quick`) from t = 2 ms.
     pub(crate) fn new(quick: bool, window_ms: u64) -> Self {
-        let window = window_ms * MS * if quick { 1 } else { 3 };
-        let first_arrival = 2 * MS;
-        let last_arrival = first_arrival + window;
-        let fault_at = first_arrival + window / 2;
+        let last = 2 * MS + window_ms * MS * if quick { 1 } else { 3 };
+        // Latest depart: last arrival + queueing + max lifetime; then the
+        // reclaim grace and a settling margin.
+        Self::span(2 * MS..last, last + 20 * MS + MS + 4 * MS)
+    }
+
+    /// Tenants arrive over `window` and the cell runs to `horizon`; the
+    /// fault, where a cell has one, strikes mid-window for 5 ms.
+    pub(crate) fn span(window: Range<Time>, horizon: Time) -> Self {
+        let fault_at = window.start + (window.end - window.start) / 2;
         Timeline {
-            first_arrival,
-            last_arrival,
+            first_arrival: window.start,
+            last_arrival: window.end,
             fault_at,
             fault_recover: fault_at + 5 * MS,
-            // Latest depart: last_arrival + queueing + max lifetime; then
-            // the reclaim grace and a settling margin.
-            horizon: last_arrival + 20 * MS + MS + 4 * MS,
+            horizon,
         }
     }
 
@@ -98,13 +105,14 @@ pub(crate) fn cell_trace(
     })
 }
 
-/// The admission requests of a trace (request index == trace index).
-pub(crate) fn requests(trace: &[TenantArrival]) -> Vec<TenantReq> {
+/// The admission requests of a trace (request index == trace index),
+/// named `<prefix>-<index>`.
+pub(crate) fn requests(trace: &[TenantArrival], prefix: &str) -> Vec<TenantReq> {
     trace
         .iter()
         .enumerate()
         .map(|(i, a)| TenantReq {
-            name: format!("churn-{i}"),
+            name: format!("{prefix}-{i}"),
             n_vms: a.n_vms,
             tokens_per_vm: a.tokens_per_vm,
             arrival: a.arrival,
@@ -227,44 +235,38 @@ enum Admissions {
 /// these are the data plane's.
 pub(crate) struct Planned {
     tl: Timeline,
-    trace: Vec<TenantArrival>,
+    /// Demand class of each request, by request index.
+    kinds: Vec<DemandKind>,
     acfg: AdmissionCfg,
     pub(crate) plan: Plan,
     topo: Topo,
     admissions: Admissions,
 }
 
-/// A cell's timeline (`window_ms` of arrivals), `--servers` (or
-/// `default_servers`) FatTree, arrival trace (`per_sec_at_512`) and
-/// admission config.
-pub(crate) fn inputs(
-    scale: &Scale,
-    policy: Policy,
-    window_ms: u64,
-    per_sec_at_512: f64,
-    default_servers: usize,
-) -> (Timeline, Topo, Vec<TenantArrival>, AdmissionCfg) {
-    let tl = Timeline::new(scale.quick, window_ms);
-    let topo = build_topo(scale.servers.unwrap_or(default_servers), false);
-    let trace = cell_trace(scale.seed, &tl, topo.hosts.len(), per_sec_at_512);
-    let acfg = AdmissionCfg {
-        policy,
-        ..AdmissionCfg::default()
-    };
-    (tl, topo, trace, acfg)
-}
-
 impl Planned {
-    /// Trace + admission plan: 22 k tenants/sec at 512 servers over a
-    /// 68 ms window.
+    /// Trace + admission plan on the `--servers` (or `default_servers`)
+    /// FatTree: 22 k tenants/sec at 512 servers over a 68 ms window.
     pub(crate) fn new(scale: &Scale, policy: Policy, default_servers: usize) -> Self {
-        let (tl, topo, trace, acfg) = inputs(scale, policy, 68, 22_000.0, default_servers);
-        let plan = fabric::plan(&topo, &acfg, &requests(&trace));
+        let tl = Timeline::new(scale.quick, 68);
+        let topo = build_topo(scale.servers.unwrap_or(default_servers), false);
+        let trace = cell_trace(scale.seed, &tl, topo.hosts.len(), 22_000.0);
+        let (reqs, kinds) = (requests(&trace, "churn"), trace.iter().map(|a| a.kind));
+        Self::plan(tl, topo, &reqs, kinds.collect(), admission(policy))
+    }
+
+    /// `reqs` of demand classes `kinds` on `topo`, planned up front.
+    pub(crate) fn plan(
+        tl: Timeline,
+        topo: Topo,
+        reqs: &[TenantReq],
+        kinds: Vec<DemandKind>,
+        acfg: AdmissionCfg,
+    ) -> Self {
         Planned {
+            plan: fabric::plan(&topo, &acfg, reqs),
             tl,
-            trace,
+            kinds,
             acfg,
-            plan,
             topo,
             admissions: Admissions::Plan,
         }
@@ -272,11 +274,15 @@ impl Planned {
 
     /// The plan an op stream applied: `ops` is the `(submit instant, op)`
     /// stream a pre-pass played into a service on `topo`, with the
-    /// `Admit` of trace entry *k* its *k*-th admit, and `applied` that
-    /// service's log. Each `Admitted` reply is a tenant decided when
+    /// `Admit` of request *k* of `reqs` its *k*-th admit, and `applied`
+    /// that service's log. Each `Admitted` reply is a tenant decided when
     /// applied and departing a lifetime later on the reply's hosts.
     pub(crate) fn from_ops(
-        (tl, topo, trace, acfg): (Timeline, Arc<Topo>, Vec<TenantArrival>, AdmissionCfg),
+        tl: Timeline,
+        topo: Arc<Topo>,
+        reqs: &[TenantReq],
+        kinds: Vec<DemandKind>,
+        acfg: AdmissionCfg,
         ops: Vec<(Time, FabricOp)>,
         applied: &[Applied],
     ) -> Self {
@@ -286,7 +292,7 @@ impl Planned {
             _ => None,
         });
         for (req, (ap, name)) in admits.enumerate() {
-            let a = &trace[req];
+            let a = &reqs[req];
             decision_latency_ns.push(ap.applied - ap.submitted);
             match &ap.reply {
                 FabricReply::Admitted { hosts, .. } => admitted.push(PlannedTenant {
@@ -314,7 +320,7 @@ impl Planned {
         };
         Planned {
             tl,
-            trace,
+            kinds,
             acfg,
             plan,
             topo: Arc::into_inner(topo).expect("the pre-pass service is gone"),
@@ -323,11 +329,20 @@ impl Planned {
     }
 }
 
+/// The admission config of a cell placing with `policy`.
+pub(crate) fn admission(policy: Policy) -> AdmissionCfg {
+    AdmissionCfg {
+        policy,
+        ..AdmissionCfg::default()
+    }
+}
+
 /// A built, steppable cell. Tenant id == plan index == `FabricSpec`
 /// tenant id, so every per-tenant `Vec` here is indexed by it.
 pub(crate) struct Cell {
     pub(crate) tl: Timeline,
-    pub(crate) trace: Vec<TenantArrival>,
+    /// Demand class of each request, by request index.
+    pub(crate) kinds: Vec<DemandKind>,
     pub(crate) acfg: AdmissionCfg,
     pub(crate) plan: Plan,
     pub(crate) r: Runner,
@@ -376,7 +391,7 @@ impl Cell {
     ) -> Self {
         let Planned {
             tl,
-            trace,
+            kinds,
             acfg,
             plan,
             topo,
@@ -386,7 +401,7 @@ impl Cell {
         let mut tenant_pairs = Vec::with_capacity(plan.admitted.len());
         let mut programs = Vec::with_capacity(plan.admitted.len());
         for (i, p) in plan.admitted.iter().enumerate() {
-            let kind = trace[p.req].kind;
+            let kind = kinds[p.req];
             let guar = p.tokens_per_vm * acfg.bu_bps;
             let (pairs, program) = add_ring_tenant(
                 &mut spec,
@@ -444,7 +459,7 @@ impl Cell {
             driver: ChurnDriver::new(programs, scale.seed ^ 0x5eed, 0),
             pending_fault: core_fault.then_some(dead_core),
             tl,
-            trace,
+            kinds,
             acfg,
             plan,
             r,
@@ -502,6 +517,10 @@ impl Cell {
         }
         for (i, t) in self.svc.tenants().iter().enumerate() {
             if t.state == TenantState::Reclaimed && !self.retired[i] {
+                // Departure closed the last guarantee span; the capacity
+                // stays committed through the teardown grace after it.
+                let closed = t.guaranteed_spans.last().map_or(0, |s| s.1);
+                assert!(closed + RECLAIM_GRACE <= now, "tenant {i} reclaimed early");
                 self.retired[i] = true;
                 self.r.retire(&self.tenant_pairs[i]);
             }
@@ -565,7 +584,7 @@ impl Cell {
     /// caller (`abuse` goes on reading it).
     pub(crate) fn bulk_bins(&self, rec: &Recorder, mut visit: impl FnMut(usize, usize, bool)) {
         for (i, t) in self.svc.tenants().iter().enumerate() {
-            if self.trace[self.plan.admitted[i].req].kind != DemandKind::Bulk {
+            if self.kinds[self.plan.admitted[i].req] != DemandKind::Bulk {
                 continue;
             }
             let n_pairs = self.tenant_pairs[i].len() as f64;
@@ -578,10 +597,14 @@ impl Cell {
     }
 
     /// The common end-of-run readings; `label` names the cell in the
-    /// observability epilogue and in the verdicts. Every admitted tenant
-    /// must have been reclaimed by the horizon, so no guarantee span is
-    /// still open, and the fabric suite must have recorded no violation.
+    /// observability epilogue and in the verdicts. Every op of an op
+    /// stream must have been submitted, every admitted tenant must have
+    /// been reclaimed by the horizon, so no guarantee span is still
+    /// open, and the fabric suite must have recorded no violation.
     pub(crate) fn end(&self, scale: &Scale, label: &str) -> CellEnd {
+        if let Admissions::Ops(ops) = &self.admissions {
+            assert_eq!(ops.len(), 0, "[{label}] ops left past the horizon");
+        }
         assert_eq!(
             self.svc.count(TenantState::Reclaimed),
             self.plan.admitted.len(),
@@ -715,6 +738,15 @@ mod tests {
         );
     }
 
+    /// The first-fit `repro ops` cell under the `preset` script.
+    fn ops_cell(scale: &Scale, preset: &str) -> Cell {
+        use super::super::ops::{build_cell, ops_requests, script_events, WINDOW_MS};
+        let tl = Timeline::new(scale.quick, WINDOW_MS);
+        let (topo, reqs) = ops_requests(scale, &tl);
+        let script = script_events(preset, &tl);
+        build_cell(scale, Policy::FirstFit, topo, reqs, tl, Some(script)).0
+    }
+
     /// Retirement on the two 64-server cells: the plan-driven churn cell
     /// and the op-driven ops cell, whose tenants come from its pre-pass.
     #[test]
@@ -731,7 +763,7 @@ mod tests {
         // Seed 1: 760 pairs, at most 98 active at once.
         assert_retired(churn);
         // Seed 1: 200 pairs, at most 38 active at once.
-        assert_retired(super::super::ops::build_cell(&scale, Policy::FirstFit, "mixed").0);
+        assert_retired(ops_cell(&scale, "mixed"));
     }
 
     /// `bulk_bins` holds a bulk tenant to the lowest guarantee ever in
@@ -741,12 +773,12 @@ mod tests {
     #[test]
     fn bulk_bins_hold_a_resized_tenant_to_its_lowest_guarantee() {
         let scale = hook_scale(1, Some(64), false);
-        let mut cell = super::super::ops::build_cell(&scale, Policy::FirstFit, "none").0;
+        let mut cell = ops_cell(&scale, "none");
         let i = loop {
             cell.step()
                 .expect("a bulk tenant is guaranteed before the horizon");
             let bulk_guaranteed = |&i: &usize| {
-                cell.trace[cell.plan.admitted[i].req].kind == DemandKind::Bulk
+                cell.kinds[cell.plan.admitted[i].req] == DemandKind::Bulk
                     && cell.svc.tenants()[i].state == TenantState::Guaranteed
             };
             if let Some(i) = (0..cell.svc.tenants().len()).find(bulk_guaranteed) {

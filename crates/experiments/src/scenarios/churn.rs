@@ -85,7 +85,7 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
         .plan
         .admitted
         .iter()
-        .filter(|p| cell.trace[p.req].kind == DemandKind::Overclaim)
+        .filter(|p| cell.kinds[p.req] == DemandKind::Overclaim)
         .count();
     let mut adm = Percentiles::new();
     for &l in &cell.plan.decision_latency_ns {
@@ -119,7 +119,7 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
             end.digest.clone(),
         ],
         end,
-        arrivals: cell.trace.len(),
+        arrivals: cell.kinds.len(),
         rejected,
         overclaim_admitted,
         viol_ms,
@@ -222,7 +222,7 @@ pub fn admission_bench(seed: u64, target: usize) -> usize {
         min_lifetime: 600 * US,
         max_lifetime: 20 * MS,
     };
-    let reqs = requests(&gen_trace(&cfg));
+    let reqs = requests(&gen_trace(&cfg), "churn");
     let plan = fabric::plan(&topo, &AdmissionCfg::default(), &reqs);
     plan.admitted.len() + plan.rejected.len()
 }

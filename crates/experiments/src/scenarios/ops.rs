@@ -2,10 +2,10 @@
 //! 512-server FatTree: churn workload plus a scripted operator timeline
 //! (mid-run tenant resizes, cordon-and-drain, snapshot/kill/restore).
 //!
-//! Two runs of the same op stream happen per cell:
+//! Two runs of the same op stream happen per cell, both in [`drill`]:
 //!
 //! 1. **Reference pre-pass** (pure control plane, no simulator): the
-//!    churn trace plus the operator script is played into a
+//!    requests plus the operator script are played into a
 //!    [`FabricService`] end to end, *uninterrupted*. This run both
 //!    records the op stream — operator targets are selected from
 //!    service state at the scripted instants — and produces the
@@ -32,22 +32,26 @@
 //! All snapshot/restore progress goes to **stderr**: stdout is
 //! byte-identical whether the mid-run restore happens or not
 //! (`--snapshot-at 0` disables it).
+//!
+//! [`drill`] is public: the umbrella tests run it on the 8-host testbed
+//! with their own requests, horizon and script, or with none (a plan).
 
 use super::cell::{
-    cell_trace, demand_for, inputs, Cell, CellEnd, Planned, Timeline, GUAR_FRACTION,
+    admission, cell_trace, demand_for, requests, Cell, CellEnd, Planned, Timeline, GUAR_FRACTION,
 };
 use super::common::{emit, f, us, Scale};
 use super::fig17::build_topo;
 use crate::executor::{run_jobs, Job};
-use fabric::{AdmissionCfg, Policy};
+use fabric::{AdmissionCfg, Plan, Policy, TenantReq};
 use fabricd::{Applied, FabricOp, FabricReply, FabricService};
 use metrics::table::Table;
 use metrics::Percentiles;
 use netsim::{Time, MS, US};
+use std::ops::Range;
 use std::sync::Arc;
 use topology::Topo;
 use ufab::UfabConfig;
-use workloads::churn::TenantArrival;
+use workloads::churn::DemandKind;
 
 /// Operator-script presets accepted by `--ops-script`.
 pub const PRESETS: &[&str] = &["none", "resize", "drain", "mixed"];
@@ -56,7 +60,7 @@ pub const PRESETS: &[&str] = &["none", "resize", "drain", "mixed"];
 const RESTORE_WINDOW_MS: u64 = 5;
 
 /// Arrival window of an ops run in ms: shorter than `repro churn`'s 68.
-const WINDOW_MS: u64 = 48;
+pub(super) const WINDOW_MS: u64 = 48;
 /// Tenant arrivals per second at 512 servers. Lighter than `repro
 /// churn`'s 22 k: the scenario probes operator ops on a
 /// loaded-but-conformant fabric, not admission pressure.
@@ -70,19 +74,20 @@ const BULK_FACTOR: f64 = 1.15;
 /// One scripted operator action; targets are selected from live service
 /// state when the instant is reached.
 #[derive(Clone, Copy)]
-enum ScriptEv {
-    /// Grow/shrink up to 4 active tenants in id order.
+pub enum ScriptEv {
+    /// Grow/shrink up to 4 active tenants in id order: round *r* grows
+    /// tenant *i* ×1.25 when *i + r* is even, else shrinks it ×0.75.
     Resize,
-    /// Cordon-and-drain the first host carrying an active VM.
+    /// Cordon-and-drain the first host of the first active tenant.
     DrainHost,
-    /// Cordon a core switch (spread-table rebuild around it).
+    /// Cordon core switch 0 (spread-table rebuild around it).
     CordonCore,
     /// Lift the core cordon (rebuild back).
     UncordonCore,
 }
 
 /// The operator timeline for a preset, `(instant, action)` sorted.
-fn script_events(script: &str, tl: &Timeline) -> Vec<(Time, ScriptEv)> {
+pub(super) fn script_events(script: &str, tl: &Timeline) -> Vec<(Time, ScriptEv)> {
     match script {
         "none" => vec![],
         "resize" => vec![(tl.at(35), ScriptEv::Resize), (tl.at(55), ScriptEv::Resize)],
@@ -155,24 +160,23 @@ struct Prepass {
     digest: u64,
 }
 
-/// Play the trace + operator script into a fresh service end to end,
-/// recording the resolved op stream and the reference digest.
+/// Play the requests + operator script into a fresh service up to
+/// `horizon`, recording the resolved op stream and the reference digest.
 fn prepass(
     topo: Arc<Topo>,
     acfg: AdmissionCfg,
-    trace: &[TenantArrival],
-    tl: &Timeline,
-    script: &str,
+    reqs: &[TenantReq],
+    script: &[(Time, ScriptEv)],
+    horizon: Time,
 ) -> Prepass {
     let mut svc = FabricService::new(topo, acfg);
-    let script_pts = script_events(script, tl);
-    let mut ops: Vec<(Time, FabricOp)> = Vec::with_capacity(trace.len() + 8);
+    let mut ops: Vec<(Time, FabricOp)> = Vec::with_capacity(reqs.len() + 8);
     let mut applied: Vec<Applied> = Vec::new();
     let mut resize_round = 0u32;
     let (mut i, mut j) = (0usize, 0usize);
     loop {
-        let next_arrival = trace.get(i).map(|a| a.arrival);
-        let next_script = script_pts.get(j).map(|&(t, _)| t);
+        let next_arrival = reqs.get(i).map(|r| r.arrival);
+        let next_script = script.get(j).map(|&(t, _)| t);
         // Arrivals win ties so the script sees the newest state.
         let arrival_first = match (next_arrival, next_script) {
             (None, None) => break,
@@ -181,30 +185,30 @@ fn prepass(
             (Some(a), Some(s)) => a <= s,
         };
         if arrival_first {
-            let a = next_arrival.expect("arrival_first implies an arrival");
+            let r = &reqs[i];
             let op = FabricOp::Admit {
-                name: format!("ops-{i}"),
-                n_vms: trace[i].n_vms,
-                tokens_per_vm: trace[i].tokens_per_vm,
-                lifetime: trace[i].lifetime,
+                name: r.name.clone(),
+                n_vms: r.n_vms,
+                tokens_per_vm: r.tokens_per_vm,
+                lifetime: r.lifetime,
             };
-            svc.submit(a, op.clone());
-            ops.push((a, op));
+            svc.submit(r.arrival, op.clone());
+            ops.push((r.arrival, op));
             i += 1;
         } else {
             let t = next_script.expect("script point pending");
             // Catch the service up to the instant, then pick targets
             // from its state — deterministically, so the recorded
-            // stream is a pure function of (trace, script, policy).
+            // stream is a pure function of (requests, script, policy).
             applied.extend(svc.advance(t));
-            for op in select_ops(script_pts[j].1, &svc, &mut resize_round) {
+            for op in select_ops(script[j].1, &svc, &mut resize_round) {
                 svc.submit(t, op.clone());
                 ops.push((t, op));
             }
             j += 1;
         }
     }
-    applied.extend(svc.advance(tl.horizon));
+    applied.extend(svc.advance(horizon));
     svc.audit().expect("reference run fails conservation audit");
     Prepass {
         ops,
@@ -213,32 +217,43 @@ fn prepass(
     }
 }
 
-/// Everything a policy cell reports back for asserts and the table.
-struct CellOut {
-    row: [String; 11],
-    end: CellEnd,
-    rejected: u32,
-    drain_failed: bool,
-    script_has_drain: bool,
-    snapshot_fired: bool,
-    viol_ms: u64,
-    guaranteed_ms: u64,
-    restore_viol_ms: u64,
+/// The `repro ops` requests: the arrival trace over `tl` on the
+/// `--servers` (default 512) FatTree, request *i* named `ops-<i>`.
+pub(super) fn ops_requests(scale: &Scale, tl: &Timeline) -> (Topo, Vec<(TenantReq, DemandKind)>) {
+    let topo = build_topo(scale.servers.unwrap_or(512), false);
+    let trace = cell_trace(scale.seed, tl, topo.hosts.len(), PER_SEC_AT_512);
+    let kinds = trace.iter().map(|a| a.kind);
+    let reqs = requests(&trace, "ops").into_iter().zip(kinds).collect();
+    (topo, reqs)
 }
 
-/// The ops cell of `policy` under `script`, and the digest of the
-/// uninterrupted reference pre-pass whose op stream it replays.
-pub(super) fn build_cell(scale: &Scale, policy: Policy, script: &str) -> (Cell, u64) {
-    let (tl, topo, trace, acfg) = inputs(scale, policy, WINDOW_MS, PER_SEC_AT_512, 512);
-    // 1) Uninterrupted reference run: records the op stream + digest.
-    //    Its service only reads the topology the simulator then takes.
-    let topo = Arc::new(topo);
-    let pre = prepass(Arc::clone(&topo), acfg, &trace, &tl, script);
-    // 2) The cell's tenants are the reference admissions. Traffic runs
-    //    on the *original* placement for the whole lifetime — a drain
-    //    migrates the control-plane slot, the data-plane probe keeps
-    //    flowing.
-    let planned = Planned::from_ops((tl, topo, trace, acfg), pre.ops, &pre.applied);
+/// The drill's cell, and the digest of the uninterrupted reference
+/// pre-pass whose op stream it replays (`None` for planned admissions,
+/// which have no pre-pass).
+pub(super) fn build_cell(
+    scale: &Scale,
+    policy: Policy,
+    topo: Topo,
+    reqs: Vec<(TenantReq, DemandKind)>,
+    tl: Timeline,
+    script: Option<Vec<(Time, ScriptEv)>>,
+) -> (Cell, Option<u64>) {
+    let acfg = admission(policy);
+    let (reqs, kinds): (Vec<_>, Vec<_>) = reqs.into_iter().unzip();
+    let (planned, reference) = match script {
+        None => (Planned::plan(tl, topo, &reqs, kinds, acfg), None),
+        Some(script) => {
+            // The pre-pass's service only reads the topology the
+            // simulator then takes.
+            let topo = Arc::new(topo);
+            let pre = prepass(Arc::clone(&topo), acfg, &reqs, &script, tl.horizon);
+            let planned = Planned::from_ops(tl, topo, &reqs, kinds, acfg, pre.ops, &pre.applied);
+            (planned, Some(pre.digest))
+        }
+    };
+    // Traffic runs on the *original* placement for the whole lifetime —
+    // a drain migrates the control-plane slot, the data-plane probe
+    // keeps flowing.
     let cell = Cell::build(
         scale,
         planned,
@@ -246,25 +261,55 @@ pub(super) fn build_cell(scale: &Scale, policy: Policy, script: &str) -> (Cell, 
         false,
         |_, kind, guar| demand_for(kind, guar, BULK_FACTOR),
     );
-    (cell, pre.digest)
+    (cell, reference)
 }
 
-fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>) -> CellOut {
-    let (mut cell, reference) = build_cell(&scale, policy, &script);
+/// What one drilled cell reports.
+pub struct Drill {
+    /// The cell's admissions: its plan, or the one its op stream applied.
+    pub plan: Plan,
+    /// The service at the horizon: the restored one, if the restore fired.
+    pub svc: FabricService,
+    /// Open guarantee spans carried across the restore, if it fired.
+    pub restored_spans: Option<usize>,
+    /// 1 ms bins of bulk tenants inside a guarantee span ([`Cell::bulk_bins`]).
+    pub guaranteed_ms: u64,
+    /// Those of them below the cell's threshold.
+    pub viol_ms: u64,
+    restore_viol_ms: u64,
+    drain_failed: bool,
+    row: [String; 11],
+    end: CellEnd,
+}
+
+/// Run one cell through the operator drill: `reqs` of their demand
+/// classes (bulk ones offer 1.15× their guarantee) on `topo`, placed by
+/// `policy`, arriving over `window`, run to `horizon`. The cell replays
+/// the op stream of `script`'s (sorted by instant) uninterrupted
+/// pre-pass and must end on its digest; `None` commits the requests'
+/// plan instead. At `snap_at` the service is snapshotted, dropped and
+/// restored with no open guarantee span changed.
+pub fn drill(
+    scale: Scale,
+    policy: Policy,
+    topo: Topo,
+    reqs: Vec<(TenantReq, DemandKind)>,
+    window: Range<Time>,
+    horizon: Time,
+    script: Option<Vec<(Time, ScriptEv)>>,
+    snap_at: Option<Time>,
+) -> Drill {
+    let tl = Timeline::span(window, horizon);
+    let (mut cell, reference) = build_cell(&scale, policy, topo, reqs, tl, script);
     let mut resize_lat = Percentiles::new();
-    let mut resized_ok = 0u32;
-    let mut resized_denied = 0u32;
-    let mut drained_vms = 0usize;
-    let mut drain_failed = false;
-    let mut drain_at: Option<Time> = None;
-    let mut drain_touched: Vec<u32> = Vec::new();
-    let mut requal_ns: Vec<u64> = Vec::new();
-    let mut util_sum = 0.0;
-    let mut util_n = 0u64;
-    let mut snapshot_fired = false;
-    // 3) Run loop: the cell replays the recorded op stream in lock-step
-    //    with the simulator; snapshot/kill/restore the service at
-    //    `snap_at`.
+    let (mut resized_ok, mut resized_denied) = (0u32, 0u32);
+    let (mut drained_vms, mut drain_failed) = (0usize, false);
+    let (mut drain_at, mut drain_touched): (Option<Time>, Vec<u32>) = (None, Vec::new());
+    let (mut requal_max, mut restored_spans): (Option<Time>, _) = (None, None);
+    let (mut util_sum, mut util_n) = (0.0, 0u64);
+    // The cell replays the recorded op stream (or commits its plan) in
+    // lock-step with the simulator; snapshot/kill/restore the service at
+    // `snap_at`.
     while let Some(applied) = cell.step() {
         let now = cell.now;
         for ap in applied {
@@ -295,43 +340,41 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
         if let Some(d) = drain_at {
             for &i in &drain_touched {
                 if cell.svc.tenants()[i as usize].guaranteed_at == Some(now) {
-                    requal_ns.push(now - d);
+                    requal_max = requal_max.max(Some(now - d));
                 }
             }
         }
         // Operator restart drill: serialize, kill, restore.
-        if let Some(at) = snap_at {
-            if !snapshot_fired && now >= at {
-                snapshot_fired = true;
-                let open_spans: Vec<(u32, Time)> = cell
-                    .svc
-                    .tenants()
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, t)| t.guaranteed_at.map(|g| (i as u32, g)))
-                    .collect();
-                let snap = cell.svc.snapshot();
-                eprintln!(
-                    "[ops {}] snapshot at {} µs: {} bytes, digest {:016x}",
-                    policy.label(),
-                    now / US,
-                    snap.len(),
-                    cell.svc.digest()
+        if snap_at.is_some_and(|at| restored_spans.is_none() && now >= at) {
+            let open_spans: Vec<(u32, Time)> = cell
+                .svc
+                .tenants()
+                .iter()
+                .enumerate()
+                .filter_map(|(i, t)| t.guaranteed_at.map(|g| (i as u32, g)))
+                .collect();
+            let snap = cell.svc.snapshot();
+            eprintln!(
+                "[ops {}] snapshot at {} µs: {} bytes, digest {:016x}",
+                policy.label(),
+                now / US,
+                snap.len(),
+                cell.svc.digest()
+            );
+            cell.svc = FabricService::restore(Arc::clone(&cell.r.topo), &snap)
+                .expect("mid-run snapshot must restore");
+            cell.svc.set_obs(cell.r.obs.clone());
+            // No guarantee blinks across the restart: every open span
+            // survives with its original start instant.
+            for &(i, g) in &open_spans {
+                assert_eq!(
+                    cell.svc.tenants()[i as usize].guaranteed_at,
+                    Some(g),
+                    "restore interrupted tenant {i}'s open guarantee span"
                 );
-                cell.svc = FabricService::restore(Arc::clone(&cell.r.topo), &snap)
-                    .expect("mid-run snapshot must restore");
-                cell.svc.set_obs(cell.r.obs.clone());
-                // No guarantee blinks across the restart: every open
-                // span survives with its original start instant.
-                for (i, g) in open_spans {
-                    assert_eq!(
-                        cell.svc.tenants()[i as usize].guaranteed_at,
-                        Some(g),
-                        "restore interrupted tenant {i}'s open guarantee span"
-                    );
-                }
-                eprintln!("[ops {}] restored, audit clean", policy.label());
             }
+            restored_spans = Some(open_spans.len());
+            eprintln!("[ops {}] restored, audit clean", policy.label());
         }
         cell.audit();
         if cell.tl.in_window(now) {
@@ -342,20 +385,22 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
     cell.svc
         .audit()
         .expect("inline service fails conservation audit");
-    assert_eq!(
-        cell.svc.digest(),
-        reference,
-        "inline digest diverged from the uninterrupted reference run"
-    );
+    if let Some(reference) = reference {
+        assert_eq!(
+            cell.svc.digest(),
+            reference,
+            "inline digest diverged from the uninterrupted reference run"
+        );
+    }
     let end = cell.end(&scale, &format!("ops:{}", policy.label()));
 
-    // 4) Violation accounting over every guarantee span (`end` found
-    //    them all closed), with the threshold at the lowest guarantee
-    //    ever in force for the tenant. The restore window is a fixed
-    //    time range, evaluated whether or not the restore drill actually
-    //    ran there — a correct restore must leave the data plane
-    //    untouched, so the count is identical either way (and stdout
-    //    stays byte-identical across `--snapshot-at`).
+    // Violation accounting over every guarantee span (`end` found them
+    // all closed), with the threshold at the lowest guarantee ever in
+    // force for the tenant. The restore window is a fixed time range,
+    // evaluated whether or not the restore drill actually ran there — a
+    // correct restore must leave the data plane untouched, so the count
+    // is identical either way (and stdout stays byte-identical across
+    // `--snapshot-at`).
     let window_at = snap_at.unwrap_or_else(|| cell.tl.at(50));
     let restore_bins = window_at / MS..=window_at / MS + RESTORE_WINDOW_MS;
     let (mut viol_ms, mut guaranteed_ms, mut restore_viol_ms) = (0u64, 0u64, 0u64);
@@ -366,31 +411,41 @@ fn run_cell(scale: Scale, policy: Policy, script: String, snap_at: Option<Time>)
             restore_viol_ms += restore_bins.contains(&(b as u64)) as u64;
         }
     });
-
-    let requal_max_ms = requal_ns.iter().max().map(|&n| f(n as f64 / 1e6, 1));
-    CellOut {
-        row: [
-            policy.label().to_string(),
-            end.admitted.to_string(),
-            cell.svc.n_rejected().to_string(),
-            format!("{resized_ok}+{resized_denied}"),
-            us(resize_lat.percentile(99.0).unwrap_or(0.0)),
-            drained_vms.to_string(),
-            requal_max_ms.unwrap_or_else(|| "-".into()),
-            viol_ms.to_string(),
-            restore_viol_ms.to_string(),
-            f(100.0 * util_sum / util_n.max(1) as f64, 1),
-            format!("{:016x}", cell.svc.digest()),
-        ],
-        end,
-        rejected: cell.svc.n_rejected(),
-        drain_failed,
-        script_has_drain: script == "drain" || script == "mixed",
-        snapshot_fired,
-        viol_ms,
+    let row = [
+        policy.label().to_string(),
+        end.admitted.to_string(),
+        cell.svc.n_rejected().to_string(),
+        format!("{resized_ok}+{resized_denied}"),
+        us(resize_lat.percentile(99.0).unwrap_or(0.0)),
+        drained_vms.to_string(),
+        requal_max.map_or_else(|| "-".into(), |n| f(n as f64 / 1e6, 1)),
+        viol_ms.to_string(),
+        restore_viol_ms.to_string(),
+        f(100.0 * util_sum / util_n.max(1) as f64, 1),
+        format!("{:016x}", cell.svc.digest()),
+    ];
+    Drill {
+        plan: cell.plan,
+        svc: cell.svc,
+        restored_spans,
         guaranteed_ms,
+        viol_ms,
         restore_viol_ms,
+        drain_failed,
+        row,
+        end,
     }
+}
+
+/// The `repro ops` cell of `policy` under the `script` preset.
+fn run_cell(scale: Scale, policy: Policy, script: &str, snap_at: Option<Time>) -> Drill {
+    let tl = Timeline::new(scale.quick, WINDOW_MS);
+    let (topo, reqs) = ops_requests(&scale, &tl);
+    let (w, ev) = (
+        tl.first_arrival..tl.last_arrival,
+        script_events(script, &tl),
+    );
+    drill(scale, policy, topo, reqs, w, tl.horizon, Some(ev), snap_at)
 }
 
 /// Run the ops scenario: both placement policies, in parallel cells.
@@ -407,12 +462,12 @@ pub fn run(scale: Scale, script: &str, snap_at_us: Option<u64>) -> Table {
         Some(us_in) => Some(us_in * US),
         None => Some(tl.at(50)),
     };
-    let cells: Vec<Job<CellOut>> = [Policy::FirstFit, Policy::LoadSpread]
+    let cells: Vec<Job<Drill>> = [Policy::FirstFit, Policy::LoadSpread]
         .into_iter()
         .map(|p| {
             let script = script.to_string();
             Job::new(format!("ops:{}", p.label()), move || {
-                run_cell(scale, p, script, snap_at)
+                run_cell(scale, p, &script, snap_at)
             })
         })
         .collect();
@@ -436,20 +491,20 @@ pub fn run(scale: Scale, script: &str, snap_at_us: Option<u64>) -> Table {
         }
         // Whether the trace over-subscribes a class is a property of
         // the seed, not an invariant of the service.
-        if out.rejected == 0 && out.end.admitted >= 50 {
+        if out.svc.n_rejected() == 0 && out.end.admitted >= 50 {
             eprintln!(
                 "[note] {}: all {} requests admitted — this seed's trace never \
                  over-subscribes a class, so the reject column is empty",
                 out.row[0], out.end.admitted
             );
         }
-        if out.script_has_drain {
+        if script == "drain" || script == "mixed" {
             assert!(
                 !out.drain_failed,
                 "the scripted drain must migrate, not roll back, at this load"
             );
         }
-        if out.snapshot_fired {
+        if out.restored_spans.is_some() {
             assert_eq!(
                 out.restore_viol_ms, 0,
                 "guaranteed tenants violated inside the restore window"
@@ -621,8 +676,8 @@ mod tests {
                 1_618_691,
             ),
         ] {
-            let out = run_cell(scale, policy, "mixed".into(), snap_at);
-            assert!(out.snapshot_fired, "{}", policy.label());
+            let out = run_cell(scale, policy, "mixed", snap_at);
+            assert!(out.restored_spans.is_some(), "{}", policy.label());
             assert_eq!(
                 (
                     out.row[10].as_str(),

@@ -204,26 +204,36 @@ impl Placer {
     /// the hosts a tenant record holds — without re-running policy.
     /// Each VM is admission-checked: a host that is unknown, at its slot
     /// cap, or whose hose no longer fits a link is an `Err` naming it,
-    /// with the VMs before it left committed (a caller that goes on
-    /// after an `Err` discards this placer and ledger).
+    /// with the VMs before it released again, so placer and ledger are
+    /// as they were.
     pub fn place_fixed(
         &mut self,
         ledger: &mut Ledger,
         hosts: &[NodeId],
         hose_bps: u64,
     ) -> Result<(), String> {
-        for &h in hosts {
-            let Some(i) = self.slot(h) else {
-                return Err(format!("host {h} is not a placer host"));
+        for (k, &h) in hosts.iter().enumerate() {
+            let fits = match self.slot(h) {
+                None => Err(format!("host {h} is not a placer host")),
+                Some(i) if self.vms[i] >= self.max_vms_per_host => {
+                    let cap = self.max_vms_per_host;
+                    Err(format!("host {h} exceeds the slot cap {cap}"))
+                }
+                Some(i) => match ledger.first_blocking_link(h, hose_bps) {
+                    Some(l) => {
+                        let link = l.describe();
+                        Err(format!("hose {hose_bps} bps no longer fits on link {link}"))
+                    }
+                    None => Ok(i),
+                },
             };
-            if self.vms[i] >= self.max_vms_per_host {
-                let cap = self.max_vms_per_host;
-                return Err(format!("host {h} exceeds the slot cap {cap}"));
-            }
-            if let Some(l) = ledger.first_blocking_link(h, hose_bps) {
-                let link = l.describe();
-                return Err(format!("hose {hose_bps} bps no longer fits on link {link}"));
-            }
+            let i = match fits {
+                Ok(i) => i,
+                Err(e) => {
+                    self.release(ledger, &hosts[..k], hose_bps);
+                    return Err(e);
+                }
+            };
             ledger.commit(h, hose_bps);
             self.vms[i] += 1;
             self.hose[i] += hose_bps;
@@ -458,6 +468,12 @@ mod tests {
         assert!(e.contains("exceeds the slot cap 1"), "{e}");
         let e = r.place_fixed(&mut ledger3, &[t.tors[0]], G).unwrap_err();
         assert!(e.contains("not a placer host"), "{e}");
+        // A VM that does not fit unwinds the ones placed before it.
+        let (before, ledger_before) = (r.clone(), ledger3.clone());
+        let e = r.place_fixed(&mut ledger3, &[a[1], a[0]], G).unwrap_err();
+        assert!(e.contains("exceeds the slot cap 1"), "{e}");
+        assert_eq!(r, before);
+        assert_eq!(ledger3, ledger_before);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! The wire form is the determinism contract: the service folds the
 //! encoded bytes of every applied op and its reply into its digest, so
 //! two runs that process the same op stream are byte-comparable in
-//! O(1). Encoding is canonical — `decode(encode(x)) == x` and
+//! O(1). Op encoding is canonical — `decode(encode(x)) == x` and
 //! `encode(decode(s)) == s` for any valid `s` — which the snapshot
-//! format relies on to round-trip the pending queue exactly.
+//! format relies on to round-trip the pending queue exactly. Replies
+//! are only written, never parsed.
 //!
 //! Floats (hose tokens) travel as shortest-round-trip decimal (Rust's
 //! `f64` `Display`), which is canonical and exact.
@@ -219,84 +220,6 @@ impl FabricReply {
     pub fn encode(&self) -> String {
         self.to_string()
     }
-
-    /// Parse a wire line produced by [`FabricReply::encode`].
-    pub fn decode(s: &str) -> Result<FabricReply, String> {
-        let (verb, rest) = match s.split_once(' ') {
-            Some((v, r)) => (v, r),
-            None => (s, ""),
-        };
-        let mut it = rest.split_whitespace();
-        let reply = match verb {
-            "admitted" => FabricReply::Admitted {
-                tenant: field(&mut it, verb, "tenant")?,
-                hosts: split_list(it.next().ok_or("admitted: missing hosts")?)?,
-            },
-            "rejected" => FabricReply::Rejected {
-                reason: match it.next().ok_or("rejected: missing reason")? {
-                    "no_slots" => RejectReason::NoSlots,
-                    "no_capacity" => RejectReason::NoCapacity,
-                    other => return Err(format!("unknown reject reason {other:?}")),
-                },
-            },
-            "departed" => FabricReply::Departed {
-                tenant: field(&mut it, verb, "tenant")?,
-            },
-            "resized" => FabricReply::Resized {
-                tenant: field(&mut it, verb, "tenant")?,
-                old_tokens: field(&mut it, verb, "old_tokens")?,
-                new_tokens: field(&mut it, verb, "new_tokens")?,
-            },
-            "resize-denied" => {
-                let (tenant, detail) = id_and_rest(rest, verb)?;
-                return Ok(FabricReply::ResizeDenied { tenant, detail });
-            }
-            "cordoned" => FabricReply::Cordoned {
-                node: field(&mut it, verb, "node")?,
-            },
-            "uncordoned" => FabricReply::Uncordoned {
-                node: field(&mut it, verb, "node")?,
-            },
-            "drained" => FabricReply::Drained {
-                node: field(&mut it, verb, "node")?,
-                moved: {
-                    let list = it.next().ok_or("drained: missing move list")?;
-                    if list == "-" {
-                        Vec::new()
-                    } else {
-                        list.split(',')
-                            .map(|m| {
-                                let p: Vec<&str> = m.split(':').collect();
-                                if p.len() != 4 {
-                                    return Err(format!("bad move entry {m:?}"));
-                                }
-                                Ok((
-                                    num(p[0], "move tenant")?,
-                                    num(p[1], "move vm")?,
-                                    num(p[2], "move from")?,
-                                    num(p[3], "move to")?,
-                                ))
-                            })
-                            .collect::<Result<_, String>>()?
-                    }
-                },
-            },
-            "drain-failed" => {
-                let (node, detail) = id_and_rest(rest, verb)?;
-                return Ok(FabricReply::DrainFailed { node, detail });
-            }
-            "err" => {
-                return Ok(FabricReply::Error {
-                    detail: rest.to_string(),
-                })
-            }
-            other => return Err(format!("unknown reply verb {other:?}")),
-        };
-        match it.next() {
-            None => Ok(reply),
-            Some(extra) => Err(format!("trailing token {extra:?} after {verb} reply")),
-        }
-    }
 }
 
 /// The canonical wire form: what `encode` returns and the digest folds.
@@ -366,15 +289,6 @@ pub(crate) fn num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, Stri
     tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
 }
 
-/// `<id> <free text...>` — detail strings may contain spaces, so they
-/// must be the final field.
-fn id_and_rest(rest: &str, verb: &str) -> Result<(u32, String), String> {
-    let (id, detail) = rest
-        .split_once(' ')
-        .ok_or_else(|| format!("{verb}: missing detail"))?;
-    Ok((num(id, "id")?, detail.to_string()))
-}
-
 /// Parse a `,`-separated list written by [`write_list`].
 pub(crate) fn split_list<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String> {
     if s == "-" {
@@ -414,52 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn reply_wire_round_trips() {
-        let replies = vec![
-            FabricReply::Admitted {
-                tenant: 0,
-                hosts: vec![4, 9, 12],
-            },
-            FabricReply::Rejected {
-                reason: RejectReason::NoCapacity,
-            },
-            FabricReply::Departed { tenant: 7 },
-            FabricReply::Resized {
-                tenant: 7,
-                old_tokens: 2.0,
-                new_tokens: 3.5,
-            },
-            FabricReply::ResizeDenied {
-                tenant: 7,
-                detail: "blocked on link 4:1 (4 ↔ 5)".into(),
-            },
-            FabricReply::Cordoned { node: 3 },
-            FabricReply::Uncordoned { node: 3 },
-            FabricReply::Drained {
-                node: 3,
-                moved: vec![(0, 1, 3, 8), (2, 0, 3, 9)],
-            },
-            FabricReply::Drained {
-                node: 4,
-                moved: vec![],
-            },
-            FabricReply::DrainFailed {
-                node: 3,
-                detail: "no admissible host for tenant 2".into(),
-            },
-            FabricReply::Error {
-                detail: "tenant 99 unknown".into(),
-            },
-        ];
-        for r in replies {
-            let wire = r.encode();
-            let back = FabricReply::decode(&wire).unwrap();
-            assert_eq!(back, r, "{wire}");
-            assert_eq!(back.encode(), wire, "encoding must be canonical");
-        }
-    }
-
-    #[test]
     fn encode_is_the_display_form_of_every_variant() {
         let ops = [
             "admit t0 4 2.5 5000000",
@@ -476,23 +344,81 @@ mod tests {
                 (line.to_string(), line.to_string())
             );
         }
+        // Replies are only ever written: the digest folds these bytes.
         let replies = [
-            "admitted 0 4,9,12",
-            "admitted 1 -",
-            "rejected no_slots",
-            "rejected no_capacity",
-            "departed 7",
-            "resized 7 2 3.5",
-            "resize-denied 7 blocked on link 4:1 (4 ↔ 5)",
-            "cordoned 3",
-            "uncordoned 3",
-            "drained 3 0:1:3:8,2:0:3:9",
-            "drained 4 -",
-            "drain-failed 3 no admissible host for tenant 2",
-            "err tenant 99 unknown",
+            (
+                FabricReply::Admitted {
+                    tenant: 0,
+                    hosts: vec![4, 9, 12],
+                },
+                "admitted 0 4,9,12",
+            ),
+            (
+                FabricReply::Admitted {
+                    tenant: 1,
+                    hosts: vec![],
+                },
+                "admitted 1 -",
+            ),
+            (
+                FabricReply::Rejected {
+                    reason: RejectReason::NoSlots,
+                },
+                "rejected no_slots",
+            ),
+            (
+                FabricReply::Rejected {
+                    reason: RejectReason::NoCapacity,
+                },
+                "rejected no_capacity",
+            ),
+            (FabricReply::Departed { tenant: 7 }, "departed 7"),
+            (
+                FabricReply::Resized {
+                    tenant: 7,
+                    old_tokens: 2.0,
+                    new_tokens: 3.5,
+                },
+                "resized 7 2 3.5",
+            ),
+            (
+                FabricReply::ResizeDenied {
+                    tenant: 7,
+                    detail: "blocked on link 4:1 (4 ↔ 5)".into(),
+                },
+                "resize-denied 7 blocked on link 4:1 (4 ↔ 5)",
+            ),
+            (FabricReply::Cordoned { node: 3 }, "cordoned 3"),
+            (FabricReply::Uncordoned { node: 3 }, "uncordoned 3"),
+            (
+                FabricReply::Drained {
+                    node: 3,
+                    moved: vec![(0, 1, 3, 8), (2, 0, 3, 9)],
+                },
+                "drained 3 0:1:3:8,2:0:3:9",
+            ),
+            (
+                FabricReply::Drained {
+                    node: 4,
+                    moved: vec![],
+                },
+                "drained 4 -",
+            ),
+            (
+                FabricReply::DrainFailed {
+                    node: 3,
+                    detail: "no admissible host for tenant 2".into(),
+                },
+                "drain-failed 3 no admissible host for tenant 2",
+            ),
+            (
+                FabricReply::Error {
+                    detail: "tenant 99 unknown".into(),
+                },
+                "err tenant 99 unknown",
+            ),
         ];
-        for line in replies {
-            let r = FabricReply::decode(line).unwrap();
+        for (r, line) in replies {
             assert_eq!(
                 (r.encode(), format!("{r}")),
                 (line.to_string(), line.to_string())
@@ -507,8 +433,5 @@ mod tests {
         assert!(FabricOp::decode("depart").is_err());
         assert!(FabricOp::decode("depart x").is_err());
         assert!(FabricOp::decode("depart 1 2").is_err());
-        assert!(FabricReply::decode("admitted 0").is_err());
-        assert!(FabricReply::decode("rejected because").is_err());
-        assert!(FabricReply::decode("drained 1 0:1:2").is_err());
     }
 }

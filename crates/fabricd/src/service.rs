@@ -402,9 +402,10 @@ impl FabricService {
     /// tenant's misbehavior score, integrate the pending enforcement
     /// deltas, and walk the hysteresis ladder. Quarantine entry releases
     /// the tenant's hose back to the ledger; reinstatement re-commits it
-    /// on the same hosts. Returns the clamp directives the caller must
-    /// push to the offenders' edges. Iteration is in tenant-id order, so
-    /// the emitted transitions and actions are deterministic.
+    /// on the same hosts, once it fits there again. Returns the clamp
+    /// directives the caller must push to the offenders' edges.
+    /// Iteration is in tenant-id order, so the emitted transitions and
+    /// actions are deterministic.
     pub fn abuse_tick(&mut self, now: Time) -> Vec<ClampAction> {
         let Some(mut ab) = self.abuse.take() else {
             return Vec::new();
@@ -449,13 +450,16 @@ impl FabricService {
                     let since = ab.quarantined_at(i).expect("quarantined_at set");
                     if now.saturating_sub(since) >= QUARANTINE_HOLD && score <= EXIT_SCORE {
                         // Reinstate on probation: re-commit the hose the
-                        // quarantine released (replaying the tenant's
-                        // hosts, so the ledger returns exactly to its
-                        // pre-quarantine level) and lift the edge clamp.
+                        // quarantine released on the tenant's own hosts
+                        // and lift the edge clamp. An admission may have
+                        // taken that capacity meanwhile: then the tenant
+                        // stays quarantined and a later tick retries.
                         let hose = self.cfg.hose(self.tenants[i].tokens_per_vm);
-                        self.placer
-                            .place_fixed(&mut self.ledger, &self.tenants[i].hosts, hose)
-                            .unwrap_or_else(|e| panic!("reinstating tenant {id}: {e}"));
+                        let hosts = &self.tenants[i].hosts;
+                        let placed = self.placer.place_fixed(&mut self.ledger, hosts, hose);
+                        if placed.is_err() {
+                            continue;
+                        }
                         self.set_state(id, Reinstated, now, 0);
                         self.tenants[i].guaranteed_at = Some(now);
                         ab.begin_probation(i, now);
@@ -1627,6 +1631,51 @@ mod tests {
         s.advance(10 * MS);
         assert_eq!(s.count(TenantState::Reclaimed), 1);
         assert!((s.ledger().utilization() - honest_only).abs() < 1e-9);
+        s.audit().unwrap();
+    }
+
+    /// Quarantine hands the tenant's hose back to the ledger, and an
+    /// admission may take it. A reinstatement that no longer fits waits:
+    /// the tenant stays `Quarantined`, its edge stays clamped, and a
+    /// later tick reinstates it once its host frees.
+    #[test]
+    fn reinstatement_waits_while_its_host_is_taken() {
+        let mut s = FabricService::new(topo(), AdmissionCfg::default());
+        // 16 tokens = an 8 G hose: one per 9 G access link.
+        s.submit(0, admit("hostile", 1, 16.0, 50 * MS));
+        s.advance(100 * US);
+        s.note_qualified(0, 150 * US);
+        s.enable_abuse();
+        let mut now = drive_to_quarantine(&mut s, 0, 200 * US);
+        s.submit(now, admit("taker", 1, 16.0, 8 * MS));
+        now += 100 * US;
+        s.advance(now);
+        assert_eq!(s.tenants()[1].hosts, s.tenants()[0].hosts);
+        let taker_departs = s.tenants()[1].depart_at;
+        assert!(taker_departs > now + QUARANTINE_HOLD);
+        let mut lifted = None;
+        while lifted.is_none() {
+            s.advance(now);
+            let taken = s.tenants()[1].is_active();
+            lifted = s.abuse_tick(now).first().copied();
+            s.audit().unwrap();
+            let state = s.tenants()[0].state;
+            if taken {
+                assert!(lifted.is_none(), "reinstated onto a taken host");
+                assert_eq!(state, TenantState::Quarantined);
+            }
+            now += 50 * US;
+            assert!(now < 20 * MS, "never reinstated");
+        }
+        assert!(now > taker_departs);
+        assert_eq!(lifted.unwrap().clamp, None);
+        assert_eq!(s.tenants()[0].state, TenantState::Reinstated);
+        s.advance(60 * MS);
+        assert_eq!(
+            s.count(TenantState::Reclaimed),
+            2,
+            "both depart on schedule"
+        );
         s.audit().unwrap();
     }
 
