@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Re-make every committed golden from its own command line at --jobs 1
-# and 4 and diff it against ci/golden/: stdout for all thirteen, and for
-# dse also its two CSVs. A pairwise jobs=1-vs-4 diff passes a change
+# and 4 and diff it against ci/golden/: stdout for all twenty-two, and
+# for dse also its two CSVs. A pairwise jobs=1-vs-4 diff passes a change
 # that moves both sides; a golden does not.
 #
 # usage: ci/check_goldens.sh [path/to/repro]   (default target/release/repro)
@@ -22,6 +22,15 @@ cases=(
   "fig14_quick|fig14 --quick"
   "fig16_quick|fig16 --quick"
   "ablate_quick|ablate --quick"
+  "fig4_quick|fig4 --quick"
+  "fig15a_quick|fig15a --quick"
+  "fig15b_quick|fig15b --quick"
+  "fig18c_quick|fig18c --quick"
+  "fig20_quick|fig20 --quick"
+  "tokens_quick|tokens --quick"
+  "table3_quick|table3 --quick"
+  "table4_quick|table4 --quick"
+  "chaos_all_seed1|chaos --plan all --seed 1"
   "churn_64_seed2|churn --servers 64 --seed 2"
   "abuse_64_seed2|abuse --servers 64 --seed 2"
   "ops_64_seed2|ops --servers 64 --seed 2"
