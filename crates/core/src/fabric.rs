@@ -89,6 +89,14 @@ impl FabricSpec {
         id
     }
 
+    /// A one-pair VF: a tenant of `tokens_per_vm`, one VM on `src` and one
+    /// on `dst`, and the pair between them.
+    pub fn add_vf(&mut self, tokens_per_vm: f64, src: NodeId, dst: NodeId) -> PairId {
+        let t = self.add_tenant("", tokens_per_vm);
+        let (a, b) = (self.add_vm(t, src), self.add_vm(t, dst));
+        self.add_pair(a, b)
+    }
+
     /// Register both directions; returns `(src→dst, dst→src)`.
     pub fn add_pair_bidir(&mut self, a: VmId, b: VmId) -> (PairId, PairId) {
         (self.add_pair(a, b), self.add_pair(b, a))
@@ -185,6 +193,23 @@ mod tests {
         assert_eq!(f.pair_tenant(p), big);
         assert_eq!(f.pair_src_host(p), NodeId(0));
         assert_eq!(f.pair_dst_host(p), NodeId(1));
+    }
+
+    #[test]
+    fn add_vf_is_a_tenant_two_vms_and_their_pair() {
+        let mut f = FabricSpec::new(500e6);
+        f.add_vf(1.0, NodeId(0), NodeId(1));
+        let p = f.add_vf(4.0, NodeId(2), NodeId(3));
+        assert_eq!(
+            (f.tenant_tokens.len(), f.vms.len(), f.pairs.len()),
+            (2, 4, 2)
+        );
+        assert_eq!(f.pair_tenant(p), TenantId(1));
+        assert_eq!(
+            (f.pair_src_host(p), f.pair_dst_host(p)),
+            (NodeId(2), NodeId(3))
+        );
+        assert_eq!(f.pair_guarantee_bps(p), 2e9);
     }
 
     #[test]

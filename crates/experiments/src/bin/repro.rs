@@ -22,10 +22,13 @@
 //! `--trace` attaches a flight recorder (default 65536 events, at most
 //! 4194304: the ring is allocated up front) and the
 //! determinism digest to every run and prints a drop/ECN/retransmit
-//! breakdown per system; `--check-invariants` additionally evaluates the
+//! breakdown per run; `--check-invariants` additionally evaluates the
 //! online invariant suite (register conservation, edge window
 //! accounting, bounded-queue watchdog) every 250 μs of simulated time
-//! and exits non-zero if any invariant fires.
+//! and exits non-zero if any invariant fires. Every simulated scenario
+//! honours both: each run prints its `[obs …]` lines in submission
+//! order. At seed 1, `repro all --check-invariants` exits 1: fig12,
+//! fig13, fig16 and ablate each fire (CHANGES.md's `FOUND:` lines).
 
 use experiments::scenarios::{
     ablation, abuse, chaos, churn, common::Scale, dse as dse_scenario, fig11, fig12, fig13, fig14,
@@ -246,15 +249,11 @@ fn main() {
             }
             "--grid" => {
                 let Some(g) = it.next() else {
-                    eprintln!("error: --grid needs a name\n{}", usage());
-                    std::process::exit(EXIT_USAGE);
+                    exit_usage(&format!("--grid needs a name\n{}", usage()));
                 };
                 let Some(k) = dse::GridKind::parse(g) else {
-                    eprintln!(
-                        "error: --grid '{g}' is not a grid (have: {})",
-                        dse::GridKind::NAMES
-                    );
-                    std::process::exit(EXIT_USAGE);
+                    let names = dse::GridKind::NAMES;
+                    exit_usage(&format!("--grid '{g}' is not a grid (have: {names})"));
                 };
                 grid = k;
             }
@@ -284,56 +283,30 @@ fn main() {
     let want = |name: &str| all || scenarios.iter().any(|s| s == name);
 
     let t0 = std::time::Instant::now();
-    if want("tokens") {
-        tokens_demo::run();
-    }
-    if want("table3") {
-        tables::table3();
-    }
-    if want("table4") {
-        tables::table4();
-    }
-    if want("fig4") {
-        fig4::run(scale);
-    }
-    if want("fig5") {
-        fig5::run(scale);
-    }
-    if want("fig11") {
-        fig11::run(scale);
-    }
-    if want("fig12") {
-        fig12::run(scale);
-    }
-    if want("fig13") {
-        fig13::run(scale);
-    }
-    if want("fig14") {
-        fig14::run(scale);
-    }
-    if want("fig15a") {
-        fig15::run_a(scale);
-    }
-    if want("fig15b") {
-        fig15::run_b(scale);
-    }
-    if want("fig16") {
-        fig16::run(scale);
-    }
-    if want("fig17") {
-        fig17::run(scale);
-    }
-    if want("fig18ab") {
-        fig18::run_ab(scale);
-    }
-    if want("fig18c") {
-        fig18::run_c(scale);
-    }
-    if want("fig20") {
-        fig20::run(scale);
-    }
-    if want("ablate") {
-        ablation::run(scale);
+    // What `all` runs, in this order.
+    let figures: [(&str, fn(Scale) -> _); 17] = [
+        ("tokens", |_| tokens_demo::run()),
+        ("table3", |_| tables::table3()),
+        ("table4", |_| tables::table4()),
+        ("fig4", fig4::run),
+        ("fig5", fig5::run),
+        ("fig11", fig11::run),
+        ("fig12", fig12::run),
+        ("fig13", fig13::run),
+        ("fig14", fig14::run),
+        ("fig15a", fig15::run_a),
+        ("fig15b", fig15::run_b),
+        ("fig16", fig16::run),
+        ("fig17", fig17::run),
+        ("fig18ab", fig18::run_ab),
+        ("fig18c", fig18::run_c),
+        ("fig20", fig20::run),
+        ("ablate", ablation::run),
+    ];
+    for (name, run) in figures {
+        if want(name) {
+            run(scale);
+        }
     }
     // Opt-in only: the chaos and churn harnesses are not part of `all`.
     if scenarios.iter().any(|s| s == "chaos") {

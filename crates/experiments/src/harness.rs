@@ -418,8 +418,7 @@ impl Runner {
     /// Average delivered rate of a pair over `[from, to)` in bits/sec.
     pub fn pair_rate(&self, pair: PairId, from: Time, to: Time) -> f64 {
         let rec = self.rec.lock().unwrap();
-        let series = rec.pair_rates.get(&pair.raw());
-        series.map(|s| s.avg_rate(from, to)).unwrap_or(0.0)
+        rec.pair_rates.avg_rate(&pair.raw(), from, to)
     }
 
     /// Probing bandwidth overhead so far: probe bytes / all host TX bytes.

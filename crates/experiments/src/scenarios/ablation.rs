@@ -11,14 +11,13 @@
 //! (tail-latency stress) and a mixed-demand work-conservation dumbbell
 //! (utilisation stress). The table shows what each mechanism buys.
 
-use super::common::{emit, incast_on_testbed, run_incast, Scale};
+use super::common::{emit, incast_driver, incast_on_testbed, simulate, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use netsim::MS;
 use topology::TestbedCfg;
 use ufab::{FabricSpec, UfabConfig};
-use workloads::driver::Driver;
 use workloads::patterns::{BulkDriver, OnOffDriver};
 
 fn variants() -> Vec<(&'static str, UfabConfig)> {
@@ -56,27 +55,31 @@ fn variants() -> Vec<(&'static str, UfabConfig)> {
     ]
 }
 
+/// μFAB with the variant's config, labelled by the variant and stage.
+fn sim(name: &str, stage: &str, cfg: &UfabConfig) -> Sim {
+    Sim {
+        label: format!("{name}:{stage}"),
+        ufab: Some(cfg.clone()),
+        ..Sim::of(SystemKind::Ufab)
+    }
+}
+
 /// Utilisation of the work-conservation dumbbell: one hungry tenant, one
-/// paced to 0.5 G, both with 4 G hoses on a 10 G bottleneck.
-fn work_conservation_util(cfg: &UfabConfig, seed: u64) -> f64 {
+/// paced to 0.5 G, both with 4 G hoses on a 10 G bottleneck. Returns it
+/// with the run's epilogue.
+fn work_conservation_util(scale: &Scale, sim: Sim) -> (f64, String) {
     let topo = topology::dumbbell(2, 10, 10);
     let mut fabric = FabricSpec::new(500e6);
-    let t0 = fabric.add_tenant("limited", 8.0);
-    let t1 = fabric.add_tenant("hungry", 8.0);
-    let a0 = fabric.add_vm(t0, topo.hosts[0]);
-    let b0 = fabric.add_vm(t0, topo.hosts[2]);
-    let a1 = fabric.add_vm(t1, topo.hosts[1]);
-    let b1 = fabric.add_vm(t1, topo.hosts[3]);
-    let p0 = fabric.add_pair(a0, b0);
-    let p1 = fabric.add_pair(a1, b1);
-    let h0 = topo.hosts[0];
-    let h1 = topo.hosts[1];
-    let mut r = Runner::new(topo, fabric, SystemKind::Ufab, seed, Some(cfg.clone()), MS);
+    let (h0, h1) = (topo.hosts[0], topo.hosts[1]);
+    let p0 = fabric.add_vf(8.0, h0, topo.hosts[2]);
+    let p1 = fabric.add_vf(8.0, h1, topo.hosts[3]);
     let mut limited = OnOffDriver::new(vec![(h0, p0)], 1_000_000 * MS, 0.5e9, 0);
     let mut hungry = BulkDriver::new(vec![(0, h1, p1, 400_000_000, 0)], 1 << 40);
-    let mut drivers: [&mut dyn Driver; 2] = [&mut limited, &mut hungry];
-    r.run(40 * MS, SLICE, &mut drivers);
-    (r.pair_rate(p0, 15 * MS, 40 * MS) + r.pair_rate(p1, 15 * MS, 40 * MS)) / 9.5e9
+    let (r, epilogue) = simulate(scale, topo, fabric, sim, |r| {
+        r.run(40 * MS, SLICE, &mut [&mut limited, &mut hungry])
+    });
+    let util = (r.pair_rate(p0, 15 * MS, 40 * MS) + r.pair_rate(p1, 15 * MS, 40 * MS)) / 9.5e9;
+    (util, epilogue)
 }
 
 /// Run the ablation grid.
@@ -88,43 +91,34 @@ pub fn run(scale: Scale) -> Table {
         "wc_utilization",
         "migrations",
     ]);
-    let jobs_list: Vec<Job<[String; 5]>> = variants()
+    let jobs_list: Vec<Job<([String; 5], String)>> = variants()
         .into_iter()
         .map(|(name, cfg)| {
-            let seed = scale.seed;
             Job::new(format!("ablation:{name}"), move || {
                 // Incast stress.
                 let (topo, fabric, srcs, pairs, _dst) =
                     incast_on_testbed(10, TestbedCfg::default(), 1.0, 500e6);
-                let r = {
-                    let mut r =
-                        Runner::new(topo, fabric, SystemKind::Ufab, seed, Some(cfg.clone()), MS);
-                    r.watch_all_switch_queues();
-                    let jobs: Vec<_> = srcs
-                        .iter()
-                        .zip(&pairs)
-                        .map(|(&s, &p)| (MS, s, p, 20_000_000u64, 0u32))
-                        .collect();
-                    let mut d = BulkDriver::new(jobs, 0);
-                    let mut drivers: [&mut dyn Driver; 1] = [&mut d];
-                    r.run(25 * MS, SLICE, &mut drivers);
-                    r
-                };
+                let mut incast = incast_driver(&srcs, &pairs, 20_000_000, MS);
+                let (r, incast_epilogue) =
+                    simulate(&scale, topo, fabric, sim(name, "incast", &cfg), |r| {
+                        r.run(25 * MS, SLICE, &mut [&mut incast])
+                    });
                 let rec = r.rec.lock().unwrap();
                 let (rtts, migrations) = (&rec.rtts, rec.path_migrations);
-                let util = work_conservation_util(&cfg, seed);
-                let _ = run_incast;
-                [
+                let (util, wc_epilogue) = work_conservation_util(&scale, sim(name, "wc", &cfg));
+                let row = [
                     name.to_string(),
                     format!("{:.1}", rtts.percentile(99.9).unwrap_or(f64::NAN) / 1e3),
                     format!("{:.1}", rtts.max().unwrap_or(f64::NAN) / 1e3),
                     format!("{util:.3}"),
                     migrations.to_string(),
-                ]
+                ];
+                (row, incast_epilogue + &wc_epilogue)
             })
         })
         .collect();
-    for row in run_jobs(jobs_list) {
+    for (row, epilogue) in run_jobs(jobs_list) {
+        print!("{epilogue}");
         table.row(row);
     }
     emit(

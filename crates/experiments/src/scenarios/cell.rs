@@ -10,7 +10,7 @@
 //! umbrella lifecycle tests' cells: the 8-host testbed with a caller's
 //! requests, horizon and operator script, or with the requests planned.
 
-use super::common::{obs_epilogue, Scale};
+use super::common::{obs_epilogue, observe, Scale};
 use super::fig17::build_topo;
 use crate::harness::{Runner, SystemKind, SLICE};
 use fabric::{AdmissionCfg, Plan, PlannedTenant, Policy, Rejection, TenantReq, TenantState};
@@ -196,16 +196,6 @@ fn guaranteed_bins(
             let rate = series.map(|s| s.rate_at(b)).unwrap_or(0.0);
             visit(b, rate < guar_bps);
         }
-    }
-}
-
-/// `--trace` attaches the flight recorder (which starts the determinism
-/// digest itself); every other run still carries the digest.
-fn observe(scale: &Scale, r: &mut Runner) {
-    if let Some(cap) = scale.trace {
-        r.enable_trace(cap);
-    } else {
-        r.sim.enable_det_hash();
     }
 }
 
@@ -418,17 +408,14 @@ impl Cell {
         let dead_core = topo.cores[0];
         let cleanup_period = ucfg.core_cleanup_period;
         let mut r = Runner::new(topo, spec, SystemKind::Ufab, scale.seed, Some(ucfg), MS);
-        observe(scale, &mut r);
-        if scale.check_invariants && core_fault {
-            // Fault-aware suite: the run contains a switch failure by design.
-            r.enable_chaos_invariants(MS / 4, cleanup_period, tl.fault_recover + 15 * MS);
-        } else if scale.check_invariants {
-            // Standard suite. For `dse`, the one cell without a fault,
-            // it deliberately excludes the stale-registration sweep
-            // check, whose grace is itself a function of the cleanup
-            // knob under sweep.
-            r.enable_invariants(MS / 4);
-        }
+        // `CellEnd::digest` is reported for every run, traced or not.
+        r.sim.enable_det_hash();
+        // Fault-aware suite where the run contains a switch failure by
+        // design. The standard suite of `dse`, the one cell without a
+        // fault, deliberately excludes the stale-registration sweep check,
+        // whose grace is itself a function of the cleanup knob under sweep.
+        let faults = core_fault.then_some((cleanup_period, tl.fault_recover + 15 * MS));
+        observe(scale, &mut r, faults);
         // The one tenant lifecycle. Plan order is `add_tenant` order, so
         // the service's tenant ids are the `FabricSpec` tenant ids.
         let mut svc = FabricService::new(Arc::clone(&r.topo), acfg);

@@ -21,14 +21,13 @@
 //! reclamation by the §4.2 sweep (the cleanup period is shortened so the
 //! sweep is observable in-window), and the wedged-pair watchdog.
 
-use super::common::{emit, obs_epilogue, Scale};
+use super::common::{emit, simulate, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use netsim::{FaultKind, FaultPlan, NodeId, PairId, PortNo, Time, MS};
 use topology::TestbedCfg;
 use ufab::{FabricSpec, UfabConfig, UfabEdge};
-use workloads::driver::Driver;
 use workloads::patterns::BulkDriver;
 
 /// Every preset `--plan` accepts (besides `all`, which runs the lot).
@@ -211,13 +210,10 @@ fn run_preset(preset: &str, scale: Scale) -> ([String; 6], String) {
         .take(4)
         .collect();
     let mut fabric = FabricSpec::new(500e6);
-    let mut pairs: Vec<PairId> = Vec::new();
-    for (i, &src) in srcs.iter().enumerate() {
-        let t = fabric.add_tenant(&format!("chaos-vf{i}"), 1.0);
-        let v0 = fabric.add_vm(t, src);
-        let v1 = fabric.add_vm(t, dst);
-        pairs.push(fabric.add_pair(v0, v1));
-    }
+    let pairs: Vec<PairId> = srcs
+        .iter()
+        .map(|&src| fabric.add_vf(1.0, src, dst))
+        .collect();
     let guar_bps = 1.0 * 500e6; // tokens × B_u
 
     // Shortened cleanup period: orphaned registrations (switch wipe, edge
@@ -231,19 +227,14 @@ fn run_preset(preset: &str, scale: Scale) -> ([String; 6], String) {
     let n_core_ports = topo.neighbors(core1).len();
     let plan = plan_for(preset, scale.seed, scale_t, core1, n_core_ports, &srcs, dst);
 
-    let mut r = Runner::new(topo, fabric, SystemKind::Ufab, scale.seed, Some(ucfg), MS);
-    r.watch_all_switch_queues();
-    if let Some(cap) = scale.trace {
-        r.enable_trace(cap);
-    } else {
-        r.sim.enable_det_hash();
-    }
-    if scale.check_invariants {
-        // Stall bound: longest injected outage (the fault window) plus
-        // the capped RTO backoff; anything slower is a real wedge.
-        r.enable_chaos_invariants(MS / 4, 5 * MS, fault_until + 15 * MS);
-    }
-    r.sim.apply_chaos(&plan);
+    // Stall bound: longest injected outage (the fault window) plus the
+    // capped RTO backoff; anything slower is a real wedge.
+    let sim = Sim {
+        label: format!("chaos:{preset}"),
+        ufab: Some(ucfg),
+        faults: Some((5 * MS, fault_until + 15 * MS)),
+        ..Sim::of(SystemKind::Ufab)
+    };
 
     // Enough bytes that no pair finishes inside the horizon: every pair
     // has work throughout, so wedged-pair detection is meaningful.
@@ -253,7 +244,6 @@ fn run_preset(preset: &str, scale: Scale) -> ([String; 6], String) {
         .map(|(&s, &p)| (MS, s, p, 100_000_000_000, 0))
         .collect();
     let mut driver = BulkDriver::new(jobs, 0);
-    let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
 
     // Two-phase run: snapshot cumulative acked bytes one grace window
     // before the horizon, then compare at the end. A pair with work whose
@@ -261,39 +251,40 @@ fn run_preset(preset: &str, scale: Scale) -> ([String; 6], String) {
     // counter only advances on *delivered* bytes, so spinning RTOs into a
     // black hole do not mask the wedge.
     let grace = 8 * MS * scale_t;
-    r.run(until - grace, SLICE, &mut drivers);
-    let snap: Vec<u64> = srcs
-        .iter()
-        .zip(&pairs)
-        .map(|(&s, &p)| {
-            r.sim
-                .try_edge::<UfabEdge>(s)
-                .map(|e| e.ep.acked_bytes(p))
-                .unwrap_or(0)
-        })
-        .collect();
-    r.run(until, SLICE, &mut drivers);
-    let wedged = srcs
-        .iter()
-        .zip(&pairs)
-        .zip(&snap)
-        .filter(|((&s, &p), &before)| {
-            let Some(e) = r.sim.try_edge::<UfabEdge>(s) else {
-                return false;
-            };
-            let has_work = e.ep.has_backlog(p) || e.ep.inflight(p) > 0;
-            has_work && e.ep.acked_bytes(p) == before
-        })
-        .count();
+    let mut wedged = 0;
+    let (r, epilogue) = simulate(&scale, topo, fabric, sim, |r| {
+        // The table's digest column needs the digest, traced or not.
+        r.sim.enable_det_hash();
+        r.sim.apply_chaos(&plan);
+        r.run(until - grace, SLICE, &mut [&mut driver]);
+        let snap: Vec<u64> = srcs
+            .iter()
+            .zip(&pairs)
+            .map(|(&s, &p)| {
+                r.sim
+                    .try_edge::<UfabEdge>(s)
+                    .map(|e| e.ep.acked_bytes(p))
+                    .unwrap_or(0)
+            })
+            .collect();
+        r.run(until, SLICE, &mut [&mut driver]);
+        wedged = srcs
+            .iter()
+            .zip(&pairs)
+            .zip(&snap)
+            .filter(|((&s, &p), &before)| {
+                let Some(e) = r.sim.try_edge::<UfabEdge>(s) else {
+                    return false;
+                };
+                let has_work = e.ep.has_backlog(p) || e.ep.inflight(p) > 0;
+                has_work && e.ep.acked_bytes(p) == before
+            })
+            .count();
+    });
 
     // SLOs from the recorder's 1 ms rate bins.
     let rec = r.rec.lock().unwrap();
-    let rate = |p: PairId, b: usize| {
-        rec.pair_rates
-            .get(&p.raw())
-            .map(|s| s.rate_at(b))
-            .unwrap_or(0.0)
-    };
+    let rate = |p: PairId, b: usize| rec.pair_rates.rate_at(&p.raw(), b);
     let join_grace_bin = 4; // joins at 1 ms + bootstrap
     let n_bins = (until / MS) as usize;
     let mut viol_ms = 0u64;
@@ -316,7 +307,6 @@ fn run_preset(preset: &str, scale: Scale) -> ([String; 6], String) {
         .det_digest()
         .map(|d| format!("{d:016x}"))
         .unwrap_or_default();
-    let epilogue = obs_epilogue(&scale, &r, &format!("chaos:{preset}"));
     (
         [
             preset.to_string(),

@@ -1,11 +1,11 @@
 //! Shared pieces of the scenario implementations.
 
 use crate::harness::{Runner, SystemKind};
+use baselines::edge::BaselineCfg;
 use metrics::table::Table;
 use netsim::{NodeId, PairId, Time, MS};
 use topology::Topo;
-use ufab::FabricSpec;
-use workloads::driver::Driver;
+use ufab::{FabricSpec, UfabConfig};
 use workloads::patterns::BulkDriver;
 
 /// Output directory for CSVs.
@@ -58,14 +58,75 @@ pub fn total_violations() -> usize {
     VIOLATIONS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Apply the CLI observability knobs to a freshly-built runner.
-pub(crate) fn apply_obs(scale: &Scale, r: &mut Runner) {
+/// Apply `--trace` and `--check-invariants` to a freshly built runner.
+/// `faults` picks the suite: `None` the standard one
+/// ([`Runner::enable_invariants`]), `Some((cleanup_period, stall))` the
+/// fault-aware one ([`Runner::enable_chaos_invariants`]).
+pub(crate) fn observe(scale: &Scale, r: &mut Runner, faults: Option<(Time, Time)>) {
     if let Some(cap) = scale.trace {
         r.enable_trace(cap);
     }
     if scale.check_invariants {
-        r.enable_invariants(MS / 4);
+        match faults {
+            None => r.enable_invariants(MS / 4),
+            Some((cleanup, stall)) => r.enable_chaos_invariants(MS / 4, cleanup, stall),
+        }
     }
+}
+
+/// How [`simulate`] builds a run: the system under test, the label of
+/// its epilogue, and the knobs most figures leave at [`Sim::of`]'s.
+pub(crate) struct Sim {
+    pub(crate) system: SystemKind,
+    pub(crate) label: String,
+    pub(crate) ufab: Option<UfabConfig>,
+    pub(crate) baseline: Option<BaselineCfg>,
+    pub(crate) rate_bin: Time,
+    /// The fault-aware suite's arguments ([`observe`]); figures keep `None`.
+    pub(crate) faults: Option<(Time, Time)>,
+}
+
+impl Sim {
+    /// `system` with its default config, labelled by its legend, at 1 ms
+    /// rate bins and with the standard suite.
+    pub(crate) fn of(system: SystemKind) -> Self {
+        Self {
+            system,
+            label: system.label().to_string(),
+            ufab: None,
+            baseline: None,
+            rate_bin: MS,
+            faults: None,
+        }
+    }
+}
+
+/// The one path every simulated figure's run takes: build the runner on
+/// `topo` and `fabric` as `sim` says, arm `--trace` and
+/// `--check-invariants`, hand it to `drive` (which installs what the
+/// figure watches or breaks, then advances it), and return it with its
+/// observability epilogue. Print the epilogue in submission order; it is
+/// empty without either flag.
+pub(crate) fn simulate(
+    scale: &Scale,
+    topo: Topo,
+    fabric: FabricSpec,
+    sim: Sim,
+    drive: impl FnOnce(&mut Runner),
+) -> (Runner, String) {
+    let Sim {
+        system,
+        label,
+        ufab,
+        baseline,
+        rate_bin,
+        faults,
+    } = sim;
+    let mut r = Runner::new_full(topo, fabric, system, scale.seed, ufab, baseline, rate_bin);
+    observe(scale, &mut r, faults);
+    drive(&mut r);
+    let epilogue = obs_epilogue(scale, &r, &label);
+    (r, epilogue)
 }
 
 /// Per-run observability epilogue: the drop/ECN/retransmit stats
@@ -147,48 +208,28 @@ pub fn incast_on_testbed(
     let topo = topology::testbed(cfg);
     let dst = *topo.hosts.last().expect("testbed has hosts");
     let mut fabric = FabricSpec::new(bu_bps);
-    let mut srcs = Vec::new();
-    let mut pairs = Vec::new();
     let candidates: Vec<NodeId> = topo.hosts.iter().copied().filter(|&h| h != dst).collect();
-    for i in 0..n {
-        let src = candidates[i % candidates.len()];
-        let t = fabric.add_tenant(&format!("vf{i}"), tokens);
-        let v0 = fabric.add_vm(t, src);
-        let v1 = fabric.add_vm(t, dst);
-        pairs.push(fabric.add_pair(v0, v1));
-        srcs.push(src);
-    }
+    let srcs: Vec<NodeId> = (0..n).map(|i| candidates[i % candidates.len()]).collect();
+    let pairs = srcs
+        .iter()
+        .map(|&src| fabric.add_vf(tokens, src, dst))
+        .collect();
     (topo, fabric, srcs, pairs, dst)
 }
 
-/// Run an incast of `bytes` per sender starting at `start`, returning
-/// the runner after `until` plus the observability epilogue text (print
-/// it in submission order when merging parallel jobs). Honors the
-/// observability knobs in `scale`.
-pub(crate) fn run_incast(
-    topo: Topo,
-    fabric: FabricSpec,
-    system: SystemKind,
-    scale: &Scale,
+/// The incast itself: every source sends `bytes` on its pair from `start`.
+pub(crate) fn incast_driver(
     srcs: &[NodeId],
     pairs: &[PairId],
     bytes: u64,
     start: Time,
-    until: Time,
-) -> (Runner, String) {
-    let mut r = Runner::new(topo, fabric, system, scale.seed, None, MS);
-    r.watch_all_switch_queues();
-    apply_obs(scale, &mut r);
-    let jobs: Vec<(Time, NodeId, PairId, u64, u32)> = srcs
+) -> BulkDriver {
+    let jobs = srcs
         .iter()
         .zip(pairs)
         .map(|(&s, &p)| (start, s, p, bytes, 0))
         .collect();
-    let mut driver = BulkDriver::new(jobs, 0);
-    let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-    r.run(until, crate::harness::SLICE, &mut drivers);
-    let epilogue = obs_epilogue(scale, &r, system.label());
-    (r, epilogue)
+    BulkDriver::new(jobs, 0)
 }
 
 /// Deterministic in-place Fisher–Yates shuffle driven by an xorshift64
@@ -214,4 +255,68 @@ pub(crate) fn f(x: f64, prec: usize) -> String {
 /// Microseconds with one decimal.
 pub(crate) fn us(x_ns: f64) -> String {
     format!("{:.1}", x_ns / 1e3)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::SLICE;
+
+    /// A figure's run says nothing without the flags. With them it
+    /// carries the digest and evaluates the suite `Sim` names: the
+    /// standard one, or the fault-aware one where asked.
+    #[test]
+    fn simulate_arms_the_flags_it_is_given() {
+        let run = |scale: Scale, sim: Sim| {
+            let topo = topology::dumbbell(1, 10, 10);
+            let mut fabric = FabricSpec::new(500e6);
+            let (src, dst) = (topo.hosts[0], topo.hosts[1]);
+            let pair = fabric.add_vf(2.0, src, dst);
+            let mut bulk = BulkDriver::new(vec![(0, src, pair, 1_000_000, 0)], 0);
+            let (r, epilogue) = simulate(&scale, topo, fabric, sim, |r| {
+                r.run(2 * MS, SLICE, &mut [&mut bulk])
+            });
+            assert!(r.pair_rate(pair, 0, 2 * MS) > 0.0);
+            // The recorder holds the whole run, so every verdict of every
+            // checker the suite evaluated.
+            let ring = r.obs.recorder().map(|f| f.lock().unwrap().last(1 << 16));
+            let checks = ring.unwrap_or_default().into_iter().map(|e| e.to_json());
+            let checks = checks.filter(|j| j.contains("\"ok\":")).collect();
+            (epilogue, r.sim.det_digest().is_some(), checks)
+        };
+        let flags = Scale {
+            trace: Some(1 << 16),
+            check_invariants: true,
+            ..Scale::default()
+        };
+        let ufab = || Sim::of(SystemKind::Ufab);
+        let (epilogue, digest, checks): (String, bool, Vec<String>) = run(Scale::default(), ufab());
+        assert_eq!((epilogue.as_str(), digest, checks.len()), ("", false, 0));
+
+        let (epilogue, digest, checks) = run(flags, ufab());
+        assert!(digest);
+        assert!(
+            epilogue.contains("[obs uFAB] determinism digest"),
+            "{epilogue}"
+        );
+        assert!(
+            epilogue.contains("[obs uFAB] invariants clean ("),
+            "{epilogue}"
+        );
+        let named = |checks: &[String], name: &str| checks.iter().any(|c| c.contains(name));
+        assert!(named(&checks, "bounded-queue-watchdog"), "{checks:?}");
+        assert!(!named(&checks, "wedged-pair-watchdog"), "{checks:?}");
+
+        let faults = Sim {
+            label: "faults".into(),
+            faults: Some((5 * MS, 20 * MS)),
+            ..ufab()
+        };
+        let (epilogue, _, checks) = run(flags, faults);
+        assert!(
+            epilogue.contains("[obs faults] invariants clean ("),
+            "{epilogue}"
+        );
+        assert!(named(&checks, "wedged-pair-watchdog"), "{checks:?}");
+    }
 }

@@ -7,15 +7,14 @@
 //! `stagger`; the paper reports (a–c) per-class rate evolution, (d) the
 //! bandwidth-dissatisfaction curve, and (e) the switch-queue CDF.
 
-use super::common::{apply_obs, det_shuffle, emit, obs_epilogue, Scale};
+use super::common::{det_shuffle, emit, simulate, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use metrics::DissatisfactionMeter;
 use netsim::{NodeId, PairId, Time, MS};
 use topology::TestbedCfg;
 use ufab::FabricSpec;
-use workloads::driver::Driver;
 use workloads::patterns::BulkDriver;
 
 struct Setup {
@@ -35,13 +34,8 @@ fn setup(stagger: Time, seed: u64) -> Setup {
     let mut joins = Vec::new();
     for hi in 0..4 {
         for &(gbps, tokens) in &classes {
-            let t = fabric.add_tenant(&format!("{gbps}G-h{hi}"), tokens);
             let src = topo.hosts[hi];
-            let dst = topo.hosts[4 + hi];
-            let v0 = fabric.add_vm(t, src);
-            let v1 = fabric.add_vm(t, dst);
-            let pair = fabric.add_pair(v0, v1);
-            joins.push((src, pair, gbps));
+            joins.push((src, fabric.add_vf(tokens, src, topo.hosts[4 + hi]), gbps));
         }
     }
     // Random join order, one every `stagger`.
@@ -61,31 +55,24 @@ struct SystemResult {
 }
 
 fn run_system(system: SystemKind, scale: Scale, stagger: Time) -> SystemResult {
-    let s = setup(stagger, scale.seed);
-    let until = s.vfs.last().unwrap().0 + 12 * stagger.max(5 * MS);
-    let vfs = s.vfs.clone();
-    let mut r = Runner::new(s.topo, s.fabric, system, scale.seed, None, MS);
-    r.watch_all_switch_queues();
-    apply_obs(&scale, &mut r);
+    let Setup { topo, fabric, vfs } = setup(stagger, scale.seed);
+    let until = vfs.last().unwrap().0 + 12 * stagger.max(5 * MS);
     let jobs: Vec<(Time, NodeId, PairId, u64, u32)> = vfs
         .iter()
         .map(|&(at, src, pair, _)| (at, src, pair, 8_000_000_000, 0))
         .collect();
     let mut driver = BulkDriver::new(jobs, 0);
-    let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-    r.run(until, SLICE, &mut drivers);
-    let epilogue = obs_epilogue(&scale, &r, system.label());
+    let (r, epilogue) = simulate(&scale, topo, fabric, Sim::of(system), |r| {
+        r.watch_all_switch_queues();
+        r.run(until, SLICE, &mut [&mut driver]);
+    });
 
     // (a–c) per-VF rate series.
     let mut rate_rows = Vec::new();
     let rec = r.rec.lock().unwrap();
     for b in 0..(until / MS) as usize {
         for (vi, &(_, _, pair, gbps)) in vfs.iter().enumerate() {
-            let rate = rec
-                .pair_rates
-                .get(&pair.raw())
-                .map(|s| s.rate_at(b))
-                .unwrap_or(0.0);
+            let rate = rec.pair_rates.rate_at(&pair.raw(), b);
             rate_rows.push([
                 system.label().to_string(),
                 b.to_string(),
@@ -104,11 +91,7 @@ fn run_system(system: SystemKind, scale: Scale, stagger: Time) -> SystemResult {
             .iter()
             .filter(|&&(at, _, _, _)| t >= at)
             .map(|&(_, _, pair, gbps)| {
-                let rate = rec
-                    .pair_rates
-                    .get(&pair.raw())
-                    .map(|s| s.rate_at(b))
-                    .unwrap_or(0.0);
+                let rate = rec.pair_rates.rate_at(&pair.raw(), b);
                 (rate, gbps as f64 * 1e9, f64::INFINITY)
             })
             .collect();
@@ -116,12 +99,7 @@ fn run_system(system: SystemKind, scale: Scale, stagger: Time) -> SystemResult {
     }
     let agg: f64 = vfs
         .iter()
-        .map(|&(_, _, p, _)| {
-            rec.pair_rates
-                .get(&p.raw())
-                .map(|s| s.avg_rate(until - 5 * MS, until))
-                .unwrap_or(0.0)
-        })
+        .map(|&(_, _, p, _)| rec.pair_rates.avg_rate(&p.raw(), until - 5 * MS, until))
         .sum();
     drop(rec);
     let q = &r.queue_samples;

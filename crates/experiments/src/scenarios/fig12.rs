@@ -6,11 +6,11 @@
 //! the RTT distribution. The paper's headline: PWC/ES+Clove show ~2.2 ms
 //! P99 RTTs, μFAB′ cuts that ~11×, μFAB additionally bounds the maximum.
 
-use super::common::{emit, incast_on_testbed, run_incast, us, Scale};
+use super::common::{emit, incast_driver, incast_on_testbed, simulate, us, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::SystemKind;
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
-use netsim::{MS, US};
+use netsim::MS;
 use topology::TestbedCfg;
 
 struct SystemResult {
@@ -23,9 +23,10 @@ fn run_system(system: SystemKind, scale: Scale) -> SystemResult {
     let n = 14;
     let until = if scale.quick { 30 * MS } else { 60 * MS };
     let (topo, fabric, srcs, pairs, _dst) = incast_on_testbed(n, TestbedCfg::default(), 1.0, 500e6);
-    let (r, epilogue) = run_incast(
-        topo, fabric, system, &scale, &srcs, &pairs, 30_000_000, MS, until,
-    );
+    let mut incast = incast_driver(&srcs, &pairs, 30_000_000, MS);
+    let (r, epilogue) = simulate(&scale, topo, fabric, Sim::of(system), |r| {
+        r.run(until, SLICE, &mut [&mut incast])
+    });
     let agg = pairs
         .iter()
         .map(|&p| r.pair_rate(p, 5 * MS, until))
@@ -39,12 +40,7 @@ fn run_system(system: SystemKind, scale: Scale) -> SystemResult {
         let agg_at = |b: usize| -> f64 {
             pairs
                 .iter()
-                .map(|p| {
-                    rec.pair_rates
-                        .get(&p.raw())
-                        .map(|s| s.rate_at(b))
-                        .unwrap_or(0.0)
-                })
+                .map(|p| rec.pair_rates.rate_at(&p.raw(), b))
                 .sum()
         };
         for b in 1..bins.saturating_sub(3) {
@@ -68,12 +64,7 @@ fn run_system(system: SystemKind, scale: Scale) -> SystemResult {
     for b in 0..(until / MS) as usize {
         let rates: Vec<f64> = pairs
             .iter()
-            .map(|p| {
-                rec.pair_rates
-                    .get(&p.raw())
-                    .map(|s| s.rate_at(b))
-                    .unwrap_or(0.0)
-            })
+            .map(|p| rec.pair_rates.rate_at(&p.raw(), b))
             .collect();
         let agg: f64 = rates.iter().sum();
         let min = rates.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -86,7 +77,6 @@ fn run_system(system: SystemKind, scale: Scale) -> SystemResult {
             format!("{:.3}", max / 1e9),
         ]);
     }
-    let _ = US;
     SystemResult {
         epilogue,
         rtt_row,

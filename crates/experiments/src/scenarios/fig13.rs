@@ -8,15 +8,14 @@
 //! Memcached QPS (low/high load) and QCT (avg/P90/P99) vs the "Ideal" of
 //! running without MongoDB.
 
-use super::common::{emit, Scale};
+use super::common::{emit, simulate, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use netsim::{NodeId, PairId, MS};
 use topology::TestbedCfg;
 use ufab::FabricSpec;
 use workloads::dists::kv_object_sizes;
-use workloads::driver::Driver;
 use workloads::ecs::{ReplySize, RpcClientDriver, TAG_MEMCACHED, TAG_MONGODB};
 
 struct EcsSetup {
@@ -69,16 +68,19 @@ fn setup() -> EcsSetup {
     }
 }
 
-/// One cell: run a system at a load level, with/without MongoDB.
+/// One cell: `system` at a load level, with or without MongoDB. Returns
+/// its table row and epilogue.
 fn run_cell(
+    label: &str,
+    load: &str,
     system: SystemKind,
-    seed: u64,
+    scale: &Scale,
     until: netsim::Time,
     concurrency: usize,
     with_mongo: bool,
-) -> (f64, f64, f64, f64) {
+) -> ([String; 6], String) {
     let s = setup();
-    let mut r = Runner::new(s.topo, s.fabric, system, seed, None, MS);
+    let seed = scale.seed;
     let mut mc = RpcClientDriver::new(
         s.mc_clients,
         concurrency,
@@ -98,21 +100,30 @@ fn run_cell(
         2 << 40,
     );
     let warmup = until / 5;
-    if with_mongo {
-        let mut drivers: [&mut dyn Driver; 2] = [&mut mc, &mut mdb];
-        r.run(until, SLICE, &mut drivers);
-    } else {
-        let mut drivers: [&mut dyn Driver; 1] = [&mut mc];
-        r.run(until, SLICE, &mut drivers);
-    }
+    let sim = Sim {
+        label: format!("{label}:{load}"),
+        ..Sim::of(system)
+    };
+    let (_, epilogue) = simulate(scale, s.topo, s.fabric, sim, |r| {
+        if with_mongo {
+            r.run(until, SLICE, &mut [&mut mc, &mut mdb]);
+        } else {
+            r.run(until, SLICE, &mut [&mut mc]);
+        }
+    });
     // QPS over the full window minus warmup (approximately: completions
     // accumulate monotonically; we report completed / measured seconds).
     let secs = (until - warmup) as f64 / 1e9;
-    let qps = mc.completed as f64 / secs;
-    let avg = mc.qct.mean();
-    let p90 = mc.qct.percentile(90.0).unwrap_or(f64::NAN);
-    let p99 = mc.qct.percentile(99.0).unwrap_or(f64::NAN);
-    (qps, avg, p90, p99)
+    let qct_ms = |p: f64| mc.qct.percentile(p).unwrap_or(f64::NAN) / 1e6;
+    let row = [
+        label.to_string(),
+        load.to_string(),
+        format!("{:.0}", mc.completed as f64 / secs),
+        format!("{:.3}", mc.qct.mean() / 1e6),
+        format!("{:.3}", qct_ms(90.0)),
+        format!("{:.3}", qct_ms(99.0)),
+    ];
+    (row, epilogue)
 }
 
 /// Run the grid and emit QPS + QCT tables.
@@ -133,7 +144,7 @@ pub fn run(scale: Scale) -> Table {
     };
     // Grid cells are independent runs: fan them out as jobs and merge
     // rows back in submission order.
-    let mut jobs: Vec<Job<[String; 6]>> = Vec::new();
+    let mut jobs: Vec<Job<([String; 6], String)>> = Vec::new();
     for &(load_name, conc) in loads {
         // Ideal: Memcached alone (system = uFAB, no background).
         let mut cells: Vec<(&'static str, SystemKind, bool)> =
@@ -142,21 +153,13 @@ pub fn run(scale: Scale) -> Table {
             cells.push((system.label(), system, true));
         }
         for (label, system, with_mongo) in cells {
-            let seed = scale.seed;
             jobs.push(Job::new(format!("fig13:{label}:{load_name}"), move || {
-                let (qps, avg, p90, p99) = run_cell(system, seed, until, conc, with_mongo);
-                [
-                    label.to_string(),
-                    load_name.to_string(),
-                    format!("{qps:.0}"),
-                    format!("{:.3}", avg / 1e6),
-                    format!("{:.3}", p90 / 1e6),
-                    format!("{:.3}", p99 / 1e6),
-                ]
+                run_cell(label, load_name, system, &scale, until, conc, with_mongo)
             }));
         }
     }
-    for row in run_jobs(jobs) {
+    for (row, epilogue) in run_jobs(jobs) {
+        print!("{epilogue}");
         table.row(row);
     }
     emit(

@@ -7,14 +7,13 @@
 //! μFAB completes I/O within it while the alternatives blow the tail by
 //! >21×.
 
-use super::common::{emit, Scale};
+use super::common::{emit, simulate, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use netsim::MS;
 use topology::TestbedCfg;
 use ufab::FabricSpec;
-use workloads::driver::Driver;
 use workloads::ebs::{EbsDriver, EbsSpec};
 
 fn setup() -> (topology::Topo, FabricSpec, EbsSpec) {
@@ -75,17 +74,16 @@ fn setup() -> (topology::Topo, FabricSpec, EbsSpec) {
 pub fn run(scale: Scale) -> Table {
     let until = if scale.quick { 60 * MS } else { 300 * MS };
     let mut table = Table::new(["system", "task", "avg_ms", "p99_ms", "n", "within_bound"]);
-    let jobs: Vec<Job<Vec<[String; 6]>>> = SystemKind::headline()
+    let jobs: Vec<Job<(Vec<[String; 6]>, String)>> = SystemKind::headline()
         .into_iter()
         .map(|system| {
-            let seed = scale.seed;
             Job::new(format!("fig14:{}", system.label()), move || {
                 let (topo, fabric, spec) = setup();
-                let mut r = Runner::new(topo, fabric, system, seed, None, MS);
-                let mut driver = EbsDriver::new(spec, seed, 1 << 40);
+                let mut driver = EbsDriver::new(spec, scale.seed, 1 << 40);
                 driver.until = until - 10 * MS; // let tasks drain
-                let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-                r.run(until, SLICE, &mut drivers);
+                let (_, epilogue) = simulate(&scale, topo, fabric, Sim::of(system), |r| {
+                    r.run(until, SLICE, &mut [&mut driver])
+                });
                 // The paper's bound at 10 G: 2 ms average, 10 ms tail.
                 let stats_rows = [
                     ("SA", &driver.sa_tct),
@@ -110,11 +108,12 @@ pub fn run(scale: Scale) -> Table {
                         within.to_string(),
                     ]);
                 }
-                rows
+                (rows, epilogue)
             })
         })
         .collect();
-    for rows in run_jobs(jobs) {
+    for (rows, epilogue) in run_jobs(jobs) {
+        print!("{epilogue}");
         for row in rows {
             table.row(row);
         }

@@ -6,14 +6,13 @@
 //! zero. (b) Probing bandwidth overhead vs the number of VM-pairs —
 //! bounded by L_p/(L_p+L_m) ≈ 1.28 % at L_m = 4 KB.
 
-use super::common::{emit, Scale};
+use super::common::{emit, simulate, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use netsim::{NodeId, PairId, PortNo, Time, MS};
 use topology::TestbedCfg;
-use ufab::{FabricSpec, UfabConfig};
-use workloads::driver::Driver;
+use ufab::FabricSpec;
 use workloads::patterns::BulkDriver;
 
 /// Fig 15a: joins + core switch failure.
@@ -46,40 +45,32 @@ pub fn run_a(scale: Scale) -> Table {
     let srcs: Vec<NodeId> = topo.hosts.iter().copied().filter(|&h| h != dst).collect();
     let guar_gbps: Vec<f64> = guar_tokens.iter().map(|t| t * 0.5).collect();
     for (i, &g) in guar_tokens.iter().enumerate() {
-        let t = fabric.add_tenant(&format!("VF-{} {}G", i + 1, g * 0.5), g);
         let src = srcs[i % srcs.len()];
-        let v0 = fabric.add_vm(t, src);
-        let v1 = fabric.add_vm(t, dst);
-        let p = fabric.add_pair(v0, v1);
+        let p = fabric.add_vf(g, src, dst);
         pairs.push(p);
         jobs.push((MS + i as Time * stagger, src, p, 200_000_000_000 / 8, 0u32));
     }
-    // Tight migration reaction for the failure study.
-    let ucfg = UfabConfig::default();
     let core1 = topo.cores[0];
     let n_core_ports = topo.neighbors(core1).len();
-    let mut r = Runner::new(topo, fabric, SystemKind::Ufab, scale.seed, Some(ucfg), MS);
-    r.watch_all_switch_queues();
-    // Fail every link of Core-1 (both directions).
-    for p in 0..n_core_ports {
-        r.sim
-            .schedule_link_failure(fail_at, core1, PortNo(p as u16));
-    }
     let mut driver = BulkDriver::new(jobs, 0);
-    let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-    r.run(until, SLICE, &mut drivers);
+    let (r, epilogue) = simulate(&scale, topo, fabric, Sim::of(SystemKind::Ufab), |r| {
+        r.watch_all_switch_queues();
+        // Fail every link of Core-1 (both directions).
+        for p in 0..n_core_ports {
+            r.sim
+                .schedule_link_failure(fail_at, core1, PortNo(p as u16));
+        }
+        r.run(until, SLICE, &mut [&mut driver]);
+    });
+    print!("{epilogue}");
 
     let mut table = Table::new(["t_ms", "agg_gbps", "min_vf_frac_of_guar", "max_q_kb"]);
     let rec = r.rec.lock().unwrap();
-    let qmap: std::collections::HashMap<Time, u64> = r
-        .queue_series
-        .iter()
-        .map(|&(t, q)| (t / MS, q))
-        .fold(std::collections::HashMap::new(), |mut m, (t, q)| {
-            let e = m.entry(t).or_insert(0);
-            *e = (*e).max(q);
-            m
-        });
+    // The deepest watched queue in each ms bin.
+    let mut max_q = vec![0u64; (until / MS) as usize + 1];
+    for &(t, q) in &r.queue_series {
+        max_q[(t / MS) as usize] = max_q[(t / MS) as usize].max(q);
+    }
     let mut series: Vec<(f64, u64)> = Vec::new(); // (min_frac, max_q) per ms bin
     for b in 0..(until / MS) as usize {
         let mut agg = 0.0;
@@ -89,15 +80,11 @@ pub fn run_a(scale: Scale) -> Table {
             if (b as Time * MS) < joined {
                 continue;
             }
-            let rate = rec
-                .pair_rates
-                .get(&p.raw())
-                .map(|s| s.rate_at(b))
-                .unwrap_or(0.0);
+            let rate = rec.pair_rates.rate_at(&p.raw(), b);
             agg += rate;
             min_frac = min_frac.min(rate / (guar_gbps[i] * 1e9));
         }
-        series.push((min_frac, *qmap.get(&(b as Time)).unwrap_or(&0)));
+        series.push((min_frac, max_q[b]));
         table.row([
             b.to_string(),
             format!("{:.2}", agg / 1e9),
@@ -106,7 +93,7 @@ pub fn run_a(scale: Scale) -> Table {
             } else {
                 "-".to_string()
             },
-            format!("{:.1}", *qmap.get(&(b as Time)).unwrap_or(&0) as f64 / 1e3),
+            format!("{:.1}", max_q[b] as f64 / 1e3),
         ]);
     }
     drop(rec);
@@ -171,11 +158,9 @@ pub fn run_b(scale: Scale) -> Table {
         vec![1, 10, 100, 1000, 8192]
     };
     let mut table = Table::new(["vm_pairs", "probe_overhead_pct", "bound_pct"]);
-    let cells: Vec<Job<[String; 3]>> = pair_counts
+    let cells: Vec<Job<([String; 3], String)>> = pair_counts
         .iter()
         .map(|&n| {
-            let seed = scale.seed;
-            let quick = scale.quick;
             Job::new(format!("fig15b:{n}"), move || {
                 // One saturating VF split across n VM-pairs between two
                 // hosts on the same rack (minimal path length isolates
@@ -191,29 +176,35 @@ pub fn run_b(scale: Scale) -> Table {
                     pairs.push(fabric.add_pair(a, b));
                 }
                 let host = topo.hosts[0];
-                let mut r = Runner::new(topo, fabric, SystemKind::Ufab, seed, None, MS);
-                let until = if quick { 20 * MS } else { 50 * MS };
+                let until = if scale.quick { 20 * MS } else { 50 * MS };
                 let jobs: Vec<(Time, NodeId, PairId, u64, u32)> = pairs
                     .iter()
                     .map(|&p| (0, host, p, 2_000_000_000 / n as u64 + 1_000_000, 0))
                     .collect();
                 let mut driver = BulkDriver::new(jobs, 0);
-                let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-                r.run(until, SLICE, &mut drivers);
+                let sim = Sim {
+                    label: format!("{n} pairs"),
+                    ..Sim::of(SystemKind::Ufab)
+                };
+                let (r, epilogue) = simulate(&scale, topo, fabric, sim, |r| {
+                    r.run(until, SLICE, &mut [&mut driver])
+                });
                 let overhead = r.probe_overhead() * 100.0;
                 // L_p ≈ probe+response wire bytes over one data exchange
                 // of L_m.
                 let lp = telemetry::wire::probe_packet_bytes(2, 3) as f64;
                 let bound = lp / (lp + 4096.0) * 100.0 * 2.0; // probe + response
-                [
+                let row = [
                     n.to_string(),
                     format!("{overhead:.3}"),
                     format!("{bound:.3}"),
-                ]
+                ];
+                (row, epilogue)
             })
         })
         .collect();
-    for row in run_jobs(cells) {
+    for (row, epilogue) in run_jobs(cells) {
+        print!("{epilogue}");
         table.row(row);
     }
     emit(

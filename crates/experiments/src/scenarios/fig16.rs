@@ -6,14 +6,13 @@
 //! aggressively at the cost of latency, μFAB converges each phase within
 //! RTTs and — with the latency stage — keeps the RTT near base.
 
-use super::common::{emit, us, Scale};
+use super::common::{emit, simulate, us, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use netsim::{NodeId, PairId, MS};
 use topology::{leaf_spine, three_tier, ThreeTierCfg};
 use ufab::FabricSpec;
-use workloads::driver::Driver;
 use workloads::patterns::OnOffDriver;
 
 /// Run the on-off sweep over all four systems.
@@ -28,7 +27,7 @@ pub fn run(scale: Scale) -> Table {
         "rtt_max_us",
     ]);
     let mut series = Table::new(["system", "t_ms", "agg_gbps"]);
-    let jobs: Vec<Job<(Vec<[String; 3]>, [String; 6])>> = [
+    let jobs: Vec<Job<(Vec<[String; 3]>, [String; 6], String)>> = [
         SystemKind::Pwc,
         SystemKind::EsClove,
         SystemKind::UfabPrime,
@@ -39,20 +38,15 @@ pub fn run(scale: Scale) -> Table {
         Job::new(format!("fig16:{}", system.label()), move || {
             // Built per system (topo/fabric consumed by the runner).
             let (topo, fabric, pairs) = build(scale);
-            let mut r = Runner::new(topo, fabric, system, scale.seed, None, MS);
             let mut driver = OnOffDriver::new(pairs.clone(), 4 * MS, 500e6, 0);
-            let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
-            r.run(until, SLICE, &mut drivers);
+            let (r, epilogue) = simulate(&scale, topo, fabric, Sim::of(system), |r| {
+                r.run(until, SLICE, &mut [&mut driver])
+            });
             let rec = r.rec.lock().unwrap();
             let agg_at = |b: usize| -> f64 {
                 pairs
                     .iter()
-                    .map(|(_, p)| {
-                        rec.pair_rates
-                            .get(&p.raw())
-                            .map(|s| s.rate_at(b))
-                            .unwrap_or(0.0)
-                    })
+                    .map(|(_, p)| rec.pair_rates.rate_at(&p.raw(), b))
                     .sum()
             };
             let mut series_rows = Vec::new();
@@ -87,11 +81,12 @@ pub fn run(scale: Scale) -> Table {
                 us(rec.rtts.max().unwrap_or(f64::NAN)),
             ];
             drop(rec);
-            (series_rows, summary_row)
+            (series_rows, summary_row, epilogue)
         })
     })
     .collect();
-    for (series_rows, summary_row) in run_jobs(jobs) {
+    for (series_rows, summary_row, epilogue) in run_jobs(jobs) {
+        print!("{epilogue}");
         for row in series_rows {
             series.row(row);
         }
@@ -139,11 +134,8 @@ fn build(scale: Scale) -> (topology::Topo, FabricSpec, Vec<(NodeId, PairId)>) {
     let mut pairs: Vec<(NodeId, PairId)> = Vec::new();
     let srcs: Vec<NodeId> = topo.hosts.iter().copied().filter(|&h| h != dst).collect();
     for i in 0..n {
-        let t = fabric.add_tenant(&format!("vf{i}"), 2.0); // 1 Gbps
         let src = srcs[i % srcs.len()];
-        let v0 = fabric.add_vm(t, src);
-        let v1 = fabric.add_vm(t, dst);
-        pairs.push((src, fabric.add_pair(v0, v1)));
+        pairs.push((src, fabric.add_vf(2.0, src, dst))); // 1 Gbps
     }
     (topo, fabric, pairs)
 }

@@ -11,9 +11,9 @@
 //! is a 64-server instance of the same construction (`--servers 512`
 //! reproduces the full scale — wall-clock grows accordingly).
 
-use super::common::{emit, Scale};
+use super::common::{emit, simulate, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::{Runner, SystemKind, SLICE};
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use metrics::{DissatisfactionMeter, OnlineStats, Percentiles};
 use netsim::{NodeId, PairId, Time, MS};
@@ -22,7 +22,6 @@ use rand::{Rng, SeedableRng};
 use topology::{three_tier, ThreeTierCfg};
 use ufab::FabricSpec;
 use workloads::dists::websearch_flow_sizes;
-use workloads::driver::Driver;
 use workloads::patterns::BulkDriver;
 
 /// A synthesized multi-tenant workload instance.
@@ -175,25 +174,28 @@ pub(crate) struct Cell {
     pub slow_p99: f64,
     /// Per-size-bucket (label, avg slowdown, p99 slowdown).
     pub breakdown: Vec<(String, f64, f64)>,
+    /// The run's observability epilogue.
+    pub epilogue: String,
 }
 
 /// Run one cell.
 pub(crate) fn run_cell(
-    system: SystemKind,
+    sim: Sim,
+    scale: &Scale,
     servers: usize,
     oversub_1to1: bool,
     load: f64,
     duration: Time,
-    seed: u64,
 ) -> Cell {
     let topo = build_topo(servers, oversub_1to1);
-    let (fabric, wl) = synthesize(&topo, load, duration, seed);
-    let mut r = Runner::new(topo, fabric, system, seed, None, MS);
+    let (fabric, wl) = synthesize(&topo, load, duration, scale.seed);
     let mut driver = BulkDriver::new(wl.jobs.clone(), 0);
     let mut done = Vec::new();
-    let mut drivers: [&mut dyn Driver; 2] = [&mut driver, &mut done];
     // Run past the arrival horizon to drain.
-    r.run(duration + duration / 2, SLICE, &mut drivers);
+    let horizon = duration + duration / 2;
+    let (r, epilogue) = simulate(scale, topo, fabric, sim, |r| {
+        r.run(horizon, SLICE, &mut [&mut driver, &mut done])
+    });
 
     let rec = r.rec.lock().unwrap();
     // (a) dissatisfaction: per ms bin, a pair is entitled to
@@ -203,7 +205,7 @@ pub(crate) fn run_cell(
     // reconstructed from the arrival schedule minus delivered bytes, so
     // early finishes and sub-bin mice are entitled only to their actual
     // remaining demand.
-    let bins = ((duration + duration / 2) / MS) as usize;
+    let bins = (horizon / MS) as usize;
     let n_pairs = wl.pair_guar.len();
     let bin_s = MS as f64 / 1e9;
     let mut inj = vec![vec![0u64; bins]; n_pairs];
@@ -235,24 +237,14 @@ pub(crate) fn run_cell(
             let s_scale = (wl.vm_hose[sv as usize] / per_src_vm[&sv]).min(1.0);
             let d_scale = (wl.vm_hose[dv as usize] / per_dst_vm[&dv]).min(1.0);
             let scale = s_scale.min(d_scale);
-            let rate = rec
-                .pair_rates
-                .get(&(p as u32))
-                .map(|s| s.rate_at(b))
-                .unwrap_or(0.0);
+            let rate = rec.pair_rates.rate_at(&(p as u32), b);
             entries.push((rate, entitled * scale, f64::INFINITY));
         }
         meter.observe(MS, &entries);
         // Account deliveries after the bin.
         for p in 0..n_pairs {
             if remaining[p] > 0.0 {
-                let delivered = rec
-                    .pair_rates
-                    .get(&(p as u32))
-                    .map(|s| s.rate_at(b))
-                    .unwrap_or(0.0)
-                    * bin_s
-                    / 8.0;
+                let delivered = rec.pair_rates.rate_at(&(p as u32), b) * bin_s / 8.0;
                 remaining[p] = (remaining[p] - delivered).max(0.0);
             }
         }
@@ -303,6 +295,7 @@ pub(crate) fn run_cell(
         slow_std: slow_stats.stddev(),
         slow_p99: slow.percentile(99.0).unwrap_or(f64::NAN),
         breakdown,
+        epilogue,
     }
 }
 
@@ -327,46 +320,45 @@ pub fn run(scale: Scale) -> Table {
     ]);
     let mut bd_table = Table::new(["system", "size_bucket", "slow_avg", "slow_p99"]);
     let heaviest = *configs.last().unwrap();
-    let mut jobs: Vec<Job<([String; 8], Vec<[String; 4]>)>> = Vec::new();
+    let mut jobs: Vec<Job<([String; 8], Vec<[String; 4]>, String)>> = Vec::new();
     for &(o11, load) in &configs {
         for system in SystemKind::headline() {
-            let seed = scale.seed;
-            jobs.push(Job::new(
-                format!(
-                    "fig17:{}:{}:{load}",
-                    system.label(),
-                    if o11 { "1:1" } else { "1:2" }
-                ),
-                move || {
-                    let cell = run_cell(system, servers, o11, load, duration, seed);
-                    let row = [
-                        system.label().to_string(),
-                        if o11 { "1:1" } else { "1:2" }.to_string(),
-                        format!("{load}"),
-                        format!("{:.2}", cell.dissat * 100.0),
-                        format!("{:.1}", cell.rtt_p99 / 1e3),
-                        format!("{:.2}", cell.slow_mean),
-                        format!("{:.2}", cell.slow_std),
-                        format!("{:.2}", cell.slow_p99),
-                    ];
-                    // (d): breakdown only for the heaviest config.
-                    let mut bd_rows = Vec::new();
-                    if (o11, load) == heaviest {
-                        for (label, avg, p99) in &cell.breakdown {
-                            bd_rows.push([
-                                system.label().to_string(),
-                                label.clone(),
-                                format!("{avg:.2}"),
-                                format!("{p99:.2}"),
-                            ]);
-                        }
+            let oversub = if o11 { "1:1" } else { "1:2" };
+            let label = format!("{}:{oversub}:{load}", system.label());
+            jobs.push(Job::new(format!("fig17:{label}"), move || {
+                let sim = Sim {
+                    label,
+                    ..Sim::of(system)
+                };
+                let cell = run_cell(sim, &scale, servers, o11, load, duration);
+                let row = [
+                    system.label().to_string(),
+                    oversub.to_string(),
+                    format!("{load}"),
+                    format!("{:.2}", cell.dissat * 100.0),
+                    format!("{:.1}", cell.rtt_p99 / 1e3),
+                    format!("{:.2}", cell.slow_mean),
+                    format!("{:.2}", cell.slow_std),
+                    format!("{:.2}", cell.slow_p99),
+                ];
+                // (d): breakdown only for the heaviest config.
+                let mut bd_rows = Vec::new();
+                if (o11, load) == heaviest {
+                    for (label, avg, p99) in &cell.breakdown {
+                        bd_rows.push([
+                            system.label().to_string(),
+                            label.clone(),
+                            format!("{avg:.2}"),
+                            format!("{p99:.2}"),
+                        ]);
                     }
-                    (row, bd_rows)
-                },
-            ));
+                }
+                (row, bd_rows, cell.epilogue)
+            }));
         }
     }
-    for (row, bd_rows) in run_jobs(jobs) {
+    for (row, bd_rows, epilogue) in run_jobs(jobs) {
+        print!("{epilogue}");
         table.row(row);
         for bd_row in bd_rows {
             bd_table.row(bd_row);

@@ -6,11 +6,10 @@
 //! yet the rate allocation still converges quickly — the Appendix C.3
 //! delayed-feedback stability result in action.
 
-use super::common::{emit, Scale};
-use crate::harness::{Runner, SystemKind, SLICE};
+use super::common::{emit, simulate, Scale, Sim};
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use netsim::{Time, MS};
-use workloads::driver::Driver;
 use workloads::patterns::BulkDriver;
 
 /// Run the asynchronous-response incast.
@@ -26,19 +25,17 @@ pub fn run(scale: Scale) -> Table {
     let mut jobs = Vec::new();
     let mut pairs = Vec::new();
     for i in 0..n {
-        let t = fabric.add_tenant(&format!("incast{i}"), 1.0);
         let src = hosts[i % (hosts.len() - 1)];
-        let v0 = fabric.add_vm(t, src);
-        let v1 = fabric.add_vm(t, dst);
-        let p = fabric.add_pair(v0, v1);
+        let p = fabric.add_vf(1.0, src, dst);
         jobs.push((join, src, p, 1_000_000_000u64, 1u32));
         pairs.push(p);
     }
-    let mut r = Runner::new(topo, fabric, SystemKind::Ufab, scale.seed, None, MS);
     let mut bg = BulkDriver::new(wl.jobs.clone(), 0);
     let mut incast = BulkDriver::new(jobs, 1 << 41);
-    let mut drivers: [&mut dyn Driver; 2] = [&mut bg, &mut incast];
-    r.run(duration, SLICE, &mut drivers);
+    let (r, epilogue) = simulate(&scale, topo, fabric, Sim::of(SystemKind::Ufab), |r| {
+        r.run(duration, SLICE, &mut [&mut bg, &mut incast])
+    });
+    print!("{epilogue}");
 
     // (a) response asynchrony: per-sender response counts spread.
     let mut resp_counts = Vec::new();
@@ -56,19 +53,10 @@ pub fn run(scale: Scale) -> Table {
     let mut conv_ms = f64::NAN;
     let fair = 100e9 / n as f64; // rough per-sender target on a 100G NIC
     for b in 0..(duration / MS) as usize {
-        let s0 = rec
-            .pair_rates
-            .get(&pairs[0].raw())
-            .map(|s| s.rate_at(b))
-            .unwrap_or(0.0);
+        let s0 = rec.pair_rates.rate_at(&pairs[0].raw(), b);
         let agg: f64 = pairs
             .iter()
-            .map(|p| {
-                rec.pair_rates
-                    .get(&p.raw())
-                    .map(|s| s.rate_at(b))
-                    .unwrap_or(0.0)
-            })
+            .map(|p| rec.pair_rates.rate_at(&p.raw(), b))
             .sum();
         if conv_ms.is_nan() && (b as Time * MS) > join && agg > 0.7 * 95e9 {
             conv_ms = (b as f64) - (join / MS) as f64;

@@ -5,9 +5,9 @@
 //! degree grows; PicNIC′+WCC+Clove's tail inflates with N because greedy
 //! rate evolution lets the aggregate burst scale with the flow count.
 
-use super::common::{emit, f, incast_on_testbed, run_incast, us, Scale};
+use super::common::{emit, incast_driver, incast_on_testbed, simulate, us, Scale, Sim};
 use crate::executor::{run_jobs, Job};
-use crate::harness::SystemKind;
+use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
 use netsim::MS;
 use topology::TestbedCfg;
@@ -38,9 +38,10 @@ pub fn run(scale: Scale) -> Table {
                         incast_on_testbed(n, TestbedCfg::default(), 1.0, 500e6);
                     let base = topo.max_base_rtt();
                     let until = if scale.quick { 30 * MS } else { 60 * MS };
-                    let (r, epilogue) = run_incast(
-                        topo, fabric, system, &scale, &srcs, &pairs, 20_000_000, MS, until,
-                    );
+                    let mut incast = incast_driver(&srcs, &pairs, 20_000_000, MS);
+                    let (r, epilogue) = simulate(&scale, topo, fabric, Sim::of(system), |r| {
+                        r.run(until, SLICE, &mut [&mut incast])
+                    });
                     let rec = r.rec.lock().unwrap();
                     let rtts = &rec.rtts;
                     let row = if rtts.is_empty() {
@@ -68,13 +69,7 @@ pub fn run(scale: Scale) -> Table {
         }
     }
     emit("fig4_incast_rtt", "Fig 4: RTT vs incast degree", &table);
-    summarize(&table);
-    table
-}
-
-fn summarize(table: &Table) {
-    // Shape check: the CSV is for plotting; highlight the headline shape.
+    // The CSV is for plotting; name the headline shape.
     println!("shape: uFAB tail should stay ≈flat in N; PWC tail should grow with N");
-    let _ = f(0.0, 0);
-    let _ = table;
+    table
 }

@@ -17,13 +17,12 @@
 //! the only path where `C ≥ (Φ+φ)·B_u` holds, and everyone keeps their
 //! guarantee.
 
-use super::common::{emit, Scale};
+use super::common::{emit, simulate, Scale, Sim};
 use crate::harness::{Runner, SystemKind, SLICE};
 use baselines::edge::BaselineCfg;
 use metrics::table::Table;
 use netsim::{NodeId, PairId, Time, MS, US};
 use ufab::FabricSpec;
-use workloads::driver::Driver;
 use workloads::patterns::{BulkDriver, OnOffDriver};
 
 struct Setup {
@@ -42,12 +41,8 @@ fn setup() -> Setup {
     let mut pairs = Vec::new();
     let mut hosts = Vec::new();
     for (i, &tok) in tokens.iter().enumerate() {
-        let t = fabric.add_tenant(&format!("VF-{}", i + 1), tok);
         let src = topo.hosts[i];
-        let dst = topo.hosts[4 + i];
-        let v0 = fabric.add_vm(t, src);
-        let v1 = fabric.add_vm(t, dst);
-        pairs.push(fabric.add_pair(v0, v1));
+        pairs.push(fabric.add_vf(tok, src, topo.hosts[4 + i]));
         hosts.push(src);
     }
     let guarantees = tokens.iter().map(|t| t * 500e6).collect();
@@ -61,18 +56,18 @@ fn setup() -> Setup {
 }
 
 fn run_one(
+    name: &str,
     system: SystemKind,
     flowlet_gap: Option<Time>,
-    seed: u64,
+    scale: &Scale,
     until: Time,
     f4_join: Time,
-) -> (Runner, Vec<PairId>, Vec<f64>) {
+) -> (Runner, String, Vec<PairId>, Vec<f64>) {
     let s = setup();
-    let baseline_cfg = flowlet_gap.map(|gap| BaselineCfg {
+    let baseline = flowlet_gap.map(|gap| BaselineCfg {
         flowlet_gap: gap,
         ..BaselineCfg::pwc()
     });
-    let mut r = Runner::new_full(s.topo, s.fabric, system, seed, None, baseline_cfg, MS);
     // F1: 8 G paced demand. F2: 9 G paced. F3: unlimited from t=2 ms.
     // F4: unlimited from f4_join. Staggered joins let the load balancers
     // spread F1–F3 across the three paths first.
@@ -86,16 +81,17 @@ fn run_one(
         vec![(f4_join, s.hosts[3], s.pairs[3], 4_000_000_000, 0)],
         4 << 40,
     );
-    // Delay F1/F2 starts slightly via a pre-run with only F1, then all.
-    {
-        let mut drivers: [&mut dyn Driver; 1] = [&mut f1];
-        r.run(500 * US, SLICE, &mut drivers);
-    }
-    {
-        let mut drivers: [&mut dyn Driver; 4] = [&mut f1, &mut f2, &mut f3, &mut f4];
-        r.run(until, SLICE, &mut drivers);
-    }
-    (r, s.pairs, s.guarantees)
+    let sim = Sim {
+        label: name.to_string(),
+        baseline,
+        ..Sim::of(system)
+    };
+    let (r, epilogue) = simulate(scale, s.topo, s.fabric, sim, |r| {
+        // Delay F2's start slightly via a pre-run with only F1, then all.
+        r.run(500 * US, SLICE, &mut [&mut f1]);
+        r.run(until, SLICE, &mut [&mut f1, &mut f2, &mut f3, &mut f4]);
+    });
+    (r, epilogue, s.pairs, s.guarantees)
 }
 
 /// Run Fig 5 and emit the per-VF rate series plus the guarantee verdicts.
@@ -119,17 +115,13 @@ pub fn run(scale: Scale) -> Table {
         ("uFAB", SystemKind::Ufab, None),
     ];
     for (name, system, gap) in variants {
-        let (r, pairs, guarantees) = run_one(system, gap, scale.seed, until, f4_join);
+        let (r, epilogue, pairs, guarantees) = run_one(name, system, gap, &scale, until, f4_join);
+        print!("{epilogue}");
         let rec = r.rec.lock().unwrap();
         for b in 0..(until / MS) as usize {
             let rates: Vec<f64> = pairs
                 .iter()
-                .map(|p| {
-                    rec.pair_rates
-                        .get(&p.raw())
-                        .map(|s| s.rate_at(b))
-                        .unwrap_or(0.0)
-                })
+                .map(|p| rec.pair_rates.rate_at(&p.raw(), b))
                 .collect();
             series.row([
                 name.to_string(),
@@ -145,12 +137,7 @@ pub fn run(scale: Scale) -> Table {
         // F3/F4 unlimited. Entitled = min(guarantee, demand).
         let demands = [8e9, 9e9, f64::INFINITY, f64::INFINITY];
         for (i, &p) in pairs.iter().enumerate() {
-            let measure_from = f4_join + 5 * MS;
-            let rate = rec
-                .pair_rates
-                .get(&p.raw())
-                .map(|s| s.avg_rate(measure_from, until))
-                .unwrap_or(0.0);
+            let rate = rec.pair_rates.avg_rate(&p.raw(), f4_join + 5 * MS, until);
             let entitled = guarantees[i].min(demands[i]);
             let met = rate >= 0.85 * entitled;
             verdict.row([

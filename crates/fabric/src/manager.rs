@@ -108,8 +108,6 @@ pub enum TenantState {
     Departing,
     /// Fully reclaimed.
     Reclaimed,
-    /// Refused at admission.
-    Rejected,
 }
 
 impl TenantState {
@@ -125,7 +123,6 @@ impl TenantState {
             TenantState::Reinstated => "reinstated",
             TenantState::Departing => "departing",
             TenantState::Reclaimed => "reclaimed",
-            TenantState::Rejected => "rejected",
         }
     }
 
@@ -137,7 +134,6 @@ impl TenantState {
         matches!(
             (self, next),
             (Requested, Admitted)
-                | (Requested, Rejected)
                 | (Admitted, Qualifying)
                 | (Qualifying, Guaranteed)
                 | (Guaranteed, Qualifying) // chaos re-qualification

@@ -314,7 +314,6 @@ fn parse_tenant(rest: &str) -> Result<SvcTenant, String> {
         "reinstated" => TenantState::Reinstated,
         "departing" => TenantState::Departing,
         "reclaimed" => TenantState::Reclaimed,
-        "rejected" => TenantState::Rejected,
         s => return Err(format!("unknown tenant state {s:?}")),
     };
     let admitted_at = int(&mut f, "tenant admitted_at")?;
@@ -754,5 +753,13 @@ mod tests {
             e.contains("tenant 0 (a)") && e.contains("not a host"),
             "{e}"
         );
+        // A refused request never becomes a tenant record, so no state
+        // is called "rejected".
+        let e = restore_edited("tenant a ", &|l| {
+            let mut f: Vec<&str> = l.split(' ').collect();
+            f[3] = "rejected";
+            f.join(" ")
+        });
+        assert!(e.contains("unknown tenant state \"rejected\""), "{e}");
     }
 }

@@ -108,6 +108,17 @@ impl<K: Ord + Clone> SeriesSet<K> {
     pub fn get(&self, key: &K) -> Option<&RateSeries> {
         self.series.get(key)
     }
+
+    /// Rate (bits/sec) of `key` in bin `i`; 0 for a key with no series.
+    pub fn rate_at(&self, key: &K, i: usize) -> f64 {
+        self.get(key).map_or(0.0, |s| s.rate_at(i))
+    }
+
+    /// Average rate (bits/sec) of `key` over `[from, to)`; 0 for a key
+    /// with no series.
+    pub fn avg_rate(&self, key: &K, from: Nanos, to: Nanos) -> f64 {
+        self.get(key).map_or(0.0, |s| s.avg_rate(from, to))
+    }
 }
 
 #[cfg(test)]
@@ -163,5 +174,11 @@ mod tests {
         assert_eq!(keys, vec![1, 2]);
         assert_eq!(set.get(&2).unwrap().total_bytes(), 40);
         assert!(set.get(&3).is_none());
+        assert_eq!(set.rate_at(&2, 1), set.get(&2).unwrap().rate_at(1));
+        assert_eq!(
+            set.avg_rate(&1, 0, MS),
+            set.get(&1).unwrap().avg_rate(0, MS)
+        );
+        assert_eq!((set.rate_at(&3, 0), set.avg_rate(&3, 0, MS)), (0.0, 0.0));
     }
 }
