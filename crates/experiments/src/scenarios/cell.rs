@@ -684,8 +684,8 @@ mod tests {
     /// Step `cell` to the horizon and check retirement: no edge holds
     /// any state of a reclaimed tenant, and the per-pair slots the edges
     /// ever held at once follow the pairs active at once, not the pairs
-    /// the run has seen.
-    fn assert_retired(mut cell: Cell) {
+    /// the run has seen. Returns the cell's end-of-run readings.
+    fn assert_retired(mut cell: Cell) -> CellEnd {
         fn edge(cell: &Cell, h: NodeId) -> &UfabEdge {
             cell.r.sim.edge(h)
         }
@@ -723,6 +723,7 @@ mod tests {
             slots <= 2 * 2 * peak_active,
             "{slots} slots for {peak_active} active"
         );
+        cell.end(&hook_scale(1, Some(64), false), "retired")
     }
 
     /// The first-fit `repro ops` cell under the `preset` script.
@@ -736,6 +737,9 @@ mod tests {
 
     /// Retirement on the two 64-server cells: the plan-driven churn cell
     /// and the op-driven ops cell, whose tenants come from its pre-pass.
+    /// The churn cell is `churn::bench_cell_at(1, 64)`'s, the benchmark's
+    /// `churn_64`: its events and simulator digest are pinned, so a change
+    /// that moves a planned cell fails here first.
     #[test]
     fn reclaimed_tenants_leave_no_pair_state_behind() {
         let scale = hook_scale(1, Some(64), false);
@@ -748,7 +752,11 @@ mod tests {
             demand_for(kind, guar, 1.0)
         });
         // Seed 1: 760 pairs, at most 98 active at once.
-        assert_retired(churn);
+        let end = assert_retired(churn);
+        assert_eq!(
+            (end.events, end.digest.as_str()),
+            (3_052_756, "a18dced8cc0c5892")
+        );
         // Seed 1: 200 pairs, at most 38 active at once.
         assert_retired(ops_cell(&scale, "mixed"));
     }
