@@ -271,7 +271,7 @@ impl EnforceState {
 
     /// Register `tenant` with its per-host hose parameters (idempotent;
     /// a placeholder created by [`EnforceState::set_hostile`] is filled
-    /// in on first call).
+    /// in on first call, and a changed hose re-clocks the policer).
     pub(crate) fn ensure(
         &mut self,
         tenant: TenantId,
@@ -281,7 +281,7 @@ impl EnforceState {
         now: Time,
     ) {
         let e = self.row_or_insert(tenant, now);
-        if e.hose_bps == 0.0 && hose_bps > 0.0 {
+        if hose_bps > 0.0 && e.hose_bps != hose_bps {
             e.hose_bps = hose_bps;
             let rate = hose_bps * e.clamp.unwrap_or(1.0);
             e.bucket = TokenBucket::new(rate, burst_bytes, now);

@@ -247,6 +247,27 @@ impl UfabEdge {
         self.obs = obs;
     }
 
+    /// Read the tenant table from `fabric` from now on: GP re-reads each
+    /// VM's hose at its next tick, and the WFQ class and enforcement
+    /// hose of every tenant with a pair here follow now. An unchanged
+    /// table changes nothing.
+    pub fn set_fabric(&mut self, fabric: Arc<FabricSpec>) {
+        self.ep.set_fabric(Arc::clone(&fabric));
+        self.fabric = fabric;
+        let mut held: Vec<_> = (self.pairs.slots_sorted())
+            .map(|s| (self.pairs.cold[s].tenant, self.pairs.cold[s].src_vm))
+            .collect();
+        held.sort_unstable();
+        held.dedup_by_key(|&mut (t, _)| t);
+        for (tenant, vm) in held {
+            let class = weight_class(self.fabric.vm_tokens(vm), WFQ_LEVELS);
+            self.wfq.set_tenant(tenant, class);
+            if self.enforce.is_provisioned(tenant) {
+                self.enforce_provision(tenant);
+            }
+        }
+    }
+
     /// Submit a message directly (tests / drivers with agent access).
     /// Inside a simulation prefer `sim.inject(host, msg)`.
     pub fn submit(&mut self, ctx: &mut EdgeCtx, msg: AppMsg) {
@@ -309,6 +330,16 @@ impl UfabEdge {
         self.pairs
             .slot(pair)
             .map(|s| self.pairs.cur_path(s).route.clone())
+    }
+
+    /// Sender-assigned GP token φ_s of a pair (tests/experiments).
+    pub fn tokens_of(&self, pair: PairId) -> Option<f64> {
+        self.pairs.slot(pair).map(|s| self.pairs.phi_s[s])
+    }
+
+    /// WFQ weight of a tenant with a pair here (tests/experiments).
+    pub fn weight_of(&self, tenant: TenantId) -> Option<f64> {
+        self.wfq.weight(tenant)
     }
 
     /// Claimed (Eqn 3) window of a pair (tests/experiments).
@@ -514,7 +545,7 @@ impl UfabEdge {
         let bu = self.fabric.bu_bps;
         if let Some(s) = self.pairs.slot(pair) {
             // (The tenant's enforcement row was provisioned when the
-            // pair was inserted; hoses are static.)
+            // pair was inserted; `set_fabric` re-clocks it.)
             if !self.pairs.active[s] {
                 self.pairs.active[s] = true;
                 // §3.4 Scenario-2 re-entry: bootstrap from the pair's

@@ -88,6 +88,13 @@ impl<K: Copy + PartialEq + Default> WfqScheduler<K> {
         }
     }
 
+    /// A registered tenant's weight.
+    pub(crate) fn weight(&self, tenant: TenantId) -> Option<f64> {
+        self.index
+            .get(&tenant)
+            .map(|&s| self.slots[s as usize].weight)
+    }
+
     /// Add a pair under its tenant (idempotent). The tenant must be
     /// registered first.
     pub fn add_pair(&mut self, tenant: TenantId, pair: K) {

@@ -618,6 +618,11 @@ impl Endpoint {
             .map_or(0, |s| self.send[s as usize].acked_bytes)
     }
 
+    /// Read the fabric registry from `fabric` from now on.
+    pub(crate) fn set_fabric(&mut self, fabric: Arc<FabricSpec>) {
+        self.fabric = fabric;
+    }
+
     /// Process an arriving data packet: update reassembly, record
     /// delivery and completions, and return the ACK to send plus an
     /// auto-reply to submit (if the packet completed an RPC request).

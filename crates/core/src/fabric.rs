@@ -4,8 +4,11 @@
 //! send/receive at its minimum bandwidth, expressed as a number of
 //! *bandwidth tokens* φ^a, each worth `B_u` bits/sec. VM-to-VM guarantees
 //! are carved out of the hose dynamically by Guarantee Partitioning
-//! ([`crate::tokens`]); this module is the static registry those dynamics
-//! run over.
+//! ([`crate::tokens`]); this module is the registry those dynamics run
+//! over. It is the one tenant table of a run: a control plane that
+//! resizes a tenant or moves a VM edits a copy and hands it to every
+//! edge. Records are append-only, so every id handed out keeps its
+//! meaning: a moved VM is a new VM record with new pairs.
 
 use netsim::{FastMap, NodeId, PairId, TenantId, VmId};
 
@@ -27,8 +30,12 @@ pub struct PairSpec {
     pub dst: VmId,
 }
 
-/// The fabric registry shared (via `Rc`) by every agent in a simulation.
-#[derive(Debug)]
+/// A pair [`FabricSpec::rehost`] replaced: `(old, new)` `(source host,
+/// pair)`.
+pub type Rehosted = ((NodeId, PairId), (NodeId, PairId));
+
+/// The fabric registry shared (via `Arc`) by every agent in a simulation.
+#[derive(Debug, Clone)]
 pub struct FabricSpec {
     /// Bits/sec one token guarantees (B_u).
     pub bu_bps: f64,
@@ -64,12 +71,43 @@ impl FabricSpec {
         id
     }
 
+    /// Put `tokens_per_vm` hose tokens in force for every VM of `tenant`.
+    pub fn set_tokens(&mut self, tenant: TenantId, tokens_per_vm: f64) {
+        assert!(tokens_per_vm >= 0.0);
+        self.tenant_tokens[tenant.idx()] = tokens_per_vm;
+    }
+
     /// Place a VM of `tenant` on `host`.
     pub fn add_vm(&mut self, tenant: TenantId, host: NodeId) -> VmId {
         assert!(tenant.idx() < self.tenant_tokens.len(), "unknown tenant");
         let id = VmId(self.vms.len() as u32);
         self.vms.push(VmSpec { host, tenant });
         id
+    }
+
+    /// Move `vm` to `host`: a new VM record of its tenant there takes
+    /// `vm`'s place in each `(source host, pair)` of `pairs` with `vm` at
+    /// an end, through a new pair written over the old one. Returns the
+    /// `(old, new)` of each. The old record keeps its host, so the old
+    /// pairs still resolve while they retire.
+    pub fn rehost(
+        &mut self,
+        vm: VmId,
+        host: NodeId,
+        pairs: &mut [(NodeId, PairId)],
+    ) -> Vec<Rehosted> {
+        let new = self.add_vm(self.vm(vm).tenant, host);
+        let swap = |v: VmId| if v == vm { new } else { v };
+        let mut moved = Vec::new();
+        for slot in pairs.iter_mut() {
+            let PairSpec { src, dst } = self.pairs[slot.1.idx()];
+            if src == vm || dst == vm {
+                let q = self.add_pair(swap(src), swap(dst));
+                let next = (self.pair_src_host(q), q);
+                moved.push((std::mem::replace(slot, next), next));
+            }
+        }
+        moved
     }
 
     /// Register a directional VM-pair (idempotent: returns the existing id

@@ -1,11 +1,11 @@
 //! Unit-level tests of the μFAB-E agent, driven through a standalone
 //! `EdgeCtx` (no simulator): activation, probing, registration,
-//! response handling, idle deregistration, retirement.
+//! response handling, idle deregistration, retirement, retuning.
 
 use metrics::recorder;
 use netsim::agent::{EdgeAgent, EdgeCtx, Effects, NicView};
 use netsim::packet::{Packet, PacketArena, PacketKind};
-use netsim::{NodeId, MS, US};
+use netsim::{NodeId, TenantId, MS, US};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -24,6 +24,8 @@ struct Harness {
     host: NodeId,
     /// The incoming direction of the pair (this host is its destination).
     rev: netsim::PairId,
+    /// The agent's tenant table: one tenant of 2 tokens per VM.
+    fabric: Arc<FabricSpec>,
 }
 
 impl Harness {
@@ -37,10 +39,11 @@ impl Harness {
         let b = fabric.add_vm(t, dst);
         let (pair, rev) = fabric.add_pair_bidir(a, b);
         let topo: Arc<Topo> = Arc::new(topo);
+        let fabric = Arc::new(fabric);
         let agent = UfabEdge::new(
             UfabConfig::default(),
             Arc::clone(&topo),
-            Arc::new(fabric),
+            Arc::clone(&fabric),
             recorder::shared(MS),
             host,
         );
@@ -52,6 +55,7 @@ impl Harness {
                 now: 0,
                 host,
                 rev,
+                fabric,
             },
             pair,
         )
@@ -342,6 +346,55 @@ fn retired_pair_is_released_only_once_none_of_its_packets_is_left() {
     let (_, fx) = h.with_ctx(|a, ctx| a.on_packet(ctx, probe));
     h.deliver(fx);
     assert_eq!(h.agent.slot_use(), [(0, 1), (1, 1)]);
+}
+
+/// A retune is in force within one 32 µs token period: the lone active
+/// pair's sender token is the new hose, the receiver admits incoming
+/// demand against it, and the tenant's WFQ class follows at once.
+#[test]
+fn retune_reaches_gp_within_one_token_period() {
+    let (mut h, pair) = Harness::new();
+    h.with_ctx(|a, ctx| a.submit(ctx, AppMsg::oneway(1, pair, 10_000_000, 0)));
+    // Incoming demand of 10 tokens on the reverse pair; the answer to
+    // each probe carries the token admitted at the last tick.
+    let mut seq = 0;
+    let mut admitted = |h: &mut Harness| {
+        let frame = telemetry::ProbeFrame::probe(h.rev.raw(), seq, 10.0, 1e4, h.now);
+        seq += 1;
+        let probe = Packet {
+            src: NodeId(1),
+            dst: h.host,
+            pair: h.rev,
+            tenant: TenantId(0),
+            size: 90,
+            kind: PacketKind::Probe(frame),
+            route: [netsim::PortNo(0), netsim::PortNo(0)].into(),
+            hop: 2,
+            ecn: false,
+            max_util: 0.0,
+            sent_at: h.now,
+        };
+        let (_, fx) = h.with_ctx(|a, ctx| a.on_packet(ctx, probe));
+        let resp = h.deliver(fx).into_iter().find_map(|p| match p.kind {
+            PacketKind::Response(f) => f.rx_phi,
+            _ => None,
+        });
+        resp.expect("a response with the admitted token")
+    };
+    let tenant = TenantId(0);
+    admitted(&mut h);
+    h.tick(32 * US);
+    assert_eq!(h.agent.tokens_of(pair), Some(2.0));
+    assert_eq!(admitted(&mut h), 2.0);
+    assert_eq!(h.agent.weight_of(tenant), Some(2.0));
+
+    let mut spec = (*h.fabric).clone();
+    spec.set_tokens(tenant, 8.0);
+    h.agent.set_fabric(Arc::new(spec));
+    assert_eq!(h.agent.weight_of(tenant), Some(8.0));
+    h.tick(32 * US);
+    assert_eq!(h.agent.tokens_of(pair), Some(8.0));
+    assert_eq!(admitted(&mut h), 8.0);
 }
 
 /// The ack of `pair`'s first 500-byte segment, headed for `host`.

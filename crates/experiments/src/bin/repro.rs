@@ -139,19 +139,12 @@ const EXIT_USAGE: i32 = 2;
 /// a missing or malformed value or one outside `[lo, hi]`.
 fn int_arg(flag: &str, value: Option<&String>, lo: u64, hi: u64) -> u64 {
     let Some(raw) = value else {
-        eprintln!("error: {flag} needs a value\n{}", usage());
-        std::process::exit(EXIT_USAGE);
+        exit_usage(&format!("{flag} needs a value\n{}", usage()));
     };
     match raw.parse::<u64>() {
         Ok(n) if (lo..=hi).contains(&n) => n,
-        Ok(n) => {
-            eprintln!("error: {flag} {n} is out of range [{lo}, {hi}]");
-            std::process::exit(EXIT_USAGE);
-        }
-        Err(_) => {
-            eprintln!("error: {flag} expects an integer, got '{raw}'");
-            std::process::exit(EXIT_USAGE);
-        }
+        Ok(n) => exit_usage(&format!("{flag} {n} is out of range [{lo}, {hi}]")),
+        Err(_) => exit_usage(&format!("{flag} expects an integer, got '{raw}'")),
     }
 }
 
@@ -205,11 +198,10 @@ fn main() {
             "--servers" => {
                 let n = int_arg("--servers", it.next(), 0, u64::MAX) as usize;
                 if !fig17::FABRIC_SIZES.contains(&n) {
-                    eprintln!(
-                        "error: --servers {n} is not a fabric size (have: {:?})",
-                        fig17::FABRIC_SIZES
-                    );
-                    std::process::exit(EXIT_USAGE);
+                    let have = fig17::FABRIC_SIZES;
+                    exit_usage(&format!(
+                        "--servers {n} is not a fabric size (have: {have:?})"
+                    ));
                 }
                 scale.servers = Some(n);
             }
@@ -261,16 +253,12 @@ fn main() {
                 println!("{}", usage());
                 return;
             }
-            s if s.starts_with("--") => {
-                eprintln!("error: unknown flag {s}\n{}", usage());
-                std::process::exit(EXIT_USAGE);
-            }
+            s if s.starts_with("--") => exit_usage(&format!("unknown flag {s}\n{}", usage())),
             s => {
                 // A typo'd scenario used to be accepted (and silently run
                 // nothing); reject unknown names up front instead.
                 if !SCENARIOS.iter().any(|&(n, _)| n == s) {
-                    eprintln!("error: unknown scenario '{s}'\n{}", usage());
-                    std::process::exit(EXIT_USAGE);
+                    exit_usage(&format!("unknown scenario '{s}'\n{}", usage()));
                 }
                 scenarios.push(s.to_string());
             }

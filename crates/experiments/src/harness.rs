@@ -3,11 +3,12 @@
 use baselines::edge::{BaselineCfg, BaselineEdge};
 use metrics::recorder::{self, SharedRecorder};
 use metrics::Percentiles;
-use netsim::{NodeId, PairId, PortNo, Simulator, Time, US};
+use netsim::{NodeId, PairId, PortNo, Simulator, TenantId, Time, VmId, US};
 use obs::{InvariantSuite, ObsHandle};
 use std::sync::Arc;
 use topology::Topo;
 use ufab::endpoint::AppMsg;
+use ufab::fabric::Rehosted;
 use ufab::invariants::{
     BoundedQueueWatchdog, EdgeAccounting, PacketArenaBalance, ReadySetSound, RegisterConservation,
     StaleRegistrationSweep, WedgedPairWatchdog,
@@ -56,7 +57,8 @@ pub struct Runner {
     pub sim: Simulator,
     /// The annotated topology.
     pub topo: Arc<Topo>,
-    /// The fabric registry.
+    /// The fabric registry: the one tenant table every edge reads
+    /// ([`Runner::retune`], [`Runner::rehost`]).
     pub fabric: Arc<FabricSpec>,
     /// The measurement sink every edge agent writes to.
     pub rec: SharedRecorder,
@@ -211,68 +213,36 @@ impl Runner {
         self.obs = obs;
     }
 
-    /// Register the standard invariant suite (register conservation,
-    /// edge window accounting, bounded-queue watchdog), evaluated every
-    /// `period` of simulated time between run slices.
-    pub fn enable_invariants(&mut self, period: Time) {
+    /// Register the invariant suite, evaluated every `period` of
+    /// simulated time between run slices: register conservation, edge
+    /// window accounting, the ready-set audit, a bounded-queue watchdog
+    /// and arena balance. `faults` = `Some((cleanup_period, stall_ns))`
+    /// arms the *fault-aware* suite of chaos runs: the same checks hold
+    /// through switch wipes, edge restarts and down ports, the watchdog
+    /// allows a degraded link's shrunken BDP and skips downed ports,
+    /// orphaned registrations must be swept within 2.5 × `cleanup_period`
+    /// (§4.2), and a pair with work must ack new bytes within `stall_ns`.
+    pub fn enable_invariants(&mut self, period: Time, faults: Option<(Time, Time)>) {
         let mut suite = InvariantSuite::new(period);
         if self.system.is_ufab() {
             suite.register(Box::new(RegisterConservation::default()));
             suite.register(Box::new(EdgeAccounting::default()));
             suite.register(Box::new(ReadySetSound));
+            if let Some((cleanup_period, stall_ns)) = faults {
+                suite.register(Box::new(StaleRegistrationSweep::new(cleanup_period)));
+                suite.register(Box::new(WedgedPairWatchdog::new(stall_ns)));
+            }
         }
-        // Margin over the paper's ~3 BDP bound so the watchdog separates
-        // "bounded" from "runaway".
-        let rtt = self.diameter_rtt();
-        suite.register(Box::new(BoundedQueueWatchdog::new(rtt, 6.0)));
-        suite.register(Box::new(PacketArenaBalance));
-        self.invariants = Some(suite);
-    }
-
-    /// Register the *fault-aware* invariant suite for chaos runs: the
-    /// steady-state checks stay on, with tolerances widened to what a
-    /// fault may legitimately cause, plus two liveness checks that only
-    /// matter under faults:
-    ///
-    /// * register conservation must hold *through* switch wipes and edge
-    ///   restarts (a wipe zeroes registers and registrations together);
-    /// * leaked registrations (orphaned by a restart) must be reclaimed
-    ///   by the §4.2 idle sweep within `2.5 ×` `cleanup_period` — never
-    ///   grow unboundedly;
-    /// * a pair with pending work must ack new bytes within `stall_ns`
-    ///   (set above the longest injected outage + capped RTO backoff);
-    /// * the queue watchdog gets a wide factor — link degradation
-    ///   shrinks the BDP under a backlog built at full capacity — and
-    ///   skips downed ports entirely.
-    pub fn enable_chaos_invariants(&mut self, period: Time, cleanup_period: Time, stall_ns: Time) {
-        let mut suite = InvariantSuite::new(period);
-        if self.system.is_ufab() {
-            suite.register(Box::new(RegisterConservation::default()));
-            suite.register(Box::new(EdgeAccounting::default()));
-            suite.register(Box::new(ReadySetSound));
-            suite.register(Box::new(StaleRegistrationSweep::new(cleanup_period)));
-            suite.register(Box::new(WedgedPairWatchdog::new(stall_ns)));
-        }
-        let rtt = self.diameter_rtt();
-        suite.register(Box::new(BoundedQueueWatchdog::new(rtt, 40.0)));
-        // Arena accounting must stay exact through every fault path:
-        // switch-fail queue wipes, down-port drops, restart floods.
-        suite.register(Box::new(PacketArenaBalance));
-        self.invariants = Some(suite);
-    }
-
-    /// The fabric diameter as a round-trip time (max base RTT from the
-    /// first host): what the queue watchdogs size their BDP off.
-    fn diameter_rtt(&self) -> Time {
+        // A margin over the paper's ~3 BDP bound, at the fabric diameter's
+        // RTT, so the watchdog separates "bounded" from "runaway".
         let h0 = self.topo.hosts[0];
-        self.topo
-            .hosts
-            .iter()
-            .skip(1)
-            .map(|&h| self.topo.base_rtt(h0, h))
-            .max()
-            .unwrap_or(10 * US)
-            .max(1)
+        let hosts = self.topo.hosts.iter().skip(1);
+        let rtt = hosts.map(|&h| self.topo.base_rtt(h0, h)).max();
+        let factor = if faults.is_some() { 40.0 } else { 6.0 };
+        let watchdog = BoundedQueueWatchdog::new(rtt.unwrap_or(10 * US).max(1), factor);
+        suite.register(Box::new(watchdog));
+        suite.register(Box::new(PacketArenaBalance));
+        self.invariants = Some(suite);
     }
 
     /// Number of invariant violations so far.
@@ -367,6 +337,38 @@ impl Runner {
             self.sim.edge_mut::<UfabEdge>(src).retire(pair);
         }
         self.retiring.extend_from_slice(pairs);
+    }
+
+    /// Put `tokens_per_vm` in force for a μFAB tenant: GP re-reads it
+    /// within one token period (`UfabEdge::set_fabric`).
+    pub(crate) fn retune(&mut self, tenant: TenantId, tokens_per_vm: f64) {
+        Arc::make_mut(&mut self.fabric).set_tokens(tenant, tokens_per_vm);
+        self.hand_out_fabric();
+    }
+
+    /// Move a μFAB VM to `host` ([`FabricSpec::rehost`]); each pair it
+    /// replaces drops its backlog and retires.
+    pub(crate) fn rehost(
+        &mut self,
+        vm: VmId,
+        host: NodeId,
+        pairs: &mut [(NodeId, PairId)],
+    ) -> Vec<Rehosted> {
+        let moved = Arc::make_mut(&mut self.fabric).rehost(vm, host, pairs);
+        self.hand_out_fabric();
+        for &(old, _) in &moved {
+            self.clear_backlog(old.0, old.1);
+            self.retire(&[old]);
+        }
+        moved
+    }
+
+    /// Hand the tenant table to every μFAB-E edge.
+    fn hand_out_fabric(&mut self) {
+        for &h in &self.topo.hosts {
+            let fabric = Arc::clone(&self.fabric);
+            self.sim.edge_mut::<UfabEdge>(h).set_fabric(fabric);
+        }
     }
 
     fn sample_queues(&mut self) {
@@ -557,6 +559,35 @@ mod tests {
         assert_eq!(retired.0, [(true, true), (false, true), (false, false)]);
         assert_eq!(retired.1, 200_000);
         assert_eq!(ends(&retired), ends(&kept));
+    }
+
+    /// `Runner::retune` reaches the edges: the lone pair's sender token
+    /// is the new hose once the receiver's admission has come back on a
+    /// probe response (well inside 100 µs). A retune to the tokens in
+    /// force leaves the run the run without it, event for event.
+    #[test]
+    fn retune_reaches_the_edges_and_an_unchanged_one_changes_nothing() {
+        let run = |tokens: Option<f64>| {
+            let topo = dumbbell(1, 10, 10);
+            let (fabric, pair) = small_fabric(&topo);
+            let src = topo.hosts[0];
+            let mut r = Runner::new(topo, fabric, SystemKind::Ufab, 1, None, MS);
+            r.sim.enable_det_hash();
+            r.inject(src, AppMsg::oneway(1, pair, 2_000_000, 0));
+            let mut none: [&mut dyn Driver; 0] = [];
+            r.run(MS, SLICE, &mut none);
+            if let Some(tokens) = tokens {
+                r.retune(netsim::TenantId(0), tokens);
+            }
+            r.run(MS + 100 * US, SLICE, &mut none);
+            let phi = r.sim.edge::<UfabEdge>(src).tokens_of(pair);
+            r.run(3 * MS, SLICE, &mut none);
+            (phi, r.sim.stats().events, r.sim.det_digest())
+        };
+        let kept = run(None);
+        assert_eq!(kept.0, Some(2.0));
+        assert_eq!(run(Some(2.0)), kept);
+        assert_eq!(run(Some(3.0)).0, Some(3.0));
     }
 
     #[test]

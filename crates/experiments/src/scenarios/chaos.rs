@@ -16,7 +16,7 @@
 //!   `--seed` at any `--jobs N`.
 //!
 //! With `--check-invariants` the *fault-aware* invariant suite
-//! ([`crate::harness::Runner::enable_chaos_invariants`]) runs during the
+//! ([`crate::harness::Runner::enable_invariants`]) runs during the
 //! faults: register conservation through switch wipes, stale-registration
 //! reclamation by the §4.2 sweep (the cleanup period is shortened so the
 //! sweep is observable in-window), and the wedged-pair watchdog.

@@ -29,7 +29,7 @@
 //! The fabric invariant suite (ledger conservation audit + bounded
 //! qualifying time) always runs — a violation fails the scenario.
 
-use super::cell::{demand_for, hook_scale, requests, Cell, CellEnd, Planned, GUAR_FRACTION};
+use super::cell::{assert_bulk_viol, demand_for, hook_scale, requests, Cell, CellEnd, Planned};
 use super::common::{emit, f, us, Scale};
 use super::fig17::build_topo;
 use crate::executor::{run_jobs, Job};
@@ -81,10 +81,7 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
     }
 
     // 4) Metrics.
-    let overclaim_admitted = cell
-        .plan
-        .admitted
-        .iter()
+    let overclaim_admitted = (cell.plan.admitted.iter())
         .filter(|p| cell.kinds[p.req] == DemandKind::Overclaim)
         .count();
     let mut adm = Percentiles::new();
@@ -169,17 +166,7 @@ pub fn run(scale: Scale) -> Table {
                 out.arrivals
             );
         }
-        if out.guaranteed_ms >= 200 {
-            let frac = out.viol_ms as f64 / out.guaranteed_ms as f64;
-            assert!(
-                frac < 0.10,
-                "bulk tenants below {GUAR_FRACTION}x guarantee for {:.1}% of \
-                 their guaranteed time ({} of {} ms)",
-                frac * 100.0,
-                out.viol_ms,
-                out.guaranteed_ms
-            );
-        }
+        assert_bulk_viol(out.viol_ms, out.guaranteed_ms);
     }
     emit(
         "churn_fabric",

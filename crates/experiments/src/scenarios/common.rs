@@ -59,18 +59,14 @@ pub fn total_violations() -> usize {
 }
 
 /// Apply `--trace` and `--check-invariants` to a freshly built runner.
-/// `faults` picks the suite: `None` the standard one
-/// ([`Runner::enable_invariants`]), `Some((cleanup_period, stall))` the
-/// fault-aware one ([`Runner::enable_chaos_invariants`]).
+/// `faults` picks the suite ([`Runner::enable_invariants`]): `None` the
+/// standard one, `Some((cleanup_period, stall))` the fault-aware one.
 pub(crate) fn observe(scale: &Scale, r: &mut Runner, faults: Option<(Time, Time)>) {
     if let Some(cap) = scale.trace {
         r.enable_trace(cap);
     }
     if scale.check_invariants {
-        match faults {
-            None => r.enable_invariants(MS / 4),
-            Some((cleanup, stall)) => r.enable_chaos_invariants(MS / 4, cleanup, stall),
-        }
+        r.enable_invariants(MS / 4, faults);
     }
 }
 

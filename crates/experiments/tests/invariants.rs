@@ -36,7 +36,7 @@ fn clean_run_passes_all_checkers() {
     let (topo, fabric, srcs, pairs, _dst) = incast_on_testbed(4, TestbedCfg::default(), 1.0, 500e6);
     let mut r = Runner::new(topo, fabric, SystemKind::Ufab, 3, None, MS);
     r.enable_trace(4096);
-    r.enable_invariants(MS / 4);
+    r.enable_invariants(MS / 4, None);
     let jobs: Vec<(Time, NodeId, PairId, u64, u32)> = srcs
         .iter()
         .zip(&pairs)
@@ -200,7 +200,7 @@ fn arena_balance_survives_switch_fail_soak() {
     let (topo, fabric, srcs, pairs, _dst) = incast_on_testbed(4, TestbedCfg::default(), 1.0, 500e6);
     let victim = topo.tors[0];
     let mut r = Runner::new(topo, fabric, SystemKind::Ufab, 5, None, MS);
-    r.enable_chaos_invariants(MS / 8, 5 * MS, 60 * MS);
+    r.enable_invariants(MS / 8, Some((5 * MS, 60 * MS)));
     let plan = FaultPlan::new(5).fault(FaultKind::SwitchFail {
         node: victim,
         at: 2 * MS,

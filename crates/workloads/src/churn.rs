@@ -189,6 +189,14 @@ impl ChurnDriver {
         }
     }
 
+    /// Move the demand of the started pair `old` to `new`, sent from
+    /// `host`: the pair that replaces it once its VM moved host.
+    pub fn repoint(&mut self, old: PairId, host: NodeId, new: PairId) {
+        for a in self.active.iter_mut().filter(|a| a.pair == old) {
+            (a.host, a.pair) = (host, new);
+        }
+    }
+
     fn steady_chunk(bps: f64, period: Time) -> u64 {
         ((bps * period as f64 / 8e9) as u64).max(16_384)
     }

@@ -11,7 +11,9 @@
 //! although it was restored from a snapshot at 6 ms. The drill itself
 //! audits the ledger every millisecond, checks that every tenant is
 //! reclaimed and that no open guarantee span changes across the
-//! restore, and judges violation-ms against the cell's own threshold.
+//! restore, and judges violation-ms against the hose in force: the
+//! resize retunes μFAB-E and the drain moves the tenant's traffic to new
+//! pairs from its new host, which must re-qualify.
 
 use experiments::executor::{self, run_jobs, Job};
 use experiments::scenarios::common::Scale;
@@ -107,6 +109,12 @@ fn ops_lifecycle_end_to_end() {
         assert!(
             requalified,
             "a drained tenant re-reached Guaranteed off μFAB-E telemetry"
+        );
+        // On new pairs from its new host, which must deliver first.
+        let requal = out.requal.expect("the drained tenant re-qualified");
+        assert!(
+            requal > 0 && requal <= MS,
+            "re-qualification took {requal} ns"
         );
         assert!(
             out.restored_spans > Some(0),
