@@ -286,6 +286,31 @@ mod tests {
         assert_eq!((f.tenant_tokens.len(), f.vms.len()), (2, 3));
     }
 
+    /// Rehosting VM 0 of a three-VM ring replaces the two ring pairs it
+    /// ends, in place, with pairs of a new VM on the new host; the third
+    /// pair and every old record stay as they were.
+    #[test]
+    fn rehost_replaces_the_pairs_the_vm_ends() {
+        let mut f = FabricSpec::new(1e9);
+        let t = f.add_tenant("t", 2.0);
+        let v: Vec<_> = (0..3).map(|h| f.add_vm(t, NodeId(h))).collect();
+        let mut ring: Vec<_> = (0..3)
+            .map(|i| (NodeId(i as u32), f.add_pair(v[i], v[(i + 1) % 3])))
+            .collect();
+        let old = ring.clone();
+        let moved = f.rehost(v[0], NodeId(9), &mut ring);
+        assert_eq!(moved.len(), 2);
+        assert_eq!((moved[0].0, moved[1].0), (old[0], old[2]));
+        assert_eq!(ring[1], old[1]);
+        let ends = |p| (f.pair_src_host(p), f.pair_dst_host(p));
+        assert_eq!(ends(ring[0].1), (NodeId(9), NodeId(1)));
+        assert_eq!(ends(ring[2].1), (NodeId(2), NodeId(9)));
+        assert_eq!((ring[0].0, ring[2].0), (NodeId(9), NodeId(2)));
+        assert_eq!(ends(old[0].1), (NodeId(0), NodeId(1)));
+        assert_eq!(f.vm(v[0]).host, NodeId(0));
+        assert_eq!(f.pair_tenant(ring[0].1), t);
+    }
+
     #[test]
     fn cross_tenant_pair_allowed_and_sender_accounted() {
         let mut f = FabricSpec::new(1e9);

@@ -134,12 +134,7 @@ impl Runner {
                         )),
                     );
                 }
-                for &s in topo
-                    .tors
-                    .iter()
-                    .chain(topo.aggs.iter())
-                    .chain(topo.cores.iter())
-                {
+                for s in topo.switches() {
                     sim.set_switch_agent(s, Box::new(UfabCore::with_hw(CoreHwCfg::from(&cfg))));
                 }
             }
@@ -196,15 +191,7 @@ impl Runner {
                 let h = self.topo.hosts[i];
                 self.sim.edge_mut::<UfabEdge>(h).set_obs(obs.clone());
             }
-            let switches: Vec<NodeId> = self
-                .topo
-                .tors
-                .iter()
-                .chain(self.topo.aggs.iter())
-                .chain(self.topo.cores.iter())
-                .copied()
-                .collect();
-            for s in switches {
+            for s in self.topo.switches() {
                 self.sim
                     .switch_agent_mut::<UfabCore>(s)
                     .set_obs(obs.clone());
@@ -274,13 +261,7 @@ impl Runner {
     /// queue.
     pub fn watch_all_switch_queues(&mut self) {
         let mut watch = Vec::new();
-        for &sw in self
-            .topo
-            .tors
-            .iter()
-            .chain(self.topo.aggs.iter())
-            .chain(self.topo.cores.iter())
-        {
+        for sw in self.topo.switches() {
             for p in 0..self.sim.n_ports(sw) {
                 watch.push((sw, PortNo(p as u16)));
             }

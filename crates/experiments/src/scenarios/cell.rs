@@ -42,10 +42,10 @@ pub(crate) const STEP: Time = 250 * US;
 const STAGGER_BOUND: Time = 25 * MS;
 /// Guarantee threshold for violation accounting (matches chaos SLOs).
 pub(crate) const GUAR_FRACTION: f64 = 0.85;
-/// How long a retune takes to be in force on the data plane: μFAB
-/// converges in under 500 µs (§5, Fig 18a/b), after up to one [`STEP`]
-/// between the service applying a resize and the cell handing it on.
-const RETUNE_SETTLE: Time = 500 * US + STEP;
+/// How long after the service applies a resize the data plane may take
+/// to put it in force: up to one [`STEP`] until the cell hands it on,
+/// then μFAB's sub-500 µs convergence (§5, Fig 18a/b).
+const RETUNE_SETTLE: Time = STEP + 500 * US;
 
 /// Timeline of one cell (all instants in ns).
 pub(crate) struct Timeline {
@@ -367,7 +367,7 @@ pub(crate) struct Cell {
     /// Tenants whose pairs were handed to [`Runner::retire`].
     retired: Vec<bool>,
     /// The `(since, tokens per VM)` steps each tenant's hose took: its
-    /// plan's from 0, then one per resize handed to the data plane.
+    /// plan's from 0, then one per resize, since the service applied it.
     tokens: Vec<Vec<(Time, f64)>>,
     fsuite: InvariantSuite<FabricService>,
     /// The core switch that fails at `tl.fault_at`, until it has.
@@ -516,7 +516,7 @@ impl Cell {
                     tenant, new_tokens, ..
                 } => {
                     self.r.retune(TenantId(tenant), new_tokens);
-                    self.tokens[tenant as usize].push((now, new_tokens));
+                    self.tokens[tenant as usize].push((ap.applied, new_tokens));
                 }
                 FabricReply::Drained { moved, .. } => {
                     for &(t, v, _, to) in moved {
@@ -612,14 +612,12 @@ impl Cell {
             let n_pairs = self.tenant_pairs[i].len() as f64;
             let per_token = GUAR_FRACTION * self.r.fabric.bu_bps * n_pairs;
             let steps = &self.tokens[i];
-            // The steps in force over [start − settle, start + 1 ms).
+            // The lowest step in force over [bin start − settle, bin end).
             let guar = |b: usize| {
-                let (start, end) = (
-                    (b as Time * MS).saturating_sub(RETUNE_SETTLE),
-                    (b as Time + 1) * MS,
-                );
-                let first = steps.partition_point(|s| s.0 <= start) - 1;
-                let tokens = steps[first..].iter().take_while(|s| s.0 < end);
+                let from = (b as Time * MS).saturating_sub(RETUNE_SETTLE);
+                let first = steps.partition_point(|s| s.0 <= from) - 1;
+                let to = (b as Time + 1) * MS;
+                let tokens = steps[first..].iter().take_while(|s| s.0 < to);
                 per_token * tokens.fold(f64::INFINITY, |m, s| m.min(s.1))
             };
             let series = rec.tenant_rates.get(&(i as u32));
@@ -811,10 +809,10 @@ mod tests {
     }
 
     /// Step `cell` until it applies an op `want` picks, and return that.
-    fn step_until<T>(cell: &mut Cell, mut want: impl FnMut(&FabricReply) -> Option<T>) -> T {
+    fn step_until<T>(cell: &mut Cell, mut want: impl FnMut(&Applied) -> Option<T>) -> T {
         loop {
             let applied = cell.step().expect("the op is applied before the horizon");
-            if let Some(t) = applied.iter().find_map(|ap| want(&ap.reply)) {
+            if let Some(t) = applied.iter().find_map(&mut want) {
                 return t;
             }
         }
@@ -827,7 +825,7 @@ mod tests {
     #[test]
     fn resized_tenants_pairs_take_the_new_hose() {
         let mut cell = ops_cell(&hook_scale(1, Some(64), false), "resize");
-        let resized = |reply: &FabricReply| match *reply {
+        let resized = |ap: &Applied| match ap.reply {
             FabricReply::Resized {
                 tenant, new_tokens, ..
             } => Some((tenant as usize, new_tokens)),
@@ -852,7 +850,7 @@ mod tests {
         let kinds: Vec<_> = (cell.plan.admitted.iter())
             .map(|p| cell.kinds[p.req])
             .collect();
-        let drained = |reply: &FabricReply| match reply {
+        let drained = |ap: &Applied| match &ap.reply {
             FabricReply::Drained { moved, .. } => (moved.iter())
                 .find(|m| kinds[m.0 as usize] == DemandKind::Bulk)
                 .copied(),
@@ -923,12 +921,11 @@ mod tests {
                 new_tokens_per_vm: factor * tokens,
             };
             cell.svc.submit(cell.now, op);
-            let ours = |r: &FabricReply| {
-                matches!(r, FabricReply::Resized { tenant, .. } if *tenant as usize == i)
-                    .then_some(())
+            let ours = |ap: &Applied| match ap.reply {
+                FabricReply::Resized { tenant, .. } if tenant as usize == i => Some(ap.applied),
+                _ => None,
             };
-            step_until(&mut cell, ours);
-            at[k] = cell.now;
+            at[k] = step_until(&mut cell, ours);
             (0..8).for_each(|_| drop(cell.step()));
         }
         while cell.step().is_some() {}

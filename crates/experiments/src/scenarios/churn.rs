@@ -81,7 +81,10 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
     }
 
     // 4) Metrics.
-    let overclaim_admitted = (cell.plan.admitted.iter())
+    let overclaim_admitted = cell
+        .plan
+        .admitted
+        .iter()
         .filter(|p| cell.kinds[p.req] == DemandKind::Overclaim)
         .count();
     let mut adm = Percentiles::new();

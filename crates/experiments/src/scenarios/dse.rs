@@ -81,7 +81,7 @@ fn run_point(scale: Scale, point: CoreHwCfg) -> PointOut {
     let mut clamps = 0u64;
     let mut truncs = 0u64;
     let topo = &cell.r.topo;
-    for &s in topo.tors.iter().chain(&topo.aggs).chain(&topo.cores) {
+    for s in topo.switches() {
         if let Some(c) = cell.r.sim.try_switch_agent::<UfabCore>(s) {
             fp += c.stats.fp_omissions;
             registrations += c.stats.registrations;

@@ -334,7 +334,11 @@ pub fn drill(
         }
         // Operator restart drill: serialize, kill, restore.
         if snap_at.is_some_and(|at| restored_spans.is_none() && now >= at) {
-            let open_spans: Vec<(u32, Time)> = (cell.svc.tenants().iter().enumerate())
+            let open_spans: Vec<(u32, Time)> = cell
+                .svc
+                .tenants()
+                .iter()
+                .enumerate()
                 .filter_map(|(i, t)| t.guaranteed_at.map(|g| (i as u32, g)))
                 .collect();
             let snap = cell.svc.snapshot();
@@ -384,11 +388,11 @@ pub fn drill(
         .max();
 
     // Violation accounting over every guarantee span (`end` found them
-    // all closed), against the hose in force. The restore window is a fixed time range,
-    // evaluated whether or not the restore drill actually ran there — a
-    // correct restore must leave the data plane untouched, so the count
-    // is identical either way (and stdout stays byte-identical across
-    // `--snapshot-at`).
+    // all closed), against the hose in force. The restore window is a
+    // fixed time range, evaluated whether or not the restore drill
+    // actually ran there — a correct restore must leave the data plane
+    // untouched, so the count is identical either way (and stdout stays
+    // byte-identical across `--snapshot-at`).
     let window_at = snap_at.unwrap_or_else(|| cell.tl.at(50));
     let restore_bins = window_at / MS..=window_at / MS + RESTORE_WINDOW_MS;
     let (mut viol_ms, mut guaranteed_ms, mut restore_viol_ms) = (0u64, 0u64, 0u64);

@@ -307,20 +307,19 @@ impl Topo {
         max
     }
 
+    /// Every switch: the ToRs, then the aggs, then the cores.
+    pub fn switches(&self) -> Vec<NodeId> {
+        let tiers = [&self.tors, &self.aggs, &self.cores];
+        tiers.into_iter().flatten().copied().collect()
+    }
+
     /// Install ECMP tables on every switch for every host destination
     /// (all ports on some shortest path).
     pub fn install_ecmp(&mut self) {
         let hosts = self.hosts.clone();
         for dst in hosts {
             let dist = self.dist_to(dst);
-            for sw in self
-                .tors
-                .iter()
-                .chain(self.aggs.iter())
-                .chain(self.cores.iter())
-                .copied()
-                .collect::<Vec<_>>()
-            {
+            for sw in self.switches() {
                 let mut ports = Vec::new();
                 for a in &self.adj[sw.idx()] {
                     if dist[a.peer.idx()] != usize::MAX
@@ -412,13 +411,7 @@ mod tests {
         ] {
             let mut t = three_tier(cfg);
             t.install_ecmp();
-            let switches: Vec<NodeId> = t
-                .tors
-                .iter()
-                .chain(&t.aggs)
-                .chain(&t.cores)
-                .copied()
-                .collect();
+            let switches = t.switches();
             let oracle: Vec<Vec<Vec<PortNo>>> = t
                 .hosts
                 .iter()

@@ -422,4 +422,28 @@ mod tests {
         d.poll(&mut port, &[]);
         assert_eq!(port.injected.len(), 2, "drained pair topped up");
     }
+
+    /// A repointed pair's demand goes on from the new host on the new
+    /// pair, and it is the new pair whose backlog the stop clears.
+    #[test]
+    fn repointed_demand_moves_to_the_new_pair() {
+        let (h, p, h2, q) = (NodeId(3), PairId(4), NodeId(5), PairId(6));
+        let programs = vec![TenantTraffic {
+            tag: 2,
+            start: 0,
+            stop: MS,
+            pairs: vec![(h, p, PairDemand::Steady { bps: 8e9 })],
+        }];
+        let mut d = ChurnDriver::new(programs, 3, 0);
+        let mut port = MockPort::default();
+        d.poll(&mut port, &[]);
+        d.repoint(p, h2, q);
+        port.now = 300 * US;
+        d.poll(&mut port, &[]);
+        port.now = MS;
+        d.poll(&mut port, &[]);
+        let sent: Vec<_> = port.injected.iter().map(|(h, m)| (*h, m.pair)).collect();
+        assert_eq!(sent, [(h, p), (h2, q)]);
+        assert_eq!(port.cleared, [(h2, q)]);
+    }
 }
