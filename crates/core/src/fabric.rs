@@ -30,10 +30,6 @@ pub struct PairSpec {
     pub dst: VmId,
 }
 
-/// A pair [`FabricSpec::rehost`] replaced: `(old, new)` `(source host,
-/// pair)`.
-pub type Rehosted = ((NodeId, PairId), (NodeId, PairId));
-
 /// The fabric registry shared (via `Arc`) by every agent in a simulation.
 #[derive(Debug, Clone)]
 pub struct FabricSpec {
@@ -95,7 +91,7 @@ impl FabricSpec {
         vm: VmId,
         host: NodeId,
         pairs: &mut [(NodeId, PairId)],
-    ) -> Vec<Rehosted> {
+    ) -> Vec<((NodeId, PairId), (NodeId, PairId))> {
         let new = self.add_vm(self.vm(vm).tenant, host);
         let swap = |v: VmId| if v == vm { new } else { v };
         let mut moved = Vec::new();

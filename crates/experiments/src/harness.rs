@@ -8,7 +8,6 @@ use obs::{InvariantSuite, ObsHandle};
 use std::sync::Arc;
 use topology::Topo;
 use ufab::endpoint::AppMsg;
-use ufab::fabric::Rehosted;
 use ufab::invariants::{
     BoundedQueueWatchdog, EdgeAccounting, PacketArenaBalance, ReadySetSound, RegisterConservation,
     StaleRegistrationSweep, WedgedPairWatchdog,
@@ -334,7 +333,7 @@ impl Runner {
         vm: VmId,
         host: NodeId,
         pairs: &mut [(NodeId, PairId)],
-    ) -> Vec<Rehosted> {
+    ) -> Vec<((NodeId, PairId), (NodeId, PairId))> {
         let moved = Arc::make_mut(&mut self.fabric).rehost(vm, host, pairs);
         self.hand_out_fabric();
         for &(old, _) in &moved {
