@@ -842,8 +842,9 @@ mod tests {
     }
 
     /// A drain reaches μFAB-E: a moved bulk VM's pairs are new pairs,
-    /// sent from and routed to its new host, and its old pairs are gone
-    /// from the tenant and retired.
+    /// sent from and routed to its new host, its old pairs are gone from
+    /// the tenant and retired, and the tenant's acked bytes are
+    /// re-baselined at the drain.
     #[test]
     fn drained_vms_pairs_run_from_their_new_host() {
         let mut cell = ops_cell(&hook_scale(1, Some(64), false), "drain");
@@ -860,6 +861,13 @@ mod tests {
         let (t, v, from, to) = step_until(&mut cell, drained);
         let (i, new_host) = (t as usize, NodeId(to));
         let pairs = cell.tenant_pairs[i].clone();
+        // Re-qualifying takes progress past the drain, on every pair.
+        assert_eq!(cell.baselines[i], cell.r.acked_baseline(&pairs));
+        assert!(
+            cell.baselines[i].iter().any(|&b| b > 0),
+            "{:?}",
+            cell.baselines[i]
+        );
         // Ring pair v leaves VM v; pair v - 1 enters it.
         let (n, v) = (pairs.len(), v as usize);
         let (out, into) = (pairs[v], pairs[(v + n - 1) % n]);
