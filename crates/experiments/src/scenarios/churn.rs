@@ -93,7 +93,7 @@ fn run_cell(scale: Scale, policy: Policy) -> CellOut {
     }
     let mut ttg = Percentiles::new();
     for t in cell.svc.tenants() {
-        if let Some(x) = t.ttg_ns {
+        if let Some(x) = t.ttg_ns() {
             ttg.add(x as f64);
         }
     }

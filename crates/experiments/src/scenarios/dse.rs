@@ -94,7 +94,7 @@ fn run_point(scale: Scale, point: CoreHwCfg) -> PointOut {
     let mut ttg = Percentiles::new();
     let mut qualified = 0usize;
     for t in cell.svc.tenants() {
-        if let Some(x) = t.ttg_ns {
+        if let Some(x) = t.ttg_ns() {
             ttg.add(x as f64);
             qualified += 1;
         }

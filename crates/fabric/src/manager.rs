@@ -15,13 +15,15 @@
 //!   times and rejections. Pure control-plane math: no state machine,
 //!   no simulator state, no randomness, no wall-clock.
 //!
-//! `plan` has two jobs. Because `FabricSpec` is immutable once a
-//! `Runner` is built, the planned admissions are the tenant set handed
-//! to μFAB before the simulation starts (the cells then commit each one
-//! with `FabricService::admit_planned`). And it is the small independent
-//! model the live service is diffed against: fed the same requests as
-//! admit ops, the service must reach the same decisions (fabricd's
-//! `plan_is_the_services_reference_model` property).
+//! `plan` has two jobs. Planned admissions are decided before the run,
+//! so the control-plane half of a cell is a pure function of the trace,
+//! and the data plane, `abuse`'s hostile selection and the benchmark's
+//! twin of the cell are all built from that one tenant set (the cells
+//! then commit each tenant with `FabricService::admit_planned`). And it
+//! is the small independent model the live service is diffed against:
+//! fed the same requests as admit ops, the service must reach the same
+//! decisions (fabricd's `plan_is_the_services_reference_model`
+//! property).
 
 use crate::ledger::Ledger;
 use crate::place::{Placer, Policy, RejectReason};

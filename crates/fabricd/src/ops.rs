@@ -275,7 +275,7 @@ pub(crate) fn write_list<W: fmt::Write, T>(
     Ok(())
 }
 
-fn field<T: std::str::FromStr>(
+pub(crate) fn field<T: std::str::FromStr>(
     it: &mut std::str::SplitWhitespace,
     verb: &str,
     name: &str,

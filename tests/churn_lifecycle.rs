@@ -62,7 +62,7 @@ fn tenant_lifecycle_end_to_end() {
         assert_eq!(t.state, TenantState::Reclaimed);
         assert_eq!(t.hosts, p.hosts, "the plan's hosts were committed verbatim");
         // Only μFAB-E's qualification signal moves a tenant to Guaranteed.
-        assert!(t.ttg_ns.is_some(), "{} never reached Guaranteed", t.name);
+        assert!(t.ttg_ns().is_some(), "{} never reached Guaranteed", t.name);
         let (enter, exit) = t.guaranteed_spans[0];
         assert!(enter < exit && exit == p.depart);
     }
