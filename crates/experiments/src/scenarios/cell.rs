@@ -42,10 +42,9 @@ pub(crate) const STEP: Time = 250 * US;
 const STAGGER_BOUND: Time = 25 * MS;
 /// Guarantee threshold for violation accounting (matches chaos SLOs).
 pub(crate) const GUAR_FRACTION: f64 = 0.85;
-/// How long after the service applies a resize the data plane may take
-/// to put it in force: up to one [`STEP`] until the cell hands it on,
-/// then μFAB's sub-500 µs convergence (§5, Fig 18a/b).
-const RETUNE_SETTLE: Time = STEP + 500 * US;
+/// How long μFAB takes to put a resize in force once the cell hands it
+/// on, at the instant the service applied it (§5, Fig 18a/b).
+const RETUNE_SETTLE: Time = 500 * US;
 
 /// Timeline of one cell (all instants in ns).
 pub(crate) struct Timeline {
@@ -477,29 +476,26 @@ impl Cell {
         }
     }
 
-    /// Advance one [`STEP`]: run the simulator, commit every planned
-    /// admission decided by then (or submit every op due), fire the ops,
-    /// departures and reclaims due, hand each applied resize and drain
-    /// to the data plane ([`Runner::retune`], [`Runner::rehost`], the
-    /// driver following the moved pairs, the drained tenants' acked
-    /// bytes re-baselined), retire the pairs of the tenants just
-    /// reclaimed, re-qualify across the fault, and poll the
-    /// qualification signal. Returns the ops the service applied, or
-    /// `None`, having done nothing, once the horizon is reached.
+    /// Advance one [`STEP`]: commit every planned admission decided by
+    /// its end (or submit every op due), fire the ops, departures and
+    /// reclaims due, and run the simulator to the step's end, handing
+    /// each applied resize and drain to the data plane at the instant the
+    /// service applied it ([`Runner::retune`], [`Runner::rehost`], the
+    /// driver following the moved pairs, the drained tenants' acked bytes
+    /// re-baselined). Retire the pairs of the tenants just reclaimed,
+    /// re-qualify across the fault, and poll the qualification signal.
+    /// Returns the applied ops, or `None` once the horizon is reached.
     pub(crate) fn step(&mut self) -> Option<Vec<Applied>> {
         if self.now >= self.tl.horizon {
             return None;
         }
         self.now = (self.now + STEP).min(self.tl.horizon);
         let now = self.now;
-        self.r.run(now, SLICE, &mut [&mut self.driver]);
         let first_new = self.svc.tenants().len();
         match &mut self.admissions {
             Admissions::Plan => {
-                while let Some(p) = self.plan.admitted.get(self.svc.tenants().len()) {
-                    if p.decision > now {
-                        break;
-                    }
+                let due = |p: &&PlannedTenant| p.decision <= now;
+                while let Some(p) = self.plan.admitted.get(self.svc.tenants().len()).filter(due) {
                     self.svc.admit_planned(p);
                 }
             }
@@ -515,10 +511,12 @@ impl Cell {
                 &FabricReply::Resized {
                     tenant, new_tokens, ..
                 } => {
+                    self.r.run(ap.applied, SLICE, &mut [&mut self.driver]);
                     self.r.retune(TenantId(tenant), new_tokens);
                     self.tokens[tenant as usize].push((ap.applied, new_tokens));
                 }
                 FabricReply::Drained { moved, .. } => {
+                    self.r.run(ap.applied, SLICE, &mut [&mut self.driver]);
                     for &(t, v, _, to) in moved {
                         let pairs = &mut self.tenant_pairs[t as usize];
                         // Ring pair v is sent by VM v.
@@ -533,15 +531,14 @@ impl Cell {
                 _ => {}
             }
         }
+        self.r.run(now, SLICE, &mut [&mut self.driver]);
         for i in first_new..self.svc.tenants().len() {
             self.baselines[i] = self.r.acked_baseline(&self.tenant_pairs[i]);
         }
         for (i, t) in self.svc.tenants().iter().enumerate() {
             if t.state == TenantState::Reclaimed && !self.retired[i] {
-                // Departure closed the last guarantee span; the capacity
-                // stays committed through the teardown grace after it.
-                let closed = t.guaranteed_spans.last().map_or(0, |s| s.1);
-                assert!(closed + RECLAIM_GRACE <= now, "tenant {i} reclaimed early");
+                let due = t.depart_at + RECLAIM_GRACE;
+                assert!(due <= now, "tenant {i} reclaimed inside its teardown grace");
                 self.retired[i] = true;
                 self.r.retire(&self.tenant_pairs[i]);
             }
@@ -818,10 +815,10 @@ mod tests {
         }
     }
 
-    /// A resize reaches μFAB-E: one step after the service applies it,
-    /// every active pair of the tenant holds the new hose as its sender
-    /// token (a ring pair is its VM's only outgoing pair, so it gets
-    /// the VM's whole hose).
+    /// A resize reaches μFAB-E at the instant the service applied it: by
+    /// the end of that step every active pair of the tenant holds the new
+    /// hose as its sender token (a ring pair is its VM's only outgoing
+    /// pair, so it gets the VM's whole hose).
     #[test]
     fn resized_tenants_pairs_take_the_new_hose() {
         let mut cell = ops_cell(&hook_scale(1, Some(64), false), "resize");
@@ -833,7 +830,6 @@ mod tests {
         };
         let (i, tokens) = step_until(&mut cell, resized);
         assert_ne!(tokens, cell.plan.admitted[i].tokens_per_vm);
-        cell.step();
         let active: Vec<_> = (cell.tenant_pairs[i].iter())
             .filter_map(|&(src, p)| cell.r.sim.edge::<UfabEdge>(src).tokens_of(p))
             .collect();
@@ -841,10 +837,10 @@ mod tests {
         assert!(active.iter().all(|&phi| phi == tokens), "{active:?}");
     }
 
-    /// A drain reaches μFAB-E: a moved bulk VM's pairs are new pairs,
-    /// sent from and routed to its new host, its old pairs are gone from
-    /// the tenant and retired, and the tenant's acked bytes are
-    /// re-baselined at the drain.
+    /// A drain reaches μFAB-E at the instant the service applied it: a
+    /// moved bulk VM's pairs are new pairs, sent from and routed to its
+    /// new host, its old pairs are gone from the tenant and retired, and
+    /// the tenant's acked bytes are re-baselined at the drain instant.
     #[test]
     fn drained_vms_pairs_run_from_their_new_host() {
         let mut cell = ops_cell(&hook_scale(1, Some(64), false), "drain");
@@ -854,22 +850,23 @@ mod tests {
         let drained = |ap: &Applied| match &ap.reply {
             FabricReply::Drained { moved, .. } => (moved.iter())
                 .find(|m| kinds[m.0 as usize] == DemandKind::Bulk)
-                .copied(),
+                .map(|&m| (m, ap.applied)),
             _ => None,
         };
         let before = cell.tenant_pairs.clone();
-        let (t, v, from, to) = step_until(&mut cell, drained);
+        let ((t, v, from, to), at) = step_until(&mut cell, drained);
         let (i, new_host) = (t as usize, NodeId(to));
         let pairs = cell.tenant_pairs[i].clone();
-        // Re-qualifying takes progress past the drain, on every pair.
-        assert_eq!(cell.baselines[i], cell.r.acked_baseline(&pairs));
-        assert!(
-            cell.baselines[i].iter().any(|&b| b > 0),
-            "{:?}",
-            cell.baselines[i]
-        );
-        // Ring pair v leaves VM v; pair v - 1 enters it.
+        // Re-qualifying takes progress past the drain instant, which is
+        // inside the step: the moved VM's new pairs start from nothing,
+        // the others from what they had acked by then.
         let (n, v) = (pairs.len(), v as usize);
+        let (base, acked) = (&cell.baselines[i], cell.r.acked_baseline(&pairs));
+        assert!(at < cell.now, "drained at {at} ns, the step's end");
+        assert_eq!((base[v], base[(v + n - 1) % n]), (0, 0), "{base:?}");
+        assert!(base.iter().any(|&b| b > 0), "{base:?}");
+        assert!(base.iter().zip(&acked).all(|(b, a)| b <= a), "{acked:?}");
+        // Ring pair v leaves VM v; pair v - 1 enters it.
         let (out, into) = (pairs[v], pairs[(v + n - 1) % n]);
         for (k, old) in before[i].iter().enumerate() {
             let touched = k == v || k == (v + n - 1) % n;

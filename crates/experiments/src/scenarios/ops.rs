@@ -276,7 +276,8 @@ pub struct Drill {
     pub guaranteed_ms: u64,
     /// Those of them below the cell's threshold.
     pub viol_ms: u64,
-    /// The longest a drained tenant took from the drain to `Guaranteed`.
+    /// The longest a drained tenant took from the drain to `Guaranteed`,
+    /// or to its departure if it left still `Qualifying` (a lower bound).
     pub requal: Option<Time>,
     restore_viol_ms: u64,
     drain_failed: bool,
@@ -381,10 +382,12 @@ pub fn drill(
         );
     }
     let end = cell.end(&scale, &format!("ops:{}", policy.label()));
-    // Each drained VM's tenant, from the drain to its next `Guaranteed`.
-    let spans = |i: usize| cell.svc.tenants()[i].guaranteed_spans.iter();
     let requal = (drained.iter())
-        .filter_map(|&(d, i)| spans(i).find(|s| s.0 >= d).map(|s| s.0 - d))
+        .map(|&(d, i)| {
+            let t = &cell.svc.tenants()[i];
+            let span = t.guaranteed_spans.iter().find(|s| s.0 >= d);
+            span.map_or(t.depart_at, |s| s.0) - d
+        })
         .max();
 
     // Violation accounting over every guarantee span (`end` found them
@@ -649,14 +652,14 @@ mod tests {
             (
                 Policy::FirstFit,
                 "0f16cdb2132a4138",
-                "9a032185b4aac9fd",
-                1_223_035,
+                "7b66eb9824fdbbdf",
+                1_219_803,
             ),
             (
                 Policy::LoadSpread,
                 "8c5c849e296efeee",
-                "dd9c5b21670d673d",
-                1_619_811,
+                "302b86aa1d8f900c",
+                1_619_739,
             ),
         ] {
             let out = run_cell(scale, policy, "mixed", snap_at);
