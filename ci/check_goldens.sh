@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Re-make every committed golden from its own command line at --jobs 1
-# and 4 and diff it against ci/golden/: stdout for all twenty-two, and
+# and 4 and diff it against ci/golden/: stdout for all twenty-three, and
 # for dse also its two CSVs. A pairwise jobs=1-vs-4 diff passes a change
 # that moves both sides; a golden does not.
 #
@@ -33,6 +33,7 @@ cases=(
   "chaos_all_seed1|chaos --plan all --seed 1"
   "churn_64_seed2|churn --servers 64 --seed 2"
   "abuse_64_seed2|abuse --servers 64 --seed 2"
+  "abuse_64_seed2_h30x8|abuse --servers 64 --seed 2 --hostile-pct 30 --abuse-intensity 8"
   "ops_64_seed2|ops --servers 64 --seed 2"
   "dse_64_seed2|dse --grid quick --servers 64 --seed 2"
   "churn_512_seed1|churn --servers 512 --seed 1"
