@@ -96,16 +96,10 @@ impl TokenBucket {
 /// Cumulative enforcement counters for one tenant on one edge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnfCounters {
-    /// Observation windows in which the policer deferred ≥1 packet.
-    pub policed_windows: u64,
     /// Total packets deferred by the policer.
     pub policed_pkts: u64,
-    /// Observation windows in which the probe budget throttled ≥1 probe.
-    pub probe_throttle_windows: u64,
     /// Total probes throttled.
     pub throttled_probes: u64,
-    /// Observation windows with ≥1 unsolicited-traffic drop.
-    pub unsol_windows: u64,
     /// Total unsolicited packets dropped (at the source NIC).
     pub unsol_pkts: u64,
 }
@@ -322,7 +316,6 @@ impl EnforceState {
         e.counters.policed_pkts += 1;
         if !e.policed_this_window {
             e.policed_this_window = true;
-            e.counters.policed_windows += 1;
             self.pending
                 .push((e.tenant, "policed", e.counters.policed_pkts));
         }
@@ -361,7 +354,6 @@ impl EnforceState {
         e.counters.throttled_probes += 1;
         if !e.throttled_this_window {
             e.throttled_this_window = true;
-            e.counters.probe_throttle_windows += 1;
             self.pending
                 .push((e.tenant, "probe_throttle", e.probes_this_window as u64));
         }
@@ -379,7 +371,6 @@ impl EnforceState {
         e.counters.unsol_pkts += pkts;
         if !e.unsol_this_window {
             e.unsol_this_window = true;
-            e.counters.unsol_windows += 1;
             self.pending.push((e.tenant, "unsolicited", pkts));
         }
     }
@@ -516,7 +507,7 @@ mod tests {
         // ...but the charges drained the hose, so over-window overflow
         // is policed immediately.
         assert!(!e.data_admit(r, 0, MTU, true));
-        assert_eq!(e.counters(TenantId(7)).unwrap().policed_windows, 1);
+        assert_eq!(e.counters(TenantId(7)).unwrap().policed_pkts, 1);
     }
 
     #[test]
@@ -527,13 +518,10 @@ mod tests {
         for _ in 0..50 {
             assert!(!e.data_admit(r, 10, MTU, true));
         }
-        let c = e.counters(TenantId(7)).unwrap();
-        assert_eq!(c.policed_windows, 1);
-        assert_eq!(c.policed_pkts, 50);
+        assert_eq!(e.counters(TenantId(7)).unwrap().policed_pkts, 50);
         assert_eq!(e.take_pending().len(), 1);
         // Next window: one more event.
         assert!(!e.data_admit(r, 250_000 + 10, 100 * MTU, true));
-        assert_eq!(e.counters(TenantId(7)).unwrap().policed_windows, 2);
         assert_eq!(e.take_pending(), vec![(TenantId(7), "policed", 51)]);
     }
 
@@ -561,9 +549,8 @@ mod tests {
         assert!(!e.probe_admit(r, 0, false));
         // Registering probes pass even over budget.
         assert!(e.probe_admit(r, 0, true));
-        let c = e.counters(TenantId(7)).unwrap();
-        assert_eq!(c.probe_throttle_windows, 1);
-        assert_eq!(c.throttled_probes, 1);
+        assert_eq!(e.counters(TenantId(7)).unwrap().throttled_probes, 1);
+        assert_eq!(e.take_pending(), vec![(TenantId(7), "probe_throttle", 5)]);
         // Budget resets with the window.
         assert!(e.probe_admit(r, 250_000, false));
     }

@@ -117,10 +117,12 @@ pub(crate) fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -
     //    edges' enforcement counters (hosts ascending, tenants
     //    ascending: a sorted-iteration contract, so the misbehavior
     //    integration order is identical at any `--jobs`),
-    //    feed the deltas to the misbehavior ledger, step the quarantine
-    //    state machine, and program its clamp directives back down.
+    //    step the quarantine state machine on the deltas, and program
+    //    its clamp directives back down.
     let mut enf_seen: BTreeMap<(u32, u32), [u64; 3]> = BTreeMap::new();
     let mut first_enf: BTreeMap<u32, Time> = BTreeMap::new();
+    // Each tenant's first quarantine: the first clamp pushed to it.
+    let mut first_clamp: BTreeMap<u32, Time> = BTreeMap::new();
     // Containment-settling bins: ms bins during which an *unclamped*
     // hostile tenant drew enforcement verdicts — the time-to-quarantine
     // window after an aggressor goes over the line, and the short
@@ -182,11 +184,13 @@ pub(crate) fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -
             }
         }
 
-        for (&t, &[p, pr, un]) in &deltas {
+        for &t in deltas.keys() {
             first_enf.entry(t).or_insert(now);
-            cell.svc.note_enforcement(t, p, pr, un);
         }
-        for a in cell.svc.abuse_tick(now) {
+        for a in cell.svc.abuse_tick(now, &deltas) {
+            if a.clamp.is_some() {
+                first_clamp.entry(a.tenant).or_insert(now);
+            }
             for host in source_hosts(&cell.tenant_pairs[a.tenant as usize]) {
                 cell.r.sim.edge_mut::<UfabEdge>(host).set_enforce_clamp(
                     TenantId(a.tenant),
@@ -202,21 +206,17 @@ pub(crate) fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -
     }
 
     // 4) Metrics.
-    let ab = cell.svc.abuse().expect("abuse ledger is enabled");
     let hostile = hostiles.iter().filter(|h| h.is_some()).count();
     let mut quarantined = 0usize;
     let mut false_quarantines = 0usize;
     let mut ttq = Percentiles::new();
-    for i in 0..cell.svc.tenants().len() {
-        if ab.quarantines(i) == 0 {
-            continue;
-        }
-        if hostiles[i].is_some() {
+    for (&i, &q) in &first_clamp {
+        if hostiles[i as usize].is_some() {
             quarantined += 1;
         } else {
             false_quarantines += 1;
         }
-        if let (Some(q), Some(&e0)) = (ab.first_quarantine_at(i), first_enf.get(&(i as u32))) {
+        if let Some(&e0) = first_enf.get(&i) {
             ttq.add(q.saturating_sub(e0) as f64);
         }
     }
@@ -242,7 +242,7 @@ pub(crate) fn run_cell(scale: Scale, policy: Policy, pct: u32, intensity: u32) -
             continue;
         }
         let series = rec.tenant_rates.get(&(i as u32));
-        if let (Some(q), Some(s)) = (ab.first_quarantine_at(i), series) {
+        if let (Some(&q), Some(s)) = (first_clamp.get(&(i as u32)), series) {
             let start = (t.admitted_at / MS + 1) as usize;
             let qb = (q / MS) as usize;
             let stop = (t.depart_at / MS) as usize;

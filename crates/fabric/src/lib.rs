@@ -19,10 +19,12 @@
 //!   pre-pass over a full arrival trace that fixes every tenant's
 //!   hosts and decision instant before a simulation is built, and the
 //!   reference model the live service is property-tested against;
-//! * `abuse` — the misbehavior ledger (DESIGN §10): decayed
-//!   per-tenant scores fed by edge enforcement counters, with the
-//!   hysteresis thresholds the service's quarantine ladder
-//!   `Guaranteed → Suspected → Quarantined → Reinstated` reads.
+//! * `abuse` — the misbehavior ledger (DESIGN §10): per tenant, a
+//!   decayed score fed by each tick's edge enforcement-counter deltas
+//!   and a sustain count, with the hysteresis thresholds and clocks the
+//!   service's quarantine ladder `Guaranteed → Suspected → Quarantined
+//!   → Reinstated` reads. When a hold or a probation started is the
+//!   service's to derive from the tenant's guarantee spans.
 //!
 //! Determinism: everything here is pure control-plane arithmetic — no
 //! simulator state, no randomness, no wall-clock — so a churn scenario
