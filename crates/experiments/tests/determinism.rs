@@ -4,8 +4,11 @@
 //! seed must perturb it (the μFAB edge draws initial paths and
 //! migration choices from the seeded per-node rngs).
 //!
-//! Two scenarios are pinned: the quickstart example's two-tenant
-//! dumbbell, and a 4-to-1 incast on the paper testbed.
+//! Two scenarios are compared run against run: the quickstart
+//! example's two-tenant dumbbell, and a 4-to-1 incast on the paper
+//! testbed. The incast is also pinned to fixed digests and event counts
+//! for every system, so a change that moved every run the same way
+//! still fails.
 
 use experiments::harness::{Runner, SystemKind, SLICE};
 use experiments::scenarios::common::incast_on_testbed;
@@ -55,8 +58,14 @@ fn incast_digest(seed: u64) -> u64 {
 
 /// The incast with the batching toggle (see [`quickstart_digest_with`]).
 fn incast_digest_with(seed: u64, batch: bool) -> u64 {
+    incast_run(SystemKind::Ufab, seed, batch).0
+}
+
+/// The incast under `system`; returns the final digest and the number
+/// of events processed.
+fn incast_run(system: SystemKind, seed: u64, batch: bool) -> (u64, u64) {
     let (topo, fabric, srcs, pairs, _dst) = incast_on_testbed(4, TestbedCfg::default(), 1.0, 500e6);
-    let mut r = Runner::new(topo, fabric, SystemKind::Ufab, seed, None, MS);
+    let mut r = Runner::new(topo, fabric, system, seed, None, MS);
     r.enable_trace(1024);
     r.sim.set_batch_delivery(batch);
     let jobs: Vec<(Time, NodeId, PairId, u64, u32)> = srcs
@@ -67,7 +76,8 @@ fn incast_digest_with(seed: u64, batch: bool) -> u64 {
     let mut driver = BulkDriver::new(jobs, 0);
     let mut drivers: [&mut dyn Driver; 1] = [&mut driver];
     r.run(8 * MS, SLICE, &mut drivers);
-    r.sim.det_digest().expect("enable_trace starts the digest")
+    let digest = r.sim.det_digest().expect("enable_trace starts the digest");
+    (digest, r.sim.stats().events)
 }
 
 #[test]
@@ -82,6 +92,22 @@ fn quickstart_same_seed_same_digest() {
 #[test]
 fn incast_same_seed_same_digest() {
     assert_eq!(incast_digest(7), incast_digest(7));
+}
+
+// Fixed values, not run against run: the baselines build an ack on
+// every data packet and μFAB probes every path, so a change to what a
+// packet, port or ack carries that moves the event stream shows here.
+#[test]
+fn incast_digest_and_events_are_pinned_per_system() {
+    for (system, pin) in [
+        (SystemKind::Ufab, (0x4f72_a411_1f23_a70e, 149_278)),
+        (SystemKind::UfabPrime, (0x584b_f015_43ad_b7f3, 152_531)),
+        (SystemKind::Pwc, (0xd58e_38fa_eeb4_7a23, 139_028)),
+        (SystemKind::EsClove, (0x2e8d_0e54_ee2f_b90e, 139_028)),
+    ] {
+        let (digest, events) = incast_run(system, 7, true);
+        assert_eq!((digest, events), pin, "{}", system.label());
+    }
 }
 
 // The dumbbell offers a single path, so its event stream is identical
