@@ -125,7 +125,7 @@ pub(crate) fn simulate(
     (r, epilogue)
 }
 
-/// Per-run observability epilogue: the drop/ECN/retransmit stats
+/// Per-run observability epilogue: the drop/retransmit stats
 /// breakdown and any invariant-violation reports, folding violations
 /// into the process-wide total shown by the repro footer.
 ///
@@ -143,14 +143,13 @@ pub(crate) fn obs_epilogue(scale: &Scale, r: &Runner, label: &str) -> String {
     writeln!(
         out,
         "[obs {label}] events {}  host-tx {} B  drops {} (overflow {}, link-down {}, \
-         random {})  ecn {}  retx {}  link-flaps {}",
+         chaos {})  retx {}  link-flaps {}",
         s.events,
         s.host_bytes_tx,
         s.drops,
         s.drops_overflow,
         s.drops_down,
-        s.drops_random,
-        s.ecn_marked,
+        s.drops_chaos,
         s.retx_pkts,
         s.link_flaps
     )
@@ -257,6 +256,7 @@ pub(crate) fn us(x_ns: f64) -> String {
 mod tests {
     use super::*;
     use crate::harness::SLICE;
+    use netsim::{FaultKind, FaultPlan, PortNo};
 
     /// A figure's run says nothing without the flags. With them it
     /// carries the digest and evaluates the suite `Sim` names: the
@@ -314,5 +314,47 @@ mod tests {
             "{epilogue}"
         );
         assert!(named(&checks, "wedged-pair-watchdog"), "{checks:?}");
+    }
+
+    /// The `--trace` footer's drop breakdown adds up to its total, with
+    /// chaos drops among the parts.
+    #[test]
+    fn trace_footer_drop_parts_sum_to_the_total() {
+        let (topo, fabric, srcs, pairs, _) =
+            incast_on_testbed(4, topology::TestbedCfg::default(), 1.0, 500e6);
+        let plan = FaultPlan::new(1).fault(FaultKind::BurstLoss {
+            node: srcs[0],
+            port: PortNo(0),
+            from: MS,
+            until: 3 * MS,
+            p_enter: 0.2,
+            p_exit: 0.2,
+            loss_good: 0.0,
+            loss_bad: 0.5,
+        });
+        let scale = Scale {
+            trace: Some(1024),
+            ..Scale::default()
+        };
+        let mut driver = incast_driver(&srcs, &pairs, 2_000_000, MS);
+        let (_, epilogue) = simulate(&scale, topo, fabric, Sim::of(SystemKind::Ufab), |r| {
+            r.sim.apply_chaos(&plan);
+            r.run(4 * MS, SLICE, &mut [&mut driver]);
+        });
+        let line = epilogue.lines().next().expect("stats line");
+        let drops = line.split("  drops ").nth(1).expect("drops field");
+        let drops = &drops[..drops.find(')').expect("closing paren")];
+        let n: Vec<u64> = drops
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|w| !w.is_empty())
+            .map(|w| w.parse().unwrap())
+            .collect();
+        let [total, overflow, down, chaos] = n[..] else {
+            panic!("{line}")
+        };
+        let parts = format!("{total} (overflow {overflow}, link-down {down}, chaos {chaos}");
+        assert_eq!(drops, parts, "{line}");
+        assert!(chaos > 0, "{line}");
+        assert_eq!(overflow + down + chaos, total, "{line}");
     }
 }
