@@ -306,7 +306,6 @@ impl BaselineEdge {
                 kind: PacketKind::Probe(frame),
                 route: p.paths[i].route.clone().into(),
                 hop: 0,
-                ecn: false,
                 max_util: 0.0,
                 sent_at: ctx.now,
             });
@@ -385,7 +384,6 @@ impl BaselineEdge {
                 kind: PacketKind::Data(info),
                 route: p.paths[path_idx].route.clone().into(),
                 hop: 0,
-                ecn: false,
                 max_util: 0.0,
                 sent_at: ctx.now,
             });
@@ -462,7 +460,6 @@ impl EdgeAgent for BaselineEdge {
                     kind: PacketKind::Ack(ack),
                     route: route.into(),
                     hop: 0,
-                    ecn: false,
                     max_util: 0.0,
                     sent_at: ctx.now,
                 });
@@ -514,7 +511,6 @@ impl EdgeAgent for BaselineEdge {
                     kind: PacketKind::Response(resp),
                     route: route.into(),
                     hop: 0,
-                    ecn: false,
                     max_util: 0.0,
                     sent_at: ctx.now,
                 });

@@ -46,7 +46,6 @@ fn data_packet(i: u64) -> Packet {
         }),
         route: Route::new(),
         hop: 0,
-        ecn: false,
         max_util: 0.0,
         sent_at: i,
     }
@@ -134,13 +133,11 @@ pub fn edge_tick(iters: u64) -> u64 {
     let mut fx = Effects::new();
     let nic = NicView {
         queue_pkts: 0,
-        queue_bytes: 0,
-        busy: false,
         cap_bps: 10_000_000_000,
     };
     let mut now = 0u64;
     {
-        let mut ctx = EdgeCtx::standalone(now, host, nic, &mut rng, &mut fx, &mut arena);
+        let mut ctx = EdgeCtx::standalone(now, nic, &mut rng, &mut fx, &mut arena);
         agent.on_start(&mut ctx);
         for (i, &p) in pairs.iter().enumerate() {
             // Backlog far beyond the horizon: every pair stays active for
@@ -160,7 +157,7 @@ pub fn edge_tick(iters: u64) -> u64 {
         let (at, kind) = timers.remove(0);
         now = now.max(at);
         {
-            let mut ctx = EdgeCtx::standalone(now, host, nic, &mut rng, &mut fx, &mut arena);
+            let mut ctx = EdgeCtx::standalone(now, nic, &mut rng, &mut fx, &mut arena);
             agent.on_timer(&mut ctx, kind);
         }
         for b in fx.take_sends() {
@@ -194,7 +191,6 @@ pub fn core_tick(iters: u64) -> u64 {
             kind: PacketKind::Probe(frame),
             route: Route::new(),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at: i,
         };

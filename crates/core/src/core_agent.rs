@@ -511,7 +511,6 @@ mod tests {
             kind: PacketKind::Probe(frame),
             route: netsim::Route::new(),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at: 0,
         }

@@ -736,7 +736,6 @@ impl UfabEdge {
             kind: PacketKind::Probe(frame),
             route: Route::from(info.route.as_slice()),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at: ctx.now,
         };
@@ -1256,7 +1255,6 @@ impl UfabEdge {
                 kind: PacketKind::Finish(frame),
                 route,
                 hop: 0,
-                ecn: false,
                 max_util: 0.0,
                 sent_at: ctx.now,
             });
@@ -1503,7 +1501,6 @@ impl UfabEdge {
             kind: PacketKind::Probe(frame),
             route: Route::from(info.route.as_slice()),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at: ctx.now,
         };
@@ -1631,7 +1628,6 @@ impl UfabEdge {
                 kind: PacketKind::Data(info),
                 route: Route::from(c.candidates[c.cur].route.as_slice()),
                 hop: 0,
-                ecn: false,
                 max_util: 0.0,
                 sent_at: now,
             };
@@ -1673,7 +1669,6 @@ impl EdgeAgent for UfabEdge {
                     kind: PacketKind::Ack(ack),
                     route,
                     hop: 0,
-                    ecn: false,
                     max_util: 0.0,
                     sent_at: ctx.now,
                 });
@@ -1712,7 +1707,6 @@ impl EdgeAgent for UfabEdge {
                     kind: PacketKind::Response(resp),
                     route,
                     hop: 0,
-                    ecn: false,
                     max_util: 0.0,
                     sent_at: ctx.now,
                 });
@@ -1731,7 +1725,6 @@ impl EdgeAgent for UfabEdge {
                     kind: PacketKind::FinishAck(echo),
                     route,
                     hop: 0,
-                    ecn: false,
                     max_util: 0.0,
                     sent_at: ctx.now,
                 });

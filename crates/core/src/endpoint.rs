@@ -698,7 +698,6 @@ impl Endpoint {
             seq: d.seq,
             cum: rx.rcv_next,
             echo_ts: pkt.sent_at,
-            ecn: pkt.ecn,
             max_util: pkt.max_util,
             grant_bps: 0.0,
             payload: d.payload,
@@ -743,7 +742,6 @@ mod tests {
             kind: PacketKind::Data(d),
             route: [PortNo(0)].into(),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at,
         }
@@ -924,7 +922,6 @@ mod tests {
             seq: last.seq,
             cum: last.seq + 1,
             echo_ts: 0,
-            ecn: false,
             max_util: 0.0,
             grant_bps: 0.0,
             payload: last.payload,
@@ -1012,7 +1009,6 @@ mod tests {
             seq: d.seq,
             cum: d.seq + 1,
             echo_ts: 10,
-            ecn: false,
             max_util: 0.0,
             grant_bps: 0.0,
             payload: d.payload,
@@ -1126,7 +1122,6 @@ mod tests {
                             seq: d.seq,
                             cum,
                             echo_ts: 0,
-                            ecn: false,
                             max_util: 0.0,
                             grant_bps: 0.0,
                             payload: d.payload,

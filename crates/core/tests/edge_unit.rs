@@ -65,19 +65,11 @@ impl Harness {
         let mut fx = Effects::new();
         let nic = NicView {
             queue_pkts: 0,
-            queue_bytes: 0,
-            busy: false,
             cap_bps: 10_000_000_000,
         };
         let r = {
-            let mut ctx = EdgeCtx::standalone(
-                self.now,
-                self.host,
-                nic,
-                &mut self.rng,
-                &mut fx,
-                &mut self.arena,
-            );
+            let mut ctx =
+                EdgeCtx::standalone(self.now, nic, &mut self.rng, &mut fx, &mut self.arena);
             f(&mut self.agent, &mut ctx)
         };
         (r, fx)
@@ -162,7 +154,6 @@ fn response_updates_window_from_eqn3() {
         kind: PacketKind::Response(resp),
         route: netsim::Route::new(),
         hop: 0,
-        ecn: false,
         max_util: 0.0,
         sent_at: 0,
     };
@@ -221,7 +212,6 @@ fn received_probe_is_answered_with_admitted_tokens() {
         kind: PacketKind::Probe(frame),
         route: [netsim::PortNo(0), netsim::PortNo(0)].into(),
         hop: 2,
-        ecn: false,
         max_util: 0.0,
         sent_at: 0,
     };
@@ -253,7 +243,6 @@ fn endpoint_slots_stay_valid_across_restart() {
         kind: PacketKind::Probe(telemetry::ProbeFrame::probe(rev.raw(), seq, 3.0, 1e4, 0)),
         route: [netsim::PortNo(0), netsim::PortNo(0)].into(),
         hop: 2,
-        ecn: false,
         max_util: 0.0,
         sent_at: 0,
     };
@@ -339,7 +328,6 @@ fn retired_pair_is_released_only_once_none_of_its_packets_is_left() {
         kind: PacketKind::Probe(telemetry::ProbeFrame::probe(h.rev.raw(), 0, 3.0, 1e4, 0)),
         route: [netsim::PortNo(0), netsim::PortNo(0)].into(),
         hop: 2,
-        ecn: false,
         max_util: 0.0,
         sent_at: 0,
     };
@@ -370,7 +358,6 @@ fn retune_reaches_gp_within_one_token_period() {
             kind: PacketKind::Probe(frame),
             route: [netsim::PortNo(0), netsim::PortNo(0)].into(),
             hop: 2,
-            ecn: false,
             max_util: 0.0,
             sent_at: h.now,
         };
@@ -409,14 +396,12 @@ fn ack_of_500_bytes(pair: netsim::PairId, host: NodeId) -> Packet {
             seq: 0,
             cum: 1,
             echo_ts: 0,
-            ecn: false,
             max_util: 0.0,
             grant_bps: 0.0,
             payload: 500,
         }),
         route: netsim::Route::new(),
         hop: 0,
-        ecn: false,
         max_util: 0.0,
         sent_at: 0,
     }

@@ -21,7 +21,7 @@
 //!
 //! `--trace` attaches a flight recorder (default 65536 events, at most
 //! 4194304: the ring is allocated up front) and the
-//! determinism digest to every run and prints a drop/ECN/retransmit
+//! determinism digest to every run and prints a drop/retransmit
 //! breakdown per run; `--check-invariants` additionally evaluates the
 //! online invariant suite (register conservation, edge window
 //! accounting, bounded-queue watchdog) every 250 μs of simulated time

@@ -14,10 +14,6 @@ use std::any::Any;
 pub struct NicView {
     /// Packets currently queued at the NIC.
     pub queue_pkts: usize,
-    /// Bytes currently queued at the NIC.
-    pub queue_bytes: u64,
-    /// A packet is currently being serialized.
-    pub busy: bool,
     /// NIC line rate in bits/sec.
     pub cap_bps: u64,
 }
@@ -61,8 +57,6 @@ impl Effects {
 pub struct EdgeCtx<'a> {
     /// Current simulation time.
     pub now: Time,
-    /// The host this agent runs on.
-    pub node: NodeId,
     /// View of the host's NIC (port 0).
     pub nic: NicView,
     /// Deterministic per-node randomness.
@@ -103,7 +97,6 @@ impl<'a> EdgeCtx<'a> {
     /// Build a context outside a simulator (unit-testing edge agents).
     pub fn standalone(
         now: Time,
-        node: NodeId,
         nic: NicView,
         rng: &'a mut SmallRng,
         effects: &'a mut Effects,
@@ -111,7 +104,6 @@ impl<'a> EdgeCtx<'a> {
     ) -> Self {
         Self {
             now,
-            node,
             nic,
             rng,
             effects,
@@ -230,11 +222,8 @@ mod tests {
         let mut arena = PacketArena::default();
         let mut ctx = EdgeCtx {
             now: 100,
-            node: NodeId(0),
             nic: NicView {
                 queue_pkts: 0,
-                queue_bytes: 0,
-                busy: false,
                 cap_bps: 10_000_000_000,
             },
             rng: &mut rng,

@@ -14,12 +14,6 @@ pub struct LinkSpec {
     pub prop_ns: Time,
     /// Drop-tail buffer in bytes.
     pub buf_bytes: u64,
-    /// ECN marking threshold in bytes (None = no marking).
-    pub ecn_thresh: Option<u64>,
-    /// Random per-packet loss probability.
-    pub loss_prob: f64,
-    /// TX-rate meter time constant in nanoseconds.
-    pub meter_tau_ns: Time,
 }
 
 impl Default for LinkSpec {
@@ -28,9 +22,6 @@ impl Default for LinkSpec {
             cap_bps: 10_000_000_000,
             prop_ns: US,
             buf_bytes: 4 * 1024 * 1024,
-            ecn_thresh: None,
-            loss_prob: 0.0,
-            meter_tau_ns: 100 * US,
         }
     }
 }
@@ -43,19 +34,6 @@ impl LinkSpec {
             prop_ns,
             ..Self::default()
         }
-    }
-
-    /// Set the ECN threshold.
-    #[cfg(test)]
-    pub(crate) fn with_ecn(mut self, thresh_bytes: u64) -> Self {
-        self.ecn_thresh = Some(thresh_bytes);
-        self
-    }
-
-    /// Set the random loss probability.
-    pub fn with_loss(mut self, p: f64) -> Self {
-        self.loss_prob = p;
-        self
     }
 
     /// Set the buffer size.
@@ -148,40 +126,11 @@ impl NetworkBuilder {
     /// # Panics
     /// Panics if `a == b` or either id is out of range.
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> (PortNo, PortNo) {
-        self.connect_asym(a, b, spec, spec)
-    }
-
-    /// Connect with distinct per-direction specs (`ab` = a→b direction).
-    pub(crate) fn connect_asym(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        ab: LinkSpec,
-        ba: LinkSpec,
-    ) -> (PortNo, PortNo) {
         assert_ne!(a, b, "self-loop link");
         let pa = PortNo(self.nodes[a.idx()].ports.len() as u16);
         let pb = PortNo(self.nodes[b.idx()].ports.len() as u16);
-        self.nodes[a.idx()].ports.push(Port::new(
-            b,
-            pb,
-            ab.cap_bps,
-            ab.prop_ns,
-            ab.buf_bytes,
-            ab.ecn_thresh,
-            ab.loss_prob,
-            ab.meter_tau_ns,
-        ));
-        self.nodes[b.idx()].ports.push(Port::new(
-            a,
-            pa,
-            ba.cap_bps,
-            ba.prop_ns,
-            ba.buf_bytes,
-            ba.ecn_thresh,
-            ba.loss_prob,
-            ba.meter_tau_ns,
-        ));
+        self.nodes[a.idx()].ports.push(Port::new(b, pb, spec));
+        self.nodes[b.idx()].ports.push(Port::new(a, pa, spec));
         (pa, pb)
     }
 
@@ -330,13 +279,8 @@ mod tests {
 
     #[test]
     fn spec_builders() {
-        let s = LinkSpec::gbps(100, 1000)
-            .with_ecn(65_000)
-            .with_loss(0.01)
-            .with_buf(1 << 20);
+        let s = LinkSpec::gbps(100, 1000).with_buf(1 << 20);
         assert_eq!(s.cap_bps, 100_000_000_000);
-        assert_eq!(s.ecn_thresh, Some(65_000));
-        assert_eq!(s.loss_prob, 0.01);
         assert_eq!(s.buf_bytes, 1 << 20);
     }
 }

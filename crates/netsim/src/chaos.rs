@@ -453,7 +453,6 @@ mod tests {
             kind: PacketKind::Response(frame),
             route: Route::new(),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at: 0,
         };
@@ -497,7 +496,6 @@ mod tests {
             }),
             route: Route::new(),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at: 0,
         };

@@ -10,9 +10,8 @@
 //!
 //! * **Nodes** are hosts or switches. Every node owns **ports**; each port
 //!   is the sending side of one unidirectional channel (capacity,
-//!   propagation delay, drop-tail byte-bounded queue, optional ECN marking
-//!   threshold, optional random loss, up/down state, and an EWMA TX-rate
-//!   meter).
+//!   propagation delay, drop-tail byte-bounded queue, up/down state, and
+//!   an EWMA TX-rate meter).
 //! * **Packets** carry an explicit source route (egress port per node) —
 //!   μFAB pins VM-pairs to underlay paths via source routing (§3.2); an
 //!   ECMP table fallback exists for route-less packets.
@@ -22,11 +21,11 @@
 //! * **Switch agents** (one per switch, optional) hook the egress pipeline
 //!   at dequeue time — exactly where a P4 switch stamps INT — and get a
 //!   periodic timer (μFAB-C's idle cleanup).
-//! * **Faults**: links can be scheduled up/down and can drop packets at a
-//!   configured probability (the smoltcp guide's fault-injection ethos);
-//!   the `chaos` module generalises this into seed-deterministic
-//!   [`FaultPlan`]s (flapping, degradation, burst loss, selective loss,
-//!   INT corruption, switch reboots, edge restarts).
+//! * **Faults**: links can be scheduled up/down (the smoltcp guide's
+//!   fault-injection ethos); the `chaos` module generalises this into
+//!   seed-deterministic [`FaultPlan`]s (flapping, degradation, burst
+//!   loss, selective loss, INT corruption, switch reboots, edge
+//!   restarts).
 //!
 //! Determinism: all randomness flows from one master seed through per-node
 //! RNG streams, and the event queue breaks time ties by insertion sequence,

@@ -29,8 +29,8 @@ pub struct DataInfo {
 }
 
 /// Acknowledgement metadata, piggybacking the feedback channels every
-/// transport in the repo needs (Swift timestamps, ECN echo for Clove-ECN,
-/// utilisation echo for Clove, PicNIC′ receiver grants).
+/// transport in the repo needs (Swift timestamps, utilisation echo for
+/// Clove, PicNIC′ receiver grants).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AckInfo {
     /// Sequence number being acknowledged (selective).
@@ -39,8 +39,6 @@ pub struct AckInfo {
     pub cum: u64,
     /// Sender timestamp echoed from the data packet (for RTT).
     pub echo_ts: Time,
-    /// ECN mark observed on the data packet.
-    pub ecn: bool,
     /// Maximum link utilisation stamped along the data packet's path.
     pub max_util: f32,
     /// Receiver-driven rate grant in bits/sec (0 = no grant).
@@ -95,7 +93,6 @@ impl PacketKind {
             seq: 0,
             cum: 0,
             echo_ts: 0,
-            ecn: false,
             max_util: 0.0,
             grant_bps: 0.0,
             payload: 0,
@@ -136,8 +133,6 @@ pub struct Packet {
     pub route: Route,
     /// Next index into `route` to consume.
     pub hop: usize,
-    /// Congestion-experienced mark (set by queues above ECN threshold).
-    pub ecn: bool,
     /// Maximum link utilisation seen along the path (informative-lite
     /// stamping used by the Clove baseline).
     pub max_util: f32,
@@ -159,7 +154,6 @@ impl Packet {
             kind: PacketKind::placeholder(),
             route: Route::new(),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at: 0,
         }
@@ -294,7 +288,6 @@ mod tests {
             kind,
             route: [PortNo(0), PortNo(2)].into(),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at: 0,
         }

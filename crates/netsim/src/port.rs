@@ -1,8 +1,9 @@
 //! Egress ports: the sending side of a unidirectional channel.
 
+use crate::builder::LinkSpec;
 use crate::ids::{NodeId, PortNo};
 use crate::packet::Packet;
-use crate::time::Time;
+use crate::time::{Time, US};
 use std::collections::VecDeque;
 use telemetry::RateEstimator;
 
@@ -11,21 +12,17 @@ use telemetry::RateEstimator;
 pub struct PortStats {
     /// Packets fully serialized onto the wire.
     pub tx_pkts: u64,
-    /// Bytes fully serialized onto the wire.
-    pub tx_bytes: u64,
     /// Packets dropped at enqueue (buffer overflow).
     pub drops_overflow: u64,
     /// Packets dropped because the link was down.
     pub drops_down: u64,
-    /// Packets dropped by the random-loss fault injector.
-    pub drops_random: u64,
     /// Packets dropped by the chaos engine (burst or selective loss).
     pub drops_chaos: u64,
-    /// Packets that left with an ECN mark.
-    pub ecn_marked: u64,
-    /// High-water mark of the queue in bytes.
-    pub max_q_bytes: u64,
 }
+
+/// TX-rate meter time constant in nanoseconds, on every port (≈RTT
+/// scale per §3.2's utilisation-gap argument).
+const TX_METER_TAU: Time = 100 * US;
 
 /// One egress port.
 #[derive(Debug)]
@@ -40,10 +37,6 @@ pub struct Port {
     pub prop_ns: Time,
     /// Drop-tail limit in bytes.
     pub buf_bytes: u64,
-    /// Optional ECN marking threshold in bytes (instantaneous).
-    pub ecn_thresh: Option<u64>,
-    /// Random loss probability per packet (fault injection).
-    pub loss_prob: f64,
     /// Administrative / failure state.
     pub up: bool,
     /// Currently serializing a packet.
@@ -63,8 +56,8 @@ pub struct Port {
 /// the caller can return it to the packet arena instead of freeing it.
 #[derive(Debug)]
 pub(crate) enum EnqueueResult {
-    /// Queued (possibly ECN-marked); `true` if the port was idle and
-    /// transmission should start.
+    /// Queued; `true` if the port was idle and transmission should
+    /// start.
     Queued {
         /// Port had no packet in service.
         start_tx: bool,
@@ -76,38 +69,26 @@ pub(crate) enum EnqueueResult {
 }
 
 impl Port {
-    /// Create a port. `meter_tau_ns` sets the TX-rate estimator time
-    /// constant (≈RTT scale per §3.2's utilisation-gap argument).
-    pub(crate) fn new(
-        peer: NodeId,
-        peer_port: PortNo,
-        cap_bps: u64,
-        prop_ns: Time,
-        buf_bytes: u64,
-        ecn_thresh: Option<u64>,
-        loss_prob: f64,
-        meter_tau_ns: Time,
-    ) -> Self {
-        assert!(cap_bps > 0, "port capacity must be positive");
+    /// Create the port of one channel towards `peer`.
+    pub(crate) fn new(peer: NodeId, peer_port: PortNo, spec: LinkSpec) -> Self {
+        assert!(spec.cap_bps > 0, "port capacity must be positive");
         Self {
             peer,
             peer_port,
-            cap_bps,
-            prop_ns,
-            buf_bytes,
-            ecn_thresh,
-            loss_prob,
+            cap_bps: spec.cap_bps,
+            prop_ns: spec.prop_ns,
+            buf_bytes: spec.buf_bytes,
             up: true,
             busy: false,
             queue: VecDeque::new(),
             q_bytes: 0,
-            meter: RateEstimator::new(meter_tau_ns),
+            meter: RateEstimator::new(TX_METER_TAU),
             stats: PortStats::default(),
         }
     }
 
-    /// Attempt to enqueue `pkt`. Applies drop-tail and ECN marking.
-    pub(crate) fn enqueue(&mut self, mut pkt: Box<Packet>) -> EnqueueResult {
+    /// Attempt to enqueue `pkt` under drop-tail.
+    pub(crate) fn enqueue(&mut self, pkt: Box<Packet>) -> EnqueueResult {
         if !self.up {
             self.stats.drops_down += 1;
             return EnqueueResult::DroppedDown(pkt);
@@ -116,13 +97,7 @@ impl Port {
             self.stats.drops_overflow += 1;
             return EnqueueResult::DroppedOverflow(pkt);
         }
-        if let Some(th) = self.ecn_thresh {
-            if self.q_bytes >= th {
-                pkt.ecn = true;
-            }
-        }
         self.q_bytes += pkt.size as u64;
-        self.stats.max_q_bytes = self.stats.max_q_bytes.max(self.q_bytes);
         self.queue.push_back(pkt);
         EnqueueResult::Queued {
             start_tx: !self.busy,
@@ -163,28 +138,18 @@ mod tests {
             }),
             route: Route::new(),
             hop: 0,
-            ecn: false,
             max_util: 0.0,
             sent_at: 0,
         })
     }
 
-    fn port(buf: u64, ecn: Option<u64>) -> Port {
-        Port::new(
-            NodeId(1),
-            PortNo(0),
-            10_000_000_000,
-            1000,
-            buf,
-            ecn,
-            0.0,
-            100_000,
-        )
+    fn port(buf: u64) -> Port {
+        Port::new(NodeId(1), PortNo(0), LinkSpec::gbps(10, 1000).with_buf(buf))
     }
 
     #[test]
     fn drop_tail_by_bytes() {
-        let mut p = port(2500, None);
+        let mut p = port(2500);
         assert!(matches!(
             p.enqueue(pkt(1500)),
             EnqueueResult::Queued { start_tx: true }
@@ -200,25 +165,11 @@ mod tests {
         ));
         assert_eq!(p.stats.drops_overflow, 1);
         assert_eq!(p.q_bytes, 2500);
-        assert_eq!(p.stats.max_q_bytes, 2500);
-    }
-
-    #[test]
-    fn ecn_marks_above_threshold() {
-        let mut p = port(100_000, Some(1000));
-        p.enqueue(pkt(999)); // below threshold: no mark
-        p.enqueue(pkt(100)); // q_bytes=999 < 1000: no mark either
-        p.enqueue(pkt(100)); // q_bytes=1099 >= 1000: marked
-        let a = p.dequeue().unwrap();
-        let b = p.dequeue().unwrap();
-        let c = p.dequeue().unwrap();
-        assert!(!a.ecn && !b.ecn && c.ecn);
-        assert_eq!(p.q_bytes, 0);
     }
 
     #[test]
     fn down_port_drops() {
-        let mut p = port(10_000, None);
+        let mut p = port(10_000);
         p.up = false;
         assert!(matches!(p.enqueue(pkt(100)), EnqueueResult::DroppedDown(_)));
         assert_eq!(p.stats.drops_down, 1);
@@ -226,7 +177,7 @@ mod tests {
 
     #[test]
     fn dequeue_empty_is_none() {
-        let mut p = port(10_000, None);
+        let mut p = port(10_000);
         assert!(p.dequeue().is_none());
     }
 }

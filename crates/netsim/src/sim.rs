@@ -19,7 +19,7 @@ use crate::route::Route;
 use crate::time::{tx_time, Time};
 use obs::{Category, DetHash, Event as ObsEvent, ObsHandle};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Abstract per-hop delay charged to a bounced probe (type-4 failure
 /// notification): it is delivered this many nanoseconds per traversed
@@ -47,17 +47,16 @@ enum EvKind {
 pub struct GlobalStats {
     /// Events processed.
     pub events: u64,
-    /// Total packets dropped (overflow + down + random + chaos).
+    /// Total packets dropped (overflow + down + chaos).
     pub drops: u64,
     /// Packets dropped to queue overflow.
     pub drops_overflow: u64,
     /// Packets dropped at a downed link.
     pub drops_down: u64,
-    /// Packets dropped by the random-loss model.
-    pub drops_random: u64,
     /// Packets dropped by the chaos engine (burst + selective loss).
     pub drops_chaos: u64,
-    /// Packets carrying an ECN mark at transmission.
+    /// Always 0: no link marks ECN. Until ROADMAP 1(f).
+    #[doc(hidden)]
     pub ecn_marked: u64,
     /// Retransmitted data packets leaving host NICs.
     pub retx_pkts: u64,
@@ -321,8 +320,6 @@ impl Simulator {
                 let p = &self.nodes[node.idx()].ports[0];
                 NicView {
                     queue_pkts: p.queue.len(),
-                    queue_bytes: p.q_bytes,
-                    busy: p.busy,
                     cap_bps: p.cap_bps,
                 }
             };
@@ -330,7 +327,6 @@ impl Simulator {
             {
                 let mut ctx = EdgeCtx {
                     now: self.now,
-                    node,
                     nic,
                     rng: &mut self.rngs[node.idx()],
                     effects: &mut fx,
@@ -465,9 +461,7 @@ impl Simulator {
         let ser = tx_time(pkt.size, port.cap_bps);
         let prop = port.prop_ns;
         let peer = port.peer;
-        let loss = port.loss_prob;
         port.stats.tx_pkts += 1;
-        port.stats.tx_bytes += pkt.size as u64;
         if is_switch {
             // Egress pipeline hook (μFAB-C stamping point).
             if let Some(mut agent) = self.switch[node.idx()].take() {
@@ -502,51 +496,38 @@ impl Simulator {
             kind: pkt.kind.label(),
             bytes: pkt.size,
         });
-        if pkt.ecn {
-            self.nodes[node.idx()].ports[portno.idx()].stats.ecn_marked += 1;
-        }
         self.push(now + ser, node, EvKind::TxDone(portno));
-        let lost = loss > 0.0 && self.rngs[node.idx()].gen::<f64>() < loss;
         let mut chaos_reason: Option<&'static str> = None;
         if let Some(ch) = self.chaos.as_deref_mut() {
             // Chaos hot path. When armed but idle the port map is
             // empty and this is two hash probes on fault-free ports —
             // and when never armed, one branch above.
-            if !lost {
-                if let Some(pc) = ch.ports.get_mut(&(node.raw(), portno.raw())) {
-                    if let Some(sl) = &mut pc.ctrl {
-                        if chaos::is_ctrl(&pkt.kind) && sl.hit() {
-                            chaos_reason = Some("chaos-ctrl");
-                            ch.stats.ctrl_drops += 1;
-                        }
-                    }
-                    if chaos_reason.is_none() {
-                        if let Some(ge) = &mut pc.ge {
-                            if ge.sample() {
-                                chaos_reason = Some("chaos-burst");
-                                ch.stats.burst_drops += 1;
-                            }
-                        }
+            if let Some(pc) = ch.ports.get_mut(&(node.raw(), portno.raw())) {
+                if let Some(sl) = &mut pc.ctrl {
+                    if chaos::is_ctrl(&pkt.kind) && sl.hit() {
+                        chaos_reason = Some("chaos-ctrl");
+                        ch.stats.ctrl_drops += 1;
                     }
                 }
-                if chaos_reason.is_none() && is_switch {
-                    if let Some(c) = ch.corrupt.get_mut(&node.raw()) {
-                        if chaos::corrupt_packet(&mut pkt, c) {
-                            ch.stats.int_corruptions += 1;
+                if chaos_reason.is_none() {
+                    if let Some(ge) = &mut pc.ge {
+                        if ge.sample() {
+                            chaos_reason = Some("chaos-burst");
+                            ch.stats.burst_drops += 1;
                         }
                     }
                 }
             }
+            if chaos_reason.is_none() && is_switch {
+                if let Some(c) = ch.corrupt.get_mut(&node.raw()) {
+                    if chaos::corrupt_packet(&mut pkt, c) {
+                        ch.stats.int_corruptions += 1;
+                    }
+                }
+            }
         }
-        if lost || chaos_reason.is_some() {
-            let ps = &mut self.nodes[node.idx()].ports[portno.idx()].stats;
-            let reason = if let Some(r) = chaos_reason {
-                ps.drops_chaos += 1;
-                r
-            } else {
-                ps.drops_random += 1;
-                "random"
-            };
+        if let Some(reason) = chaos_reason {
+            self.nodes[node.idx()].ports[portno.idx()].stats.drops_chaos += 1;
             self.obs.rec(Category::Drop, now, || ObsEvent::Drop {
                 node: node.raw(),
                 port: portno.raw(),
@@ -601,8 +582,6 @@ impl Simulator {
             let p = &self.nodes[node.idx()].ports[0];
             NicView {
                 queue_pkts: p.queue.len(),
-                queue_bytes: p.q_bytes,
-                busy: p.busy,
                 cap_bps: p.cap_bps,
             }
         };
@@ -610,7 +589,6 @@ impl Simulator {
         {
             let mut ctx = EdgeCtx {
                 now: self.now,
-                node,
                 nic,
                 rng: &mut self.rngs[node.idx()],
                 effects: &mut fx,
@@ -772,17 +750,15 @@ impl Simulator {
         self.now
     }
 
-    /// Aggregate counters, drops and ECN marks summed over all ports.
+    /// Aggregate counters, drops summed over all ports.
     pub fn stats(&self) -> GlobalStats {
         let mut s = self.stats;
         for p in self.nodes.iter().flat_map(|n| n.ports.iter()) {
             s.drops_overflow += p.stats.drops_overflow;
             s.drops_down += p.stats.drops_down;
-            s.drops_random += p.stats.drops_random;
             s.drops_chaos += p.stats.drops_chaos;
-            s.ecn_marked += p.stats.ecn_marked;
         }
-        s.drops = s.drops_overflow + s.drops_down + s.drops_random + s.drops_chaos;
+        s.drops = s.drops_overflow + s.drops_down + s.drops_chaos;
         s
     }
 
@@ -802,7 +778,7 @@ impl Simulator {
         &self.nodes[node.idx()].ports[port.idx()]
     }
 
-    /// Mutably borrow a port (e.g. to reconfigure loss mid-run).
+    /// Mutably borrow a port (e.g. to plant a queue depth for a check).
     pub fn port_mut(&mut self, node: NodeId, port: PortNo) -> &mut crate::port::Port {
         &mut self.nodes[node.idx()].ports[port.idx()]
     }
@@ -1241,7 +1217,6 @@ mod tests {
                     }),
                     route: self.route.clone().into(),
                     hop: 0,
-                    ecn: false,
                     max_util: 0.0,
                     sent_at: ctx.now,
                 };
@@ -1278,7 +1253,6 @@ mod tests {
         node: NodeId,
         route_back: Vec<PortNo>,
         received_bytes: u64,
-        ecn_seen: u64,
         max_util_seen: f32,
     }
 
@@ -1287,9 +1261,6 @@ mod tests {
         fn on_packet(&mut self, ctx: &mut EdgeCtx, pkt: Packet) {
             if let PacketKind::Data(d) = &pkt.kind {
                 self.received_bytes += pkt.size as u64;
-                if pkt.ecn {
-                    self.ecn_seen += 1;
-                }
                 self.max_util_seen = self.max_util_seen.max(pkt.max_util);
                 let ack = Packet {
                     src: self.node,
@@ -1301,14 +1272,12 @@ mod tests {
                         seq: d.seq,
                         cum: d.seq + 1,
                         echo_ts: pkt.sent_at,
-                        ecn: pkt.ecn,
                         max_util: pkt.max_util,
                         grant_bps: 0.0,
                         payload: d.payload,
                     }),
                     route: self.route_back.clone().into(),
                     hop: 0,
-                    ecn: false,
                     max_util: 0.0,
                     sent_at: ctx.now,
                 };
@@ -1357,7 +1326,6 @@ mod tests {
             // h1 egress port 0 → s; s egress port 0 → h0.
             route_back: vec![PortNo(0), PortNo(0)],
             received_bytes: 0,
-            ecn_seen: 0,
             max_util_seen: 0.0,
         })
     }
@@ -1394,7 +1362,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            let (mut sim, h0, h1, _s) = line(LinkSpec::gbps(10, US).with_loss(0.05), 42);
+            let (mut sim, h0, h1, _s) = line(LinkSpec::gbps(10, US), 42);
             sim.set_edge_agent(h0, sender(h0, h1, 8, 2000));
             sim.set_edge_agent(h1, sink(h1));
             sim.run_until(50 * crate::time::MS);
@@ -1405,29 +1373,6 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn random_loss_drops_packets() {
-        let (mut sim, h0, h1, _s) = line(LinkSpec::gbps(10, US).with_loss(0.2), 3);
-        sim.set_edge_agent(h0, sender(h0, h1, 1, 200));
-        sim.set_edge_agent(h1, sink(h1));
-        // Window 1 with no retransmit: the first loss stalls the transfer.
-        sim.run_until(10 * crate::time::MS);
-        let tx = sim.edge::<WindowSender>(h0);
-        assert!(tx.acked < 200, "acked {}", tx.acked);
-        assert!(sim.stats().drops > 0);
-    }
-
-    #[test]
-    fn ecn_marks_propagate_to_receiver() {
-        // Tiny ECN threshold on switch egress; window large enough to queue.
-        let spec = LinkSpec::gbps(10, US).with_ecn(3000);
-        let (mut sim, h0, h1, _s) = line(spec, 9);
-        sim.set_edge_agent(h0, sender(h0, h1, 32, 500));
-        sim.set_edge_agent(h1, sink(h1));
-        sim.run_until(10 * crate::time::MS);
-        assert!(sim.edge::<Sink>(h1).ecn_seen > 0);
     }
 
     #[test]
@@ -1527,7 +1472,6 @@ mod tests {
                         }),
                         route: [PortNo(0)].into(), // only the host hop; rest ECMP
                         hop: 0,
-                        ecn: false,
                         max_util: 0.0,
                         sent_at: ctx.now,
                     });
@@ -1815,7 +1759,6 @@ mod tests {
                     kind: PacketKind::Probe(ProbeFrame::probe(0, 0, 1.0, 0.0, ctx.now)),
                     route: [PortNo(0), PortNo(1)].into(),
                     hop: 0,
-                    ecn: false,
                     max_util: 0.0,
                     sent_at: ctx.now,
                 });
@@ -1888,7 +1831,6 @@ mod tests {
             // h1:0 → t1; t1:1 → c; c:0 → t0; t0:0 → h0.
             route_back: vec![PortNo(0), PortNo(1), PortNo(0), PortNo(0)],
             received_bytes: 0,
-            ecn_seen: 0,
             max_util_seen: 0.0,
         })
     }

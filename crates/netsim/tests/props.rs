@@ -35,15 +35,15 @@ proptest! {
     }
 
     /// The simulator is deterministic: identical builds and seeds produce
-    /// identical event counts even under random loss.
+    /// identical event counts.
     #[test]
-    fn sim_deterministic(seed in 0u64..1_000, loss in 0.0f64..0.3) {
+    fn sim_deterministic(seed in 0u64..1_000) {
         let run = || {
             let mut b = NetworkBuilder::new();
             let h0 = b.add_host();
             let h1 = b.add_host();
             let s = b.add_switch();
-            b.connect(h0, s, LinkSpec::gbps(10, 1000).with_loss(loss));
+            b.connect(h0, s, LinkSpec::gbps(10, 1000));
             b.connect(h1, s, LinkSpec::gbps(10, 1000));
             let mut sim = Simulator::new(b.build(), seed);
             // No agents: just exercise timers/links via direct events.

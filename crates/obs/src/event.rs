@@ -10,7 +10,7 @@ pub enum Category {
     Enqueue = 0,
     /// Packet leaving an egress queue onto the wire.
     Dequeue = 1,
-    /// Packet lost (overflow, link down, random loss).
+    /// Packet lost (overflow, link down, chaos loss).
     Drop = 2,
     /// Link state flips.
     Link = 3,
@@ -127,7 +127,8 @@ pub enum Event {
         kind: &'static str,
         /// Packet size.
         bytes: u32,
-        /// Loss reason (`"overflow"`, `"down"`, `"random"`).
+        /// Loss reason (`"overflow"`, `"down"`, `"chaos-ctrl"`,
+        /// `"chaos-burst"`).
         reason: &'static str,
     },
     /// Link state flip on `node`/`port`.
