@@ -5,11 +5,13 @@
 # everywhere is a named const beside the code that reads it (DESIGN §5,
 # "Constants and knobs"). In scope is every `pub` field of a
 # `pub struct NAMECfg|NAMEConfig` under crates/*/src, except topology's
-# shape data (`TestbedCfg`, `ThreeTierCfg`). A field is *set* where a
+# shape data (`TestbedCfg`, `ThreeTierCfg`), and of `LinkSpec`, netsim's
+# per-link parameters. A field is *set* where a
 # line names it in a struct literal (`NAME: value`, the `Default` literal
 # included) or assigns it (`.NAME = value`). Only tracked non-test code
-# counts: crates/*/tests/ and tests/ are skipped, and so is everything
-# after a file's `#[cfg(test)]`. Lines that declare rather than set are
+# counts: crates/*/tests/ and tests/ are skipped, so is a file's
+# `#[cfg(test)] mod tests` and all after it, and so is any other
+# `#[cfg(test)]` item, to the end of that item. Lines that declare rather than set are
 # skipped too: comments, struct and enum bodies, `fn` heads up to their
 # `{` or `;`, and the typed name of a `let`. The check fails on a field set in fewer than two
 # places.
@@ -19,9 +21,27 @@
 # miss.
 cd "$(dirname "$0")/.." || exit 2
 lone=$(git ls-files '*.rs' | grep -v '^crates/[^/]*/tests/' | grep -v '^tests/' | xargs awk '
-  FNR == 1 { src = FILENAME ~ /^crates\/[^\/]*\/src\//; intest = 0; body = ""; cfg = ""; head = 0 }
-  /^[ \t]*#\[cfg\(test\)\]/ { intest = 1 }
+  FNR == 1 { src = FILENAME ~ /^crates\/[^\/]*\/src\//; intest = 0; gated = 0; body = ""; cfg = ""; head = 0 }
   intest { next }
+  # A `#[cfg(test)]` item: the test module ends the scan; any other is
+  # skipped to the line that closes its brackets, or to its `;` or `,`
+  # (strings and `//` comments aside).
+  /^[ \t]*#\[cfg\(test\)\]/ {
+    gated = 1; depth = 0; opened = 0
+    sub(/^[ \t]*#\[cfg\(test\)\][ \t]*/, "")
+    if ($0 == "") next
+  }
+  gated {
+    if (!opened && $0 ~ /^[ \t]*#\[/) next
+    if (!opened && $0 ~ /^[ \t]*mod tests[ \t]*\{/) { intest = 1; next }
+    t = $0
+    gsub(/"([^"\\]|\\.)*"/, "", t)
+    sub(/\/\/.*/, "", t)
+    if (t ~ /\{/) opened = 1
+    depth += gsub(/[({[]/, "", t) - gsub(/[])}]/, "", t)
+    if (depth <= 0 && (opened || t ~ /[;,][ \t]*$/)) gated = 0
+    next
+  }
   { line = $0 }
   line ~ /^[ \t]*\/\// { next }
   # A struct or enum body, from its head to the brace that closes it.
@@ -29,7 +49,7 @@ lone=$(git ls-files '*.rs' | grep -v '^crates/[^/]*/tests/' | grep -v '^tests/' 
     match(line, /^[ \t]*/)
     body = substr(line, 1, RLENGTH) "}"
     cfg = ""
-    if (src && match(line, /^pub struct [A-Za-z_][A-Za-z0-9_]*(Cfg|Config)[ <{]/)) {
+    if (src && match(line, /^pub struct ([A-Za-z_][A-Za-z0-9_]*(Cfg|Config)|LinkSpec)[ <{]/)) {
       split(line, word, /[ <{]+/)
       if (word[3] != "TestbedCfg" && word[3] != "ThreeTierCfg") cfg = word[3]
     }
