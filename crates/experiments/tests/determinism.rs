@@ -8,11 +8,11 @@
 //! example's two-tenant dumbbell, and a 4-to-1 incast on the paper
 //! testbed. The incast is also pinned to fixed digests and event counts
 //! for every system, so a change that moved every run the same way
-//! still fails.
+//! still fails, and so is Fig 15a's core-switch failure run.
 
 use experiments::harness::{Runner, SystemKind, SLICE};
 use experiments::scenarios::common::incast_on_testbed;
-use netsim::{NodeId, PairId, Time, MS};
+use netsim::{FaultKind, FaultPlan, NodeId, PairId, PortNo, Time, MS};
 use topology::TestbedCfg;
 use ufab::endpoint::AppMsg;
 use ufab::FabricSpec;
@@ -108,6 +108,56 @@ fn incast_digest_and_events_are_pinned_per_system() {
         let (digest, events) = incast_run(system, 7, true);
         assert_eq!((digest, events), pin, "{}", system.label());
     }
+}
+
+/// Fig 15a's quick run: seven VFs (tokens 1, 1, 1, 2, 2, 2, 3) join
+/// every 4 ms toward the last testbed host under μFAB at seed 1, and
+/// `fail` takes every port of `cores[0]` down at 32 ms, for good. Runs
+/// to 48 ms; returns the final digest and the number of events.
+fn core_failure_run(fail: impl FnOnce(&mut Runner, NodeId, Time)) -> (u64, u64) {
+    let topo = topology::testbed(TestbedCfg::default());
+    let dst = *topo.hosts.last().unwrap();
+    let srcs: Vec<NodeId> = topo.hosts.iter().copied().filter(|&h| h != dst).collect();
+    let core = topo.cores[0];
+    let stagger = 4 * MS;
+    let mut fabric = FabricSpec::new(500e6);
+    let mut jobs = Vec::new();
+    for (i, tokens) in [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0].into_iter().enumerate() {
+        let src = srcs[i % srcs.len()];
+        let pair = fabric.add_vf(tokens, src, dst);
+        let start = MS + i as Time * stagger;
+        jobs.push((start, src, pair, 25_000_000_000, 0u32));
+    }
+    let fail_at = 8 * stagger;
+    let mut r = Runner::new(topo, fabric, SystemKind::Ufab, 1, None, MS);
+    r.enable_trace(1024);
+    r.watch_all_switch_queues();
+    fail(&mut r, core, fail_at);
+    let mut driver = BulkDriver::new(jobs, 0);
+    r.run(fail_at + 4 * stagger, SLICE, &mut [&mut driver]);
+    let digest = r.sim.det_digest().expect("enable_trace starts the digest");
+    (digest, r.sim.stats().events)
+}
+
+// Fig 15a's golden holds rounded rates only, so a one-event shift in
+// how the failure is scheduled shows here and not there.
+#[test]
+fn core_failure_digest_and_events_are_pinned() {
+    let via_plan = core_failure_run(|r, core, at| {
+        let fail = FaultKind::SwitchFail {
+            node: core,
+            at,
+            recover_at: None,
+        };
+        r.sim.apply_chaos(&FaultPlan::new(1).fault(fail));
+    });
+    assert_eq!(via_plan, (0xa449_a99c_7084_c71b, 886_291));
+    let per_port = core_failure_run(|r, core, at| {
+        for p in 0..r.sim.n_ports(core) {
+            r.sim.schedule_link_failure(at, core, PortNo(p as u16));
+        }
+    });
+    assert_eq!(per_port, via_plan);
 }
 
 // The dumbbell offers a single path, so its event stream is identical
