@@ -10,7 +10,7 @@ use super::common::{emit, simulate, Scale, Sim};
 use crate::executor::{run_jobs, Job};
 use crate::harness::{SystemKind, SLICE};
 use metrics::table::Table;
-use netsim::{NodeId, PairId, PortNo, Time, MS};
+use netsim::{FaultKind, FaultPlan, NodeId, PairId, Time, MS};
 use topology::TestbedCfg;
 use ufab::FabricSpec;
 use workloads::patterns::BulkDriver;
@@ -51,15 +51,16 @@ pub fn run_a(scale: Scale) -> Table {
         jobs.push((MS + i as Time * stagger, src, p, 200_000_000_000 / 8, 0u32));
     }
     let core1 = topo.cores[0];
-    let n_core_ports = topo.neighbors(core1).len();
     let mut driver = BulkDriver::new(jobs, 0);
     let (r, epilogue) = simulate(&scale, topo, fabric, Sim::of(SystemKind::Ufab), |r| {
         r.watch_all_switch_queues();
-        // Fail every link of Core-1 (both directions).
-        for p in 0..n_core_ports {
-            r.sim
-                .schedule_link_failure(fail_at, core1, PortNo(p as u16));
-        }
+        // Core-1 fails for good: every link, both directions.
+        let fail = FaultKind::SwitchFail {
+            node: core1,
+            at: fail_at,
+            recover_at: None,
+        };
+        r.sim.apply_chaos(&FaultPlan::new(scale.seed).fault(fail));
         r.run(until, SLICE, &mut [&mut driver]);
     });
     print!("{epilogue}");

@@ -12,7 +12,7 @@
 
 use experiments::harness::{Runner, SystemKind, SLICE};
 use experiments::scenarios::common::incast_on_testbed;
-use netsim::{FaultKind, FaultPlan, NodeId, PairId, PortNo, Time, MS};
+use netsim::{FaultKind, FaultPlan, NodeId, PairId, Time, MS};
 use topology::TestbedCfg;
 use ufab::endpoint::AppMsg;
 use ufab::FabricSpec;
@@ -152,12 +152,6 @@ fn core_failure_digest_and_events_are_pinned() {
         r.sim.apply_chaos(&FaultPlan::new(1).fault(fail));
     });
     assert_eq!(via_plan, (0xa449_a99c_7084_c71b, 886_291));
-    let per_port = core_failure_run(|r, core, at| {
-        for p in 0..r.sim.n_ports(core) {
-            r.sim.schedule_link_failure(at, core, PortNo(p as u16));
-        }
-    });
-    assert_eq!(per_port, via_plan);
 }
 
 // The dumbbell offers a single path, so its event stream is identical

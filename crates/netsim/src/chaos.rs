@@ -4,7 +4,10 @@
 //! cuts and flaps, partial degradation, Gilbert–Elliott burst loss,
 //! control-plane-selective loss, INT-stamp corruption, whole-switch
 //! failure and edge-agent restarts — that is expanded into ordinary
-//! simulator events by [`crate::Simulator::apply_chaos`].
+//! simulator events by [`crate::Simulator::apply_chaos`], the one way
+//! to inject a fault. Each windowed fault (`Degrade`, `BurstLoss`,
+//! `CtrlLoss`, `IntCorrupt`) becomes one event that installs its seeded
+//! `Effect` and one that clears it (`ModKind::On`/`Off`).
 //!
 //! Determinism contract: every stochastic fault draws from its **own**
 //! RNG, seeded from `(plan seed, fault index)` via a splitmix64
@@ -16,6 +19,7 @@
 
 use crate::ids::{NodeId, PortNo};
 use crate::packet::{Packet, PacketKind};
+use crate::port::Port;
 use crate::time::Time;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -149,8 +153,10 @@ pub enum FaultKind {
 /// A composable, seed-deterministic schedule of faults.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    seed: u64,
-    faults: Vec<FaultKind>,
+    /// Drives all fault randomness.
+    pub(crate) seed: u64,
+    /// The faults, in insertion order.
+    pub(crate) faults: Vec<FaultKind>,
 }
 
 impl FaultPlan {
@@ -173,16 +179,6 @@ impl FaultPlan {
     pub fn push(&mut self, kind: FaultKind) {
         self.faults.push(kind);
     }
-
-    /// The plan's RNG seed.
-    pub(crate) fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The scheduled faults, in insertion order.
-    pub(crate) fn faults(&self) -> &[FaultKind] {
-        &self.faults
-    }
 }
 
 /// Derive the RNG seed for fault number `idx` of a plan (splitmix64
@@ -194,48 +190,54 @@ pub(crate) fn derive_seed(master: u64, idx: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Payload of a chaos reconfiguration event (scheduled by
-/// `apply_chaos`, applied in the event loop so it is ordered and
-/// det-hashed like everything else).
-#[derive(Debug, Clone)]
+/// The runtime effect of a windowed fault (`Degrade`, `BurstLoss`,
+/// `CtrlLoss`, `IntCorrupt`), built and seeded by `apply_chaos` and
+/// installed by its `On` event.
+#[derive(Debug)]
+pub(crate) enum Effect {
+    Degrade { cap_factor: f64, prop_factor: f64 },
+    Burst(GeLoss),
+    Ctrl(RngProb),
+    Corrupt(RngProb),
+}
+
+/// Which windowed fault an `Off` event clears. The order fixes the
+/// determinism digest's codes: `2 × kind` for `On`, `+ 1` for `Off`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EffectKind {
+    Degrade,
+    Burst,
+    Ctrl,
+    Corrupt,
+}
+
+impl Effect {
+    pub(crate) fn kind(&self) -> EffectKind {
+        match self {
+            Effect::Degrade { .. } => EffectKind::Degrade,
+            Effect::Burst(_) => EffectKind::Burst,
+            Effect::Ctrl(_) => EffectKind::Ctrl,
+            Effect::Corrupt(_) => EffectKind::Corrupt,
+        }
+    }
+}
+
+/// Payload of a chaos event: a windowed fault's effect switching on at
+/// the window's start or off at its end. `apply_chaos` schedules both;
+/// the event loop applies them, so they are ordered and det-hashed like
+/// everything else.
+#[derive(Debug)]
 pub(crate) enum ModKind {
-    DegradeOn {
-        cap_factor: f64,
-        prop_factor: f64,
-    },
-    DegradeOff,
-    BurstOn {
-        p_enter: f64,
-        p_exit: f64,
-        loss_good: f64,
-        loss_bad: f64,
-        seed: u64,
-    },
-    BurstOff,
-    CtrlOn {
-        prob: f64,
-        seed: u64,
-    },
-    CtrlOff,
-    CorruptOn {
-        prob: f64,
-        seed: u64,
-    },
-    CorruptOff,
+    On(Effect),
+    Off(EffectKind),
 }
 
 impl ModKind {
     /// Stable discriminant for the determinism digest.
     pub(crate) fn det_code(&self) -> u64 {
         match self {
-            ModKind::DegradeOn { .. } => 0,
-            ModKind::DegradeOff => 1,
-            ModKind::BurstOn { .. } => 2,
-            ModKind::BurstOff => 3,
-            ModKind::CtrlOn { .. } => 4,
-            ModKind::CtrlOff => 5,
-            ModKind::CorruptOn { .. } => 6,
-            ModKind::CorruptOff => 7,
+            ModKind::On(e) => 2 * e.kind() as u64,
+            ModKind::Off(k) => 2 * *k as u64 + 1,
         }
     }
 }
@@ -284,7 +286,7 @@ impl GeLoss {
 /// A Bernoulli trial with its own RNG stream.
 #[derive(Debug)]
 pub(crate) struct RngProb {
-    pub(crate) prob: f64,
+    prob: f64,
     rng: SmallRng,
 }
 
@@ -299,21 +301,16 @@ impl RngProb {
     pub(crate) fn hit(&mut self) -> bool {
         self.prob > 0.0 && self.rng.gen::<f64>() < self.prob
     }
-
-    pub(crate) fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
 }
 
 /// Per-port chaos state.
 #[derive(Debug, Default)]
-pub(crate) struct PortChaos {
-    pub(crate) ge: Option<GeLoss>,
-    pub(crate) ctrl: Option<RngProb>,
-    /// Pre-degradation capacity, saved so `DegradeOff` restores it.
-    pub(crate) base_cap: Option<u64>,
-    /// Pre-degradation propagation delay.
-    pub(crate) base_prop: Option<Time>,
+struct PortChaos {
+    ge: Option<GeLoss>,
+    ctrl: Option<RngProb>,
+    /// Pre-degradation capacity and propagation delay, saved so the
+    /// degrade window's end restores them.
+    base: Option<(u64, Time)>,
 }
 
 /// Counters the chaos engine keeps while active.
@@ -339,17 +336,85 @@ pub struct ChaosStats {
 #[derive(Debug, Default)]
 pub(crate) struct ChaosRuntime {
     /// Keyed by `(node, port)` raw ids.
-    pub(crate) ports: HashMap<(u32, u16), PortChaos>,
+    ports: HashMap<(u32, u16), PortChaos>,
     /// INT corruption per switch node.
-    pub(crate) corrupt: HashMap<u32, RngProb>,
+    corrupt: HashMap<u32, RngProb>,
     pub(crate) stats: ChaosStats,
 }
 
-/// Is this packet control-plane for the purpose of selective loss?
-/// Everything that is not payload data: probes, responses, finishes,
-/// finish-acks and ACKs.
-pub(crate) fn is_ctrl(kind: &PacketKind) -> bool {
-    !matches!(kind, PacketKind::Data(_))
+impl ChaosRuntime {
+    /// Install (`On`) or clear (`Off`) a windowed fault's effect on
+    /// `node`:`portno`, whose port is `port`. `IntCorrupt` is
+    /// switch-wide and ignores the port. An `Off` always follows its
+    /// `On` (same or later instant, later seq), so its entry exists.
+    pub(crate) fn set(&mut self, node: NodeId, portno: PortNo, port: &mut Port, m: ModKind) {
+        let key = (node.raw(), portno.raw());
+        match m {
+            ModKind::On(Effect::Degrade {
+                cap_factor,
+                prop_factor,
+            }) => {
+                let pc = self.ports.entry(key).or_default();
+                let (cap, prop) = *pc.base.get_or_insert((port.cap_bps, port.prop_ns));
+                port.cap_bps = ((cap as f64 * cap_factor) as u64).max(1);
+                port.prop_ns = (prop as f64 * prop_factor) as Time;
+                self.stats.degrade_transitions += 1;
+            }
+            ModKind::Off(EffectKind::Degrade) => {
+                if let Some((cap, prop)) = self.ports.entry(key).or_default().base.take() {
+                    port.cap_bps = cap;
+                    port.prop_ns = prop;
+                }
+                self.stats.degrade_transitions += 1;
+            }
+            ModKind::On(Effect::Burst(ge)) => self.ports.entry(key).or_default().ge = Some(ge),
+            ModKind::Off(EffectKind::Burst) => self.ports.entry(key).or_default().ge = None,
+            ModKind::On(Effect::Ctrl(c)) => self.ports.entry(key).or_default().ctrl = Some(c),
+            ModKind::Off(EffectKind::Ctrl) => self.ports.entry(key).or_default().ctrl = None,
+            ModKind::On(Effect::Corrupt(c)) => {
+                self.corrupt.insert(node.raw(), c);
+            }
+            ModKind::Off(EffectKind::Corrupt) => {
+                self.corrupt.remove(&node.raw());
+            }
+        }
+    }
+
+    /// Apply the installed effects to `pkt` leaving `node`:`port`:
+    /// selective loss (control packets only), then burst loss, then
+    /// INT corruption at a switch. Returns the drop reason, if dropped.
+    /// Armed but idle, this is two hash probes that miss.
+    #[inline]
+    pub(crate) fn on_tx(
+        &mut self,
+        node: NodeId,
+        port: PortNo,
+        is_switch: bool,
+        pkt: &mut Packet,
+    ) -> Option<&'static str> {
+        if let Some(pc) = self.ports.get_mut(&(node.raw(), port.raw())) {
+            if let Some(sl) = &mut pc.ctrl {
+                if !matches!(pkt.kind, PacketKind::Data(_)) && sl.hit() {
+                    self.stats.ctrl_drops += 1;
+                    return Some("chaos-ctrl");
+                }
+            }
+            if let Some(ge) = &mut pc.ge {
+                if ge.sample() {
+                    self.stats.burst_drops += 1;
+                    return Some("chaos-burst");
+                }
+            }
+        }
+        if is_switch {
+            if let Some(c) = self.corrupt.get_mut(&node.raw()) {
+                if corrupt_packet(pkt, c) {
+                    self.stats.int_corruptions += 1;
+                }
+            }
+        }
+        None
+    }
 }
 
 /// Flip one random bit of one stamped hop record of a probe/response.
@@ -364,9 +429,9 @@ pub(crate) fn corrupt_packet(pkt: &mut Packet, c: &mut RngProb) -> bool {
     if frame.hops.is_empty() || !c.hit() {
         return false;
     }
-    let hi = c.rng().gen_range(0..frame.hops.len());
-    let bit = c.rng().gen_range(0..64u32);
-    let field = c.rng().gen_range(0..3u32);
+    let hi = c.rng.gen_range(0..frame.hops.len());
+    let bit = c.rng.gen_range(0..64u32);
+    let field = c.rng.gen_range(0..3u32);
     let h = &mut frame.hops[hi];
     match field {
         0 => h.phi_total = f64::from_bits(h.phi_total.to_bits() ^ (1u64 << bit)),
@@ -424,8 +489,8 @@ mod tests {
                 node: NodeId(1),
                 at: 30,
             });
-        assert_eq!(plan.faults().len(), 2);
-        assert_eq!(plan.seed(), 1);
+        assert_eq!(plan.faults.len(), 2);
+        assert_eq!(plan.seed, 1);
     }
 
     #[test]

@@ -188,66 +188,11 @@ impl Simulator {
         true
     }
 
-    /// Apply a chaos reconfiguration event.
+    /// Install or clear a windowed fault's effect.
     fn on_chaos_mod(&mut self, node: NodeId, portno: PortNo, m: ModKind) {
-        let mut ch = self.chaos.take().unwrap_or_default();
-        let key = (node.raw(), portno.raw());
-        match m {
-            ModKind::DegradeOn {
-                cap_factor,
-                prop_factor,
-            } => {
-                let pc = ch.ports.entry(key).or_default();
-                let port = &mut self.nodes[node.idx()].ports[portno.idx()];
-                let base_cap = *pc.base_cap.get_or_insert(port.cap_bps);
-                let base_prop = *pc.base_prop.get_or_insert(port.prop_ns);
-                port.cap_bps = ((base_cap as f64 * cap_factor) as u64).max(1);
-                port.prop_ns = (base_prop as f64 * prop_factor) as Time;
-                ch.stats.degrade_transitions += 1;
-            }
-            ModKind::DegradeOff => {
-                if let Some(pc) = ch.ports.get_mut(&key) {
-                    let port = &mut self.nodes[node.idx()].ports[portno.idx()];
-                    if let Some(cap) = pc.base_cap.take() {
-                        port.cap_bps = cap;
-                    }
-                    if let Some(prop) = pc.base_prop.take() {
-                        port.prop_ns = prop;
-                    }
-                    ch.stats.degrade_transitions += 1;
-                }
-            }
-            ModKind::BurstOn {
-                p_enter,
-                p_exit,
-                loss_good,
-                loss_bad,
-                seed,
-            } => {
-                ch.ports.entry(key).or_default().ge =
-                    Some(GeLoss::new(p_enter, p_exit, loss_good, loss_bad, seed));
-            }
-            ModKind::BurstOff => {
-                if let Some(pc) = ch.ports.get_mut(&key) {
-                    pc.ge = None;
-                }
-            }
-            ModKind::CtrlOn { prob, seed } => {
-                ch.ports.entry(key).or_default().ctrl = Some(RngProb::new(prob, seed));
-            }
-            ModKind::CtrlOff => {
-                if let Some(pc) = ch.ports.get_mut(&key) {
-                    pc.ctrl = None;
-                }
-            }
-            ModKind::CorruptOn { prob, seed } => {
-                ch.corrupt.insert(node.raw(), RngProb::new(prob, seed));
-            }
-            ModKind::CorruptOff => {
-                ch.corrupt.remove(&node.raw());
-            }
-        }
-        self.chaos = Some(ch);
+        let port = &mut self.nodes[node.idx()].ports[portno.idx()];
+        let ch = self.chaos.get_or_insert_with(Box::default);
+        ch.set(node, portno, port, m);
     }
 
     /// Reset the agent at `node`: a switch reboot wipes the dataplane
@@ -400,7 +345,7 @@ impl Simulator {
         let (pair, kind_label, bytes) = (pkt.pair.raw(), pkt.kind.label(), pkt.size);
         let result = port.enqueue(pkt);
         let q_bytes = port.q_bytes;
-        match result {
+        let (b, reason) = match result {
             EnqueueResult::Queued { start_tx } => {
                 self.obs
                     .rec(Category::Enqueue, self.now, || ObsEvent::Enqueue {
@@ -414,30 +359,20 @@ impl Simulator {
                 if start_tx {
                     self.start_tx(node, egress);
                 }
+                return;
             }
-            EnqueueResult::DroppedOverflow(b) => {
-                self.obs.rec(Category::Drop, self.now, || ObsEvent::Drop {
-                    node: node.raw(),
-                    port: egress.raw(),
-                    pair,
-                    kind: kind_label,
-                    bytes,
-                    reason: "overflow",
-                });
-                self.arena.recycle(b);
-            }
-            EnqueueResult::DroppedDown(b) => {
-                self.obs.rec(Category::Drop, self.now, || ObsEvent::Drop {
-                    node: node.raw(),
-                    port: egress.raw(),
-                    pair,
-                    kind: kind_label,
-                    bytes,
-                    reason: "down",
-                });
-                self.arena.recycle(b);
-            }
-        }
+            EnqueueResult::DroppedOverflow(b) => (b, "overflow"),
+            EnqueueResult::DroppedDown(b) => (b, "down"),
+        };
+        self.obs.rec(Category::Drop, self.now, || ObsEvent::Drop {
+            node: node.raw(),
+            port: egress.raw(),
+            pair,
+            kind: kind_label,
+            bytes,
+            reason,
+        });
+        self.arena.recycle(b);
     }
 
     fn start_tx(&mut self, node: NodeId, portno: PortNo) {
@@ -497,35 +432,11 @@ impl Simulator {
             bytes: pkt.size,
         });
         self.push(now + ser, node, EvKind::TxDone(portno));
-        let mut chaos_reason: Option<&'static str> = None;
-        if let Some(ch) = self.chaos.as_deref_mut() {
-            // Chaos hot path. When armed but idle the port map is
-            // empty and this is two hash probes on fault-free ports —
-            // and when never armed, one branch above.
-            if let Some(pc) = ch.ports.get_mut(&(node.raw(), portno.raw())) {
-                if let Some(sl) = &mut pc.ctrl {
-                    if chaos::is_ctrl(&pkt.kind) && sl.hit() {
-                        chaos_reason = Some("chaos-ctrl");
-                        ch.stats.ctrl_drops += 1;
-                    }
-                }
-                if chaos_reason.is_none() {
-                    if let Some(ge) = &mut pc.ge {
-                        if ge.sample() {
-                            chaos_reason = Some("chaos-burst");
-                            ch.stats.burst_drops += 1;
-                        }
-                    }
-                }
-            }
-            if chaos_reason.is_none() && is_switch {
-                if let Some(c) = ch.corrupt.get_mut(&node.raw()) {
-                    if chaos::corrupt_packet(&mut pkt, c) {
-                        ch.stats.int_corruptions += 1;
-                    }
-                }
-            }
-        }
+        // Never armed: this one branch is the engine's whole cost.
+        let chaos_reason = match self.chaos.as_deref_mut() {
+            Some(ch) => ch.on_tx(node, portno, is_switch, &mut pkt),
+            None => None,
+        };
         if let Some(reason) = chaos_reason {
             self.nodes[node.idx()].ports[portno.idx()].stats.drops_chaos += 1;
             self.obs.rec(Category::Drop, now, || ObsEvent::Drop {
@@ -724,11 +635,7 @@ impl Simulator {
     /// # Panics
     /// Panics if `node` is not a host.
     pub fn set_edge_agent(&mut self, node: NodeId, agent: Box<dyn EdgeAgent>) {
-        assert_eq!(
-            self.nodes[node.idx()].kind,
-            NodeKind::Host,
-            "edge agent on non-host {node}"
-        );
+        self.validate_kind(node, NodeKind::Host, "set_edge_agent");
         self.edge[node.idx()] = Some(agent);
     }
 
@@ -737,11 +644,7 @@ impl Simulator {
     /// # Panics
     /// Panics if `node` is not a switch.
     pub fn set_switch_agent(&mut self, node: NodeId, agent: Box<dyn SwitchAgent>) {
-        assert_eq!(
-            self.nodes[node.idx()].kind,
-            NodeKind::Switch,
-            "switch agent on non-switch {node}"
-        );
+        self.validate_kind(node, NodeKind::Switch, "set_switch_agent");
         self.switch[node.idx()] = Some(agent);
     }
 
@@ -854,59 +757,45 @@ impl Simulator {
         self.push(self.now, node, EvKind::Inject(Box::new(msg.into())));
     }
 
-    /// Check that `node`:`port` names an existing egress port. Fails
-    /// *eagerly* with a labelled panic — a silently enqueued event for
-    /// a bogus target would only blow up (or worse, be ignored) deep
-    /// inside the run, long after the call site is gone.
-    ///
-    /// # Panics
-    /// Panics with `what` in the message on an unknown node or an
-    /// out-of-range port.
-    fn validate_port(&self, node: NodeId, port: PortNo, what: &str) {
+    /// Check that `node` exists; `what` labels the panic.
+    fn validate_node(&self, node: NodeId, what: &str) -> &Node {
         assert!(
             node.idx() < self.nodes.len(),
             "{what}: unknown node {node} (topology has {} nodes)",
             self.nodes.len()
         );
-        let n_ports = self.nodes[node.idx()].ports.len();
+        &self.nodes[node.idx()]
+    }
+
+    /// Check that `node` is a switch (`want` = `Switch`) or a host.
+    fn validate_kind(&self, node: NodeId, want: NodeKind, what: &str) {
+        let kind = self.validate_node(node, what).kind;
+        let noun = if want == NodeKind::Switch {
+            "switch"
+        } else {
+            "host"
+        };
+        assert!(kind == want, "{what}: {node} is not a {noun}");
+    }
+
+    /// Check that `node`:`port` names an existing egress port. Fails
+    /// *eagerly* with a labelled panic — a silently enqueued event for
+    /// a bogus target would only blow up (or worse, be ignored) deep
+    /// inside the run, long after the plan was applied.
+    fn validate_port(&self, node: NodeId, port: PortNo, what: &str) {
+        let n_ports = self.validate_node(node, what).ports.len();
         assert!(
             port.idx() < n_ports,
             "{what}: no such port {port} on {node} (node has {n_ports} ports)"
         );
     }
 
-    /// Schedule a link state change (fault injection): the channel *from*
-    /// `node` out of `port` goes up/down at time `at`.
-    ///
-    /// # Panics
-    /// Panics on an unknown node or out-of-range port.
-    pub fn schedule_link_event(&mut self, at: Time, node: NodeId, port: PortNo, up: bool) {
-        self.validate_port(node, port, "schedule_link_event");
+    /// Take both directions of the `node`:`port` link down or up at `at`.
+    fn schedule_link(&mut self, at: Time, node: NodeId, port: PortNo, up: bool) {
+        let p = &self.nodes[node.idx()].ports[port.idx()];
+        let (peer, peer_port) = (p.peer, p.peer_port);
         self.push(at, node, EvKind::LinkSet(port, up));
-    }
-
-    /// Take a link (both directions of a node-port pair) down at `at`.
-    ///
-    /// # Panics
-    /// Panics on an unknown node or out-of-range port.
-    pub fn schedule_link_failure(&mut self, at: Time, node: NodeId, port: PortNo) {
-        self.validate_port(node, port, "schedule_link_failure");
-        let peer = self.nodes[node.idx()].ports[port.idx()].peer;
-        let peer_port = self.nodes[node.idx()].ports[port.idx()].peer_port;
-        self.schedule_link_event(at, node, port, false);
-        self.schedule_link_event(at, peer, peer_port, false);
-    }
-
-    /// Bring a link (both directions of a node-port pair) back up at `at`.
-    ///
-    /// # Panics
-    /// Panics on an unknown node or out-of-range port.
-    pub(crate) fn schedule_link_restore(&mut self, at: Time, node: NodeId, port: PortNo) {
-        self.validate_port(node, port, "schedule_link_restore");
-        let peer = self.nodes[node.idx()].ports[port.idx()].peer;
-        let peer_port = self.nodes[node.idx()].ports[port.idx()].peer_port;
-        self.schedule_link_event(at, node, port, true);
-        self.schedule_link_event(at, peer, peer_port, true);
+        self.push(at, peer, EvKind::LinkSet(peer_port, up));
     }
 
     /// Invoke `on_start` on every installed agent, in node order.
@@ -948,24 +837,29 @@ impl Simulator {
         while self.step_one() {}
     }
 
-    /// Expand a [`FaultPlan`] into scheduled events. Every stochastic
-    /// fault gets its own RNG seeded from `(plan seed, fault index)`,
-    /// so the per-node RNG streams are untouched and same-seed runs
-    /// stay byte-identical. May be called multiple times (plans
-    /// compose); an empty plan still arms the engine, which is how the
-    /// overhead benchmark measures the armed-but-idle cost.
+    /// Expand a [`FaultPlan`] into scheduled events: the one way to
+    /// inject a fault. Link faults become link up/down events on both
+    /// directions, a switch reboot or edge restart an agent reset, and
+    /// each windowed fault (`Degrade`, `BurstLoss`, `CtrlLoss`,
+    /// `IntCorrupt`) one event that installs its effect at `from` and
+    /// one that clears it at `until`. Every stochastic fault gets its
+    /// own RNG seeded from `(plan seed, fault index)`, so the per-node
+    /// RNG streams are untouched and same-seed runs stay byte-identical.
+    /// May be called multiple times (plans compose); an empty plan
+    /// still arms the engine, which is how the overhead benchmark
+    /// measures the armed-but-idle cost.
     ///
     /// # Panics
     /// Panics with a labelled message when a fault names an unknown
     /// node, an out-of-range port, a switch fault on a non-switch (or
-    /// edge restart on a non-host), or a degenerate flap period.
+    /// edge restart on a non-host), an empty window, a non-positive
+    /// degrade factor or a degenerate flap period.
     pub fn apply_chaos(&mut self, plan: &FaultPlan) {
-        if self.chaos.is_none() {
-            self.chaos = Some(Box::default());
-        }
-        for (idx, fault) in plan.faults().iter().enumerate() {
-            let fseed = chaos::derive_seed(plan.seed(), idx as u64);
-            match fault.clone() {
+        use chaos::Effect;
+        self.chaos.get_or_insert_with(Box::default);
+        for (idx, fault) in plan.faults.iter().enumerate() {
+            let seed = chaos::derive_seed(plan.seed, idx as u64);
+            let window = match *fault {
                 FaultKind::LinkDown {
                     node,
                     port,
@@ -973,11 +867,12 @@ impl Simulator {
                     restore_at,
                 } => {
                     self.validate_port(node, port, "chaos link-down");
-                    self.schedule_link_failure(at, node, port);
+                    self.schedule_link(at, node, port, false);
                     if let Some(r) = restore_at {
                         assert!(r > at, "chaos link-down: restore_at {r} <= at {at}");
-                        self.schedule_link_restore(r, node, port);
+                        self.schedule_link(r, node, port, true);
                     }
+                    None
                 }
                 FaultKind::LinkFlap {
                     node,
@@ -998,11 +893,39 @@ impl Simulator {
                     );
                     let mut t = from;
                     while t < until {
-                        self.schedule_link_failure(t, node, port);
+                        self.schedule_link(t, node, port, false);
                         let up_at = (t + down_for).min(until);
-                        self.schedule_link_restore(up_at, node, port);
+                        self.schedule_link(up_at, node, port, true);
                         t = up_at + up_for;
                     }
+                    None
+                }
+                FaultKind::SwitchFail {
+                    node,
+                    at,
+                    recover_at,
+                } => {
+                    self.validate_kind(node, NodeKind::Switch, "chaos switch-fail");
+                    let n_ports = self.nodes[node.idx()].ports.len();
+                    for p in 0..n_ports {
+                        self.schedule_link(at, node, PortNo(p as u16), false);
+                    }
+                    if let Some(r) = recover_at {
+                        assert!(r > at, "chaos switch-fail: recover_at {r} <= at {at}");
+                        // Reset first (same timestamp, earlier seq):
+                        // the reboot wipes registers, Bloom filter and
+                        // shadow state *before* traffic can flow again.
+                        self.push(r, node, EvKind::AgentReset);
+                        for p in 0..n_ports {
+                            self.schedule_link(r, node, PortNo(p as u16), true);
+                        }
+                    }
+                    None
+                }
+                FaultKind::EdgeRestart { node, at } => {
+                    self.validate_kind(node, NodeKind::Host, "chaos edge-restart");
+                    self.push(at, node, EvKind::AgentReset);
+                    None
                 }
                 FaultKind::Degrade {
                     node,
@@ -1012,28 +935,17 @@ impl Simulator {
                     cap_factor,
                     prop_factor,
                 } => {
-                    self.validate_port(node, port, "chaos degrade");
+                    let what = "chaos degrade";
+                    self.validate_port(node, port, what);
                     assert!(
                         cap_factor > 0.0 && prop_factor > 0.0,
-                        "chaos degrade: factors must be positive"
+                        "{what}: factors must be positive"
                     );
-                    assert!(until > from, "chaos degrade: until {until} <= from {from}");
-                    self.push(
-                        from,
-                        node,
-                        EvKind::ChaosMod(
-                            port,
-                            Box::new(ModKind::DegradeOn {
-                                cap_factor,
-                                prop_factor,
-                            }),
-                        ),
-                    );
-                    self.push(
-                        until,
-                        node,
-                        EvKind::ChaosMod(port, Box::new(ModKind::DegradeOff)),
-                    );
+                    let effect = Effect::Degrade {
+                        cap_factor,
+                        prop_factor,
+                    };
+                    Some((what, node, port, from, until, effect))
                 }
                 FaultKind::BurstLoss {
                     node,
@@ -1045,30 +957,10 @@ impl Simulator {
                     loss_good,
                     loss_bad,
                 } => {
-                    self.validate_port(node, port, "chaos burst-loss");
-                    assert!(
-                        until > from,
-                        "chaos burst-loss: until {until} <= from {from}"
-                    );
-                    self.push(
-                        from,
-                        node,
-                        EvKind::ChaosMod(
-                            port,
-                            Box::new(ModKind::BurstOn {
-                                p_enter,
-                                p_exit,
-                                loss_good,
-                                loss_bad,
-                                seed: fseed,
-                            }),
-                        ),
-                    );
-                    self.push(
-                        until,
-                        node,
-                        EvKind::ChaosMod(port, Box::new(ModKind::BurstOff)),
-                    );
+                    let what = "chaos burst-loss";
+                    self.validate_port(node, port, what);
+                    let ge = GeLoss::new(p_enter, p_exit, loss_good, loss_bad, seed);
+                    Some((what, node, port, from, until, Effect::Burst(ge)))
                 }
                 FaultKind::CtrlLoss {
                     node,
@@ -1077,21 +969,10 @@ impl Simulator {
                     until,
                     prob,
                 } => {
-                    self.validate_port(node, port, "chaos ctrl-loss");
-                    assert!(
-                        until > from,
-                        "chaos ctrl-loss: until {until} <= from {from}"
-                    );
-                    self.push(
-                        from,
-                        node,
-                        EvKind::ChaosMod(port, Box::new(ModKind::CtrlOn { prob, seed: fseed })),
-                    );
-                    self.push(
-                        until,
-                        node,
-                        EvKind::ChaosMod(port, Box::new(ModKind::CtrlOff)),
-                    );
+                    let what = "chaos ctrl-loss";
+                    self.validate_port(node, port, what);
+                    let effect = Effect::Ctrl(RngProb::new(prob, seed));
+                    Some((what, node, port, from, until, effect))
                 }
                 FaultKind::IntCorrupt {
                     node,
@@ -1099,74 +980,19 @@ impl Simulator {
                     until,
                     prob,
                 } => {
-                    assert!(
-                        node.idx() < self.nodes.len(),
-                        "chaos int-corrupt: unknown node {node}"
-                    );
-                    assert_eq!(
-                        self.nodes[node.idx()].kind,
-                        NodeKind::Switch,
-                        "chaos int-corrupt: {node} is not a switch"
-                    );
-                    assert!(
-                        until > from,
-                        "chaos int-corrupt: until {until} <= from {from}"
-                    );
-                    self.push(
-                        from,
-                        node,
-                        EvKind::ChaosMod(
-                            PortNo(0),
-                            Box::new(ModKind::CorruptOn { prob, seed: fseed }),
-                        ),
-                    );
-                    self.push(
-                        until,
-                        node,
-                        EvKind::ChaosMod(PortNo(0), Box::new(ModKind::CorruptOff)),
-                    );
+                    let what = "chaos int-corrupt";
+                    self.validate_kind(node, NodeKind::Switch, what);
+                    // Switch-wide: its events ride on port 0.
+                    let effect = Effect::Corrupt(RngProb::new(prob, seed));
+                    Some((what, node, PortNo(0), from, until, effect))
                 }
-                FaultKind::SwitchFail {
-                    node,
-                    at,
-                    recover_at,
-                } => {
-                    assert!(
-                        node.idx() < self.nodes.len(),
-                        "chaos switch-fail: unknown node {node}"
-                    );
-                    assert_eq!(
-                        self.nodes[node.idx()].kind,
-                        NodeKind::Switch,
-                        "chaos switch-fail: {node} is not a switch"
-                    );
-                    let n_ports = self.nodes[node.idx()].ports.len();
-                    for p in 0..n_ports {
-                        self.schedule_link_failure(at, node, PortNo(p as u16));
-                    }
-                    if let Some(r) = recover_at {
-                        assert!(r > at, "chaos switch-fail: recover_at {r} <= at {at}");
-                        // Reset first (same timestamp, earlier seq):
-                        // the reboot wipes registers, Bloom filter and
-                        // shadow state *before* traffic can flow again.
-                        self.push(r, node, EvKind::AgentReset);
-                        for p in 0..n_ports {
-                            self.schedule_link_restore(r, node, PortNo(p as u16));
-                        }
-                    }
-                }
-                FaultKind::EdgeRestart { node, at } => {
-                    assert!(
-                        node.idx() < self.nodes.len(),
-                        "chaos edge-restart: unknown node {node}"
-                    );
-                    assert_eq!(
-                        self.nodes[node.idx()].kind,
-                        NodeKind::Host,
-                        "chaos edge-restart: {node} is not a host"
-                    );
-                    self.push(at, node, EvKind::AgentReset);
-                }
+            };
+            if let Some((what, node, port, from, until, effect)) = window {
+                assert!(until > from, "{what}: until {until} <= from {from}");
+                let off = Box::new(ModKind::Off(effect.kind()));
+                let on = Box::new(ModKind::On(effect));
+                self.push(from, node, EvKind::ChaosMod(port, on));
+                self.push(until, node, EvKind::ChaosMod(port, off));
             }
         }
     }
@@ -1391,9 +1217,13 @@ mod tests {
         let (mut sim, h0, h1, s) = line(LinkSpec::gbps(10, US), 5);
         sim.set_edge_agent(h0, sender(h0, h1, 4, u64::MAX));
         sim.set_edge_agent(h1, sink(h1));
-        // Fail the s→h1 direction between 2ms and 4ms.
-        sim.schedule_link_event(2 * crate::time::MS, s, PortNo(1), false);
-        sim.schedule_link_event(4 * crate::time::MS, s, PortNo(1), true);
+        // Fail the s–h1 link between 2ms and 4ms.
+        sim.apply_chaos(&FaultPlan::new(1).fault(FaultKind::LinkDown {
+            node: s,
+            port: PortNo(1),
+            at: 2 * crate::time::MS,
+            restore_at: Some(4 * crate::time::MS),
+        }));
         sim.run_until(2 * crate::time::MS);
         let before = sim.edge::<Sink>(h1).received_bytes;
         sim.run_until(4 * crate::time::MS);
@@ -1413,7 +1243,12 @@ mod tests {
         let (mut sim, h0, h1, s) = line(LinkSpec::gbps(10, US), 5);
         sim.set_edge_agent(h0, sender(h0, h1, 4, 100));
         sim.set_edge_agent(h1, sink(h1));
-        sim.schedule_link_event(Time::MAX, s, PortNo(1), false);
+        sim.apply_chaos(&FaultPlan::new(1).fault(FaultKind::LinkDown {
+            node: s,
+            port: PortNo(1),
+            at: Time::MAX,
+            restore_at: None,
+        }));
         sim.run_until(crate::time::MS);
         assert_eq!(sim.edge::<Sink>(h1).received_bytes, 100 * 1500);
         assert_eq!(sim.stats().drops, 0);
@@ -1715,17 +1550,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "schedule_link_failure: no such port")]
+    #[should_panic(expected = "chaos link-down: no such port")]
     fn link_failure_rejects_out_of_range_port() {
         let (mut sim, _h0, _h1, s) = line(LinkSpec::gbps(10, US), 1);
-        sim.schedule_link_failure(0, s, PortNo(99));
+        sim.apply_chaos(&FaultPlan::new(1).fault(FaultKind::LinkDown {
+            node: s,
+            port: PortNo(99),
+            at: 0,
+            restore_at: None,
+        }));
     }
 
     #[test]
-    #[should_panic(expected = "schedule_link_event: unknown node")]
+    #[should_panic(expected = "chaos link-down: unknown node")]
     fn link_event_rejects_unknown_node() {
         let (mut sim, _h0, _h1, _s) = line(LinkSpec::gbps(10, US), 1);
-        sim.schedule_link_event(0, NodeId(1000), PortNo(0), false);
+        sim.apply_chaos(&FaultPlan::new(1).fault(FaultKind::LinkDown {
+            node: NodeId(1000),
+            port: PortNo(0),
+            at: 0,
+            restore_at: None,
+        }));
     }
 
     #[test]
@@ -1738,6 +1583,92 @@ mod tests {
             recover_at: None,
         });
         sim.apply_chaos(&plan);
+    }
+
+    /// Each windowed fault rejects an empty window, a bad target (an
+    /// out-of-range port, or a host for the switch-wide `IntCorrupt`)
+    /// and an unknown node under its own label; `Degrade` also rejects
+    /// a non-positive factor.
+    #[test]
+    fn windowed_faults_reject_bad_windows_and_targets() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (_, h0, _, s) = line(LinkSpec::gbps(10, US), 1);
+        let panic_of = |fault: FaultKind| -> String {
+            let (mut sim, ..) = line(LinkSpec::gbps(10, US), 1);
+            let plan = FaultPlan::new(1).fault(fault);
+            let err = catch_unwind(AssertUnwindSafe(|| sim.apply_chaos(&plan)))
+                .expect_err("a bad fault was accepted");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let window = |label: &str, node: NodeId, port: PortNo, from: Time, until: Time| match label
+        {
+            "chaos degrade" => FaultKind::Degrade {
+                node,
+                port,
+                from,
+                until,
+                cap_factor: 0.5,
+                prop_factor: 2.0,
+            },
+            "chaos burst-loss" => FaultKind::BurstLoss {
+                node,
+                port,
+                from,
+                until,
+                p_enter: 0.1,
+                p_exit: 0.5,
+                loss_good: 0.0,
+                loss_bad: 1.0,
+            },
+            "chaos ctrl-loss" => FaultKind::CtrlLoss {
+                node,
+                port,
+                from,
+                until,
+                prob: 0.5,
+            },
+            _ => FaultKind::IntCorrupt {
+                node,
+                from,
+                until,
+                prob: 0.5,
+            },
+        };
+        for label in [
+            "chaos degrade",
+            "chaos burst-loss",
+            "chaos ctrl-loss",
+            "chaos int-corrupt",
+        ] {
+            let bad_target = if label == "chaos int-corrupt" {
+                (window(label, h0, PortNo(0), 0, 5), "is not a switch")
+            } else {
+                (
+                    window(label, s, PortNo(99), 0, 5),
+                    "no such port PortNo(99)",
+                )
+            };
+            for (fault, why) in [
+                (window(label, s, PortNo(0), 5, 5), "until 5 <= from 5"),
+                bad_target,
+                (window(label, NodeId(1000), PortNo(0), 0, 5), "unknown node"),
+            ] {
+                let msg = panic_of(fault);
+                assert!(msg.starts_with(&format!("{label}: ")), "{msg}");
+                assert!(msg.contains(why), "{label}: {msg}");
+            }
+        }
+        for (cap_factor, prop_factor) in [(0.0, 1.0), (1.0, -1.0)] {
+            let fault = FaultKind::Degrade {
+                node: s,
+                port: PortNo(0),
+                from: 0,
+                until: 5,
+                cap_factor,
+                prop_factor,
+            };
+            assert_eq!(panic_of(fault), "chaos degrade: factors must be positive");
+        }
     }
 
     #[test]

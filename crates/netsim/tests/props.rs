@@ -2,7 +2,7 @@
 
 use netsim::builder::{LinkSpec, NetworkBuilder};
 use netsim::time::{bdp_bytes, tx_time};
-use netsim::{Simulator, MS};
+use netsim::{FaultKind, FaultPlan, Simulator, MS};
 use proptest::prelude::*;
 
 proptest! {
@@ -46,9 +46,13 @@ proptest! {
             b.connect(h0, s, LinkSpec::gbps(10, 1000));
             b.connect(h1, s, LinkSpec::gbps(10, 1000));
             let mut sim = Simulator::new(b.build(), seed);
-            // No agents: just exercise timers/links via direct events.
-            sim.schedule_link_event(MS, s, netsim::PortNo(0), false);
-            sim.schedule_link_event(2 * MS, s, netsim::PortNo(0), true);
+            // No agents: just exercise link events.
+            sim.apply_chaos(&FaultPlan::new(seed).fault(FaultKind::LinkDown {
+                node: s,
+                port: netsim::PortNo(0),
+                at: MS,
+                restore_at: Some(2 * MS),
+            }));
             sim.run_until(3 * MS);
             sim.stats().events
         };

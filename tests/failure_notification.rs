@@ -3,7 +3,7 @@
 //! faster than the 8×baseRTT probe-loss timeout.
 
 use experiments::harness::{Runner, SystemKind, SLICE};
-use netsim::{PortNo, Time, MS};
+use netsim::{FaultKind, FaultPlan, Time, MS};
 use topology::TestbedCfg;
 use ufab::FabricSpec;
 use workloads::driver::Driver;
@@ -13,7 +13,6 @@ fn recovery_gap(bounce: bool) -> Time {
     let topo = topology::testbed(TestbedCfg::default());
     let dst = *topo.hosts.last().unwrap();
     let core1 = topo.cores[0];
-    let n_ports = topo.neighbors(core1).len();
     let mut fabric = FabricSpec::new(500e6);
     let mut pairs = Vec::new();
     let mut jobs = Vec::new();
@@ -30,10 +29,12 @@ fn recovery_gap(bounce: bool) -> Time {
     let until = 40 * MS;
     let mut r = Runner::new(topo, fabric, SystemKind::Ufab, 11, None, 200_000);
     r.sim.bounce_probes_on_failure = bounce;
-    for p in 0..n_ports {
-        r.sim
-            .schedule_link_failure(fail_at, core1, PortNo(p as u16));
-    }
+    let fail = FaultKind::SwitchFail {
+        node: core1,
+        at: fail_at,
+        recover_at: None,
+    };
+    r.sim.apply_chaos(&FaultPlan::new(11).fault(fail));
     let mut d = BulkDriver::new(jobs, 0);
     let mut drivers: [&mut dyn Driver; 1] = [&mut d];
     r.run(until, SLICE, &mut drivers);

@@ -3,7 +3,7 @@
 //! and the analytic references.
 
 use experiments::harness::{Runner, SystemKind, SLICE};
-use netsim::{NodeId, PairId, PortNo, Time, MS};
+use netsim::{FaultKind, FaultPlan, NodeId, PairId, Time, MS};
 use topology::TestbedCfg;
 use ufab::endpoint::AppMsg;
 use ufab::theory::{weighted_max_min, TheoryFlow};
@@ -99,7 +99,6 @@ fn core_failure_recovers_all_vfs() {
     let topo = topology::testbed(TestbedCfg::default());
     let dst = *topo.hosts.last().unwrap();
     let core1 = topo.cores[0];
-    let n_ports = topo.neighbors(core1).len();
     let mut fabric = FabricSpec::new(500e6);
     let mut pairs = Vec::new();
     let mut jobs = Vec::new();
@@ -115,10 +114,12 @@ fn core_failure_recovers_all_vfs() {
     let fail_at = 15 * MS;
     let until = 45 * MS;
     let mut r = Runner::new(topo, fabric, SystemKind::Ufab, 4, None, MS);
-    for p in 0..n_ports {
-        r.sim
-            .schedule_link_failure(fail_at, core1, PortNo(p as u16));
-    }
+    let fail = FaultKind::SwitchFail {
+        node: core1,
+        at: fail_at,
+        recover_at: None,
+    };
+    r.sim.apply_chaos(&FaultPlan::new(4).fault(fail));
     let mut d = BulkDriver::new(jobs, 0);
     let mut drivers: [&mut dyn Driver; 1] = [&mut d];
     r.run(until, SLICE, &mut drivers);
