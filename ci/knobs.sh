@@ -13,15 +13,17 @@
 # `#[cfg(test)] mod tests` and all after it, and so is any other
 # `#[cfg(test)]` item, to the end of that item. Lines that declare rather than set are
 # skipped too: comments, struct and enum bodies, `fn` heads up to their
-# `{` or `;`, and the typed name of a `let`. The check fails on a field set in fewer than two
-# places.
+# `{` or `;`, and the typed name of a `let`. A setter inside the body of
+# a `with_*` builder counts only if a scanned line calls that builder: a
+# builder only tests call varies nothing. The check fails on a field set
+# in fewer than two places.
 #
 # The check matches names, not paths: a NAME shared with an unrelated
 # field, parameter or binding elsewhere counts as a setter and hides a
 # miss.
 cd "$(dirname "$0")/.." || exit 2
 lone=$(git ls-files '*.rs' | grep -v '^crates/[^/]*/tests/' | grep -v '^tests/' | xargs awk '
-  FNR == 1 { src = FILENAME ~ /^crates\/[^\/]*\/src\//; intest = 0; gated = 0; body = ""; cfg = ""; head = 0 }
+  FNR == 1 { src = FILENAME ~ /^crates\/[^\/]*\/src\//; intest = 0; gated = 0; body = ""; cfg = ""; head = 0; builder = "" }
   intest { next }
   # A `#[cfg(test)]` item: the test module ends the scan; any other is
   # skipped to the line that closes its brackets, or to its `;` or `,`
@@ -64,6 +66,30 @@ lone=$(git ls-files '*.rs' | grep -v '^crates/[^/]*/tests/' | grep -v '^tests/' 
     }
     next
   }
+  # Calls of a `with_*` builder, and the body of one, from its head to
+  # the brace that closes it (strings and `//` comments aside).
+  { rest = line
+    while (match(rest, /(fn[ \t]+)?[A-Za-z0-9_]*with_[A-Za-z0-9_]*[ \t]*\(/)) {
+      tok = substr(rest, RSTART, RLENGTH)
+      rest = substr(rest, RSTART + RLENGTH)
+      if (tok ~ /^with_/) { sub(/[ \t]*\($/, "", tok); calls[tok]++ }
+    }
+  }
+  { inbuilder = "" }
+  builder == "" && match(line, /(^|[^A-Za-z0-9_])fn with_[A-Za-z0-9_]*/) {
+    builder = substr(line, RSTART, RLENGTH)
+    sub(/.*fn /, "", builder)
+    bdepth = 0; bopened = 0
+  }
+  builder != "" {
+    t = line
+    gsub(/"([^"\\]|\\.)*"/, "", t)
+    sub(/\/\/.*/, "", t)
+    if (t ~ /\{/) bopened = 1
+    bdepth += gsub(/\{/, "", t) - gsub(/\}/, "", t)
+    inbuilder = builder
+    if (bopened && bdepth <= 0) builder = ""
+  }
   # A fn head declares parameters up to its { or ;.
   line ~ /(^|[^A-Za-z0-9_])fn [A-Za-z_]/ { head = 1 }
   head { if (line ~ /\{|;[ \t]*$/) head = 0; next }
@@ -78,10 +104,15 @@ lone=$(git ls-files '*.rs' | grep -v '^crates/[^/]*/tests/' | grep -v '^tests/' 
       name = substr(tok, 1, RLENGTH)
       # `name: value` in a literal, or `.name = value` on a place.
       if (tok ~ /=/ && pre != ".") continue
-      sets[name]++
+      if (inbuilder != "") built[inbuilder SUBSEP name]++
+      else sets[name]++
     }
   }
   END {
+    for (k in built) {
+      split(k, p, SUBSEP)
+      if (calls[p[1]] > 0) sets[p[2]] += built[k]
+    }
     for (k in where) {
       split(k, p, SUBSEP)
       if (sets[p[2]] < 2)
