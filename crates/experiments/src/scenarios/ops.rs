@@ -651,13 +651,13 @@ mod tests {
         for (policy, svc, sim, events) in [
             (
                 Policy::FirstFit,
-                "0f16cdb2132a4138",
+                "0fe396dbcf87ec5a",
                 "7b66eb9824fdbbdf",
                 1_219_803,
             ),
             (
                 Policy::LoadSpread,
-                "8c5c849e296efeee",
+                "4a1f22e5c4f67251",
                 "302b86aa1d8f900c",
                 1_619_739,
             ),

@@ -12,8 +12,8 @@
 //! stream.
 //!
 //! * `ops` — [`FabricOp`]/[`FabricReply`] with a
-//!   canonical single-line wire form; the encoded bytes of every
-//!   applied op and its reply feed the service's determinism digest.
+//!   canonical single-line wire form; the fields of every applied op
+//!   and its reply feed the service's determinism digest.
 //! * `service` — [`FabricService`]: the tenant state machine
 //!   (`Requested → Admitted → Qualifying → Guaranteed → Departing →
 //!   Reclaimed`, chaos re-qualification, the DESIGN §10 quarantine

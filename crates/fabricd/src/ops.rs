@@ -1,10 +1,10 @@
 //! The typed management API: commands and replies, each with a
 //! canonical single-line wire form.
 //!
-//! The wire form is the determinism contract: the service folds the
-//! encoded bytes of every applied op and its reply into its digest, so
-//! two runs that process the same op stream are byte-comparable in
-//! O(1). Op encoding is canonical — `decode(encode(x)) == x` and
+//! The wire form is what a client reads. The service digest folds each
+//! op's and reply's fields instead (`fold`): a reply's text is a
+//! function of its fields and an op's text round-trips to its fields,
+//! so the digest moves whenever the text would. Op encoding is canonical — `decode(encode(x)) == x` and
 //! `encode(decode(s)) == s` for any valid `s` — which the snapshot
 //! format relies on to round-trip the pending queue exactly. Replies
 //! are only written, never parsed.
@@ -13,6 +13,8 @@
 //! `f64` `Display`), which is canonical and exact.
 
 use fabric::RejectReason;
+use netsim::{NodeId, PortNo};
+use obs::DetHash;
 use std::fmt;
 
 /// A state-mutating operator command.
@@ -119,9 +121,33 @@ impl FabricOp {
             Some(extra) => Err(format!("trailing token {extra:?} after {verb} op")),
         }
     }
+
+    /// Fold a variant code, then every field, into `h`.
+    pub(crate) fn fold(&self, h: &mut DetHash) {
+        match self {
+            FabricOp::Admit {
+                name,
+                n_vms,
+                tokens_per_vm,
+                lifetime,
+            } => {
+                h.fold_u64(0);
+                fold_str(h, name);
+                fold_words(h, &[*n_vms as u64, tokens_per_vm.to_bits(), *lifetime]);
+            }
+            FabricOp::Depart { tenant } => fold_words(h, &[1, (*tenant).into()]),
+            FabricOp::Resize {
+                tenant,
+                new_tokens_per_vm,
+            } => fold_words(h, &[2, (*tenant).into(), new_tokens_per_vm.to_bits()]),
+            FabricOp::Cordon { node } => fold_words(h, &[3, (*node).into()]),
+            FabricOp::Uncordon { node } => fold_words(h, &[4, (*node).into()]),
+            FabricOp::Drain { node } => fold_words(h, &[5, (*node).into()]),
+        }
+    }
 }
 
-/// The canonical wire form: what `encode` returns and the digest folds.
+/// The canonical wire form: what `encode` returns and `decode` parses.
 impl fmt::Display for FabricOp {
     fn fmt(&self, f: &mut fmt::Formatter) -> fmt::Result {
         match self {
@@ -179,8 +205,11 @@ pub enum FabricReply {
     ResizeDenied {
         /// Service tenant id.
         tenant: u32,
-        /// First blocking condition.
-        detail: String,
+        /// The refused hose tokens per VM.
+        tokens: f64,
+        /// The first ledger link the grow would overfill, as
+        /// `(node, port, peer)`.
+        link: (NodeId, PortNo, NodeId),
     },
     /// Node cordoned (spread rebuilt when it is an agg/core).
     Cordoned {
@@ -220,9 +249,76 @@ impl FabricReply {
     pub fn encode(&self) -> String {
         self.to_string()
     }
+
+    /// Fold a variant code, then every field, into `h`; lists go
+    /// length first.
+    pub(crate) fn fold(&self, h: &mut DetHash) {
+        match self {
+            FabricReply::Admitted { tenant, hosts } => {
+                fold_words(h, &[0, (*tenant).into(), hosts.len() as u64]);
+                hosts.iter().for_each(|&x| h.fold_u64(x.into()));
+            }
+            FabricReply::Rejected { reason } => fold_words(h, &[1, *reason as u64]),
+            FabricReply::Departed { tenant } => fold_words(h, &[2, (*tenant).into()]),
+            FabricReply::Resized {
+                tenant,
+                old_tokens,
+                new_tokens,
+            } => fold_words(
+                h,
+                &[
+                    3,
+                    (*tenant).into(),
+                    old_tokens.to_bits(),
+                    new_tokens.to_bits(),
+                ],
+            ),
+            FabricReply::ResizeDenied {
+                tenant,
+                tokens,
+                link: (node, port, peer),
+            } => fold_words(
+                h,
+                &[
+                    4,
+                    (*tenant).into(),
+                    tokens.to_bits(),
+                    node.raw().into(),
+                    port.raw().into(),
+                    peer.raw().into(),
+                ],
+            ),
+            FabricReply::Cordoned { node } => fold_words(h, &[5, (*node).into()]),
+            FabricReply::Uncordoned { node } => fold_words(h, &[6, (*node).into()]),
+            FabricReply::Drained { node, moved } => {
+                fold_words(h, &[7, (*node).into(), moved.len() as u64]);
+                for &(t, v, a, b) in moved {
+                    fold_words(h, &[t.into(), v.into(), a.into(), b.into()]);
+                }
+            }
+            FabricReply::DrainFailed { node, detail } => {
+                fold_words(h, &[8, (*node).into()]);
+                fold_str(h, detail);
+            }
+            FabricReply::Error { detail } => {
+                h.fold_u64(9);
+                fold_str(h, detail);
+            }
+        }
+    }
 }
 
-/// The canonical wire form: what `encode` returns and the digest folds.
+fn fold_words(h: &mut DetHash, words: &[u64]) {
+    words.iter().for_each(|&w| h.fold_u64(w));
+}
+
+fn fold_str(h: &mut DetHash, s: &str) {
+    h.fold_u64(s.len() as u64);
+    h.fold_bytes(s.as_bytes());
+}
+
+/// The canonical wire form: what `encode` returns. Replies are only
+/// written, never parsed.
 impl fmt::Display for FabricReply {
     fn fmt(&self, f: &mut fmt::Formatter) -> fmt::Result {
         match self {
@@ -237,9 +333,15 @@ impl fmt::Display for FabricReply {
                 old_tokens,
                 new_tokens,
             } => write!(f, "resized {tenant} {old_tokens} {new_tokens}"),
-            FabricReply::ResizeDenied { tenant, detail } => {
-                write!(f, "resize-denied {tenant} {detail}")
-            }
+            FabricReply::ResizeDenied {
+                tenant,
+                tokens,
+                link: (node, port, peer),
+            } => write!(
+                f,
+                "resize-denied {tenant} grow to {tokens} tokens blocked on link \
+                 {node}:{port} ({node} ↔ {peer})"
+            ),
             FabricReply::Cordoned { node } => write!(f, "cordoned {node}"),
             FabricReply::Uncordoned { node } => write!(f, "uncordoned {node}"),
             FabricReply::Drained { node, moved } => {
@@ -344,7 +446,7 @@ mod tests {
                 (line.to_string(), line.to_string())
             );
         }
-        // Replies are only ever written: the digest folds these bytes.
+        // Replies are only ever written.
         let replies = [
             (
                 FabricReply::Admitted {
@@ -384,9 +486,11 @@ mod tests {
             (
                 FabricReply::ResizeDenied {
                     tenant: 7,
-                    detail: "blocked on link 4:1 (4 ↔ 5)".into(),
+                    tokens: 9.5,
+                    link: (NodeId(4), PortNo(1), NodeId(5)),
                 },
-                "resize-denied 7 blocked on link 4:1 (4 ↔ 5)",
+                "resize-denied 7 grow to 9.5 tokens blocked on link \
+                 NodeId(4):PortNo(1) (NodeId(4) ↔ NodeId(5))",
             ),
             (FabricReply::Cordoned { node: 3 }, "cordoned 3"),
             (FabricReply::Uncordoned { node: 3 }, "uncordoned 3"),

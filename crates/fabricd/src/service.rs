@@ -14,8 +14,8 @@
 //!   (freeing capacity, matching [`fabric::plan`]), then ops, then
 //!   reclaims — so every tenant-state transition lands at its due time
 //!   regardless of how the caller slices `advance()`.
-//! * Every applied op folds its encoded bytes, its reply's bytes, and
-//!   its decision time into an FNV digest ([`FabricService::digest`]).
+//! * Every applied op folds its decision time, its seq, and every field
+//!   of the op and its reply into an FNV digest ([`FabricService::digest`]).
 //!   The digest state rides inside snapshots, so a restored service
 //!   continues the original stream — byte-identity with an
 //!   uninterrupted run is an O(1) comparison.
@@ -37,7 +37,6 @@ use netsim::{NodeId, Time};
 use obs::{Category, DetHash, Event, ObsHandle, Snapshottable};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use topology::Topo;
 
@@ -586,8 +585,8 @@ impl FabricService {
         let reply = self.apply(&op, at);
         self.digest.fold_u64(at);
         self.digest.fold_u64(seq);
-        let _ = write!(self.digest, "{op}");
-        let _ = write!(self.digest, "{reply}");
+        op.fold(&mut self.digest);
+        reply.fold(&mut self.digest);
         let kind = op.label();
         let subject = match &op {
             FabricOp::Admit { .. } => match &reply {
@@ -749,17 +748,15 @@ impl FabricService {
             // Grow: admissibility-checked commit per host, all-or-nothing.
             let delta = hose - was;
             for (k, &h) in hosts.iter().enumerate() {
-                let blocked = self
-                    .ledger
-                    .first_blocking_link(h, delta)
-                    .map(|l| l.describe());
-                if let Some(link) = blocked {
+                let blocked = self.ledger.first_blocking_link(h, delta);
+                if let Some(link) = blocked.map(|l| (l.node, l.port, l.peer)) {
                     for &g in &hosts[..k] {
                         self.ledger.release(g, delta);
                     }
                     return FabricReply::ResizeDenied {
                         tenant: id,
-                        detail: format!("grow to {new_tokens} tokens blocked on link {link}"),
+                        tokens: new_tokens,
+                        link,
                     };
                 }
                 self.ledger.commit(h, delta);
@@ -1263,8 +1260,11 @@ mod tests {
         );
         let out = s.advance(300 * US);
         match &out[0].reply {
-            FabricReply::ResizeDenied { tenant: 0, detail } => {
-                assert!(detail.contains("blocked on link"), "{detail}");
+            r @ FabricReply::ResizeDenied {
+                tenant: 0, tokens, ..
+            } => {
+                assert_eq!(*tokens, 19.0);
+                assert!(r.to_string().contains("blocked on link"), "{r}");
             }
             other => panic!("expected denial, got {other:?}"),
         }

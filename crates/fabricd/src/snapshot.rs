@@ -561,15 +561,16 @@ end
 
     #[test]
     fn render_of_a_fixed_service_is_pinned() {
-        // The same service as the v4 pin (`V4`), so every op and reply
-        // the service folded into the `clock` digest stays as it was.
+        // The same service and op stream as the v4 pin (`V4`); its
+        // `clock` digest now folds each op's and reply's fields, where
+        // `V4`'s folded their wire text.
         let s = cordoned_service();
         let snap = render(&s);
         let mut h = DetHash::new();
         h.fold_bytes(snap.as_bytes());
         assert_eq!(
             (h.digest(), snap.len()),
-            (0x9f40_299c_eafe_77f6, 570),
+            (0x009e_1bd6_c426_fc22, 570),
             "{snap}"
         );
         assert_eq!(V4.len(), 624);

@@ -3,9 +3,10 @@
 /// Running 64-bit FNV-1a digest.
 ///
 /// The simulator folds every event-loop step (kind, time, node, seq)
-/// into one of these; two runs with the same seed must end with equal
-/// digests, so determinism regressions are an O(1) comparison instead
-/// of a transcript diff.
+/// into one of these, and `fabricd` every applied op and reply, field
+/// by field; two runs with the same seed must end with equal digests,
+/// so determinism regressions are an O(1) comparison instead of a
+/// transcript diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetHash(u64);
 
@@ -49,14 +50,6 @@ impl DetHash {
     /// The digest so far.
     pub fn digest(&self) -> u64 {
         self.0
-    }
-}
-
-/// `write!(h, "{x}")` folds the bytes of `x.to_string()` without building it.
-impl std::fmt::Write for DetHash {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.fold_bytes(s.as_bytes());
-        Ok(())
     }
 }
 
