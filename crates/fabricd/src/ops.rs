@@ -4,10 +4,11 @@
 //! The wire form is what a client reads. The service digest folds each
 //! op's and reply's fields instead (`fold`): a reply's text is a
 //! function of its fields and an op's text round-trips to its fields,
-//! so the digest moves whenever the text would. Op encoding is canonical — `decode(encode(x)) == x` and
-//! `encode(decode(s)) == s` for any valid `s` — which the snapshot
-//! format relies on to round-trip the pending queue exactly. Replies
-//! are only written, never parsed.
+//! so the digest moves whenever the text would. Op encoding is
+//! canonical — `decode(encode(x)) == x` and `encode(decode(s)) == s`
+//! for any valid `s` — which the snapshot format relies on to
+//! round-trip the pending queue exactly. Replies are only written,
+//! never parsed.
 //!
 //! Floats (hose tokens) travel as shortest-round-trip decimal (Rust's
 //! `f64` `Display`), which is canonical and exact.
@@ -537,5 +538,141 @@ mod tests {
         assert!(FabricOp::decode("depart").is_err());
         assert!(FabricOp::decode("depart x").is_err());
         assert!(FabricOp::decode("depart 1 2").is_err());
+    }
+
+    /// `x` with its last mantissa bit flipped.
+    fn ulp(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() ^ 1)
+    }
+
+    /// Every value folds like an equal value, and unlike every other
+    /// value in `all`.
+    fn assert_folds_distinct<T: Clone + fmt::Debug>(all: &[T], fold: impl Fn(&T, &mut DetHash)) {
+        let digest = |x: &T| {
+            let mut h = DetHash::new();
+            fold(x, &mut h);
+            h.digest()
+        };
+        for (i, a) in all.iter().enumerate() {
+            assert_eq!(digest(a), digest(&a.clone()), "{a:?}");
+            for b in &all[i + 1..] {
+                assert_ne!(digest(a), digest(b), "{a:?} and {b:?} fold equal");
+            }
+        }
+    }
+
+    #[test]
+    fn op_fold_covers_every_field() {
+        let admit = |name: &str, n_vms, tokens_per_vm, lifetime| FabricOp::Admit {
+            name: name.into(),
+            n_vms,
+            tokens_per_vm,
+            lifetime,
+        };
+        let resize = |tenant, new_tokens_per_vm| FabricOp::Resize {
+            tenant,
+            new_tokens_per_vm,
+        };
+        // Each variant, then each of its fields changed alone; the
+        // node ops share a node so only the variant tells them apart.
+        let ops = [
+            admit("t0", 4, 2.5, 5_000_000),
+            admit("t1", 4, 2.5, 5_000_000),
+            admit("t0x", 4, 2.5, 5_000_000),
+            admit("t", 4, 2.5, 5_000_000),
+            admit("t0", 5, 2.5, 5_000_000),
+            admit("t0", 4, ulp(2.5), 5_000_000),
+            admit("t0", 4, 2.5, 5_000_001),
+            FabricOp::Depart { tenant: 3 },
+            FabricOp::Depart { tenant: 4 },
+            resize(3, 0.125),
+            resize(4, 0.125),
+            resize(3, ulp(0.125)),
+            FabricOp::Cordon { node: 17 },
+            FabricOp::Cordon { node: 18 },
+            FabricOp::Uncordon { node: 17 },
+            FabricOp::Uncordon { node: 18 },
+            FabricOp::Drain { node: 17 },
+            FabricOp::Drain { node: 18 },
+        ];
+        assert_folds_distinct(&ops, FabricOp::fold);
+    }
+
+    #[test]
+    fn reply_fold_covers_every_field() {
+        let admitted = |tenant, hosts: &[u32]| FabricReply::Admitted {
+            tenant,
+            hosts: hosts.to_vec(),
+        };
+        let resized = |tenant, old_tokens, new_tokens| FabricReply::Resized {
+            tenant,
+            old_tokens,
+            new_tokens,
+        };
+        let denied = |tenant, tokens, node, port, peer| FabricReply::ResizeDenied {
+            tenant,
+            tokens,
+            link: (NodeId(node), PortNo(port), NodeId(peer)),
+        };
+        let drained = |node, moved: &[Moved]| FabricReply::Drained {
+            node,
+            moved: moved.to_vec(),
+        };
+        let failed = |node, detail: &str| FabricReply::DrainFailed {
+            node,
+            detail: detail.into(),
+        };
+        let error = |detail: &str| FabricReply::Error {
+            detail: detail.into(),
+        };
+        let m = [(0, 1, 3, 8), (2, 0, 3, 9)];
+        let replies = [
+            admitted(0, &[4, 9, 12]),
+            admitted(1, &[4, 9, 12]),
+            admitted(0, &[4, 9, 13]),
+            admitted(0, &[4, 9]),
+            admitted(0, &[4, 9, 12, 12]),
+            admitted(0, &[]),
+            FabricReply::Rejected {
+                reason: RejectReason::NoSlots,
+            },
+            FabricReply::Rejected {
+                reason: RejectReason::NoCapacity,
+            },
+            FabricReply::Departed { tenant: 7 },
+            FabricReply::Departed { tenant: 8 },
+            resized(7, 2.0, 3.5),
+            resized(8, 2.0, 3.5),
+            resized(7, ulp(2.0), 3.5),
+            resized(7, 2.0, ulp(3.5)),
+            denied(7, 9.5, 4, 1, 5),
+            denied(8, 9.5, 4, 1, 5),
+            denied(7, ulp(9.5), 4, 1, 5),
+            denied(7, 9.5, 6, 1, 5),
+            denied(7, 9.5, 4, 2, 5),
+            denied(7, 9.5, 4, 1, 6),
+            FabricReply::Cordoned { node: 3 },
+            FabricReply::Cordoned { node: 4 },
+            FabricReply::Uncordoned { node: 3 },
+            FabricReply::Uncordoned { node: 4 },
+            drained(3, &m),
+            drained(4, &m),
+            drained(3, &[(1, 1, 3, 8), m[1]]),
+            drained(3, &[(0, 2, 3, 8), m[1]]),
+            drained(3, &[(0, 1, 4, 8), m[1]]),
+            drained(3, &[(0, 1, 3, 9), m[1]]),
+            drained(3, &m[..1]),
+            drained(3, &[m[0], m[1], m[1]]),
+            drained(3, &[]),
+            failed(3, "no_slots migrating"),
+            failed(4, "no_slots migrating"),
+            failed(3, "no_slots migratinG"),
+            failed(3, "no_slots migrating!"),
+            error("tenant 99 unknown"),
+            error("tenant 98 unknown"),
+            error("tenant 99 unknow"),
+            error(""),
+        ];
+        assert_folds_distinct(&replies, FabricReply::fold);
     }
 }
